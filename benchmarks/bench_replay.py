@@ -9,7 +9,8 @@ tiers dropped, on-disk artifact store primed) — and enforces the gates:
 * every flavour **bit-identical** to the compiled simulator (makespan,
   messages, bytes, per-rank communication times), on the replay backend,
   no silent fallback;
-* full scale (N=1024 / S=256, the committed numbers): warm replay at
+* full scale (N=1024 / S=256, the committed numbers): fresh replay at
+  least **2.5x** and warm replay at
   least **10x** over the compiled simulator, the vectorized engine at
   least **5x** over the scalar walk (``vector_x``), and a primed-store
   cold run at least **5x** over compiled with a nonzero disk hit count —

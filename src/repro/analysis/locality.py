@@ -539,7 +539,7 @@ def analyze(
     :class:`~repro.core.common.CompiledProgram` (whose ``checked`` AST
     and ``entry`` are reused). Purely static; never simulates.
     """
-    from repro.core.compiler import _default_entry
+    from repro.core.compiler import default_entry
 
     checked = getattr(program, "checked", program)
     if entry is None:
@@ -559,14 +559,14 @@ def analyze(
 
         checked = check_program(monomorphize(parse_program(source)))
         if entry is None:
-            entry = _default_entry(checked)
+            entry = default_entry(checked)
         result = _analyze_checked(checked, entry, max_candidates)
         if perf.caches_enabled():
             _locality_cache[key] = result
         return result
 
     if entry is None:
-        entry = _default_entry(checked)
+        entry = default_entry(checked)
     return _analyze_checked(checked, entry, max_candidates)
 
 

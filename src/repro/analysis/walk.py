@@ -1,18 +1,21 @@
 """The verifier's per-rank abstract walk.
 
-:class:`VerifyWalk` specializes the tuner's abstract interpreter
-(:class:`repro.tune.model._AbstractRank`) for static checking:
+:class:`VerifyWalk` runs the compiled abstract walk
+(:mod:`repro.spmd.walk`) through its hooks for static checking — it
+holds no statement or expression dispatch of its own:
 
-* cost accounting is disabled — the event list holds communication
-  events only, each paired 1:1 with an *origin*: the stack of enclosing
-  ``proc``/``for``/``if`` labels, so balance and deadlock findings can
-  say which loop or guard produced an event;
+* the charge sink is a no-op (``flush`` records nothing) — the event
+  list holds communication events only, each paired 1:1 with an
+  *origin*: the stack of enclosing ``proc``/``for``/``if`` labels, so
+  balance and deadlock findings can say which loop or guard produced an
+  event;
 * invalid communication partners (self-sends, ranks outside the ring)
   become guard-coverage findings instead of aborting the walk — the
   offending event is skipped and analysis continues;
-* locally allocated I-structures get a :class:`~repro.analysis.
-  footprint.Tracker` recording every write and read as an exact index
-  set;
+* it defines the access observers (``on_alloc``/``on_read``/
+  ``on_write``), so its walk code evaluates every access index: locally
+  allocated I-structures get a :class:`~repro.analysis.footprint.
+  Tracker` recording every write and read as an exact index set;
 * loops are *summarized* whenever possible: the body runs once with the
   loop variable bound to an :class:`Affine` value, every array access
   whose indices stay affine in the loop variable is recorded as one
@@ -29,10 +32,8 @@ from __future__ import annotations
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.footprint import Prog, Tracker
-from repro.errors import ModelError, NodeRuntimeError
-from repro.spmd import ir
-from repro.spmd.pretty import pretty_expr
-from repro.tune.model import UNKNOWN, _AbstractRank, _ARRAY, _Return
+from repro.errors import ModelError
+from repro.spmd.walk import ARRAY, UNKNOWN, ProcReturn, Walker
 
 #: Entry array parameters are scattered from fully defined inputs, so
 #: every local element is readable and none is writable again; they are
@@ -152,34 +153,25 @@ def affine(base: int, delta: int, axis: int, trips: int):
     return Affine(base, delta, axis, trips)
 
 
-class VerifyWalk(_AbstractRank):
+class VerifyWalk(Walker):
     """One rank's walk, recording comm origins and I-structure footprints."""
 
-    def __init__(self, program, rank, nprocs, machine, globals_, analysis):
-        super().__init__(program, rank, nprocs, machine, globals_, analysis)
+    def __init__(self, code, rank, nprocs, globals_):
+        super().__init__(code, rank, nprocs, globals_)
         self.origins: list[tuple[str, ...]] = []  # 1:1 with self.events
         self.findings: list[Diagnostic] = []
         self.trackers: list[Tracker] = []
         self.path: list[str] = []
         self.completed = False
-        self._cond_labels: dict[int, str] = {}
         self._next_axis = 0
         self._active_axes: list[tuple[int, int]] = []  # (axis, trips)
         self._txn: list[tuple] = []  # buffered records while summarizing
-        self.summarized_loops = 0
-        self.iterated_loops = 0
         # Loops that failed to summarize (usually: they communicate).
         # Retrying on every visit would double-execute their prefix each
         # outer iteration, so after a couple of failures we stop trying.
-        self._no_summarize: dict[int, int] = {}
+        self._no_summarize: dict = {}
 
-    # -- cost plumbing: verification has no clock --------------------------
-    def charge_op(self, count: int = 1) -> None:
-        pass
-
-    def charge_mem(self, count: int = 1) -> None:
-        pass
-
+    # -- charge sink: verification has no clock ----------------------------
     def flush(self) -> None:
         pass
 
@@ -269,102 +261,49 @@ class VerifyWalk(_AbstractRank):
             self.events.append(event)
             self.origins.append(tuple(self.path))
 
-    def exec_broadcast(self, stmt: ir.NBroadcast, frame) -> None:
-        owner = self.eval(stmt.owner, frame)
-        if owner is UNKNOWN:
-            raise ModelError("broadcast owner depends on array data")
-        if self.rank == owner:
-            value = self.eval(stmt.value, frame)
-            self.store(stmt.target, value, frame)
-            for q in range(self.nprocs):
-                if q != self.rank:
-                    self._emit(("s", q, stmt.channel, 1))
-        else:
-            self.emit_recv(owner, stmt.channel)
-            self.store(stmt.target, UNKNOWN, frame)
-
-    # -- statements --------------------------------------------------------
-    def exec_stmt(self, stmt: ir.NStmt, frame) -> None:
-        if isinstance(stmt, ir.NIf):
-            taken = stmt.then_body if self.eval(stmt.cond, frame) \
-                else stmt.else_body
-            self.path.append(self._cond_label(stmt))
-            try:
-                self.exec_body(taken, frame)
-            finally:
-                self.path.pop()
-            return
-        if isinstance(stmt, ir.NAllocIs):
-            shape = [self.eval(dim, frame) for dim in stmt.shape]
-            if not self._active_axes and all(
-                isinstance(s, int) and s >= 0 for s in shape
-            ):
-                tracker = Tracker(stmt.name, shape, self.rank)
-                self.trackers.append(tracker)
-                frame.arrays[stmt.name] = tracker
-            else:  # unanalyzable or per-iteration allocation
-                frame.arrays[stmt.name] = _ARRAY
-            return
-        super().exec_stmt(stmt, frame)
-
-    def _cond_label(self, stmt: ir.NIf) -> str:
-        label = self._cond_labels.get(id(stmt))
-        if label is None:
-            label = self._cond_labels[id(stmt)] = \
-                f"if {pretty_expr(stmt.cond)}"
-        return label
-
-    def exec_for(self, stmt: ir.NFor, frame) -> None:
-        lo = self.eval(stmt.lo, frame)
-        hi = self.eval(stmt.hi, frame)
-        step = self.eval(stmt.step, frame)
+    # -- loop policy -------------------------------------------------------
+    def loop(self, loop, frame, lo, hi, step) -> None:
         if isinstance(lo, Affine) or isinstance(hi, Affine) \
                 or isinstance(step, Affine):
             raise NotAffine("loop bounds vary with an outer summarized loop")
-        if lo is UNKNOWN or hi is UNKNOWN or step is UNKNOWN:
-            raise ModelError("loop bound depends on array data")
-        if step <= 0:
-            raise NodeRuntimeError(f"non-positive loop step {step}", self.rank)
-        if hi < lo:
+        trips = self.trips(lo, hi, step)
+        if not trips:
             return
-        trips = (hi - lo) // step + 1
         slot = len(self.path)
         self.path.append("")
         try:
-            if trips > 1 and self._no_summarize.get(id(stmt), 0) < 2:
-                self.path[slot] = f"for {stmt.var}={lo}..{hi}"
-                if self._try_summarize(stmt, frame, lo, step, trips):
-                    self.summarized_loops += 1
+            if trips > 1 and self._no_summarize.get(loop, 0) < 2:
+                self.path[slot] = f"for {loop.name}={lo}..{hi}"
+                if self._try_summarize(loop, frame, lo, step, trips):
                     return
-                self._no_summarize[id(stmt)] = \
-                    self._no_summarize.get(id(stmt), 0) + 1
-            self.iterated_loops += 1
+                self._no_summarize[loop] = \
+                    self._no_summarize.get(loop, 0) + 1
             for v in range(lo, hi + 1, step):
-                self.path[slot] = f"for {stmt.var}={v}"
-                frame.scalars[stmt.var] = v
-                self.exec_body(stmt.body, frame)
+                self.path[slot] = f"for {loop.name}={v}"
+                frame[loop.var] = v
+                loop.body(self, frame)
         finally:
             self.path.pop()
 
-    def _try_summarize(self, stmt, frame, lo, step, trips) -> bool:
+    def _try_summarize(self, loop, frame, lo, step, trips) -> bool:
         """Run the body once over an Affine loop variable. True on success;
-        on failure the frame and footprint records are rolled back.
+        on failure the frame's scalars and the footprint records are
+        rolled back.
 
-        A ``return`` from inside the body (``_Return``) also rolls back:
+        A ``return`` from inside the body (``ProcReturn``) also rolls back:
         it would end the loop mid-iteration, which only the concrete
         walk can place correctly."""
         axis = self._next_axis
         self._next_axis += 1
-        saved_scalars = dict(frame.scalars)
+        saved_scalars = frame[:loop.nscalars]
         mark = len(self._txn)
         self._active_axes.append((axis, trips))
         try:
-            frame.scalars[stmt.var] = Affine(lo, step, axis, trips)
-            self.exec_body(stmt.body, frame)
-        except (NotAffine, _Return):
+            frame[loop.var] = Affine(lo, step, axis, trips)
+            loop.body(self, frame)
+        except (NotAffine, ProcReturn):
             del self._txn[mark:]
-            frame.scalars.clear()
-            frame.scalars.update(saved_scalars)
+            frame[:loop.nscalars] = saved_scalars
             return False
         finally:
             self._active_axes.pop()
@@ -378,9 +317,9 @@ class VerifyWalk(_AbstractRank):
             self._txn[mark:] = footprints + template * trips
         # Body-assigned scalars are iteration-dependent; like the cost
         # model, forget them so a stale Affine value never leaks out.
-        for name in self.analysis.assigned(stmt):
-            frame.scalars[name] = UNKNOWN
-        frame.scalars[stmt.var] = lo + (trips - 1) * step
+        for slot in loop.assigned:
+            frame[slot] = UNKNOWN
+        frame[loop.var] = lo + (trips - 1) * step
         if not self._active_axes:
             records, self._txn = self._txn, []
             for record in records:
@@ -391,36 +330,27 @@ class VerifyWalk(_AbstractRank):
                     self._commit(*record)
         return True
 
-    # -- I-structure footprints --------------------------------------------
-    def store(self, target, value, frame) -> None:
-        if isinstance(target, ir.VarLV):
-            frame.scalars[target.name] = value
-            return
-        if isinstance(target, ir.IsLV):
-            arr = self.array(target.array, frame)
-            dims = [self.eval(index, frame) for index in target.indices]
-            if isinstance(arr, Tracker):
-                self._record("w", arr, dims)
-            elif arr is DEFINED:
-                # Writing a scattered entry array would re-define an
-                # element; record against a virtual full footprint.
-                self._record_defined_write(target.array, dims)
-            return
-        if isinstance(target, ir.BufLV):
-            self.buffer(target.buf, frame)
-            for index in target.indices:
-                self.eval(index, frame)
-            return
-        raise NodeRuntimeError(f"unknown lvalue {target!r}", self.rank)
+    # -- access observers: I-structure footprints --------------------------
+    def on_alloc(self, name: str, shape):
+        if not self._active_axes and all(
+            isinstance(s, int) and s >= 0 for s in shape
+        ):
+            tracker = Tracker(name, shape, self.rank)
+            self.trackers.append(tracker)
+            return tracker
+        return ARRAY  # unanalyzable or per-iteration allocation
 
-    def eval(self, e: ir.NExpr, frame):
-        if isinstance(e, ir.NIsRead):
-            arr = self.array(e.array, frame)
-            dims = [self.eval(index, frame) for index in e.indices]
-            if isinstance(arr, Tracker):
-                self._record("r", arr, dims)
-            return UNKNOWN
-        return super().eval(e, frame)
+    def on_read(self, arr, dims) -> None:
+        if isinstance(arr, Tracker):
+            self._record("r", arr, dims)
+
+    def on_write(self, name: str, arr, dims) -> None:
+        if isinstance(arr, Tracker):
+            self._record("w", arr, dims)
+        elif arr is DEFINED:
+            # Writing a scattered entry array would re-define an
+            # element; record against a virtual full footprint.
+            self._record_defined_write(name, dims)
 
     def _record_defined_write(self, name: str, dims) -> None:
         self.findings.append(Diagnostic(

@@ -206,7 +206,7 @@ def _compile_program(
     if spec is None:
         spec = DecompositionSpec.from_program(checked)
     if entry is None:
-        entry = _default_entry(checked)
+        entry = default_entry(checked)
     if entry not in checked.procs:
         raise CompileError(f"unknown entry procedure {entry!r}")
     if opt_level is not OptLevel.NONE and strategy is not Strategy.COMPILE_TIME:
@@ -258,7 +258,7 @@ def _compile_program(
     )
 
 
-def _default_entry(checked: CheckedProgram) -> str:
+def default_entry(checked: CheckedProgram) -> str:
     """The procedure nobody calls; error if ambiguous."""
     from repro.lang import ast
 

@@ -20,6 +20,7 @@ from repro.runtime import IStructure
 from repro.core.common import CompiledProgram
 from repro.spmd.interp import SPMDResult, run_spmd
 from repro.spmd.layout import gather, scatter
+from repro.spmd.walk import ARRAY
 
 # Inspector communication schedules, keyed on (program text, ring size,
 # params, index-array contents). A hit lets a run skip the enumeration
@@ -166,11 +167,9 @@ def execute(
         # The replay extractor never looks at array *values*, so hand it
         # an argument maker that skips the (expensive) scatter; the real
         # ``make_args`` scatters lazily if the run falls back.
-        from repro.tune.model import _ARRAY
-
         def extract_args(rank: int) -> list[object]:
             return [
-                _ARRAY
+                ARRAY
                 if param.type.is_array()
                 else scalar_input(param.name)
                 for param in entry_proc.params

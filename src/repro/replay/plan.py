@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 from repro import perf
 from repro.machine.costs import MachineParams
-from repro.replay.skeleton import KIND_RECV, KIND_SEND, ProgramSkeleton
+from repro.replay.skeleton import (
+    KIND_RECV,
+    KIND_SEND,
+    ProgramSkeleton,
+    _skeleton_cache,
+)
 
 try:
     import numpy as np
@@ -197,3 +202,10 @@ def get_plan(skeleton: ProgramSkeleton,
     else:
         perf.hit("replay_plan")
     return plan
+
+
+def forget_plans() -> None:
+    """Drop the plans memoized on every cached skeleton, so the next
+    replay of each rebuilds its plan (benchmarks time that rebuild)."""
+    for skeleton in list(_skeleton_cache.values()):
+        getattr(skeleton, "_replay_plans", {}).clear()

@@ -1,26 +1,19 @@
 """Skeleton extraction: one abstract walk per rank, columnar output.
 
-The replay backend rests on the property PR 4's cost model proved and
-the static verifier re-verified: generated control flow never depends on
-array *data*. Loop bounds, guards, and communication partners are pure
-index arithmetic over ``mynode()``/``nprocs()``/params, so the exact
+Generated control flow never depends on array *data*, so the exact
 sequence of effects a rank will push through the simulator — compute
 bursts, sends, receives — is a *static skeleton* that can be extracted
 once per (program, ring, bindings) and replayed any number of times
 without executing a single array operation.
 
-The walk here subclasses the tuner's abstract interpreter
-(:class:`repro.tune.model._AbstractRank`) with one crucial change: cost
-is accumulated as **integer (ops, mems) counters**, not as a float.  The
-compiled backend's flush charges ``ops * op_us + mems * mem_us`` — two
-multiplies and one add on integer totals — so carrying the counters
-through extraction and synthesizing the float cost with the *same
-expression* at replay time makes compute costs bit-identical to the
-compiled backend for **any** machine parameters, not just the dyadic
-iPSC/2 defaults (repeated float accumulation, as the cost model does it,
-drifts in the last ulp for non-binary-fraction ``op_us``).  The
-closed-form loop fast path becomes exact integer arithmetic:
-``count * trips`` instead of ``delta_cost * trips``.
+Extraction runs the compiled abstract walk of :mod:`repro.spmd.walk`,
+which accumulates cost as **integer (ops, mems) counters**. The compiled
+backend's flush charges ``ops * op_us + mems * mem_us``, so synthesizing
+the float cost with the *same expression* at replay time makes compute
+costs bit-identical to the compiled backend for **any** machine
+parameters. This module adds one loop policy, *replication*: a
+communicating loop whose event stream is iteration-invariant is walked
+twice and its second iteration's rows repeated.
 
 Carrying counters instead of costs has a second payoff: extraction is
 **machine-independent**.  The skeleton cache is keyed only on (program,
@@ -44,28 +37,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import perf
-from repro.errors import ModelError, NodeRuntimeError, ReproError
-from repro.spmd import ir
-from repro.tune.model import (
+from repro.errors import ReproError
+from repro.spmd.walk import (
+    ARRAY,
+    KIND_COMPUTE,
+    KIND_RECV,
+    KIND_SEND,
     UNKNOWN,
-    _AbstractRank,
-    _Analysis,
-    _ARRAY,
-    _BodyInfo,
-    _expr_reads,
-    _expr_vars,
+    Walker,
 )
 
 try:  # guarded: interp/compiled must keep working without numpy
     import numpy as np
 except ImportError:  # pragma: no cover - exercised via monkeypatching
     np = None
-
-#: Event kinds in the columnar ``kind`` array.
-KIND_COMPUTE = 0
-KIND_SEND = 1
-KIND_RECV = 2
-
 
 class ReplayAbstention(ReproError):
     """The extractor cannot produce a skeleton; fall back to compiled."""
@@ -123,276 +108,83 @@ class ProgramSkeleton:
         return sum(len(r) for r in self.ranks)
 
 
-def _replicable_body_info(body) -> _BodyInfo:
-    """Event-uniformity scan: like the tuner's cost-uniformity scan
-    (:func:`repro.tune.model._body_info`) but communication does not
-    disqualify a body — instead every expression that determines the
-    *event stream* (partners, vector bounds, payload values' charge
-    structure) is marked sensitive. A loop whose sensitive expressions
-    never mention the loop variable, a body-assigned scalar, or array
-    data emits the exact same event subsequence on every iteration past
-    the first, so the extractor can walk two iterations and replicate.
-    """
-    info = _BodyInfo()
+class _SkeletonRank(Walker):
+    """The walk plus the replication policy for communicating loops."""
 
-    def sensitive(e: ir.NExpr) -> None:
-        info.sensitive_vars |= _expr_vars(e)
-        if _expr_reads(e):
-            info.sensitive_reads = True
-
-    def scan_shortcircuit(e: ir.NExpr) -> None:
-        for node in ir.walk_exprs(e):
-            if isinstance(node, ir.NBin) and node.op in ("and", "or"):
-                sensitive(node)
-
-    def scan_target(target) -> None:
-        if isinstance(target, ir.VarLV):
-            info.assigned.add(target.name)
+    def iterate(self, loop, frame, lo, step, trips) -> None:
+        if trips < 2 or not loop.replicable:
+            super().iterate(loop, frame, lo, step, trips)
+            return
+        # Communicating loop with an iteration-invariant event stream:
+        # walk the first iteration for real (its leading flush merges
+        # compute pending from *before* the loop), walk the second for
+        # real (its leading flush merges the first iteration's trailing
+        # compute — the steady state), then replicate the second
+        # iteration's rows for the rest. Flush boundaries stay exactly
+        # where the compiled backend puts them, which bit-identity of
+        # the clock chain depends on.
+        events = self.events
+        frame[loop.var] = lo
+        loop.body(self, frame)
+        tail_ops, tail_mems = self.ops, self.mems
+        mark = len(events)
+        frame[loop.var] = lo + step
+        loop.body(self, frame)
+        if len(events) > mark:
+            # The steady-state iteration communicated, so its trailing
+            # compute pending is iteration-invariant already; only the
+            # events need replicating.
+            events.extend(events[mark:] * (trips - 2))
         else:
-            for index in target.indices:
-                scan_shortcircuit(index)
-
-    def merge(sub: _BodyInfo) -> None:
-        info.impure |= sub.impure
-        info.assigned |= sub.assigned
-        info.sensitive_vars |= sub.sensitive_vars
-        info.sensitive_reads |= sub.sensitive_reads
-
-    for stmt in body:
-        if isinstance(stmt, ir.NAssign):
-            scan_shortcircuit(stmt.value)
-            scan_target(stmt.target)
-        elif isinstance(stmt, (ir.NAllocIs, ir.NAllocBuf)):
-            for dim in stmt.shape:
-                scan_shortcircuit(dim)
-        elif isinstance(stmt, ir.NFor):
-            info.assigned.add(stmt.var)
-            sensitive(stmt.lo)
-            sensitive(stmt.hi)
-            sensitive(stmt.step)
-            merge(_replicable_body_info(stmt.body))
-        elif isinstance(stmt, ir.NIf):
-            sensitive(stmt.cond)
-            merge(_replicable_body_info(stmt.then_body))
-            merge(_replicable_body_info(stmt.else_body))
-        elif isinstance(stmt, ir.NSend):
-            sensitive(stmt.dst)
-            for value in stmt.values:
-                scan_shortcircuit(value)
-        elif isinstance(stmt, ir.NRecv):
-            sensitive(stmt.src)
-            for target in stmt.targets:
-                scan_target(target)
-        elif isinstance(stmt, ir.NSendVec):
-            sensitive(stmt.dst)
-            sensitive(stmt.lo)
-            sensitive(stmt.hi)
-        elif isinstance(stmt, ir.NRecvVec):
-            sensitive(stmt.src)
-            sensitive(stmt.lo)
-            sensitive(stmt.hi)
-        elif isinstance(stmt, ir.NCoerce):
-            sensitive(stmt.owner)
-            sensitive(stmt.dest)
-            scan_shortcircuit(stmt.value)
-            scan_target(stmt.target)
-        elif isinstance(stmt, ir.NBroadcast):
-            sensitive(stmt.owner)
-            scan_shortcircuit(stmt.value)
-            scan_target(stmt.target)
-        elif isinstance(stmt, ir.NComment):
-            pass
-        else:
-            # Procedure calls and returns still disqualify.
-            info.impure = True
-    return info
+            # Every send/receive was guarded off (guards are
+            # iteration-invariant): the loop degenerated to pure
+            # compute and pending grows linearly instead.
+            self.ops += (self.ops - tail_ops) * (trips - 2)
+            self.mems += (self.mems - tail_mems) * (trips - 2)
+        for slot in loop.event_assigned:
+            frame[slot] = UNKNOWN
+        frame[loop.var] = lo + (trips - 1) * step
 
 
-class _ReplicationAnalysis:
-    """Per-loop verdict: is the body's *event stream* iteration-invariant
-    (communication allowed)? Plus the full set of scalars the body may
-    assign — including receive/coerce/broadcast targets, which the cost
-    model's ``assigned()`` never collects because communication already
-    disqualified the loop there. Keyed by statement identity; holds the
-    program so ids stay valid."""
-
-    def __init__(self, program: ir.NodeProgram):
-        self._program = program
-        self._replicable: dict[int, bool] = {}
-        self._assigned: dict[int, frozenset[str]] = {}
-        for proc in program.procs.values():
-            for stmt in ir.walk_stmts(proc.body):
-                if isinstance(stmt, ir.NFor):
-                    info = _replicable_body_info(stmt.body)
-                    iter_state = info.assigned | {stmt.var}
-                    self._replicable[id(stmt)] = (
-                        not info.impure
-                        and not info.sensitive_reads
-                        and not (info.sensitive_vars & iter_state)
-                    )
-                    self._assigned[id(stmt)] = frozenset(info.assigned)
-
-    def replicable(self, stmt: ir.NFor) -> bool:
-        return self._replicable[id(stmt)]
-
-    def assigned(self, stmt: ir.NFor) -> frozenset[str]:
-        return self._assigned[id(stmt)]
+_COLUMNS = (
+    ("kind", "int8"), ("peer", "int32"), ("chan", "int32"),
+    ("plen", "int64"), ("ops", "int64"), ("mems", "int64"),
+)
 
 
-class _SkeletonRank(_AbstractRank):
-    """The tuner's abstract walk with integer cost counters.
-
-    ``charge_op``/``charge_mem`` accumulate counts; ``flush`` records a
-    ``("c", ops, mems)`` event exactly where the compiled backend would
-    yield its flushed ``Compute`` — before every communication and at
-    the end of the entry procedure — so the event streams align
-    one-to-one. The closed-form loop fast path multiplies *counts* by
-    the trip count (exact integers), keeping extraction O(events), not
-    O(iterations).
-    """
-
-    def __init__(self, program, rank, nprocs, globals_, analysis, replication):
-        # MachineParams are irrelevant to counting; pass None so any
-        # accidental use of a float cost fails loudly.
-        super().__init__(program, rank, nprocs, None, globals_, analysis)
-        self.replication = replication
-        self.pending_ops = 0
-        self.pending_mems = 0
-
-    # -- integer cost plumbing ---------------------------------------------
-    def charge_op(self, count: int = 1) -> None:
-        self.pending_ops += count
-
-    def charge_mem(self, count: int = 1) -> None:
-        self.pending_mems += count
-
-    def flush(self) -> None:
-        if self.pending_ops or self.pending_mems:
-            self.events.append(("c", self.pending_ops, self.pending_mems))
-            self.pending_ops = 0
-            self.pending_mems = 0
-
-    def exec_for(self, stmt, frame) -> None:
-        lo = self.eval(stmt.lo, frame)
-        hi = self.eval(stmt.hi, frame)
-        step = self.eval(stmt.step, frame)
-        if lo is UNKNOWN or hi is UNKNOWN or step is UNKNOWN:
-            raise ModelError("loop bound depends on array data")
-        if step <= 0:
-            raise NodeRuntimeError(f"non-positive loop step {step}", self.rank)
-        if hi < lo:
-            return
-        trips = (hi - lo) // step + 1
-        if trips > 1 and self.analysis.uniform(stmt):
-            # Closed form over integer counters: sample one iteration,
-            # multiply the count deltas by the trip count. Exact — no
-            # float rounding question even arises.
-            before_ops = self.pending_ops
-            before_mems = self.pending_mems
-            self.charge_op()  # increment + bound test
-            frame.scalars[stmt.var] = lo
-            self.exec_body(stmt.body, frame)
-            self.pending_ops = before_ops + (self.pending_ops - before_ops) * trips
-            self.pending_mems = (
-                before_mems + (self.pending_mems - before_mems) * trips
-            )
-            for name in self.analysis.assigned(stmt):
-                frame.scalars[name] = UNKNOWN
-            frame.scalars[stmt.var] = lo + (trips - 1) * step
-            return
-        if trips > 1 and self.replication.replicable(stmt):
-            # Communicating loop with an iteration-invariant event
-            # stream: walk the first iteration for real (its leading
-            # flush merges compute pending from *before* the loop),
-            # walk the second for real (its leading flush merges the
-            # first iteration's trailing compute — the steady state),
-            # then replicate the second iteration's event slice for the
-            # rest. Flush boundaries stay exactly where the compiled
-            # backend puts them, which bit-identity of the clock chain
-            # depends on.
-            self.charge_op()  # increment + bound test
-            frame.scalars[stmt.var] = lo
-            self.exec_body(stmt.body, frame)
-            tail_ops = self.pending_ops
-            tail_mems = self.pending_mems
-            mark = len(self.events)
-            self.charge_op()
-            frame.scalars[stmt.var] = lo + step
-            self.exec_body(stmt.body, frame)
-            if len(self.events) > mark:
-                # The steady-state iteration communicated, so its
-                # trailing compute pending is iteration-invariant
-                # already; only the events need replicating.
-                self.events.extend(self.events[mark:] * (trips - 2))
-            else:
-                # Every send/receive was guarded off (guards are
-                # iteration-invariant): the loop degenerated to pure
-                # compute and pending grows linearly instead.
-                self.pending_ops += (self.pending_ops - tail_ops) * (trips - 2)
-                self.pending_mems += (
-                    (self.pending_mems - tail_mems) * (trips - 2)
-                )
-            for name in self.replication.assigned(stmt):
-                frame.scalars[name] = UNKNOWN
-            frame.scalars[stmt.var] = lo + (trips - 1) * step
-            return
-        for v in range(lo, hi + 1, step):
-            self.charge_op()  # increment + bound test
-            frame.scalars[stmt.var] = v
-            self.exec_body(stmt.body, frame)
-
-
-def columnize(events: list[tuple], chan_ids: dict[str, int],
-              channels: list[str]) -> RankSkeleton:
-    """Pack one rank's ``("c"|"s"|"r", ...)`` event list into columns.
-
-    ``chan_ids``/``channels`` intern channel names across ranks so the
-    whole program shares one table; both are mutated in place.
-    """
+def columnize(rows: list[tuple]) -> RankSkeleton:
+    """Pack one rank's ``(kind, peer, chan, plen, ops, mems)`` rows."""
     _require_numpy()
-    n = len(events)
-    kind = np.zeros(n, dtype=np.int8)
-    peer = np.full(n, -1, dtype=np.int32)
-    chan = np.full(n, -1, dtype=np.int32)
-    plen = np.zeros(n, dtype=np.int64)
-    ops = np.zeros(n, dtype=np.int64)
-    mems = np.zeros(n, dtype=np.int64)
-    for i, ev in enumerate(events):
-        tag = ev[0]
-        if tag == "c":
-            ops[i] = ev[1]
-            mems[i] = ev[2]
-        else:
-            name = ev[2]
-            cid = chan_ids.get(name)
-            if cid is None:
-                cid = chan_ids[name] = len(channels)
-                channels.append(name)
-            peer[i] = ev[1]
-            chan[i] = cid
-            if tag == "s":
-                kind[i] = KIND_SEND
-                plen[i] = ev[3]
-            else:
-                kind[i] = KIND_RECV
-    return RankSkeleton(kind=kind, peer=peer, chan=chan, plen=plen,
-                        ops=ops, mems=mems)
+    table = np.array(rows, dtype=np.int64).reshape(-1, len(_COLUMNS))
+    return RankSkeleton(**{
+        name: table[:, col].astype(dtype)
+        for col, (name, dtype) in enumerate(_COLUMNS)
+    })
 
 
 def build_skeleton(nprocs: int, per_rank_events: list[list[tuple]],
                    ) -> ProgramSkeleton:
-    """Assemble a :class:`ProgramSkeleton` from raw event lists.
+    """Assemble a :class:`ProgramSkeleton` from ``("c", ops, mems)`` /
+    ``("s", dst, channel, plen)`` / ``("r", src, channel)`` event lists.
 
-    Used by the extractor below and by unit tests that hand-build
-    skeletons to pin the columnar FIFO arithmetic.
+    Used by unit tests that hand-build skeletons to pin the columnar
+    FIFO arithmetic; channel names are interned in order of appearance.
     """
     chan_ids: dict[str, int] = {}
-    channels: list[str] = []
+
+    def row(ev):
+        if ev[0] == "c":
+            return (KIND_COMPUTE, -1, -1, 0, ev[1], ev[2])
+        chan = chan_ids.setdefault(ev[2], len(chan_ids))
+        if ev[0] == "s":
+            return (KIND_SEND, ev[1], chan, ev[3], 0, 0)
+        return (KIND_RECV, ev[1], chan, 0, 0, 0)
+
     ranks = tuple(
-        columnize(events, chan_ids, channels) for events in per_rank_events
+        columnize([row(ev) for ev in events]) for events in per_rank_events
     )
     return ProgramSkeleton(
-        nprocs=nprocs, channels=tuple(channels), ranks=ranks
+        nprocs=nprocs, channels=tuple(chan_ids), ranks=ranks
     )
 
 
@@ -416,7 +208,7 @@ def _canonical_skeleton_key(key) -> str | None:
         return None
     args_c = repr(
         tuple(
-            tuple("<ARRAY>" if a is _ARRAY else a for a in row)
+            tuple("<ARRAY>" if a is ARRAY else a for a in row)
             for row in args
         )
     )
@@ -458,7 +250,7 @@ def extract_skeletons(program, nprocs: int, make_args,
         raw = list(make_args(rank))
         if len(raw) == len(entry.params):
             raw = [
-                _ARRAY if pname in entry.array_params else value
+                ARRAY if pname in entry.array_params else value
                 for pname, value in zip(entry.params, raw)
             ]
         abstract_args.append(raw)
@@ -485,39 +277,28 @@ def extract_skeletons(program, nprocs: int, make_args,
             perf.miss("replay_skeleton")
 
     with perf.phase("replay_extract"):
-        analyses: dict[int, tuple[_Analysis, _ReplicationAnalysis]] = {}
         chan_ids: dict[str, int] = {}
-        channels: list[str] = []
         ranks = []
         for rank in range(nprocs):
-            node_program = programs[rank]
-            pair = analyses.get(id(node_program))
-            if pair is None:
-                pair = analyses[id(node_program)] = (
-                    _Analysis(node_program),
-                    _ReplicationAnalysis(node_program),
-                )
-            walker = _SkeletonRank(
-                node_program, rank, nprocs, globals_, pair[0], pair[1]
-            )
             try:
-                events = walker.run(abstract_args[rank])
-            except ReproError as err:
+                walker = _SkeletonRank(
+                    _SkeletonRank.compile(programs[rank]),
+                    rank, nprocs, globals_, chan_ids,
+                )
+                rows = walker.run(abstract_args[rank])
+            except Exception as err:
                 # ModelError: genuinely data-dependent control.  Other
                 # ReproErrors (invalid partner, unbound name...): the
                 # simulator raises them only if the rank *reaches* the
                 # offending event — a run may deadlock first — so the
-                # compiled backend must arbitrate those too.
+                # compiled backend must arbitrate those too. Anything
+                # else is caught defensively: never change behaviour.
                 raise ReplayAbstention(
                     f"rank {rank}: {type(err).__name__}: {err}"
                 ) from err
-            except Exception as err:  # defensive: never change behaviour
-                raise ReplayAbstention(
-                    f"rank {rank}: {type(err).__name__}: {err}"
-                ) from err
-            ranks.append(columnize(events, chan_ids, channels))
+            ranks.append(columnize(rows))
         skeleton = ProgramSkeleton(
-            nprocs=nprocs, channels=tuple(channels), ranks=tuple(ranks)
+            nprocs=nprocs, channels=tuple(chan_ids), ranks=tuple(ranks)
         )
 
     if key is not None:

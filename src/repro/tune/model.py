@@ -1,40 +1,25 @@
 """Analytic cost model: predict a configuration's cost without simulation.
 
-The prediction walks the compiled SPMD IR once per rank. The crucial
-property of generated code (both resolution strategies, all optimization
-levels) is that **control flow is pure index arithmetic**: loop bounds,
-guards, and communication partners are computed from ``mynode()``,
-``nprocs()``, params, and loop variables — never from array *data*. So
-an abstract interpreter that tracks scalars concretely and treats every
-array element as an opaque :data:`UNKNOWN` reconstructs each rank's
-exact event skeleton
+The prediction runs the compiled abstract walk (:mod:`repro.spmd.walk`,
+which explains why it is sound: generated control flow never depends on
+array data) once per rank, recording each rank's event skeleton
 
-    [Compute(cost), Send(dst, channel, plen), Recv(src, channel), ...]
+    [Compute(ops, mems), Send(dst, channel, plen), Recv(src, channel), ...]
 
-without needing the scheduler at all: no receive can influence a branch,
-so each rank's walk is straight-line recording. Where that assumption
-breaks (a data-dependent branch), the walk raises :class:`ModelError`
-rather than guessing.
+with no scheduler in the loop; a data-dependent branch raises
+:class:`ModelError` rather than guessing. Message counts and bytes are
+**exact** — per (src, dst, channel), not just in total. The makespan
+comes from replaying the skeletons through the simulator's own clock
+arithmetic (a compute event costs ``ops * op_us + mems * mem_us``, the
+compiled backend's flush formula over the same integer counters; send
+start-up + bandwidth on the sender; ``max(clock, arrival) + overhead``
+on the receiver; FIFO per channel), which reproduces the ``compiled``
+backend's makespan bit for bit under any machine parameters.
 
-Costs mirror :class:`repro.spmd.interp._NodeMachine` charge-for-charge
-(ops per expression node and loop iteration, memory per array access and
-vector element, the flush-before-communication aggregation), so message
-counts and bytes are **exact** — per (src, dst, channel), not just in
-total. The makespan comes from replaying the skeletons through the
-simulator's own clock arithmetic (send start-up + bandwidth on the
-sender, ``max(clock, arrival) + overhead`` on the receiver, FIFO per
-channel), which reproduces the simulated makespan to float rounding.
-
-Two knowing approximations, both documented in ``docs/INTERNALS.md``:
-
-* comm-free loop bodies whose per-iteration cost is provably invariant
-  (no branch or inner bound depends on loop-carried scalars) are charged
-  in closed form — one sampled iteration times the trip count — instead
-  of being iterated; with the default dyadic op/mem costs this is exact,
-  with arbitrary float costs it can differ in the last bits;
-* the model assumes the identity placement (one process per processor).
-  The §5.3/5.4 multi-process placements change both local-delivery costs
-  and the deferral schedule and are *not* predicted.
+One knowing approximation, documented in ``docs/INTERNALS.md``: the
+model assumes the identity placement (one process per processor). The
+§5.3/5.4 multi-process placements change both local-delivery costs and
+the deferral schedule and are *not* predicted.
 """
 
 from __future__ import annotations
@@ -43,37 +28,10 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from repro import perf
-from repro.errors import CompileError, ModelError, NodeRuntimeError
-from repro.lang.builtins import apply_builtin, is_builtin
+from repro.errors import CompileError, ModelError
 from repro.machine import MachineParams
 from repro.machine.stats import ChannelKey
-from repro.spmd import ir
-from repro.spmd.interp import _binop
-
-_MAX_CALL_DEPTH = 64
-
-
-class _Unknown:
-    """Opaque stand-in for array-element values.
-
-    Arithmetic on it yields itself; asking for its truth value means a
-    branch depends on data, which the model cannot predict."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        raise ModelError(
-            "control flow depends on array data; the analytic model only "
-            "handles data-independent control"
-        )
-
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-
-UNKNOWN = _Unknown()
-
-_ARRAY = object()  # marker for an opaque local array / buffer
+from repro.spmd.walk import ARRAY, KIND_COMPUTE, KIND_SEND, UNKNOWN, Walker
 
 
 @dataclass
@@ -104,491 +62,17 @@ class Prediction:
 
 
 # ---------------------------------------------------------------------------
-# Cost-uniformity analysis (the closed-form fast path's precondition)
-# ---------------------------------------------------------------------------
-
-
-class _BodyInfo:
-    __slots__ = ("impure", "assigned", "sensitive_vars", "sensitive_reads")
-
-    def __init__(self):
-        self.impure = False
-        self.assigned: set[str] = set()
-        # Variables whose value can change a body's *cost*: branch
-        # conditions, inner loop bounds, and short-circuit operands.
-        self.sensitive_vars: set[str] = set()
-        self.sensitive_reads = False
-
-
-def _expr_vars(e: ir.NExpr) -> set[str]:
-    return {n.name for n in ir.walk_exprs(e) if isinstance(n, ir.NVar)}
-
-
-def _expr_reads(e: ir.NExpr) -> bool:
-    return any(
-        isinstance(n, (ir.NIsRead, ir.NBufRead)) for n in ir.walk_exprs(e)
-    )
-
-
-def _body_info(body) -> _BodyInfo:
-    info = _BodyInfo()
-
-    def sensitive(e: ir.NExpr) -> None:
-        info.sensitive_vars |= _expr_vars(e)
-        if _expr_reads(e):
-            info.sensitive_reads = True
-
-    def scan_shortcircuit(e: ir.NExpr) -> None:
-        for node in ir.walk_exprs(e):
-            if isinstance(node, ir.NBin) and node.op in ("and", "or"):
-                sensitive(node)
-
-    def merge(sub: _BodyInfo) -> None:
-        info.impure |= sub.impure
-        info.assigned |= sub.assigned
-        info.sensitive_vars |= sub.sensitive_vars
-        info.sensitive_reads |= sub.sensitive_reads
-
-    for stmt in body:
-        if isinstance(stmt, ir.NAssign):
-            scan_shortcircuit(stmt.value)
-            if isinstance(stmt.target, ir.VarLV):
-                info.assigned.add(stmt.target.name)
-            else:
-                for index in stmt.target.indices:
-                    scan_shortcircuit(index)
-        elif isinstance(stmt, (ir.NAllocIs, ir.NAllocBuf)):
-            for dim in stmt.shape:
-                scan_shortcircuit(dim)
-        elif isinstance(stmt, ir.NFor):
-            info.assigned.add(stmt.var)
-            sensitive(stmt.lo)
-            sensitive(stmt.hi)
-            sensitive(stmt.step)
-            merge(_body_info(stmt.body))
-        elif isinstance(stmt, ir.NIf):
-            sensitive(stmt.cond)
-            merge(_body_info(stmt.then_body))
-            merge(_body_info(stmt.else_body))
-        elif isinstance(stmt, ir.NComment):
-            pass
-        else:
-            # Communication, procedure calls, and returns all disqualify
-            # a body from closed-form costing.
-            info.impure = True
-    return info
-
-
-class _Analysis:
-    """Per-loop verdict: is the body's per-iteration cost invariant?
-
-    A loop qualifies for the closed-form fast path when its body is free
-    of communication/calls/returns and no cost-determining expression
-    (branch condition, inner bound, short-circuit operand) mentions the
-    loop variable, a scalar assigned inside the body, or array data.
-    Keyed by statement identity; holds the program so ids stay valid."""
-
-    def __init__(self, program: ir.NodeProgram):
-        self._program = program
-        self._uniform: dict[int, bool] = {}
-        self._assigned: dict[int, frozenset[str]] = {}
-        for proc in program.procs.values():
-            self._scan(proc.body)
-
-    def _scan(self, body) -> None:
-        for stmt in ir.walk_stmts(body):
-            if isinstance(stmt, ir.NFor):
-                info = _body_info(stmt.body)
-                iter_state = info.assigned | {stmt.var}
-                self._uniform[id(stmt)] = (
-                    not info.impure
-                    and not info.sensitive_reads
-                    and not (info.sensitive_vars & iter_state)
-                )
-                self._assigned[id(stmt)] = frozenset(info.assigned)
-
-    def uniform(self, stmt: ir.NFor) -> bool:
-        return self._uniform[id(stmt)]
-
-    def assigned(self, stmt: ir.NFor) -> frozenset[str]:
-        return self._assigned[id(stmt)]
-
-
-# ---------------------------------------------------------------------------
-# The per-rank abstract walk
-# ---------------------------------------------------------------------------
-
-
-class _Frame:
-    __slots__ = ("scalars", "arrays")
-
-    def __init__(self):
-        self.scalars: dict[str, object] = {}
-        self.arrays: dict[str, object] = {}
-
-
-class _Return(Exception):
-    pass
-
-
-class _AbstractRank:
-    """Record one rank's event skeleton by abstract interpretation.
-
-    Mirrors :class:`repro.spmd.interp._NodeMachine` statement-by-statement
-    — the same charge points in the same order — but records effects into
-    ``self.events`` instead of yielding them: because no branch may
-    depend on a received value, the walk never needs the scheduler."""
-
-    def __init__(
-        self,
-        program: ir.NodeProgram,
-        rank: int,
-        nprocs: int,
-        params: MachineParams,
-        globals_: dict[str, object],
-        analysis: _Analysis,
-    ):
-        self.program = program
-        self.rank = rank
-        self.nprocs = nprocs
-        self.params = params
-        self.globals = dict(globals_)
-        self.analysis = analysis
-        self.events: list[tuple] = []
-        self.pending_cost = 0.0
-        self.depth = 0
-
-    # -- cost plumbing -----------------------------------------------------
-    def charge_op(self, count: int = 1) -> None:
-        self.pending_cost += self.params.op_us * count
-
-    def charge_mem(self, count: int = 1) -> None:
-        self.pending_cost += self.params.mem_us * count
-
-    def flush(self) -> None:
-        if self.pending_cost > 0.0:
-            self.events.append(("c", self.pending_cost))
-            self.pending_cost = 0.0
-
-    def emit_send(self, dst, channel: str, plen: int) -> None:
-        if dst is UNKNOWN:
-            raise ModelError("send destination depends on array data")
-        if not 0 <= dst < self.nprocs:
-            raise NodeRuntimeError(
-                f"send to invalid processor {dst}", self.rank
-            )
-        if dst == self.rank:
-            raise NodeRuntimeError(
-                f"self-send on channel {channel!r}", self.rank
-            )
-        self.flush()
-        self.events.append(("s", dst, channel, plen))
-
-    def emit_recv(self, src, channel: str) -> None:
-        if src is UNKNOWN:
-            raise ModelError("receive source depends on array data")
-        if not 0 <= src < self.nprocs:
-            raise NodeRuntimeError(
-                f"recv from invalid processor {src}", self.rank
-            )
-        if src == self.rank:
-            raise NodeRuntimeError(
-                f"self-receive on channel {channel!r}", self.rank
-            )
-        self.flush()
-        self.events.append(("r", src, channel))
-
-    # -- entry -------------------------------------------------------------
-    def run(self, args: list[object]) -> list[tuple]:
-        self.call(self.program.entry_proc().name, args)
-        self.flush()
-        return self.events
-
-    def call(self, name: str, args: list[object]) -> None:
-        proc = self.program.procs.get(name)
-        if proc is None:
-            raise NodeRuntimeError(f"unknown node procedure {name!r}", self.rank)
-        if len(args) != len(proc.params):
-            raise NodeRuntimeError(
-                f"{name} expects {len(proc.params)} arguments, got {len(args)}",
-                self.rank,
-            )
-        self.depth += 1
-        if self.depth > _MAX_CALL_DEPTH:
-            raise NodeRuntimeError(f"call depth exceeded in {name}", self.rank)
-        frame = _Frame()
-        for pname, arg in zip(proc.params, args):
-            if pname in proc.array_params:
-                frame.arrays[pname] = arg
-            else:
-                frame.scalars[pname] = arg
-        try:
-            self.exec_body(proc.body, frame)
-        except _Return:
-            pass
-        finally:
-            self.depth -= 1
-
-    # -- statements --------------------------------------------------------
-    def exec_body(self, body, frame: _Frame) -> None:
-        for stmt in body:
-            self.exec_stmt(stmt, frame)
-
-    def exec_stmt(self, stmt: ir.NStmt, frame: _Frame) -> None:
-        if isinstance(stmt, ir.NAssign):
-            self.store(stmt.target, self.eval(stmt.value, frame), frame)
-        elif isinstance(stmt, (ir.NAllocIs, ir.NAllocBuf)):
-            for dim in stmt.shape:
-                self.eval(dim, frame)
-            frame.arrays[stmt.name] = _ARRAY
-        elif isinstance(stmt, ir.NFor):
-            self.exec_for(stmt, frame)
-        elif isinstance(stmt, ir.NIf):
-            if self.eval(stmt.cond, frame):
-                self.exec_body(stmt.then_body, frame)
-            else:
-                self.exec_body(stmt.else_body, frame)
-        elif isinstance(stmt, ir.NSend):
-            for value in stmt.values:
-                self.eval(value, frame)
-            dst = self.eval(stmt.dst, frame)
-            self.emit_send(dst, stmt.channel, len(stmt.values))
-        elif isinstance(stmt, ir.NRecv):
-            src = self.eval(stmt.src, frame)
-            self.emit_recv(src, stmt.channel)
-            for target in stmt.targets:
-                self.store(target, UNKNOWN, frame)
-        elif isinstance(stmt, ir.NSendVec):
-            self.buffer(stmt.buf, frame)
-            lo = self.eval(stmt.lo, frame)
-            hi = self.eval(stmt.hi, frame)
-            dst = self.eval(stmt.dst, frame)
-            plen = self._span(lo, hi)
-            self.charge_mem(plen)
-            self.emit_send(dst, stmt.channel, plen)
-        elif isinstance(stmt, ir.NRecvVec):
-            src = self.eval(stmt.src, frame)
-            self.buffer(stmt.buf, frame)
-            lo = self.eval(stmt.lo, frame)
-            hi = self.eval(stmt.hi, frame)
-            self.emit_recv(src, stmt.channel)
-            self.charge_mem(self._span(lo, hi))
-        elif isinstance(stmt, ir.NCoerce):
-            self.exec_coerce(stmt, frame)
-        elif isinstance(stmt, ir.NBroadcast):
-            self.exec_broadcast(stmt, frame)
-        elif isinstance(stmt, ir.NCallProc):
-            args = [
-                self.array(a, frame) if isinstance(a, str)
-                else self.eval(a, frame)
-                for a in stmt.args
-            ]
-            self.call(stmt.proc, args)
-            if stmt.array_result is not None:
-                frame.arrays[stmt.array_result] = _ARRAY
-            elif stmt.result is not None:
-                self.store(stmt.result, UNKNOWN, frame)
-        elif isinstance(stmt, ir.NReturn):
-            if stmt.value is not None and not isinstance(stmt.value, str):
-                self.eval(stmt.value, frame)
-            raise _Return()
-        elif isinstance(stmt, ir.NComment):
-            pass
-        elif isinstance(
-            stmt,
-            (
-                ir.NExchange,
-                ir.NResolve,
-                ir.NAccum,
-                ir.NScatterFlush,
-                ir.NAccumLocal,
-            ),
-        ):
-            # Inspector/executor nodes: who talks to whom is decided by
-            # index-array *contents* at run time, which the abstract walk
-            # cannot see. Abstain — the caller reports this as an
-            # "analysis unavailable" diagnostic, never a wrong verdict.
-            raise ModelError(
-                "indirect access: communication schedule depends on "
-                "array data"
-            )
-        elif isinstance(stmt, ir.NArrayAlias):
-            frame.arrays[stmt.name] = _ARRAY
-        else:
-            raise NodeRuntimeError(f"unknown statement {stmt!r}", self.rank)
-
-    @staticmethod
-    def _span(lo, hi) -> int:
-        if lo is UNKNOWN or hi is UNKNOWN:
-            raise ModelError("vector bounds depend on array data")
-        return max(0, hi - lo + 1)
-
-    def exec_for(self, stmt: ir.NFor, frame: _Frame) -> None:
-        lo = self.eval(stmt.lo, frame)
-        hi = self.eval(stmt.hi, frame)
-        step = self.eval(stmt.step, frame)
-        if lo is UNKNOWN or hi is UNKNOWN or step is UNKNOWN:
-            raise ModelError("loop bound depends on array data")
-        if step <= 0:
-            raise NodeRuntimeError(f"non-positive loop step {step}", self.rank)
-        if hi < lo:
-            return
-        trips = (hi - lo) // step + 1
-        if trips > 1 and self.analysis.uniform(stmt):
-            # Closed form: the body is comm-free and its cost provably
-            # invariant across iterations, so one sampled iteration
-            # (which records no events, only pending cost) prices all.
-            before = self.pending_cost
-            self.charge_op()  # increment + bound test
-            frame.scalars[stmt.var] = lo
-            self.exec_body(stmt.body, frame)
-            delta = self.pending_cost - before
-            self.pending_cost = before + delta * trips
-            # Body-assigned scalars are iteration-dependent: forget them
-            # so a stale first-iteration value can never leak into later
-            # control flow. The loop variable's final value is known.
-            for name in self.analysis.assigned(stmt):
-                frame.scalars[name] = UNKNOWN
-            frame.scalars[stmt.var] = lo + (trips - 1) * step
-            return
-        for v in range(lo, hi + 1, step):
-            self.charge_op()  # increment + bound test
-            frame.scalars[stmt.var] = v
-            self.exec_body(stmt.body, frame)
-
-    def exec_coerce(self, stmt: ir.NCoerce, frame: _Frame) -> None:
-        owner = self.eval(stmt.owner, frame)
-        dest = self.eval(stmt.dest, frame)
-        self.charge_op(2)  # the two membership tests every processor makes
-        if owner is UNKNOWN or dest is UNKNOWN:
-            raise ModelError("coerce partner depends on array data")
-        if owner == dest:
-            if self.rank == dest:
-                self.store(stmt.target, self.eval(stmt.value, frame), frame)
-            return
-        if self.rank == owner:
-            self.eval(stmt.value, frame)
-            self.emit_send(dest, stmt.channel, 1)
-        elif self.rank == dest:
-            self.emit_recv(owner, stmt.channel)
-            self.store(stmt.target, UNKNOWN, frame)
-
-    def exec_broadcast(self, stmt: ir.NBroadcast, frame: _Frame) -> None:
-        owner = self.eval(stmt.owner, frame)
-        self.charge_op()
-        if owner is UNKNOWN:
-            raise ModelError("broadcast owner depends on array data")
-        if self.rank == owner:
-            value = self.eval(stmt.value, frame)
-            self.store(stmt.target, value, frame)
-            self.flush()
-            for q in range(self.nprocs):
-                if q != self.rank:
-                    self.events.append(("s", q, stmt.channel, 1))
-        else:
-            self.emit_recv(owner, stmt.channel)
-            self.store(stmt.target, UNKNOWN, frame)
-
-    # -- values ------------------------------------------------------------
-    def array(self, name: str, frame: _Frame):
-        found = frame.arrays.get(name)
-        if found is None:
-            found = self.globals.get(name)
-        if found is None:
-            raise NodeRuntimeError(f"unknown array {name!r}", self.rank)
-        return found
-
-    def buffer(self, name: str, frame: _Frame):
-        return self.array(name, frame)
-
-    def store(self, target, value, frame: _Frame) -> None:
-        if isinstance(target, ir.VarLV):
-            frame.scalars[target.name] = value
-        elif isinstance(target, ir.IsLV):
-            self.array(target.array, frame)
-            for index in target.indices:
-                self.eval(index, frame)
-            self.charge_mem()
-        elif isinstance(target, ir.BufLV):
-            self.buffer(target.buf, frame)
-            for index in target.indices:
-                self.eval(index, frame)
-            self.charge_mem()
-        else:
-            raise NodeRuntimeError(f"unknown lvalue {target!r}", self.rank)
-
-    def eval(self, e: ir.NExpr, frame: _Frame):
-        if isinstance(e, ir.NConst):
-            return e.value
-        if isinstance(e, ir.NVar):
-            if e.name in frame.scalars:
-                return frame.scalars[e.name]
-            if e.name in self.globals:
-                return self.globals[e.name]
-            raise NodeRuntimeError(f"unbound variable {e.name!r}", self.rank)
-        if isinstance(e, ir.NMyNode):
-            return self.rank
-        if isinstance(e, ir.NNProcs):
-            return self.nprocs
-        if isinstance(e, ir.NBin):
-            left = self.eval(e.left, frame)
-            if e.op == "and":
-                self.charge_op()
-                # bool(UNKNOWN) raises ModelError, exactly when the
-                # interpreter's short-circuit would depend on data.
-                return bool(left) and bool(self.eval(e.right, frame))
-            if e.op == "or":
-                self.charge_op()
-                return bool(left) or bool(self.eval(e.right, frame))
-            right = self.eval(e.right, frame)
-            self.charge_op()
-            if left is UNKNOWN or right is UNKNOWN:
-                return UNKNOWN
-            return _binop(e.op, left, right, self.rank)
-        if isinstance(e, ir.NUn):
-            value = self.eval(e.operand, frame)
-            self.charge_op()
-            if value is UNKNOWN:
-                return UNKNOWN
-            return (not value) if e.op == "not" else -value
-        if isinstance(e, ir.NCall):
-            args = [self.eval(a, frame) for a in e.args]
-            if not is_builtin(e.func):
-                raise NodeRuntimeError(
-                    f"unknown builtin {e.func!r} in expression", self.rank
-                )
-            self.charge_op()
-            if any(a is UNKNOWN for a in args):
-                return UNKNOWN
-            return apply_builtin(e.func, args)
-        if isinstance(e, ir.NIsRead):
-            self.array(e.array, frame)
-            for index in e.indices:
-                self.eval(index, frame)
-            self.charge_mem()
-            return UNKNOWN
-        if isinstance(e, ir.NBufRead):
-            self.buffer(e.buf, frame)
-            for index in e.indices:
-                self.eval(index, frame)
-            self.charge_mem()
-            return UNKNOWN
-        if isinstance(e, ir.NIndirect):
-            raise ModelError(
-                "indirect access: communication schedule depends on "
-                "array data"
-            )
-        raise NodeRuntimeError(f"unknown expression {e!r}", self.rank)
-
-
-# ---------------------------------------------------------------------------
 # Skeleton schedule: the simulator's clock arithmetic without the simulator
 # ---------------------------------------------------------------------------
 
 
 def _schedule(
-    per_rank: list[list[tuple]], nprocs: int, params: MachineParams
+    per_rank: list[list[tuple]],
+    channels: list[str],
+    nprocs: int,
+    params: MachineParams,
 ) -> Prediction:
+    """Clock the walkers' event rows; ``channels`` names channel ids."""
     clock = [0.0] * nprocs
     busy = [0.0] * nprocs
     comm = [0.0] * nprocs
@@ -600,6 +84,8 @@ def _schedule(
     total_messages = 0
     total_bytes = 0
     send_cost: dict[int, float] = {}
+    op_us = params.op_us
+    mem_us = params.mem_us
     latency_us = params.latency_us
     recv_overhead_us = params.message_cost_recv()
     scalar_bytes = params.scalar_bytes
@@ -611,13 +97,12 @@ def _schedule(
         i = idx[p]
         n = len(events)
         while i < n:
-            ev = events[i]
-            kind = ev[0]
-            if kind == "c":
-                clock[p] += ev[1]
-                busy[p] += ev[1]
-            elif kind == "s":
-                _, dst, channel, plen = ev
+            kind, peer, chan, plen, ops, mems = events[i]
+            if kind == KIND_COMPUTE:
+                cost = ops * op_us + mems * mem_us
+                clock[p] += cost
+                busy[p] += cost
+            elif kind == KIND_SEND:
                 cost = send_cost.get(plen)
                 if cost is None:
                     cost = send_cost[plen] = params.message_cost_send(
@@ -626,7 +111,7 @@ def _schedule(
                 clock[p] += cost
                 busy[p] += cost
                 comm[p] += cost
-                key = ChannelKey(p, dst, channel)
+                key = ChannelKey(p, peer, channels[chan])
                 queues[key].append(clock[p] + latency_us)
                 nbytes = plen * scalar_bytes
                 total_messages += 1
@@ -636,9 +121,8 @@ def _schedule(
                 waiter = blocked.pop(key, None)
                 if waiter is not None:
                     runnable.append(waiter)
-            else:  # "r"
-                _, src, channel = ev
-                key = ChannelKey(src, p, channel)
+            else:  # KIND_RECV
+                key = ChannelKey(peer, p, channels[chan])
                 queue = queues.get(key)
                 if not queue:
                     blocked[key] = p
@@ -732,21 +216,19 @@ def predict(
     with perf.phase("predict"):
         globals_: dict[str, object] = dict(params)
         globals_.update(extra_globals)
-        analysis = _Analysis(compiled.program)
+        code = Walker.compile(compiled.program)
         entry_proc = compiled.program.entry_proc()
-        per_rank = []
-        for rank in range(nprocs):
-            walker = _AbstractRank(
-                compiled.program, rank, nprocs, machine, globals_, analysis
-            )
-            args: list[object] = []
-            for pname in entry_proc.params:
-                if pname in entry_proc.array_params:
-                    args.append(_ARRAY)
-                else:
-                    args.append(inputs.get(pname, UNKNOWN))
-            per_rank.append(walker.run(args))
-        prediction = _schedule(per_rank, nprocs, machine)
+        args = [
+            ARRAY if pname in entry_proc.array_params
+            else inputs.get(pname, UNKNOWN)
+            for pname in entry_proc.params
+        ]
+        chan_ids: dict[str, int] = {}
+        per_rank = [
+            Walker(code, rank, nprocs, globals_, chan_ids).run(args)
+            for rank in range(nprocs)
+        ]
+        prediction = _schedule(per_rank, list(chan_ids), nprocs, machine)
 
     if key is not None:
         _predict_cache[key] = prediction
