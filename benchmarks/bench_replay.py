@@ -3,7 +3,7 @@
 Thin driver over :mod:`repro.bench.replay_bench`, which times four
 replay flavours per strategy point — ``fresh`` (empty caches and store),
 ``warm`` (vectorized engine, in-process steady state), ``scalar`` (the
-per-event oracle walk, plan rebuilt per call), and ``cold`` (memory
+per-event reference scheduler, rows rebuilt per call), and ``cold`` (memory
 tiers dropped, on-disk artifact store primed) — and enforces the gates:
 
 * every flavour **bit-identical** to the compiled simulator (makespan,

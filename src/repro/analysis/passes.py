@@ -1,26 +1,28 @@
 """The verifier's four analysis passes.
 
 Each pass consumes the shared :class:`~repro.analysis.verify.
-VerifyContext` — per-rank event skeletons with origins, the per-rank
+VerifyContext` — per-rank communication rows with origins, the per-rank
 walkers (footprint trackers), and the compiled program — and appends
 :class:`~repro.analysis.diagnostics.Diagnostic` findings to the report.
 
 Soundness arguments live in ``docs/INTERNALS.md`` §12. In brief: the
 abstract walk reconstructs each rank's *exact* communication skeleton
 (generated control flow is index arithmetic, never array data), so the
-channel-balance counts and the replay verdict are exact, not
-approximations — the passes below only fire when the simulator would
-observably misbehave, which is what the differential test matrix pins
-down. Passes that need every rank's skeleton (balance, deadlock) stay
-silent when any rank's walk aborted; the driver reports the abort itself
-as ``UNV001``/``UNV002``.
+channel-balance counts and the deadlock verdict (the reference
+scheduler's cursors) are exact, not approximations — the passes below
+only fire when the simulator would observably misbehave, which is what
+the differential test matrix pins down. Passes that need every rank's
+skeleton (balance, deadlock) stay silent when any rank's walk aborted;
+the driver reports the abort itself as ``UNV001``/``UNV002``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 
 from repro.analysis.diagnostics import Severity, register_pass
+from repro.machine import MachineParams
+from repro.machine.rows import KIND_SEND, run_rows
 from repro.spmd import ir
 from repro.spmd.pretty import pretty_expr
 from repro.symbolic import Const, Expr, Max, Min, Var
@@ -52,7 +54,7 @@ def channel_balance(ctx, report) -> None:
     recvs: dict[tuple, list] = defaultdict(list)
     for p in range(ctx.nprocs):
         for ev, origin in zip(ctx.events[p], ctx.origins[p]):
-            if ev[0] == "s":
+            if ev[0] == KIND_SEND:
                 sends[p, ev[1], ev[2]].append(origin)
             else:
                 recvs[ev[1], p, ev[2]].append(origin)
@@ -104,51 +106,26 @@ def _dedup(origins, limit: int = 8) -> list:
 
 @register_pass("deadlock")
 def deadlock(ctx, report) -> None:
-    """Replay the skeletons (FIFO per channel, no clocks) and explain
-    every stuck rank.
+    """Run the reference scheduler over the rows and explain every
+    stuck rank.
 
     Whether a rank gets stuck is independent of timing — only of event
-    order and message counts — so the clockless replay reaches exactly
-    the simulator's final progress state. Each stuck rank waits on one
-    channel, giving a functional wait-for graph: every stuck component
-    either ends in a cycle (DL001, the jacobi loop-jamming shape) or
-    chains to a rank that finished without sending (DL002)."""
+    order and message counts — so the scheduler's cursors are exactly
+    the simulator's final progress state under any machine parameters
+    (the clocks are discarded). Each stuck rank waits on one channel,
+    giving a functional wait-for graph: every stuck component either
+    ends in a cycle (DL001, the jacobi loop-jamming shape) or chains to
+    a rank that finished without sending (DL002)."""
     if ctx.aborted:
         return
-    nprocs = ctx.nprocs
-    idx = [0] * nprocs
-    queued: dict[tuple, int] = defaultdict(int)
-    blocked: dict[tuple, int] = {}
-    runnable = deque(range(nprocs))
-    while runnable:
-        p = runnable.popleft()
-        events = ctx.events[p]
-        i = idx[p]
-        n = len(events)
-        while i < n:
-            ev = events[i]
-            if ev[0] == "s":
-                key = (p, ev[1], ev[2])
-                queued[key] += 1
-                waiter = blocked.pop(key, None)
-                if waiter is not None:
-                    runnable.append(waiter)
-            else:
-                key = (ev[1], p, ev[2])
-                if not queued[key]:
-                    blocked[key] = p
-                    break
-                queued[key] -= 1
-            i += 1
-        idx[p] = i
-
-    stuck = [p for p in range(nprocs) if idx[p] < len(ctx.events[p])]
-    if not stuck:
+    run = run_rows(ctx.events, ctx.nprocs, MachineParams.ipsc2())
+    if not run.stuck:
         return
     waits: dict[int, tuple[int, str, tuple]] = {}  # p -> (src, ch, origin)
-    for p in stuck:
-        _, src, channel = ctx.events[p][idx[p]]
-        waits[p] = (src, channel, ctx.origins[p][idx[p]])
+    for p in run.stuck:
+        i = run.cursor[p]
+        _, src, channel = ctx.events[p][i][:3]
+        waits[p] = (src, channel, ctx.origins[p][i])
 
     def link(p: int) -> str:
         src, channel, origin = waits[p]

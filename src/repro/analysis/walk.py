@@ -5,7 +5,8 @@
 holds no statement or expression dispatch of its own:
 
 * the charge sink is a no-op (``flush`` records nothing) — the event
-  list holds communication events only, each paired 1:1 with an
+  list holds communication rows only (the walker row shape, with the
+  channel *name* in the ``chan`` column), each paired 1:1 with an
   *origin*: the stack of enclosing ``proc``/``for``/``if`` labels, so
   balance and deadlock findings can say which loop or guard produced an
   event;
@@ -33,7 +34,14 @@ from __future__ import annotations
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.footprint import Prog, Tracker
 from repro.errors import ModelError
-from repro.spmd.walk import ARRAY, UNKNOWN, ProcReturn, Walker
+from repro.spmd.walk import (
+    ARRAY,
+    KIND_RECV,
+    KIND_SEND,
+    UNKNOWN,
+    ProcReturn,
+    Walker,
+)
 
 #: Entry array parameters are scattered from fully defined inputs, so
 #: every local element is readable and none is writable again; they are
@@ -222,7 +230,7 @@ class VerifyWalk(Walker):
             return
         if isinstance(plen, Affine):  # payload length may vary per
             plen = plen.base  # iteration; balance/deadlock ignore it
-        self._emit(("s", dst, channel, plen))
+        self._emit((KIND_SEND, dst, channel, plen, 0, 0))
 
     def emit_recv(self, src, channel: str) -> None:
         if src is UNKNOWN:
@@ -245,7 +253,7 @@ class VerifyWalk(Walker):
                 channel=channel, partner=src,
             )
             return
-        self._emit(("r", src, channel))
+        self._emit((KIND_RECV, src, channel, 0, 0, 0))
 
     def _emit(self, event: tuple) -> None:
         """Record one communication event.

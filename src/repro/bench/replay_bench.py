@@ -13,8 +13,9 @@ compiled simulator baseline:
     ``bench speedup`` sweeps and the tuner's repeated confirmations
     live in. Runs the vectorized engine.
 ``scalar``
-    the per-event oracle walk (PR 6's engine), with the replay plan
-    rebuilt on every call the way that engine originally worked. This
+    the per-event reference scheduler (:func:`repro.machine.rows.
+    run_rows`) over rows zipped from the memoized skeleton on every
+    call — the oracle keeps no plan. This
     is the denominator of the vectorized engine's own speedup gate
     (``vector_x``) — compiled-backend ratios alone would let a
     vector-engine regression hide behind the huge compiled baseline.
@@ -101,8 +102,6 @@ def run_point(
     vector_gate: float | None = None,
 ) -> dict:
     """Benchmark one configuration; raises AssertionError on any gate."""
-    from repro.replay import forget_plans
-
     compiled = _compile(strategy)
     label = f"{strategy} N={n} S={nprocs}"
 
@@ -163,14 +162,7 @@ def run_point(
 
         os.environ["REPRO_REPLAY_SCALAR"] = "1"
         try:
-            def run_scalar():
-                # Force the replay to rebuild its plan (matching +
-                # costs), the way the per-event walk originally worked
-                # on every call.
-                forget_plans()
-                return run("replay")
-
-            scalar_s, scal = _time(run_scalar, repeats)
+            scalar_s, scal = _time(lambda: run("replay"), repeats)
         finally:
             del os.environ["REPRO_REPLAY_SCALAR"]
         check("scalar", scal, note=_SCALAR_NOTE)

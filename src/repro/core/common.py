@@ -68,14 +68,6 @@ class CompiledProgram:
     # of the ``index_arrays``.
     inspector_sites: list[dict] = field(default_factory=list)
 
-    def info_for(self, proc: str, var: str) -> ArrayInfo:
-        try:
-            return self.array_info[proc][var]
-        except KeyError:
-            raise CompileError(
-                f"no array info for {var!r} in {proc!r}"
-            ) from None
-
 
 class TempNamer:
     """Generates the tmp1, tmp2, ... names of the paper's listings."""

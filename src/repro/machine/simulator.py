@@ -81,15 +81,6 @@ class TraceEvent:
     overhead_us: float = 0.0
     local: bool = False
 
-    @property
-    def detail(self) -> str:
-        """Human-readable summary (the old string-detail field)."""
-        if self.kind == "send":
-            return f"->{self.dst} {self.channel} x{self.plen}"
-        if self.kind == "recv":
-            return f"<-{self.src} {self.channel} x{self.plen}"
-        return ""
-
 
 @dataclass
 class SimResult:

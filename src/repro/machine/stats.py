@@ -49,12 +49,3 @@ class MessageStats:
 
     def messages_to(self, dst: int) -> int:
         return sum(c for k, c in self.per_channel.items() if k.dst == dst)
-
-    def summary(self) -> str:
-        lines = [
-            f"messages: {self.total_messages}",
-            f"bytes:    {self.total_bytes}",
-        ]
-        for name, count in sorted(self.messages_by_channel_name().items()):
-            lines.append(f"  {name}: {count}")
-        return "\n".join(lines)

@@ -8,7 +8,7 @@ backends do not.
 """
 
 from repro.replay.engine import group_ordinals, match_messages, replay
-from repro.replay.plan import ReplayPlan, build_plan, forget_plans, get_plan
+from repro.replay.plan import ReplayPlan, build_plan, get_plan
 from repro.replay.vector import hybrid_walk
 from repro.replay.skeleton import (
     KIND_COMPUTE,
@@ -32,7 +32,6 @@ __all__ = [
     "build_plan",
     "build_skeleton",
     "extract_skeletons",
-    "forget_plans",
     "get_plan",
     "group_ordinals",
     "hybrid_walk",

@@ -2,8 +2,9 @@
 
 The replayer turns a :class:`~repro.replay.skeleton.ProgramSkeleton`
 into a :class:`~repro.machine.SimResult` **bit-identical** to running
-the same program on the compiled backend (identity placement). The work
-splits cleanly into a vectorized part and an exact scalar part:
+the same program on the compiled backend (identity placement). The
+default engine's work splits cleanly into a vectorized part and exact
+clock propagation:
 
 Vectorized (numpy array expressions, no simulated-time semantics):
 
@@ -35,37 +36,35 @@ exactly the simulator's order:
     send:  clock += cost;  arrival[i] = clock + latency
     recv:  clock = max(clock, arrival[match]) + recv_overhead
 
-Two engines implement that contract over a shared precomputed
-:class:`~repro.replay.plan.ReplayPlan` (matching, costs, presummed
-totals — built once per (skeleton, machine)):
+Two engines implement that contract:
 
 * the **vectorized** level-synchronous engine
-  (:mod:`repro.replay.vector`, the default) advances each rank a whole
-  run at a time with ``np.add.accumulate`` chains that replicate the
-  scalar addition order addition for addition;
-* the **scalar oracle** (:func:`_scalar_walk`, PR 6's per-event loop
-  over flat Python lists) — kept verbatim as the differential baseline,
-  selected per call (``engine="scalar"``) or process-wide with
-  ``REPRO_REPLAY_SCALAR=1`` (CI runs the whole differential matrix both
-  ways).
+  (:mod:`repro.replay.vector`, the default) runs over a precomputed
+  :class:`~repro.replay.plan.ReplayPlan` (matching, costs, presummed
+  totals — built once per (skeleton, machine)) and advances each rank a
+  whole run at a time with ``np.add.accumulate`` chains that replicate
+  the scalar addition order addition for addition;
+* the **scalar oracle** is the reference scheduler
+  (:func:`repro.machine.rows.run_rows`) over rows zipped from the
+  skeleton columns — no plan, none of the vectorized matching or
+  reductions above — selected per call (``engine="scalar"``) or
+  process-wide with ``REPRO_REPLAY_SCALAR=1`` (CI runs the whole
+  differential matrix both ways).
 
-Scheduling uses the same runnable-queue discipline as the simulator in
-both engines; the result is schedule-independent because each rank's
-chain depends only on its own prefix and matched arrival values.
+The result is schedule-independent because each rank's chain depends
+only on its own prefix and matched arrival values.
 
 Deadlock surfaces the *same* forensics as the live engine: the shared
 :func:`repro.machine.simulator.deadlock_forensics` builder receives the
 blocked ranks' wait keys, every rank's status, and the queued-message
-counts (sends executed minus receives consumed per key, a grouped
-integer reduction).
+counts.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.errors import SimulationError
 from repro.machine.costs import MachineParams
+from repro.machine.rows import run_rows
 from repro.machine.simulator import SimResult, deadlock_forensics
 from repro.machine.stats import ChannelKey, MessageStats
 from repro.replay.skeleton import (
@@ -264,6 +263,84 @@ def _message_stats(skeleton: ProgramSkeleton,
     return stats
 
 
+def _deadlock(skeleton: ProgramSkeleton, cursor: list[int],
+              stuck: list[int], undelivered: dict[ChannelKey, int]):
+    """The live engine's DeadlockError for ``stuck`` ranks, each
+    blocked on the receive at its cursor."""
+    channels = skeleton.channels
+    waiting = {}
+    for p in stuck:
+        i = cursor[p]
+        rs = skeleton.ranks[p]
+        waiting[p] = ChannelKey(
+            int(rs.peer[i]), p, channels[int(rs.chan[i])]
+        )
+    statuses = {
+        p: ("BLOCKED" if p in waiting else "DONE")
+        for p in range(skeleton.nprocs)
+    }
+    return deadlock_forensics(
+        waiting, statuses,
+        {tuple(key): count for key, count in undelivered.items()},
+    )
+
+
+def _vector_replay(skeleton: ProgramSkeleton, machine: MachineParams):
+    """``engine="vector"``: run-at-a-time clocks over the cached plan."""
+    from repro.replay.plan import get_plan
+    from repro.replay.vector import hybrid_walk
+
+    plan = get_plan(skeleton, machine)
+    clock, cursor = hybrid_walk(plan)
+    nevents = plan.n
+    stuck = [p for p in range(plan.nprocs) if cursor[p] < nevents[p]]
+    if stuck:
+        raise _deadlock(
+            skeleton, cursor, stuck, _queued_counts(skeleton, cursor)
+        )
+    # Every rank completed, so the undelivered census and the message
+    # statistics are functions of (skeleton, machine) alone — memoized
+    # on the plan, copied out so callers can't corrupt the memo.
+    if plan.undelivered_memo is None:
+        plan.undelivered_memo = _queued_counts(skeleton, cursor)
+    if plan.stats_memo is None:
+        plan.stats_memo = _message_stats(skeleton, machine)
+    memo = plan.stats_memo
+    stats = MessageStats(
+        total_messages=memo.total_messages,
+        total_bytes=memo.total_bytes,
+    )
+    stats.per_channel.update(memo.per_channel)
+    stats.per_channel_bytes.update(memo.per_channel_bytes)
+    return (clock, list(plan.busy_total), list(plan.comm_total),
+            dict(plan.undelivered_memo), stats)
+
+
+def _scalar_replay(skeleton: ProgramSkeleton, machine: MachineParams):
+    """``engine="scalar"``: the reference scheduler over the skeleton's
+    rows — no plan, no static matching, no grouped reductions, so the
+    oracle shares nothing with the numpy code it checks."""
+    channels = skeleton.channels
+    run = run_rows(
+        [
+            list(zip(*(
+                column.tolist() for column in
+                (rs.kind, rs.peer, rs.chan, rs.plen, rs.ops, rs.mems)
+            )))
+            for rs in skeleton.ranks
+        ],
+        skeleton.nprocs, machine,
+    )
+    undelivered = {
+        ChannelKey(src, dst, channels[chan]): count
+        for (src, dst, chan), count in run.queued.items()
+    }
+    if run.stuck:
+        raise _deadlock(skeleton, run.cursor, run.stuck, undelivered)
+    return (run.clock, run.busy, run.comm, undelivered,
+            run.stats(channels, machine.scalar_bytes))
+
+
 def replay(skeleton: ProgramSkeleton,
            machine: MachineParams | None = None,
            strict: bool = False,
@@ -271,14 +348,14 @@ def replay(skeleton: ProgramSkeleton,
            info: dict | None = None) -> SimResult:
     """Replay a skeleton's clocks; return a compiled-identical result.
 
-    ``engine`` selects the clock-propagation loop: ``"vector"`` (the
+    ``engine`` selects the clock scheduler: ``"vector"`` (the
     run-at-a-time level-synchronous engine in :mod:`repro.replay.
-    vector`), ``"scalar"`` (the PR 6 per-event walk, kept as the
-    differential oracle), or ``None`` — vector unless the
-    ``REPRO_REPLAY_SCALAR=1`` environment variable forces the oracle.
-    Both engines produce bit-identical results; ``info`` (an optional
-    dict) receives ``{"engine": ..., "reason": ...}`` describing what
-    actually ran.
+    vector`), ``"scalar"`` (the per-event reference scheduler
+    :func:`repro.machine.rows.run_rows`, the differential oracle), or
+    ``None`` — vector unless the ``REPRO_REPLAY_SCALAR=1`` environment
+    variable forces the oracle. Both engines produce bit-identical
+    results; ``info`` (an optional dict) receives ``{"engine": ...,
+    "reason": ...}`` describing what actually ran.
 
     Raises :class:`~repro.errors.DeadlockError` with the live engine's
     forensics when every unfinished rank blocks on a receive, and the
@@ -289,13 +366,9 @@ def replay(skeleton: ProgramSkeleton,
     """
     import os
 
-    from repro.replay.plan import get_plan
-    from repro.replay.vector import hybrid_walk
-
     _require_numpy()
     machine = machine or MachineParams.ipsc2()
     nprocs = skeleton.nprocs
-    plan = get_plan(skeleton, machine)
 
     reason = None
     if engine is None:
@@ -304,44 +377,16 @@ def replay(skeleton: ProgramSkeleton,
         else:
             engine = "vector"
     if engine == "vector":
-        clock, cursor = hybrid_walk(plan)
-        busy = list(plan.busy_total)
-        comm = list(plan.comm_total)
+        run_engine = _vector_replay
     elif engine == "scalar":
-        clock, cursor, busy, comm = _scalar_walk(skeleton, plan, machine)
+        run_engine = _scalar_replay
     else:
         raise ValueError(f"unknown replay engine {engine!r}")
     if info is not None:
         info["engine"] = engine
         info["reason"] = reason
+    clock, busy, comm, undelivered, stats = run_engine(skeleton, machine)
 
-    nevents = plan.n
-    blocked = [p for p in range(nprocs) if cursor[p] < nevents[p]]
-    if blocked:
-        channels = skeleton.channels
-        waiting = {}
-        for p in blocked:
-            i = cursor[p]
-            rs = skeleton.ranks[p]
-            waiting[p] = ChannelKey(
-                int(rs.peer[i]), p, channels[int(rs.chan[i])]
-            )
-        statuses = {
-            p: ("BLOCKED" if cursor[p] < nevents[p] else "DONE")
-            for p in range(nprocs)
-        }
-        undelivered = {
-            tuple(key): count
-            for key, count in _queued_counts(skeleton, cursor).items()
-        }
-        raise deadlock_forensics(waiting, statuses, undelivered)
-
-    # Every rank completed, so the undelivered census and the message
-    # statistics are functions of (skeleton, machine) alone — memoized
-    # on the plan, copied out so callers can't corrupt the memo.
-    if plan.undelivered_memo is None:
-        plan.undelivered_memo = _queued_counts(skeleton, cursor)
-    undelivered = dict(plan.undelivered_memo)
     if undelivered and strict:
         leaked = ", ".join(
             f"{key.src}->{key.dst} {key.channel!r} x{count}"
@@ -351,16 +396,6 @@ def replay(skeleton: ProgramSkeleton,
             f"{sum(undelivered.values())} undelivered message(s) at "
             f"completion (strict mode): {leaked}"
         )
-
-    if plan.stats_memo is None:
-        plan.stats_memo = _message_stats(skeleton, machine)
-    memo = plan.stats_memo
-    stats = MessageStats(
-        total_messages=memo.total_messages,
-        total_bytes=memo.total_bytes,
-    )
-    stats.per_channel.update(memo.per_channel)
-    stats.per_channel_bytes.update(memo.per_channel_bytes)
 
     return SimResult(
         nprocs=nprocs,
@@ -375,86 +410,3 @@ def replay(skeleton: ProgramSkeleton,
         undelivered=undelivered,
         traced=False,
     )
-
-
-def _scalar_walk(skeleton: ProgramSkeleton, plan,
-                 machine: MachineParams):
-    """The PR 6 per-event clock walk — the differential oracle.
-
-    Exactly the live simulator's float operations in exactly its order;
-    the vectorized engine must agree with this walk bit for bit on
-    every observable (its per-run fallback path *is* this algorithm).
-    Returns ``(clock, cursor, busy, comm)`` per rank.
-    """
-    nprocs = skeleton.nprocs
-    latency = machine.latency_us
-
-    # Flat Python lists for the scalar walk (scalar ndarray indexing is
-    # several times slower than list indexing).
-    kind_l = [rs.kind.tolist() for rs in skeleton.ranks]
-    cost_l = [c.tolist() for c in plan.costs]
-    mrank_l = [m.tolist() for m in plan.match_rank]
-    midx_l = [m.tolist() for m in plan.match_idx]
-    nevents = plan.n
-
-    clock = [0.0] * nprocs
-    busy = [0.0] * nprocs
-    comm = [0.0] * nprocs
-    cursor = [0] * nprocs
-    arrivals = [[0.0] * n for n in nevents]  # per send position
-    waiter = [[-1] * n for n in nevents]  # rank to wake per send position
-
-    runnable = deque(range(nprocs))
-    while runnable:
-        p = runnable.popleft()
-        kinds = kind_l[p]
-        pcosts = cost_l[p]
-        arr_p = arrivals[p]
-        wake_p = waiter[p]
-        mranks = mrank_l[p]
-        midxs = midx_l[p]
-        n = nevents[p]
-        i = cursor[p]
-        c = clock[p]
-        b = busy[p]
-        cm = comm[p]
-        while i < n:
-            k = kinds[i]
-            if k == 0:  # compute
-                cost = pcosts[i]
-                c += cost
-                b += cost
-            elif k == 1:  # send
-                cost = pcosts[i]
-                c += cost
-                b += cost
-                cm += cost
-                arr_p[i] = c + latency
-                w = wake_p[i]
-                if w >= 0:
-                    wake_p[i] = -1
-                    runnable.append(w)
-            else:  # recv
-                src = mranks[i]
-                mi = midxs[i]
-                if mi < 0 or cursor[src] <= mi:
-                    # Matched send not executed yet (or no send will
-                    # ever match): block; the sender wakes us at that
-                    # exact event.
-                    if mi >= 0:
-                        waiter[src][mi] = p
-                    break
-                arrival = arrivals[src][mi]
-                if arrival > c:
-                    c = arrival
-                cost = pcosts[i]
-                c += cost
-                b += cost
-                cm += cost
-            i += 1
-        cursor[p] = i
-        clock[p] = c
-        busy[p] = b
-        comm[p] = cm
-
-    return clock, cursor, busy, comm

@@ -1,16 +1,16 @@
 """Precomputed replay plan: the skeleton, segmented and presummed.
 
-The scalar clock walk (PR 6) recomputes FIFO matching, per-event costs,
-and Python-list views of every column on *every* ``replay()`` call. The
-vectorized engine instead builds a :class:`ReplayPlan` once per
-(skeleton, machine) and caches it on the skeleton object itself, so a
-warm replay is nothing but the clock propagation loop.
+The vectorized engine builds a :class:`ReplayPlan` — FIFO matching,
+per-event costs, receive side tables — once per (skeleton, machine) and
+caches it on the skeleton object itself, so a warm replay is nothing
+but the clock propagation loop. (The scalar oracle takes no plan: it
+must not share the matching it checks.)
 
 The plan is where compute runs get coalesced: per-rank event costs are
 synthesized once (`repro.replay.engine._event_costs`), and the whole-
 rank ``busy``/``comm`` totals are presummed with
 ``np.add.accumulate`` — a strictly left-to-right float64 accumulation,
-so the totals are bit-identical to the scalar walk's incremental
+so the totals are bit-identical to a per-event loop's incremental
 ``b += cost`` / ``cm += cost`` chains (which are pure sequential
 additions from 0.0 regardless of where the rank blocked). The engine's
 per-run prefix sums reuse the same primitive: a run's clock row is
@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 from repro import perf
 from repro.machine.costs import MachineParams
-from repro.replay.skeleton import (
-    KIND_RECV,
-    KIND_SEND,
-    ProgramSkeleton,
-    _skeleton_cache,
-)
+from repro.replay.skeleton import KIND_RECV, KIND_SEND, ProgramSkeleton
 
 try:
     import numpy as np
@@ -59,10 +54,10 @@ class ReplayPlan:
         int64 global flat index of the matched send per event (``-1``
         off receive positions) — one fancy index into the shared
         arrivals array resolves a whole run's receives.
-    ``r_pos``/``r_src``/``r_midx``/``r_mflat``
+    ``r_pos``/``r_src``/``r_mflat``
         dense receive tables: event position, matched sender rank,
-        matched send index in the sender's column, matched send global
-        flat index (``off[src] + midx``; ``-1`` when no send matches).
+        matched send global flat index (``off[src] + midx``; ``-1``
+        when no send matches).
     ``s_pos``
         int64 send event positions per rank — a ``searchsorted`` pair
         bounds the sends inside any window, replacing a per-run
@@ -85,7 +80,6 @@ class ReplayPlan:
     match_idx: list
     r_pos: list
     r_src: list
-    r_midx: list
     r_mflat: list
     r_gate: list
     s_pos: list
@@ -93,7 +87,6 @@ class ReplayPlan:
     total_events: int
     busy_total: list[float]
     comm_total: list[float]
-    has_self_recv: bool = False
     # Lazy per-plan memos, filled by the engine on first use: message
     # statistics and the completed-run undelivered census are functions
     # of (skeleton, machine) alone, not of any particular replay call.
@@ -118,17 +111,14 @@ def build_plan(skeleton: ProgramSkeleton,
         np.flatnonzero(rs.kind == KIND_SEND).astype(np.int64)
         for rs in skeleton.ranks
     ]
-    r_pos, r_src, r_midx, r_mflat, r_gate = [], [], [], [], []
+    r_pos, r_src, r_mflat, r_gate = [], [], [], []
     mflat_all = []
     busy_total, comm_total = [], []
-    has_self_recv = False
     for p, rs in enumerate(skeleton.ranks):
         recvs = np.flatnonzero(rs.kind == KIND_RECV)
         mr = match_rank[p][recvs]
         mi = match_idx[p][recvs]
         ok = mi >= 0
-        if bool((mr == p).any()):
-            has_self_recv = True
         mflat = np.where(
             match_idx[p] >= 0,
             off[np.maximum(match_rank[p], 0)] + match_idx[p],
@@ -137,7 +127,6 @@ def build_plan(skeleton: ProgramSkeleton,
         mflat_all.append(mflat)
         r_pos.append(recvs.astype(np.int64))
         r_src.append(np.maximum(mr, 0))  # clipped; ``ok`` masks the -1s
-        r_midx.append(mi)
         r_mflat.append(mflat[recvs])
         # Satisfaction gate: receive r is runnable iff
         # cursor[r_src[r]] > r_gate[r]. Unmatchable receives get a
@@ -168,7 +157,6 @@ def build_plan(skeleton: ProgramSkeleton,
         match_idx=match_idx,
         r_pos=r_pos,
         r_src=r_src,
-        r_midx=r_midx,
         r_mflat=r_mflat,
         r_gate=r_gate,
         s_pos=s_pos,
@@ -176,7 +164,6 @@ def build_plan(skeleton: ProgramSkeleton,
         total_events=int(off[-1]),
         busy_total=busy_total,
         comm_total=comm_total,
-        has_self_recv=has_self_recv,
     )
 
 
@@ -202,10 +189,3 @@ def get_plan(skeleton: ProgramSkeleton,
     else:
         perf.hit("replay_plan")
     return plan
-
-
-def forget_plans() -> None:
-    """Drop the plans memoized on every cached skeleton, so the next
-    replay of each rebuilds its plan (benchmarks time that rebuild)."""
-    for skeleton in list(_skeleton_cache.values()):
-        getattr(skeleton, "_replay_plans", {}).clear()

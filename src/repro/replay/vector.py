@@ -1,18 +1,19 @@
 """Level-synchronous vectorized clock propagation.
 
-The scalar walk (PR 6) touches every event in a Python loop. This
-engine keeps its runnable-queue *discipline* — pop a rank, advance it
-until it blocks on an unexecuted send, wake whoever was waiting on the
-sends it published — but advances each rank a whole **run** at a time:
-the maximal prefix of its remaining events whose receives are all
-already satisfiable. The inner Python loop executes once per run
-(O(communication levels) activations — measured ~1.1k runs for the
-1M-event N=512/S=128 wavefront, against 1M scalar iterations), and each
-long run is replayed with array expressions.
+The reference scheduler (:func:`repro.machine.rows.run_rows`) touches
+every event in a Python loop. This engine keeps its runnable-queue
+*discipline* — pop a rank, advance it until it blocks on an unexecuted
+send, wake whoever was waiting on the sends it published — but advances
+each rank a whole **run** at a time: the maximal prefix of its remaining
+events whose receives are all already satisfiable. The inner Python loop
+executes once per run (O(communication levels) activations — measured
+~1.1k runs for the 1M-event N=512/S=128 wavefront, against 1M scalar
+iterations), and each long run is replayed with array expressions.
 
-Bit-identity with the scalar walk is the hard constraint, and float
-addition is not associative, so the vector path is built exclusively
-from primitives that perform *the same additions in the same order*:
+Bit-identity with the reference scheduler is the hard constraint, and
+float addition is not associative, so the vector path is built
+exclusively from primitives that perform *the same additions in the same
+order*:
 
 ``no-fire fast path``
     If no receive in the run has ``arrival > clock`` (the backlogged
@@ -25,13 +26,14 @@ from primitives that perform *the same additions in the same order*:
     Where the ``max`` does fire, the scalar chain *restarts*: ``c``
     is assigned the arrival value and history is irrelevant. Every
     fired receive therefore starts an independent **epoch**, and all
-    epochs replay concurrently as rows of padded 2-D accumulates,
-    bucketed by length magnitude so ragged runs (thousands of 1-event
-    epochs next to a 1000-event drain segment) pad at most 2x. Which
-    receives fire is first *guessed* in re-associated arithmetic (an
-    exact-algebra ``max``-plus prefix: ``D = arrival − prefix``, fire
-    iff ``D`` exceeds the running max of ``max(D, 0)``), then
-    **verified** against the exact epoch values. A wrong guess —
+    epochs replay concurrently: stepped one event at a time while short
+    ones are still finishing (ragged runs are thousands of 1-event
+    epochs next to a 1000-event drain segment), then one 1-D accumulate
+    per straggler. Which receives fire is first *guessed* in
+    re-associated arithmetic (an exact-algebra ``max``-plus prefix:
+    ``D = arrival − prefix``, fire iff ``D`` exceeds the running max of
+    ``max(D, 0)``), then **verified** against the exact epoch values. A
+    wrong guess —
     possible only when arrival and clock agree to within the guess's
     re-association error, i.e. an exact tie — is detected exactly; the
     run *commits* its exact prefix and restarts a fresh window at the
@@ -169,19 +171,14 @@ def _scalar_run(plan: ReplayPlan, arrivals: "np.ndarray", p: int,
 #: bounds work, not correctness).
 _MAX_WINDOWS = 24
 
-#: Fire candidates at or below this count are resolved by first-fire
-#: window restarts — no epoch machinery at all.
-_SPARSE_FIRES = 3
-
 #: Epoch counts at or below this are finished with one 1-D accumulate
 #: each instead of batched stepping.
 _INDIV_MAX = 8
 
 #: Stepped advance continues while the next epoch to finish is at most
-#: this many events away; beyond it the survivors go to a padded
-#: matrix (or individual accumulates past _MATRIX_CAP cells).
+#: this many events away; beyond it the survivors are finished with one
+#: 1-D accumulate each.
 _STEP_MAX = 16
-_MATRIX_CAP = 1 << 22
 
 
 def _vector_run(plan: ReplayPlan, arrivals: "np.ndarray", p: int,
@@ -193,11 +190,7 @@ def _vector_run(plan: ReplayPlan, arrivals: "np.ndarray", p: int,
     row (exact) and then takes the cheapest exact route:
 
     * no receive fires → the row is the true chain; done.
-    * a handful of fire candidates → the first candidate is a true
-      fire with an exact clock (nothing before it fires), so commit
-      the prefix and restart the window at the receive with the
-      post-merge clock — the merge is then idempotent.
-    * many fires → guess the whole fire set, replay all epochs, verify
+    * otherwise → guess the whole fire set, replay all epochs, verify
       exactly; a wrong guess (an arrival/clock tie) commits the exact
       prefix and restarts at the tie.
     """
@@ -234,25 +227,6 @@ def _vector_run(plan: ReplayPlan, arrivals: "np.ndarray", p: int,
                 arrivals[goff + sw] = row[sw - w + 1] + latency
             return float(row[L])
 
-        if nf <= _SPARSE_FIRES:
-            # ``fired`` is a superset of the true fire set (the true
-            # clock is >= the no-fire row), and before the first
-            # candidate there are no candidates, hence no fires — so
-            # the first candidate's clock-before is exact and it IS a
-            # true fire. Restarting at the receive with c = arrival
-            # leaves the merge a no-op in the next window.
-            perf.incr("replay.vector.sparse_windows")
-            k = int(np.argmax(fired))
-            cut = int(ro[k])
-            sl, sr = np.searchsorted(spos, (w, w + cut))
-            sw = spos[sl:sr]
-            if sw.size:
-                arrivals[goff + sw] = row[sw - w + 1] + latency
-            c = float(a[k])
-            w += cut
-            rr += k
-            continue
-
         # --- guess the fire pattern in exact algebra ------------------
         # After a fire at receive m the chain restarts at a[m]; in
         # exact arithmetic clock-before-receive-k is prefix[k] +
@@ -288,8 +262,7 @@ def _vector_run(plan: ReplayPlan, arrivals: "np.ndarray", p: int,
         # drain prefix, or a handful of epochs), so: advance ALL alive
         # epochs one event per step (one gather+add+scatter each) while
         # the shortest is about to finish, drop finished ones, and
-        # finish stragglers with one 1-D accumulate each — or one
-        # padded matrix when many long epochs remain.
+        # finish stragglers with one 1-D accumulate each.
         eoff = bounds[:-1] + np.arange(nep, dtype=np.int64)
         flat = np.empty(L + nep, dtype=np.float64)
         flat[eoff] = sv
@@ -298,25 +271,7 @@ def _vector_run(plan: ReplayPlan, arrivals: "np.ndarray", p: int,
         while cur.size > _INDIV_MAX:
             lo = int(cl.min())
             if lo - s > _STEP_MAX:
-                m = cur.size
-                ml = int(cl.max()) - s
-                if m * ml <= _MATRIX_CAP:
-                    rl = cl - s
-                    steps = np.arange(ml, dtype=np.int64)
-                    col = (cbs + s)[:, None] + steps[None, :]
-                    pad = steps[None, :] >= rl[:, None]
-                    body = costs[np.minimum(col, L - 1)]
-                    body[pad] = 0.0  # x + 0.0 is bitwise x (clocks >= 0)
-                    M = np.empty((m, ml + 1), dtype=np.float64)
-                    M[:, 0] = cur
-                    M[:, 1:] = body
-                    np.add.accumulate(M, axis=1, out=M)
-                    steps1 = np.arange(ml + 1, dtype=np.int64)
-                    pos = (ce + s)[:, None] + steps1[None, :]
-                    valid = steps1[None, :] <= rl[:, None]
-                    flat[pos[valid]] = M[valid]
-                    cur = cur[:0]
-                break  # past the cap: finish individually below
+                break  # finish the survivors individually below
             while s < lo:
                 cur = cur + costs[cbs + s]
                 s += 1

@@ -22,7 +22,9 @@ from repro.errors import IStructureError
 
 Number = int | float
 
-_UNDEFINED = object()
+#: What an allocated-but-unwritten cell holds. Public because the SPMD
+#: backends and the scatter/gather layout code scan raw cell lists.
+UNDEFINED = object()
 
 
 class IStructure:
@@ -38,7 +40,7 @@ class IStructure:
         size = 1
         for d in shape:
             size *= d
-        self._cells: list[object] = [_UNDEFINED] * size
+        self._cells: list[object] = [UNDEFINED] * size
         self._defined_count = 0
 
     # -- indexing ---------------------------------------------------------
@@ -77,7 +79,7 @@ class IStructure:
     def read(self, *indices: int) -> Number:
         """``A[i1, i2]`` — error if undefined (paper §2.1)."""
         value = self._cells[self._offset(indices)]
-        if value is _UNDEFINED:
+        if value is UNDEFINED:
             raise IStructureError(
                 f"{self.name}: read of undefined element {indices}"
             )
@@ -87,7 +89,7 @@ class IStructure:
         """``A[i1, i2] = e`` — error if already defined (paper §2.1)."""
         *indices, value = args
         offset = self._offset(tuple(int(i) for i in indices))
-        if self._cells[offset] is not _UNDEFINED:
+        if self._cells[offset] is not UNDEFINED:
             raise IStructureError(
                 f"{self.name}: second write to element {tuple(indices)}"
             )
@@ -107,14 +109,14 @@ class IStructure:
         *indices, value = args
         offset = self._offset(tuple(int(i) for i in indices))
         current = self._cells[offset]
-        if current is _UNDEFINED:
+        if current is UNDEFINED:
             self._cells[offset] = value
             self._defined_count += 1
         else:
             self._cells[offset] = current + value
 
     def is_defined(self, *indices: int) -> bool:
-        return self._cells[self._offset(indices)] is not _UNDEFINED
+        return self._cells[self._offset(indices)] is not UNDEFINED
 
     # -- bulk helpers (testing / verification) ------------------------------
     @property
@@ -127,7 +129,7 @@ class IStructure:
 
     def to_list(self, undefined=None) -> list:
         """Flattened row-major contents with ``undefined`` as filler."""
-        return [undefined if c is _UNDEFINED else c for c in self._cells]
+        return [undefined if c is UNDEFINED else c for c in self._cells]
 
     def to_nested(self, undefined=None) -> list:
         """Nested (row-major) contents, matching the shape."""
@@ -163,7 +165,7 @@ class LocalArray:
         size = 1
         for d in shape:
             size *= d
-        self._cells: list[object] = [_UNDEFINED] * size
+        self._cells: list[object] = [UNDEFINED] * size
 
     def _offset(self, indices: tuple[int, ...]) -> int:
         shape = self.shape
@@ -196,7 +198,7 @@ class LocalArray:
 
     def read(self, *indices: int) -> Number:
         value = self._cells[self._offset(indices)]
-        if value is _UNDEFINED:
+        if value is UNDEFINED:
             raise IStructureError(
                 f"{self.name}: read of never-written buffer slot {indices}"
             )

@@ -19,8 +19,7 @@ Layering:
   every route is a plain method ``handle()`` dispatches to, so tests
   drive it in-process without sockets;
 * :mod:`repro.service.server` — stdlib ``http.server`` adapter (the
-  test suite needs no new dependency) plus a FastAPI adapter that is
-  import-gated for deployments that have it.
+  test suite needs no new dependency).
 
 Run one with ``python -m repro.bench serve``.
 """

@@ -3,10 +3,9 @@
 Framework-agnostic on purpose: a route is ``(method, pattern, handler
 name)``, a handler is a plain :class:`~repro.service.app.ServiceApp`
 method returning a :class:`Response`, and :func:`dispatch` is the only
-place that knows about paths. The stdlib HTTP adapter and the gated
-FastAPI adapter both funnel through here, so the two transports cannot
-disagree about routing, status codes, or error shapes — and tests can
-exercise every route in-process without opening a socket.
+place that knows about paths. The stdlib HTTP adapter funnels through
+here, so tests can exercise every route — routing, status codes, error
+shapes — in-process without opening a socket.
 """
 
 from __future__ import annotations

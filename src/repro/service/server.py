@@ -5,12 +5,6 @@ which keeps the test suite and CI hermetic. ``make_server`` binds a
 :class:`~repro.service.app.ServiceApp` to a ``ThreadingHTTPServer``
 (port 0 picks a free port, handy for tests); :func:`serve` runs it
 until interrupted.
-
-``create_fastapi_app`` is the FastAPI-style adapter for deployments
-that have the framework installed: the import is gated, the routes
-delegate to the same ``ServiceApp.handle`` dispatcher, and nothing in
-the library imports it — missing FastAPI costs exactly one
-``ImportError`` with instructions, never a broken module.
 """
 
 from __future__ import annotations
@@ -82,40 +76,3 @@ def serve(app: ServiceApp | None = None, host: str = "127.0.0.1",
     finally:
         server.shutdown()
         server.server_close()
-
-
-def create_fastapi_app(app: ServiceApp | None = None):
-    """A FastAPI application delegating to the same dispatcher.
-
-    Only for environments that already ship FastAPI — the reproduction
-    itself never requires it.
-    """
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import JSONResponse
-    except ImportError as exc:  # pragma: no cover - env-dependent
-        raise ImportError(
-            "FastAPI is not installed; use repro.service.serve (stdlib) "
-            "or install fastapi to use this adapter"
-        ) from exc
-
-    service = app or ServiceApp()
-    api = FastAPI(title="repro decomposition service")
-
-    @api.api_route(
-        "/{path:path}", methods=["GET", "POST"]
-    )  # pragma: no cover - exercised only with FastAPI installed
-    async def catch_all(path: str, request: Request):
-        body = await request.body()
-        resp = service.handle(
-            request.method,
-            "/" + path,
-            query=dict(request.query_params),
-            body=body or None,
-            client=request.client.host if request.client else "unknown",
-        )
-        return JSONResponse(
-            status_code=resp.status, content=resp.body, headers=resp.headers
-        )
-
-    return api

@@ -45,7 +45,7 @@ from repro.inspector.context import INSPECTOR_GLOBAL
 from repro.lang.builtins import apply_builtin, is_builtin
 from repro.machine import Compute, MachineParams, Recv, Send
 from repro.runtime import IStructure, LocalArray
-from repro.runtime.istructure import _UNDEFINED
+from repro.runtime.istructure import UNDEFINED
 from repro.spmd import ir
 
 _MAX_CALL_DEPTH = 64  # keep in sync with repro.spmd.interp
@@ -344,7 +344,7 @@ def _rd1(arr, i):
         shape = arr.shape
         if len(shape) == 1 and 1 <= i <= shape[0]:
             v = arr._cells[i - 1]
-            if v is not _UNDEFINED:
+            if v is not UNDEFINED:
                 return v
     return arr.read(i)
 
@@ -356,7 +356,7 @@ def _rd2(arr, i, j):
             d0, d1 = shape
             if 1 <= i <= d0 and 1 <= j <= d1:
                 v = arr._cells[(i - 1) * d1 + (j - 1)]
-                if v is not _UNDEFINED:
+                if v is not UNDEFINED:
                     return v
     return arr.read(i, j)
 
@@ -369,7 +369,7 @@ def _wr1(arr, i, value):
             ii = int(i)
             if 1 <= ii <= shape[0]:
                 cells = arr._cells
-                if cells[ii - 1] is _UNDEFINED:
+                if cells[ii - 1] is UNDEFINED:
                     cells[ii - 1] = value
                     arr._defined_count += 1
                     return
@@ -394,7 +394,7 @@ def _wr2(arr, i, j, value):
             if 1 <= ii <= d0 and 1 <= jj <= d1:
                 off = (ii - 1) * d1 + (jj - 1)
                 cells = arr._cells
-                if cells[off] is _UNDEFINED:
+                if cells[off] is UNDEFINED:
                     cells[off] = value
                     arr._defined_count += 1
                     return
@@ -1419,7 +1419,7 @@ def _compile_sendvec(stmt, sc):
             and 1 <= lo_ <= hi_ <= buf.shape[0]
         ):
             payload = tuple(buf._cells[lo_ - 1 : hi_])
-            if _UNDEFINED in payload:
+            if UNDEFINED in payload:
                 read = buf.read
                 payload = tuple(read(k) for k in range(lo_, hi_ + 1))
         elif type(lo_) is int and type(hi_) is int and lo_ > hi_:

@@ -439,43 +439,6 @@ class NodeProgram:
         return self.procs[self.entry]
 
 
-# ---------------------------------------------------------------------------
-# Convenience constructors (used by handwritten programs and tests)
-# ---------------------------------------------------------------------------
-
-
-def const(value: int | float | bool) -> NConst:
-    return NConst(value)
-
-
-def var(name: str) -> NVar:
-    return NVar(name)
-
-
-def nbin(op: str, left: NExpr, right: NExpr) -> NBin:
-    return NBin(op, left, right)
-
-
-def add(left: NExpr, right: NExpr) -> NBin:
-    return NBin("+", left, right)
-
-
-def sub(left: NExpr, right: NExpr) -> NBin:
-    return NBin("-", left, right)
-
-
-def mul(left: NExpr, right: NExpr) -> NBin:
-    return NBin("*", left, right)
-
-
-def mod(left: NExpr, right: NExpr) -> NBin:
-    return NBin("mod", left, right)
-
-
-def intdiv(left: NExpr, right: NExpr) -> NBin:
-    return NBin("div", left, right)
-
-
 def walk_stmts(body: list[NStmt]):
     """Yield every statement in a body, depth-first (pre-order)."""
     for stmt in body:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from repro.distrib.base import Distribution
 from repro.errors import MappingError
 from repro.runtime import IStructure
-from repro.runtime.istructure import _UNDEFINED
+from repro.runtime.istructure import UNDEFINED
 
 
 def _cells(shape: tuple[int, ...]):
@@ -88,10 +88,10 @@ def scatter(
         pcells = [p._cells for p in parts]
         for goff, (owner, loff, local, _cell) in enumerate(plan):
             v = scells[goff]
-            if v is _UNDEFINED:
+            if v is UNDEFINED:
                 continue
             row = pcells[owner]
-            if row[loff] is _UNDEFINED:
+            if row[loff] is UNDEFINED:
                 row[loff] = v
                 parts[owner]._defined_count += 1
             else:
@@ -132,7 +132,7 @@ def gather(
         count = 0
         for goff, (owner, loff, _local, _cell) in enumerate(plan):
             v = pcells[owner][loff]
-            if v is not _UNDEFINED:
+            if v is not UNDEFINED:
                 ocells[goff] = v
                 count += 1
         out._defined_count = count

@@ -46,16 +46,11 @@ from functools import lru_cache
 
 from repro.errors import ModelError, NodeRuntimeError
 from repro.lang.builtins import apply_builtin, builtin_arity, is_builtin
+from repro.machine.rows import KIND_COMPUTE, KIND_RECV, KIND_SEND
 from repro.spmd import ir
 from repro.spmd.pretty import pretty_expr
 
 MAX_CALL_DEPTH = 64  # keep in sync with repro.spmd.interp
-
-#: Event kinds: column 0 of a walker's event rows
-#: ``(kind, peer, channel id, plen, ops, mems)``.
-KIND_COMPUTE = 0
-KIND_SEND = 1
-KIND_RECV = 2
 
 
 class _Unknown:

@@ -20,7 +20,7 @@ intelligence lives in :mod:`repro.symbolic.simplify` and
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, fields as _dc_fields
 
 from repro.errors import SolverError
@@ -33,7 +33,11 @@ class _InternMeta(type):
 
     The constructed object is used only to normalize arguments (positional
     or keyword) into the per-class key; if the key is already present the
-    canonical instance is returned and the fresh one is dropped.
+    canonical instance is returned and the fresh one is dropped. The
+    tables are *not* caches — they define node identity for the process
+    lifetime and are never cleared (clearing would break pointer
+    equality for canonical instances already held, e.g. the module-level
+    ``TRUE``/``FALSE``).
     """
 
     _hits = 0
@@ -62,22 +66,6 @@ class _InternMeta(type):
 def intern_stats() -> dict[str, int]:
     """Global hash-consing statistics (all node classes combined)."""
     return {"hits": _InternMeta._hits, "misses": _InternMeta._misses}
-
-
-def intern_table_sizes() -> dict[str, int]:
-    """Per-class intern-table sizes. The tables are *not* caches — they
-    define node identity for the process lifetime and are never cleared
-    (clearing would break the pointer-equality invariant for canonical
-    instances already held, e.g. module-level ``TRUE``/``FALSE``)."""
-    sizes: dict[str, int] = {}
-    stack: list[type] = [Expr, BoolExpr]
-    while stack:
-        cls = stack.pop()
-        stack.extend(cls.__subclasses__())
-        table = cls.__dict__.get("_intern_table")
-        if table is not None:
-            sizes[cls.__name__] = len(table)
-    return sizes
 
 
 def sym(value: "Expr | int | str") -> "Expr":
@@ -531,16 +519,3 @@ class Not(BoolExpr):
 
     def __str__(self) -> str:
         return f"not ({self.arg})"
-
-
-def all_of(conds: Iterable[BoolExpr]) -> BoolExpr:
-    """Conjunction helper that collapses trivial cases."""
-    flat = [c for c in conds if not (isinstance(c, BoolConst) and c.value)]
-    for c in flat:
-        if isinstance(c, BoolConst) and not c.value:
-            return FALSE
-    if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))

@@ -12,7 +12,6 @@ such as ``(j mod S) = p`` redundant inside a loop specialized to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import gcd
 
 from repro import perf
@@ -63,11 +62,6 @@ class Facts:
         congruences = dict(self.congruences)
         congruences[name] = (modulus, residue)
         return Facts(bounds=dict(self.bounds), congruences=congruences)
-
-    def without_var(self, name: str) -> "Facts":
-        bounds = {k: v for k, v in self.bounds.items() if k != name}
-        congruences = {k: v for k, v in self.congruences.items() if k != name}
-        return Facts(bounds=bounds, congruences=congruences)
 
     def fingerprint(self) -> tuple:
         """A hashable digest of this knowledge, used as a memoization key.
@@ -667,8 +661,3 @@ def modular_inverse(a: int, m: int) -> int | None:
     if gcd(a, m) != 1:
         return None
     return pow(a, -1, m)
-
-
-def reduce_gcd(values: list[int]) -> int:
-    """gcd of a list (0 for an empty list)."""
-    return reduce(gcd, values, 0)

@@ -8,13 +8,10 @@ array data) once per rank, recording each rank's event skeleton
 
 with no scheduler in the loop; a data-dependent branch raises
 :class:`ModelError` rather than guessing. Message counts and bytes are
-**exact** — per (src, dst, channel), not just in total. The makespan
-comes from replaying the skeletons through the simulator's own clock
-arithmetic (a compute event costs ``ops * op_us + mems * mem_us``, the
-compiled backend's flush formula over the same integer counters; send
-start-up + bandwidth on the sender; ``max(clock, arrival) + overhead``
-on the receiver; FIFO per channel), which reproduces the ``compiled``
-backend's makespan bit for bit under any machine parameters.
+**exact** — per (src, dst, channel), not just in total. The clocks come
+from the reference scheduler (:func:`repro.machine.rows.run_rows`) over
+those skeletons, which reproduces the ``compiled`` backend's makespan
+bit for bit under any machine parameters.
 
 One knowing approximation, documented in ``docs/INTERNALS.md``: the
 model assumes the identity placement (one process per processor). The
@@ -24,14 +21,14 @@ the deferral schedule and are *not* predicted.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from repro import perf
 from repro.errors import CompileError, ModelError
 from repro.machine import MachineParams
+from repro.machine.rows import run_rows
 from repro.machine.stats import ChannelKey
-from repro.spmd.walk import ARRAY, KIND_COMPUTE, KIND_SEND, UNKNOWN, Walker
+from repro.spmd.walk import ARRAY, UNKNOWN, Walker
 
 
 @dataclass
@@ -59,100 +56,6 @@ class Prediction:
         """Fraction of the processor-time rectangle spent idle."""
         area = self.nprocs * self.makespan_us
         return 1.0 - sum(self.busy_times_us) / area if area else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Skeleton schedule: the simulator's clock arithmetic without the simulator
-# ---------------------------------------------------------------------------
-
-
-def _schedule(
-    per_rank: list[list[tuple]],
-    channels: list[str],
-    nprocs: int,
-    params: MachineParams,
-) -> Prediction:
-    """Clock the walkers' event rows; ``channels`` names channel ids."""
-    clock = [0.0] * nprocs
-    busy = [0.0] * nprocs
-    comm = [0.0] * nprocs
-    idx = [0] * nprocs
-    queues: dict[ChannelKey, deque] = defaultdict(deque)
-    blocked: dict[ChannelKey, int] = {}  # key -> the (unique) waiting rank
-    per_channel: dict[ChannelKey, int] = defaultdict(int)
-    per_channel_bytes: dict[ChannelKey, int] = defaultdict(int)
-    total_messages = 0
-    total_bytes = 0
-    send_cost: dict[int, float] = {}
-    op_us = params.op_us
-    mem_us = params.mem_us
-    latency_us = params.latency_us
-    recv_overhead_us = params.message_cost_recv()
-    scalar_bytes = params.scalar_bytes
-
-    runnable = deque(range(nprocs))
-    while runnable:
-        p = runnable.popleft()
-        events = per_rank[p]
-        i = idx[p]
-        n = len(events)
-        while i < n:
-            kind, peer, chan, plen, ops, mems = events[i]
-            if kind == KIND_COMPUTE:
-                cost = ops * op_us + mems * mem_us
-                clock[p] += cost
-                busy[p] += cost
-            elif kind == KIND_SEND:
-                cost = send_cost.get(plen)
-                if cost is None:
-                    cost = send_cost[plen] = params.message_cost_send(
-                        plen * scalar_bytes
-                    )
-                clock[p] += cost
-                busy[p] += cost
-                comm[p] += cost
-                key = ChannelKey(p, peer, channels[chan])
-                queues[key].append(clock[p] + latency_us)
-                nbytes = plen * scalar_bytes
-                total_messages += 1
-                total_bytes += nbytes
-                per_channel[key] += 1
-                per_channel_bytes[key] += nbytes
-                waiter = blocked.pop(key, None)
-                if waiter is not None:
-                    runnable.append(waiter)
-            else:  # KIND_RECV
-                key = ChannelKey(peer, p, channels[chan])
-                queue = queues.get(key)
-                if not queue:
-                    blocked[key] = p
-                    break
-                arrival = queue.popleft()
-                if arrival > clock[p]:
-                    clock[p] = arrival
-                clock[p] += recv_overhead_us
-                busy[p] += recv_overhead_us
-                comm[p] += recv_overhead_us
-            i += 1
-        idx[p] = i
-
-    unfinished = [p for p in range(nprocs) if idx[p] < len(per_rank[p])]
-    if unfinished:
-        raise ModelError(
-            f"predicted deadlock: ranks {unfinished} block on receives "
-            "no send will satisfy"
-        )
-    return Prediction(
-        nprocs=nprocs,
-        makespan_us=max(clock) if clock else 0.0,
-        total_messages=total_messages,
-        total_bytes=total_bytes,
-        per_channel=dict(per_channel),
-        per_channel_bytes=dict(per_channel_bytes),
-        finish_times_us=clock,
-        busy_times_us=busy,
-        comm_times_us=comm,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +131,24 @@ def predict(
             Walker(code, rank, nprocs, globals_, chan_ids).run(args)
             for rank in range(nprocs)
         ]
-        prediction = _schedule(per_rank, list(chan_ids), nprocs, machine)
+        run = run_rows(per_rank, nprocs, machine)
+        if run.stuck:
+            raise ModelError(
+                f"predicted deadlock: ranks {run.stuck} block on receives "
+                "no send will satisfy"
+            )
+        stats = run.stats(list(chan_ids), machine.scalar_bytes)
+        prediction = Prediction(
+            nprocs=nprocs,
+            makespan_us=max(run.clock) if run.clock else 0.0,
+            total_messages=stats.total_messages,
+            total_bytes=stats.total_bytes,
+            per_channel=dict(stats.per_channel),
+            per_channel_bytes=dict(stats.per_channel_bytes),
+            finish_times_us=run.clock,
+            busy_times_us=run.busy,
+            comm_times_us=run.comm,
+        )
 
     if key is not None:
         _predict_cache[key] = prediction

@@ -521,11 +521,12 @@ class TestStructuredTrace:
         assert recv.wait_us == 0.0
         assert recv.queue_us > 0.0
 
-    def test_detail_property_keeps_legacy_format(self):
+    def test_both_ends_name_partner_channel_and_length(self):
         result = self._pingpong()
-        details = {e.kind: e.detail for e in result.trace}
-        assert details["send"] == "->1 a x2"
-        assert details["recv"] == "<-0 a x2"
+        events = {e.kind: e for e in result.trace}
+        send, recv = events["send"], events["recv"]
+        assert (send.dst, send.channel, send.plen) == (1, "a", 2)
+        assert (recv.src, recv.channel, recv.plen) == (0, "a", 2)
 
     def test_tracing_does_not_perturb_simulated_times(self):
         def make(rank):

@@ -19,6 +19,7 @@ from repro.core.runner import execute
 from repro.errors import ReproError
 from repro.spmd.interp import _replay_unsupported, run_spmd
 from repro.spmd.layout import make_full, scatter
+from tests.replay.conftest import assert_replayed
 
 
 def _wavefront_run(nprocs=2, n=9, **kwargs):
@@ -105,16 +106,8 @@ def test_fallback_increments_perf_counter():
 
 
 def test_replay_produces_no_values():
-    import os
-
     result = _wavefront_run()
-    assert result.backend == "replay"
-    if os.environ.get("REPRO_REPLAY_SCALAR", "") not in ("", "0"):
-        assert result.fallback_reason == (
-            "scalar clock walk (REPRO_REPLAY_SCALAR=1)"
-        )
-    else:
-        assert result.fallback_reason is None
+    assert_replayed(result)
     assert result.returned == [None, None]
 
 

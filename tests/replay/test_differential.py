@@ -14,8 +14,6 @@ shared, plus hypothesis-driven random affine stencils to push beyond the
 fixed example apps.
 """
 
-import os
-
 import pytest
 
 pytest.importorskip("numpy")
@@ -28,18 +26,11 @@ from repro.core.runner import execute
 from repro.errors import DeadlockError, ReproError
 from repro.spmd.layout import make_full
 from repro.tune.space import DEFAULT_DISTS, STRATEGIES, retarget_source
+from tests.replay.conftest import assert_replayed
 
 N = 8
 RING_SIZES = (2, 4, 8)
 BLKSIZE = 4
-
-#: What a successful replay run's fallback_reason should read: None
-#: normally, the engine note when CI forces the scalar oracle.
-ENGINE_NOTE = (
-    "scalar clock walk (REPRO_REPLAY_SCALAR=1)"
-    if os.environ.get("REPRO_REPLAY_SCALAR", "") not in ("", "0")
-    else None
-)
 
 
 def app_config(app):
@@ -139,13 +130,7 @@ def check_identity(app, dist, strategy, nprocs, n=N):
         f"{label}: compiled -> {ref_kind}, replay -> {got_kind}"
     )
     if ref_kind == "ok":
-        assert got.spmd.backend == "replay", (
-            f"{label}: replay fell back ({got.spmd.fallback_reason})"
-        )
-        # Forcing the scalar oracle via the environment (CI's
-        # differential leg) legitimately records an engine note; any
-        # *other* reason is an unexpected fallback.
-        assert got.spmd.fallback_reason == ENGINE_NOTE, label
+        assert_replayed(got.spmd, label)
         assert ref.spmd.backend == "compiled", label
         assert_sims_identical(label, ref.sim, got.sim)
     else:
@@ -223,7 +208,7 @@ def test_handwritten_strategy_replays_bit_identically():
                    backend="compiled")
     got = run_spmd(program, 4, make_args, globals_=globals_,
                    backend="replay")
-    assert got.backend == "replay" and got.fallback_reason == ENGINE_NOTE
+    assert_replayed(got)
     assert_sims_identical("handwritten S=4", ref.sim, got.sim)
 
 
@@ -290,9 +275,7 @@ def test_random_affine_stencils_replay_identically(
     got_kind, got = run_backend(compiled, nprocs, "replay", n=n)
     assert got_kind == ref_kind, label
     if ref_kind == "ok":
-        assert got.spmd.backend == "replay", (
-            f"{label}: fell back ({got.spmd.fallback_reason})"
-        )
+        assert_replayed(got.spmd, label)
         assert_sims_identical(label, ref.sim, got.sim)
     else:
         assert_errors_identical(label, ref, got)

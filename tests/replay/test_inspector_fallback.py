@@ -13,6 +13,7 @@ import pytest
 from repro import perf
 from repro.core.compiler import OptLevel, Strategy, compile_program
 from repro.core.runner import execute
+from tests.replay.conftest import assert_replayed
 
 FALLBACK_REASON = (
     "rank 0: ModelError: indirect access: "
@@ -89,5 +90,4 @@ class TestReplayFallback:
             extra_globals={"blksize": 4},
             backend="replay",
         )
-        assert outcome.spmd.backend == "replay"
-        assert outcome.spmd.fallback_reason is None
+        assert_replayed(outcome.spmd)

@@ -10,8 +10,8 @@ The interesting machinery only engages on runs longer than
 :data:`repro.replay.vector.VEC_MIN` (and some tiers only on specific
 epoch shapes), so alongside the default thresholds every comparison is
 repeated under adversarial forcings that push tiny test programs down
-each code path: all-vector dispatch, the padded-matrix epoch tier, and
-window exhaustion into the per-event tail.
+each code path: all-vector dispatch, and the long jump out of stepped
+advance into one accumulate per epoch.
 """
 
 import pytest
@@ -40,13 +40,7 @@ MACHINE = MachineParams.ipsc2()
 FORCINGS = {
     "default": {},
     "all-vector": {"VEC_MIN": 1},
-    "matrix-tier": {
-        "VEC_MIN": 1, "_SPARSE_FIRES": 0, "_INDIV_MAX": 0, "_STEP_MAX": 0,
-    },
-    "window-exhaustion": {
-        "VEC_MIN": 1, "_SPARSE_FIRES": 64, "_MAX_WINDOWS": 2,
-        "_MATRIX_CAP": 1,
-    },
+    "long-jump": {"VEC_MIN": 1, "_INDIV_MAX": 0, "_STEP_MAX": 0},
 }
 
 
@@ -164,8 +158,7 @@ def test_vector_paths_actually_run():
     with forced("all-vector"):
         before = {
             name: perf.counter(f"replay.vector.{name}")
-            for name in ("runs", "fire_runs", "sparse_windows",
-                         "scalar_runs")
+            for name in ("runs", "fire_runs", "scalar_runs")
         }
         replay(skeleton, MACHINE, engine="vector")
         fired = sum(
@@ -241,5 +234,5 @@ def test_random_affine_stencils_engines_identical(
     label = f"stencil {dist} taps={list(taps)} n={n} S={nprocs} {level}"
     with forced("all-vector"):
         assert_engines_identical(skeleton, label)
-    with forced("matrix-tier"):
-        assert_engines_identical(skeleton, f"{label} [matrix]")
+    with forced("long-jump"):
+        assert_engines_identical(skeleton, f"{label} [long-jump]")
