@@ -64,9 +64,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--quick", action="store_true",
                         help="small grid, fresh+cold gates only (CI smoke)")
-    parser.add_argument("--json", default="BENCH_replay.json", metavar="PATH",
-                        help="output path ('-' for stdout only)")
+    parser.add_argument("--json", default=None, metavar="PATH",
+                        help="output path ('-' for stdout only; default "
+                             "BENCH_replay.json, or '-' under --quick so a "
+                             "smoke run cannot overwrite the committed "
+                             "full-scale numbers)")
     args = parser.parse_args(argv)
+    if args.json is None:
+        args.json = "-" if args.quick else "BENCH_replay.json"
 
     try:
         payload = run_benchmark(quick=args.quick)

@@ -520,12 +520,9 @@ def _dedupe(items, key):
 _LOCALITY_SCHEMA = 2
 
 
-def _canonical_locality_key(key) -> str:
-    return f"locality|s{_LOCALITY_SCHEMA}|{key!r}"
-
-
 _locality_cache: dict = perf.register_cache(
-    "locality", {}, persistent=True, key_fn=_canonical_locality_key,
+    "locality", {}, persistent=True,
+    key_fn=perf.stable_key(f"locality|s{_LOCALITY_SCHEMA}"),
 )
 
 
@@ -545,29 +542,21 @@ def analyze(
     if entry is None:
         entry = getattr(program, "entry", None)
 
-    if isinstance(checked, str):
-        source = checked
-        key = (source, entry, max_candidates)
-        if perf.caches_enabled():
-            cached = _locality_cache.get(key)
-            if cached is not None:
-                perf.hit("locality")
-                return cached
-            perf.miss("locality")
-        from repro.core.polymorphism import monomorphize
-        from repro.lang import check_program, parse_program
+    def build() -> LocalityResult:
+        tree = checked
+        if isinstance(tree, str):
+            from repro.core.polymorphism import monomorphize
+            from repro.lang import check_program, parse_program
 
-        checked = check_program(monomorphize(parse_program(source)))
-        if entry is None:
-            entry = default_entry(checked)
-        result = _analyze_checked(checked, entry, max_candidates)
-        if perf.caches_enabled():
-            _locality_cache[key] = result
-        return result
+            tree = check_program(monomorphize(parse_program(tree)))
+        return _analyze_checked(
+            tree, default_entry(tree) if entry is None else entry,
+            max_candidates,
+        )
 
-    if entry is None:
-        entry = default_entry(checked)
-    return _analyze_checked(checked, entry, max_candidates)
+    if isinstance(checked, str):  # source text: the one hashable form
+        return perf.memo("locality", (checked, entry, max_candidates), build)
+    return build()
 
 
 def derive_maps(

@@ -37,31 +37,12 @@ from repro.spmd.walk import UNKNOWN
 
 _PER_CODE_CAP = 10  # identical-shape findings kept per (code, rank)
 
-# Verification is deterministic in (program, ring, bindings), so reports
-# are memoized exactly like the cost model's predictions — the tuner
-# re-verifies the same compiled program once per candidate ring size.
-# Persistent: a fresh process (CLI rerun, --jobs worker) loads reports
-# straight from the shared artifact store.
-
-
-def _canonical_verify_key(key) -> str | None:
-    program, nprocs, machine, globals_items, inputs_items, passes = key
-    try:
-        from repro.spmd import pretty_program
-
-        text = pretty_program(program)
-    except Exception:
-        return None
-    rest = (
-        f"{nprocs}|{machine!r}|{globals_items!r}|{inputs_items!r}|{passes!r}"
-    )
-    if " at 0x" in rest:  # an object repr leaked an address: not stable
-        return None
-    return f"verify|{text}|{rest}"
-
-
+# Verification is deterministic in (program, ring, bindings) — the tuner
+# re-verifies the same compiled program once per candidate ring size —
+# so the diagnostics are memoized; persistent, so a fresh process (CLI
+# rerun, --jobs worker) loads them from the shared artifact store.
 _verify_cache: dict = perf.register_cache(
-    "verify", {}, persistent=True, key_fn=_canonical_verify_key,
+    "verify", {}, persistent=True, key_fn=perf.stable_key("verify"),
 )
 
 
@@ -117,27 +98,27 @@ def verify_compiled(
     report.metadata.update(metadata or {})
     report.metadata.setdefault("nprocs", nprocs)
 
-    key = None
-    if perf.caches_enabled():
-        try:
-            key = (
-                program,  # identity-hashed
-                nprocs,
-                machine,
-                tuple(sorted(globals_.items())),
-                tuple(sorted(inputs.items())),
-                tuple(extra_passes),
-            )
-            cached = _verify_cache.get(key)
-        except TypeError:  # unhashable globals/inputs: skip memoization
-            key, cached = None, None
-        if cached is not None:
-            perf.hit("verify")
-            report.diagnostics.extend(cached)
-            return report
-        if key is not None:
-            perf.miss("verify")
+    key = (
+        program,  # identity-hashed
+        nprocs,
+        machine,
+        tuple(sorted(globals_.items())),
+        tuple(sorted(inputs.items())),
+        tuple(extra_passes),
+    )
+    # Diagnostics are frozen dataclasses, safe to share between reports;
+    # metadata stays per-call and is never cached.
+    report.diagnostics.extend(perf.memo("verify", key, lambda: _diagnose(
+        compiled, program, nprocs, globals_, inputs, extra_passes
+    )))
+    return report
 
+
+def _diagnose(
+    compiled, program, nprocs: int, globals_, inputs, extra_passes
+) -> tuple:
+    """Walk every rank and run the passes: one run's diagnostics."""
+    report = Report()
     ctx = VerifyContext(
         program, nprocs, globals_,
         compiled=compiled if compiled is not program else None,
@@ -195,11 +176,7 @@ def verify_compiled(
     for name, pass_fn in PASSES.items():
         if getattr(pass_fn, "default_enabled", True) or name in extra_passes:
             pass_fn(ctx, report)
-    if key is not None:
-        # Diagnostics are frozen dataclasses, safe to share between
-        # reports; metadata stays per-call and is never cached.
-        _verify_cache[key] = tuple(report.diagnostics)
-    return report
+    return tuple(report.diagnostics)
 
 
 def _rank_list(ranks: list[int]) -> str:

@@ -47,7 +47,10 @@ exits 0 when clean, 1 when any diagnostic is found, 2 on usage errors.
 The ``tune`` command searches distribution x strategy x blksize for the
 given app: it predicts every candidate with the analytic cost model
 (:mod:`repro.tune.model`), then confirms only the predicted-best
-``--top-k`` on the real simulator and prints the ranked report. With
+``--top-k`` on the real simulator and prints the ranked report. The
+model's makespan is bit-exact against the simulator under any machine
+parameters, so the report's ``spearman=`` figure is a self-check that
+reads 1.00, not an accuracy score. With
 ``--auto-maps`` the distribution axis is not searched from the default
 list but derived by the static locality analyzer from the program's own
 access functions (``--dists`` is ignored).
@@ -390,18 +393,12 @@ def _traced_run(args):
     (and backend comparisons) see the identical program — including the
     generated channel names that appear in reports and exports.
     """
-    from repro.core.compiler import OptLevel, Strategy, compile_program_cached
+    from repro.core.compiler import compile_program_cached
     from repro.core.runner import execute
     from repro.spmd.layout import make_full
+    from repro.tune.space import STRATEGIES
 
-    levels = {
-        "runtime": (Strategy.RUNTIME, OptLevel.NONE),
-        "compile": (Strategy.COMPILE_TIME, OptLevel.NONE),
-        "optI": (Strategy.COMPILE_TIME, OptLevel.VECTORIZE),
-        "optII": (Strategy.COMPILE_TIME, OptLevel.JAM),
-        "optIII": (Strategy.COMPILE_TIME, OptLevel.STRIPMINE),
-    }
-    strat, level = levels[args.strategy]
+    strat, level = STRATEGIES[args.strategy]
     app = getattr(args, "app", "gauss_seidel")
     common = dict(
         strategy=strat,

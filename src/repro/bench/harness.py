@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from repro import perf
 from repro.apps import gauss_seidel as gs
-from repro.core.compiler import OptLevel, Strategy, compile_program_cached
-from repro.core.runner import execute
+from repro.core.compiler import compile_program_cached
+from repro.core.runner import ExecutionOutcome, MeasurePoint, execute
 from repro.machine import MachineParams
-from repro.obs.utilization import comm_idle_fractions
 from repro.spmd.interp import run_spmd
 from repro.spmd.layout import gather, make_full, scatter
+from repro.tune.space import STRATEGIES
 
 STRATEGY_ORDER = [
     "runtime",
@@ -45,51 +44,9 @@ STRATEGY_ORDER = [
     "handwritten",
 ]
 
-_COMPILED = {
-    "runtime": (Strategy.RUNTIME, OptLevel.NONE),
-    "compile": (Strategy.COMPILE_TIME, OptLevel.NONE),
-    "optI": (Strategy.COMPILE_TIME, OptLevel.VECTORIZE),
-    "optII": (Strategy.COMPILE_TIME, OptLevel.JAM),
-    "optIII": (Strategy.COMPILE_TIME, OptLevel.STRIPMINE),
-}
-
-
-@dataclass(frozen=True)
-class MeasurePoint:
-    """One simulated execution.
-
-    ``time_us`` is *simulated* microseconds (deterministic);
-    ``host_seconds`` is the host wall-clock spent executing the
-    simulation (excluding problem setup and verification), recorded so
-    ``BENCH_*.json`` tracks the performance trajectory across PRs.
-    ``compile_seconds`` is the host wall-clock the compiler spent inside
-    this measurement — near zero when the compile cache is warm.
-    ``comm_frac``/``idle_frac`` split the machine-time integral
-    (``nprocs * makespan``) into communication overhead and idle waiting
-    (see :func:`repro.obs.utilization.comm_idle_fractions`); the
-    remainder is useful compute.
-    """
-
-    strategy: str
-    n: int
-    nprocs: int
-    blksize: int
-    time_us: float
-    messages: int
-    bytes: int
-    host_seconds: float = 0.0
-    backend: str = "compiled"
-    compile_seconds: float = 0.0
-    comm_frac: float = 0.0
-    idle_frac: float = 0.0
-
-    @property
-    def time_ms(self) -> float:
-        return self.time_us / 1000.0
-
 
 def _compiled(strategy: str, source: str, assume_min: int):
-    strat, level = _COMPILED[strategy]
+    strat, level = STRATEGIES[strategy]
     return compile_program_cached(
         source,
         strategy=strat,
@@ -135,13 +92,10 @@ def measure(
         )
         host_seconds = time.perf_counter() - host_t0
         compile_seconds = 0.0
+        outcome = ExecutionOutcome(value=None, spmd=result)
         if verify:
             new = gather(result.returned, gs.DISTRIBUTION, nprocs, (n, n))
             _check(new, expected, strategy)
-        time_us = result.makespan_us
-        messages = result.total_messages
-        nbytes = result.sim.stats.total_bytes
-        sim = result.sim
     else:
         # Promise S >= 2 only when we actually run more than one processor.
         assume_min = 2 if nprocs >= 2 else 1
@@ -162,25 +116,10 @@ def measure(
         host_seconds = time.perf_counter() - host_t0
         if verify:
             _check(outcome.value, expected, strategy)
-        time_us = outcome.makespan_us
-        messages = outcome.total_messages
-        nbytes = outcome.sim.stats.total_bytes
-        sim = outcome.sim
 
-    comm_frac, idle_frac = comm_idle_fractions(sim)
-    return MeasurePoint(
-        strategy=strategy,
-        n=n,
-        nprocs=nprocs,
-        blksize=blksize,
-        time_us=time_us,
-        messages=messages,
-        bytes=nbytes,
-        host_seconds=host_seconds,
-        backend=backend,
-        compile_seconds=compile_seconds,
-        comm_frac=comm_frac,
-        idle_frac=idle_frac,
+    return MeasurePoint.from_outcome(
+        outcome, strategy, n, nprocs, blksize, host_seconds, backend,
+        compile_seconds,
     )
 
 

@@ -102,7 +102,6 @@ def run_point(
     vector_gate: float | None = None,
 ) -> dict:
     """Benchmark one configuration; raises AssertionError on any gate."""
-    compiled = _compile(strategy)
     label = f"{strategy} N={n} S={nprocs}"
 
     def run(backend):
@@ -144,15 +143,17 @@ def run_point(
         if got.sim.comm_times_us != ref.sim.comm_times_us:
             raise AssertionError(f"{label}: {name} comm_times_us diverged")
 
-    compiled_s, ref = _time(lambda: run("compiled"), repeats)
-
-    # Hermetic store root for this point: the fresh run measures a truly
-    # empty store (and primes it), the cold run measures a primed one.
+    # Hermetic store root for the whole point: the reference compile
+    # writes there too (not into the user's store), the fresh run finds
+    # no skeleton in it (and primes it), the cold run finds it primed.
     store_root = tempfile.mkdtemp(prefix="repro-bench-store-")
     prior_dir = os.environ.get("REPRO_CACHE_DIR")
     prior_scalar = os.environ.pop("REPRO_REPLAY_SCALAR", None)
     os.environ["REPRO_CACHE_DIR"] = store_root
     try:
+        compiled = _compile(strategy)
+        compiled_s, ref = _time(lambda: run("compiled"), repeats)
+
         perf.clear_caches()  # ``compiled`` itself stays alive above
         fresh_s, fresh = _time(lambda: run("replay"), 1)
         check("fresh", fresh)

@@ -129,15 +129,6 @@ def compile_program_cached(
     value; callers needing ``spec=`` should use :func:`compile_program`
     directly. Respects the global cache switch in :mod:`repro.perf`.
     """
-    if not perf.caches_enabled():
-        return compile_program(
-            source,
-            entry=entry,
-            strategy=strategy,
-            opt_level=opt_level,
-            entry_shapes=entry_shapes,
-            assume_nprocs_min=assume_nprocs_min,
-        )
     key = (
         source,
         entry,
@@ -146,21 +137,17 @@ def compile_program_cached(
         tuple(sorted((entry_shapes or {}).items())),
         assume_nprocs_min,
     )
-    cached = _compile_cache.get(key)
-    if cached is not None:
-        perf.hit("compile")
-        return cached
-    perf.miss("compile")
-    result = compile_program(
-        source,
-        entry=entry,
-        strategy=strategy,
-        opt_level=opt_level,
-        entry_shapes=entry_shapes,
-        assume_nprocs_min=assume_nprocs_min,
+    return perf.memo(
+        "compile", key,
+        lambda: compile_program(
+            source,
+            entry=entry,
+            strategy=strategy,
+            opt_level=opt_level,
+            entry_shapes=entry_shapes,
+            assume_nprocs_min=assume_nprocs_min,
+        ),
     )
-    _compile_cache[key] = result
-    return result
 
 
 # Schema tag for persisted CompiledProgram payloads. A pickle from an
@@ -171,15 +158,11 @@ def compile_program_cached(
 # IR it embeds changes shape.
 _COMPILE_SCHEMA = 3  # 3: inspector_sites carry line/col/loop path
 
-
-def _canonical_compile_key(key) -> str:
-    # Every component (source text, entry name, Strategy/OptLevel enums,
-    # sorted shape tuples, int) has a process-independent repr.
-    return f"compile|s{_COMPILE_SCHEMA}|{key!r}"
-
-
-_compile_cache: dict = perf.register_cache(
-    "compile", {}, persistent=True, key_fn=_canonical_compile_key,
+# Every key component (source text, entry name, Strategy/OptLevel enums,
+# sorted shape tuples, int) has a process-independent repr.
+perf.register_cache(
+    "compile", {}, persistent=True,
+    key_fn=perf.stable_key(f"compile|s{_COMPILE_SCHEMA}"),
 )
 
 

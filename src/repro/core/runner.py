@@ -16,11 +16,12 @@ from repro import perf
 from repro.errors import CompileError
 from repro.inspector.context import INSPECTOR_GLOBAL, InspectorContext
 from repro.machine import MachineParams, SimResult
+from repro.obs.utilization import comm_idle_fractions
 from repro.runtime import IStructure
 from repro.core.common import CompiledProgram
 from repro.spmd.interp import SPMDResult, run_spmd
 from repro.spmd.layout import gather, scatter
-from repro.spmd.walk import ARRAY
+from repro.spmd.walk import abstract_args
 
 # Inspector communication schedules, keyed on (program text, ring size,
 # params, index-array contents). A hit lets a run skip the enumeration
@@ -51,9 +52,7 @@ def _schedule_key(
     if not index_arrays.issubset(sources):
         return None
     h = hashlib.sha256()
-    from repro.spmd.pretty import pretty_program
-
-    h.update(pretty_program(compiled.program).encode())
+    h.update(repr(compiled.program).encode())  # the pretty-printed text
     h.update(json.dumps([nprocs, sorted(params.items())]).encode())
     for name in sorted(index_arrays):
         arr = sources[name]
@@ -81,6 +80,68 @@ class ExecutionOutcome:
     @property
     def total_messages(self) -> int:
         return self.spmd.total_messages
+
+
+@dataclass(frozen=True)
+class MeasurePoint:
+    """One simulated execution.
+
+    ``time_us`` is *simulated* microseconds (deterministic);
+    ``host_seconds`` is the host wall-clock spent executing the
+    simulation (excluding problem setup and verification), recorded so
+    ``BENCH_*.json`` tracks the performance trajectory across PRs.
+    ``compile_seconds`` is the host wall-clock the compiler spent inside
+    this measurement — near zero when the compile cache is warm.
+    ``comm_frac``/``idle_frac`` split the machine-time integral
+    (``nprocs * makespan``) into communication overhead and idle waiting
+    (see :func:`repro.obs.utilization.comm_idle_fractions`); the
+    remainder is useful compute.
+    """
+
+    strategy: str
+    n: int
+    nprocs: int
+    blksize: int
+    time_us: float
+    messages: int
+    bytes: int
+    host_seconds: float = 0.0
+    backend: str = "compiled"
+    compile_seconds: float = 0.0
+    comm_frac: float = 0.0
+    idle_frac: float = 0.0
+
+    @property
+    def time_ms(self) -> float:
+        return self.time_us / 1000.0
+
+    @classmethod
+    def from_outcome(
+        cls,
+        outcome: ExecutionOutcome,
+        strategy: str,
+        n: int,
+        nprocs: int,
+        blksize: int,
+        host_seconds: float,
+        backend: str,
+        compile_seconds: float = 0.0,
+    ) -> "MeasurePoint":
+        comm_frac, idle_frac = comm_idle_fractions(outcome.sim)
+        return cls(
+            strategy=strategy,
+            n=n,
+            nprocs=nprocs,
+            blksize=blksize,
+            time_us=outcome.makespan_us,
+            messages=outcome.total_messages,
+            bytes=outcome.sim.stats.total_bytes,
+            host_seconds=host_seconds,
+            backend=backend,
+            compile_seconds=compile_seconds,
+            comm_frac=comm_frac,
+            idle_frac=idle_frac,
+        )
 
 
 def execute(
@@ -168,12 +229,7 @@ def execute(
         # an argument maker that skips the (expensive) scatter; the real
         # ``make_args`` scatters lazily if the run falls back.
         def extract_args(rank: int) -> list[object]:
-            return [
-                ARRAY
-                if param.type.is_array()
-                else scalar_input(param.name)
-                for param in entry_proc.params
-            ]
+            return abstract_args(compiled.program.entry_proc(), scalar_input)
     else:
         extract_args = None
         for pname in compiled.entry_array_params:
@@ -185,15 +241,11 @@ def execute(
     schedule_key: str | None = None
     if compiled.inspector_sites and INSPECTOR_GLOBAL not in globals_:
         preplans = None
-        if perf.caches_enabled():
-            schedule_key = _schedule_key(compiled, nprocs, params, sources)
-            if schedule_key is not None:
-                cached = _schedule_cache.get(schedule_key)
-                if cached is not None:
-                    perf.hit("inspector")
-                    preplans = InspectorContext.load_plans(cached)
-                else:
-                    perf.miss("inspector")
+        schedule_key = _schedule_key(compiled, nprocs, params, sources)
+        if schedule_key is not None:
+            cached = perf.lookup("inspector", schedule_key)
+            if cached is not perf.MISSING:
+                preplans = InspectorContext.load_plans(cached)
         inspector_ctx = InspectorContext(preplans)
         globals_[INSPECTOR_GLOBAL] = inspector_ctx
     if specialize:
@@ -226,10 +278,10 @@ def execute(
         inspector_ctx is not None
         and schedule_key is not None
         and inspector_ctx.built
-        and perf.caches_enabled()
     ):
-        _schedule_cache[schedule_key] = InspectorContext.dump_plans(
-            inspector_ctx.built
+        perf.insert(
+            "inspector", schedule_key,
+            InspectorContext.dump_plans(inspector_ctx.built),
         )
 
     if result.backend == "replay":

@@ -41,22 +41,17 @@ def specialize_for_rank(
     return specializer_for(program, nprocs).for_rank(rank)
 
 
-_specializers: dict = perf.register_cache("specializer", {})
+perf.register_cache("specialize.generic", {})
 
 
 def specializer_for(
     program: ir.NodeProgram, nprocs: int | None
 ) -> "RankSpecializer":
     """The (cached) rank-generic specializer for one program/ring size."""
-    key = (program, nprocs)
-    spec = _specializers.get(key)
-    if spec is None:
-        perf.miss("specialize.generic")
-        spec = RankSpecializer(program, nprocs)
-        _specializers[key] = spec
-    else:
-        perf.hit("specialize.generic")
-    return spec
+    return perf.memo(
+        "specialize.generic", (program, nprocs),
+        lambda: RankSpecializer(program, nprocs),
+    )
 
 
 def _specialize_direct(

@@ -2,15 +2,17 @@
 
 One tiny module, imported by the hot paths, holding three things:
 
-* **counters** — monotonically increasing integers, used for cache
-  hit/miss accounting (``perf.hit("simplify")`` / ``perf.miss(...)``);
+* **counters** — monotonically increasing integers;
 * **phase timers** — ``with perf.phase("compile"): ...`` accumulates
   host seconds per named phase, giving the compile-vs-execute breakdown
   the bench CLI emits under ``--profile``;
-* a **cache registry** — every memoization table registers itself here
-  so caches can be cleared (``clear_caches``) or disabled wholesale
-  (``set_caches_enabled(False)``), which is how benchmarks measure the
-  uncached baseline without a separate code path.
+* the **cache registry and the one way to consult it** — every
+  memoization table registers itself here and is read and written only
+  through :func:`memo` (or its halves :func:`lookup` / :func:`insert`),
+  which own the policy: the global switch (``set_caches_enabled(False)``
+  is how benchmarks measure the uncached baseline without a separate
+  code path), the ``<name>.hit`` / ``<name>.miss`` counters, a cached
+  ``None`` being a hit, an unhashable key computing uncounted.
 
 Caches registered with ``persistent=True`` additionally spill to the
 process-shared on-disk artifact store (:mod:`repro.store`): a memory
@@ -18,8 +20,9 @@ miss falls through to a disk read, and every insert is mirrored to disk,
 so cold processes — fresh CLI invocations, ``--jobs`` workers — start
 from the fleet's warm state. Persistence requires a ``key_fn`` mapping
 the in-memory key (which may contain identity-hashed objects) to a
-canonical, process-independent string; returning ``None`` marks a key
-unpersistable and keeps it memory-only.
+canonical, process-independent string — :func:`stable_key` builds one
+from the key's ``repr``; returning ``None`` marks a key unpersistable
+and keeps it memory-only.
 
 Everything else is process-local. The parallel bench harness snapshots
 worker state and merges it into the parent with :func:`merge`.
@@ -27,6 +30,7 @@ worker state and merges it into the parent with :func:`merge`.
 
 from __future__ import annotations
 
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -90,7 +94,8 @@ def phase_seconds(name: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-_MISSING = object()
+#: "Not cached" — distinct from every cacheable value, ``None`` included.
+MISSING = object()
 
 
 class SpillDict(MutableMapping):
@@ -124,8 +129,8 @@ class SpillDict(MutableMapping):
         self._digests: dict = {}  # key -> sha256 digest (or None)
 
     def _digest(self, key) -> "str | None":
-        digest = self._digests.get(key, _MISSING)
-        if digest is _MISSING:
+        digest = self._digests.get(key, MISSING)
+        if digest is MISSING:
             from repro import store
 
             canonical = self.key_fn(key)
@@ -136,8 +141,8 @@ class SpillDict(MutableMapping):
         return digest
 
     def get(self, key, default=None):
-        value = self._mem.get(key, _MISSING)
-        if value is not _MISSING:
+        value = self._mem.get(key, MISSING)
+        if value is not MISSING:
             return value
         if _caches_enabled:
             from repro import store
@@ -153,13 +158,13 @@ class SpillDict(MutableMapping):
         return default
 
     def __getitem__(self, key):
-        value = self.get(key, _MISSING)
-        if value is _MISSING:
+        value = self.get(key, MISSING)
+        if value is MISSING:
             raise KeyError(key)
         return value
 
     def __contains__(self, key) -> bool:
-        return self.get(key, _MISSING) is not _MISSING
+        return self.get(key, MISSING) is not MISSING
 
     def __setitem__(self, key, value) -> None:
         self._mem[key] = value
@@ -217,6 +222,84 @@ def register_cache(
         mapping = SpillDict(name, key_fn)
     _caches[name] = mapping
     return mapping
+
+
+def lookup(name: str, key):
+    """The value cached under ``key`` in cache ``name``, or :data:`MISSING`.
+
+    Counts ``<name>.hit`` or ``<name>.miss``. With caches disabled, or
+    for an unhashable key, answers :data:`MISSING` and counts nothing.
+    """
+    if not _caches_enabled:
+        return MISSING
+    try:
+        value = _caches[name].get(key, MISSING)
+    except TypeError:  # unhashable key
+        return MISSING
+    counter_name = name + (".miss" if value is MISSING else ".hit")
+    _counters[counter_name] = _counters.get(counter_name, 0) + 1
+    return value
+
+
+def insert(name: str, key, value) -> None:
+    """Store what a :func:`lookup` miss went on to compute (a no-op with
+    caches disabled or an unhashable key)."""
+    if _caches_enabled:
+        try:
+            _caches[name][key] = value
+        except TypeError:  # unhashable key
+            pass
+
+
+def memo(name: str, key, build: Callable[[], object]):
+    """``build()``, memoized under ``key`` in cache ``name``.
+
+    :func:`lookup` then, on a miss, ``build`` and :func:`insert` —
+    written out rather than called because the symbolic caches sit on
+    the compiler's hottest path and every Python call there is measured.
+    An exception in ``build`` propagates and caches nothing.
+    """
+    if not _caches_enabled:
+        return build()
+    cache = _caches[name]
+    try:
+        value = cache.get(key, MISSING)
+    except TypeError:  # unhashable key
+        return build()
+    if value is not MISSING:
+        counter_name = name + ".hit"
+        _counters[counter_name] = _counters.get(counter_name, 0) + 1
+        return value
+    counter_name = name + ".miss"
+    _counters[counter_name] = _counters.get(counter_name, 0) + 1
+    value = cache[key] = build()
+    return value
+
+
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+>")
+
+
+def stable_key(tag: str) -> Callable[[object], "str | None"]:
+    """A ``key_fn`` for a persistent cache: ``"<tag>|<repr(key)>"``.
+
+    ``tag`` names the cache and its payload schema: bump it when the
+    cached type changes shape, because a stale pickle can load yet lack
+    new fields. Key components that hash by identity must print
+    process-independently (a ``NodeProgram`` prints its source); a
+    ``repr`` that raises or leaks a default ``<... at 0x...>`` address
+    makes the key unpersistable (``None``).
+    """
+
+    def key_fn(key) -> "str | None":
+        try:
+            text = repr(key)
+        except Exception:
+            return None
+        if _ADDRESS.search(text):
+            return None
+        return f"{tag}|{text}"
+
+    return key_fn
 
 
 def caches_enabled() -> bool:

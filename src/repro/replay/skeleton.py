@@ -6,19 +6,16 @@ bursts, sends, receives — is a *static skeleton* that can be extracted
 once per (program, ring, bindings) and replayed any number of times
 without executing a single array operation.
 
-Extraction runs the compiled abstract walk of :mod:`repro.spmd.walk`,
-which accumulates cost as **integer (ops, mems) counters**. The compiled
-backend's flush charges ``ops * op_us + mems * mem_us``, so synthesizing
-the float cost with the *same expression* at replay time makes compute
-costs bit-identical to the compiled backend for **any** machine
-parameters. This module adds one loop policy, *replication*: a
-communicating loop whose event stream is iteration-invariant is walked
-twice and its second iteration's rows repeated.
-
-Carrying counters instead of costs has a second payoff: extraction is
-**machine-independent**.  The skeleton cache is keyed only on (program,
-ring size, globals, entry scalars) and one cached skeleton serves every
-machine model a sweep replays it under.
+Extraction runs the compiled abstract walk of :mod:`repro.spmd.walk`
+— the plain :class:`~repro.spmd.walk.Walker`, the same rows
+:func:`repro.tune.predict` clocks — which accumulates cost as **integer
+(ops, mems) counters**. The compiled backend's flush charges ``ops *
+op_us + mems * mem_us``, so synthesizing the float cost with the *same
+expression* at replay time makes compute costs bit-identical to the
+compiled backend for **any** machine parameters, and extraction is
+**machine-independent**: one ``replay_skeleton`` cache entry (see the
+cache table in ``docs/INTERNALS.md``) serves every machine model a
+sweep replays it under.
 
 Events are stored columnar — flat parallel numpy arrays per rank — so
 the replayer can synthesize costs, match FIFOs, and aggregate statistics
@@ -39,12 +36,11 @@ from dataclasses import dataclass
 from repro import perf
 from repro.errors import ReproError
 from repro.spmd.walk import (
-    ARRAY,
     KIND_COMPUTE,
     KIND_RECV,
     KIND_SEND,
-    UNKNOWN,
     Walker,
+    abstract_args,
 )
 
 try:  # guarded: interp/compiled must keep working without numpy
@@ -108,44 +104,6 @@ class ProgramSkeleton:
         return sum(len(r) for r in self.ranks)
 
 
-class _SkeletonRank(Walker):
-    """The walk plus the replication policy for communicating loops."""
-
-    def iterate(self, loop, frame, lo, step, trips) -> None:
-        if trips < 2 or not loop.replicable:
-            super().iterate(loop, frame, lo, step, trips)
-            return
-        # Communicating loop with an iteration-invariant event stream:
-        # walk the first iteration for real (its leading flush merges
-        # compute pending from *before* the loop), walk the second for
-        # real (its leading flush merges the first iteration's trailing
-        # compute — the steady state), then replicate the second
-        # iteration's rows for the rest. Flush boundaries stay exactly
-        # where the compiled backend puts them, which bit-identity of
-        # the clock chain depends on.
-        events = self.events
-        frame[loop.var] = lo
-        loop.body(self, frame)
-        tail_ops, tail_mems = self.ops, self.mems
-        mark = len(events)
-        frame[loop.var] = lo + step
-        loop.body(self, frame)
-        if len(events) > mark:
-            # The steady-state iteration communicated, so its trailing
-            # compute pending is iteration-invariant already; only the
-            # events need replicating.
-            events.extend(events[mark:] * (trips - 2))
-        else:
-            # Every send/receive was guarded off (guards are
-            # iteration-invariant): the loop degenerated to pure
-            # compute and pending grows linearly instead.
-            self.ops += (self.ops - tail_ops) * (trips - 2)
-            self.mems += (self.mems - tail_mems) * (trips - 2)
-        for slot in loop.event_assigned:
-            frame[slot] = UNKNOWN
-        frame[loop.var] = lo + (trips - 1) * step
-
-
 _COLUMNS = (
     ("kind", "int8"), ("peer", "int32"), ("chan", "int32"),
     ("plen", "int64"), ("ops", "int64"), ("mems", "int64"),
@@ -188,39 +146,12 @@ def build_skeleton(nprocs: int, per_rank_events: list[list[tuple]],
     )
 
 
-def _canonical_skeleton_key(key) -> str | None:
-    """Process-independent string form of a skeleton cache key.
-
-    The in-memory key leans on identity hashing (the program object)
-    and an opaque array marker whose repr embeds a memory address —
-    both meaningless across processes. For the disk tier the program is
-    fingerprinted by its pretty-printed source (deterministic: verified
-    stable across hash seeds), the marker becomes a fixed token, and
-    anything whose repr still smells like an address refuses
-    persistence rather than poisoning the store.
-    """
-    program, nprocs, globals_items, args = key
-    try:
-        from repro.spmd import pretty_program
-
-        text = pretty_program(program)
-    except Exception:
-        return None
-    args_c = repr(
-        tuple(
-            tuple("<ARRAY>" if a is ARRAY else a for a in row)
-            for row in args
-        )
-    )
-    rest = f"{nprocs}|{globals_items!r}|{args_c}"
-    if " at 0x" in rest:  # an object repr leaked an address: not stable
-        return None
-    return f"skeleton|{text}|{rest}"
-
-
+# Keyed on (program, ring size, globals, entry scalars) only: the rows
+# carry integer counters, not costs, so one cached skeleton serves every
+# machine model a sweep replays it under.
 _skeleton_cache: dict = perf.register_cache(
     "replay_skeleton", {}, persistent=True,
-    key_fn=_canonical_skeleton_key,
+    key_fn=perf.stable_key("skeleton"),
 )
 
 
@@ -242,65 +173,50 @@ def extract_skeletons(program, nprocs: int, make_args,
     per_rank_programs = callable(program)
 
     programs = []
-    abstract_args: list[list[object]] = []
+    args: list[list[object]] = []
     for rank in range(nprocs):
         node_program = program(rank) if per_rank_programs else program
         programs.append(node_program)
         entry = node_program.entry_proc()
         raw = list(make_args(rank))
-        if len(raw) == len(entry.params):
-            raw = [
-                ARRAY if pname in entry.array_params else value
-                for pname, value in zip(entry.params, raw)
-            ]
-        abstract_args.append(raw)
+        if len(raw) == len(entry.params):  # else: the walk's arity error
+            raw = abstract_args(entry, dict(zip(entry.params, raw)).get)
+        args.append(raw)
 
-    # Specialized programs are rebuilt per run, so identity-keyed
-    # memoization would never hit; skip it rather than leak entries.
-    use_cache = perf.caches_enabled() and not per_rank_programs
-    key = None
-    if use_cache:
-        try:
-            key = (
-                program,  # identity-hashed, like the tune_predict cache
-                nprocs,
-                tuple(sorted(globals_.items())),
-                tuple(tuple(args) for args in abstract_args),
+    def build() -> ProgramSkeleton:
+        with perf.phase("replay_extract"):
+            chan_ids: dict[str, int] = {}
+            ranks = []
+            for rank in range(nprocs):
+                try:
+                    rows = Walker(
+                        Walker.compile(programs[rank]),
+                        rank, nprocs, globals_, chan_ids,
+                    ).run(args[rank])
+                except Exception as err:
+                    # ModelError: genuinely data-dependent control.
+                    # Other ReproErrors (invalid partner, unbound
+                    # name...): the simulator raises them only if the
+                    # rank *reaches* the offending event — a run may
+                    # deadlock first — so the compiled backend must
+                    # arbitrate those too. Anything else is caught
+                    # defensively: never change behaviour.
+                    raise ReplayAbstention(
+                        f"rank {rank}: {type(err).__name__}: {err}"
+                    ) from err
+                ranks.append(columnize(rows))
+            return ProgramSkeleton(
+                nprocs=nprocs, channels=tuple(chan_ids), ranks=tuple(ranks)
             )
-            cached = _skeleton_cache.get(key)
-        except TypeError:  # unhashable globals or entry scalars
-            key, cached = None, None
-        if cached is not None:
-            perf.hit("replay_skeleton")
-            return cached
-        if key is not None:
-            perf.miss("replay_skeleton")
 
-    with perf.phase("replay_extract"):
-        chan_ids: dict[str, int] = {}
-        ranks = []
-        for rank in range(nprocs):
-            try:
-                walker = _SkeletonRank(
-                    _SkeletonRank.compile(programs[rank]),
-                    rank, nprocs, globals_, chan_ids,
-                )
-                rows = walker.run(abstract_args[rank])
-            except Exception as err:
-                # ModelError: genuinely data-dependent control.  Other
-                # ReproErrors (invalid partner, unbound name...): the
-                # simulator raises them only if the rank *reaches* the
-                # offending event — a run may deadlock first — so the
-                # compiled backend must arbitrate those too. Anything
-                # else is caught defensively: never change behaviour.
-                raise ReplayAbstention(
-                    f"rank {rank}: {type(err).__name__}: {err}"
-                ) from err
-            ranks.append(columnize(rows))
-        skeleton = ProgramSkeleton(
-            nprocs=nprocs, channels=tuple(chan_ids), ranks=tuple(ranks)
-        )
-
-    if key is not None:
-        _skeleton_cache[key] = skeleton
-    return skeleton
+    if per_rank_programs:
+        # Specialized programs are rebuilt per run, so identity-keyed
+        # memoization would never hit; skip it rather than leak entries.
+        return build()
+    key = (
+        program,  # identity-hashed, like the tune_predict cache
+        nprocs,
+        tuple(sorted(globals_.items())),
+        tuple(tuple(row) for row in args),
+    )
+    return perf.memo("replay_skeleton", key, build)

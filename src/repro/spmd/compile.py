@@ -48,8 +48,6 @@ from repro.runtime import IStructure, LocalArray
 from repro.runtime.istructure import UNDEFINED
 from repro.spmd import ir
 
-_MAX_CALL_DEPTH = 64  # keep in sync with repro.spmd.interp
-
 _UNSET = object()  # empty frame slot (distinct from a stored None)
 _NOTCONST = object()  # "no compile-time constant value" marker
 
@@ -1793,7 +1791,7 @@ def _compile_proc(proc, rank, nprocs, procs):
                     st.rank,
                 )
             st.depth += 1
-            if st.depth > _MAX_CALL_DEPTH:
+            if st.depth > ir.MAX_CALL_DEPTH:
                 raise NodeRuntimeError(
                     f"call depth exceeded in {name}", st.rank
                 )
@@ -1817,7 +1815,7 @@ def _compile_proc(proc, rank, nprocs, procs):
                 st.rank,
             )
         st.depth += 1
-        if st.depth > _MAX_CALL_DEPTH:
+        if st.depth > ir.MAX_CALL_DEPTH:
             raise NodeRuntimeError(f"call depth exceeded in {name}", st.rank)
         fr = [_UNSET] * nslots
         for i, arg in zip(pslots, args):

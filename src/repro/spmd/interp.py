@@ -19,8 +19,6 @@ from repro.machine import Compute, MachineParams, Recv, Send, SimResult, Simulat
 from repro.runtime import IStructure, LocalArray
 from repro.spmd import ir
 
-_MAX_CALL_DEPTH = 64
-
 
 @dataclass
 class SPMDResult:
@@ -105,7 +103,7 @@ class _NodeMachine:
                 self.rank,
             )
         self.depth += 1
-        if self.depth > _MAX_CALL_DEPTH:
+        if self.depth > ir.MAX_CALL_DEPTH:
             raise NodeRuntimeError(f"call depth exceeded in {name}", self.rank)
         frame = _Frame()
         for pname, arg in zip(proc.params, args):

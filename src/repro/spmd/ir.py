@@ -21,6 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Deepest node-procedure call nesting any executor of this IR follows
+#: (both value backends and the abstract walk) before raising.
+MAX_CALL_DEPTH = 64
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -428,7 +432,10 @@ class NodeProgram:
 
     ``eq=False`` keeps identity comparison/hashing (inherited from
     ``object``): a program *is* its object, which is exactly the key the
-    closure-compiling backend's per-(program, rank) cache needs.
+    closure-compiling backend's per-(program, rank) cache needs. Its
+    ``repr`` is the pretty-printed program — deterministic across
+    processes, which is what lets a program stand in a persistent cache
+    key (:func:`repro.perf.stable_key`).
     """
 
     name: str
@@ -437,6 +444,11 @@ class NodeProgram:
 
     def entry_proc(self) -> NodeProc:
         return self.procs[self.entry]
+
+    def __repr__(self) -> str:
+        from repro.spmd.pretty import pretty_program
+
+        return pretty_program(self)
 
 
 def walk_stmts(body: list[NStmt]):

@@ -50,8 +50,6 @@ from repro.machine.rows import KIND_COMPUTE, KIND_RECV, KIND_SEND
 from repro.spmd import ir
 from repro.spmd.pretty import pretty_expr
 
-MAX_CALL_DEPTH = 64  # keep in sync with repro.spmd.interp
-
 
 class _Unknown:
     """Opaque stand-in for array-element values.
@@ -73,8 +71,28 @@ class _Unknown:
 
 UNKNOWN = _Unknown()
 
-#: Marker bound to an array or buffer whose contents the walk ignores.
-ARRAY = object()
+
+class _Array:
+    """Marker bound to an array or buffer whose contents the walk ignores."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "ARRAY"
+
+
+ARRAY = _Array()
+
+
+def abstract_args(proc: ir.NodeProc, scalar) -> list[object]:
+    """Entry arguments for a walk of ``proc``: :data:`ARRAY` for every
+    array parameter (array *values* cannot influence a walk), and
+    ``scalar(name)`` for the rest."""
+    return [
+        ARRAY if pname in proc.array_params else scalar(pname)
+        for pname in proc.params
+    ]
+
 
 _UNSET = object()  # empty frame slot
 _NOTCONST = object()  # "no compile-time constant value" marker
@@ -132,7 +150,11 @@ class Walker:
     row per flush — before every communication and at the end of the
     entry procedure — carrying the integer counters its flush formula
     ``ops * op_us + mems * mem_us`` prices. ``chan_ids`` interns channel
-    names and is shared by all ranks of one program.
+    names and is shared by all ranks of one program. The default loop
+    policy summarizes what is provably repetitive and stays exact: a
+    ``uniform`` loop is one sampled iteration times its trip count
+    (:meth:`loop`), a ``replicable`` one is walked twice and the second
+    iteration's rows repeated (:meth:`iterate`).
     """
 
     #: Access observers. A subclass defining them is compiled code that
@@ -174,7 +196,7 @@ class Walker:
                 self.rank,
             )
         self.depth += 1
-        if self.depth > MAX_CALL_DEPTH:
+        if self.depth > ir.MAX_CALL_DEPTH:
             raise NodeRuntimeError(f"call depth exceeded in {name}", self.rank)
         frame = [_UNSET] * proc.nslots
         for slot, arg in zip(proc.params, args):
@@ -266,9 +288,40 @@ class Walker:
 
     def iterate(self, loop: Loop, frame, lo, step, trips) -> None:
         var, body = loop.var, loop.body
-        for v in range(lo, lo + trips * step, step):
-            frame[var] = v
-            body(self, frame)
+        if trips < 2 or not loop.replicable:
+            for v in range(lo, lo + trips * step, step):
+                frame[var] = v
+                body(self, frame)
+            return
+        # Communicating loop with an iteration-invariant event stream:
+        # walk the first iteration for real (its leading flush merges
+        # compute pending from *before* the loop), walk the second for
+        # real (its leading flush merges the first iteration's trailing
+        # compute — the steady state), then replicate the second
+        # iteration's rows for the rest. Flush boundaries stay exactly
+        # where the compiled backend puts them, which bit-identity of
+        # the clock chain depends on.
+        events = self.events
+        frame[var] = lo
+        body(self, frame)
+        tail_ops, tail_mems = self.ops, self.mems
+        mark = len(events)
+        frame[var] = lo + step
+        body(self, frame)
+        if len(events) > mark:
+            # The steady-state iteration communicated, so its trailing
+            # compute pending is iteration-invariant already; only the
+            # events need replicating.
+            events.extend(events[mark:] * (trips - 2))
+        else:
+            # Every send/receive was guarded off (guards are
+            # iteration-invariant): the loop degenerated to pure
+            # compute and pending grows linearly instead.
+            self.ops += (self.ops - tail_ops) * (trips - 2)
+            self.mems += (self.mems - tail_mems) * (trips - 2)
+        for slot in loop.event_assigned:
+            frame[slot] = UNKNOWN
+        frame[var] = lo + (trips - 1) * step
 
 
 # ---------------------------------------------------------------------------

@@ -86,16 +86,13 @@ EMPTY_FACTS = Facts()
 #
 # All keys are built from interned expressions (identity hash) plus a
 # Facts fingerprint; all functions below are pure, so the caches are
-# semantics-free. ``perf.caches_enabled()`` turns them off wholesale,
-# which benchmarks use to measure the underived baseline.
+# semantics-free. Consulted through ``perf.memo`` only.
 # ---------------------------------------------------------------------------
 
-_MISSING = object()
-
-_simplify_cache: dict = perf.register_cache("simplify", {})
-_affine_cache: dict = perf.register_cache("affine", {})
-_prove_cache: dict = perf.register_cache("prove_le", {})
-_decide_cache: dict = perf.register_cache("decide", {})
+perf.register_cache("simplify", {})
+perf.register_cache("affine", {})
+perf.register_cache("prove_le", {})
+perf.register_cache("decide", {})
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +111,12 @@ def _affine_of(e: Expr) -> tuple[AffineTerms, int]:
     tuple and rebuilt into a fresh dict so callers may treat the result
     as their own.
     """
-    if not perf.caches_enabled():
-        return _affine_of_uncached(e)
-    cached = _affine_cache.get(e)
-    if cached is not None:
-        perf.hit("affine")
-        items, const = cached
-        return dict(items), const
-    perf.miss("affine")
-    terms, const = _affine_of_uncached(e)
-    _affine_cache[e] = (tuple(terms.items()), const)
-    return terms, const
+    def build():
+        terms, const = _affine_of_uncached(e)
+        return tuple(terms.items()), const
+
+    items, const = perf.memo("affine", e, build)
+    return dict(items), const
 
 
 def _affine_of_uncached(e: Expr) -> tuple[AffineTerms, int]:
@@ -194,17 +186,10 @@ def simplify(e: Expr, facts: Facts | None = None) -> Expr:
 def _simplify(e: Expr, facts: Facts) -> Expr:
     if isinstance(e, (Const, Var)):
         return e
-    if not perf.caches_enabled():
-        return _simplify_uncached(e, facts)
-    key = (e, facts.fingerprint())
-    cached = _simplify_cache.get(key)
-    if cached is not None:
-        perf.hit("simplify")
-        return cached
-    perf.miss("simplify")
-    result = _simplify_uncached(e, facts)
-    _simplify_cache[key] = result
-    return result
+    return perf.memo(
+        "simplify", (e, facts.fingerprint()),
+        lambda: _simplify_uncached(e, facts),
+    )
 
 
 def _simplify_uncached(e: Expr, facts: Facts) -> Expr:
@@ -474,17 +459,10 @@ def _relaxations(e: Expr, facts: Facts, want_upper: bool) -> list[Expr]:
 
 def _prove_le(a: Expr, b: Expr, facts: Facts, depth: int = _PROOF_DEPTH) -> bool:
     """True when ``a <= b`` is provable from the facts."""
-    if not perf.caches_enabled():
-        return _prove_le_uncached(a, b, facts, depth)
-    key = (a, b, facts.fingerprint(), depth)
-    cached = _prove_cache.get(key)
-    if cached is not None:
-        perf.hit("prove_le")
-        return cached
-    perf.miss("prove_le")
-    result = _prove_le_uncached(a, b, facts, depth)
-    _prove_cache[key] = result
-    return result
+    return perf.memo(
+        "prove_le", (a, b, facts.fingerprint(), depth),
+        lambda: _prove_le_uncached(a, b, facts, depth),
+    )
 
 
 def _prove_le_uncached(a: Expr, b: Expr, facts: Facts, depth: int) -> bool:
@@ -529,17 +507,10 @@ def decide(cond: BoolExpr, facts: Facts | None = None) -> bool | None:
     possible: true, false, and inconclusive" (§3.2).
     """
     facts = facts or EMPTY_FACTS
-    if not perf.caches_enabled():
-        return _decide_uncached(cond, facts)
-    key = (cond, facts.fingerprint())
-    cached = _decide_cache.get(key, _MISSING)
-    if cached is not _MISSING:
-        perf.hit("decide")
-        return cached
-    perf.miss("decide")
-    result = _decide_uncached(cond, facts)
-    _decide_cache[key] = result
-    return result
+    return perf.memo(
+        "decide", (cond, facts.fingerprint()),
+        lambda: _decide_uncached(cond, facts),
+    )
 
 
 def _decide_uncached(cond: BoolExpr, facts: Facts) -> bool | None:

@@ -80,22 +80,13 @@ def solve_membership(
     ``var``, or None when the equation shape is out of scope (inconclusive).
     """
     facts = facts or Facts()
-    if not perf.caches_enabled():
-        return _solve_membership_uncached(target, rhs, var, lo, hi, facts)
-    key = (target, rhs, var, lo, hi, facts.fingerprint())
-    cached = _solve_cache.get(key, _MISSING)
-    if cached is not _MISSING:
-        perf.hit("solve")
-        return cached
-    perf.miss("solve")
-    result = _solve_membership_uncached(target, rhs, var, lo, hi, facts)
-    _solve_cache[key] = result
-    return result
+    return perf.memo(
+        "solve", (target, rhs, var, lo, hi, facts.fingerprint()),
+        lambda: _solve_membership_uncached(target, rhs, var, lo, hi, facts),
+    )
 
 
-_MISSING = object()
-
-_solve_cache: dict = perf.register_cache("solve", {})
+perf.register_cache("solve", {})
 
 
 def _solve_membership_uncached(

@@ -7,11 +7,16 @@ This subsystem automates the choice:
 
 * :mod:`repro.tune.model` predicts per-configuration message counts,
   bytes, and makespan *without simulation* by walking the compiled SPMD
-  IR abstractly (exact counts, near-exact makespan);
+  IR abstractly (exact counts; makespan bit-identical to the
+  ``compiled`` backend under any ``MachineParams``);
 * :mod:`repro.tune.space` enumerates candidate configurations
   (distribution x strategy x blksize);
 * :mod:`repro.tune.search` ranks the space with the predictor and
-  confirms only the top-k candidates on the real simulator.
+  confirms only the top-k candidates on the real simulator — the
+  oracle value check, and the fallback ranking where the model abstains.
+  Since prediction equals measurement, ``TuneReport.spearman`` is an
+  invariant (1.0 over the confirmed set), not a quality score: anything
+  lower means the reference scheduler and the live simulator diverged.
 """
 
 from repro.tune.model import Prediction, predict

@@ -28,7 +28,7 @@ from repro.errors import CompileError, ModelError
 from repro.machine import MachineParams
 from repro.machine.rows import run_rows
 from repro.machine.stats import ChannelKey
-from repro.spmd.walk import ARRAY, UNKNOWN, Walker
+from repro.spmd.walk import UNKNOWN, Walker, abstract_args
 
 
 @dataclass
@@ -62,7 +62,7 @@ class Prediction:
 # Entry point
 # ---------------------------------------------------------------------------
 
-_predict_cache: dict = perf.register_cache("tune_predict", {})
+perf.register_cache("tune_predict", {})
 
 
 def predict(
@@ -79,8 +79,7 @@ def predict(
     ``params`` binds every ``param`` declaration, ``extra_globals`` adds
     run-time knobs such as the strip-mining ``blksize``, and ``inputs``
     may bind entry *scalar* arguments (array arguments are opaque to the
-    model and need no values). Results are memoized in the ``tune_predict``
-    cache registered with :mod:`repro.perf`.
+    model and need no values). Memoized (``tune_predict``, memory only).
 
     Raises :class:`ModelError` when the program's control flow depends
     on array data, and the same errors a real run would raise for
@@ -95,61 +94,45 @@ def predict(
     extra_globals = dict(extra_globals or {})
     inputs = dict(inputs or {})
 
-    use_cache = perf.caches_enabled()
-    key = None
-    if use_cache:
-        try:
-            key = (
-                compiled.program,  # identity-hashed
-                nprocs,
-                machine,
-                tuple(sorted(params.items())),
-                tuple(sorted(extra_globals.items())),
-                tuple(sorted(inputs.items())),
+    def build() -> Prediction:
+        with perf.phase("predict"):
+            globals_: dict[str, object] = dict(params)
+            globals_.update(extra_globals)
+            code = Walker.compile(compiled.program)
+            args = abstract_args(
+                compiled.program.entry_proc(),
+                lambda pname: inputs.get(pname, UNKNOWN),
             )
-            cached = _predict_cache.get(key)
-        except TypeError:  # unhashable globals/inputs: skip memoization
-            key, cached = None, None
-        if cached is not None:
-            perf.hit("tune_predict")
-            return cached
-        if key is not None:
-            perf.miss("tune_predict")
-
-    with perf.phase("predict"):
-        globals_: dict[str, object] = dict(params)
-        globals_.update(extra_globals)
-        code = Walker.compile(compiled.program)
-        entry_proc = compiled.program.entry_proc()
-        args = [
-            ARRAY if pname in entry_proc.array_params
-            else inputs.get(pname, UNKNOWN)
-            for pname in entry_proc.params
-        ]
-        chan_ids: dict[str, int] = {}
-        per_rank = [
-            Walker(code, rank, nprocs, globals_, chan_ids).run(args)
-            for rank in range(nprocs)
-        ]
-        run = run_rows(per_rank, nprocs, machine)
-        if run.stuck:
-            raise ModelError(
-                f"predicted deadlock: ranks {run.stuck} block on receives "
-                "no send will satisfy"
+            chan_ids: dict[str, int] = {}
+            per_rank = [
+                Walker(code, rank, nprocs, globals_, chan_ids).run(args)
+                for rank in range(nprocs)
+            ]
+            run = run_rows(per_rank, nprocs, machine)
+            if run.stuck:
+                raise ModelError(
+                    f"predicted deadlock: ranks {run.stuck} block on "
+                    "receives no send will satisfy"
+                )
+            stats = run.stats(list(chan_ids), machine.scalar_bytes)
+            return Prediction(
+                nprocs=nprocs,
+                makespan_us=max(run.clock) if run.clock else 0.0,
+                total_messages=stats.total_messages,
+                total_bytes=stats.total_bytes,
+                per_channel=dict(stats.per_channel),
+                per_channel_bytes=dict(stats.per_channel_bytes),
+                finish_times_us=run.clock,
+                busy_times_us=run.busy,
+                comm_times_us=run.comm,
             )
-        stats = run.stats(list(chan_ids), machine.scalar_bytes)
-        prediction = Prediction(
-            nprocs=nprocs,
-            makespan_us=max(run.clock) if run.clock else 0.0,
-            total_messages=stats.total_messages,
-            total_bytes=stats.total_bytes,
-            per_channel=dict(stats.per_channel),
-            per_channel_bytes=dict(stats.per_channel_bytes),
-            finish_times_us=run.clock,
-            busy_times_us=run.busy,
-            comm_times_us=run.comm,
-        )
 
-    if key is not None:
-        _predict_cache[key] = prediction
-    return prediction
+    key = (
+        compiled.program,  # identity-hashed
+        nprocs,
+        machine,
+        tuple(sorted(params.items())),
+        tuple(sorted(extra_globals.items())),
+        tuple(sorted(inputs.items())),
+    )
+    return perf.memo("tune_predict", key, build)

@@ -2,9 +2,12 @@
 
 The predictor walk is orders of magnitude cheaper than compiling *and*
 simulating every candidate, and (by :mod:`repro.tune.model`'s design)
-exact on message counts and near-exact on makespan — so the search
-simulates only the ``top_k`` predicted-best configurations and returns
-both numbers for each. Infeasible candidates are pruned *statically*:
+exact on message counts and bit-exact on makespan under any
+``MachineParams`` — so the search simulates only the ``top_k``
+predicted-best configurations, which checks their *values* against the
+oracle and ranks candidates the model abstained on, and returns both
+numbers for each (``TuneReport.spearman`` over them is therefore 1.0
+unless the model and the simulator have diverged). Infeasible candidates are pruned *statically*:
 each compiled configuration first runs through the communication-safety
 verifier (:mod:`repro.analysis`), and one that provably deadlocks,
 unbalances a channel, or double-writes an I-structure is excluded with
@@ -14,9 +17,9 @@ such as ``block_grid``'s inconclusive fallback) are likewise kept in
 the report with their error: the tuner's job includes telling the user
 what it could not evaluate and why.
 
-Confirmations are memoized in the ``tune_measure`` cache registered with
-:mod:`repro.perf` and can fan out across worker processes (``jobs > 1``)
-exactly like the bench harness's strategy sweeps.
+Confirmations are memoized (``tune_measure``) and can fan out across
+worker processes (``jobs > 1``) exactly like the bench harness's
+strategy sweeps.
 """
 
 from __future__ import annotations
@@ -28,12 +31,10 @@ from dataclasses import dataclass, field
 
 from repro import perf
 from repro.analysis import analyze, verify_compiled
-from repro.bench.harness import MeasurePoint
 from repro.core.compiler import compile_program_cached
-from repro.core.runner import execute
+from repro.core.runner import MeasurePoint, execute
 from repro.errors import ModelError, ReproError, TuneError
 from repro.machine import MachineParams
-from repro.obs.utilization import comm_idle_fractions
 from repro.spmd.layout import make_full
 from repro.tune.model import Prediction, predict
 from repro.tune.space import (
@@ -46,7 +47,7 @@ from repro.tune.space import (
     retarget_source,
 )
 
-_measure_cache: dict = perf.register_cache("tune_measure", {})
+perf.register_cache("tune_measure", {})
 
 
 @dataclass
@@ -104,7 +105,8 @@ class TuneReport:
 
     @property
     def spearman(self) -> float | None:
-        """Rank agreement of predicted vs measured over the confirmed set."""
+        """Rank agreement of predicted vs measured over the confirmed set
+        (1.0 while the model stays bit-exact; less flags a divergence)."""
         pts = [c for c in self.confirmed if c.predicted is not None]
         if len(pts) < 2:
             return None
@@ -203,19 +205,9 @@ def _confirm(
             raise AssertionError(
                 f"configuration {config.label} computed a wrong grid"
             )
-    comm_frac, idle_frac = comm_idle_fractions(outcome.sim)
-    return MeasurePoint(
-        strategy=config.strategy,
-        n=n,
-        nprocs=config.nprocs,
-        blksize=config.blksize,
-        time_us=outcome.makespan_us,
-        messages=outcome.total_messages,
-        bytes=outcome.sim.stats.total_bytes,
-        host_seconds=host_seconds,
-        backend=backend,
-        comm_frac=comm_frac,
-        idle_frac=idle_frac,
+    return MeasurePoint.from_outcome(
+        outcome, config.strategy, n, config.nprocs, config.blksize,
+        host_seconds, backend,
     )
 
 
@@ -360,22 +352,15 @@ def tune(
         while pending and len(confirmed) < top_k:
             batch_size = min(top_k - len(confirmed), len(pending))
             batch, pending = pending[:batch_size], pending[batch_size:]
-            cached_batch = []
             run_batch = []
-            use_cache = perf.caches_enabled()
             for cand in batch:
                 key = (source, entry, cand.config, n, machine, backend)
-                hit = _measure_cache.get(key) if use_cache else None
-                if hit is not None:
-                    perf.hit("tune_measure")
-                    cached_batch.append((cand, hit))
-                else:
-                    if use_cache:
-                        perf.miss("tune_measure")
+                point = perf.lookup("tune_measure", key)
+                if point is perf.MISSING:
                     run_batch.append((cand, key))
-            for cand, point in cached_batch:
-                cand.measured = point
-                confirmed.append(cand)
+                else:
+                    cand.measured = point
+                    confirmed.append(cand)
             if run_batch:
                 simulations += len(run_batch)
                 if jobs > 1 and len(run_batch) > 1:
@@ -397,8 +382,7 @@ def tune(
                         if error is None:
                             cand.measured = point
                             confirmed.append(cand)
-                            if use_cache:
-                                _measure_cache[key] = point
+                            perf.insert("tune_measure", key, point)
                         else:
                             cand.error = error
                 else:
@@ -413,8 +397,7 @@ def tune(
                             continue
                         cand.measured = point
                         confirmed.append(cand)
-                        if use_cache:
-                            _measure_cache[key] = point
+                        perf.insert("tune_measure", key, point)
 
         # A candidate that failed confirmation moved to infeasible.
         feasible = [c for c in feasible if c.feasible]

@@ -9,7 +9,8 @@ re-association of the clock chain would show in the last ulp.
 
 The last test closes the loop end to end: for real compiled programs
 ``predict``, both replay engines and the compiled backend agree on every
-timing and traffic observable.
+timing and traffic observable, and the rows ``predict`` clocks are the
+rows skeleton extraction stores.
 """
 
 import pytest
@@ -176,6 +177,7 @@ def test_predict_replay_and_compiled_agree(app, nprocs):
     from repro.core.runner import execute
     from repro.replay import extract_skeletons, replay
     from repro.spmd.layout import make_full
+    from repro.spmd.walk import Walker, abstract_args
     from repro.tune import predict
     from repro.tune.space import STRATEGIES
 
@@ -221,3 +223,18 @@ def test_predict_replay_and_compiled_agree(app, nprocs):
     )
     for route, observed in routes.items():
         assert observed == compiled_run, route
+
+    # One row producer: what ``predict`` clocks (a plain ``Walker`` per
+    # rank) is what ``extract_skeletons`` stores, row for row.
+    code = Walker.compile(compiled.program)
+    args = abstract_args(compiled.program.entry_proc(), lambda name: None)
+    chan_ids: dict[str, int] = {}
+    for rank, columns in enumerate(skeleton.ranks):
+        rows = Walker(
+            code, rank, nprocs, {"N": n, **knobs}, chan_ids
+        ).run(args)
+        assert rows == list(zip(*(
+            getattr(columns, name).tolist()
+            for name in ("kind", "peer", "chan", "plen", "ops", "mems")
+        ))), rank
+    assert tuple(chan_ids) == skeleton.channels

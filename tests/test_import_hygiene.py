@@ -1,4 +1,5 @@
-"""No private names across package boundaries, no new package cycles.
+"""No private names across package boundaries, no new package cycles,
+no hand-rolled cache protocol.
 
 The abstract walk used to be a private class of ``repro.tune`` that
 ``repro.replay`` and ``repro.analysis`` subclassed, with ``core.runner``
@@ -11,10 +12,13 @@ growing back, over every module under ``src/repro``:
   subpackage;
 * module-level imports (the ones that run at import time — imports
   inside functions are how a cycle gets papered over, and are not
-  counted) must not form a cycle between subpackages.
+  counted) must not form a cycle between subpackages;
+* a registered cache is consulted through ``perf.memo`` / ``lookup`` /
+  ``insert`` only, and persistent keys come from ``perf.stable_key``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import repro
@@ -26,9 +30,6 @@ FILES = sorted(ROOT.rglob("*.py"))
 KNOWN_CYCLES = {
     # spmd.compile/interp run inspector.executor, which reads spmd.ir
     frozenset({"inspector", "spmd"}),
-    # tune.search returns bench.harness.MeasurePoint; bench.replay_bench
-    # sweeps tune.space
-    frozenset({"bench", "tune"}),
 }
 
 
@@ -130,3 +131,25 @@ def test_no_import_cycles_between_subpackages():
     assert cycles <= KNOWN_CYCLES, sorted(
         sorted(cycle) for cycle in cycles - KNOWN_CYCLES
     )
+
+
+def test_registered_caches_are_consulted_through_perf_only():
+    import repro.bench  # noqa: F401  (with the three below: every cache)
+    import repro.core.specialize  # noqa: F401
+    import repro.replay  # noqa: F401
+    import repro.tune  # noqa: F401
+    from repro import perf
+
+    assert len(perf._caches) >= 13, sorted(perf._caches)
+    names = "|".join(re.escape(name) for name in perf._caches)
+    by_hand = re.compile(
+        rf"""\b(?:hit|miss)\(\s*["'](?:{names})["']\s*\)"""
+        r"|def _canonical_\w*_key\b"
+    )
+    offenders = [
+        f"{path.relative_to(ROOT)}:{lineno}: {line.strip()}"
+        for path in FILES if path != ROOT / "perf.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if by_hand.search(line)
+    ]
+    assert not offenders, "\n".join(offenders)
