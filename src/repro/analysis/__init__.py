@@ -14,7 +14,7 @@ from repro.analysis.diagnostics import (
     render_json,
     render_text,
 )
-from repro.analysis.verify import verify_compiled
+from repro.analysis.verify import verify_compiled, walk_ranks
 from repro.analysis.access import (
     LinearForm,
     NonAffineAccess,
@@ -37,6 +37,7 @@ __all__ = [
     "render_json",
     "render_text",
     "verify_compiled",
+    "walk_ranks",
     "LinearForm",
     "NonAffineAccess",
     "Reference",

@@ -6,7 +6,14 @@
 exactly the configuration they would execute — but instead of a cost it
 returns a :class:`~repro.analysis.diagnostics.Report`.
 
-Per rank the driver runs a :class:`~repro.analysis.walk.VerifyWalk`.
+Per rank the driver reads a :class:`~repro.analysis.walk.VerifyWalk`
+from :func:`walk_ranks` — the one place a configuration's ranks are
+walked. Generated control flow never depends on array data, so that one
+walk fixes the verdict *and* the clock chain: the passes read its
+communication rows, origins, trackers and findings, and
+:func:`repro.tune.predict` clocks its full rows, so a configuration that
+is verified and then priced (``tune``, the service build,
+``compile_program(verify=True)``) is walked once.
 A walk that cannot finish does not kill verification: data-dependent
 control (``ModelError``) yields an ``UNV001`` *warning* — the program
 may well be fine, the verifier just cannot tell — while a structural
@@ -29,8 +36,8 @@ from __future__ import annotations
 from repro import perf
 from repro.analysis import passes as _passes  # noqa: F401  (registers)
 from repro.analysis.diagnostics import PASSES, Report, Severity
-from repro.analysis.walk import DEFINED, NotAffine, VerifyWalk
-from repro.errors import CompileError, ModelError, NodeRuntimeError
+from repro.analysis.walk import DEFINED, VerifyWalk
+from repro.errors import CompileError, NodeRuntimeError
 from repro.machine import MachineParams
 from repro.spmd import ir
 from repro.spmd.walk import UNKNOWN
@@ -44,6 +51,54 @@ _PER_CODE_CAP = 10  # identical-shape findings kept per (code, rank)
 _verify_cache: dict = perf.register_cache(
     "verify", {}, persistent=True, key_fn=perf.stable_key("verify"),
 )
+
+
+class _Latest(dict):
+    """A memo table of one entry: storing a key drops the one before."""
+
+    def __setitem__(self, key, value) -> None:
+        self.clear()
+        super().__setitem__(key, value)
+
+
+# The walked ranks of one (program, ring, bindings): what the passes
+# check and what ``repro.tune.predict`` clocks. Memory only (trackers
+# and walk state, not a result), and one entry: the flows that share a
+# walk — ``tune``, the service build, ``compile_program(verify=True)``
+# — verify a configuration and then price it before moving to the next,
+# while every retained walk pins all its ranks' rows.
+perf.register_cache("rank_walks", _Latest())
+
+
+def walk_ranks(
+    program: ir.NodeProgram, nprocs: int, globals_, inputs
+) -> tuple[tuple[VerifyWalk, ...], tuple[str, ...]]:
+    """Every rank's finished :class:`VerifyWalk` and the channel names
+    their rows' channel ids index (memoized: ``rank_walks``)."""
+
+    def build():
+        code = VerifyWalk.compile(program)
+        entry_proc = program.entry_proc()
+        args = [
+            DEFINED if pname in entry_proc.array_params
+            else inputs.get(pname, UNKNOWN)
+            for pname in entry_proc.params
+        ]
+        chan_ids: dict[str, int] = {}
+        walkers = []
+        for rank in range(nprocs):
+            walker = VerifyWalk(code, rank, nprocs, globals_, chan_ids)
+            walker.run(args)
+            walkers.append(walker)
+        return tuple(walkers), tuple(chan_ids)
+
+    key = (
+        program,  # identity-hashed
+        nprocs,
+        tuple(sorted(globals_.items())),
+        tuple(sorted(inputs.items())),
+    )
+    return perf.memo("rank_walks", key, build)
 
 
 class VerifyContext:
@@ -124,27 +179,13 @@ def _diagnose(
         compiled=compiled if compiled is not program else None,
     )
 
-    code = VerifyWalk.compile(program)
-    entry_proc = program.entry_proc()
     # UNV001 abstentions grouped by (cause, walk position): identical
     # sites across ranks collapse into one diagnostic with a rank list.
     abstained: dict[tuple[str, tuple[str, ...]], list[int]] = {}
-    for rank in range(nprocs):
-        walker = VerifyWalk(code, rank, nprocs, globals_)
-        args: list[object] = []
-        for pname in entry_proc.params:
-            if pname in entry_proc.array_params:
-                args.append(DEFINED)
-            else:
-                args.append(inputs.get(pname, UNKNOWN))
-        try:
-            walker.run(args)
-        except (ModelError, NotAffine) as err:
-            ctx.aborted[rank] = "UNV001"
-            abstained.setdefault(
-                (str(err), tuple(walker.path)), []
-            ).append(rank)
-        except NodeRuntimeError as err:
+    walkers, _ = walk_ranks(program, nprocs, globals_, inputs)
+    for rank, walker in enumerate(walkers):
+        err = walker.error
+        if isinstance(err, NodeRuntimeError):
             ctx.aborted[rank] = "UNV002"
             report.add(
                 "UNV002", Severity.ERROR, "driver",
@@ -152,8 +193,13 @@ def _diagnose(
                 f"error: {err}",
                 rank=rank, path=tuple(walker.path),
             )
+        elif err is not None:  # ModelError: the walk cannot tell
+            ctx.aborted[rank] = "UNV001"
+            abstained.setdefault(
+                (str(err), tuple(walker.path)), []
+            ).append(rank)
         ctx.walkers.append(walker)
-        ctx.events.append(walker.events)
+        ctx.events.append(walker.comm)
         ctx.origins.append(walker.origins)
         _add_capped(report, walker.findings)
 

@@ -1,41 +1,48 @@
-"""The verifier's per-rank abstract walk.
+"""The verifier's per-rank abstract walk — which is also the predictor's.
 
 :class:`VerifyWalk` runs the compiled abstract walk
 (:mod:`repro.spmd.walk`) through its hooks for static checking — it
 holds no statement or expression dispatch of its own:
 
-* the charge sink is a no-op (``flush`` records nothing) — the event
-  list holds communication rows only (the walker row shape, with the
-  channel *name* in the ``chan`` column), each paired 1:1 with an
-  *origin*: the stack of enclosing ``proc``/``for``/``if`` labels, so
-  balance and deadlock findings can say which loop or guard produced an
-  event;
+* it keeps the plain walker's charge sink: ``events`` holds the full
+  integer rows ``(kind, peer, channel id, plen, ops, mems)`` with a
+  compute row per flush exactly where a plain :class:`~repro.spmd.walk.
+  Walker` puts one, so :func:`repro.tune.predict` clocks these rows and
+  walks nothing itself. Beside them ``comm`` holds the communication
+  rows alone (the channel *name* in the ``chan`` column), each paired
+  1:1 with an *origin*: the stack of enclosing ``proc``/``for``/``if``
+  labels, so balance and deadlock findings can say which loop or guard
+  produced an event;
 * invalid communication partners (self-sends, ranks outside the ring)
   become guard-coverage findings instead of aborting the walk — the
-  offending event is skipped and analysis continues;
+  offending event is skipped and analysis continues; the error the plain
+  walker raises there is kept in ``raised`` for the predictor;
 * it defines the access observers (``on_alloc``/``on_read``/
   ``on_write``), so its walk code evaluates every access index: locally
   allocated I-structures get a :class:`~repro.analysis.footprint.
   Tracker` recording every write and read as an exact index set;
 * loops are *summarized* whenever possible: the body runs once with the
-  loop variable bound to an :class:`Affine` value, every array access
-  whose indices stay affine in the loop variable is recorded as one
-  block instead of ``trips`` points, and communication with
-  rank-constant partners is buffered as a template that is replicated
-  ``trips`` times at commit — exact, because any data flow that could
-  change which events an iteration emits passes an :class:`Affine`
-  through a boolean or non-affine position and raises
-  :class:`NotAffine`, rolling the transaction back to concrete
-  iteration. Summarization is a pure speedup, never a soundness trade.
+  loop variable bound to an :class:`Affine` value and every scalar the
+  body may assign or receive bound to :data:`CARRIED`; every array
+  access whose indices stay affine in the loop variable is recorded as
+  one block instead of ``trips`` points, and the body's rows — compute
+  charges included — are a template replicated ``trips`` times at
+  commit. That is exact, because any data flow that could change which
+  events an iteration emits or what it costs passes an :class:`Affine`
+  or a previous iteration's scalar through a boolean or non-affine
+  position and raises :class:`NotAffine`, rolling the transaction back
+  to concrete iteration. Summarization is a pure speedup, never a
+  soundness trade.
 """
 
 from __future__ import annotations
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.footprint import Prog, Tracker
-from repro.errors import ModelError
+from repro.errors import ModelError, NodeRuntimeError
 from repro.spmd.walk import (
     ARRAY,
+    KIND_COMPUTE,
     KIND_RECV,
     KIND_SEND,
     UNKNOWN,
@@ -49,8 +56,12 @@ from repro.spmd.walk import (
 DEFINED = object()
 
 
-class NotAffine(Exception):
-    """A summarized body produced a value outside the affine domain."""
+class NotAffine(ModelError):
+    """A summarized body produced a value outside the affine domain.
+
+    Caught where the summary was attempted; one that escapes the walk
+    (a stale symbolic value met outside its loop) is an abstention like
+    any other :class:`ModelError`."""
 
 
 class Affine:
@@ -161,33 +172,63 @@ def affine(base: int, delta: int, axis: int, trips: int):
     return Affine(base, delta, axis, trips)
 
 
-class VerifyWalk(Walker):
-    """One rank's walk, recording comm origins and I-structure footprints."""
+class _Carried:
+    """What a summarized body finds in a scalar it may assign or receive
+    until it has stored to it: the previous iteration's value, which
+    one symbolic run cannot know. Every use raises :class:`NotAffine`."""
 
-    def __init__(self, code, rank, nprocs, globals_):
-        super().__init__(code, rank, nprocs, globals_)
-        self.origins: list[tuple[str, ...]] = []  # 1:1 with self.events
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "CARRIED"
+
+    def _escape(self, *_args):
+        raise NotAffine("scalar carried from the previous iteration")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _escape
+    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = _escape
+    __truediv__ = __rtruediv__ = __neg__ = __abs__ = _escape
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _escape
+    __hash__ = None
+
+
+CARRIED = _Carried()
+
+
+class VerifyWalk(Walker):
+    """One rank's walk: the plain walker's rows, plus comm origins and
+    I-structure footprints."""
+
+    def __init__(self, code, rank, nprocs, globals_, chan_ids=None):
+        super().__init__(code, rank, nprocs, globals_, chan_ids)
+        self.comm: list[tuple] = []  # the send/recv rows, channel by name
+        self.origins: list[tuple[str, ...]] = []  # 1:1 with self.comm
         self.findings: list[Diagnostic] = []
         self.trackers: list[Tracker] = []
         self.path: list[str] = []
         self.completed = False
+        #: The exception that ended the walk, and the error the plain
+        #: walker raises at the first event this one skipped instead.
+        self.error: Exception | None = None
+        self.raised: NodeRuntimeError | None = None
         self._next_axis = 0
         self._active_axes: list[tuple[int, int]] = []  # (axis, trips)
-        self._txn: list[tuple] = []  # buffered records while summarizing
+        self._txn: list[tuple] = []  # footprints buffered while summarizing
         # Loops that failed to summarize (usually: they communicate).
         # Retrying on every visit would double-execute their prefix each
         # outer iteration, so after a couple of failures we stop trying.
         self._no_summarize: dict = {}
 
-    # -- charge sink: verification has no clock ----------------------------
-    def flush(self) -> None:
-        pass
-
     # -- entry -------------------------------------------------------------
     def run(self, args) -> list[tuple]:
-        events = super().run(args)
-        self.completed = True
-        return events
+        """Walk the entry procedure; an abstention or a structural
+        error ends the walk and is kept in ``error``, not raised."""
+        try:
+            super().run(args)
+            self.completed = True
+        except (ModelError, NodeRuntimeError) as err:
+            self.error = err
+        return self.events
 
     def call(self, name, args) -> None:
         self.path.append(f"proc {name}")
@@ -213,6 +254,7 @@ class VerifyWalk(Walker):
         if isinstance(dst, Affine):
             raise NotAffine("communication inside a summarized loop")
         if dst == self.rank:
+            self._skip(Walker.emit_send, dst, channel, plen)
             self.finding(
                 "GC002", "guard-coverage",
                 f"self-send on channel {channel!r}: the owner guard admits "
@@ -221,6 +263,7 @@ class VerifyWalk(Walker):
             )
             return
         if not 0 <= dst < self.nprocs:
+            self._skip(Walker.emit_send, dst, channel, plen)
             self.finding(
                 "GC001", "guard-coverage",
                 f"send on channel {channel!r} to processor {dst}, outside "
@@ -228,9 +271,7 @@ class VerifyWalk(Walker):
                 channel=channel, partner=dst,
             )
             return
-        if isinstance(plen, Affine):  # payload length may vary per
-            plen = plen.base  # iteration; balance/deadlock ignore it
-        self._emit((KIND_SEND, dst, channel, plen, 0, 0))
+        self._emit(KIND_SEND, dst, channel, plen)
 
     def emit_recv(self, src, channel: str) -> None:
         if src is UNKNOWN:
@@ -238,6 +279,7 @@ class VerifyWalk(Walker):
         if isinstance(src, Affine):
             raise NotAffine("communication inside a summarized loop")
         if src == self.rank:
+            self._skip(Walker.emit_recv, src, channel)
             self.finding(
                 "GC002", "guard-coverage",
                 f"self-receive on channel {channel!r}: the owner guard "
@@ -246,6 +288,7 @@ class VerifyWalk(Walker):
             )
             return
         if not 0 <= src < self.nprocs:
+            self._skip(Walker.emit_recv, src, channel)
             self.finding(
                 "GC001", "guard-coverage",
                 f"recv on channel {channel!r} from processor {src}, outside "
@@ -253,21 +296,25 @@ class VerifyWalk(Walker):
                 channel=channel, partner=src,
             )
             return
-        self._emit((KIND_RECV, src, channel, 0, 0, 0))
+        self._emit(KIND_RECV, src, channel, 0)
 
-    def _emit(self, event: tuple) -> None:
-        """Record one communication event.
+    def _emit(self, kind: int, peer: int, channel: str, plen: int) -> None:
+        """Record one communication event: the plain walker's rows (a
+        flush, then the event by channel id), and the event by channel
+        name with its origin for the passes."""
+        self.flush()
+        self.events.append((kind, peer, self._channel(channel), plen, 0, 0))
+        self.comm.append((kind, peer, channel, plen, 0, 0))
+        self.origins.append(tuple(self.path))
 
-        Inside a summarized loop the partner is necessarily
-        rank-constant (an :class:`Affine` partner raised before we got
-        here), so every iteration emits this exact event: buffer it in
-        the transaction and let the commit replicate it ``trips``
-        times."""
-        if self._active_axes:
-            self._txn.append(("ev", event, tuple(self.path)))
-        else:
-            self.events.append(event)
-            self.origins.append(tuple(self.path))
+    def _skip(self, emit, *event) -> None:
+        """Skipping an event the plain walker stops at: keep the error
+        ``emit`` (its hook) raises for the first one."""
+        if self.raised is None:
+            try:
+                emit(self, *event)
+            except NodeRuntimeError as err:
+                self.raised = err
 
     # -- loop policy -------------------------------------------------------
     def loop(self, loop, frame, lo, hi, step) -> None:
@@ -295,47 +342,78 @@ class VerifyWalk(Walker):
 
     def _try_summarize(self, loop, frame, lo, step, trips) -> bool:
         """Run the body once over an Affine loop variable. True on success;
-        on failure the frame's scalars and the footprint records are
-        rolled back.
+        on failure the frame's scalars, the pending charge and every
+        record of the attempt are rolled back.
 
-        A ``return`` from inside the body (``ProcReturn``) also rolls back:
-        it would end the loop mid-iteration, which only the concrete
-        walk can place correctly."""
+        The attempt is a transaction: it starts from zero pending charge
+        and writes rows, comm events and origins to fresh lists, so what
+        it leaves is one iteration's *template*. A ``return`` from
+        inside the body (``ProcReturn``) also rolls back: it would end
+        the loop mid-iteration, which only the concrete walk can place
+        correctly."""
         axis = self._next_axis
         self._next_axis += 1
         saved_scalars = frame[:loop.nscalars]
+        outer = self.events, self.comm, self.origins
+        pre_ops, pre_mems = self.ops, self.mems
         mark = len(self._txn)
         self._active_axes.append((axis, trips))
+        rows, comm, origins = self.events, self.comm, self.origins = \
+            [], [], []
+        self.ops = self.mems = 0
         try:
+            for slot in loop.event_assigned:
+                frame[slot] = CARRIED
             frame[loop.var] = Affine(lo, step, axis, trips)
             loop.body(self, frame)
         except (NotAffine, ProcReturn):
             del self._txn[mark:]
             frame[:loop.nscalars] = saved_scalars
+            self.ops, self.mems = pre_ops, pre_mems
             return False
         finally:
             self._active_axes.pop()
-        # Every iteration of this loop emits the buffered event template
-        # verbatim (rank-varying partners raised NotAffine above), so
-        # the exact per-rank event sequence is the template repeated.
-        segment = self._txn[mark:]
-        template = [rec for rec in segment if rec[0] == "ev"]
-        if template:
-            footprints = [rec for rec in segment if rec[0] != "ev"]
-            self._txn[mark:] = footprints + template * trips
-        # Body-assigned scalars are iteration-dependent; like the cost
-        # model, forget them so a stale Affine value never leaks out.
+            self.events, self.comm, self.origins = outer
+        # Every iteration of this loop emits the template verbatim
+        # (rank-varying partners, data flow between iterations and
+        # loop-dependent branches or bounds raised NotAffine above), and
+        # the plain walker flushes where the template does: the first
+        # iteration's leading compute row also carries what was pending
+        # before the loop, every later one the previous iteration's
+        # trailing charge.
+        tail_ops, tail_mems = self.ops, self.mems
+        if rows:
+            lead_ops = lead_mems = 0
+            if rows[0][0] == KIND_COMPUTE:
+                lead_ops, lead_mems = rows.pop(0)[4:]
+            # pre + template, then (tail + template) x (trips - 1)
+            self.ops, self.mems = pre_ops + lead_ops, pre_mems + lead_mems
+            self.flush()
+            self.events += rows
+            self.ops, self.mems = tail_ops + lead_ops, tail_mems + lead_mems
+            steady = len(self.events)
+            self.flush()
+            self.events += rows
+            self.events += self.events[steady:] * (trips - 2)
+            self.comm += comm * trips
+            self.origins += origins * trips
+            self.ops, self.mems = tail_ops, tail_mems
+        else:  # pure compute: pending grows linearly
+            self.ops = pre_ops + tail_ops * trips
+            self.mems = pre_mems + tail_mems * trips
+        # A scalar the body never stored to keeps its value; an assigned
+        # one is iteration-dependent — like the cost model, forget it so
+        # a stale Affine value never leaks out.
+        for slot in loop.event_assigned:
+            if frame[slot] is CARRIED:
+                frame[slot] = saved_scalars[slot]
         for slot in loop.assigned:
             frame[slot] = UNKNOWN
         frame[loop.var] = lo + (trips - 1) * step
         if not self._active_axes:
             records, self._txn = self._txn, []
             for record in records:
-                if record[0] == "ev":
-                    self.events.append(record[1])
-                    self.origins.append(record[2])
-                else:
-                    self._commit(*record)
+                self._commit(*record)
         return True
 
     # -- access observers: I-structure footprints --------------------------
@@ -383,6 +461,8 @@ class VerifyWalk(Walker):
                     raise NotAffine("loop axis used in two dimensions")
                 axes_seen.add(value.axis)
                 progs.append(Prog(value.base, value.delta, value.trips))
+            elif value is CARRIED:
+                raise NotAffine("index carried from the previous iteration")
             else:  # UNKNOWN or non-integer: give up on this array
                 tracker.inexact = True
                 self.finding(

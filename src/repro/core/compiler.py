@@ -17,6 +17,13 @@ Strategies and levels map onto the paper:
 ``OptLevel.JAM``        Optimized II — + loop jamming / pipelining (A.3)
 ``OptLevel.STRIPMINE``  Optimized III — + strip mining / blocking (A.4)
 ======================  =====================================================
+
+The paper applies Optimized I-III "to the compile-time resolution
+output", so a source-text compilation shares everything the opt level
+cannot change: one parse + check per source text (``frontend``) and one
+resolution per (source, entry, strategy, shapes, ring assumption)
+(``resolve``); only the rewrites, validation and the
+:class:`CompiledProgram` record are per level.
 """
 
 from __future__ import annotations
@@ -166,19 +173,28 @@ perf.register_cache(
 )
 
 
-def _compile_program(
+# The shared front half. Memory only: ASTs and resolver output have no
+# process-independent key and cost less to rebuild than to unpickle.
+# Everything shared is read-only downstream — IR nodes are frozen,
+# transforms build new programs, nothing writes to a CheckedProgram
+# after the checker.
+perf.register_cache("frontend", {})
+perf.register_cache("resolve", {})
+
+
+def _front(
     source: str | CheckedProgram,
     spec: DecompositionSpec | None,
     entry: str | None,
-    strategy: Strategy,
-    opt_level: OptLevel,
-    entry_shapes: dict[str, tuple] | None,
-    assume_nprocs_min: int,
-) -> CompiledProgram:
+) -> tuple[CheckedProgram, DecompositionSpec, str]:
+    """The checked program, with the spec and entry defaulted."""
     if isinstance(source, str):
         from repro.core.polymorphism import monomorphize
 
-        checked = check_program(monomorphize(parse_program(source)))
+        checked = perf.memo(
+            "frontend", source,
+            lambda: check_program(monomorphize(parse_program(source))),
+        )
     else:
         checked = source
         if any(p.map_params for p in checked.procs.values()):
@@ -192,14 +208,21 @@ def _compile_program(
         entry = default_entry(checked)
     if entry not in checked.procs:
         raise CompileError(f"unknown entry procedure {entry!r}")
-    if opt_level is not OptLevel.NONE and strategy is not Strategy.COMPILE_TIME:
-        raise CompileError(
-            "message optimizations apply to compile-time resolution only "
-            "(the paper's Optimized I-III start from Figure 5)"
-        )
+    return checked, spec, entry
 
+
+def _resolve(
+    source: str | CheckedProgram,
+    spec: DecompositionSpec | None,
+    entry: str | None,
+    strategy: Strategy,
+    entry_shapes: dict[str, tuple] | None,
+    assume_nprocs_min: int,
+) -> tuple:
+    """``(checked, spec, entry, array_info, program, inspector_sites)``:
+    everything up to the un-optimized node program."""
+    checked, spec, entry = _front(source, spec, entry)
     array_info = infer_array_info(checked, spec, entry, entry_shapes)
-
     inspector_sites: list[dict] = []
     if strategy is Strategy.RUNTIME:
         resolver = RuntimeResolver(checked, spec, array_info)
@@ -217,10 +240,43 @@ def _compile_program(
             checked, spec, array_info, assume_nprocs_min=assume_nprocs_min
         )
         program = resolver.generate(entry, name=f"ctr-{entry}")
-        if opt_level >= OptLevel.VECTORIZE:
-            from repro.core.transforms import optimize
+    return checked, spec, entry, array_info, program, inspector_sites
 
-            program = optimize(program, opt_level)
+
+def _compile_program(
+    source: str | CheckedProgram,
+    spec: DecompositionSpec | None,
+    entry: str | None,
+    strategy: Strategy,
+    opt_level: OptLevel,
+    entry_shapes: dict[str, tuple] | None,
+    assume_nprocs_min: int,
+) -> CompiledProgram:
+    if opt_level is not OptLevel.NONE and strategy is not Strategy.COMPILE_TIME:
+        _front(source, spec, entry)  # its errors come first
+        raise CompileError(
+            "message optimizations apply to compile-time resolution only "
+            "(the paper's Optimized I-III start from Figure 5)"
+        )
+    resolution = (
+        source, spec, entry, strategy, entry_shapes, assume_nprocs_min
+    )
+    if isinstance(source, str) and spec is None:
+        key = (
+            source,
+            entry,
+            strategy,
+            tuple(sorted((entry_shapes or {}).items())),
+            assume_nprocs_min,
+        )
+        resolved = perf.memo("resolve", key, lambda: _resolve(*resolution))
+    else:  # specs and checked programs are not hashable by value
+        resolved = _resolve(*resolution)
+    checked, spec, entry, array_info, program, inspector_sites = resolved
+    if opt_level >= OptLevel.VECTORIZE:
+        from repro.core.transforms import optimize
+
+        program = optimize(program, opt_level)
 
     validate_program(program)
     return CompiledProgram(

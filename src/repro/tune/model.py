@@ -1,17 +1,20 @@
 """Analytic cost model: predict a configuration's cost without simulation.
 
-The prediction runs the compiled abstract walk (:mod:`repro.spmd.walk`,
-which explains why it is sound: generated control flow never depends on
-array data) once per rank, recording each rank's event skeleton
+The prediction prices the abstract walk (:mod:`repro.spmd.walk`, which
+explains why it is sound: generated control flow never depends on array
+data) of every rank, each rank's event skeleton
 
     [Compute(ops, mems), Send(dst, channel, plen), Recv(src, channel), ...]
 
-with no scheduler in the loop; a data-dependent branch raises
-:class:`ModelError` rather than guessing. Message counts and bytes are
-**exact** — per (src, dst, channel), not just in total. The clocks come
-from the reference scheduler (:func:`repro.machine.rows.run_rows`) over
-those skeletons, which reproduces the ``compiled`` backend's makespan
-bit for bit under any machine parameters.
+with no scheduler in the loop. The predictor owns no walk: the rows are
+the verifier's (:func:`repro.analysis.walk_ranks`), which a flow that
+verified the configuration first has already made, and whose failures
+are re-raised here as the plain walk raised them — a data-dependent
+branch is a :class:`ModelError`, never a guess. Message counts and bytes
+are **exact** — per (src, dst, channel), not just in total. The clocks
+come from the reference scheduler (:func:`repro.machine.rows.run_rows`)
+over those skeletons, which reproduces the ``compiled`` backend's
+makespan bit for bit under any machine parameters.
 
 One knowing approximation, documented in ``docs/INTERNALS.md``: the
 model assumes the identity placement (one process per processor). The
@@ -24,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import perf
+from repro.analysis import walk_ranks
 from repro.errors import CompileError, ModelError
 from repro.machine import MachineParams
 from repro.machine.rows import run_rows
 from repro.machine.stats import ChannelKey
-from repro.spmd.walk import UNKNOWN, Walker, abstract_args
 
 
 @dataclass
@@ -98,23 +101,22 @@ def predict(
         with perf.phase("predict"):
             globals_: dict[str, object] = dict(params)
             globals_.update(extra_globals)
-            code = Walker.compile(compiled.program)
-            args = abstract_args(
-                compiled.program.entry_proc(),
-                lambda pname: inputs.get(pname, UNKNOWN),
+            walkers, channels = walk_ranks(
+                compiled.program, nprocs, globals_, inputs
             )
-            chan_ids: dict[str, int] = {}
-            per_rank = [
-                Walker(code, rank, nprocs, globals_, chan_ids).run(args)
-                for rank in range(nprocs)
-            ]
-            run = run_rows(per_rank, nprocs, machine)
+            for walker in walkers:
+                failure = walker.raised or walker.error
+                if failure is not None:  # kept with the walk: raise it
+                    raise failure.with_traceback(None)  # from here only
+            run = run_rows(
+                [walker.events for walker in walkers], nprocs, machine
+            )
             if run.stuck:
                 raise ModelError(
                     f"predicted deadlock: ranks {run.stuck} block on "
                     "receives no send will satisfy"
                 )
-            stats = run.stats(list(chan_ids), machine.scalar_bytes)
+            stats = run.stats(channels, machine.scalar_bytes)
             return Prediction(
                 nprocs=nprocs,
                 makespan_us=max(run.clock) if run.clock else 0.0,

@@ -7,10 +7,11 @@ processes that yield the same Compute/Send/Recv stream — float for
 float, on the iPSC/2 preset and on a non-dyadic ``op_us`` where any
 re-association of the clock chain would show in the last ulp.
 
-The last test closes the loop end to end: for real compiled programs
+The last tests close the loop end to end: for real compiled programs
 ``predict``, both replay engines and the compiled backend agree on every
-timing and traffic observable, and the rows ``predict`` clocks are the
-rows skeleton extraction stores.
+timing and traffic observable, and the rows ``predict`` clocks (the
+verifier's walk, :func:`repro.analysis.walk_ranks`) are the rows a plain
+``Walker`` records and skeleton extraction stores.
 """
 
 import pytest
@@ -162,6 +163,10 @@ def _app(name):
         from repro.apps import gauss_seidel as mod
 
         return mod.SOURCE, "optIII", dict(entry_shapes={"Old": ("N", "N")})
+    if name == "triangular":
+        from repro.apps import triangular as mod
+
+        return mod.SOURCE, "optIII", {}
     from repro.apps import jacobi as mod
 
     return mod.SOURCE_WRAPPED, "optI", dict(
@@ -173,6 +178,7 @@ def _app(name):
 @pytest.mark.parametrize("app", ("gauss_seidel", "jacobi"))
 def test_predict_replay_and_compiled_agree(app, nprocs):
     pytest.importorskip("numpy")
+    from repro.analysis import walk_ranks
     from repro.core.compiler import compile_program_cached
     from repro.core.runner import execute
     from repro.replay import extract_skeletons, replay
@@ -224,8 +230,12 @@ def test_predict_replay_and_compiled_agree(app, nprocs):
     for route, observed in routes.items():
         assert observed == compiled_run, route
 
-    # One row producer: what ``predict`` clocks (a plain ``Walker`` per
-    # rank) is what ``extract_skeletons`` stores, row for row.
+    # One row stream: what ``predict`` clocks (the verifier's walk) is
+    # what a plain ``Walker`` records and ``extract_skeletons`` stores,
+    # row for row.
+    walkers, channels = walk_ranks(
+        compiled.program, nprocs, {"N": n, **knobs}, {}
+    )
     code = Walker.compile(compiled.program)
     args = abstract_args(compiled.program.entry_proc(), lambda name: None)
     chan_ids: dict[str, int] = {}
@@ -233,8 +243,42 @@ def test_predict_replay_and_compiled_agree(app, nprocs):
         rows = Walker(
             code, rank, nprocs, {"N": n, **knobs}, chan_ids
         ).run(args)
+        assert rows == walkers[rank].events, rank
         assert rows == list(zip(*(
             getattr(columns, name).tolist()
             for name in ("kind", "peer", "chan", "plen", "ops", "mems")
         ))), rank
-    assert tuple(chan_ids) == skeleton.channels
+    assert tuple(chan_ids) == skeleton.channels == channels
+
+
+@pytest.mark.parametrize("nprocs", (1, 3, 4))
+@pytest.mark.parametrize(
+    "strategy", ("runtime", "compile", "optI", "optII", "optIII")
+)
+@pytest.mark.parametrize("app", ("gauss_seidel", "jacobi", "triangular"))
+def test_verifier_rows_are_the_plain_walkers_rows(app, strategy, nprocs):
+    """Summarized loops included, the verifier's walk flushes where the
+    plain walker does and interns channels in the same order — also on
+    configurations that go on to deadlock (jammed jacobi)."""
+    from repro.analysis import walk_ranks
+    from repro.core.compiler import compile_program_cached
+    from repro.spmd.walk import UNKNOWN, Walker, abstract_args
+    from repro.tune.space import STRATEGIES
+
+    source, _, extra = _app(app)
+    strat, opt_level = STRATEGIES[strategy]
+    program = compile_program_cached(
+        source, strategy=strat, opt_level=opt_level,
+        assume_nprocs_min=min(nprocs, 2), **extra
+    ).program
+    globals_ = {"N": 9, "blksize": 4}
+    walkers, channels = walk_ranks(program, nprocs, globals_, {})
+    code = Walker.compile(program)
+    args = abstract_args(program.entry_proc(), lambda name: UNKNOWN)
+    chan_ids: dict[str, int] = {}
+    for rank, walker in enumerate(walkers):
+        assert walker.completed and walker.raised is None, rank
+        assert walker.events == Walker(
+            code, rank, nprocs, globals_, chan_ids
+        ).run(args), rank
+    assert channels == tuple(chan_ids)

@@ -16,6 +16,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro import perf
+from repro.analysis import verify_compiled
 from repro.apps import gauss_seidel as gs
 from repro.core.compiler import compile_program_cached
 from repro.core.runner import execute
@@ -37,6 +38,7 @@ from repro.spmd.ir import (
     NMyNode,
     NodeProc,
     NodeProgram,
+    NRecv,
     NSend,
     NVar,
     VarLV,
@@ -141,6 +143,69 @@ def test_predict_raises_the_same_error_class(name):
     prog, error, fragment = FAULTS[name]
     with pytest.raises(error, match=fragment):
         predict(SimpleNamespace(program=prog, param_names=()), NPROCS)
+
+
+# What ``predict`` raises — class, full text (which names the rank) —
+# pinned from the release that walked a plain ``Walker`` per rank.
+# ``predict`` now reads the verifier's walk, which skips an invalid
+# partner (GC001/GC002) instead of stopping there, so the error must
+# come from the lowest failing rank and, on that rank, from the first
+# event a plain walker would have stopped at.
+RANK1 = NBin("==", NMyNode(), ONE)
+DATA_GUARD = NIf(NBin(">", NIsRead("A", (ONE,)), c(0)),
+                 (NAssign(IsLV("B", (ONE,)), ONE),))
+PREDICT_ERRORS = {
+    "data_dependent_guard": (
+        FAULTS["data_dependent_guard"][0], ModelError,
+        "control flow depends on array data; the analytic model only "
+        "handles data-independent control",
+    ),
+    "self_send": (
+        FAULTS["self_send"][0], NodeRuntimeError,
+        "[proc 0] self-send on channel 'ch'",
+    ),
+    "self_receive_on_rank_1": (
+        program(NIf(RANK1, (NRecv(ONE, "ch", (VarLV("x"),)),))),
+        NodeRuntimeError, "[proc 1] self-receive on channel 'ch'",
+    ),
+    "send_outside_the_ring_on_rank_1": (
+        program(NIf(RANK1, (NSend(c(NPROCS), "ch", (ONE,)),))),
+        NodeRuntimeError, "[proc 1] send to invalid processor 2",
+    ),
+    "recv_from_outside_the_ring": (
+        program(NRecv(c(-1), "ch", (VarLV("x"),))),
+        NodeRuntimeError, "[proc 0] recv from invalid processor -1",
+    ),
+    "skipped_partner_before_an_abstention": (
+        program(NSend(NMyNode(), "ch", (ONE,)), DATA_GUARD),
+        NodeRuntimeError, "[proc 0] self-send on channel 'ch'",
+    ),
+    "abstention_on_a_lower_rank_than_the_bad_partner": (
+        program(NIf(RANK1, (NSend(ONE, "ch", (ONE,)),), (DATA_GUARD,))),
+        ModelError,
+        "control flow depends on array data; the analytic model only "
+        "handles data-independent control",
+    ),
+    "predicted_deadlock": (
+        program(NRecv(NBin("-", ONE, NMyNode()), "ch", (VarLV("x"),)),
+                NSend(NBin("-", ONE, NMyNode()), "ch", (ONE,))),
+        ModelError,
+        "predicted deadlock: ranks [0, 1] block on receives no send "
+        "will satisfy",
+    ),
+}
+
+
+@pytest.mark.parametrize("verified_first", [False, True])
+@pytest.mark.parametrize("name", sorted(PREDICT_ERRORS))
+def test_predict_raises_what_a_plain_walk_raised(name, verified_first):
+    prog, error, text = PREDICT_ERRORS[name]
+    if verified_first:  # predict then finds the walk already made
+        verify_compiled(prog, NPROCS)
+    with pytest.raises(error) as raised:
+        predict(SimpleNamespace(program=prog, param_names=()), NPROCS)
+    assert type(raised.value) is error
+    assert str(raised.value) == text
 
 
 def _gauss_seidel(strategy):

@@ -178,3 +178,38 @@ def test_second_server_process_serves_artifact_warm(http_service, tmp_path):
     assert replica["compile_misses"] == 0
     assert replica["compile_hits"] == 0
     assert replica["compile_phase_s"] == 0.0
+
+
+def test_one_response_is_one_socket_write(tmp_path, monkeypatch):
+    """Header block and body must leave together: two small writes on a
+    keep-alive socket stall ~40 ms on Nagle x delayed ACK."""
+    import socket
+
+    from repro.service.server import _Handler
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+
+    class Recording(socket.socket):
+        def send(self, data, *flags):
+            self.writes.append(bytes(data))
+            return super().send(data, *flags)
+
+        def sendall(self, data, *flags):
+            self.writes.append(bytes(data))
+            return super().sendall(data, *flags)
+
+    client, peer = socket.socketpair()
+    served = Recording(fileno=peer.detach())
+    served.writes = []
+    with client, served:
+        client.sendall(
+            b"GET /v1/health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        handler = type(
+            "BoundHandler", (_Handler,), {"app": ServiceApp(ServiceConfig())}
+        )
+        handler(served, ("127.0.0.1", 0), None)
+        [response] = served.writes
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200")
+    assert json.loads(body)["status"] == "ok"

@@ -14,7 +14,12 @@ growing back, over every module under ``src/repro``:
   inside functions are how a cycle gets papered over, and are not
   counted) must not form a cycle between subpackages;
 * a registered cache is consulted through ``perf.memo`` / ``lookup`` /
-  ``insert`` only, and persistent keys come from ``perf.stable_key``.
+  ``insert`` only, and persistent keys come from ``perf.stable_key``;
+  the compile / verify / predict drivers memoize through that registry
+  alone (``perfbench`` and ``perf.caches_disabled()`` must reach every
+  table), never through ``functools``;
+* ``repro.tune`` owns no abstract walk: the predictor prices the
+  verifier's.
 """
 
 import ast
@@ -133,6 +138,18 @@ def test_no_import_cycles_between_subpackages():
     )
 
 
+def _identifiers(node):
+    """Every name ``node`` mentions outside strings: variables,
+    attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+
+
 def test_registered_caches_are_consulted_through_perf_only():
     import repro.bench  # noqa: F401  (with the three below: every cache)
     import repro.core.specialize  # noqa: F401
@@ -140,7 +157,8 @@ def test_registered_caches_are_consulted_through_perf_only():
     import repro.tune  # noqa: F401
     from repro import perf
 
-    assert len(perf._caches) >= 13, sorted(perf._caches)
+    assert len(perf._caches) >= 16, sorted(perf._caches)
+    assert {"frontend", "resolve", "rank_walks"} <= set(perf._caches)
     names = "|".join(re.escape(name) for name in perf._caches)
     by_hand = re.compile(
         rf"""\b(?:hit|miss)\(\s*["'](?:{names})["']\s*\)"""
@@ -151,5 +169,32 @@ def test_registered_caches_are_consulted_through_perf_only():
         for path in FILES if path != ROOT / "perf.py"
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if by_hand.search(line)
+    ]
+    # The drivers whose work ``tune`` shares memoize in the registry
+    # only: a ``functools`` table is one that ``perf.reset`` cannot
+    # empty and ``perf.caches_disabled()`` cannot bypass.
+    for name in ("core/compiler.py", "analysis/verify.py", "tune/model.py"):
+        tree = ast.parse((ROOT / name).read_text(), filename=name)
+        offenders += [
+            f"{name}:{node.lineno}: functools memo on {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for decorator in node.decorator_list
+            if {"lru_cache", "cache"} & set(_identifiers(decorator))
+        ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_tuner_owns_no_walk():
+    """``predict`` clocks the rows of ``repro.analysis.walk_ranks``; a
+    ``Walker`` or ``walk_code`` under ``repro.tune`` is a second walk
+    of every candidate coming back."""
+    tune_files = [path for path in FILES if _subpackage(path) == "tune"]
+    assert tune_files
+    offenders = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in tune_files
+        for name in _identifiers(ast.parse(path.read_text()))
+        if name in ("Walker", "walk_code")
     ]
     assert not offenders, "\n".join(offenders)
