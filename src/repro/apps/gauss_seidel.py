@@ -136,7 +136,7 @@ def handwritten_wavefront(channel_old="old", channel_new="new") -> NodeProgram:
 
     The program is immutable (frozen IR), so the memoized instance is
     safely shared — and a stable identity lets the closure-compiling
-    backend's per-(program, rank) cache hit across measurements.
+    backend's per-program table hit across measurements.
 
     Globals expected at run time: ``N`` (grid size), ``blksize`` (the
     pipeline block size), ``c`` and ``bval``. Entry takes the local part

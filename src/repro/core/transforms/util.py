@@ -183,7 +183,11 @@ def indices_equal(a: tuple[ir.NExpr, ...], b: tuple[ir.NExpr, ...]) -> bool:
 
 
 def map_proc_bodies(program: ir.NodeProgram, fn) -> ir.NodeProgram:
-    """Apply ``fn(body) -> body`` to every procedure body (new program)."""
+    """Apply ``fn(body) -> body`` to every procedure body.
+
+    A new program — or ``program`` itself when no body changed (IR
+    statements compare by value), so a pass that rewrites nothing keeps
+    the object every identity-keyed table already knows."""
     procs = {}
     for name, proc in program.procs.items():
         procs[name] = ir.NodeProc(
@@ -192,4 +196,7 @@ def map_proc_bodies(program: ir.NodeProgram, fn) -> ir.NodeProgram:
             array_params=set(proc.array_params),
             body=fn(proc.body),
         )
+    if all(procs[name].body == proc.body
+           for name, proc in program.procs.items()):
+        return program
     return ir.NodeProgram(name=program.name, procs=procs, entry=program.entry)

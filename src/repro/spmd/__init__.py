@@ -40,9 +40,6 @@ from repro.spmd.ir import (
 )
 from repro.spmd.compile import (
     CompiledNode,
-    compile_cache_clear,
-    compile_cache_info,
-    compile_node_program,
     compiled_node,
 )
 from repro.spmd.interp import SPMDResult, run_spmd
@@ -80,9 +77,6 @@ __all__ = [
     "NodeProgram",
     "SPMDResult",
     "VarLV",
-    "compile_cache_clear",
-    "compile_cache_info",
-    "compile_node_program",
     "compiled_node",
     "pretty_program",
     "run_spmd",

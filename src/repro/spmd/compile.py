@@ -4,12 +4,13 @@ The tree-walking interpreter (:mod:`repro.spmd.interp`) re-dispatches on
 ``isinstance`` for every IR node of every iteration, so host wall-clock
 time is dominated by Python dispatch rather than by the simulation. This
 backend translates a :class:`~repro.spmd.ir.NodeProgram` into nested
-Python closures *once* per (program, rank, ring size) and then executes
-the closures many times:
+Python closures *once* per program and then executes the closures many
+times, on every rank of every ring — ``mynode()`` and ``nprocs()`` are
+run-time values read from the per-run state, as the paper's one SPMD
+program reads them (§3.1) and as :mod:`repro.spmd.walk` does:
 
-* ``mynode()`` / ``nprocs()`` and constant subexpressions are folded at
-  compile time (value folding only — the interpreter's per-node cost
-  charges are preserved exactly);
+* constant subexpressions are folded at compile time (value folding
+  only — the interpreter's per-node cost charges are preserved exactly);
 * scalar and array variables are resolved to integer slots of a flat
   frame list instead of per-access dict lookups;
 * the ``charge_op``/``charge_mem`` bookkeeping of each straight-line
@@ -29,9 +30,9 @@ returned I-structure contents as the tree-walker. For machine parameters
 that are not exact binary fractions the simulated times may differ in the
 last ulp; use ``backend="interp"`` when that matters.
 
-Compiled nodes are cached with an LRU keyed on program identity
-(:class:`NodeProgram` hashes by identity), rank, and ring size, so
-repeated measurements of the same program pay for compilation once.
+Compiled nodes are memoized on program identity (:class:`NodeProgram`
+hashes by identity) in the ``spmd_compile`` table of :mod:`repro.perf`,
+so repeated measurements of the same program pay for compilation once.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
+from repro import perf
 from repro.errors import NodeRuntimeError
 from repro.inspector import executor as ixec
 from repro.inspector.context import INSPECTOR_GLOBAL
@@ -218,50 +220,16 @@ def _fold_binop(op, left, right):
 class _ProcContext:
     """Compile-time context of one procedure: slot maps plus shared refs."""
 
-    __slots__ = ("rank", "nprocs", "procs", "scalar_slots", "array_slots",
-                 "nslots")
+    __slots__ = ("procs", "scalar_slots", "array_slots", "nslots")
 
-    def __init__(self, rank, nprocs, procs, proc):
-        self.rank = rank
-        self.nprocs = nprocs
+    def __init__(self, procs, proc):
         self.procs = procs  # name -> procfn, shared and filled in later
         scalars: dict[str, int] = {}
         arrays: dict[str, int] = {}
-
-        def scalar(name):
-            if name not in scalars:
-                scalars[name] = len(scalars) + len(arrays)
-
-        def array(name):
-            if name not in arrays:
-                arrays[name] = len(scalars) + len(arrays)
-
-        for pname in proc.params:
-            if pname in proc.array_params:
-                array(pname)
-            else:
-                scalar(pname)
-        for stmt in ir.walk_stmts(list(proc.body)):
-            if isinstance(stmt, ir.NAssign):
-                if isinstance(stmt.target, ir.VarLV):
-                    scalar(stmt.target.name)
-            elif isinstance(stmt, (ir.NAllocIs, ir.NAllocBuf)):
-                array(stmt.name)
-            elif isinstance(stmt, ir.NFor):
-                scalar(stmt.var)
-            elif isinstance(stmt, ir.NRecv):
-                for target in stmt.targets:
-                    if isinstance(target, ir.VarLV):
-                        scalar(target.name)
-            elif isinstance(stmt, (ir.NCoerce, ir.NBroadcast)):
-                scalar(stmt.target.name)
-            elif isinstance(stmt, ir.NCallProc):
-                if stmt.array_result is not None:
-                    array(stmt.array_result)
-                elif stmt.result is not None:
-                    scalar(stmt.result.name)
-            elif isinstance(stmt, ir.NArrayAlias):
-                array(stmt.name)
+        for name, is_array in ir.proc_binders(proc):
+            slots = arrays if is_array else scalars
+            if name not in slots:
+                slots[name] = len(scalars) + len(arrays)
         self.scalar_slots = scalars
         self.array_slots = arrays
         self.nslots = len(scalars) + len(arrays)
@@ -542,9 +510,9 @@ class _SrcGen:
         if isinstance(e, ir.NVar):
             return self.scalar(e.name)
         if isinstance(e, ir.NMyNode):
-            return repr(self.sc.rank)
+            return "st.rank"
         if isinstance(e, ir.NNProcs):
-            return repr(self.sc.nprocs)
+            return "st.nprocs"
         if isinstance(e, ir.NBin):
             op = e.op
             if op in _CG_SYMBOLS:
@@ -580,9 +548,10 @@ class _SrcGen:
     def function(self, body):
         """Compile ``def _f(st, fr):`` with the given indented body."""
         # Helper names are counter-based, so structurally identical
-        # fragments (e.g. the same proc compiled for every rank) produce
-        # byte-identical source; caching the code object makes the
-        # per-rank compile an exec of a tiny ``def``.
+        # fragments (the same statement at every optimization level, or
+        # in every rank's specialized program) produce byte-identical
+        # source; caching the code object makes recompiling one an exec
+        # of a tiny ``def``.
         code = _cg_code(f"def _f(st, fr):\n{body}")
         ns = self.env
         exec(code, ns)
@@ -622,15 +591,23 @@ def _compile_expr_cg(e, sc) -> _CExpr:
 # ---------------------------------------------------------------------------
 
 
+def _mynode(st, fr):
+    return st.rank
+
+
+def _nprocs(st, fr):
+    return st.nprocs
+
+
 def _compile_expr(e, sc) -> _CExpr:
     if isinstance(e, ir.NConst):
         return _const_ce(e.value, 0, 0)
     if isinstance(e, ir.NVar):
         return _CExpr(_scalar_reader(e.name, sc), 0, 0)
     if isinstance(e, ir.NMyNode):
-        return _const_ce(sc.rank, 0, 0)
+        return _CExpr(_mynode, 0, 0)
     if isinstance(e, ir.NNProcs):
-        return _const_ce(sc.nprocs, 0, 0)
+        return _CExpr(_nprocs, 0, 0)
     if isinstance(e, ir.NBin):
         return _compile_bin(e, sc)
     if isinstance(e, ir.NUn):
@@ -1163,12 +1140,13 @@ def _compile_assign(stmt, sc):
 def _compile_alloc(name, shape, sc, cls):
     dims = [_compile_expr_cg(d, sc) for d in shape]
     slot = sc.array_slots[name]
-    label = f"{name}@p{sc.rank}"
     static = all(d.ops is not None for d in dims)
     fns = tuple(d.fn if static else _charged(d) for d in dims)
 
-    def run(st, fr, _fns=fns, _slot=slot, _label=label, _cls=cls):
-        fr[_slot] = _cls(tuple(f(st, fr) for f in _fns), name=_label)
+    def run(st, fr, _fns=fns, _slot=slot, _cls=cls):
+        fr[_slot] = _cls(
+            tuple(f(st, fr) for f in _fns), name=f"{name}@p{st.rank}"
+        )
     if static:
         return ("pure", run, sum(d.ops for d in dims),
                 sum(d.mems for d in dims))
@@ -1266,8 +1244,9 @@ def _compile_if(stmt, sc):
     elsek = _compile_body(stmt.else_body, sc)
 
     if cond.ops is not None and cond.const is not _NOTCONST:
-        # Rank-resolved guard: the branch is known at compile time, but
-        # the interpreter still charges the cond evaluation every pass.
+        # Constant guard (a rank-specialized program's, typically): the
+        # branch is known at compile time, but the interpreter still
+        # charges the cond evaluation every pass.
         chosen = thenk if cond.const else elsek
         kind, fn, ops, mems = chosen
         if kind == "pure" and ops is not None:
@@ -1490,10 +1469,10 @@ def _compile_coerce(stmt, sc):
     destf = _charged(_compile_expr_cg(stmt.dest, sc))
     valf = _charged(_compile_expr_cg(stmt.value, sc))
     store = _charged_store(*_compile_store(stmt.target, sc))
-    rank = sc.rank
     channel = stmt.channel
 
     def g(st, fr):
+        rank = st.rank
         owner = ownerf(st, fr)
         dest = destf(st, fr)
         st.ops += 2  # the two membership tests every processor makes
@@ -1530,19 +1509,18 @@ def _compile_broadcast(stmt, sc):
     ownerf = _charged(_compile_expr_cg(stmt.owner, sc))
     valf = _charged(_compile_expr_cg(stmt.value, sc))
     store = _charged_store(*_compile_store(stmt.target, sc))
-    rank = sc.rank
     channel = stmt.channel
-    others = tuple(q for q in range(sc.nprocs) if q != rank)
 
     def g(st, fr):
         owner = ownerf(st, fr)
         st.ops += 1
-        if rank == owner:
+        if st.rank == owner:
             value = valf(st, fr)
             store(st, fr, value)
             yield from _flush(st)
-            for q in others:
-                yield Send(q, channel, (value,))
+            for q in range(st.nprocs):
+                if q != owner:
+                    yield Send(q, channel, (value,))
         else:
             yield from _flush(st)
             payload = yield Recv(owner, channel)
@@ -1760,18 +1738,18 @@ def _compile_return(stmt, sc):
 
 
 # ---------------------------------------------------------------------------
-# Procedures, programs, and the compilation cache
+# Procedures, programs, and the compilation table
 # ---------------------------------------------------------------------------
 
 
-def _compile_proc(proc, rank, nprocs, procs):
+def _compile_proc(proc, procs):
     """Compile one procedure to ``("gen", genfn)`` or ``("pure", fn)``.
 
     A procedure whose body yields no effects compiles to a plain
     function, so call sites invoke it without creating a generator and
     threading a ``yield from`` chain through the simulator.
     """
-    sc = _ProcContext(rank, nprocs, procs, proc)
+    sc = _ProcContext(procs, proc)
     bodyk = _compile_body(list(proc.body), sc)
     body_is_gen = bodyk[0] == "gen"
     bodyf = bodyk[1] if body_is_gen else _pure_charged(bodyk)
@@ -1832,26 +1810,22 @@ def _compile_proc(proc, rank, nprocs, procs):
 
 
 class CompiledNode:
-    """A NodeProgram compiled to closures for one (rank, ring size)."""
+    """A NodeProgram compiled to closures, for any rank of any ring."""
 
-    __slots__ = ("program", "rank", "nprocs", "_procs", "_entry")
+    __slots__ = ("program", "_procs", "_entry")
 
-    def __init__(self, program: ir.NodeProgram, rank: int, nprocs: int):
+    def __init__(self, program: ir.NodeProgram):
         self.program = program
-        self.rank = rank
-        self.nprocs = nprocs
         procs: dict[str, object] = {}
         for name, proc in program.procs.items():
-            procs[name] = _compile_proc(proc, rank, nprocs, procs)
+            procs[name] = _compile_proc(proc, procs)
         self._procs = procs
         self._entry = program.entry
 
-    def start(self, args, params: MachineParams, globals_: dict):
-        """A fresh effect generator for one simulated execution."""
-        st = _State(
-            self.rank, self.nprocs, params.op_us, params.mem_us,
-            dict(globals_),
-        )
+    def start(self, rank: int, nprocs: int, args, params: MachineParams,
+              globals_: dict):
+        """A fresh effect generator: one processor's simulated execution."""
+        st = _State(rank, nprocs, params.op_us, params.mem_us, dict(globals_))
         return self._drive(st, list(args))
 
     def _drive(self, st, args):
@@ -1867,29 +1841,15 @@ class CompiledNode:
         return result
 
 
-def compile_node_program(
-    program: ir.NodeProgram, rank: int, nprocs: int
-) -> CompiledNode:
-    """Compile ``program`` for one processor (uncached)."""
-    return CompiledNode(program, rank, nprocs)
+perf.register_cache("spmd_compile", {})
 
 
-@lru_cache(maxsize=256)
-def compiled_node(
-    program: ir.NodeProgram, rank: int, nprocs: int
-) -> CompiledNode:
-    """LRU-cached compilation keyed on program identity, rank, ring size.
+def compiled_node(program: ir.NodeProgram) -> CompiledNode:
+    """The (memoized) compilation of ``program``: one closure tree that
+    every rank of every ring size runs.
 
-    :class:`NodeProgram` hashes by identity, so the cache never confuses
-    two structurally-similar programs, and holding the key alive in the
-    cache keeps the identity stable.
+    :class:`NodeProgram` hashes by identity, so the ``spmd_compile``
+    table never confuses two structurally-similar programs, and holding
+    the key alive in the table keeps the identity stable.
     """
-    return compile_node_program(program, rank, nprocs)
-
-
-def compile_cache_clear() -> None:
-    compiled_node.cache_clear()
-
-
-def compile_cache_info():
-    return compiled_node.cache_info()
+    return perf.memo("spmd_compile", program, lambda: CompiledNode(program))

@@ -471,8 +471,9 @@ def run_spmd(
     processors (§5.3/5.4); the program still sees ``S = nprocs``.
 
     ``backend`` selects the execution engine: ``"compiled"`` (default)
-    runs closures compiled once per (program, rank) by
-    :mod:`repro.spmd.compile`; ``"interp"`` is the tree-walking
+    runs closures compiled once per program by
+    :mod:`repro.spmd.compile` (every rank starts the same tree with its
+    own ``rank``); ``"interp"`` is the tree-walking
     reference interpreter, kept as the differential oracle; ``"replay"``
     extracts each rank's static event skeleton once and replays clocks
     over columnar arrays (:mod:`repro.replay`) — timing-identical to
@@ -536,8 +537,9 @@ def run_spmd(
 
         def factory(rank: int):
             node_program = program(rank) if callable(program) else program
-            node = compiled_node(node_program, rank, nprocs)
-            return node.start(list(make_args(rank)), machine, globals_ or {})
+            return compiled_node(node_program).start(
+                rank, nprocs, make_args(rank), machine, globals_ or {}
+            )
     elif backend == "interp":
         def factory(rank: int):
             # ``program`` may be a per-rank factory (specialized programs).

@@ -432,7 +432,7 @@ class NodeProgram:
 
     ``eq=False`` keeps identity comparison/hashing (inherited from
     ``object``): a program *is* its object, which is exactly the key the
-    closure-compiling backend's per-(program, rank) cache needs. Its
+    per-program closure tables (``spmd_compile``, ``walk_code``) need. Its
     ``repr`` is the pretty-printed program — deterministic across
     processes, which is what lets a program stand in a persistent cache
     key (:func:`repro.perf.stable_key`).
@@ -462,6 +462,37 @@ def walk_stmts(body: list[NStmt]):
             yield from walk_stmts(stmt.else_body)
         elif isinstance(stmt, NExchange):
             yield from walk_stmts(stmt.enum_body)
+
+
+def proc_binders(proc: NodeProc):
+    """Yield ``(name, is_array)`` for each name ``proc`` binds, in binding
+    order: its parameters, then — statement by statement, pre-order —
+    loop variables, allocated / aliased / call-returned arrays and the
+    scalar targets of assign, receive, coerce, broadcast and call
+    results. Names repeat; both closure compilers lay their frame slots
+    out from this one scan."""
+    for name in proc.params:
+        yield name, name in proc.array_params
+    for stmt in walk_stmts(proc.body):
+        kind = type(stmt)
+        if kind is NFor:
+            yield stmt.var, False
+        elif kind in (NAllocIs, NAllocBuf, NArrayAlias):
+            yield stmt.name, True
+        elif kind is NCallProc and stmt.array_result is not None:
+            yield stmt.array_result, True
+        else:
+            if kind is NRecv:
+                targets = stmt.targets
+            elif kind in (NAssign, NCoerce, NBroadcast):
+                targets = (stmt.target,)
+            elif kind is NCallProc:
+                targets = (stmt.result,)  # None when the call binds nothing
+            else:
+                targets = ()
+            for target in targets:
+                if type(target) is VarLV:
+                    yield target.name, False
 
 
 def walk_exprs(e: NExpr):

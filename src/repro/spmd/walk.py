@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from functools import lru_cache
 
+from repro import perf
 from repro.errors import ModelError, NodeRuntimeError
 from repro.lang.builtins import apply_builtin, builtin_arity, is_builtin
 from repro.machine.rows import KIND_COMPUTE, KIND_RECV, KIND_SEND
@@ -418,33 +418,16 @@ class _Scope:
 
     def __init__(self, proc: ir.NodeProc, observe: bool):
         self.observe = observe
-        scalars = [p for p in proc.params if p not in proc.array_params]
-        arrays = [p for p in proc.params if p in proc.array_params]
         # Names bound on every path to the statement being compiled.
-        self.bound_s = set(scalars)
-        self.bound_a = set(arrays)
-        targets: list = []
-        for stmt in ir.walk_stmts(proc.body):
-            kind = type(stmt)
-            if kind is ir.NFor:
-                scalars.append(stmt.var)
-            elif kind in (ir.NAllocIs, ir.NAllocBuf, ir.NArrayAlias):
-                arrays.append(stmt.name)
-            elif kind is ir.NCallProc:
-                if stmt.array_result is not None:
-                    arrays.append(stmt.array_result)
-                elif stmt.result is not None:
-                    targets.append(stmt.result)
-            elif kind is ir.NRecv:
-                targets.extend(stmt.targets)
-            elif kind in (ir.NAssign, ir.NCoerce, ir.NBroadcast):
-                targets.append(stmt.target)
-        scalars.extend(t.name for t in targets if type(t) is ir.VarLV)
-        names = dict.fromkeys(scalars)
-        self.scalars = {name: slot for slot, name in enumerate(names)}
+        self.bound_s = set(proc.params) - proc.array_params
+        self.bound_a = set(proc.params) & proc.array_params
+        scalars: dict[str, None] = {}
+        arrays: dict[str, None] = {}
+        for name, is_array in ir.proc_binders(proc):
+            (arrays if is_array else scalars)[name] = None
+        self.scalars = {name: slot for slot, name in enumerate(scalars)}
         self.arrays = {
-            name: len(names) + slot
-            for slot, name in enumerate(dict.fromkeys(arrays))
+            name: len(scalars) + slot for slot, name in enumerate(arrays)
         }
 
 
@@ -1163,21 +1146,25 @@ def _body(stmts, sc: _Scope, facts: _Facts, loop_var: str | None = None):
     return _seq(steps) or _noop
 
 
-@lru_cache(maxsize=8)
+perf.register_cache("walk_code", {})
+
+
 def walk_code(program: ir.NodeProgram, observe: bool = False) -> WalkCode:
-    """Compile ``program``'s abstract walk (LRU on program identity).
+    """Compile ``program``'s abstract walk (memoized on program identity:
+    the ``walk_code`` table of :mod:`repro.perf`).
 
     ``observe`` selects the code for walkers with access observers; use
-    :meth:`Walker.compile`, which derives it from the walker class. The
-    LRU is small on purpose: each entry pins a program and its closures,
-    and callers (tuner, sweeps, per-rank specialized extraction) finish
-    with one program before they move to the next."""
-    procs = {}
-    for name, proc in program.procs.items():
-        sc = _Scope(proc, observe)
-        body = _body(proc.body, sc, _Facts())
-        slots = {**sc.scalars, **sc.arrays}
-        procs[name] = Proc(
-            tuple(slots[p] for p in proc.params), len(slots), body
-        )
-    return WalkCode(program.entry_proc().name, procs)
+    :meth:`Walker.compile`, which derives it from the walker class."""
+
+    def build():
+        procs = {}
+        for name, proc in program.procs.items():
+            sc = _Scope(proc, observe)
+            body = _body(proc.body, sc, _Facts())
+            slots = {**sc.scalars, **sc.arrays}
+            procs[name] = Proc(
+                tuple(slots[p] for p in proc.params), len(slots), body
+            )
+        return WalkCode(program.entry_proc().name, procs)
+
+    return perf.memo("walk_code", (program, observe), build)

@@ -11,24 +11,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from repro import perf
 from repro.bench.harness import STRATEGY_ORDER, measure
 from repro.errors import IStructureError
-from repro.machine import MachineParams
+from repro.machine import MachineParams, Recv
 from repro.runtime import IStructure, LocalArray
-from repro.spmd import (
+from repro.spmd import NodeProc, NodeProgram, compiled_node, run_spmd
+from repro.spmd.ir import (
+    IsLV,
+    NAllocIs,
     NAssign,
     NBin,
+    NBroadcast,
+    NCoerce,
     NConst,
+    NIf,
     NMyNode,
-    NodeProc,
-    NodeProgram,
+    NNProcs,
     NReturn,
     NVar,
     VarLV,
-    compiled_node,
-    run_spmd,
 )
 from repro.spmd.compile import _rd1, _rd2, _wr1, _wr2
+from repro.spmd.interp import _NodeMachine
 
 
 def _tiny_program():
@@ -64,23 +69,117 @@ class TestBackendSelection:
         )
 
 
-class TestCompilationCache:
-    def test_same_program_rank_reuses_compilation(self):
-        program = _tiny_program()
-        assert compiled_node(program, 0, 2) is compiled_node(program, 0, 2)
+def _roles_program():
+    """Every place the backend reads rank or ring size: ``mynode()`` /
+    ``nprocs()`` values, a guard on them, the allocation label, both
+    coerce shapes (0 -> 1, and in place on 1) and a broadcast from the
+    last rank."""
+    p, S = NMyNode(), NNProcs()
+    last = NBin("-", S, NConst(1))
+    body = [
+        NAllocIs("B", (NConst(3),)),
+        NAssign(VarLV("x"), NBin("mod", NBin("+", p, NConst(1)), S)),
+        NIf(NBin("==", p, last),
+            (NAssign(IsLV("B", (NConst(1),)), NBin("*", p, S)),),
+            (NAssign(IsLV("B", (NConst(1),)), NVar("x")),)),
+        NCoerce(VarLV("y"), NBin("+", NVar("x"), NConst(5)),
+                NConst(0), NConst(1), "co"),
+        NCoerce(VarLV("z"), NBin("div", NConst(9), S),
+                NConst(1), NConst(1), "co"),
+        NBroadcast(VarLV("w"), NBin("+", p, NConst(100)), last, "bc"),
+        NAssign(IsLV("B", (NConst(2),)), NVar("w")),
+        NReturn("B"),
+    ]
+    return NodeProgram(
+        name="roles",
+        procs={"main": NodeProc("main", (), body=tuple(body))},
+        entry="main",
+    )
 
-    def test_distinct_ranks_compile_separately(self):
+
+def _effects(gen, payloads=((7,), (9,))):
+    """Drive one processor's effect generator by hand (canned receive
+    payloads): every effect, then what it returned."""
+    payloads = list(payloads)
+    out = []
+    reply = None
+    try:
+        while True:
+            effect = gen.send(reply)
+            out.append(effect)
+            reply = payloads.pop(0) if isinstance(effect, Recv) else None
+    except StopIteration as stop:
+        arr = stop.value
+        out.append((arr.name, arr.read(1), arr.read(2)))
+    return out
+
+
+class TestOneTreePerProgram:
+    @pytest.fixture(autouse=True)
+    def fresh_counters(self):
+        perf.reset(clear_cache_tables=True)
+        yield
+        perf.reset(clear_cache_tables=True)
+
+    def test_every_rank_and_ring_size_shares_one_compilation(self):
         program = _tiny_program()
-        assert compiled_node(program, 0, 2) is not compiled_node(
-            program, 1, 2
-        )
+        node = compiled_node(program)
+        for nprocs in (2, 7, 2):
+            result = run_spmd(program, nprocs, lambda rank: [])
+            assert result.returned == [
+                (rank + 1) * 2 for rank in range(nprocs)
+            ]
+            assert compiled_node(program) is node
+        assert perf.counter("spmd_compile.miss") == 1
 
     def test_structurally_equal_programs_not_confused(self):
         # NodeProgram hashes by identity: two separately built programs
         # must each get their own compilation.
-        assert compiled_node(_tiny_program(), 0, 2) is not compiled_node(
-            _tiny_program(), 0, 2
+        assert compiled_node(_tiny_program()) is not compiled_node(
+            _tiny_program()
         )
+
+    def test_a_ring_of_300_compiles_once(self):
+        result = run_spmd(_tiny_program(), 300, lambda rank: [])
+        assert result.returned == [(rank + 1) * 2 for rank in range(300)]
+        assert perf.counter("spmd_compile.miss") == 1
+        assert perf.counter("spmd_compile.hit") == 299
+
+    @pytest.mark.parametrize("specialize", [False, True])
+    def test_execute_compiles_each_distinct_program_once(self, specialize):
+        from repro.apps import gauss_seidel as gs
+        from repro.bench.harness import _compiled as compile_strategy
+        from repro.core.runner import execute
+        from repro.spmd.layout import make_full
+
+        compiled = compile_strategy("optIII", gs.SOURCE, 2)
+        for _ in range(2):
+            execute(
+                compiled, 8, specialize=specialize,
+                inputs={"Old": make_full((16, 16), 1, name="Old")},
+                params={"N": 16}, extra_globals={"blksize": 4},
+            )
+        # One generic program, or eight per-rank specialized ones.
+        assert perf.counter("spmd_compile.miss") == (8 if specialize else 1)
+
+    def test_one_tree_started_as_many_ranks_equals_interp(self):
+        """No rank or ring size of an earlier start survives in the tree:
+        started as coerce owner / dest / bystander and broadcast owner /
+        non-owner, in rings of several sizes and in mixed order, it
+        yields the interpreter's effects one for one."""
+        program = _roles_program()
+        node = compiled_node(program)
+        machine = MachineParams.ipsc2()
+        starts = [(0, 3), (2, 3), (1, 3), (0, 1), (1, 2), (3, 5), (0, 3)]
+        for rank, nprocs in starts:
+            expected = _effects(
+                _NodeMachine(program, rank, nprocs, machine, {}).run([])
+            )
+            assert _effects(
+                node.start(rank, nprocs, [], machine, {})
+            ) == expected, (rank, nprocs)
+            assert expected[-1][0] == f"B@p{rank}"
+        assert perf.counter("spmd_compile.miss") == 1
 
 
 def _signature(point):

@@ -66,8 +66,8 @@ def full(n=8):
 
 def compiled_effects(program, rank, nprocs, payloads=()):
     """The compiled backend's effect sequence for one rank."""
-    gen = compiled_node(program, rank, nprocs).start(
-        [full()], MACHINE, GLOBALS
+    gen = compiled_node(program).start(
+        rank, nprocs, [full()], MACHINE, GLOBALS
     )
     payloads = list(payloads)
     out = []

@@ -157,8 +157,9 @@ def test_registered_caches_are_consulted_through_perf_only():
     import repro.tune  # noqa: F401
     from repro import perf
 
-    assert len(perf._caches) >= 16, sorted(perf._caches)
-    assert {"frontend", "resolve", "rank_walks"} <= set(perf._caches)
+    assert len(perf._caches) >= 18, sorted(perf._caches)
+    assert {"frontend", "resolve", "rank_walks", "walk_code",
+            "spmd_compile"} <= set(perf._caches)
     names = "|".join(re.escape(name) for name in perf._caches)
     by_hand = re.compile(
         rf"""\b(?:hit|miss)\(\s*["'](?:{names})["']\s*\)"""
@@ -173,7 +174,8 @@ def test_registered_caches_are_consulted_through_perf_only():
     # The drivers whose work ``tune`` shares memoize in the registry
     # only: a ``functools`` table is one that ``perf.reset`` cannot
     # empty and ``perf.caches_disabled()`` cannot bypass.
-    for name in ("core/compiler.py", "analysis/verify.py", "tune/model.py"):
+    for name in ("core/compiler.py", "analysis/verify.py", "tune/model.py",
+                 "spmd/walk.py"):
         tree = ast.parse((ROOT / name).read_text(), filename=name)
         offenders += [
             f"{name}:{node.lineno}: functools memo on {node.name}"

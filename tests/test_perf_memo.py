@@ -133,6 +133,32 @@ def test_memo_round_trips_a_persistent_cache_through_disk(
         perf._caches.pop(NAME, None)
 
 
+@pytest.mark.parametrize("name", ["spmd_compile", "walk_code"])
+def test_the_program_to_closure_tables_follow_the_protocol(name):
+    from repro.spmd import NodeProc, NodeProgram, compiled_node
+    from repro.spmd.ir import NMyNode, NReturn
+    from repro.spmd.walk import walk_code
+
+    build = {"spmd_compile": compiled_node, "walk_code": walk_code}[name]
+    program = NodeProgram(
+        "tiny", {"main": NodeProc("main", (), body=(NReturn(NMyNode()),))},
+        "main",
+    )
+    perf.reset(clear_cache_tables=True)
+    first = build(program)
+    assert build(program) is first
+    stats = perf.cache_stats()[name]
+    assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
+    perf.reset(clear_cache_tables=True)
+    assert perf.cache_sizes()[name] == 0
+    assert build(program) is not first  # really compiled again
+    with perf.caches_disabled():
+        assert build(program) is not build(program)
+        assert perf.cache_sizes()[name] == 0
+    assert perf.counter(f"{name}.miss") == 1 and not perf.counter(f"{name}.hit")
+    perf.reset(clear_cache_tables=True)
+
+
 def test_stable_key_refuses_leaked_addresses_and_broken_reprs():
     key_fn = perf.stable_key("tag|s2")
     assert key_fn(("src", 4, None)) == "tag|s2|('src', 4, None)"

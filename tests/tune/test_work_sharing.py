@@ -1,9 +1,10 @@
 """One ``tune()`` call does each piece of work once.
 
 The six candidates of one distribution are one source text, two
-resolutions (run-time, compile-time) and five node programs; every
-candidate is walked once, by the verifier, and the predictor prices that
-walk. The counters below are how that is observed — the same ones
+resolutions (run-time, compile-time) and at most five node programs
+(fewer when a pass finds nothing to rewrite and returns its input);
+every distinct program and binding is walked once, by the verifier, and
+the predictor prices that walk. The counters below are how that is observed — the same ones
 ``bench tune --profile`` prints — and the last tests are the sharing's
 safety net: with every cache off the answer is the same, and two
 compilations that share a front half do not see each other.
@@ -21,7 +22,6 @@ from repro.apps import jacobi
 from repro.core.compiler import OptLevel, Strategy, compile_program
 from repro.core.runner import execute
 from repro.spmd.layout import make_full
-from repro.spmd.walk import walk_code
 from repro.tune import retarget_source, tune
 
 
@@ -42,7 +42,6 @@ def rank(source=gs.SOURCE, dist="block_rows", **extra):
 
 
 def test_each_piece_of_work_is_done_once(fresh):
-    walks_compiled = walk_code.cache_info().misses
     report = rank()
 
     labels = [c.config.label for c in report.candidates]
@@ -54,18 +53,33 @@ def test_each_piece_of_work_is_done_once(fresh):
     assert perf.counter("resolve.miss") == 2
     assert perf.counter("resolve.hit") == 3
     assert perf.counter("compile.miss") == 5
-    # One walk compilation per distinct program (optIII's two block
-    # sizes share theirs) — the observing flavour only: the predictor
-    # owns no walk, so nothing compiles the plain one.
-    assert walk_code.cache_info().misses - walks_compiled == 5
-    # Every candidate is walked once — by the verifier, and the
-    # predictor finds that walk; or by the predictor, when the verdict
-    # came from the store (block rows leave nothing to vectorize or jam,
-    # so three of the programs print like an earlier one and share its
-    # persistent ``verify`` entry).
+    # Block rows leave nothing to vectorize, jam or strip-mine, and a
+    # pass that rewrites nothing returns its input: the compile-time
+    # program, Optimized I, II and both block sizes of III are one
+    # object. So two walk compilations, the run-time program's and
+    # theirs — the observing flavour only: the predictor owns no walk,
+    # so nothing compiles the plain one.
+    assert perf.counter("walk_code.miss") == 2
+    # Every distinct (program, bindings) is walked once, by the
+    # verifier, and the predictor finds that walk: the run-time program,
+    # the shared one at blksize 8 (what every candidate but optIII blk=4
+    # binds) and the shared one at blksize 4. The other three candidates
+    # are that object again and hit the identity-keyed tables in memory,
+    # never reaching the store.
+    assert perf.counter("rank_walks.miss") == 3
+    assert perf.counter("rank_walks.hit") == 3
+    assert perf.counter("verify.hit") == 3
+    assert perf.counter("tune_predict.hit") == 3
+    assert perf.counter("store.verify.hit") == 0
+
+
+def test_programs_a_pass_did_rewrite_stay_distinct(fresh):
+    # Wrapped columns give every pass something to do: five programs,
+    # five walk compilations, six walks, nothing shared by identity.
+    rank(dist="wrapped_cols")
+    assert perf.counter("walk_code.miss") == 5
     assert perf.counter("rank_walks.miss") == 6
-    assert perf.counter("store.verify.hit") == 3
-    assert perf.counter("rank_walks.hit") == 6 - 3
+    assert perf.counter("verify.hit") == 0
 
 
 @pytest.mark.parametrize("app", ["gauss_seidel", "jacobi"])
