@@ -14,8 +14,8 @@ compiled simulator baseline:
     live in. Runs the vectorized engine.
 ``scalar``
     the per-event reference scheduler (:func:`repro.machine.rows.
-    run_rows`) over rows zipped from the memoized skeleton on every
-    call — the oracle keeps no plan. This
+    run_rows`) over the memoized skeleton's compact rows, expanded in
+    plain Python on every call — the oracle keeps no plan. This
     is the denominator of the vectorized engine's own speedup gate
     (``vector_x``) — compiled-backend ratios alone would let a
     vector-engine regression hide behind the huge compiled baseline.
@@ -42,7 +42,7 @@ import shutil
 import tempfile
 import time
 
-from repro import perf
+from repro import perf, store
 from repro.core.compiler import compile_program_cached
 from repro.core.runner import execute
 from repro.machine import MachineParams
@@ -180,6 +180,10 @@ def run_point(
                 "store.replay_skeleton hits — it re-extracted instead of "
                 "loading the persisted skeleton"
             )
+        # One skeleton is in memory now (the one just loaded), so the
+        # table's exact byte count is that skeleton's ``nbytes``.
+        skeleton_nbytes = perf.cache_stats()["replay_skeleton"]["est_bytes"]
+        store_bytes = store.get_store().size_bytes()
     finally:
         if prior_dir is None:
             os.environ.pop("REPRO_CACHE_DIR", None)
@@ -224,6 +228,8 @@ def run_point(
         "warm_x": round(warm_x, 1),
         "vector_x": round(vector_x, 1),
         "store_hits_cold": store_hits_cold,
+        "skeleton_nbytes": skeleton_nbytes,
+        "store_bytes": store_bytes,
         "makespan_us": ref.makespan_us,
         "messages": ref.total_messages,
         "bytes": ref.sim.stats.total_bytes,

@@ -7,7 +7,17 @@ a list of rows
 
 — a compute burst of ``ops``/``mems`` integer counters, a send of
 ``plen`` scalars to ``peer``, or a receive from ``peer``, on channel
-``chan`` (any hashable: an interned id or the channel name).
+``chan`` (any hashable: an interned id or the channel name). A plain
+:class:`~repro.spmd.walk.Walker` writes a replicated loop as one more
+kind of row, the **repeat marker**
+
+    (KIND_REPEAT, -1, -1, 0, span, count)
+
+— "the ``span`` rows just before me occur ``count`` more times" — and
+markers are flat: no marker sits inside another's span, so a stream is
+literal rows and repeats of literal rows, never repeats of repeats.
+:func:`expand` is the meaning of the marker, in list slicing and
+multiplication; every clocking consumer sees expanded rows.
 :func:`run_rows` clocks those rows under the paper's machine model
 (§2.2) with exactly the live :class:`~repro.machine.simulator.Simulator`'s
 float operations in the simulator's order (identity placement):
@@ -40,6 +50,22 @@ from repro.machine.stats import ChannelKey, MessageStats
 KIND_COMPUTE = 0
 KIND_SEND = 1
 KIND_RECV = 2
+#: ``(KIND_REPEAT, -1, -1, 0, span, count)``: see :func:`expand`.
+KIND_REPEAT = 3
+
+
+def expand(rows) -> list[tuple]:
+    """``rows`` with every repeat marker replaced by what it stands for:
+    ``count`` more copies of the ``span`` rows before it. The reference
+    meaning of the marker — :mod:`repro.replay.skeleton` expands the
+    same streams in numpy and is checked against this."""
+    out: list[tuple] = []
+    for row in rows:
+        if row[0] == KIND_REPEAT:
+            out += out[-row[4]:] * row[5]
+        else:
+            out.append(row)
+    return out
 
 
 class RowsRun(NamedTuple):

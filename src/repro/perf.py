@@ -34,6 +34,7 @@ import re
 import sys
 import time
 from contextlib import contextmanager
+from itertools import islice
 from typing import Callable, Iterator, MutableMapping
 
 _counters: dict[str, int] = {}
@@ -382,30 +383,38 @@ def _estimate_bytes(obj, _depth: int = 0, _seen=None) -> int:
 _STATS_SAMPLE = 8  # values sampled per cache for the byte estimate
 
 
-def cache_stats() -> dict[str, dict]:
-    """Per-cache entry counts, hit rates, and byte-size estimates.
+def _table_bytes(mapping) -> int:
+    """Exact for a table whose values all state an int ``nbytes`` (a
+    replay skeleton does); otherwise estimated from up to
+    ``_STATS_SAMPLE`` values, extrapolated by entry count."""
+    total = 0
+    for value in mapping.values():
+        nbytes = getattr(value, "nbytes", None)
+        if not isinstance(nbytes, int):
+            break
+        total += nbytes
+    else:
+        return total
+    sample = [
+        _estimate_bytes(value)
+        for value in islice(mapping.values(), _STATS_SAMPLE)
+    ]
+    return int(sum(sample) / len(sample) * len(mapping))
 
-    Byte sizes are estimated from up to ``_STATS_SAMPLE`` sampled values
-    (extrapolated by entry count). Persistent caches also report their
+
+def cache_stats() -> dict[str, dict]:
+    """Per-cache entry counts, hit rates, and byte sizes
+    (:func:`_table_bytes`). Persistent caches also report their
     disk-tier counters (``store_hits``/``store_puts``/``store_errors``).
     """
     stats: dict[str, dict] = {}
     for name, mapping in _caches.items():
-        sampled = 0
-        sampled_bytes = 0
-        for value in mapping.values():
-            sampled_bytes += _estimate_bytes(value)
-            sampled += 1
-            if sampled >= _STATS_SAMPLE:
-                break
-        entries = len(mapping)
-        est = int(sampled_bytes / sampled * entries) if sampled else 0
         entry = {
-            "entries": entries,
+            "entries": len(mapping),
             "hits": counter(f"{name}.hit"),
             "misses": counter(f"{name}.miss"),
             "hit_rate": round(hit_rate(name), 4),
-            "est_bytes": est,
+            "est_bytes": _table_bytes(mapping),
             "persistent": isinstance(mapping, SpillDict),
         }
         if entry["persistent"]:

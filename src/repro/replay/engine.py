@@ -45,11 +45,12 @@ Two engines implement that contract:
   whole run at a time with ``np.add.accumulate`` chains that replicate
   the scalar addition order addition for addition;
 * the **scalar oracle** is the reference scheduler
-  (:func:`repro.machine.rows.run_rows`) over rows zipped from the
-  skeleton columns — no plan, none of the vectorized matching or
-  reductions above — selected per call (``engine="scalar"``) or
-  process-wide with ``REPRO_REPLAY_SCALAR=1`` (CI runs the whole
-  differential matrix both ways).
+  (:func:`repro.machine.rows.run_rows`) over the skeleton's compact
+  rows expanded in plain Python (:func:`repro.machine.rows.expand`) —
+  no plan, none of the vectorized matching or reductions above, not
+  even the numpy expansion of repeat markers — selected per call
+  (``engine="scalar"``) or process-wide with ``REPRO_REPLAY_SCALAR=1``
+  (CI runs the whole differential matrix both ways).
 
 The result is schedule-independent because each rank's chain depends
 only on its own prefix and matched arrival values.
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.machine.costs import MachineParams
-from repro.machine.rows import run_rows
+from repro.machine.rows import expand, run_rows
 from repro.machine.simulator import SimResult, deadlock_forensics
 from repro.machine.stats import ChannelKey, MessageStats
 from repro.replay.skeleton import (
@@ -318,17 +319,13 @@ def _vector_replay(skeleton: ProgramSkeleton, machine: MachineParams):
 
 def _scalar_replay(skeleton: ProgramSkeleton, machine: MachineParams):
     """``engine="scalar"``: the reference scheduler over the skeleton's
-    rows — no plan, no static matching, no grouped reductions, so the
-    oracle shares nothing with the numpy code it checks."""
+    *compact* rows, expanded in plain Python (:func:`repro.machine.rows.
+    expand`) — no plan, no static matching, no grouped reductions and no
+    numpy expansion, so the oracle shares nothing with the numpy code it
+    checks."""
     channels = skeleton.channels
     run = run_rows(
-        [
-            list(zip(*(
-                column.tolist() for column in
-                (rs.kind, rs.peer, rs.chan, rs.plen, rs.ops, rs.mems)
-            )))
-            for rs in skeleton.ranks
-        ],
+        [expand(rows) for rows in skeleton.compact_rows()],
         skeleton.nprocs, machine,
     )
     undelivered = {

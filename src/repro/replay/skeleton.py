@@ -1,4 +1,5 @@
-"""Skeleton extraction: one abstract walk per rank, columnar output.
+"""Skeleton extraction: one abstract walk per rank, run-length rows,
+columnar output.
 
 Generated control flow never depends on array *data*, so the exact
 sequence of effects a rank will push through the simulator — compute
@@ -17,9 +18,22 @@ compiled backend for **any** machine parameters, and extraction is
 cache table in ``docs/INTERNALS.md``) serves every machine model a
 sweep replays it under.
 
-Events are stored columnar — flat parallel numpy arrays per rank — so
-the replayer can synthesize costs, match FIFOs, and aggregate statistics
-as array expressions (:mod:`repro.replay.engine`).
+A wavefront code's stream is mostly repetition, and the walker writes a
+replicated loop as one **repeat marker** row (:data:`~repro.machine.
+rows.KIND_REPEAT`: "the ``span`` rows before me occur ``count`` more
+times"; markers are flat, see :mod:`repro.machine.rows`). The skeleton
+keeps that form: :func:`columnize` packs **one compact table per
+program** — every rank's rows, markers included, as six narrow columns
+plus the rank offsets — and that table is all a
+:class:`ProgramSkeleton` pickles. What the replayer reads is the
+*expansion*: flat parallel numpy columns per rank
+(:class:`RankSkeleton`), so it can synthesize costs, match FIFOs, and
+aggregate statistics as array expressions (:mod:`repro.replay.engine`).
+The expansion is built once per program with a fixed number of numpy
+calls (one gather index, one ``take`` per column) and the per-rank
+columns are slices of it; :func:`repro.machine.rows.expand` is the same
+expansion in plain Python, which the scalar oracle uses so that it
+shares no code with what it checks.
 
 Abstention: any walk failure (data-dependent control raising
 :class:`~repro.errors.ModelError`, but also structural errors the
@@ -35,6 +49,7 @@ from dataclasses import dataclass
 
 from repro import perf
 from repro.errors import ReproError
+from repro.machine.rows import KIND_REPEAT
 from repro.spmd.walk import (
     KIND_COMPUTE,
     KIND_RECV,
@@ -62,7 +77,8 @@ def _require_numpy():
 
 @dataclass(frozen=True)
 class RankSkeleton:
-    """One rank's event stream as parallel columns.
+    """One rank's event stream as parallel columns — repeat markers
+    expanded; each column a slice of its program's.
 
     ``kind``
         int8, one of :data:`KIND_COMPUTE`/:data:`KIND_SEND`/
@@ -91,33 +107,148 @@ class RankSkeleton:
         return self.kind.shape[0]
 
 
-@dataclass(frozen=True)
-class ProgramSkeleton:
-    """All ranks' skeletons plus the shared channel-name table."""
-
-    nprocs: int
-    channels: tuple[str, ...]
-    ranks: tuple[RankSkeleton, ...]
-
-    @property
-    def total_events(self) -> int:
-        return sum(len(r) for r in self.ranks)
-
-
 _COLUMNS = (
     ("kind", "int8"), ("peer", "int32"), ("chan", "int32"),
     ("plen", "int64"), ("ops", "int64"), ("mems", "int64"),
 )
 
 
-def columnize(rows: list[tuple]) -> RankSkeleton:
-    """Pack one rank's ``(kind, peer, chan, plen, ops, mems)`` rows."""
+class ProgramSkeleton:
+    """All ranks' skeletons plus the shared channel-name table.
+
+    ``table`` holds the compact rows of every rank — the walker's rows,
+    repeat markers included (``span`` in ``ops``, ``count`` in ``mems``)
+    — as one column per :data:`_COLUMNS` entry, rank ``r`` at
+    ``[offsets[r], offsets[r + 1])``. With ``nprocs`` and ``channels``
+    that is the whole pickled state. ``ranks`` (expanded per-rank
+    columns), ``total_events`` (expanded rows) and ``nbytes`` (exact:
+    table, offsets and expanded columns) are derived from it.
+    """
+
+    def __init__(self, nprocs: int, channels: tuple[str, ...],
+                 table: tuple, offsets: "np.ndarray"):
+        self.nprocs = nprocs
+        self.channels = channels
+        self.table = table
+        self.offsets = offsets
+        self._expand(None)
+
+    def __getstate__(self):
+        return (self.nprocs, self.channels, self.total_events,
+                self.offsets, *self.table)
+
+    def __setstate__(self, state) -> None:
+        """Rebuild from a stored table — after checking it: a truncated
+        or corrupt entry raises ``ValueError`` (which the artifact store
+        counts and discards) before anything is sized by its content."""
+        try:
+            (self.nprocs, self.channels, total_events, self.offsets,
+             *table) = state
+        except TypeError as err:
+            raise ValueError("skeleton state is not a sequence") from err
+        self.table = tuple(table)
+        self._expand(total_events)
+
+    def compact_rows(self) -> list[list[tuple]]:
+        """Per rank, the rows as the walker wrote them (markers kept)."""
+        bounds = self.offsets.tolist()
+        columns = [column.tolist() for column in self.table]
+        return [
+            list(zip(*(column[lo:hi] for column in columns)))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+    def _expand(self, total_events: "int | None") -> None:
+        """Validate ``table``/``offsets`` and derive the rest.
+
+        Every check is an array expression over the compact table, and
+        the expansion a fixed number of numpy calls per *program* —
+        a per-rank or per-marker loop here costs more host calls than
+        the compact store saves.
+        """
+        table, offsets = self.table, self.offsets
+        if len(table) != len(_COLUMNS):
+            raise ValueError("skeleton table has the wrong columns")
+        n = getattr(table[0], "size", -1)
+        for column, (_, dtype) in zip(table, _COLUMNS):
+            if not isinstance(column, np.ndarray) or \
+                    column.shape != (n,) or column.dtype != dtype:
+                raise ValueError("skeleton column has the wrong shape")
+        if not isinstance(offsets, np.ndarray) or \
+                not isinstance(self.nprocs, int) or \
+                offsets.shape != (self.nprocs + 1,) or \
+                offsets.dtype != np.int64 or offsets[0] != 0 or \
+                offsets[-1] != n or (offsets[1:] < offsets[:-1]).any():
+            raise ValueError("skeleton rank offsets do not tile the table")
+
+        markers = np.flatnonzero(table[0] == KIND_REPEAT)
+        span, count = table[4][markers], table[5][markers]
+        # A span reaches back neither past the start of its own rank nor
+        # over an earlier marker (markers are flat).
+        floor = offsets[offsets.searchsorted(markers, side="right") - 1]
+        floor[1:] = np.maximum(floor[1:], markers[:-1] + 1)
+        if ((count < 1) | (span < 1) | (markers - span < floor)).any():
+            raise ValueError("skeleton repeat marker out of range")
+        if total_events is not None:
+            # In floats first: a corrupt count must not wrap int64, and
+            # nothing may be allocated by a size the entry disagrees on.
+            events = n - markers.size + float(
+                np.dot(span.astype(np.float64), count.astype(np.float64))
+            )
+            if not events == total_events < 2.0 ** 53:
+                raise ValueError("skeleton repeat counts disagree with "
+                                 "its event total")
+
+        # Row i of the table stands for times[i] runs of the length[i]
+        # rows from start[i]: itself once, or — a marker — `count` runs
+        # of the `span` rows before it. The gather index is every run's
+        # start, counted up along the run.
+        start = np.arange(n)
+        length = np.ones(n, dtype=np.int64)
+        times = np.ones(n, dtype=np.int64)
+        start[markers] -= span
+        length[markers] = span
+        times[markers] = count
+        ends = (length * times).cumsum()
+        total = int(ends[-1]) if n else 0
+        run_start = start.repeat(times)
+        run_length = length.repeat(times)
+        run_start -= run_length.cumsum() - run_length
+        index = np.arange(total) + run_start.repeat(run_length)
+        kind, peer, chan, plen, ops, mems = [
+            column.take(index) for column in table
+        ]
+        bounds = np.concatenate(([0], ends))[offsets].tolist()
+        self.ranks = tuple([
+            RankSkeleton(kind[lo:hi], peer[lo:hi], chan[lo:hi],
+                         plen[lo:hi], ops[lo:hi], mems[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ])
+        self.total_events = total
+        self.nbytes = offsets.nbytes + sum(
+            column.nbytes
+            for column in (*table, kind, peer, chan, plen, ops, mems)
+        )
+
+
+def columnize(nprocs: int, channels: tuple[str, ...],
+              per_rank_rows: list[list[tuple]]) -> ProgramSkeleton:
+    """Pack every rank's ``(kind, peer, chan, plen, ops, mems)`` rows,
+    repeat markers and all, into one program-wide table."""
     _require_numpy()
-    table = np.array(rows, dtype=np.int64).reshape(-1, len(_COLUMNS))
-    return RankSkeleton(**{
-        name: table[:, col].astype(dtype)
-        for col, (name, dtype) in enumerate(_COLUMNS)
-    })
+    rows: list[tuple] = []
+    offsets = [0]
+    for rank_rows in per_rank_rows:
+        rows += rank_rows
+        offsets.append(len(rows))
+    wide = np.array(rows, dtype=np.int64).reshape(-1, len(_COLUMNS))
+    table = tuple([
+        wide[:, col].astype(dtype)
+        for col, (_, dtype) in enumerate(_COLUMNS)
+    ])
+    return ProgramSkeleton(
+        nprocs, channels, table, np.array(offsets, dtype=np.int64)
+    )
 
 
 def build_skeleton(nprocs: int, per_rank_events: list[list[tuple]],
@@ -138,12 +269,10 @@ def build_skeleton(nprocs: int, per_rank_events: list[list[tuple]],
             return (KIND_SEND, ev[1], chan, ev[3], 0, 0)
         return (KIND_RECV, ev[1], chan, 0, 0, 0)
 
-    ranks = tuple(
-        columnize([row(ev) for ev in events]) for events in per_rank_events
-    )
-    return ProgramSkeleton(
-        nprocs=nprocs, channels=tuple(chan_ids), ranks=ranks
-    )
+    per_rank_rows = [
+        [row(ev) for ev in events] for events in per_rank_events
+    ]
+    return columnize(nprocs, tuple(chan_ids), per_rank_rows)
 
 
 # Keyed on (program, ring size, globals, entry scalars) only: the rows
@@ -151,7 +280,7 @@ def build_skeleton(nprocs: int, per_rank_events: list[list[tuple]],
 # machine model a sweep replays it under.
 _skeleton_cache: dict = perf.register_cache(
     "replay_skeleton", {}, persistent=True,
-    key_fn=perf.stable_key("skeleton"),
+    key_fn=perf.stable_key("skeleton2"),
 )
 
 
@@ -186,13 +315,13 @@ def extract_skeletons(program, nprocs: int, make_args,
     def build() -> ProgramSkeleton:
         with perf.phase("replay_extract"):
             chan_ids: dict[str, int] = {}
-            ranks = []
+            per_rank_rows = []
             for rank in range(nprocs):
                 try:
-                    rows = Walker(
+                    per_rank_rows.append(Walker(
                         Walker.compile(programs[rank]),
                         rank, nprocs, globals_, chan_ids,
-                    ).run(args[rank])
+                    ).run(args[rank]))
                 except Exception as err:
                     # ModelError: genuinely data-dependent control.
                     # Other ReproErrors (invalid partner, unbound
@@ -204,10 +333,7 @@ def extract_skeletons(program, nprocs: int, make_args,
                     raise ReplayAbstention(
                         f"rank {rank}: {type(err).__name__}: {err}"
                     ) from err
-                ranks.append(columnize(rows))
-            return ProgramSkeleton(
-                nprocs=nprocs, channels=tuple(chan_ids), ranks=tuple(ranks)
-            )
+            return columnize(nprocs, tuple(chan_ids), per_rank_rows)
 
     if per_rank_programs:
         # Specialized programs are rebuilt per run, so identity-keyed

@@ -46,7 +46,12 @@ from collections import namedtuple
 from repro import perf
 from repro.errors import ModelError, NodeRuntimeError
 from repro.lang.builtins import apply_builtin, builtin_arity, is_builtin
-from repro.machine.rows import KIND_COMPUTE, KIND_RECV, KIND_SEND
+from repro.machine.rows import (
+    KIND_COMPUTE,
+    KIND_RECV,
+    KIND_REPEAT,
+    KIND_SEND,
+)
 from repro.spmd import ir
 from repro.spmd.pretty import pretty_expr
 
@@ -153,8 +158,10 @@ class Walker:
     names and is shared by all ranks of one program. The default loop
     policy summarizes what is provably repetitive and stays exact: a
     ``uniform`` loop is one sampled iteration times its trip count
-    (:meth:`loop`), a ``replicable`` one is walked twice and the second
-    iteration's rows repeated (:meth:`iterate`).
+    (:meth:`loop`), a ``replicable`` one is walked twice and followed by
+    one repeat marker ``(KIND_REPEAT, -1, -1, 0, span, count)`` for the
+    rest (:meth:`iterate`; :func:`repro.machine.rows.expand` gives the
+    rows the marker stands for).
     """
 
     #: Access observers. A subclass defining them is compiled code that
@@ -174,6 +181,7 @@ class Walker:
         self.events: list[tuple] = []
         self.ops = 0
         self.mems = 0
+        self.repeats = 0  # markers written: how a loop sees one inside it
         self.depth = 0
 
     @classmethod
@@ -287,6 +295,12 @@ class Walker:
             self.iterate(loop, frame, lo, step, trips)
 
     def iterate(self, loop: Loop, frame, lo, step, trips) -> None:
+        """Walk a loop that may communicate. A ``replicable`` loop is
+        walked twice and its remaining ``trips - 2`` iterations written
+        as one row, ``(KIND_REPEAT, -1, -1, 0, span, count)``: the
+        ``span`` rows before it occur ``count`` more times. Markers are
+        flat — none inside another's span — so consumers expand one
+        level (:func:`repro.machine.rows.expand`)."""
         var, body = loop.var, loop.body
         if trips < 2 or not loop.replicable:
             for v in range(lo, lo + trips * step, step):
@@ -297,28 +311,38 @@ class Walker:
         # walk the first iteration for real (its leading flush merges
         # compute pending from *before* the loop), walk the second for
         # real (its leading flush merges the first iteration's trailing
-        # compute — the steady state), then replicate the second
-        # iteration's rows for the rest. Flush boundaries stay exactly
-        # where the compiled backend puts them, which bit-identity of
-        # the clock chain depends on.
+        # compute — the steady state), then say how often the second
+        # iteration's rows repeat. Flush boundaries stay exactly where
+        # the compiled backend puts them, which bit-identity of the
+        # clock chain depends on.
         events = self.events
         frame[var] = lo
         body(self, frame)
         tail_ops, tail_mems = self.ops, self.mems
         mark = len(events)
+        repeats = self.repeats
         frame[var] = lo + step
         body(self, frame)
-        if len(events) > mark:
-            # The steady-state iteration communicated, so its trailing
-            # compute pending is iteration-invariant already; only the
-            # events need replicating.
-            events.extend(events[mark:] * (trips - 2))
-        else:
+        more = trips - 2
+        if len(events) == mark:
             # Every send/receive was guarded off (guards are
             # iteration-invariant): the loop degenerated to pure
             # compute and pending grows linearly instead.
-            self.ops += (self.ops - tail_ops) * (trips - 2)
-            self.mems += (self.mems - tail_mems) * (trips - 2)
+            self.ops += (self.ops - tail_ops) * more
+            self.mems += (self.mems - tail_mems) * more
+        elif self.repeats > repeats:
+            # A loop inside the steady state already wrote a marker, and
+            # markers are flat (no marker inside a span): copy the
+            # iteration's compact rows, markers included.
+            events += events[mark:] * more
+        elif more:
+            # The steady-state iteration communicated, so its trailing
+            # compute pending is iteration-invariant already: one marker
+            # row stands for the remaining iterations' events.
+            events.append(
+                (KIND_REPEAT, -1, -1, 0, len(events) - mark, more)
+            )
+            self.repeats += 1
         for slot in loop.event_assigned:
             frame[slot] = UNKNOWN
         frame[var] = lo + (trips - 1) * step

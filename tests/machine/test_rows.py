@@ -18,7 +18,13 @@ import pytest
 
 from repro.errors import DeadlockError
 from repro.machine import Compute, MachineParams, Recv, Send, Simulator
-from repro.machine.rows import KIND_COMPUTE, KIND_RECV, KIND_SEND, run_rows
+from repro.machine.rows import (
+    KIND_COMPUTE,
+    KIND_RECV,
+    KIND_SEND,
+    expand,
+    run_rows,
+)
 
 MACHINES = {
     "ipsc2": MachineParams.ipsc2(),
@@ -231,7 +237,8 @@ def test_predict_replay_and_compiled_agree(app, nprocs):
         assert observed == compiled_run, route
 
     # One row stream: what ``predict`` clocks (the verifier's walk) is
-    # what a plain ``Walker`` records and ``extract_skeletons`` stores,
+    # what a plain ``Walker`` records — repeat markers expanded — and
+    # what ``extract_skeletons`` stores (compact) and serves (expanded),
     # row for row.
     walkers, channels = walk_ranks(
         compiled.program, nprocs, {"N": n, **knobs}, {}
@@ -239,12 +246,14 @@ def test_predict_replay_and_compiled_agree(app, nprocs):
     code = Walker.compile(compiled.program)
     args = abstract_args(compiled.program.entry_proc(), lambda name: None)
     chan_ids: dict[str, int] = {}
+    compact = skeleton.compact_rows()
     for rank, columns in enumerate(skeleton.ranks):
         rows = Walker(
             code, rank, nprocs, {"N": n, **knobs}, chan_ids
         ).run(args)
-        assert rows == walkers[rank].events, rank
-        assert rows == list(zip(*(
+        assert rows == compact[rank], rank
+        assert expand(rows) == walkers[rank].events, rank
+        assert expand(rows) == list(zip(*(
             getattr(columns, name).tolist()
             for name in ("kind", "peer", "chan", "plen", "ops", "mems")
         ))), rank
@@ -278,7 +287,7 @@ def test_verifier_rows_are_the_plain_walkers_rows(app, strategy, nprocs):
     chan_ids: dict[str, int] = {}
     for rank, walker in enumerate(walkers):
         assert walker.completed and walker.raised is None, rank
-        assert walker.events == Walker(
+        assert walker.events == expand(Walker(
             code, rank, nprocs, globals_, chan_ids
-        ).run(args), rank
+        ).run(args)), rank
     assert channels == tuple(chan_ids)

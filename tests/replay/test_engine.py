@@ -48,6 +48,10 @@ def test_columnize_packs_and_interns_channels():
     assert r1.kind.tolist() == [KIND_RECV, KIND_COMPUTE]
     assert r1.peer.tolist() == [0, -1]
     assert sk.total_events == 4
+    # One table for the program; the ranks are slices of its expansion.
+    assert sk.offsets.tolist() == [0, 2, 4]
+    assert sk.table[0].tolist() == r0.kind.tolist() + r1.kind.tolist()
+    assert r0.kind.base is r1.kind.base is not None
 
 
 def test_match_messages_fifo_per_channel():
