@@ -3,11 +3,14 @@
 The tree-walking interpreter (:mod:`repro.spmd.interp`) re-dispatches on
 ``isinstance`` for every IR node of every iteration, so host wall-clock
 time is dominated by Python dispatch rather than by the simulation. This
-backend translates a :class:`~repro.spmd.ir.NodeProgram` into nested
-Python closures *once* per program and then executes the closures many
-times, on every rank of every ring — ``mynode()`` and ``nprocs()`` are
-run-time values read from the per-run state, as the paper's one SPMD
-program reads them (§3.1) and as :mod:`repro.spmd.walk` does:
+backend translates a :class:`~repro.spmd.ir.NodeProgram` *once* per
+program — statements into nested Python closures, and every expression,
+assignment and l-value store under them into generated Python source,
+one code object each (``_SrcGen``, the only expression compiler) — and
+then executes the result many times, on every rank of every ring:
+``mynode()`` and ``nprocs()`` are run-time values read from the per-run
+state, as the paper's one SPMD program reads them (§3.1) and as
+:mod:`repro.spmd.walk` does:
 
 * constant subexpressions are folded at compile time (value folding
   only — the interpreter's per-node cost charges are preserved exactly);
@@ -37,7 +40,7 @@ so repeated measurements of the same program pay for compilation once.
 
 from __future__ import annotations
 
-import operator
+import math
 from functools import lru_cache
 
 from repro import perf
@@ -97,123 +100,77 @@ def _flush(st):
 
 
 class _CExpr:
-    """A compiled expression.
+    """A compiled expression: Python source over ``(st, fr)``.
 
-    ``ops``/``mems`` are the expression's full static cost and ``fn``
-    charges nothing; or ``ops is None`` and ``fn`` charges its own cost
-    (short-circuit operators make cost data-dependent). ``const`` holds
-    the folded compile-time value, or ``_NOTCONST``.
+    ``ops``/``mems`` are the expression's full static cost and ``src``
+    charges nothing; or ``ops is None`` and ``src`` charges its own cost
+    in-line (short-circuit operators make cost data-dependent). ``const``
+    holds the folded compile-time value, or ``_NOTCONST``. ``fn`` is
+    ``src`` as a function, compiled on first use in the environment of
+    the :class:`_SrcGen` that wrote it — only the expression a statement
+    compiler asked for ever is; its subexpressions stay text.
     """
 
-    __slots__ = ("fn", "ops", "mems", "const")
+    __slots__ = ("gen", "src", "ops", "mems", "const", "_fn")
 
-    def __init__(self, fn, ops, mems, const=_NOTCONST):
-        self.fn = fn
+    def __init__(self, gen, src, ops, mems, const=_NOTCONST):
+        self.gen = gen
+        self.src = src
         self.ops = ops
         self.mems = mems
         self.const = const
+        self._fn = None
+
+    @property
+    def fn(self):
+        if self._fn is None:
+            self._fn = self.gen.function(f"    return {self.src}")
+        return self._fn
 
 
-def _const_ce(value, ops, mems):
-    def fn(st, fr, _v=value):
-        return _v
-
-    return _CExpr(fn, ops, mems, value)
+def _charge_lines(ops, mems):
+    """Statements adding a static cost (none for a dynamic ``None``)."""
+    return (f"    st.ops += {ops}\n" if ops else "") + (
+        f"    st.mems += {mems}\n" if mems else ""
+    )
 
 
 def _charged(ce):
-    """A closure that charges the expression's cost and evaluates it."""
-    if ce.ops is None or (ce.ops == 0 and ce.mems == 0):
+    """The expression as a function that charges its cost, then evaluates."""
+    lines = _charge_lines(ce.ops, ce.mems)
+    if not lines:
         return ce.fn
-    fn, ops, mems = ce.fn, ce.ops, ce.mems
-    if mems == 0:
-        def charged(st, fr):
-            st.ops += ops
-            return fn(st, fr)
-    elif ops == 0:
-        def charged(st, fr):
-            st.mems += mems
-            return fn(st, fr)
-    else:
-        def charged(st, fr):
-            st.ops += ops
-            st.mems += mems
-            return fn(st, fr)
-    return charged
+    return ce.gen.function(f"{lines}    return {ce.src}")
+
+
+def _static_cost(ces, ops=0, mems=0):
+    """Summed cost of the static ``ces``; dynamic ones charge themselves."""
+    for ce in ces:
+        if ce.ops is not None:
+            ops += ce.ops
+            mems += ce.mems
+    return ops, mems
 
 
 def _prep(ces):
     """Split a tuple of compiled exprs into (fns, static_ops, static_mems).
 
     Static expressions contribute to the pre-aggregated counts and keep
-    their non-charging closures; dynamic ones self-charge at evaluation.
+    their non-charging functions; dynamic ones self-charge at evaluation.
     """
-    ops = 0
-    mems = 0
-    for ce in ces:
-        if ce.ops is not None:
-            ops += ce.ops
-            mems += ce.mems
-    return tuple(ce.fn for ce in ces), ops, mems
-
-
-_BINOPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-def _binop_fn(op, lf, rf):
-    """Value closure for a non-short-circuit binary operator."""
-    f = _BINOPS.get(op)
-    if f is not None:
-        def fn(st, fr, _f=f, _l=lf, _r=rf):
-            return _f(_l(st, fr), _r(st, fr))
-        return fn
-    if op == "div":
-        def fn(st, fr, _l=lf, _r=rf):
-            left = _l(st, fr)
-            right = _r(st, fr)
-            if right == 0:
-                raise NodeRuntimeError("division by zero", st.rank)
-            return left // right
-        return fn
-    if op == "mod":
-        def fn(st, fr, _l=lf, _r=rf):
-            left = _l(st, fr)
-            right = _r(st, fr)
-            if right == 0:
-                raise NodeRuntimeError("modulo by zero", st.rank)
-            return left % right
-        return fn
-
-    def fn(st, fr, _l=lf, _r=rf, _op=op):
-        _l(st, fr)
-        _r(st, fr)
-        raise NodeRuntimeError(f"unknown operator {_op!r}", st.rank)
-    return fn
+    return (tuple(ce.fn for ce in ces), *_static_cost(ces))
 
 
 def _fold_binop(op, left, right):
     """Fold a binary op over constants; _NOTCONST if it would raise."""
     try:
-        f = _BINOPS.get(op)
+        f = ir.BINOPS.get(op)
         if f is not None:
             return f(left, right)
-        if op == "div":
-            return _NOTCONST if right == 0 else left // right
-        if op == "mod":
-            return _NOTCONST if right == 0 else left % right
+        if op in ir.DIVOPS and right != 0:
+            return ir.DIVOPS[op][0](left, right)
     except Exception:
-        return _NOTCONST
+        pass
     return _NOTCONST
 
 
@@ -246,20 +203,6 @@ def _global_scalar(name):
         v = st.globals.get(_n, _UNSET)
         if v is _UNSET:
             raise NodeRuntimeError(f"unbound variable {_n!r}", st.rank)
-        return v
-    return fn
-
-
-def _scalar_reader(name, sc):
-    slot = sc.scalar_slots.get(name)
-    glob = _global_scalar(name)
-    if slot is None:
-        return glob
-
-    def fn(st, fr, _i=slot, _g=glob):
-        v = fr[_i]
-        if v is _UNSET:
-            v = _g(st, fr)
         return v
     return fn
 
@@ -377,24 +320,32 @@ def _wr2(arr, i, j, value):
 
 
 # ---------------------------------------------------------------------------
-# Source-level code generation for static expression trees
+# Expressions and l-values: generated source
 # ---------------------------------------------------------------------------
 #
-# Closure trees still pay one Python call per IR node at every
-# evaluation. For *static* expressions (compile-time cost, no
-# short-circuit operators) we go one step further and emit real Python
-# source, compiled once into a single code object: slot reads become
-# ``fr[3]`` with a walrus-tested fallback, arithmetic becomes inline
-# operators, array reads become one `_rd2` call. The generated function
-# charges nothing — the caller charges the same pre-aggregated static
-# cost as for the closure version — and every fallback (unbound
-# variable, unknown array, division by zero...) delegates to the same
-# closures the slow path uses, so values and errors are identical.
-# Anything the generator does not cover bails back to the closure tree.
-
-
-class _Bail(Exception):
-    """Raised by _SrcGen for IR the source generator does not cover."""
+# A closure tree pays one Python call per IR node at every evaluation, so
+# every expression, assignment and l-value store is instead emitted as
+# Python source and compiled into one code object: slot reads become
+# ``fr[3]`` with a walrus-tested fallback, arithmetic becomes in-line
+# operators, array reads become one `_rd2` call, a folded constant is its
+# literal. `_SrcGen.expr` is the only expression compiler: one recursive
+# pass that returns each node's source together with its static cost and
+# folded constant, so classification, folding and emission cannot drift
+# apart.
+#
+# A static node's source charges nothing — whoever uses it adds the
+# pre-aggregated cost once. A dynamic node (short-circuit operators, the
+# inspector's indirect read, anything above them) charges in-line, and
+# *where* a charge sits in the source is the interpreter's charge order:
+# ``_chg(st, value, ops, mems)`` takes ``value`` as an argument, so it
+# charges after ``value`` has been evaluated (the left operand of
+# ``and``/``or``, an operator over a dynamic operand, the last index of
+# a dynamic read or store), and ``(_pre(st, ops, mems) or x)`` charges
+# before ``x`` is (the right operand of a short-circuit, reached only
+# when the left does not decide). Every fallback (unbound variable,
+# unknown array, division by zero, IR the interpreter rejects) is a
+# helper call raising the interpreter's error after its operands have
+# been evaluated, so values, charges and errors are identical.
 
 
 def _cg_div(left, right, st):
@@ -409,10 +360,20 @@ def _cg_mod(left, right, st):
     return left % right
 
 
-# Operators whose Python spelling and semantics match the IR directly.
-_CG_SYMBOLS = frozenset(
-    ("+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=")
-)
+def _chg(st, value, ops, mems):
+    st.ops += ops
+    st.mems += mems
+    return value
+
+
+def _pre(st, ops, mems):
+    st.ops += ops
+    st.mems += mems
+
+
+def _fail(st, message, *operands):
+    raise NodeRuntimeError(message, st.rank)
+
 
 _CG_BASE = {
     "_UNSET": _UNSET,
@@ -424,6 +385,21 @@ _CG_BASE = {
     "_ab": apply_builtin,
     "_dv": _cg_div,
     "_md": _cg_mod,
+    "_chg": _chg,
+    "_pre": _pre,
+    "_fail": _fail,
+    "_ir": ixec.indirect_read,
+}
+
+# op -> (Python spelling, helper that checks the divisor first).
+_CG_DIVOPS = {"div": ("//", "_dv"), "mod": ("%", "_md")}
+
+# (method, rank) -> the fixed-arity helper that inlines it.
+_CG_ACCESS = {
+    ("read", 1): "_rd1",
+    ("read", 2): "_rd2",
+    ("write", 1): "_wr1",
+    ("write", 2): "_wr2",
 }
 
 
@@ -433,7 +409,8 @@ def _cg_code(src):
 
 
 class _SrcGen:
-    """Build a Python source fragment (plus helper bindings) for an expr."""
+    """Python source fragments (plus their helper bindings) for the
+    expressions and l-values of one generated function."""
 
     __slots__ = ("sc", "env", "n")
 
@@ -452,6 +429,17 @@ class _SrcGen:
         name = f"_t{self.n}"
         self.n += 1
         return name
+
+    def literal(self, value):
+        """Source that evaluates to ``value``: its ``repr`` when that is a
+        Python literal (``inf``/``nan`` are not), else a bound helper."""
+        t = type(value)
+        if t in (bool, int, str) or (t is float and math.isfinite(value)):
+            return repr(value)
+        return self.fresh(value)
+
+    def const(self, value, ops, mems):
+        return _CExpr(self, self.literal(value), ops, mems, value)
 
     def scalar(self, name):
         slot = self.sc.scalar_slots.get(name)
@@ -491,399 +479,203 @@ class _SrcGen:
             src = f"fr[{slot}]"
         return f"({t} if type({t} := {src}) is LocalArray else {g}(st, fr))"
 
-    def read(self, arr_src, indices):
-        if len(indices) == 1:
-            return f"_rd1({arr_src}, {self.expr(indices[0])})"
-        if len(indices) == 2:
-            return (
-                f"_rd2({arr_src}, {self.expr(indices[0])}, "
-                f"{self.expr(indices[1])})"
-            )
-        raise _Bail
+    def charged(self, ce):
+        """In-line source charging ``ce``'s cost before evaluating it."""
+        if not ce.ops and not ce.mems:  # dynamic, or free
+            return ce.src
+        return f"(_pre(st, {ce.ops}, {ce.mems}) or {ce.src})"
 
-    def expr(self, e):
+    def fail(self, message, *operands):
+        """Source raising the interpreter's ``message`` once ``operands``
+        have been evaluated."""
+        return f"_fail({', '.join(['st', repr(message), *operands])})"
+
+    def access(self, method, arr_src, indices, *value):
+        """``(src, ops, mems)`` of one element ``read``, or ``write`` of
+        ``value``: the array lookup, the indices left to right, then the
+        access's own memory charge."""
+        idx = [self.expr(i) for i in indices]
+        ops, mems = _static_cost(idx, 0, 1)
+        args = [i.src for i in idx]
+        if any(i.ops is None for i in idx):
+            args[-1] = f"_chg(st, {args[-1]}, {ops}, {mems})"
+            ops = mems = None
+        args = ", ".join([*args, *value])
+        fast = _CG_ACCESS.get((method, len(idx)))
+        if fast is not None:
+            return f"{fast}({arr_src}, {args})", ops, mems
+        return f"{arr_src}.{method}({args})", ops, mems
+
+    def expr(self, e) -> _CExpr:
         if isinstance(e, ir.NConst):
-            v = e.value
-            if type(v) in (bool, int, float, str):
-                return repr(v)
-            return self.fresh(v)
+            return self.const(e.value, 0, 0)
         if isinstance(e, ir.NVar):
-            return self.scalar(e.name)
+            return _CExpr(self, self.scalar(e.name), 0, 0)
         if isinstance(e, ir.NMyNode):
-            return "st.rank"
+            return _CExpr(self, "st.rank", 0, 0)
         if isinstance(e, ir.NNProcs):
-            return "st.nprocs"
+            return _CExpr(self, "st.nprocs", 0, 0)
         if isinstance(e, ir.NBin):
-            op = e.op
-            if op in _CG_SYMBOLS:
-                return f"({self.expr(e.left)} {op} {self.expr(e.right)})"
-            if op in ("div", "mod"):
-                left = self.expr(e.left)
-                right = self.expr(e.right)
-                sym = "//" if op == "div" else "%"
-                if (
-                    isinstance(e.right, ir.NConst)
-                    and type(e.right.value) in (bool, int, float)
-                    and e.right.value != 0
-                ) or isinstance(e.right, ir.NNProcs):
-                    # Divisor known non-zero: skip the runtime check.
-                    return f"({left} {sym} {right})"
-                helper = "_dv" if op == "div" else "_md"
-                return f"{helper}({left}, {right}, st)"
-            raise _Bail  # and/or fold is subtle; closures handle it
+            if e.op in ("and", "or"):
+                return self.short_circuit(e)
+            return self.binary(e)
         if isinstance(e, ir.NUn):
-            o = self.expr(e.operand)
-            return f"(not {o})" if e.op == "not" else f"(-{o})"
+            return self.unary(e)
         if isinstance(e, ir.NCall):
-            if not is_builtin(e.func):
-                raise _Bail
-            args = ", ".join(self.expr(a) for a in e.args)
-            return f"_ab({e.func!r}, [{args}])"
+            return self.call(e)
         if isinstance(e, ir.NIsRead):
-            return self.read(self.array(e.array), e.indices)
+            return _CExpr(
+                self, *self.access("read", self.array(e.array), e.indices)
+            )
         if isinstance(e, ir.NBufRead):
-            return self.read(self.buffer(e.buf), e.indices)
-        raise _Bail
+            return _CExpr(
+                self, *self.access("read", self.buffer(e.buf), e.indices)
+            )
+        if isinstance(e, ir.NIndirect):
+            # The executor's read charges itself through the state's
+            # meter protocol; the index is charged before it.
+            gidx = self.charged(self.expr(e.index))
+            return _CExpr(
+                self,
+                f"_ir(st, st.exchanges.get({e.sched!r}), "
+                f"{self.fresh(e)}, {gidx})",
+                None, None,
+            )
+        return _CExpr(self, self.fail(f"unknown expression {e!r}"), 0, 0)
 
-    def function(self, body):
-        """Compile ``def _f(st, fr):`` with the given indented body."""
-        # Helper names are counter-based, so structurally identical
-        # fragments (the same statement at every optimization level, or
-        # in every rank's specialized program) produce byte-identical
-        # source; caching the code object makes recompiling one an exec
-        # of a tiny ``def``.
-        code = _cg_code(f"def _f(st, fr):\n{body}")
-        ns = self.env
-        exec(code, ns)
-        return ns.pop("_f")
-
-
-def _codegen_fn(e, sc):
-    """A single code object evaluating ``e``, or None if not covered."""
-    gen = _SrcGen(sc)
-    try:
-        src = gen.expr(e)
-    except _Bail:
-        return None
-    return gen.function(f"    return {src}")
-
-
-def _compile_expr_cg(e, sc) -> _CExpr:
-    """Statement-level expression compile: codegen static trees.
-
-    Dynamic and constant-folded expressions keep their closures (already
-    minimal); everything else gets the closure tree replaced by one
-    generated function with identical cost metadata.
-    """
-    ce = _compile_expr(e, sc)
-    if ce.ops is None or ce.const is not _NOTCONST:
-        return ce
-    if isinstance(e, (ir.NConst, ir.NVar, ir.NMyNode, ir.NNProcs)):
-        return ce
-    fn = _codegen_fn(e, sc)
-    if fn is not None:
-        return _CExpr(fn, ce.ops, ce.mems)
-    return ce
-
-
-# ---------------------------------------------------------------------------
-# Expressions
-# ---------------------------------------------------------------------------
-
-
-def _mynode(st, fr):
-    return st.rank
-
-
-def _nprocs(st, fr):
-    return st.nprocs
-
-
-def _compile_expr(e, sc) -> _CExpr:
-    if isinstance(e, ir.NConst):
-        return _const_ce(e.value, 0, 0)
-    if isinstance(e, ir.NVar):
-        return _CExpr(_scalar_reader(e.name, sc), 0, 0)
-    if isinstance(e, ir.NMyNode):
-        return _CExpr(_mynode, 0, 0)
-    if isinstance(e, ir.NNProcs):
-        return _CExpr(_nprocs, 0, 0)
-    if isinstance(e, ir.NBin):
-        return _compile_bin(e, sc)
-    if isinstance(e, ir.NUn):
-        return _compile_un(e, sc)
-    if isinstance(e, ir.NCall):
-        return _compile_call(e, sc)
-    if isinstance(e, ir.NIsRead):
-        return _compile_read(e.array, e.indices, sc, _array_getter)
-    if isinstance(e, ir.NBufRead):
-        return _compile_read(e.buf, e.indices, sc, _buffer_getter)
-    if isinstance(e, ir.NIndirect):
-        idxf = _charged(_compile_expr_cg(e.index, sc))
-        sched = e.sched
-
-        def fn(st, fr, _i=idxf, _e=e, _sched=sched):
-            gidx = _i(st, fr)
-            return ixec.indirect_read(st, st.exchanges.get(_sched), _e, gidx)
-        return _CExpr(fn, None, None)
-
-    def fn(st, fr, _e=e):
-        raise NodeRuntimeError(f"unknown expression {_e!r}", st.rank)
-    return _CExpr(fn, 0, 0)
-
-
-def _compile_bin(e, sc) -> _CExpr:
-    left = _compile_expr(e.left, sc)
-    right = _compile_expr(e.right, sc)
-    if e.op in ("and", "or"):
+    def short_circuit(self, e):
+        left = self.expr(e.left)
+        right = self.expr(e.right)
         is_and = e.op == "and"
-        if left.ops is not None and left.const is not _NOTCONST:
+        if left.const is not _NOTCONST:
             lv = bool(left.const)
-            if lv != is_and:  # and-with-False / or-with-True short-circuits
-                return _const_ce(lv, left.ops + 1, left.mems)
+            if lv != is_and:  # and-with-False / or-with-True decides
+                return self.const(lv, left.ops + 1, left.mems)
             if right.ops is not None:
                 ops = left.ops + 1 + right.ops
                 mems = left.mems + right.mems
                 if right.const is not _NOTCONST:
-                    return _const_ce(bool(right.const), ops, mems)
-                rf = right.fn
-
-                def fn(st, fr, _r=rf):
-                    return bool(_r(st, fr))
-                return _CExpr(fn, ops, mems)
+                    return self.const(bool(right.const), ops, mems)
+                return _CExpr(self, f"bool({right.src})", ops, mems)
         # The right operand must only charge when evaluated (the branch
         # is data-dependent), but the left operand's static cost can be
         # folded into the operator's own +1.
-        lops = 1 + (left.ops if left.ops is not None else 0)
-        lmems = left.mems if left.ops is not None else 0
-        lf = left.fn
-        rf = _charged(right)
-        if is_and:
-            def fn(st, fr, _l=lf, _r=rf):
-                v = _l(st, fr)
-                st.ops += lops
-                if lmems:
-                    st.mems += lmems
-                return bool(v) and bool(_r(st, fr))
+        ops, mems = _static_cost((left,), 1)
+        return _CExpr(
+            self,
+            f"(bool(_chg(st, {left.src}, {ops}, {mems})) {e.op} "
+            f"bool({self.charged(right)}))",
+            None, None,
+        )
+
+    def binary(self, e):
+        left = self.expr(e.left)
+        right = self.expr(e.right)
+        op = e.op
+        if op in ir.BINOPS:  # spelled as in Python
+            src = f"({left.src} {op} {right.src})"
+        elif op in _CG_DIVOPS:
+            sym, helper = _CG_DIVOPS[op]
+            if (
+                type(right.const) in (bool, int, float) and right.const != 0
+            ) or isinstance(e.right, ir.NNProcs):
+                # Divisor known non-zero: skip the runtime check.
+                src = f"({left.src} {sym} {right.src})"
+            else:
+                src = f"{helper}({left.src}, {right.src}, st)"
         else:
-            def fn(st, fr, _l=lf, _r=rf):
-                v = _l(st, fr)
-                st.ops += lops
-                if lmems:
-                    st.mems += lmems
-                return bool(v) or bool(_r(st, fr))
-        return _CExpr(fn, None, None)
-
-    if left.ops is not None and right.ops is not None:
-        ops = left.ops + right.ops + 1
-        mems = left.mems + right.mems
+            src = self.fail(f"unknown operator {op!r}", left.src, right.src)
+        ops, mems = _static_cost((left, right), 1)
+        if left.ops is None or right.ops is None:
+            # Dynamic operands self-charge; the static one's cost merges
+            # into this node's single post-charge.
+            return _CExpr(self, f"_chg(st, {src}, {ops}, {mems})", None, None)
         if left.const is not _NOTCONST and right.const is not _NOTCONST:
-            folded = _fold_binop(e.op, left.const, right.const)
+            folded = _fold_binop(op, left.const, right.const)
             if folded is not _NOTCONST:
-                return _const_ce(folded, ops, mems)
-        return _CExpr(_binop_fn(e.op, left.fn, right.fn), ops, mems)
+                return self.const(folded, ops, mems)
+        return _CExpr(self, src, ops, mems)
 
-    # Mixed static/dynamic operands: dynamic children self-charge; the
-    # static children's cost merges into this node's single post-charge.
-    (lf, rf), pre_ops, pre_mems = _prep([left, right])
-    inner = _binop_fn(e.op, lf, rf)
-    pre_ops += 1
-    if pre_mems:
-        def fn(st, fr, _i=inner):
-            v = _i(st, fr)
-            st.ops += pre_ops
-            st.mems += pre_mems
-            return v
-    else:
-        def fn(st, fr, _i=inner):
-            v = _i(st, fr)
-            st.ops += pre_ops
-            return v
-    return _CExpr(fn, None, None)
-
-
-def _compile_un(e, sc) -> _CExpr:
-    operand = _compile_expr(e.operand, sc)
-    is_not = e.op == "not"
-    if operand.ops is not None:
+    def unary(self, e):
+        operand = self.expr(e.operand)
+        is_not = e.op == "not"
+        sym = "not " if is_not else "-"
+        if operand.ops is None:
+            return _CExpr(
+                self, f"({sym}_chg(st, {operand.src}, 1, 0))", None, None
+            )
         ops = operand.ops + 1
         if operand.const is not _NOTCONST:
             try:
                 value = (not operand.const) if is_not else -operand.const
             except Exception:
-                value = _NOTCONST
-            if value is not _NOTCONST:
-                return _const_ce(value, ops, operand.mems)
-        of = operand.fn
-        if is_not:
-            def fn(st, fr, _o=of):
-                return not _o(st, fr)
-        else:
-            def fn(st, fr, _o=of):
-                return -_o(st, fr)
-        return _CExpr(fn, ops, operand.mems)
-    of = operand.fn  # dynamic: self-charging
-    if is_not:
-        def fn(st, fr, _o=of):
-            v = _o(st, fr)
-            st.ops += 1
-            return not v
-    else:
-        def fn(st, fr, _o=of):
-            v = _o(st, fr)
-            st.ops += 1
-            return -v
-    return _CExpr(fn, None, None)
+                pass  # left to raise at run time
+            else:
+                return self.const(value, ops, operand.mems)
+        return _CExpr(self, f"({sym}{operand.src})", ops, operand.mems)
 
-
-def _compile_call(e, sc) -> _CExpr:
-    args = [_compile_expr(a, sc) for a in e.args]
-    known = is_builtin(e.func)
-    if known and all(a.ops is not None for a in args):
-        ops = sum(a.ops for a in args) + 1
-        mems = sum(a.mems for a in args)
+    def call(self, e):
+        args = [self.expr(a) for a in e.args]
+        if not is_builtin(e.func):
+            # The interpreter evaluates the arguments before rejecting
+            # the call, so errors surface in the same order.
+            message = f"unknown builtin {e.func!r} in expression"
+            return _CExpr(
+                self, self.fail(message, *(a.src for a in args)), None, None
+            )
+        srcs = ", ".join(a.src for a in args)
+        ops, mems = _static_cost(args, 1)
+        if any(a.ops is None for a in args):
+            return _CExpr(
+                self,
+                f"_ab({e.func!r}, _chg(st, [{srcs}], {ops}, {mems}))",
+                None, None,
+            )
         if all(a.const is not _NOTCONST for a in args):
             try:
                 value = apply_builtin(e.func, [a.const for a in args])
             except Exception:
-                value = _NOTCONST
-            if value is not _NOTCONST:
-                return _const_ce(value, ops, mems)
-        fns = tuple(a.fn for a in args)
+                pass  # left to raise at run time
+            else:
+                return self.const(value, ops, mems)
+        return _CExpr(self, f"_ab({e.func!r}, [{srcs}])", ops, mems)
 
-        def fn(st, fr, _fns=fns, _func=e.func):
-            return apply_builtin(_func, [f(st, fr) for f in _fns])
-        return _CExpr(fn, ops, mems)
+    def store(self, lv, value):
+        """``(statement, ops, mems)`` storing the source ``value``."""
+        if isinstance(lv, ir.VarLV):
+            return f"fr[{self.sc.scalar_slots[lv.name]}] = {value}", 0, 0
+        if isinstance(lv, ir.IsLV):
+            return self.access("write", self.array(lv.array), lv.indices,
+                               value)
+        if isinstance(lv, ir.BufLV):
+            return self.access("write", self.buffer(lv.buf), lv.indices,
+                               value)
+        return self.fail(f"unknown lvalue {lv!r}", value), 0, 0
 
-    fns, pre_ops, pre_mems = _prep(args)
-    if known:
-        pre_ops += 1
-
-        def fn(st, fr, _fns=fns, _func=e.func):
-            vals = [f(st, fr) for f in _fns]
-            st.ops += pre_ops
-            if pre_mems:
-                st.mems += pre_mems
-            return apply_builtin(_func, vals)
-    else:
-        # The interpreter evaluates the arguments before rejecting the
-        # call, so errors surface in the same order.
-        def fn(st, fr, _fns=fns, _func=e.func):
-            for f in _fns:
-                f(st, fr)
-            raise NodeRuntimeError(
-                f"unknown builtin {_func!r} in expression", st.rank
-            )
-    return _CExpr(fn, None, None)
-
-
-def _compile_read(name, indices, sc, make_getter) -> _CExpr:
-    get = make_getter(name, sc)
-    idx = [_compile_expr_cg(i, sc) for i in indices]
-    if all(i.ops is not None for i in idx):
-        ops = sum(i.ops for i in idx)
-        mems = sum(i.mems for i in idx) + 1
-        if len(idx) == 1:
-            i0 = idx[0].fn
-
-            def fn(st, fr, _g=get, _i0=i0):
-                return _rd1(_g(st, fr), _i0(st, fr))
-        elif len(idx) == 2:
-            i0, i1 = idx[0].fn, idx[1].fn
-
-            def fn(st, fr, _g=get, _i0=i0, _i1=i1):
-                return _rd2(_g(st, fr), _i0(st, fr), _i1(st, fr))
-        else:
-            fns = tuple(i.fn for i in idx)
-
-            def fn(st, fr, _g=get, _fns=fns):
-                arr = _g(st, fr)
-                return arr.read(*[f(st, fr) for f in _fns])
-        return _CExpr(fn, ops, mems)
-
-    fns, pre_ops, pre_mems = _prep(idx)
-    pre_mems += 1
-
-    def fn(st, fr, _g=get, _fns=fns):
-        arr = _g(st, fr)
-        vals = [f(st, fr) for f in _fns]
-        if pre_ops:
-            st.ops += pre_ops
-        st.mems += pre_mems
-        return arr.read(*vals)
-    return _CExpr(fn, None, None)
+    def function(self, body, params="st, fr"):
+        """Compile ``def _f(params):`` with the given indented body."""
+        # Helper names are counter-based, so structurally identical
+        # fragments (the same statement at every optimization level, or
+        # in every rank's specialized program) produce byte-identical
+        # source; caching the code object makes recompiling one an exec
+        # of a tiny ``def``.
+        code = _cg_code(f"def _f({params}):\n{body}")
+        ns = self.env
+        exec(code, ns)
+        return ns.pop("_f")
 
 
-# ---------------------------------------------------------------------------
-# L-value stores
-# ---------------------------------------------------------------------------
+def _compile_expr(e, sc) -> _CExpr:
+    return _SrcGen(sc).expr(e)
 
 
 def _compile_store(lv, sc):
-    """Compile an l-value to (store_fn(st, fr, value), ops, mems).
-
-    ``ops is None`` means the store self-charges (dynamic index cost).
-    """
-    if isinstance(lv, ir.VarLV):
-        slot = sc.scalar_slots[lv.name]
-
-        def store(st, fr, value, _i=slot):
-            fr[_i] = value
-        return store, 0, 0
-
-    if isinstance(lv, ir.IsLV):
-        get = _array_getter(lv.array, sc)
-    elif isinstance(lv, ir.BufLV):
-        get = _buffer_getter(lv.buf, sc)
-    else:
-        def store(st, fr, value, _lv=lv):
-            raise NodeRuntimeError(f"unknown lvalue {_lv!r}", st.rank)
-        return store, 0, 0
-
-    idx = [_compile_expr_cg(i, sc) for i in lv.indices]
-    if all(i.ops is not None for i in idx):
-        ops = sum(i.ops for i in idx)
-        mems = sum(i.mems for i in idx) + 1
-        if len(idx) == 1:
-            i0 = idx[0].fn
-
-            def store(st, fr, value, _g=get, _i0=i0):
-                _wr1(_g(st, fr), _i0(st, fr), value)
-        elif len(idx) == 2:
-            i0, i1 = idx[0].fn, idx[1].fn
-
-            def store(st, fr, value, _g=get, _i0=i0, _i1=i1):
-                _wr2(_g(st, fr), _i0(st, fr), _i1(st, fr), value)
-        else:
-            fns = tuple(i.fn for i in idx)
-
-            def store(st, fr, value, _g=get, _fns=fns):
-                arr = _g(st, fr)
-                arr.write(*[f(st, fr) for f in _fns], value)
-        return store, ops, mems
-
-    fns, pre_ops, pre_mems = _prep(idx)
-    pre_mems += 1
-
-    def store(st, fr, value, _g=get, _fns=fns):
-        arr = _g(st, fr)
-        vals = [f(st, fr) for f in _fns]
-        if pre_ops:
-            st.ops += pre_ops
-        st.mems += pre_mems
-        arr.write(*vals, value)
-    return store, None, None
-
-
-def _charged_store(store, ops, mems):
-    if ops is None or (ops == 0 and mems == 0):
-        return store
-
-    def charged(st, fr, value):
-        st.ops += ops
-        st.mems += mems
-        return store(st, fr, value)
-    return charged
+    """An l-value as a self-charging ``store(st, fr, value)``."""
+    gen = _SrcGen(sc)
+    store, ops, mems = gen.store(lv, "_v")
+    return gen.function(
+        f"{_charge_lines(ops, mems)}    {store}", "st, fr, _v"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1083,62 +875,29 @@ def _compile_stmt(stmt, sc):
     return ("pure", run, 0, 0)
 
 
-def _codegen_assign(stmt, sc):
-    """One code object for a static assignment, or None if not covered.
-
-    Mirrors the closure path's evaluation order: value first, then the
-    target's array lookup and index expressions.
-    """
-    gen = _SrcGen(sc)
-    target = stmt.target
-    try:
-        vsrc = gen.expr(stmt.value)
-        if isinstance(target, ir.VarLV):
-            slot = sc.scalar_slots[target.name]
-            return gen.function(f"    fr[{slot}] = {vsrc}")
-        if isinstance(target, ir.IsLV):
-            arr_src = gen.array(target.array)
-        elif isinstance(target, ir.BufLV):
-            arr_src = gen.buffer(target.buf)
-        else:
-            return None
-        idx = [gen.expr(i) for i in target.indices]
-    except _Bail:
-        return None
-    if len(idx) == 1:
-        body = f"    _v = {vsrc}\n    _wr1({arr_src}, {idx[0]}, _v)"
-    elif len(idx) == 2:
-        body = (
-            f"    _v = {vsrc}\n"
-            f"    _wr2({arr_src}, {idx[0]}, {idx[1]}, _v)"
-        )
-    else:
-        return None
-    return gen.function(body)
-
-
 def _compile_assign(stmt, sc):
-    value = _compile_expr_cg(stmt.value, sc)
-    store, sops, smems = _compile_store(stmt.target, sc)
+    """One function per assignment: the value first, then the target's
+    array lookup and index expressions; a scalar target assigns directly."""
+    gen = _SrcGen(sc)
+    value = gen.expr(stmt.value)
+    if isinstance(stmt.target, ir.VarLV):
+        bind = ""
+        store, sops, smems = gen.store(stmt.target, value.src)
+    else:
+        bind = f"    _v = {value.src}\n"
+        store, sops, smems = gen.store(stmt.target, "_v")
     if value.ops is not None and sops is not None:
-        run = _codegen_assign(stmt, sc)
-        if run is not None:
-            return ("pure", run, value.ops + sops, value.mems + smems)
-        vf = value.fn
-
-        def run(st, fr, _v=vf, _s=store):
-            _s(st, fr, _v(st, fr))
-        return ("pure", run, value.ops + sops, value.mems + smems)
-    vf = _charged(value)
-    sf = _charged_store(store, sops, smems)
-
-    def run(st, fr, _v=vf, _s=sf):
-        _s(st, fr, _v(st, fr))
+        return ("pure", gen.function(f"{bind}    {store}"),
+                value.ops + sops, value.mems + smems)
+    run = gen.function(
+        f"{_charge_lines(value.ops, value.mems)}{bind}"
+        f"{_charge_lines(sops, smems)}    {store}"
+    )
     return ("pure", run, None, None)
 
 
 def _compile_alloc(name, shape, sc, cls):
-    dims = [_compile_expr_cg(d, sc) for d in shape]
+    dims = [_compile_expr(d, sc) for d in shape]
     slot = sc.array_slots[name]
     static = all(d.ops is not None for d in dims)
     fns = tuple(d.fn if static else _charged(d) for d in dims)
@@ -1154,9 +913,9 @@ def _compile_alloc(name, shape, sc, cls):
 
 
 def _compile_for(stmt, sc):
-    lo = _compile_expr_cg(stmt.lo, sc)
-    hi = _compile_expr_cg(stmt.hi, sc)
-    step = _compile_expr_cg(stmt.step, sc)
+    lo = _compile_expr(stmt.lo, sc)
+    hi = _compile_expr(stmt.hi, sc)
+    step = _compile_expr(stmt.step, sc)
     bodyk = _compile_body(stmt.body, sc)
     slot = sc.scalar_slots[stmt.var]
     has_return = any(
@@ -1239,7 +998,7 @@ def _compile_for(stmt, sc):
 
 
 def _compile_if(stmt, sc):
-    cond = _compile_expr_cg(stmt.cond, sc)
+    cond = _compile_expr(stmt.cond, sc)
     thenk = _compile_body(stmt.then_body, sc)
     elsek = _compile_body(stmt.else_body, sc)
 
@@ -1287,8 +1046,8 @@ def _compile_if(stmt, sc):
 
 
 def _compile_send(stmt, sc):
-    values = [_compile_expr_cg(v, sc) for v in stmt.values]
-    dst = _compile_expr_cg(stmt.dst, sc)
+    values = [_compile_expr(v, sc) for v in stmt.values]
+    dst = _compile_expr(stmt.dst, sc)
     vfns, pre_ops, pre_mems = _prep([*values, dst])
     *valfns, dstf = vfns
     valfns = tuple(valfns)
@@ -1337,10 +1096,10 @@ def _compile_send(stmt, sc):
 
 
 def _compile_recv(stmt, sc):
-    src = _compile_expr_cg(stmt.src, sc)
+    src = _compile_expr(stmt.src, sc)
     srcf = _charged(src)
     stores = tuple(
-        _charged_store(*_compile_store(t, sc)) for t in stmt.targets
+        _compile_store(t, sc) for t in stmt.targets
     )
     channel = stmt.channel
     ntargets = len(stmt.targets)
@@ -1369,9 +1128,9 @@ def _compile_recv(stmt, sc):
 
 def _compile_sendvec(stmt, sc):
     getbuf = _buffer_getter(stmt.buf, sc)
-    lo = _compile_expr_cg(stmt.lo, sc)
-    hi = _compile_expr_cg(stmt.hi, sc)
-    dst = _compile_expr_cg(stmt.dst, sc)
+    lo = _compile_expr(stmt.lo, sc)
+    hi = _compile_expr(stmt.hi, sc)
+    dst = _compile_expr(stmt.dst, sc)
     (lof, hif, dstf), pre_ops, pre_mems = _prep([lo, hi, dst])
     channel = stmt.channel
 
@@ -1417,10 +1176,10 @@ def _compile_sendvec(stmt, sc):
 
 
 def _compile_recvvec(stmt, sc):
-    src = _compile_expr_cg(stmt.src, sc)
+    src = _compile_expr(stmt.src, sc)
     getbuf = _buffer_getter(stmt.buf, sc)
-    lo = _compile_expr_cg(stmt.lo, sc)
-    hi = _compile_expr_cg(stmt.hi, sc)
+    lo = _compile_expr(stmt.lo, sc)
+    hi = _compile_expr(stmt.hi, sc)
     (srcf, lof, hif), pre_ops, pre_mems = _prep([src, lo, hi])
     channel = stmt.channel
 
@@ -1465,10 +1224,10 @@ def _compile_recvvec(stmt, sc):
 
 
 def _compile_coerce(stmt, sc):
-    ownerf = _charged(_compile_expr_cg(stmt.owner, sc))
-    destf = _charged(_compile_expr_cg(stmt.dest, sc))
-    valf = _charged(_compile_expr_cg(stmt.value, sc))
-    store = _charged_store(*_compile_store(stmt.target, sc))
+    ownerf = _charged(_compile_expr(stmt.owner, sc))
+    destf = _charged(_compile_expr(stmt.dest, sc))
+    valf = _charged(_compile_expr(stmt.value, sc))
+    store = _compile_store(stmt.target, sc)
     channel = stmt.channel
 
     def g(st, fr):
@@ -1506,9 +1265,9 @@ def _compile_coerce(stmt, sc):
 
 
 def _compile_broadcast(stmt, sc):
-    ownerf = _charged(_compile_expr_cg(stmt.owner, sc))
-    valf = _charged(_compile_expr_cg(stmt.value, sc))
-    store = _charged_store(*_compile_store(stmt.target, sc))
+    ownerf = _charged(_compile_expr(stmt.owner, sc))
+    valf = _charged(_compile_expr(stmt.value, sc))
+    store = _compile_store(stmt.target, sc)
     channel = stmt.channel
 
     def g(st, fr):
@@ -1531,7 +1290,7 @@ def _compile_broadcast(stmt, sc):
 def _compile_callproc(stmt, sc):
     argfns = tuple(
         _array_getter(a, sc) if isinstance(a, str)
-        else _charged(_compile_expr_cg(a, sc))
+        else _charged(_compile_expr(a, sc))
         for a in stmt.args
     )
     procs = sc.procs
@@ -1542,7 +1301,7 @@ def _compile_callproc(stmt, sc):
         def bind(st, fr, result, _i=arr_slot):
             fr[_i] = result
     elif stmt.result is not None:
-        store = _charged_store(*_compile_store(stmt.result, sc))
+        store = _compile_store(stmt.result, sc)
 
         def bind(st, fr, result, _s=store):
             _s(st, fr, result)
@@ -1662,7 +1421,7 @@ def _compile_exchange(stmt, sc):
 
 
 def _compile_resolve(stmt, sc):
-    idxf = _charged(_compile_expr_cg(stmt.index, sc))
+    idxf = _charged(_compile_expr(stmt.index, sc))
     sched = stmt.sched
 
     def run(st, fr, _i=idxf, _sched=sched):
@@ -1672,8 +1431,8 @@ def _compile_resolve(stmt, sc):
 
 
 def _compile_accum(stmt, sc):
-    idxf = _charged(_compile_expr_cg(stmt.index, sc))
-    valf = _charged(_compile_expr_cg(stmt.value, sc))
+    idxf = _charged(_compile_expr(stmt.index, sc))
+    valf = _charged(_compile_expr(stmt.value, sc))
     sched = stmt.sched
 
     def run(st, fr, _i=idxf, _v=valf, _sched=sched):
@@ -1693,8 +1452,8 @@ def _compile_scatter_flush(stmt, sc):
 
 def _compile_accum_local(stmt, sc):
     get = _array_getter(stmt.array, sc)
-    idxfs = tuple(_charged(_compile_expr_cg(i, sc)) for i in stmt.indices)
-    valf = _charged(_compile_expr_cg(stmt.value, sc))
+    idxfs = tuple(_charged(_compile_expr(i, sc)) for i in stmt.indices)
+    valf = _charged(_compile_expr(stmt.value, sc))
 
     def run(st, fr, _g=get, _fns=idxfs, _v=valf):
         indices = tuple(f(st, fr) for f in _fns)
@@ -1723,7 +1482,7 @@ def _compile_return(stmt, sc):
         def run(st, fr, _g=get):
             raise _Return(_g(st, fr))
         return ("pure", run, 0, 0)
-    value = _compile_expr_cg(stmt.value, sc)
+    value = _compile_expr(stmt.value, sc)
     if value.ops is not None:
         vf = value.fn
 

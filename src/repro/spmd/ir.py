@@ -19,6 +19,7 @@ Design notes:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 #: Deepest node-procedure call nesting any executor of this IR follows
@@ -61,6 +62,29 @@ class NBin(NExpr):
     op: str  # + - * / div mod == != < <= > >= and or
     left: NExpr
     right: NExpr
+
+
+#: The total binary operators, spelled as in Python, and the two partial
+#: integer ones — ``op -> (function, what a zero divisor is called)``.
+#: ``and``/``or`` short-circuit and belong to each executor. Shared by
+#: the value compiler and the abstract walk; the interpreter, being
+#: their oracle, spells its own.
+BINOPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+DIVOPS = {
+    "div": (operator.floordiv, "division"),
+    "mod": (operator.mod, "modulo"),
+}
 
 
 @dataclass(frozen=True, slots=True)

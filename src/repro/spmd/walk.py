@@ -520,23 +520,6 @@ def _returning(effects, value):
 # Expressions
 # ---------------------------------------------------------------------------
 
-_BINOPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-_DIVOPS = {
-    "div": (operator.floordiv, "division"),
-    "mod": (operator.mod, "modulo"),
-}
-
 
 def _expr(e: ir.NExpr, sc: _Scope) -> _CExpr:
     compile_fn = _EXPR_COMPILERS.get(type(e))
@@ -604,10 +587,10 @@ def _bin(e, sc):
     if ce.unknown:  # the operator is never applied
         ce.fn = _returning(_effects((left, right)), UNKNOWN)
         return ce
-    f = _BINOPS.get(op)
+    f = ir.BINOPS.get(op)
     what = None
-    if f is None and op in _DIVOPS:
-        f, what = _DIVOPS[op]
+    if f is None and op in ir.DIVOPS:
+        f, what = ir.DIVOPS[op]
     # Can applying the operator be proven not to raise? Not under
     # observers (operands may be symbolic, their operators partial),
     # and a divisor must be a non-zero constant or nprocs().

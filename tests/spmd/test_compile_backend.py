@@ -7,8 +7,11 @@ pin that contract, including a property test over random problem sizes,
 ring widths, and strategies.
 """
 
+import math
+import warnings
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
 from repro import perf
@@ -23,16 +26,20 @@ from repro.spmd.ir import (
     NAssign,
     NBin,
     NBroadcast,
+    NCall,
     NCoerce,
     NConst,
+    NExpr,
     NIf,
+    NIsRead,
     NMyNode,
     NNProcs,
     NReturn,
+    NUn,
     NVar,
     VarLV,
 )
-from repro.spmd.compile import _rd1, _rd2, _wr1, _wr2
+from repro.spmd.compile import _cg_code, _rd1, _rd2, _wr1, _wr2
 from repro.spmd.interp import _NodeMachine
 
 
@@ -381,3 +388,218 @@ class TestRuntimeErrorParity:
                 self._run(program, backend)
             errors[backend] = str(err.value)
         assert errors["interp"] == errors["compiled"]
+
+
+# -- expression-level differential ------------------------------------------
+#
+# Every test above runs whole applications; these build one expression
+# at a time, put it where a statement compiler would find it, and demand
+# the interpreter's value, charges and errors.
+
+_OPERATORS = ["+", "-", "*", "/", "div", "mod", "==", "!=", "<", "<=", ">",
+              ">=", "and", "or"]
+_LEAVES = [NConst(v) for v in (0, 1, -1, True, False, 0.5, 1e308)] + [
+    NVar("a"),  # a parameter (3)
+    NVar("g"),  # a global (2)
+    NMyNode(),
+    NNProcs(),
+]
+# A small in-bounds index whose cost is data-dependent: 0 + (g or false).
+_DYNAMIC_ONE = NBin("+", NConst(0), NBin("or", NVar("g"), NConst(False)))
+
+
+_REJECTED = ["operator", "builtin", "arity+", "arity-", "unbound"]
+
+
+def _rejected(kind, x, y):
+    """IR the interpreter rejects, once it has evaluated the operands."""
+    if kind == "operator":
+        return NBin("xor", x, y)
+    if kind == "builtin":
+        return NCall("sqrt", (x, y))
+    if kind == "arity+":
+        return NCall("abs", (x, y))
+    if kind == "arity-":
+        return NCall("min", (x,))
+    return NVar("nope")
+
+
+def _extend(children):
+    index = hs.one_of(
+        hs.sampled_from([NConst(1), NConst(2), NConst(4), NVar("g"),
+                         NVar("a")]),
+        children,
+    )
+    pair = hs.tuples(children, children)
+    return hs.one_of(
+        hs.builds(NBin, hs.sampled_from(_OPERATORS), children, children),
+        # Again: everything above a short-circuit charges in-line.
+        hs.builds(NBin, hs.sampled_from(["and", "or"]), children, children),
+        hs.builds(NUn, hs.sampled_from(["not", "-"]), children),
+        hs.builds(NCall, hs.sampled_from(["min", "max"]), pair),
+        hs.builds(NCall, hs.just("abs"), hs.tuples(children)),
+        hs.builds(_rejected, hs.sampled_from(_REJECTED), children, children),
+        hs.builds(NIsRead, hs.just("V"), hs.tuples(index)),
+        hs.builds(NIsRead, hs.just("M"), hs.tuples(index, index)),
+    )
+
+
+_EXPRS = hs.recursive(hs.sampled_from(_LEAVES), _extend, max_leaves=8)
+_POSITIONS = ["return", "scalar", "store1", "store2", "guard"]
+
+
+def _expr_program(e: NExpr, position: str) -> NodeProgram:
+    if position == "return":
+        body = [NReturn(e)]
+    elif position == "scalar":
+        body = [NAssign(VarLV("x"), e), NReturn(NVar("x"))]
+    elif position == "store1":
+        body = [
+            NAllocIs("A", (NConst(2),)),
+            NAssign(IsLV("A", (NConst(2),)), e),
+            NReturn(NIsRead("A", (NConst(2),))),
+        ]
+    elif position == "store2":
+        body = [
+            NAllocIs("B", (NConst(2), NConst(2))),
+            NAssign(IsLV("B", (NConst(2), _DYNAMIC_ONE)), e),
+            NReturn(NIsRead("B", (NConst(2), NConst(1)))),
+        ]
+    else:
+        body = [
+            NIf(e, (NAssign(VarLV("x"), NConst(1)),),
+                (NAssign(VarLV("x"), NConst(2)),)),
+            NReturn(NVar("x")),
+        ]
+    main = NodeProc("main", ("a", "V", "M"), frozenset(("V", "M")),
+                    tuple(body))
+    return NodeProgram(name="expr", procs={"main": main}, entry="main")
+
+
+def _expr_args(rank):
+    vec = IStructure((4,), name="V")  # V[4] stays undefined
+    for i in (1, 2, 3):
+        vec.write(i, i * 10 + rank)
+    mat = IStructure((3, 3), name="M")  # row and column 3 stay undefined
+    for i in (1, 2):
+        for j in (1, 2):
+            mat.write(i, j, i * 2 - j)
+    return [3, vec, mat]
+
+
+def _observe(program, backend):
+    """What one backend makes of ``program`` on two ranks: the returned
+    values and every charge, or the error."""
+    try:
+        result = run_spmd(program, 2, _expr_args, globals_={"g": 2},
+                          backend=backend)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    # repr: nan equals itself, and True, 1 and 1.0 do not equal each other.
+    return ("returned", repr(result.returned), result.sim.finish_times_us)
+
+
+def _both(e, position="return"):
+    program = _expr_program(e, position)
+    observed = _observe(program, "compiled")
+    assert observed == _observe(program, "interp"), (position, e)
+    return observed
+
+
+class TestExpressionDifferential:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(e=_EXPRS, position=hs.sampled_from(_POSITIONS))
+    def test_random_expressions_match_the_interpreter(self, e, position):
+        _both(e, position)
+
+    @pytest.mark.parametrize("position", _POSITIONS)
+    def test_both_outcomes_are_exercised(self, position):
+        fine = NBin("and", NVar("g"), NIsRead("V", (NVar("a"),)))
+        assert _both(fine, position)[0] == "returned"
+        undefined = NBin("or", NConst(0), NIsRead("V", (NConst(4),)))
+        assert _both(undefined, position)[0] == "raised"
+
+    # One expression per place the generated source charges in-line.
+    _SHORT = NBin("and", NVar("g"), NVar("a"))  # dynamic; true
+
+    @pytest.mark.parametrize("e", [
+        _SHORT,
+        NBin("or", NBin("-", NVar("g"), NConst(2)), NIsRead("V", (NVar("a"),))),
+        NBin("and", NConst(True), _SHORT),
+        NUn("not", _SHORT),
+        NUn("-", _SHORT),
+        NBin("+", _SHORT, NIsRead("V", (NConst(1),))),
+        NBin("div", NVar("a"), _SHORT),
+        NCall("max", (NVar("a"), _SHORT)),
+        NIsRead("V", (_DYNAMIC_ONE,)),
+        NIsRead("M", (NBin("+", NVar("g"), NConst(0)), _DYNAMIC_ONE)),
+    ], ids=["and", "or-right-read", "and-const-left", "not", "neg",
+            "operator", "div", "builtin", "read1", "read2"])
+    @pytest.mark.parametrize("position", _POSITIONS)
+    def test_every_in_line_charge_matches(self, e, position):
+        assert _both(e, position)[0] == "returned"
+
+    # Literal emission: the source of a folded constant must be a Python
+    # literal for that exact value, or a bound helper.
+    _INF = NBin("*", NConst(1e308), NConst(10.0))
+
+    @pytest.mark.parametrize("e, check", [
+        (_INF, lambda v: v == math.inf),
+        (NUn("-", _INF), lambda v: v == -math.inf),
+        (NBin("-", _INF, _INF), math.isnan),
+        (NUn("-", NConst(-1)), lambda v: v == 1),
+        (NUn("-", NUn("-", NVar("a"))), lambda v: v == 3),
+        (NBin("-", NVar("a"), NConst(-1)), lambda v: v == 4),
+        (NBin("-", NVar("a"), NConst(-0.5)), lambda v: v == 3.5),
+        (NBin("*", NVar("a"), NBin("-", NConst(1), NConst(2))),
+         lambda v: v == -3),
+        (NConst("it's a \"str\"\\\n"), lambda v: v == "it's a \"str\"\\\n"),
+        (NBin("==", NConst("s"), NConst("s")), lambda v: v is True),
+    ])
+    @pytest.mark.parametrize("position", _POSITIONS[:4])
+    def test_folded_constants_are_emitted_as_what_they_are(
+        self, e, check, position
+    ):
+        program = _expr_program(e, position)
+        result = run_spmd(program, 2, _expr_args, globals_={"g": 2})
+        assert all(check(v) for v in result.returned), result.returned
+        _both(e, position)
+
+    def test_no_generated_fragment_warns(self):
+        """Compile every example app under every strategy with
+        SyntaxWarning an error (``1 is 1``, ``1(x)``, a bad escape...)."""
+        from repro.apps import (
+            gauss_seidel, histogram, jacobi, matmul, mesh, simple, spmv,
+            triangular,
+        )
+        from repro.core.compiler import OptLevel, Strategy, compile_program
+        from repro.spmd.compile import CompiledNode
+        from repro.tune.space import STRATEGIES
+
+        regular = [
+            (gauss_seidel.SOURCE, dict(entry_shapes={"Old": ("N", "N")})),
+            (jacobi.SOURCE_WRAPPED, dict(
+                entry="jacobi_step", entry_shapes={"Old": ("N", "N")})),
+            (matmul.SOURCE, dict(
+                entry_shapes={"A": ("N", "N"), "B": ("N", "N")})),
+            (triangular.SOURCE, {}),
+            (simple.SOURCE, {}),
+        ]
+        programs = [gauss_seidel.handwritten_wavefront()]
+        for source, kwargs in regular:
+            for strategy, opt_level in STRATEGIES.values():
+                programs.append(compile_program(
+                    source, strategy=strategy, opt_level=opt_level, **kwargs
+                ).program)
+        for app in (spmv, histogram, mesh):
+            programs.append(compile_program(
+                app.SOURCE, entry=app.ENTRY, entry_shapes=app.ENTRY_SHAPES,
+                strategy=Strategy.INSPECTOR, opt_level=OptLevel.NONE,
+            ).program)
+        _cg_code.cache_clear()  # every fragment really is compiled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            for program in programs:
+                CompiledNode(program)
+        assert _cg_code.cache_info().misses > 100
