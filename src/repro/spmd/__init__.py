@@ -8,6 +8,7 @@ provides the IR itself, structural validation, a C-like pretty-printer
 interpreter that runs the program on the machine simulator.
 """
 
+from repro import perf
 from repro.spmd.ir import (
     BufLV,
     IsLV,
@@ -37,10 +38,6 @@ from repro.spmd.ir import (
     NUn,
     NVar,
     VarLV,
-)
-from repro.spmd.compile import (
-    CompiledNode,
-    compiled_node,
 )
 from repro.spmd.interp import SPMDResult, run_spmd
 from repro.spmd.pretty import pretty_program
@@ -82,3 +79,17 @@ __all__ = [
     "run_spmd",
     "validate_program",
 ]
+
+# The value backend's table of compiled programs (``compiled_node``),
+# registered here because the backend itself loads on first use (as
+# ``run_spmd`` imports it): a process that only walks, replays or
+# verifies programs never imports it.
+perf.register_cache("spmd_compile", {})
+
+
+def __getattr__(name):
+    if name in ("CompiledNode", "compiled_node"):
+        from repro.spmd import compile as backend
+
+        return getattr(backend, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,24 +1,34 @@
-"""Closure-compiling execution backend for SPMD node programs.
+"""Source-generating execution backend for SPMD node programs.
 
 The tree-walking interpreter (:mod:`repro.spmd.interp`) re-dispatches on
 ``isinstance`` for every IR node of every iteration, so host wall-clock
 time is dominated by Python dispatch rather than by the simulation. This
 backend translates a :class:`~repro.spmd.ir.NodeProgram` *once* per
-program — statements into nested Python closures, and every expression,
-assignment and l-value store under them into generated Python source,
-one code object each (``_SrcGen``, the only expression compiler) — and
-then executes the result many times, on every rank of every ring:
-``mynode()`` and ``nprocs()`` are run-time values read from the per-run
-state, as the paper's one SPMD program reads them (§3.1) and as
+program into **one generated Python function per node procedure**, as
+the paper's compiler emits one C function per node procedure (§3.1–3.2,
+Appendix A): guards become ``if``, loops ``for … in range``, ``return``
+a native ``return``, and every send and receive an in-line ``yield`` of
+the effect, preceded by one in-line flush of the pending cost. The
+result runs many times, on every rank of every ring: ``mynode()`` and
+``nprocs()`` are run-time values read from the per-run state, as the
+paper's one SPMD program reads them (§3.1) and as
 :mod:`repro.spmd.walk` does:
 
 * constant subexpressions are folded at compile time (value folding
-  only — the interpreter's per-node cost charges are preserved exactly);
+  only — the interpreter's per-node cost charges are preserved exactly),
+  and a constant guard keeps only its taken branch;
 * scalar and array variables are resolved to integer slots of a flat
   frame list instead of per-access dict lookups;
 * the ``charge_op``/``charge_mem`` bookkeeping of each straight-line
-  block is pre-aggregated into a single pair of integer counts, charged
-  with one addition instead of one call per IR node.
+  run is pre-aggregated into one ``st.ops += k`` / ``st.mems += m``. A
+  run ends at a statement that may yield and at one that contains a
+  ``return``, so no charge crosses a flush and none is made for a
+  statement a return skipped; a loop whose body never ends a run charges
+  ``n·(1 + body)`` once.
+* A procedure that never yields is a plain function, called without a
+  generator frame; a body nested deeper than ``_MAX_DEPTH`` is emitted
+  as a function of its own, which keeps CPython's limits on statically
+  nested blocks and on indentation out of reach.
 
 Cost model equivalence
 ----------------------
@@ -55,15 +65,11 @@ from repro.spmd import ir
 
 _UNSET = object()  # empty frame slot (distinct from a stored None)
 _NOTCONST = object()  # "no compile-time constant value" marker
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
+_NORET = object()  # what a split-off body returns when it did not return
 
 
 class _State:
-    """Per-run mutable state shared by every closure of one processor."""
+    """Per-run mutable state shared by the procedures of one processor."""
 
     __slots__ = ("rank", "nprocs", "globals", "ops", "mems", "op_us",
                  "mem_us", "depth", "exchanges")
@@ -105,42 +111,23 @@ class _CExpr:
     ``ops``/``mems`` are the expression's full static cost and ``src``
     charges nothing; or ``ops is None`` and ``src`` charges its own cost
     in-line (short-circuit operators make cost data-dependent). ``const``
-    holds the folded compile-time value, or ``_NOTCONST``. ``fn`` is
-    ``src`` as a function, compiled on first use in the environment of
-    the :class:`_SrcGen` that wrote it — only the expression a statement
-    compiler asked for ever is; its subexpressions stay text.
+    holds the folded compile-time value, or ``_NOTCONST``.
     """
 
-    __slots__ = ("gen", "src", "ops", "mems", "const", "_fn")
+    __slots__ = ("src", "ops", "mems", "const")
 
-    def __init__(self, gen, src, ops, mems, const=_NOTCONST):
-        self.gen = gen
+    def __init__(self, src, ops, mems, const=_NOTCONST):
         self.src = src
         self.ops = ops
         self.mems = mems
         self.const = const
-        self._fn = None
-
-    @property
-    def fn(self):
-        if self._fn is None:
-            self._fn = self.gen.function(f"    return {self.src}")
-        return self._fn
 
 
 def _charge_lines(ops, mems):
-    """Statements adding a static cost (none for a dynamic ``None``)."""
-    return (f"    st.ops += {ops}\n" if ops else "") + (
-        f"    st.mems += {mems}\n" if mems else ""
+    """Statements adding a static cost."""
+    return ([f"st.ops += {ops}"] if ops else []) + (
+        [f"st.mems += {mems}"] if mems else []
     )
-
-
-def _charged(ce):
-    """The expression as a function that charges its cost, then evaluates."""
-    lines = _charge_lines(ce.ops, ce.mems)
-    if not lines:
-        return ce.fn
-    return ce.gen.function(f"{lines}    return {ce.src}")
 
 
 def _static_cost(ces, ops=0, mems=0):
@@ -150,15 +137,6 @@ def _static_cost(ces, ops=0, mems=0):
             ops += ce.ops
             mems += ce.mems
     return ops, mems
-
-
-def _prep(ces):
-    """Split a tuple of compiled exprs into (fns, static_ops, static_mems).
-
-    Static expressions contribute to the pre-aggregated counts and keep
-    their non-charging functions; dynamic ones self-charge at evaluation.
-    """
-    return (tuple(ce.fn for ce in ces), *_static_cost(ces))
 
 
 def _fold_binop(op, left, right):
@@ -174,68 +152,39 @@ def _fold_binop(op, left, right):
     return _NOTCONST
 
 
-class _ProcContext:
-    """Compile-time context of one procedure: slot maps plus shared refs."""
-
-    __slots__ = ("procs", "scalar_slots", "array_slots", "nslots")
-
-    def __init__(self, procs, proc):
-        self.procs = procs  # name -> procfn, shared and filled in later
-        scalars: dict[str, int] = {}
-        arrays: dict[str, int] = {}
-        for name, is_array in ir.proc_binders(proc):
-            slots = arrays if is_array else scalars
-            if name not in slots:
-                slots[name] = len(scalars) + len(arrays)
-        self.scalar_slots = scalars
-        self.array_slots = arrays
-        self.nslots = len(scalars) + len(arrays)
+def _ind(lines, levels=1):
+    pad = "    " * levels
+    return [pad + line for line in lines]
 
 
 # ---------------------------------------------------------------------------
-# Name resolution closures (mirroring interp's scalars -> globals fallback)
+# Name resolution fallbacks (mirroring interp's scalars -> globals fallback)
 # ---------------------------------------------------------------------------
 
 
-def _global_scalar(name):
-    """Reader for a name with no local slot: globals, else unbound error."""
-    def fn(st, fr, _n=name):
-        v = st.globals.get(_n, _UNSET)
-        if v is _UNSET:
-            raise NodeRuntimeError(f"unbound variable {_n!r}", st.rank)
-        return v
-    return fn
+def _global(st, name):
+    """A scalar with no value in a frame slot: the global, else unbound."""
+    value = st.globals.get(name, _UNSET)
+    if value is _UNSET:
+        raise NodeRuntimeError(f"unbound variable {name!r}", st.rank)
+    return value
 
 
-def _array_getter(name, sc):
-    slot = sc.array_slots.get(name)
-    if slot is not None:
-        def get(st, fr, _i=slot, _n=name):
-            arr = fr[_i]
-            if arr is _UNSET or arr is None:
-                arr = st.globals.get(_n)
-                if arr is None:
-                    raise NodeRuntimeError(f"unknown array {_n!r}", st.rank)
-            return arr
-        return get
-
-    def get(st, fr, _n=name):
-        arr = st.globals.get(_n)
-        if arr is None:
-            raise NodeRuntimeError(f"unknown array {_n!r}", st.rank)
-        return arr
-    return get
+def _array(st, name):
+    """An array with no frame binding: the global, else unknown."""
+    arr = st.globals.get(name)
+    if arr is None:
+        raise NodeRuntimeError(f"unknown array {name!r}", st.rank)
+    return arr
 
 
-def _buffer_getter(name, sc):
-    get = _array_getter(name, sc)
-
-    def getbuf(st, fr, _g=get, _n=name):
-        buf = _g(st, fr)
-        if not isinstance(buf, LocalArray):
-            raise NodeRuntimeError(f"{_n!r} is not a buffer", st.rank)
-        return buf
-    return getbuf
+def _buffer(st, found, name):
+    """``found`` (a frame slot's or global's value) as a buffer."""
+    if found is _UNSET or found is None:
+        found = _array(st, name)
+    if not isinstance(found, LocalArray):
+        raise NodeRuntimeError(f"{name!r} is not a buffer", st.rank)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -320,29 +269,27 @@ def _wr2(arr, i, j, value):
 
 
 # ---------------------------------------------------------------------------
-# Expressions and l-values: generated source
+# Run-time helpers of the generated code
 # ---------------------------------------------------------------------------
 #
-# A closure tree pays one Python call per IR node at every evaluation, so
-# every expression, assignment and l-value store is instead emitted as
-# Python source and compiled into one code object: slot reads become
-# ``fr[3]`` with a walrus-tested fallback, arithmetic becomes in-line
-# operators, array reads become one `_rd2` call, a folded constant is its
-# literal. `_SrcGen.expr` is the only expression compiler: one recursive
-# pass that returns each node's source together with its static cost and
-# folded constant, so classification, folding and emission cannot drift
-# apart.
+# Expressions, assignments and l-value stores are in-line source: slot
+# reads become ``fr[3]`` with a walrus-tested fallback, arithmetic becomes
+# in-line operators, array reads become one `_rd2` call, a folded
+# constant is its literal. `_SrcGen.expr` is the only expression
+# compiler: one recursive pass that returns each node's source together
+# with its static cost and folded constant, so classification, folding
+# and emission cannot drift apart.
 #
-# A static node's source charges nothing — whoever uses it adds the
-# pre-aggregated cost once. A dynamic node (short-circuit operators, the
-# inspector's indirect read, anything above them) charges in-line, and
-# *where* a charge sits in the source is the interpreter's charge order:
-# ``_chg(st, value, ops, mems)`` takes ``value`` as an argument, so it
-# charges after ``value`` has been evaluated (the left operand of
-# ``and``/``or``, an operator over a dynamic operand, the last index of
-# a dynamic read or store), and ``(_pre(st, ops, mems) or x)`` charges
-# before ``x`` is (the right operand of a short-circuit, reached only
-# when the left does not decide). Every fallback (unbound variable,
+# A static node's source charges nothing — its statement adds the
+# pre-aggregated cost to the run. A dynamic node (short-circuit
+# operators, the inspector's indirect read, anything above them) charges
+# in-line, and *where* a charge sits in the source is the interpreter's
+# charge order: ``_chg(st, value, ops, mems)`` takes ``value`` as an
+# argument, so it charges after ``value`` has been evaluated (the left
+# operand of ``and``/``or``, an operator over a dynamic operand, the last
+# index of a dynamic read or store), and ``(_pre(st, ops, mems) or x)``
+# charges before ``x`` is (the right operand of a short-circuit, reached
+# only when the left does not decide). Every fallback (unbound variable,
 # unknown array, division by zero, IR the interpreter rejects) is a
 # helper call raising the interpreter's error after its operands have
 # been evaluated, so values, charges and errors are identical.
@@ -375,24 +322,78 @@ def _fail(st, message, *operands):
     raise NodeRuntimeError(message, st.rank)
 
 
-_CG_BASE = {
-    "_UNSET": _UNSET,
-    "LocalArray": LocalArray,
-    "_rd1": _rd1,
-    "_rd2": _rd2,
-    "_wr1": _wr1,
-    "_wr2": _wr2,
-    "_ab": apply_builtin,
-    "_dv": _cg_div,
-    "_md": _cg_mod,
-    "_chg": _chg,
-    "_pre": _pre,
-    "_fail": _fail,
-    "_ir": ixec.indirect_read,
-}
+def _call(st, procs, name, args):
+    """A call to a procedure not compiled before its caller (a forward or
+    recursive reference): dispatched when it runs."""
+    entry = procs.get(name)
+    if entry is None:
+        raise NodeRuntimeError(f"unknown node procedure {name!r}", st.rank)
+    kind, fn = entry
+    if kind == "pure":
+        return fn(st, args)
+    return (yield from fn(st, args))
+
+
+def _sendvec(st, buf, lo, hi):
+    """Charge and read buffer slots ``lo..hi``: bulk-sliced when the range
+    is clean; any oddity (rank, bounds, never-written slot) re-reads per
+    element for the exact error."""
+    st.mems += max(0, hi - lo + 1)
+    if (
+        type(buf) is LocalArray
+        and len(buf.shape) == 1
+        and type(lo) is int
+        and type(hi) is int
+        and 1 <= lo <= hi <= buf.shape[0]
+    ):
+        payload = tuple(buf._cells[lo - 1 : hi])
+        if UNDEFINED not in payload:
+            return payload
+    elif type(lo) is int and type(hi) is int and lo > hi:
+        return ()
+    read = buf.read
+    return tuple(read(k) for k in range(lo, hi + 1))
+
+
+def _recvvec(st, buf, lo, hi, payload, channel):
+    """Check, charge and store a received vector into slots ``lo..``."""
+    if len(payload) != hi - lo + 1:
+        raise NodeRuntimeError(
+            f"channel {channel!r}: vector length mismatch "
+            f"(wanted {hi - lo + 1}, got {len(payload)})",
+            st.rank,
+        )
+    st.mems += len(payload)
+    if (
+        type(buf) is LocalArray
+        and len(buf.shape) == 1
+        and type(lo) is int
+        and 1 <= lo
+        and lo - 1 + len(payload) <= buf.shape[0]
+    ):
+        buf._cells[lo - 1 : lo - 1 + len(payload)] = payload
+    else:
+        write = buf.write
+        for k, value in enumerate(payload):
+            write(lo + k, value)
+
+
+def _accum_local(st, indices, value, arr):
+    ixec.accum_local(st, arr, indices, value)
+
+
+def _exchange(st, fr, gen, stmt, enum):
+    state = ixec.get_state(st.exchanges, stmt.sched)
+    return ixec.exec_exchange(_CompiledAdapter(st, fr, gen, enum), state, stmt)
+
+
+def _scatter_flush(st, fr, gen, stmt):
+    state = ixec.get_state(st.exchanges, stmt.sched)
+    return ixec.exec_scatter_flush(_CompiledAdapter(st, fr, gen), state, stmt)
+
 
 # op -> (Python spelling, helper that checks the divisor first).
-_CG_DIVOPS = {"div": ("//", "_dv"), "mod": ("%", "_md")}
+_CG_DIVOPS = {"div": ("//", "_cg_div"), "mod": ("%", "_cg_mod")}
 
 # (method, rank) -> the fixed-arity helper that inlines it.
 _CG_ACCESS = {
@@ -402,6 +403,21 @@ _CG_ACCESS = {
     ("write", 2): "_wr2",
 }
 
+# Yield the pending cost as one Compute: interp.flush, in line. The
+# test is left out where a static charge was just made.
+_COMPUTE = (
+    "_c = st.ops * st.op_us + st.mems * st.mem_us",
+    "st.ops = st.mems = 0",
+    "if _c > 0.0:",
+    "    yield Compute(_c)",
+)
+_FLUSH = ("if st.ops or st.mems:", *_ind(_COMPUTE))
+
+# Bodies nested deeper than this become functions of their own: CPython
+# rejects more than 20 statically nested blocks and 100 indentation
+# levels, and a statement adds a few of its own under its body's level.
+_MAX_DEPTH = 16
+
 
 @lru_cache(maxsize=4096)
 def _cg_code(src):
@@ -409,16 +425,40 @@ def _cg_code(src):
 
 
 class _SrcGen:
-    """Python source fragments (plus their helper bindings) for the
-    expressions and l-values of one generated function."""
+    """The generated source of one procedure: its frame slots, the
+    helper bindings its functions see, and the statement being written.
 
-    __slots__ = ("sc", "env", "n")
+    Statements are emitted into ``out`` one straight-line *run* at a
+    time: ``ops``/``mems`` is the static cost of the run so far, written
+    as one charge by :meth:`settle` where the run ends — before a
+    statement that may yield (the flush must see it) or that contains a
+    ``return`` (the statements after it must not be charged).
+    """
 
-    def __init__(self, sc):
-        self.sc = sc
-        self.env = dict(_CG_BASE)
+    __slots__ = ("procs", "scalar_slots", "array_slots", "nslots", "env",
+                 "n", "out", "ops", "mems", "yields", "returns", "depth")
+
+    def __init__(self, procs, proc):
+        self.procs = procs  # name -> (kind, fn), filled in program order
+        scalars: dict[str, int] = {}
+        arrays: dict[str, int] = {}
+        for name, is_array in ir.proc_binders(proc):
+            slots = arrays if is_array else scalars
+            if name not in slots:
+                slots[name] = len(scalars) + len(arrays)
+        self.scalar_slots = scalars
+        self.array_slots = arrays
+        self.nslots = len(scalars) + len(arrays)
+        # Generated functions run in this module's namespace, plus the
+        # helpers they bind.
+        self.env = dict(globals(), _procs=procs)
         self.n = 0
+        self.out: list[str] = []
+        self.ops = self.mems = 0
+        self.yields = self.returns = False
+        self.depth = 0
 
+    # -- helpers and names --------------------------------------------------
     def fresh(self, obj):
         name = f"_h{self.n}"
         self.n += 1
@@ -439,45 +479,46 @@ class _SrcGen:
         return self.fresh(value)
 
     def const(self, value, ops, mems):
-        return _CExpr(self, self.literal(value), ops, mems, value)
+        return _CExpr(self.literal(value), ops, mems, value)
 
+    def function(self, lines, params="st, fr", name="_f"):
+        """Compile ``def name(params):`` over ``lines`` in this
+        procedure's environment."""
+        # Helper and temporary names are counter-based, so structurally
+        # identical procedures (the same one at every optimization level,
+        # or in every rank's specialized program) produce byte-identical
+        # source; caching the code object makes recompiling one an exec
+        # of a ``def``.
+        code = _cg_code("\n".join([f"def {name}({params}):",
+                                   *_ind(lines or ["pass"])]))
+        exec(code, self.env)
+        return self.env.pop(name)
+
+    # -- expressions ----------------------------------------------------------
+    # Names are bound as helpers, not written as literals: a compiler
+    # mints some (buffers, channels, schedules) from parse order, and the
+    # text must not change when the same program is parsed again.
     def scalar(self, name):
-        slot = self.sc.scalar_slots.get(name)
-        g = self.fresh(_global_scalar(name))
-        t = self.tmp()
-        if slot is None:
-            return (
-                f"({t} if ({t} := st.globals.get({name!r}, _UNSET)) "
-                f"is not _UNSET else {g}(st, fr))"
-            )
-        return (
-            f"({t} if ({t} := fr[{slot}]) is not _UNSET "
-            f"else {g}(st, fr))"
-        )
+        slot = self.scalar_slots.get(name)
+        n, t = self.fresh(name), self.tmp()
+        src = f"st.globals.get({n}, _UNSET)" if slot is None else f"fr[{slot}]"
+        return f"({t} if ({t} := {src}) is not _UNSET else _global(st, {n}))"
 
     def array(self, name):
-        slot = self.sc.array_slots.get(name)
-        g = self.fresh(_array_getter(name, self.sc))
-        t = self.tmp()
+        slot = self.array_slots.get(name)
+        n, t = self.fresh(name), self.tmp()
         if slot is None:
-            return (
-                f"({t} if ({t} := st.globals.get({name!r})) is not None "
-                f"else {g}(st, fr))"
-            )
-        return (
-            f"({t} if ({t} := fr[{slot}]) is not _UNSET and {t} is not None "
-            f"else {g}(st, fr))"
-        )
+            found = f"({t} := st.globals.get({n})) is not None"
+        else:
+            found = f"({t} := fr[{slot}]) is not _UNSET and {t} is not None"
+        return f"({t} if {found} else _array(st, {n}))"
 
     def buffer(self, name):
-        slot = self.sc.array_slots.get(name)
-        g = self.fresh(_buffer_getter(name, self.sc))
-        t = self.tmp()
-        if slot is None:
-            src = f"st.globals.get({name!r})"
-        else:
-            src = f"fr[{slot}]"
-        return f"({t} if type({t} := {src}) is LocalArray else {g}(st, fr))"
+        slot = self.array_slots.get(name)
+        n, t = self.fresh(name), self.tmp()
+        src = f"st.globals.get({n})" if slot is None else f"fr[{slot}]"
+        return (f"({t} if type({t} := {src}) is LocalArray "
+                f"else _buffer(st, {t}, {n}))")
 
     def charged(self, ce):
         """In-line source charging ``ce``'s cost before evaluating it."""
@@ -510,11 +551,11 @@ class _SrcGen:
         if isinstance(e, ir.NConst):
             return self.const(e.value, 0, 0)
         if isinstance(e, ir.NVar):
-            return _CExpr(self, self.scalar(e.name), 0, 0)
+            return _CExpr(self.scalar(e.name), 0, 0)
         if isinstance(e, ir.NMyNode):
-            return _CExpr(self, "st.rank", 0, 0)
+            return _CExpr("st.rank", 0, 0)
         if isinstance(e, ir.NNProcs):
-            return _CExpr(self, "st.nprocs", 0, 0)
+            return _CExpr("st.nprocs", 0, 0)
         if isinstance(e, ir.NBin):
             if e.op in ("and", "or"):
                 return self.short_circuit(e)
@@ -524,24 +565,19 @@ class _SrcGen:
         if isinstance(e, ir.NCall):
             return self.call(e)
         if isinstance(e, ir.NIsRead):
-            return _CExpr(
-                self, *self.access("read", self.array(e.array), e.indices)
-            )
+            return _CExpr(*self.access("read", self.array(e.array), e.indices))
         if isinstance(e, ir.NBufRead):
-            return _CExpr(
-                self, *self.access("read", self.buffer(e.buf), e.indices)
-            )
+            return _CExpr(*self.access("read", self.buffer(e.buf), e.indices))
         if isinstance(e, ir.NIndirect):
             # The executor's read charges itself through the state's
             # meter protocol; the index is charged before it.
             gidx = self.charged(self.expr(e.index))
             return _CExpr(
-                self,
-                f"_ir(st, st.exchanges.get({e.sched!r}), "
-                f"{self.fresh(e)}, {gidx})",
+                f"ixec.indirect_read(st, st.exchanges.get("
+                f"{self.fresh(e.sched)}), {self.fresh(e)}, {gidx})",
                 None, None,
             )
-        return _CExpr(self, self.fail(f"unknown expression {e!r}"), 0, 0)
+        return _CExpr(self.fail(f"unknown expression {e!r}"), 0, 0)
 
     def short_circuit(self, e):
         left = self.expr(e.left)
@@ -556,13 +592,12 @@ class _SrcGen:
                 mems = left.mems + right.mems
                 if right.const is not _NOTCONST:
                     return self.const(bool(right.const), ops, mems)
-                return _CExpr(self, f"bool({right.src})", ops, mems)
+                return _CExpr(f"bool({right.src})", ops, mems)
         # The right operand must only charge when evaluated (the branch
         # is data-dependent), but the left operand's static cost can be
         # folded into the operator's own +1.
         ops, mems = _static_cost((left,), 1)
         return _CExpr(
-            self,
             f"(bool(_chg(st, {left.src}, {ops}, {mems})) {e.op} "
             f"bool({self.charged(right)}))",
             None, None,
@@ -589,21 +624,19 @@ class _SrcGen:
         if left.ops is None or right.ops is None:
             # Dynamic operands self-charge; the static one's cost merges
             # into this node's single post-charge.
-            return _CExpr(self, f"_chg(st, {src}, {ops}, {mems})", None, None)
+            return _CExpr(f"_chg(st, {src}, {ops}, {mems})", None, None)
         if left.const is not _NOTCONST and right.const is not _NOTCONST:
             folded = _fold_binop(op, left.const, right.const)
             if folded is not _NOTCONST:
                 return self.const(folded, ops, mems)
-        return _CExpr(self, src, ops, mems)
+        return _CExpr(src, ops, mems)
 
     def unary(self, e):
         operand = self.expr(e.operand)
         is_not = e.op == "not"
         sym = "not " if is_not else "-"
         if operand.ops is None:
-            return _CExpr(
-                self, f"({sym}_chg(st, {operand.src}, 1, 0))", None, None
-            )
+            return _CExpr(f"({sym}_chg(st, {operand.src}, 1, 0))", None, None)
         ops = operand.ops + 1
         if operand.const is not _NOTCONST:
             try:
@@ -612,7 +645,7 @@ class _SrcGen:
                 pass  # left to raise at run time
             else:
                 return self.const(value, ops, operand.mems)
-        return _CExpr(self, f"({sym}{operand.src})", ops, operand.mems)
+        return _CExpr(f"({sym}{operand.src})", ops, operand.mems)
 
     def call(self, e):
         args = [self.expr(a) for a in e.args]
@@ -620,15 +653,14 @@ class _SrcGen:
             # The interpreter evaluates the arguments before rejecting
             # the call, so errors surface in the same order.
             message = f"unknown builtin {e.func!r} in expression"
-            return _CExpr(
-                self, self.fail(message, *(a.src for a in args)), None, None
-            )
+            return _CExpr(self.fail(message, *(a.src for a in args)),
+                          None, None)
         srcs = ", ".join(a.src for a in args)
         ops, mems = _static_cost(args, 1)
         if any(a.ops is None for a in args):
             return _CExpr(
-                self,
-                f"_ab({e.func!r}, _chg(st, [{srcs}], {ops}, {mems}))",
+                f"apply_builtin({e.func!r}, "
+                f"_chg(st, [{srcs}], {ops}, {mems}))",
                 None, None,
             )
         if all(a.const is not _NOTCONST for a in args):
@@ -638,12 +670,12 @@ class _SrcGen:
                 pass  # left to raise at run time
             else:
                 return self.const(value, ops, mems)
-        return _CExpr(self, f"_ab({e.func!r}, [{srcs}])", ops, mems)
+        return _CExpr(f"apply_builtin({e.func!r}, [{srcs}])", ops, mems)
 
     def store(self, lv, value):
         """``(statement, ops, mems)`` storing the source ``value``."""
         if isinstance(lv, ir.VarLV):
-            return f"fr[{self.sc.scalar_slots[lv.name]}] = {value}", 0, 0
+            return f"fr[{self.scalar_slots[lv.name]}] = {value}", 0, 0
         if isinstance(lv, ir.IsLV):
             return self.access("write", self.array(lv.array), lv.indices,
                                value)
@@ -652,689 +684,374 @@ class _SrcGen:
                                value)
         return self.fail(f"unknown lvalue {lv!r}", value), 0, 0
 
-    def function(self, body, params="st, fr"):
-        """Compile ``def _f(params):`` with the given indented body."""
-        # Helper names are counter-based, so structurally identical
-        # fragments (the same statement at every optimization level, or
-        # in every rank's specialized program) produce byte-identical
-        # source; caching the code object makes recompiling one an exec
-        # of a tiny ``def``.
-        code = _cg_code(f"def _f({params}):\n{body}")
-        ns = self.env
-        exec(code, ns)
-        return ns.pop("_f")
-
-
-def _compile_expr(e, sc) -> _CExpr:
-    return _SrcGen(sc).expr(e)
-
-
-def _compile_store(lv, sc):
-    """An l-value as a self-charging ``store(st, fr, value)``."""
-    gen = _SrcGen(sc)
-    store, ops, mems = gen.store(lv, "_v")
-    return gen.function(
-        f"{_charge_lines(ops, mems)}    {store}", "st, fr, _v"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Statements and bodies
-# ---------------------------------------------------------------------------
-#
-# _compile_stmt / _compile_body return a 4-tuple (kind, fn, ops, mems):
-#   ("pure", fn, ops, mems)   fn(st, fr) charges nothing; cost is static
-#   ("pure", fn, None, None)  fn(st, fr) charges its own (dynamic) cost
-#   ("gen", genfn, None, None) generator; self-charging, may yield effects
-
-
-def _noop(st, fr):
-    return None
-
-
-def _seq(fns):
-    if len(fns) == 1:
-        return fns[0]
-    if len(fns) == 2:
-        f0, f1 = fns
-
-        def run2(st, fr):
-            f0(st, fr)
-            f1(st, fr)
-        return run2
-    if len(fns) == 3:
-        f0, f1, f2 = fns
-
-        def run3(st, fr):
-            f0(st, fr)
-            f1(st, fr)
-            f2(st, fr)
-        return run3
-
-    def run(st, fr, _fns=tuple(fns)):
-        for f in _fns:
-            f(st, fr)
-    return run
-
-
-def _charge_then(fn, ops, mems):
-    """Self-charging wrapper around a static pure statement/group."""
-    if ops == 0 and mems == 0:
-        return fn
-    if mems == 0:
-        def run(st, fr):
-            st.ops += ops
-            fn(st, fr)
-    elif ops == 0:
-        def run(st, fr):
-            st.mems += mems
-            fn(st, fr)
-    else:
-        def run(st, fr):
-            st.ops += ops
-            st.mems += mems
-            fn(st, fr)
-    return run
-
-
-def _pure_charged(kind_tuple):
-    """Any pure compile result -> a single self-charging fn."""
-    kind, fn, ops, mems = kind_tuple
-    if ops is None:
-        return fn
-    return _charge_then(fn, ops, mems)
-
-
-def _pure_gen(fn):
-    def g(st, fr):
-        fn(st, fr)
-        if False:  # pragma: no cover - makes this function a generator
-            yield None
-    return g
-
-
-def _to_gen(kind_tuple):
-    kind, fn, ops, mems = kind_tuple
-    if kind == "gen":
-        return fn
-    return _pure_gen(_pure_charged(kind_tuple))
-
-
-def _compile_body(stmts, sc):
-    if not stmts:
-        return ("pure", _noop, 0, 0)
-    compiled = [_compile_stmt(s, sc) for s in stmts]
-    if len(compiled) == 1:
-        return compiled[0]
-
-    if all(kind == "pure" for kind, _, _, _ in compiled):
-        # Fuse runs of statically-costed statements into groups that
-        # charge once. A group must not extend past an NReturn: the
-        # statements after it would be pre-charged but never executed.
-        if all(c[2] is not None for c in compiled) and not any(
-            isinstance(s, ir.NReturn) for s in stmts[:-1]
-        ):
-            total_ops = sum(c[2] for c in compiled)
-            total_mems = sum(c[3] for c in compiled)
-            return ("pure", _seq([c[1] for c in compiled]),
-                    total_ops, total_mems)
-        steps = _fused_steps(stmts, compiled)
-        return ("pure", _seq([fn for _, fn in steps]), None, None)
-
-    steps = _fused_steps(stmts, compiled)
-    if len(steps) == 1 and steps[0][0]:
-        return ("gen", steps[0][1], None, None)
-
-    def g(st, fr, _steps=tuple(steps)):
-        for is_gen, f in _steps:
-            if is_gen:
-                yield from f(st, fr)
-            else:
-                f(st, fr)
-    return ("gen", g, None, None)
-
-
-def _fused_steps(stmts, compiled):
-    """Fuse consecutive static pure statements; returns [(is_gen, fn)]."""
-    steps = []
-    acc_fns = []
-    acc_ops = 0
-    acc_mems = 0
-
-    def close():
-        nonlocal acc_fns, acc_ops, acc_mems
-        if acc_fns:
-            steps.append(
-                (False, _charge_then(_seq(acc_fns), acc_ops, acc_mems))
-            )
-            acc_fns = []
-            acc_ops = 0
-            acc_mems = 0
-
-    for stmt, (kind, fn, ops, mems) in zip(stmts, compiled):
-        if kind == "pure" and ops is not None:
-            acc_fns.append(fn)
-            acc_ops += ops
-            acc_mems += mems
-            if isinstance(stmt, ir.NReturn):
-                close()
-        elif kind == "pure":
-            close()
-            steps.append((False, fn))
+    def put(self, lv, ce):
+        """Lines storing ``ce`` into ``lv`` — the value first, as the
+        interpreter evaluates it — and their static cost."""
+        if type(lv) is ir.VarLV or ce.const is not _NOTCONST:
+            lines, value = [], ce.src
         else:
-            close()
-            steps.append((True, fn))
-    close()
-    return steps
+            lines, value = [f"_v = {ce.src}"], "_v"
+        store, ops, mems = self.store(lv, value)
+        return [*lines, store], *_static_cost((ce,), ops or 0, mems or 0)
 
+    # -- runs -----------------------------------------------------------------
+    def cost(self, ops, mems):
+        self.ops += ops
+        self.mems += mems
 
-def _compile_stmt(stmt, sc):
-    if isinstance(stmt, ir.NAssign):
-        return _compile_assign(stmt, sc)
-    if isinstance(stmt, ir.NAllocIs):
-        return _compile_alloc(stmt.name, stmt.shape, sc, IStructure)
-    if isinstance(stmt, ir.NAllocBuf):
-        return _compile_alloc(stmt.name, stmt.shape, sc, LocalArray)
-    if isinstance(stmt, ir.NFor):
-        return _compile_for(stmt, sc)
-    if isinstance(stmt, ir.NIf):
-        return _compile_if(stmt, sc)
-    if isinstance(stmt, ir.NSend):
-        return _compile_send(stmt, sc)
-    if isinstance(stmt, ir.NRecv):
-        return _compile_recv(stmt, sc)
-    if isinstance(stmt, ir.NSendVec):
-        return _compile_sendvec(stmt, sc)
-    if isinstance(stmt, ir.NRecvVec):
-        return _compile_recvvec(stmt, sc)
-    if isinstance(stmt, ir.NCoerce):
-        return _compile_coerce(stmt, sc)
-    if isinstance(stmt, ir.NBroadcast):
-        return _compile_broadcast(stmt, sc)
-    if isinstance(stmt, ir.NCallProc):
-        return _compile_callproc(stmt, sc)
-    if isinstance(stmt, ir.NReturn):
-        return _compile_return(stmt, sc)
-    if isinstance(stmt, ir.NComment):
-        return ("pure", _noop, 0, 0)
-    if isinstance(stmt, ir.NExchange):
-        return _compile_exchange(stmt, sc)
-    if isinstance(stmt, ir.NResolve):
-        return _compile_resolve(stmt, sc)
-    if isinstance(stmt, ir.NAccum):
-        return _compile_accum(stmt, sc)
-    if isinstance(stmt, ir.NScatterFlush):
-        return _compile_scatter_flush(stmt, sc)
-    if isinstance(stmt, ir.NAccumLocal):
-        return _compile_accum_local(stmt, sc)
-    if isinstance(stmt, ir.NArrayAlias):
-        return _compile_array_alias(stmt, sc)
+    def settle(self):
+        """End the run: write its pending cost. True if it wrote one."""
+        lines = _charge_lines(self.ops, self.mems)
+        self.out += lines
+        self.ops = self.mems = 0
+        return bool(lines)
 
-    def run(st, fr, _s=stmt):
-        raise NodeRuntimeError(f"unknown statement {_s!r}", st.rank)
-    return ("pure", run, 0, 0)
+    def flush(self):
+        """Settle the run, then the lines yielding the pending cost."""
+        self.yields = True
+        return list(_COMPUTE if self.settle() else _FLUSH)
 
+    def bind(self, name, ce):
+        """``ce`` evaluated here, in the interpreter's order: bound to
+        ``name``, or its literal when it is a constant."""
+        if ce.const is not _NOTCONST:
+            return ce.src
+        self.out.append(f"{name} = {ce.src}")
+        return name
 
-def _compile_assign(stmt, sc):
-    """One function per assignment: the value first, then the target's
-    array lookup and index expressions; a scalar target assigns directly."""
-    gen = _SrcGen(sc)
-    value = gen.expr(stmt.value)
-    if isinstance(stmt.target, ir.VarLV):
-        bind = ""
-        store, sops, smems = gen.store(stmt.target, value.src)
-    else:
-        bind = f"    _v = {value.src}\n"
-        store, sops, smems = gen.store(stmt.target, "_v")
-    if value.ops is not None and sops is not None:
-        return ("pure", gen.function(f"{bind}    {store}"),
-                value.ops + sops, value.mems + smems)
-    run = gen.function(
-        f"{_charge_lines(value.ops, value.mems)}{bind}"
-        f"{_charge_lines(sops, smems)}    {store}"
-    )
-    return ("pure", run, None, None)
+    def operands(self, **named):
+        """Each expression bound in turn, its static cost in the run."""
+        ces = {name: self.expr(e) for name, e in named.items()}
+        self.cost(*_static_cost(ces.values()))
+        return [self.bind(name, ce) for name, ce in ces.items()]
 
+    # -- bodies ---------------------------------------------------------------
+    def body(self, stmts, ops=0, mems=0):
+        """``stmts`` as nested lines: ``(lines, ops, mems, yields,
+        returns)``. ``ops``/``mems`` enter as a cost pending at the start
+        and leave as the cost still pending at the end — the body's whole
+        static cost when it neither yields nor returns, which the caller
+        may then charge anywhere in its own run."""
+        if self.depth >= _MAX_DEPTH:
+            name, ops, mems, yields, returns = self.split(stmts, ops, mems)
+            call = f"{name}(st, fr)"
+            if yields:
+                call = f"yield from {call}"
+            if returns:
+                lines = [f"_ret = {call}",
+                         "if _ret is not _NORET:",
+                         "    return _ret"]
+            else:
+                lines = [call]
+            return lines, ops, mems, yields, returns
+        saved = self.out, self.ops, self.mems, self.yields, self.returns
+        self.out, self.ops, self.mems = [], ops, mems
+        self.yields = self.returns = False
+        self.depth += 1
+        for stmt in stmts:
+            _EMIT.get(type(stmt), _SrcGen.unknown)(self, stmt)
+        self.depth -= 1
+        result = self.out, self.ops, self.mems, self.yields, self.returns
+        self.out, self.ops, self.mems, self.yields, self.returns = saved
+        return result
 
-def _compile_alloc(name, shape, sc, cls):
-    dims = [_compile_expr(d, sc) for d in shape]
-    slot = sc.array_slots[name]
-    static = all(d.ops is not None for d in dims)
-    fns = tuple(d.fn if static else _charged(d) for d in dims)
+    def split(self, stmts, ops=0, mems=0, generator=False):
+        """``stmts`` as a generated function of their own over
+        ``(st, fr)``: ``(helper name, ops, mems, yields, returns)``."""
+        depth, self.depth = self.depth, 0
+        lines, ops, mems, yields, returns = self.body(stmts, ops, mems)
+        self.depth = depth
+        if yields or returns or generator:
+            lines += _charge_lines(ops, mems)
+            ops = mems = 0
+        if returns:
+            lines.append("return _NORET")
+        if generator and not yields:
+            lines.append("yield from ()")
+        return self.fresh(self.function(lines)), ops, mems, yields, returns
 
-    def run(st, fr, _fns=fns, _slot=slot, _cls=cls):
-        fr[_slot] = _cls(
-            tuple(f(st, fr) for f in _fns), name=f"{name}@p{st.rank}"
+    def nested(self, lines, ops, mems, yields, returns):
+        """Take a nested body's flags; its lines with the rest charged."""
+        self.yields |= yields
+        self.returns |= returns
+        return (lines + _charge_lines(ops, mems)) or ["pass"]
+
+    # -- statements -----------------------------------------------------------
+    def assign(self, s):
+        lines, ops, mems = self.put(s.target, self.expr(s.value))
+        self.out += lines
+        self.cost(ops, mems)
+
+    def alloc(self, s):
+        dims = [self.expr(d) for d in s.shape]
+        self.cost(*_static_cost(dims))
+        cls = "IStructure" if type(s) is ir.NAllocIs else "LocalArray"
+        shape = "".join(f"{d.src}, " for d in dims)
+        self.out.append(
+            f"fr[{self.array_slots[s.name]}] = {cls}(({shape}), "
+            f"name={self.fresh(s.name + '@p')} + str(st.rank))"
         )
-    if static:
-        return ("pure", run, sum(d.ops for d in dims),
-                sum(d.mems for d in dims))
-    return ("pure", run, None, None)
 
-
-def _compile_for(stmt, sc):
-    lo = _compile_expr(stmt.lo, sc)
-    hi = _compile_expr(stmt.hi, sc)
-    step = _compile_expr(stmt.step, sc)
-    bodyk = _compile_body(stmt.body, sc)
-    slot = sc.scalar_slots[stmt.var]
-    has_return = any(
-        isinstance(s, ir.NReturn) for s in ir.walk_stmts(list(stmt.body))
-    )
-    bounds_static = all(c.ops is not None for c in (lo, hi, step))
-    if bounds_static:
-        bounds_ops = lo.ops + hi.ops + step.ops
-        bounds_mems = lo.mems + hi.mems + step.mems
-        lof, hif, stepf = lo.fn, hi.fn, step.fn
-    else:
-        bounds_ops = bounds_mems = 0
-        lof, hif, stepf = _charged(lo), _charged(hi), _charged(step)
-
-    kind, bfn, bops, bmems = bodyk
-    if kind == "pure" and bops is not None and not has_return:
-        # Fast path: the body cost is a compile-time constant, so the
-        # whole loop charges n * (1 + body) in one step and the body
-        # closure runs with zero per-node bookkeeping.
-        per_ops = 1 + bops
-
-        def run(st, fr):
-            st.ops += bounds_ops
-            if bounds_mems:
-                st.mems += bounds_mems
-            lo_ = lof(st, fr)
-            hi_ = hif(st, fr)
-            step_ = stepf(st, fr)
-            if step_ <= 0:
-                raise NodeRuntimeError(
-                    f"non-positive loop step {step_}", st.rank
-                )
-            r = range(lo_, hi_ + 1, step_)
-            n = len(r)
-            if n:
-                st.ops += n * per_ops
-                if bmems:
-                    st.mems += n * bmems
-                for v in r:
-                    fr[slot] = v
-                    bfn(st, fr)
-        return ("pure", run, None, None)
-
-    if kind == "pure":
-        bcharged = _pure_charged(bodyk)
-
-        def run(st, fr):
-            st.ops += bounds_ops
-            if bounds_mems:
-                st.mems += bounds_mems
-            lo_ = lof(st, fr)
-            hi_ = hif(st, fr)
-            step_ = stepf(st, fr)
-            if step_ <= 0:
-                raise NodeRuntimeError(
-                    f"non-positive loop step {step_}", st.rank
-                )
-            for v in range(lo_, hi_ + 1, step_):
-                st.ops += 1
-                fr[slot] = v
-                bcharged(st, fr)
-        return ("pure", run, None, None)
-
-    bgen = bfn
-
-    def g(st, fr):
-        st.ops += bounds_ops
-        if bounds_mems:
-            st.mems += bounds_mems
-        lo_ = lof(st, fr)
-        hi_ = hif(st, fr)
-        step_ = stepf(st, fr)
-        if step_ <= 0:
-            raise NodeRuntimeError(f"non-positive loop step {step_}", st.rank)
-        for v in range(lo_, hi_ + 1, step_):
-            st.ops += 1
-            fr[slot] = v
-            yield from bgen(st, fr)
-    return ("gen", g, None, None)
-
-
-def _compile_if(stmt, sc):
-    cond = _compile_expr(stmt.cond, sc)
-    thenk = _compile_body(stmt.then_body, sc)
-    elsek = _compile_body(stmt.else_body, sc)
-
-    if cond.ops is not None and cond.const is not _NOTCONST:
-        # Constant guard (a rank-specialized program's, typically): the
-        # branch is known at compile time, but the interpreter still
-        # charges the cond evaluation every pass.
-        chosen = thenk if cond.const else elsek
-        kind, fn, ops, mems = chosen
-        if kind == "pure" and ops is not None:
-            return ("pure", fn, cond.ops + ops, cond.mems + mems)
-        pre = _charge_then(_noop, cond.ops, cond.mems)
-        if kind == "pure":
-            def run(st, fr, _p=pre, _f=fn):
-                _p(st, fr)
-                _f(st, fr)
-            return ("pure", run, None, None)
-
-        def g(st, fr, _p=pre, _f=fn):
-            _p(st, fr)
-            yield from _f(st, fr)
-        return ("gen", g, None, None)
-
-    condf = _charged(cond)
-    if thenk[0] == "pure" and elsek[0] == "pure":
-        tf = _pure_charged(thenk)
-        ef = _pure_charged(elsek)
-
-        def run(st, fr, _c=condf, _t=tf, _e=ef):
-            if _c(st, fr):
-                _t(st, fr)
-            else:
-                _e(st, fr)
-        return ("pure", run, None, None)
-
-    tg = _to_gen(thenk)
-    eg = _to_gen(elsek)
-
-    def g(st, fr, _c=condf, _t=tg, _e=eg):
-        if _c(st, fr):
-            yield from _t(st, fr)
+    def for_(self, s):
+        bounds = [self.expr(e) for e in (s.lo, s.hi, s.step)]
+        lo, hi, step = bounds
+        self.cost(*_static_cost(bounds))
+        body = self.body(s.body, 1, 0)  # + the increment and bound test
+        lines, ops, mems, yields, returns = body
+        if yields or returns:
+            self.settle()
+        if type(step.const) is int and step.const > 0:
+            rng = f"range({lo.src}, {hi.src} + 1, {step.src})"
         else:
-            yield from _e(st, fr)
-    return ("gen", g, None, None)
-
-
-def _compile_send(stmt, sc):
-    values = [_compile_expr(v, sc) for v in stmt.values]
-    dst = _compile_expr(stmt.dst, sc)
-    vfns, pre_ops, pre_mems = _prep([*values, dst])
-    *valfns, dstf = vfns
-    valfns = tuple(valfns)
-    channel = stmt.channel
-
-    if len(valfns) == 1:
-        # Nearly every scalar send carries one value; build the payload
-        # tuple directly rather than through a genexpr frame.
-        v0 = valfns[0]
-
-        def g(st, fr):
-            if pre_ops:
-                st.ops += pre_ops
-            if pre_mems:
-                st.mems += pre_mems
-            payload = (v0(st, fr),)
-            dst_ = dstf(st, fr)
-            ops = st.ops
-            mems = st.mems
-            if ops or mems:
-                st.ops = 0
-                st.mems = 0
-                cost = ops * st.op_us + mems * st.mem_us
-                if cost > 0.0:
-                    yield Compute(cost)
-            yield Send(dst_, channel, payload)
-        return ("gen", g, None, None)
-
-    def g(st, fr):
-        if pre_ops:
-            st.ops += pre_ops
-        if pre_mems:
-            st.mems += pre_mems
-        payload = tuple(f(st, fr) for f in valfns)
-        dst_ = dstf(st, fr)
-        ops = st.ops
-        mems = st.mems
-        if ops or mems:
-            st.ops = 0
-            st.mems = 0
-            cost = ops * st.op_us + mems * st.mem_us
-            if cost > 0.0:
-                yield Compute(cost)
-        yield Send(dst_, channel, payload)
-    return ("gen", g, None, None)
-
-
-def _compile_recv(stmt, sc):
-    src = _compile_expr(stmt.src, sc)
-    srcf = _charged(src)
-    stores = tuple(
-        _compile_store(t, sc) for t in stmt.targets
-    )
-    channel = stmt.channel
-    ntargets = len(stmt.targets)
-
-    def g(st, fr):
-        src_ = srcf(st, fr)
-        ops = st.ops
-        mems = st.mems
-        if ops or mems:
-            st.ops = 0
-            st.mems = 0
-            cost = ops * st.op_us + mems * st.mem_us
-            if cost > 0.0:
-                yield Compute(cost)
-        payload = yield Recv(src_, channel)
-        if len(payload) != ntargets:
-            raise NodeRuntimeError(
-                f"channel {channel!r}: expected "
-                f"{ntargets} scalars, got {len(payload)}",
-                st.rank,
+            self.out += [
+                f"_lo = {lo.src}", f"_hi = {hi.src}", f"_by = {step.src}",
+                "if _by <= 0:",
+                "    raise NodeRuntimeError("
+                "f'non-positive loop step {_by}', st.rank)",
+            ]
+            rng = "range(_lo, _hi + 1, _by)"
+        target = f"fr[{self.scalar_slots[s.var]}]"
+        if yields or returns:
+            self.out.append(f"for {target} in {rng}:")
+        else:
+            # The body's cost is static: every iteration's, charged once.
+            self.out.append(f"_r = {rng}")
+            self.out += [f"st.ops += len(_r) * {ops}"] + (
+                [f"st.mems += len(_r) * {mems}"] if mems else []
             )
-        for store, value in zip(stores, payload):
-            store(st, fr, value)
-    return ("gen", g, None, None)
+            self.out.append(f"for {target} in _r:")
+            body = lines, 0, 0, False, False
+        self.out += _ind(self.nested(*body))
 
-
-def _compile_sendvec(stmt, sc):
-    getbuf = _buffer_getter(stmt.buf, sc)
-    lo = _compile_expr(stmt.lo, sc)
-    hi = _compile_expr(stmt.hi, sc)
-    dst = _compile_expr(stmt.dst, sc)
-    (lof, hif, dstf), pre_ops, pre_mems = _prep([lo, hi, dst])
-    channel = stmt.channel
-
-    def g(st, fr):
-        buf = getbuf(st, fr)
-        if pre_ops:
-            st.ops += pre_ops
-        if pre_mems:
-            st.mems += pre_mems
-        lo_ = lof(st, fr)
-        hi_ = hif(st, fr)
-        dst_ = dstf(st, fr)
-        st.mems += max(0, hi_ - lo_ + 1)
-        # Bulk-slice the staging buffer when the range is clean; any
-        # oddity (rank, bounds, never-written slot) re-reads per element
-        # for the exact error.
-        if (
-            type(buf) is LocalArray
-            and len(buf.shape) == 1
-            and type(lo_) is int
-            and type(hi_) is int
-            and 1 <= lo_ <= hi_ <= buf.shape[0]
-        ):
-            payload = tuple(buf._cells[lo_ - 1 : hi_])
-            if UNDEFINED in payload:
-                read = buf.read
-                payload = tuple(read(k) for k in range(lo_, hi_ + 1))
-        elif type(lo_) is int and type(hi_) is int and lo_ > hi_:
-            payload = ()
-        else:
-            read = buf.read
-            payload = tuple(read(k) for k in range(lo_, hi_ + 1))
-        ops = st.ops
-        mems = st.mems
-        if ops or mems:
-            st.ops = 0
-            st.mems = 0
-            cost = ops * st.op_us + mems * st.mem_us
-            if cost > 0.0:
-                yield Compute(cost)
-        yield Send(dst_, channel, payload)
-    return ("gen", g, None, None)
-
-
-def _compile_recvvec(stmt, sc):
-    src = _compile_expr(stmt.src, sc)
-    getbuf = _buffer_getter(stmt.buf, sc)
-    lo = _compile_expr(stmt.lo, sc)
-    hi = _compile_expr(stmt.hi, sc)
-    (srcf, lof, hif), pre_ops, pre_mems = _prep([src, lo, hi])
-    channel = stmt.channel
-
-    def g(st, fr):
-        if pre_ops:
-            st.ops += pre_ops
-        if pre_mems:
-            st.mems += pre_mems
-        src_ = srcf(st, fr)
-        buf = getbuf(st, fr)
-        lo_ = lof(st, fr)
-        hi_ = hif(st, fr)
-        ops = st.ops
-        mems = st.mems
-        if ops or mems:
-            st.ops = 0
-            st.mems = 0
-            cost = ops * st.op_us + mems * st.mem_us
-            if cost > 0.0:
-                yield Compute(cost)
-        payload = yield Recv(src_, channel)
-        if len(payload) != hi_ - lo_ + 1:
-            raise NodeRuntimeError(
-                f"channel {channel!r}: vector length mismatch "
-                f"(wanted {hi_ - lo_ + 1}, got {len(payload)})",
-                st.rank,
-            )
-        st.mems += len(payload)
-        if (
-            type(buf) is LocalArray
-            and len(buf.shape) == 1
-            and type(lo_) is int
-            and 1 <= lo_
-            and lo_ - 1 + len(payload) <= buf.shape[0]
-        ):
-            buf._cells[lo_ - 1 : lo_ - 1 + len(payload)] = payload
-        else:
-            write = buf.write
-            for k, value in enumerate(payload):
-                write(lo_ + k, value)
-    return ("gen", g, None, None)
-
-
-def _compile_coerce(stmt, sc):
-    ownerf = _charged(_compile_expr(stmt.owner, sc))
-    destf = _charged(_compile_expr(stmt.dest, sc))
-    valf = _charged(_compile_expr(stmt.value, sc))
-    store = _compile_store(stmt.target, sc)
-    channel = stmt.channel
-
-    def g(st, fr):
-        rank = st.rank
-        owner = ownerf(st, fr)
-        dest = destf(st, fr)
-        st.ops += 2  # the two membership tests every processor makes
-        if owner == dest:
-            if rank == dest:
-                store(st, fr, valf(st, fr))
+    def if_(self, s):
+        cond = self.expr(s.cond)
+        self.cost(*_static_cost((cond,)))
+        if cond.const is not _NOTCONST:
+            # A constant guard (a rank-specialized program's, typically)
+            # keeps only the taken branch, in this run.
+            for stmt in s.then_body if cond.const else s.else_body:
+                _EMIT.get(type(stmt), _SrcGen.unknown)(self, stmt)
             return
-        if rank == owner:
-            value = valf(st, fr)
-            ops = st.ops
-            mems = st.mems
-            if ops or mems:
-                st.ops = 0
-                st.mems = 0
-                cost = ops * st.op_us + mems * st.mem_us
-                if cost > 0.0:
-                    yield Compute(cost)
-            yield Send(dest, channel, (value,))
-        elif rank == dest:
-            ops = st.ops
-            mems = st.mems
-            if ops or mems:
-                st.ops = 0
-                st.mems = 0
-                cost = ops * st.op_us + mems * st.mem_us
-                if cost > 0.0:
-                    yield Compute(cost)
-            payload = yield Recv(owner, channel)
-            store(st, fr, payload[0])
-    return ("gen", g, None, None)
+        then = self.body(s.then_body)
+        other = self.body(s.else_body)
+        if any(then[3:]) or any(other[3:]):
+            self.settle()
+        self.out += [f"if {cond.src}:", *_ind(self.nested(*then))]
+        other = self.nested(*other)
+        if other != ["pass"]:
+            self.out += ["else:", *_ind(other)]
 
-
-def _compile_broadcast(stmt, sc):
-    ownerf = _charged(_compile_expr(stmt.owner, sc))
-    valf = _charged(_compile_expr(stmt.value, sc))
-    store = _compile_store(stmt.target, sc)
-    channel = stmt.channel
-
-    def g(st, fr):
-        owner = ownerf(st, fr)
-        st.ops += 1
-        if st.rank == owner:
-            value = valf(st, fr)
-            store(st, fr, value)
-            yield from _flush(st)
-            for q in range(st.nprocs):
-                if q != owner:
-                    yield Send(q, channel, (value,))
+    def return_(self, s):
+        if s.value is None:
+            src = "None"
+        elif isinstance(s.value, str):
+            src = self.array(s.value)
         else:
-            yield from _flush(st)
-            payload = yield Recv(owner, channel)
-            store(st, fr, payload[0])
-    return ("gen", g, None, None)
+            value = self.expr(s.value)
+            self.cost(*_static_cost((value,)))
+            src = value.src
+        self.settle()
+        self.returns = True
+        self.out.append(f"return {src}")
 
+    def send(self, s):
+        values = [self.expr(v) for v in s.values]
+        dst = self.expr(s.dst)
+        self.cost(*_static_cost([*values, dst]))
+        payload = f"({''.join(f'{v.src}, ' for v in values)})"
+        if any(v.const is _NOTCONST for v in values):
+            self.out.append(f"_p = {payload}")
+            payload = "_p"
+        dst = self.bind("_d", dst)  # after the values, as interp does
+        self.out += self.flush()
+        self.out.append(
+            f"yield Send({dst}, {self.fresh(s.channel)}, {payload})"
+        )
 
-def _compile_callproc(stmt, sc):
-    argfns = tuple(
-        _array_getter(a, sc) if isinstance(a, str)
-        else _charged(_compile_expr(a, sc))
-        for a in stmt.args
-    )
-    procs = sc.procs
-    name = stmt.proc
-    if stmt.array_result is not None:
-        arr_slot = sc.array_slots[stmt.array_result]
+    def recv(self, s):
+        src, = self.operands(_s=s.src)
+        self.out += self.flush()
+        n = len(s.targets)
+        channel = self.fresh(s.channel)
+        self.out += [
+            f"_p = yield Recv({src}, {channel})",
+            f"if len(_p) != {n}:",
+            f"    raise NodeRuntimeError(f'channel {{{channel}!r}}: "
+            f"expected {n} scalars, got {{len(_p)}}', st.rank)",
+        ]
+        for k, target in enumerate(s.targets):
+            lines, ops, mems = self.put(target, _CExpr(f"_p[{k}]", 0, 0))
+            self.out += lines
+            self.cost(ops, mems)
 
-        def bind(st, fr, result, _i=arr_slot):
-            fr[_i] = result
-    elif stmt.result is not None:
-        store = _compile_store(stmt.result, sc)
+    def sendvec(self, s):
+        self.out.append(f"_b = {self.buffer(s.buf)}")
+        lo, hi, dst = self.operands(_lo=s.lo, _hi=s.hi, _d=s.dst)
+        self.out.append(f"_p = _sendvec(st, _b, {lo}, {hi})")
+        self.out += self.flush()
+        self.out.append(f"yield Send({dst}, {self.fresh(s.channel)}, _p)")
 
-        def bind(st, fr, result, _s=store):
-            _s(st, fr, result)
-    else:
-        def bind(st, fr, result):
-            return None
+    def recvvec(self, s):
+        src, = self.operands(_s=s.src)
+        self.out.append(f"_b = {self.buffer(s.buf)}")
+        lo, hi = self.operands(_lo=s.lo, _hi=s.hi)
+        self.out += self.flush()
+        channel = self.fresh(s.channel)
+        self.out += [
+            f"_p = yield Recv({src}, {channel})",
+            f"_recvvec(st, _b, {lo}, {hi}, _p, {channel})",
+        ]
 
-    # A callee already compiled (defined before this call site) and known
-    # pure is invoked directly — the whole call statement becomes a pure
-    # step that fuses with its neighbours, dropping two generator frames
-    # per invocation. Forward/recursive references dispatch at run time.
-    entry = procs.get(name)
-    if entry is not None and entry[0] == "pure":
-        purefn = entry[1]
+    def coerce(self, s):
+        o, d = self.operands(_o=s.owner, _d=s.dest)
+        self.cost(2, 0)  # the two membership tests every processor makes
+        value = self.expr(s.value)
+        channel = self.fresh(s.channel)
+        keep, ops, mems = self.put(s.target, value)
+        keep = [*_charge_lines(ops, mems), *keep]
+        send = [
+            *_charge_lines(*_static_cost((value,))), f"_v = {value.src}",
+            *_FLUSH, f"yield Send({d}, {channel}, (_v,))",
+        ]
+        got, ops, mems = self.put(s.target, _CExpr("_p[0]", 0, 0))
+        recv = [*_FLUSH, f"_p = yield Recv({o}, {channel})", *got,
+                *_charge_lines(ops, mems)]
+        self.settle()
+        self.yields = True
+        self.out += [
+            f"if {o} == {d}:", f"    if st.rank == {d}:", *_ind(keep, 2),
+            f"elif st.rank == {o}:", *_ind(send),
+            f"elif st.rank == {d}:", *_ind(recv),
+        ]
 
-        def run(st, fr, _p=purefn):
-            bind(st, fr, _p(st, [f(st, fr) for f in argfns]))
-        return ("pure", run, None, None)
+    def broadcast(self, s):
+        o, = self.operands(_o=s.owner)
+        self.cost(1, 0)
+        value = self.expr(s.value)
+        self.settle()
+        self.yields = True
+        channel = self.fresh(s.channel)
+        store, ops, mems = self.store(s.target, "_v")
+        got, gops, gmems = self.put(s.target, _CExpr("_p[0]", 0, 0))
+        self.out += [f"if st.rank == {o}:", *_ind([
+            *_charge_lines(*_static_cost((value,), ops or 0, mems or 0)),
+            f"_v = {value.src}", store, *_FLUSH,
+            "for _q in range(st.nprocs):",
+            f"    if _q != {o}:",
+            f"        yield Send(_q, {channel}, (_v,))",
+        ]), "else:", *_ind([
+            *_FLUSH, f"_p = yield Recv({o}, {channel})", *got,
+            *_charge_lines(gops, gmems),
+        ])]
 
-    def g(st, fr):
-        args = [f(st, fr) for f in argfns]
-        entry = procs.get(name)
-        if entry is None:
-            raise NodeRuntimeError(
-                f"unknown node procedure {name!r}", st.rank
-            )
-        kind, fn = entry
+    def callproc(self, s):
+        args = []
+        for a in s.args:
+            if isinstance(a, str):
+                args.append(self.array(a))
+            else:
+                ce = self.expr(a)
+                self.cost(*_static_cost((ce,)))
+                args.append(ce.src)
+        args = f"[{', '.join(args)}]"
+        kind, fn = self.procs.get(s.proc, (None, None))
         if kind == "pure":
-            result = fn(st, args)
+            # Compiled before this call site and effect-free: a plain call.
+            call = f"{self.fresh(fn)}(st, {args})"
         else:
-            result = yield from fn(st, args)
-        bind(st, fr, result)
-    return ("gen", g, None, None)
+            self.settle()
+            self.yields = True
+            if kind is None:  # a forward or recursive reference
+                call = f"yield from _call(st, _procs, {s.proc!r}, {args})"
+            else:
+                call = f"yield from {self.fresh(fn)}(st, {args})"
+        if s.array_result is not None:
+            self.out.append(f"fr[{self.array_slots[s.array_result]}] = {call}")
+        elif s.result is not None:
+            lines, ops, mems = self.put(s.result, _CExpr(call, 0, 0))
+            self.out += lines
+            self.cost(ops, mems)
+        else:
+            self.out.append(call)
+
+    def comment(self, s):
+        pass
+
+    def array_alias(self, s):
+        self.out.append(
+            f"fr[{self.array_slots[s.name]}] = {self.array(s.source)}"
+        )
+
+    def exchange(self, s):
+        # The enumeration body the inspector runs on the first execution
+        # is a generator of its own, sharing this procedure's frame.
+        enum = self.split(s.enum_body, generator=True)[0]
+        self.settle()
+        self.yields = True
+        self.out.append(
+            f"yield from _exchange(st, fr, {self.fresh(self)}, "
+            f"{self.fresh(s)}, {enum})"
+        )
+
+    def scatter_flush(self, s):
+        self.settle()
+        self.yields = True
+        self.out.append(
+            f"yield from _scatter_flush(st, fr, {self.fresh(self)}, "
+            f"{self.fresh(s)})"
+        )
+
+    def resolve(self, s):
+        index = self.expr(s.index)
+        self.cost(*_static_cost((index,)))
+        self.out.append(
+            f"ixec.resolve(st, ixec.get_state(st.exchanges, "
+            f"{self.fresh(s.sched)}), {index.src})"
+        )
+
+    def accum(self, s):
+        index, value = self.expr(s.index), self.expr(s.value)
+        self.cost(*_static_cost((index, value)))
+        self.out.append(
+            f"ixec.accum(st, ixec.get_state(st.exchanges, "
+            f"{self.fresh(s.sched)}), {index.src}, {value.src})"
+        )
+
+    def accum_local(self, s):
+        indices = [self.expr(i) for i in s.indices]
+        value = self.expr(s.value)
+        self.cost(*_static_cost([*indices, value]))
+        self.out.append(
+            f"_accum_local(st, ({''.join(f'{i.src}, ' for i in indices)}), "
+            f"{value.src}, {self.array(s.array)})"
+        )
+
+    def unknown(self, s):
+        self.out.append(self.fail(f"unknown statement {s!r}"))
+
+
+_EMIT = {
+    ir.NAssign: _SrcGen.assign,
+    ir.NAllocIs: _SrcGen.alloc,
+    ir.NAllocBuf: _SrcGen.alloc,
+    ir.NFor: _SrcGen.for_,
+    ir.NIf: _SrcGen.if_,
+    ir.NReturn: _SrcGen.return_,
+    ir.NSend: _SrcGen.send,
+    ir.NRecv: _SrcGen.recv,
+    ir.NSendVec: _SrcGen.sendvec,
+    ir.NRecvVec: _SrcGen.recvvec,
+    ir.NCoerce: _SrcGen.coerce,
+    ir.NBroadcast: _SrcGen.broadcast,
+    ir.NCallProc: _SrcGen.callproc,
+    ir.NComment: _SrcGen.comment,
+    ir.NArrayAlias: _SrcGen.array_alias,
+    ir.NExchange: _SrcGen.exchange,
+    ir.NScatterFlush: _SrcGen.scatter_flush,
+    ir.NResolve: _SrcGen.resolve,
+    ir.NAccum: _SrcGen.accum,
+    ir.NAccumLocal: _SrcGen.accum_local,
+}
 
 
 class _CompiledAdapter:
@@ -1345,21 +1062,15 @@ class _CompiledAdapter:
     never in the steady-state data phase.
     """
 
-    __slots__ = ("st", "fr", "sc", "enumg")
+    __slots__ = ("st", "fr", "gen", "enumg", "rank", "nprocs")
 
-    def __init__(self, st, fr, sc, enumg=None):
+    def __init__(self, st, fr, gen, enumg=None):
         self.st = st
         self.fr = fr
-        self.sc = sc
+        self.gen = gen
         self.enumg = enumg
-
-    @property
-    def rank(self):
-        return self.st.rank
-
-    @property
-    def nprocs(self):
-        return self.st.nprocs
+        self.rank = st.rank
+        self.nprocs = st.nprocs
 
     def charge_op(self, count: int = 1) -> None:
         self.st.ops += count
@@ -1371,30 +1082,18 @@ class _CompiledAdapter:
         return _flush(self.st)
 
     def lookup(self, name: str):
-        slot = self.sc.scalar_slots.get(name)
-        if slot is not None:
-            value = self.fr[slot]
-            if value is not _UNSET:
-                return value
-        value = self.st.globals.get(name, _UNSET)
-        if value is _UNSET:
-            raise NodeRuntimeError(f"unbound variable {name!r}", self.st.rank)
-        return value
+        slot = self.gen.scalar_slots.get(name)
+        value = _UNSET if slot is None else self.fr[slot]
+        return _global(self.st, name) if value is _UNSET else value
 
     def get_array(self, name: str):
-        slot = self.sc.array_slots.get(name)
-        if slot is not None:
-            arr = self.fr[slot]
-            if arr is not _UNSET and arr is not None:
-                return arr
-        arr = self.st.globals.get(name)
-        if arr is None:
-            raise NodeRuntimeError(f"unknown array {name!r}", self.st.rank)
-        return arr
+        slot = self.gen.array_slots.get(name)
+        arr = None if slot is None else self.fr[slot]
+        return _array(self.st, name) if arr is _UNSET or arr is None else arr
 
     def run_enum(self, body):
         # The enumeration body was compiled with the procedure; ``body``
-        # (the IR) is ignored in favour of the precompiled generator.
+        # (the IR) is ignored in favour of the generated generator.
         return self.enumg(self.st, self.fr)
 
     def preplan(self, sched: str):
@@ -1409,167 +1108,49 @@ class _CompiledAdapter:
             ctx.record(sched, self.st.rank, plan)
 
 
-def _compile_exchange(stmt, sc):
-    enumg = _to_gen(_compile_body(list(stmt.enum_body), sc))
-    sched = stmt.sched
-
-    def g(st, fr, _stmt=stmt, _sched=sched, _enumg=enumg, _sc=sc):
-        state = ixec.get_state(st.exchanges, _sched)
-        ad = _CompiledAdapter(st, fr, _sc, _enumg)
-        yield from ixec.exec_exchange(ad, state, _stmt)
-    return ("gen", g, None, None)
-
-
-def _compile_resolve(stmt, sc):
-    idxf = _charged(_compile_expr(stmt.index, sc))
-    sched = stmt.sched
-
-    def run(st, fr, _i=idxf, _sched=sched):
-        gidx = _i(st, fr)
-        ixec.resolve(st, ixec.get_state(st.exchanges, _sched), gidx)
-    return ("pure", run, None, None)
-
-
-def _compile_accum(stmt, sc):
-    idxf = _charged(_compile_expr(stmt.index, sc))
-    valf = _charged(_compile_expr(stmt.value, sc))
-    sched = stmt.sched
-
-    def run(st, fr, _i=idxf, _v=valf, _sched=sched):
-        gidx = _i(st, fr)
-        value = _v(st, fr)
-        ixec.accum(st, ixec.get_state(st.exchanges, _sched), gidx, value)
-    return ("pure", run, None, None)
-
-
-def _compile_scatter_flush(stmt, sc):
-    def g(st, fr, _stmt=stmt, _sc=sc):
-        state = ixec.get_state(st.exchanges, _stmt.sched)
-        ad = _CompiledAdapter(st, fr, _sc)
-        yield from ixec.exec_scatter_flush(ad, state, _stmt)
-    return ("gen", g, None, None)
-
-
-def _compile_accum_local(stmt, sc):
-    get = _array_getter(stmt.array, sc)
-    idxfs = tuple(_charged(_compile_expr(i, sc)) for i in stmt.indices)
-    valf = _charged(_compile_expr(stmt.value, sc))
-
-    def run(st, fr, _g=get, _fns=idxfs, _v=valf):
-        indices = tuple(f(st, fr) for f in _fns)
-        value = _v(st, fr)
-        ixec.accum_local(st, _g(st, fr), indices, value)
-    return ("pure", run, None, None)
-
-
-def _compile_array_alias(stmt, sc):
-    get = _array_getter(stmt.source, sc)
-    slot = sc.array_slots[stmt.name]
-
-    def run(st, fr, _g=get, _slot=slot):
-        fr[_slot] = _g(st, fr)
-    return ("pure", run, 0, 0)
-
-
-def _compile_return(stmt, sc):
-    if stmt.value is None:
-        def run(st, fr):
-            raise _Return(None)
-        return ("pure", run, 0, 0)
-    if isinstance(stmt.value, str):
-        get = _array_getter(stmt.value, sc)
-
-        def run(st, fr, _g=get):
-            raise _Return(_g(st, fr))
-        return ("pure", run, 0, 0)
-    value = _compile_expr(stmt.value, sc)
-    if value.ops is not None:
-        vf = value.fn
-
-        def run(st, fr, _v=vf):
-            raise _Return(_v(st, fr))
-        return ("pure", run, value.ops, value.mems)
-    vf = _charged(value)
-
-    def run(st, fr, _v=vf):
-        raise _Return(_v(st, fr))
-    return ("pure", run, None, None)
-
-
 # ---------------------------------------------------------------------------
 # Procedures, programs, and the compilation table
 # ---------------------------------------------------------------------------
 
 
 def _compile_proc(proc, procs):
-    """Compile one procedure to ``("gen", genfn)`` or ``("pure", fn)``.
-
-    A procedure whose body yields no effects compiles to a plain
-    function, so call sites invoke it without creating a generator and
-    threading a ``yield from`` chain through the simulator.
-    """
-    sc = _ProcContext(procs, proc)
-    bodyk = _compile_body(list(proc.body), sc)
-    body_is_gen = bodyk[0] == "gen"
-    bodyf = bodyk[1] if body_is_gen else _pure_charged(bodyk)
-    nslots = sc.nslots
-    nparams = len(proc.params)
-    name = proc.name
-    pslots = tuple(
-        sc.array_slots[p] if p in proc.array_params else sc.scalar_slots[p]
+    """Compile one procedure to ``("gen", genfn)`` or ``("pure", fn)``:
+    one generated function ``_p(st, args)``, a plain function when its
+    text never yields, so call sites invoke it without a generator."""
+    gen = _SrcGen(procs, proc)
+    lines, ops, mems, yields, _ = gen.body(proc.body)
+    n = len(proc.params)
+    slots = [
+        gen.array_slots[p] if p in proc.array_params else gen.scalar_slots[p]
         for p in proc.params
-    )
-
-    if not body_is_gen:
-        def purefn(st, args):
-            if len(args) != nparams:
-                raise NodeRuntimeError(
-                    f"{name} expects {nparams} arguments, got {len(args)}",
-                    st.rank,
-                )
-            st.depth += 1
-            if st.depth > ir.MAX_CALL_DEPTH:
-                raise NodeRuntimeError(
-                    f"call depth exceeded in {name}", st.rank
-                )
-            fr = [_UNSET] * nslots
-            for i, arg in zip(pslots, args):
-                fr[i] = arg
-            try:
-                bodyf(st, fr)
-                result = None
-            except _Return as ret:
-                result = ret.value
-            finally:
-                st.depth -= 1
-            return result
-        return ("pure", purefn)
-
-    def procfn(st, args):
-        if len(args) != nparams:
-            raise NodeRuntimeError(
-                f"{name} expects {nparams} arguments, got {len(args)}",
-                st.rank,
-            )
-        st.depth += 1
-        if st.depth > ir.MAX_CALL_DEPTH:
-            raise NodeRuntimeError(f"call depth exceeded in {name}", st.rank)
-        fr = [_UNSET] * nslots
-        for i, arg in zip(pslots, args):
-            fr[i] = arg
-        try:
-            yield from bodyf(st, fr)
-            result = None
-        except _Return as ret:
-            result = ret.value
-        finally:
-            st.depth -= 1
-        return result
-    return ("gen", procfn)
+    ]
+    if slots == list(range(n)):
+        frame = [f"fr = [*args] + [_UNSET] * {gen.nslots - n}"]
+    else:
+        frame = [f"fr = [_UNSET] * {gen.nslots}"] + [
+            f"fr[{slot}] = args[{k}]" for k, slot in enumerate(slots)
+        ]
+    fn = gen.function([
+        f"if len(args) != {n}:",
+        "    raise NodeRuntimeError("
+        f"{f'{proc.name} expects {n} arguments, got '!r} + str(len(args)), "
+        "st.rank)",
+        "st.depth += 1",
+        f"if st.depth > {ir.MAX_CALL_DEPTH}:",
+        "    raise NodeRuntimeError("
+        f"{f'call depth exceeded in {proc.name}'!r}, st.rank)",
+        *frame,
+        "try:",
+        *_ind(lines + _charge_lines(ops, mems) or ["pass"]),
+        "finally:",
+        "    st.depth -= 1",
+    ], "st, args", "_p")
+    return ("gen" if yields else "pure"), fn
 
 
 class CompiledNode:
-    """A NodeProgram compiled to closures, for any rank of any ring."""
+    """A NodeProgram compiled to generated functions, for any rank of
+    any ring."""
 
     __slots__ = ("program", "_procs", "_entry")
 
@@ -1600,12 +1181,9 @@ class CompiledNode:
         return result
 
 
-perf.register_cache("spmd_compile", {})
-
-
 def compiled_node(program: ir.NodeProgram) -> CompiledNode:
-    """The (memoized) compilation of ``program``: one closure tree that
-    every rank of every ring size runs.
+    """The (memoized) compilation of ``program``: one generated function
+    per procedure, which every rank of every ring size runs.
 
     :class:`NodeProgram` hashes by identity, so the ``spmd_compile``
     table never confuses two structurally-similar programs, and holding

@@ -471,9 +471,9 @@ def run_spmd(
     processors (§5.3/5.4); the program still sees ``S = nprocs``.
 
     ``backend`` selects the execution engine: ``"compiled"`` (default)
-    runs closures compiled once per program by
-    :mod:`repro.spmd.compile` (every rank starts the same tree with its
-    own ``rank``); ``"interp"`` is the tree-walking
+    runs one generated function per node procedure, compiled once per
+    program by :mod:`repro.spmd.compile` (every rank starts the same
+    code with its own ``rank``); ``"interp"`` is the tree-walking
     reference interpreter, kept as the differential oracle; ``"replay"``
     extracts each rank's static event skeleton once and replays clocks
     over columnar arrays (:mod:`repro.replay`) — timing-identical to

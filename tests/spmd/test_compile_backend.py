@@ -16,25 +16,33 @@ from hypothesis import strategies as hs
 
 from repro import perf
 from repro.bench.harness import STRATEGY_ORDER, measure
-from repro.errors import IStructureError
+from repro.errors import IStructureError, NodeRuntimeError
 from repro.machine import MachineParams, Recv
 from repro.runtime import IStructure, LocalArray
 from repro.spmd import NodeProc, NodeProgram, compiled_node, run_spmd
 from repro.spmd.ir import (
+    BufLV,
     IsLV,
+    NAllocBuf,
     NAllocIs,
     NAssign,
     NBin,
     NBroadcast,
     NCall,
+    NCallProc,
     NCoerce,
     NConst,
     NExpr,
+    NFor,
     NIf,
     NIsRead,
     NMyNode,
     NNProcs,
+    NRecv,
+    NRecvVec,
     NReturn,
+    NSend,
+    NSendVec,
     NUn,
     NVar,
     VarLV,
@@ -597,9 +605,254 @@ class TestExpressionDifferential:
                 app.SOURCE, entry=app.ENTRY, entry_shapes=app.ENTRY_SHAPES,
                 strategy=Strategy.INSPECTOR, opt_level=OptLevel.NONE,
             ).program)
-        _cg_code.cache_clear()  # every fragment really is compiled
+        _cg_code.cache_clear()  # every procedure really is compiled
         with warnings.catch_warnings():
             warnings.simplefilter("error", SyntaxWarning)
             for program in programs:
                 CompiledNode(program)
-        assert _cg_code.cache_info().misses > 100
+        # One code object per distinct procedure text.
+        assert _cg_code.cache_info().misses > 20
+
+
+# -- statement-level differential -------------------------------------------
+#
+# The twin of the expression differential: random nests of statements —
+# loops (zero-trip and non-positive steps included), dynamic and
+# constant guards, returns at any depth, ring messages, coerce in every
+# role, broadcast and calls to pure, generator and not-yet-compiled
+# procedures — run on rings of one to three, every outcome compared.
+
+_P, _S = NMyNode(), NNProcs()
+_RIGHT = NBin("mod", NBin("+", _P, NConst(1)), _S)
+_LEFT = NBin("mod", NBin("+", _P, NBin("-", _S, NConst(1))), _S)
+_TARGETS = ["x", "y", "w"]
+
+
+def _small_exprs():
+    leaves = hs.sampled_from(
+        [NConst(v) for v in (0, 1, 2, 3)]
+        + [NVar(n) for n in ("a", "x", "y", "i")]
+        + [_P, NIsRead("V", (NConst(2),))]
+    )
+
+    def extend(children):
+        return hs.one_of(
+            hs.builds(NBin, hs.sampled_from(
+                ["+", "-", "*", "mod", "<", "==", "and", "or"]),
+                children, children),
+            hs.builds(NUn, hs.sampled_from(["not", "-"]), children),
+        )
+    return hs.recursive(leaves, extend, max_leaves=4)
+
+
+_E = _small_exprs()
+_VAR = hs.sampled_from(_TARGETS)
+_COERCE_ROLES = [
+    (NConst(0), NConst(0)),  # owner = dest
+    (NConst(0), NConst(1)),  # owner, dest and (S = 3) a bystander
+    (NConst(1), NConst(0)),
+    (NBin("mod", NVar("a"), _S), NConst(0)),  # roles known at run time
+    (_P, _P),
+]
+
+
+def _leaf_stmts():
+    def assign(t, e):  # mod 97 keeps loop-carried values small
+        return [NAssign(VarLV(t), NBin("mod", e, NConst(97)))]
+
+    def ring(e, t):
+        return [NSend(_RIGHT, "ring", (e,)), NRecv(_LEFT, "ring", (VarLV(t),))]
+
+    def vec(hi):
+        return [NSendVec(_RIGHT, "vec", "B", NConst(1), NConst(hi)),
+                NRecvVec(_LEFT, "vec", "B", NConst(1), NConst(hi))]
+
+    def coerce(t, e, role):
+        return [NCoerce(VarLV(t), e, *role, "co")]
+
+    def broadcast(t, e, last):
+        owner = NBin("-", _S, NConst(1)) if last else NConst(0)
+        return [NBroadcast(VarLV(t), e, owner, "bc")]
+
+    def call(proc, e, t):
+        return [NCallProc(proc, (e,), VarLV(t) if t else None)]
+
+    def folded_return(taken, e):  # a guard rank specialization decided
+        ret = (NReturn(e),)
+        return [NIf(NConst(True), ret) if taken else NIf(NConst(0), (), ret)]
+
+    return hs.one_of(
+        hs.builds(assign, _VAR, _E),
+        hs.builds(lambda e: [NReturn(e)], _E),
+        hs.builds(folded_return, hs.booleans(), _E),
+        hs.builds(ring, _E, _VAR),
+        hs.builds(vec, hs.integers(0, 4)),
+        hs.builds(coerce, _VAR, _E, hs.sampled_from(_COERCE_ROLES)),
+        hs.builds(broadcast, _VAR, _E, hs.booleans()),
+        hs.builds(call, hs.sampled_from(["pure", "gen", "late"]), _E,
+                  hs.sampled_from([*_TARGETS, None])),
+    )
+
+
+def _nest(children):
+    body = hs.lists(children, max_size=3).map(
+        lambda parts: tuple(s for part in parts for s in part)
+    )
+    loop = hs.builds(
+        lambda var, lo, hi, step, b: [NFor(var, lo, hi, step, b)],
+        hs.sampled_from(["i", "j"]),
+        hs.sampled_from([NConst(0), NConst(1), NVar("y")]),
+        hs.sampled_from([NConst(0), NConst(1), NConst(3), NVar("a")]),
+        hs.sampled_from([NConst(1), NConst(1), NConst(2), NConst(0),
+                         NConst(-1), NBin("-", NVar("a"), NConst(2))]),
+        body,
+    )
+    guard = hs.one_of(_E, hs.sampled_from(
+        [NConst(True), NConst(False), NBin("==", NConst(1), NConst(2))]
+    ))
+    branch = hs.builds(lambda c, t, e: [NIf(c, t, e)], guard, body, body)
+    return hs.one_of(loop, branch)
+
+
+_STMTS = hs.recursive(_leaf_stmts(), _nest, max_leaves=8)
+
+
+def _stmt_program(parts) -> NodeProgram:
+    x, r = NVar("x"), NVar("r")
+    pure = NodeProc("pure", ("x",), body=(
+        NAssign(VarLV("r"), NBin("mod", x, NConst(5))),
+        NFor("k", NConst(1), NConst(3), NConst(1), (
+            NAssign(VarLV("r"), NBin("+", r, NVar("k"))),
+            NIf(NBin(">", r, NConst(6)), (NReturn(NBin("*", r, NConst(2))),)),
+        )),
+        NReturn(r),
+    ))
+    gen = NodeProc("gen", ("x",), body=(
+        NSend(_RIGHT, "gen", (x,)),
+        NRecv(_LEFT, "gen", (VarLV("r"),)),
+        NReturn(NBin("+", r, NConst(1))),
+    ))
+    late = NodeProc("late", ("x",), body=(
+        NIf(NBin(">", x, NConst(2)), (NReturn(x),)),
+        NReturn(NConst(0)),
+    ))
+    prologue = [NAssign(VarLV(n), NConst(v))
+                for n, v in (("x", 1), ("y", 2), ("w", 0), ("i", 0))]
+    prologue += [
+        NAllocBuf("B", (NConst(4),)),
+        NFor("k", NConst(1), NConst(4), NConst(1),
+             (NAssign(BufLV("B", (NVar("k"),)), NVar("k")),)),
+    ]
+    body = (*prologue, *(s for part in parts for s in part),
+            NReturn(NBin("+", NVar("x"), NBin("*", NVar("y"), NVar("w")))))
+    main = NodeProc("main", ("a", "V", "M"), frozenset(("V", "M")), body)
+    procs = {"pure": pure, "gen": gen, "main": main, "late": late}
+    return NodeProgram(name="stmts", procs=procs, entry="main")
+
+
+def _stmt_observe(program, nprocs, backend):
+    try:
+        result = run_spmd(program, nprocs, _expr_args, backend=backend)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    stats = result.sim.stats
+    return ("returned", repr(result.returned), result.sim.finish_times_us,
+            dict(stats.per_channel), dict(stats.per_channel_bytes))
+
+
+class TestStatementDifferential:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(parts=hs.lists(_STMTS, max_size=4))
+    def test_random_statements_match_the_interpreter(self, parts):
+        program = _stmt_program(parts)
+        for nprocs in (1, 2, 3):
+            observed = _stmt_observe(program, nprocs, "compiled")
+            assert observed == _stmt_observe(program, nprocs, "interp"), (
+                nprocs, program
+            )
+
+    _BUF = [NAllocBuf("B", (NConst(4),))] + [
+        NAssign(BufLV("B", (NConst(k),)), NConst(k)) for k in (1, 2)
+    ]
+
+    @pytest.mark.parametrize("body", [
+        [NSend(_RIGHT, "c", (NConst(1), NConst(2))),
+         NRecv(_LEFT, "c", (VarLV("x"),))],
+        [*_BUF, NSendVec(_RIGHT, "v", "B", NConst(1), NConst(2)),
+         NRecvVec(_LEFT, "v", "B", NConst(1), NConst(3))],
+        [NFor("i", NConst(1), NConst(3), NVar("g"), ())],
+        [NAllocIs("A", (NConst(2),)),
+         NSendVec(_RIGHT, "v", "A", NConst(1), NConst(1))],
+        [NCallProc("nope", (NConst(1),), VarLV("x"))],
+        [NCallProc("main", (NConst(1),), VarLV("x"))],
+        [NCallProc("main", (), VarLV("x"))],
+    ], ids=["recv-arity", "vector-length", "loop-step", "not-a-buffer",
+            "unknown-proc", "proc-arity", "call-depth"])
+    def test_statement_errors_match(self, body):
+        main = NodeProc("main", (), body=tuple(body))
+        program = NodeProgram("errors", {"main": main}, "main")
+        errors = []
+        for backend in ("interp", "compiled"):
+            with pytest.raises(NodeRuntimeError) as err:
+                run_spmd(program, 2, lambda rank: [], globals_={"g": 0},
+                         backend=backend)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("body", ["pure", "send"])
+    @pytest.mark.parametrize("guard", ["then", "else"])
+    def test_a_folded_return_charges_nothing_after_it(self, body, guard):
+        """A constant guard's branch that returns ends the straight-line
+        run: the statements after it are never charged."""
+        a = NVar("a")
+        square = NBin("+", NBin("*", NConst(2), a), NBin("*", a, a))
+        ret = (NReturn(NConst(1)),)
+        stmts = [
+            NAssign(VarLV("a"), NConst(3)),
+            NIf(NConst(True), ret) if guard == "then"
+            else NIf(NConst(False), (), ret),
+            NAssign(VarLV("b"), square),
+            NAssign(VarLV("c"), square),
+        ]
+        if body == "send":
+            stmts.append(NSend(_RIGHT, "late", (NVar("b"),)))
+        main = NodeProc("main", (), body=tuple(stmts))
+        program = NodeProgram("folded", {"main": main}, "main")
+        results = {
+            backend: run_spmd(program, 2, lambda rank: [], backend=backend)
+            for backend in ("interp", "compiled")
+        }
+        for result in results.values():
+            assert result.returned == [1, 1]
+            assert result.sim.finish_times_us == [0.0, 0.0]
+
+    @pytest.mark.parametrize("kind, depth", [("for", 24), ("if", 110)])
+    def test_deep_nests_compile_and_agree(self, kind, depth):
+        """Nests past CPython's 20 nested blocks and 100 indentation
+        levels: the innermost body sends, receives and returns."""
+        body = (
+            NSend(_RIGHT, "deep", (NVar("x"),)),
+            NRecv(_LEFT, "deep", (VarLV("x"),)),
+            NIf(NBin(">", NVar("x"), NConst(0)),
+                (NReturn(NBin("+", NVar("x"), NConst(depth))),)),
+        )
+        for level in range(depth):
+            if kind == "for":
+                body = (NFor(f"i{level % 3}", NConst(1), NConst(1),
+                             NConst(1), body),)
+            else:
+                body = (NIf(NBin(">=", _P, NConst(0)), body),
+                        NAssign(VarLV("y"), NConst(level)))
+        main = NodeProc("main", (), body=(
+            NAssign(VarLV("x"), NBin("+", _P, NConst(1))), *body,
+            NReturn(NConst(-1)),
+        ))
+        program = NodeProgram("deep", {"main": main}, "main")
+        results = [run_spmd(program, 2, lambda rank: [], backend=backend)
+                   for backend in ("interp", "compiled")]
+        assert results[0].returned == results[1].returned == [
+            2 + depth, 1 + depth
+        ]
+        assert (results[0].sim.finish_times_us
+                == results[1].sim.finish_times_us)

@@ -200,3 +200,27 @@ def test_the_tuner_owns_no_walk():
         if name in ("Walker", "walk_code")
     ]
     assert not offenders, "\n".join(offenders)
+
+
+def test_one_generated_function_per_procedure():
+    """The value backend writes each node procedure as one generated
+    function: compiling gauss_seidel optIII from a cleared code cache
+    compiles exactly one code object per procedure, and no expression or
+    statement has a code object of its own."""
+    from repro import perf
+    from repro.apps import gauss_seidel as gs
+    from repro.core.compiler import OptLevel, Strategy, compile_program
+    from repro.spmd import compiled_node
+    from repro.spmd.compile import _cg_code
+
+    program = compile_program(
+        gs.SOURCE, entry_shapes={"Old": ("N", "N")},
+        strategy=Strategy.COMPILE_TIME, opt_level=OptLevel.STRIPMINE,
+    ).program
+    _cg_code.cache_clear()
+    with perf.caches_disabled():
+        node = compiled_node(program)
+    assert _cg_code.cache_info().misses == len(program.procs)
+    for _, fn in node._procs.values():
+        code = fn.__code__
+        assert (code.co_filename, code.co_name) == ("<spmd-codegen>", "_p")
