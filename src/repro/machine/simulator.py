@@ -190,16 +190,8 @@ class Simulator:
         latency-hiding of §5.4) — and messages between co-located
         processes skip the network (start-up-free local delivery).
         """
-        if placement is None:
-            placement = list(range(self.nprocs))
-        if len(placement) != self.nprocs:
-            raise SimulationError(
-                f"placement has {len(placement)} entries for {self.nprocs} "
-                "processes"
-            )
+        placement = check_placement(placement, self.nprocs)
         ncpus = max(placement) + 1 if placement else 1
-        if any(not 0 <= cpu < ncpus for cpu in placement):
-            raise SimulationError(f"bad placement {placement}")
         cpu_clock = self._cpu_clock = [0.0] * ncpus
         cpu_busy = self._cpu_busy = [0.0] * ncpus
         procs = [
@@ -499,6 +491,21 @@ class Simulator:
                 blocked = [p for p in procs if p.status is _Status.BLOCKED]
                 if blocked:
                     raise _deadlock_error(procs, blocked, queues)
+
+
+def check_placement(placement: list[int] | None, nprocs: int) -> list[int]:
+    """``placement`` checked as a map of ``nprocs`` processes onto
+    physical processors numbered from 0; ``None`` is the identity."""
+    if placement is None:
+        return list(range(nprocs))
+    if len(placement) != nprocs:
+        raise SimulationError(
+            f"placement has {len(placement)} entries for {nprocs} processes"
+        )
+    ncpus = max(placement) + 1 if placement else 1
+    if any(not 0 <= cpu < ncpus for cpu in placement):
+        raise SimulationError(f"bad placement {placement}")
+    return placement
 
 
 def _deadlock_error(

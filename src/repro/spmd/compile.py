@@ -7,11 +7,9 @@ backend translates a :class:`~repro.spmd.ir.NodeProgram` *once* per
 program into **one generated Python function per node procedure**, as
 the paper's compiler emits one C function per node procedure (§3.1–3.2,
 Appendix A): guards become ``if``, loops ``for … in range``, ``return``
-a native ``return``, and every send and receive an in-line ``yield`` of
-the effect, preceded by one in-line flush of the pending cost. The
-result runs many times, on every rank of every ring: ``mynode()`` and
-``nprocs()`` are run-time values read from the per-run state, as the
-paper's one SPMD program reads them (§3.1) and as
+a native ``return``. The result runs many times, on every rank of every
+ring: ``mynode()`` and ``nprocs()`` are run-time values read from the
+per-run state, as the paper's one SPMD program reads them (§3.1) and as
 :mod:`repro.spmd.walk` does:
 
 * constant subexpressions are folded at compile time (value folding
@@ -21,14 +19,46 @@ paper's one SPMD program reads them (§3.1) and as
   frame list instead of per-access dict lookups;
 * the ``charge_op``/``charge_mem`` bookkeeping of each straight-line
   run is pre-aggregated into one ``st.ops += k`` / ``st.mems += m``. A
-  run ends at a statement that may yield and at one that contains a
-  ``return``, so no charge crosses a flush and none is made for a
-  statement a return skipped; a loop whose body never ends a run charges
-  ``n·(1 + body)`` once.
-* A procedure that never yields is a plain function, called without a
-  generator frame; a body nested deeper than ``_MAX_DEPTH`` is emitted
-  as a function of its own, which keeps CPython's limits on statically
-  nested blocks and on indentation out of reach.
+  run ends at a statement that may record an effect and at one that
+  contains a ``return``, so no charge crosses a flush and none is made
+  for a statement a return skipped; a loop whose body never ends a run
+  charges ``n·(1 + body)`` once.
+* A procedure that can never block on a receive is a plain function,
+  called without a generator frame; a body nested deeper than
+  ``_MAX_DEPTH`` is emitted as a function of its own, which keeps
+  CPython's limits on statically nested blocks and on indentation out
+  of reach.
+
+One clock
+---------
+
+A run has no clock. In the paper's machine model (§2.2) a processor's
+time depends only on its own operation counts and on the arrival times
+of the messages it receives, and the values it computes only on the
+messages, which blocking receives on FIFO channels deliver in an order
+no schedule can change. So each rank *records* what it does, as the
+rows of :mod:`repro.machine.rows` with channels spelled by name, and
+moves the values itself:
+
+* the in-line flush before a message appends a compute row ``(0, -1,
+  -1, 0, ops, mems)`` of the pending counters;
+* every send (point to point, vector, coerce, broadcast) is one call of
+  :func:`_send`, which checks the peer, appends a send row, queues the
+  payload on its ``(src, dst, chan)`` FIFO and wakes a rank blocked on
+  that FIFO;
+* a receive takes a queued payload in line and appends a receive row;
+  only an empty FIFO leaves the generated code (:func:`_recv`), where
+  the rank yields to the ring until a send fills it.
+
+:class:`_Ring` resumes blocked ranks in the live simulator's ready-deque
+order, so ranks fail, exhaust ``max_steps`` and deadlock as they would
+there (with one process per processor: the receives a packing defers are
+steps only the simulator takes), and :func:`run_compiled` clocks the
+recorded rows with :func:`repro.machine.rows.run_rows` — the scheduler
+the tuner's prediction, the replay oracle and the verifier's deadlock
+pass already share. A trace or a packing of several processes onto one
+processor (§5.3/5.4) is the live simulator's alone: it replays the rows
+as effects.
 
 Cost model equivalence
 ----------------------
@@ -51,14 +81,19 @@ so repeated measurements of the same program pay for compilation once.
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import lru_cache
 
 from repro import perf
-from repro.errors import NodeRuntimeError
+from repro.errors import NodeRuntimeError, SimulationError
 from repro.inspector import executor as ixec
 from repro.inspector.context import INSPECTOR_GLOBAL
 from repro.lang.builtins import apply_builtin, is_builtin
-from repro.machine import Compute, MachineParams, Recv, Send
+from repro.machine import (
+    ChannelKey, Compute, MachineParams, Recv, Send, SimResult, Simulator,
+)
+from repro.machine.rows import KIND_COMPUTE, KIND_RECV, KIND_SEND, run_rows
+from repro.machine.simulator import deadlock_forensics
 from repro.runtime import IStructure, LocalArray
 from repro.runtime.istructure import UNDEFINED
 from repro.spmd import ir
@@ -69,12 +104,15 @@ _NORET = object()  # what a split-off body returns when it did not return
 
 
 class _State:
-    """Per-run mutable state shared by the procedures of one processor."""
+    """One rank of a run: the per-run state its procedures share, its
+    recorded rows, and the ring's channel tables."""
 
     __slots__ = ("rank", "nprocs", "globals", "ops", "mems", "op_us",
-                 "mem_us", "depth", "exchanges")
+                 "mem_us", "depth", "exchanges", "rows", "fifo", "blocked",
+                 "ready", "canon", "peers", "lim", "ring", "task", "waiting",
+                 "done", "returned", "steps", "start")
 
-    def __init__(self, rank, nprocs, op_us, mem_us, globals_):
+    def __init__(self, rank, nprocs, op_us, mem_us, globals_, ring):
         self.rank = rank
         self.nprocs = nprocs
         self.globals = globals_
@@ -84,6 +122,20 @@ class _State:
         self.mem_us = mem_us
         self.depth = 0
         self.exchanges: dict[str, ixec.ExchangeState] = {}
+        self.rows: list[tuple] = []
+        self.fifo = ring.fifo
+        self.blocked = ring.blocked
+        self.ready = ring.ready
+        self.canon = ring.canon
+        self.peers = ring.size  # messages may name ranks below this
+        self.lim = 0  # rows after which the step budget is spent
+        self.ring = ring
+        self.task = None  # the entry generator
+        self.waiting = None  # the (src, dst, chan) key it blocked on
+        self.done = False
+        self.returned = None
+        self.steps = 0  # steps of finished bursts
+        self.start = 0  # row count when the current burst began
 
     # Minimal meter protocol for the shared inspector/executor leaves.
     def charge_op(self, count: int = 1) -> None:
@@ -93,16 +145,118 @@ class _State:
         self.mems += count
 
 
+# ---------------------------------------------------------------------------
+# Recording: rows, messages and the step budget
+# ---------------------------------------------------------------------------
+#
+# A rank records what the live simulator would have been handed as
+# effects, as rows ``(kind, peer, chan, plen, ops, mems)`` of
+# :mod:`repro.machine.rows` with channels spelled by name, and moves
+# payloads itself through one FIFO per ``(src, dst, chan)``. A row is
+# one simulator step, as are a receive that blocks and a rank's finish.
+# ``st.lim`` is the row count after which the step budget allows no
+# further step. Only what can repeat without end checks it — a send, a
+# receive that blocks, the finish — and the ring checks it again when
+# node code raises, so the run stops where the simulator's would.
+
+
+class _Exceeded(Exception):
+    """A rank has taken more steps than the budget allows."""
+
+
+class _Canon(dict):
+    """One tuple per distinct row, which every rank of a ring appends:
+    a long run repeats a few rows many times, and keeping one copy of
+    each holds its recording to a list of references."""
+
+    def __missing__(self, row):
+        self[row] = row
+        return row
+
+
 def _flush(st):
-    """Yield one Compute for the pending cost pool (mirrors interp.flush)."""
+    """Record the pending cost as one compute row (mirrors
+    interp.flush)."""
     ops = st.ops
     mems = st.mems
     if ops or mems:
         st.ops = 0
         st.mems = 0
-        cost = ops * st.op_us + mems * st.mem_us
-        if cost > 0.0:
-            yield Compute(cost)
+        if ops * st.op_us + mems * st.mem_us > 0.0:
+            st.rows.append(st.canon[KIND_COMPUTE, -1, -1, 0, ops, mems])
+
+
+def _send(st, dst, chan, payload, plen):
+    """Record a send of the ``plen`` scalars of ``payload`` and queue
+    it, waking a blocked receiver."""
+    rows = st.rows
+    if len(rows) > st.lim:
+        raise _Exceeded
+    if not 0 <= dst < st.peers:
+        raise NodeRuntimeError(f"send to invalid processor {dst}", st.rank)
+    if dst == st.rank:
+        raise NodeRuntimeError(
+            f"self-send on channel {chan!r} "
+            "(a local access must not become a message)",
+            st.rank,
+        )
+    rows.append(st.canon[KIND_SEND, dst, chan, plen, 0, 0])
+    key = (st.rank, dst, chan)
+    queue = st.fifo.get(key)
+    if queue is None:
+        queue = st.fifo[key] = deque()
+    queue.append(payload)
+    if key in st.blocked:
+        st.ready.append(st.blocked[key])
+        del st.blocked[key]
+
+
+def _broadcast(st, owner, chan, payload):
+    """The owner's sends of a broadcast's one scalar, one to every other
+    rank."""
+    for dst in range(st.nprocs):
+        if dst != owner:
+            _send(st, dst, chan, payload, 1)
+
+
+def _recv(st, src, chan):
+    """Take the next payload on ``(src, rank, chan)``, blocking while its
+    queue is empty. The generated code takes a queued payload in line and
+    comes here for everything else: an empty queue or an invalid peer."""
+    if not 0 <= src < st.peers:
+        raise NodeRuntimeError(f"recv from invalid processor {src}", st.rank)
+    if src == st.rank:
+        raise NodeRuntimeError(f"self-receive on channel {chan!r}", st.rank)
+    key = (src, st.rank, chan)
+    queue = st.fifo.get(key)
+    if not queue:
+        if len(st.rows) > st.lim:
+            raise _Exceeded
+        st.waiting = key
+        st.blocked[key] = st.rank
+        yield  # resumed by the ring once a send fills the queue
+        queue = st.fifo[key]
+    st.rows.append(st.canon[KIND_RECV, src, chan, 0, 0, 0])
+    return queue.popleft()
+
+
+def _relay(st, effects):
+    """Record the effects a shared inspector/executor generator yields;
+    a ``None`` is a block inside a generated enumeration body."""
+    reply = None
+    while True:
+        try:
+            effect = effects.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = None
+        if effect is None:
+            yield
+        elif isinstance(effect, Send):
+            payload = effect.payload
+            _send(st, effect.dst, effect.channel, payload, len(payload))
+        else:
+            reply = yield from _recv(st, effect.src, effect.channel)
 
 
 class _CExpr:
@@ -329,9 +483,9 @@ def _call(st, procs, name, args):
     if entry is None:
         raise NodeRuntimeError(f"unknown node procedure {name!r}", st.rank)
     kind, fn = entry
-    if kind == "pure":
-        return fn(st, args)
-    return (yield from fn(st, args))
+    if kind == "gen":
+        return (yield from fn(st, args))
+    return fn(st, args)
 
 
 def _sendvec(st, buf, lo, hi):
@@ -384,12 +538,14 @@ def _accum_local(st, indices, value, arr):
 
 def _exchange(st, fr, gen, stmt, enum):
     state = ixec.get_state(st.exchanges, stmt.sched)
-    return ixec.exec_exchange(_CompiledAdapter(st, fr, gen, enum), state, stmt)
+    return _relay(st, ixec.exec_exchange(
+        _CompiledAdapter(st, fr, gen, enum), state, stmt))
 
 
 def _scatter_flush(st, fr, gen, stmt):
     state = ixec.get_state(st.exchanges, stmt.sched)
-    return ixec.exec_scatter_flush(_CompiledAdapter(st, fr, gen), state, stmt)
+    return _relay(st, ixec.exec_scatter_flush(
+        _CompiledAdapter(st, fr, gen), state, stmt))
 
 
 # op -> (Python spelling, helper that checks the divisor first).
@@ -403,13 +559,16 @@ _CG_ACCESS = {
     ("write", 2): "_wr2",
 }
 
-# Yield the pending cost as one Compute: interp.flush, in line. The
-# test is left out where a static charge was just made.
+# Record the pending cost as one compute row: interp.flush, in line.
+# The test is left out where a static charge was just made. The
+# temporaries are the flush's own: it runs between the binding and the
+# use of a statement's operands (``_o``, ``_d``, ``_p``, ...).
 _COMPUTE = (
-    "_c = st.ops * st.op_us + st.mems * st.mem_us",
+    "_fo = st.ops",
+    "_fm = st.mems",
     "st.ops = st.mems = 0",
-    "if _c > 0.0:",
-    "    yield Compute(_c)",
+    "if _fo * st.op_us + _fm * st.mem_us > 0.0:",
+    f"    st.rows.append(st.canon[{KIND_COMPUTE}, -1, -1, 0, _fo, _fm])",
 )
 _FLUSH = ("if st.ops or st.mems:", *_ind(_COMPUTE))
 
@@ -431,12 +590,16 @@ class _SrcGen:
     Statements are emitted into ``out`` one straight-line *run* at a
     time: ``ops``/``mems`` is the static cost of the run so far, written
     as one charge by :meth:`settle` where the run ends — before a
-    statement that may yield (the flush must see it) or that contains a
-    ``return`` (the statements after it must not be charged).
+    statement that may record an effect (the flush must see it) or that
+    contains a ``return`` (the statements after it must not be charged).
+    ``effects``/``returns``/``blocks`` say whether the body written so
+    far may record an effect, return, or block on a receive (which makes
+    its function a generator).
     """
 
     __slots__ = ("procs", "scalar_slots", "array_slots", "nslots", "env",
-                 "n", "out", "ops", "mems", "yields", "returns", "depth")
+                 "n", "out", "ops", "mems", "effects", "returns", "blocks",
+                 "depth")
 
     def __init__(self, procs, proc):
         self.procs = procs  # name -> (kind, fn), filled in program order
@@ -455,7 +618,7 @@ class _SrcGen:
         self.n = 0
         self.out: list[str] = []
         self.ops = self.mems = 0
-        self.yields = self.returns = False
+        self.effects = self.returns = self.blocks = False
         self.depth = 0
 
     # -- helpers and names --------------------------------------------------
@@ -707,9 +870,27 @@ class _SrcGen:
         return bool(lines)
 
     def flush(self):
-        """Settle the run, then the lines yielding the pending cost."""
-        self.yields = True
+        """Settle the run, then the lines recording the pending cost."""
+        self.effects = True
         return list(_COMPUTE if self.settle() else _FLUSH)
+
+    def blocking(self):
+        """Settle the run before a statement that may block."""
+        self.settle()
+        self.effects = self.blocks = True
+
+    def receive(self, src, channel):
+        """Lines binding ``_p`` to the next payload from ``src``: a queued
+        one taken in line, else the blocking :func:`_recv`."""
+        self.effects = self.blocks = True
+        return [
+            f"if _fq := st.fifo.get(({src}, st.rank, {channel})):",
+            "    _p = _fq.popleft()",
+            f"    st.rows.append("
+            f"st.canon[{KIND_RECV}, {src}, {channel}, 0, 0, 0])",
+            "else:",
+            f"    _p = yield from _recv(st, {src}, {channel})",
+        ]
 
     def bind(self, name, ce):
         """``ce`` evaluated here, in the interpreter's order: bound to
@@ -727,15 +908,17 @@ class _SrcGen:
 
     # -- bodies ---------------------------------------------------------------
     def body(self, stmts, ops=0, mems=0):
-        """``stmts`` as nested lines: ``(lines, ops, mems, yields,
-        returns)``. ``ops``/``mems`` enter as a cost pending at the start
-        and leave as the cost still pending at the end — the body's whole
-        static cost when it neither yields nor returns, which the caller
-        may then charge anywhere in its own run."""
+        """``stmts`` as nested lines: ``(lines, ops, mems, effects,
+        returns, blocks)``. ``ops``/``mems`` enter as a cost pending at
+        the start and leave as the cost still pending at the end — the
+        body's whole static cost when it neither records an effect nor
+        returns, which the caller may then charge anywhere in its own
+        run."""
         if self.depth >= _MAX_DEPTH:
-            name, ops, mems, yields, returns = self.split(stmts, ops, mems)
+            name, *body = self.split(stmts, ops, mems)
+            ops, mems, effects, returns, blocks = body
             call = f"{name}(st, fr)"
-            if yields:
+            if blocks:
                 call = f"yield from {call}"
             if returns:
                 lines = [f"_ret = {call}",
@@ -743,37 +926,44 @@ class _SrcGen:
                          "    return _ret"]
             else:
                 lines = [call]
-            return lines, ops, mems, yields, returns
-        saved = self.out, self.ops, self.mems, self.yields, self.returns
+            return lines, ops, mems, effects, returns, blocks
+        saved = (self.out, self.ops, self.mems, self.effects, self.returns,
+                 self.blocks)
         self.out, self.ops, self.mems = [], ops, mems
-        self.yields = self.returns = False
+        self.effects = self.returns = self.blocks = False
         self.depth += 1
         for stmt in stmts:
             _EMIT.get(type(stmt), _SrcGen.unknown)(self, stmt)
         self.depth -= 1
-        result = self.out, self.ops, self.mems, self.yields, self.returns
-        self.out, self.ops, self.mems, self.yields, self.returns = saved
+        result = (self.out, self.ops, self.mems, self.effects, self.returns,
+                  self.blocks)
+        (self.out, self.ops, self.mems, self.effects, self.returns,
+         self.blocks) = saved
         return result
 
     def split(self, stmts, ops=0, mems=0, generator=False):
         """``stmts`` as a generated function of their own over
-        ``(st, fr)``: ``(helper name, ops, mems, yields, returns)``."""
+        ``(st, fr)``: ``(helper name, ops, mems, effects, returns,
+        blocks)``."""
         depth, self.depth = self.depth, 0
-        lines, ops, mems, yields, returns = self.body(stmts, ops, mems)
+        lines, ops, mems, effects, returns, blocks = self.body(
+            stmts, ops, mems)
         self.depth = depth
-        if yields or returns or generator:
+        if effects or returns or generator:
             lines += _charge_lines(ops, mems)
             ops = mems = 0
         if returns:
             lines.append("return _NORET")
-        if generator and not yields:
+        if generator and not blocks:
             lines.append("yield from ()")
-        return self.fresh(self.function(lines)), ops, mems, yields, returns
+        name = self.fresh(self.function(lines))
+        return name, ops, mems, effects, returns, blocks
 
-    def nested(self, lines, ops, mems, yields, returns):
+    def nested(self, lines, ops, mems, effects, returns, blocks):
         """Take a nested body's flags; its lines with the rest charged."""
-        self.yields |= yields
+        self.effects |= effects
         self.returns |= returns
+        self.blocks |= blocks
         return (lines + _charge_lines(ops, mems)) or ["pass"]
 
     # -- statements -----------------------------------------------------------
@@ -797,8 +987,8 @@ class _SrcGen:
         lo, hi, step = bounds
         self.cost(*_static_cost(bounds))
         body = self.body(s.body, 1, 0)  # + the increment and bound test
-        lines, ops, mems, yields, returns = body
-        if yields or returns:
+        lines, ops, mems, effects, returns, blocks = body
+        if effects or returns:
             self.settle()
         if type(step.const) is int and step.const > 0:
             rng = f"range({lo.src}, {hi.src} + 1, {step.src})"
@@ -811,7 +1001,7 @@ class _SrcGen:
             ]
             rng = "range(_lo, _hi + 1, _by)"
         target = f"fr[{self.scalar_slots[s.var]}]"
-        if yields or returns:
+        if effects or returns:
             self.out.append(f"for {target} in {rng}:")
         else:
             # The body's cost is static: every iteration's, charged once.
@@ -820,7 +1010,7 @@ class _SrcGen:
                 [f"st.mems += len(_r) * {mems}"] if mems else []
             )
             self.out.append(f"for {target} in _r:")
-            body = lines, 0, 0, False, False
+            body = lines, 0, 0, False, False, False
         self.out += _ind(self.nested(*body))
 
     def if_(self, s):
@@ -864,8 +1054,9 @@ class _SrcGen:
             payload = "_p"
         dst = self.bind("_d", dst)  # after the values, as interp does
         self.out += self.flush()
+        channel = self.fresh(s.channel)
         self.out.append(
-            f"yield Send({dst}, {self.fresh(s.channel)}, {payload})"
+            f"_send(st, {dst}, {channel}, {payload}, {len(values)})"
         )
 
     def recv(self, s):
@@ -874,7 +1065,7 @@ class _SrcGen:
         n = len(s.targets)
         channel = self.fresh(s.channel)
         self.out += [
-            f"_p = yield Recv({src}, {channel})",
+            *self.receive(src, channel),
             f"if len(_p) != {n}:",
             f"    raise NodeRuntimeError(f'channel {{{channel}!r}}: "
             f"expected {n} scalars, got {{len(_p)}}', st.rank)",
@@ -889,7 +1080,9 @@ class _SrcGen:
         lo, hi, dst = self.operands(_lo=s.lo, _hi=s.hi, _d=s.dst)
         self.out.append(f"_p = _sendvec(st, _b, {lo}, {hi})")
         self.out += self.flush()
-        self.out.append(f"yield Send({dst}, {self.fresh(s.channel)}, _p)")
+        self.out.append(
+            f"_send(st, {dst}, {self.fresh(s.channel)}, _p, len(_p))"
+        )
 
     def recvvec(self, s):
         src, = self.operands(_s=s.src)
@@ -898,7 +1091,7 @@ class _SrcGen:
         self.out += self.flush()
         channel = self.fresh(s.channel)
         self.out += [
-            f"_p = yield Recv({src}, {channel})",
+            *self.receive(src, channel),
             f"_recvvec(st, _b, {lo}, {hi}, _p, {channel})",
         ]
 
@@ -911,13 +1104,12 @@ class _SrcGen:
         keep = [*_charge_lines(ops, mems), *keep]
         send = [
             *_charge_lines(*_static_cost((value,))), f"_v = {value.src}",
-            *_FLUSH, f"yield Send({d}, {channel}, (_v,))",
+            *_FLUSH, f"_send(st, {d}, {channel}, (_v,), 1)",
         ]
         got, ops, mems = self.put(s.target, _CExpr("_p[0]", 0, 0))
-        recv = [*_FLUSH, f"_p = yield Recv({o}, {channel})", *got,
+        recv = [*_FLUSH, *self.receive(o, channel), *got,
                 *_charge_lines(ops, mems)]
-        self.settle()
-        self.yields = True
+        self.blocking()
         self.out += [
             f"if {o} == {d}:", f"    if st.rank == {d}:", *_ind(keep, 2),
             f"elif st.rank == {o}:", *_ind(send),
@@ -928,19 +1120,16 @@ class _SrcGen:
         o, = self.operands(_o=s.owner)
         self.cost(1, 0)
         value = self.expr(s.value)
-        self.settle()
-        self.yields = True
+        self.blocking()
         channel = self.fresh(s.channel)
         store, ops, mems = self.store(s.target, "_v")
         got, gops, gmems = self.put(s.target, _CExpr("_p[0]", 0, 0))
         self.out += [f"if st.rank == {o}:", *_ind([
             *_charge_lines(*_static_cost((value,), ops or 0, mems or 0)),
             f"_v = {value.src}", store, *_FLUSH,
-            "for _q in range(st.nprocs):",
-            f"    if _q != {o}:",
-            f"        yield Send(_q, {channel}, (_v,))",
+            f"_broadcast(st, {o}, {channel}, (_v,))",
         ]), "else:", *_ind([
-            *_FLUSH, f"_p = yield Recv({o}, {channel})", *got,
+            *_FLUSH, *self.receive(o, channel), *got,
             *_charge_lines(gops, gmems),
         ])]
 
@@ -958,9 +1147,14 @@ class _SrcGen:
         if kind == "pure":
             # Compiled before this call site and effect-free: a plain call.
             call = f"{self.fresh(fn)}(st, {args})"
-        else:
+        elif kind == "sends":
+            # It records effects but never blocks: a plain call that
+            # ends the run.
             self.settle()
-            self.yields = True
+            self.effects = True
+            call = f"{self.fresh(fn)}(st, {args})"
+        else:
+            self.blocking()
             if kind is None:  # a forward or recursive reference
                 call = f"yield from _call(st, _procs, {s.proc!r}, {args})"
             else:
@@ -986,16 +1180,14 @@ class _SrcGen:
         # The enumeration body the inspector runs on the first execution
         # is a generator of its own, sharing this procedure's frame.
         enum = self.split(s.enum_body, generator=True)[0]
-        self.settle()
-        self.yields = True
+        self.blocking()
         self.out.append(
             f"yield from _exchange(st, fr, {self.fresh(self)}, "
             f"{self.fresh(s)}, {enum})"
         )
 
     def scatter_flush(self, s):
-        self.settle()
-        self.yields = True
+        self.blocking()
         self.out.append(
             f"yield from _scatter_flush(st, fr, {self.fresh(self)}, "
             f"{self.fresh(s)})"
@@ -1079,7 +1271,8 @@ class _CompiledAdapter:
         self.st.mems += count
 
     def flush(self):
-        return _flush(self.st)
+        _flush(self.st)
+        return ()
 
     def lookup(self, name: str):
         slot = self.gen.scalar_slots.get(name)
@@ -1114,11 +1307,13 @@ class _CompiledAdapter:
 
 
 def _compile_proc(proc, procs):
-    """Compile one procedure to ``("gen", genfn)`` or ``("pure", fn)``:
-    one generated function ``_p(st, args)``, a plain function when its
-    text never yields, so call sites invoke it without a generator."""
+    """Compile one procedure to ``(kind, fn)``: one generated function
+    ``_p(st, args)``. ``kind`` is ``"gen"`` when its text may block on a
+    receive (a generator, called with ``yield from``), else ``"sends"``
+    when it may record an effect and ``"pure"`` when it records none
+    (plain functions; only a ``"sends"`` call ends a straight-line run)."""
     gen = _SrcGen(procs, proc)
-    lines, ops, mems, yields, _ = gen.body(proc.body)
+    lines, ops, mems, effects, _, blocks = gen.body(proc.body)
     n = len(proc.params)
     slots = [
         gen.array_slots[p] if p in proc.array_params else gen.scalar_slots[p]
@@ -1145,7 +1340,7 @@ def _compile_proc(proc, procs):
         "finally:",
         "    st.depth -= 1",
     ], "st, args", "_p")
-    return ("gen" if yields else "pure"), fn
+    return ("gen" if blocks else "sends" if effects else "pure"), fn
 
 
 class CompiledNode:
@@ -1163,22 +1358,29 @@ class CompiledNode:
         self._entry = program.entry
 
     def start(self, rank: int, nprocs: int, args, params: MachineParams,
-              globals_: dict):
-        """A fresh effect generator: one processor's simulated execution."""
-        st = _State(rank, nprocs, params.op_us, params.mem_us, dict(globals_))
-        return self._drive(st, list(args))
-
-    def _drive(self, st, args):
+              globals_: dict, ring: _Ring | None = None) -> _State:
+        """One processor's execution as a rank of ``ring``, for
+        :meth:`_Ring.resume` to run. By default it is started alone, on a
+        ring of its own that bounds neither its peers nor its steps."""
+        if ring is None:
+            ring = _Ring(math.inf, math.inf)
+        st = _State(rank, nprocs, params.op_us, params.mem_us,
+                    dict(globals_), ring)
         entry = self._procs.get(self._entry)
+        if entry is not None and entry[0] == "gen":
+            st.task = entry[1](st, list(args))
+        else:
+            st.task = self._plain(st, entry, list(args))
+        ring.ranks.append(st)
+        return st
+
+    def _plain(self, st, entry, args):
+        """An entry procedure that never blocks (or a missing one) as a
+        task the ring resumes once."""
         if entry is None:
             raise KeyError(self._entry)
-        kind, fn = entry
-        if kind == "pure":
-            result = fn(st, args)
-        else:
-            result = yield from fn(st, args)
-        yield from _flush(st)
-        return result
+        return entry[1](st, args)
+        yield  # a generator, as every task is
 
 
 def compiled_node(program: ir.NodeProgram) -> CompiledNode:
@@ -1190,3 +1392,174 @@ def compiled_node(program: ir.NodeProgram) -> CompiledNode:
     the key alive in the table keeps the identity stable.
     """
     return perf.memo("spmd_compile", program, lambda: CompiledNode(program))
+
+
+# ---------------------------------------------------------------------------
+# The ring: running ranks without a clock
+# ---------------------------------------------------------------------------
+
+
+class _Ring:
+    """The clock-free run of one ring of ranks.
+
+    Ranks run in the live simulator's order: every rank once from a
+    ready deque, each until it blocks on an empty queue or finishes, and
+    a send that fills the queue a rank blocks on puts that rank back at
+    the end of the deque. Values cannot depend on that order (blocking
+    receives on FIFO channels); it is kept so that the ranks that fail,
+    the step that exceeds ``max_steps`` and the state a deadlock leaves
+    are the simulator's.
+    """
+
+    __slots__ = ("max_steps", "size", "steps", "fifo", "blocked", "ready",
+                 "canon", "ranks")
+
+    def __init__(self, max_steps: int, size: int):
+        self.max_steps = max_steps
+        self.size = size
+        self.steps = 0  # simulator steps of every finished burst
+        self.fifo: dict[tuple, deque] = {}  # (src, dst, chan) -> payloads
+        self.blocked: dict[tuple, int] = {}  # key -> the rank waiting on it
+        self.ready: deque[int] = deque()
+        self.canon = _Canon()
+        self.ranks: list[_State] = []
+
+    def run(self) -> None:
+        """Run every rank as far as it goes; raise the simulator's
+        :class:`~repro.errors.DeadlockError` if some rank cannot finish."""
+        ranks = self.ranks
+        ready = self.ready
+        ready.extend(range(len(ranks)))
+        try:
+            while ready:
+                self.resume(ranks[ready.popleft()])
+        finally:
+            # Close what an error or a deadlock left unfinished, so the
+            # generated frames' finally blocks run now, not at GC time.
+            for st in ranks:
+                if not st.done:
+                    try:
+                        st.task.close()
+                    except Exception:
+                        pass
+        stuck = [st for st in ranks if not st.done]
+        if stuck:
+            raise deadlock_forensics(
+                {st.rank: ChannelKey(*st.waiting) for st in stuck},
+                {st.rank: "DONE" if st.done else "BLOCKED" for st in ranks},
+                {key: len(queue) for key, queue in self.fifo.items() if queue},
+            )
+
+    def resume(self, st: _State) -> None:
+        """Run ``st`` until it blocks on a receive or finishes (one burst
+        of the simulator), counting the steps it takes."""
+        steps = self.steps
+        rows = st.rows
+        st.start = start = len(rows)
+        st.lim = start + self.max_steps - steps - 1
+        if steps >= self.max_steps:
+            raise self.exceeded(st)
+        try:
+            st.task.send(None)
+            finished = False
+        except StopIteration as stop:
+            _flush(st)  # the entry's last compute burst
+            st.returned = stop.value
+            finished = True
+        except Exception as err:
+            if len(rows) > st.lim:  # raised in a step past the budget
+                raise self.exceeded(st) from None
+            if isinstance(err, SimulationError):
+                raise
+            raise NodeRuntimeError(str(err), proc=st.rank) from err
+        n = len(rows)
+        if finished:
+            if n > st.lim:
+                raise self.exceeded(st)
+            st.done = True
+        taken = n - start + 1  # its rows, and the block or finish
+        st.steps += taken
+        self.steps = steps + taken
+
+    def exceeded(self, st: _State) -> SimulationError:
+        """The simulator's error for the first step past the budget,
+        which ``st`` took after its ``st.lim + 1``-th row."""
+        current = st.steps + (st.lim + 1 - st.start) + 1
+        hottest = max(
+            self.ranks, key=lambda r: current if r is st else r.steps
+        )
+        return SimulationError(
+            f"simulation exceeded {self.max_steps} steps "
+            "(livelock or runaway program?); hottest process: "
+            f"rank {hottest.rank} with "
+            f"{current if hottest is st else hottest.steps} steps"
+        )
+
+
+def _replay(rows, returned, params: MachineParams):
+    """The effects ``rows`` stand for, for the live simulator (payload
+    values are placeholders: only their lengths are simulated)."""
+    op_us = params.op_us
+    mem_us = params.mem_us
+    for kind, peer, chan, plen, ops, mems in rows:
+        if kind == KIND_COMPUTE:
+            yield Compute(ops * op_us + mems * mem_us)
+        elif kind == KIND_SEND:
+            yield Send(peer, chan, (0,) * plen)
+        else:
+            yield Recv(peer, chan)
+    return returned
+
+
+def run_compiled(program, nprocs: int, make_args, machine: MachineParams,
+                 globals_: dict, trace: bool, max_steps: int,
+                 placement: list[int] | None, strict: bool) -> SimResult:
+    """Run ``program`` (or ``program(rank)``) on ``nprocs`` ranks and
+    clock what they recorded: :func:`repro.machine.rows.run_rows` for the
+    base machine, the live :class:`~repro.machine.Simulator` replaying
+    the rows when a trace or a packing onto fewer processors (§5.3/5.4)
+    is asked for. ``run_spmd`` takes the options from its caller."""
+    # Built first: its constructor rejects an empty ring.
+    simulator = Simulator(nprocs, machine, trace=trace, max_steps=max_steps,
+                          strict=strict)
+    ring = _Ring(max_steps, nprocs)
+    for rank in range(nprocs):
+        node_program = program(rank) if callable(program) else program
+        compiled_node(node_program).start(
+            rank, nprocs, make_args(rank), machine, globals_, ring
+        )
+    ring.run()
+    rows = [st.rows for st in ring.ranks]
+    returned = [st.returned for st in ring.ranks]
+    ring.ranks.clear()  # each rank refers to its ring: free them now
+    if trace or placement not in (None, list(range(nprocs))):
+        return simulator.run(
+            lambda rank: _replay(rows[rank], returned[rank], machine),
+            placement,
+        )
+    undelivered = {
+        ChannelKey(*key): len(queue)
+        for key, queue in ring.fifo.items() if queue
+    }
+    if undelivered and strict:
+        leaked = ", ".join(
+            f"{key.src}->{key.dst} {key.channel!r} x{count}"
+            for key, count in sorted(undelivered.items())
+        )
+        raise SimulationError(
+            f"{sum(undelivered.values())} undelivered message(s) at "
+            f"completion (strict mode): {leaked}"
+        )
+    run = run_rows(rows, nprocs, machine)
+    channels = {chan: chan for _, _, chan in run.messages}
+    return SimResult(
+        nprocs=nprocs,
+        finish_times_us=run.clock,
+        busy_times_us=run.busy,
+        returned=returned,
+        stats=run.stats(channels, machine.scalar_bytes),
+        cpu_finish_us=list(run.clock),
+        cpu_busy_us=list(run.busy),
+        comm_times_us=run.comm,
+        undelivered=undelivered,
+    )

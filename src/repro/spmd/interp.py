@@ -16,6 +16,7 @@ from repro.inspector import executor as ixec
 from repro.inspector.context import INSPECTOR_GLOBAL
 from repro.lang.builtins import apply_builtin, is_builtin
 from repro.machine import Compute, MachineParams, Recv, Send, SimResult, Simulator
+from repro.machine.simulator import check_placement
 from repro.runtime import IStructure, LocalArray
 from repro.spmd import ir
 
@@ -473,8 +474,13 @@ def run_spmd(
     ``backend`` selects the execution engine: ``"compiled"`` (default)
     runs one generated function per node procedure, compiled once per
     program by :mod:`repro.spmd.compile` (every rank starts the same
-    code with its own ``rank``); ``"interp"`` is the tree-walking
-    reference interpreter, kept as the differential oracle; ``"replay"``
+    code with its own ``rank``), without a clock: the ranks record their
+    compute bursts and messages as rows, which
+    :func:`repro.machine.rows.run_rows` clocks — or, for a trace or a
+    non-identity ``placement``, the live
+    :class:`~repro.machine.Simulator` replays. ``"interp"`` is the
+    tree-walking reference interpreter on the live simulator, kept as
+    the differential oracle; ``"replay"``
     extracts each rank's static event skeleton once and replays clocks
     over columnar arrays (:mod:`repro.replay`) — timing-identical to
     ``"compiled"`` but with ``returned`` all ``None`` (no array values
@@ -482,6 +488,10 @@ def run_spmd(
     that asks for features replay does not model (tracing, non-identity
     placement, a custom step budget) — silently falls back to the
     compiled backend; check ``SPMDResult.backend``/``fallback_reason``.
+
+    A ``placement`` that does not map every process to a processor
+    numbered from 0 raises :class:`~repro.errors.SimulationError` on
+    every backend.
 
     ``strict=True`` turns messages left undelivered at completion into a
     :class:`~repro.errors.SimulationError` — generated code must consume
@@ -493,6 +503,7 @@ def run_spmd(
     used when the run falls back. Ignored by the other backends.
     """
     machine = machine or MachineParams.ipsc2()
+    check_placement(placement, nprocs)
 
     if backend == "replay":
         fallback_reason = _replay_unsupported(trace, placement, max_steps)
@@ -533,24 +544,24 @@ def run_spmd(
         return result
 
     if backend == "compiled":
-        from repro.spmd.compile import compiled_node
+        from repro.spmd.compile import run_compiled
 
-        def factory(rank: int):
-            node_program = program(rank) if callable(program) else program
-            return compiled_node(node_program).start(
-                rank, nprocs, make_args(rank), machine, globals_ or {}
-            )
-    elif backend == "interp":
-        def factory(rank: int):
-            # ``program`` may be a per-rank factory (specialized programs).
-            node_program = program(rank) if callable(program) else program
-            node = _NodeMachine(node_program, rank, nprocs, machine, globals_ or {})
-            return node.run(list(make_args(rank)))
-    else:
+        sim = run_compiled(
+            program, nprocs, make_args, machine, globals_ or {}, trace,
+            max_steps, placement, strict,
+        )
+        return SPMDResult(sim=sim, returned=sim.returned, backend=backend)
+    if backend != "interp":
         raise ValueError(
             f"unknown backend {backend!r} "
             "(expected 'compiled', 'interp', or 'replay')"
         )
+
+    def factory(rank: int):
+        # ``program`` may be a per-rank factory (specialized programs).
+        node_program = program(rank) if callable(program) else program
+        node = _NodeMachine(node_program, rank, nprocs, machine, globals_ or {})
+        return node.run(list(make_args(rank)))
 
     sim = Simulator(
         nprocs, machine, trace=trace, max_steps=max_steps, strict=strict

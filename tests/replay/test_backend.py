@@ -16,7 +16,7 @@ from repro import perf
 from repro.apps import gauss_seidel as gs
 from repro.core.compiler import Strategy, compile_program_cached
 from repro.core.runner import execute
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.spmd.interp import _replay_unsupported, run_spmd
 from repro.spmd.layout import make_full, scatter
 from tests.replay.conftest import assert_replayed
@@ -45,6 +45,27 @@ def test_unsupported_feature_reasons():
     assert _replay_unsupported(False, [0, 1, 2], 50_000_000) is None
     assert _replay_unsupported(False, None, 1000) == "custom max_steps"
     assert _replay_unsupported(False, None, 50_000_000) is None
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled", "replay"])
+@pytest.mark.parametrize("placement, message", [
+    ([0, 1], "placement has 2 entries for 3 processes"),
+    ([0, 2, 3, 1], "placement has 4 entries for 3 processes"),
+    ([0, -1, 1], r"bad placement \[0, -1, 1\]"),
+])
+def test_a_malformed_placement_is_rejected_on_every_backend(
+    backend, placement, message
+):
+    """Replay used to clock a placement that names fewer processes than
+    the run has as if it were the identity."""
+    n = 9
+    parts = scatter(make_full((n, n), 1), gs.DISTRIBUTION, 3)
+    with pytest.raises(SimulationError, match=message):
+        run_spmd(
+            gs.handwritten_wavefront(), 3, lambda rank: [parts[rank]],
+            globals_={"N": n, "blksize": 4, "c": 1, "bval": 1},
+            placement=placement, backend=backend,
+        )
 
 
 def test_trace_request_falls_back_to_compiled():

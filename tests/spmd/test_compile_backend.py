@@ -7,8 +7,10 @@ pin that contract, including a property test over random problem sizes,
 ring widths, and strategies.
 """
 
+import inspect
 import math
 import warnings
+from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +19,8 @@ from hypothesis import strategies as hs
 from repro import perf
 from repro.bench.harness import STRATEGY_ORDER, measure
 from repro.errors import IStructureError, NodeRuntimeError
-from repro.machine import MachineParams, Recv
+from repro.machine import Compute, MachineParams, Recv, Send
+from repro.machine.rows import KIND_COMPUTE, KIND_SEND
 from repro.runtime import IStructure, LocalArray
 from repro.spmd import NodeProc, NodeProgram, compiled_node, run_spmd
 from repro.spmd.ir import (
@@ -112,20 +115,45 @@ def _roles_program():
     )
 
 
-def _effects(gen, payloads=((7,), (9,))):
-    """Drive one processor's effect generator by hand (canned receive
-    payloads): every effect, then what it returned."""
+def run_by_hand(st, payloads):
+    """Run one compiled rank alone, each receive it blocks on fed the
+    next canned payload; return what it returned. Its rows stay in
+    ``st.rows`` and its sends' payloads queued in ``st.fifo``."""
     payloads = list(payloads)
+    while True:
+        st.ring.resume(st)
+        if st.done:
+            return st.returned
+        st.fifo[st.waiting] = deque([payloads.pop(0)])
+
+
+def _effects(gen, payloads=((7,), (9,))):
+    """Drive one processor by hand (canned receive payloads): every
+    effect, then what it returned. The interpreter's effect generator is
+    stepped; a compiled rank's effects are rebuilt from its rows and the
+    payloads its sends queued."""
     out = []
-    reply = None
-    try:
-        while True:
-            effect = gen.send(reply)
-            out.append(effect)
-            reply = payloads.pop(0) if isinstance(effect, Recv) else None
-    except StopIteration as stop:
-        arr = stop.value
-        out.append((arr.name, arr.read(1), arr.read(2)))
+    if inspect.isgenerator(gen):
+        payloads = list(payloads)
+        reply = None
+        try:
+            while True:
+                effect = gen.send(reply)
+                out.append(effect)
+                reply = payloads.pop(0) if isinstance(effect, Recv) else None
+        except StopIteration as stop:
+            arr = stop.value
+    else:
+        arr = run_by_hand(gen, payloads)
+        for kind, peer, chan, _, ops, mems in gen.rows:
+            if kind == KIND_COMPUTE:
+                out.append(Compute(ops * gen.op_us + mems * gen.mem_us))
+            elif kind == KIND_SEND:
+                queued = gen.fifo[gen.rank, peer, chan].popleft()
+                out.append(Send(peer, chan, queued))
+            else:
+                out.append(Recv(peer, chan))
+    out.append((arr.name, arr.read(1), arr.read(2)))
     return out
 
 

@@ -2,17 +2,16 @@
 
 For every expression and statement kind, each rank's walk — static
 charges folded into one addition per run of statements, discarded and
-statically-UNKNOWN values never evaluated — must emit the same effect
-sequence as the ``compiled`` value backend's generator: the same sends
-and receives, and between them Compute events with the same integer
-``(ops, mems)`` counts. The compiled generator is driven by hand (canned
-receive payloads), so no scheduler is involved; its float costs decode
-exactly because ``op_us = 1`` and ``mem_us = 2**-20``.
+statically-UNKNOWN values never evaluated — must emit the same event
+sequence as the ``compiled`` value backend records: the same sends and
+receives, and between them compute rows with the same integer ``(ops,
+mems)`` counts. The compiled rank is run by hand (canned receive
+payloads), so no scheduler is involved.
 """
 
 import pytest
 
-from repro.machine import Compute, MachineParams, Send
+from repro.machine import MachineParams
 from repro.runtime import IStructure
 from repro.spmd import compiled_node, ir
 from repro.spmd.ir import (
@@ -46,6 +45,7 @@ from repro.spmd.ir import (
     VarLV,
 )
 from repro.spmd.walk import ARRAY, KIND_COMPUTE, KIND_SEND, Walker
+from tests.spmd.test_compile_backend import run_by_hand
 
 MEM_US = 2.0 ** -20
 MACHINE = MachineParams(op_us=1.0, mem_us=MEM_US)
@@ -65,30 +65,21 @@ def full(n=8):
 
 
 def compiled_effects(program, rank, nprocs, payloads=()):
-    """The compiled backend's effect sequence for one rank."""
-    gen = compiled_node(program).start(
+    """The compiled backend's effect sequence for one rank, read from
+    the rows it records (canned receive payloads)."""
+    st = compiled_node(program).start(
         rank, nprocs, [full()], MACHINE, GLOBALS
     )
-    payloads = list(payloads)
+    run_by_hand(st, payloads)
     out = []
-    reply = None
-    try:
-        while True:
-            effect = gen.send(reply)
-            reply = None
-            if isinstance(effect, Compute):
-                ops = int(effect.cost_us)
-                mems = round((effect.cost_us - ops) / MEM_US)
-                out.append(("c", ops, mems))
-            elif isinstance(effect, Send):
-                out.append(
-                    ("s", effect.dst, effect.channel, len(effect.payload))
-                )
-            else:
-                out.append(("r", effect.src, effect.channel))
-                reply = payloads.pop(0)
-    except StopIteration:
-        pass
+    for kind, peer, chan, plen, ops, mems in st.rows:
+        if kind == KIND_COMPUTE:
+            out.append(("c", ops, mems))
+        elif kind == KIND_SEND:
+            queued = st.fifo[rank, peer, chan].popleft()
+            out.append(("s", peer, chan, len(queued)))
+        else:
+            out.append(("r", peer, chan))
     return out
 
 

@@ -19,12 +19,18 @@ growing back, over every module under ``src/repro``:
   alone (``perfbench`` and ``perf.caches_disabled()`` must reach every
   table), never through ``functools``;
 * ``repro.tune`` owns no abstract walk: the predictor prices the
-  verifier's.
+  verifier's;
+* a replay run never loads the value backend (``repro.spmd.compile``).
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -224,3 +230,39 @@ def test_one_generated_function_per_procedure():
     for _, fn in node._procs.values():
         code = fn.__code__
         assert (code.co_filename, code.co_name) == ("<spmd-codegen>", "_p")
+
+
+_REPLAY_JOB = """
+import sys
+from repro.apps import gauss_seidel as gs
+from repro.core.compiler import OptLevel, Strategy, compile_program
+from repro.core.runner import execute
+from repro.spmd.layout import make_full
+
+compiled = compile_program(
+    gs.SOURCE, entry_shapes={"Old": ("N", "N")},
+    strategy=Strategy.COMPILE_TIME, opt_level=OptLevel.STRIPMINE,
+)
+outcome = execute(
+    compiled, 4, inputs={"Old": make_full((12, 12), 1, name="Old")},
+    params={"N": 12}, extra_globals={"blksize": 4}, backend="replay",
+)
+assert outcome.spmd.backend == "replay", outcome.spmd.fallback_reason
+print("repro.spmd.compile" in sys.modules)
+"""
+
+
+def test_a_replay_job_leaves_the_value_backend_unimported(tmp_path):
+    """Importing ``repro.spmd.compile`` changes which of two same-line
+    lambdas ``pstats`` keeps, and with it the replay workloads' call
+    count; replay has no use for it."""
+    pytest.importorskip("numpy")
+    env = dict(
+        os.environ, REPRO_CACHE_DIR=str(tmp_path / "store"),
+        PYTHONPATH=str(Path(repro.__file__).parents[1]),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _REPLAY_JOB], env=env, check=True,
+        capture_output=True, text=True, timeout=120,
+    ).stdout
+    assert out.strip() == "False"
