@@ -25,7 +25,7 @@ per-run state, as the paper's one SPMD program reads them (§3.1) and as
   charges ``n·(1 + body)`` once.
 * A procedure that can never block on a receive is a plain function,
   called without a generator frame; a body nested deeper than
-  ``_MAX_DEPTH`` is emitted as a function of its own, which keeps
+  ``MAX_DEPTH`` is emitted as a function of its own, which keeps
   CPython's limits on statically nested blocks and on indentation out
   of reach.
 
@@ -52,13 +52,14 @@ moves the values itself:
 
 :class:`_Ring` resumes blocked ranks in the live simulator's ready-deque
 order, so ranks fail, exhaust ``max_steps`` and deadlock as they would
-there (with one process per processor: the receives a packing defers are
-steps only the simulator takes), and :func:`run_compiled` clocks the
-recorded rows with :func:`repro.machine.rows.run_rows` — the scheduler
-the tuner's prediction, the replay oracle and the verifier's deadlock
-pass already share. A trace or a packing of several processes onto one
-processor (§5.3/5.4) is the live simulator's alone: it replays the rows
-as effects.
+there, and :func:`run_compiled` clocks the recorded rows with
+:func:`repro.machine.rows.run_rows` — the scheduler the tuner's
+prediction, the replay oracle and the verifier's deadlock pass already
+share. A trace or a packing of several processes onto one processor
+(§5.3/5.4) is the live simulator's alone: it schedules the ranks itself,
+each running its generated code on demand and handing it the recorded
+rows as effects (:func:`_driven`), so the steps a packing defers, the
+budget and every error fall where the interpreter's do.
 
 Cost model equivalence
 ----------------------
@@ -82,7 +83,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from functools import lru_cache
 
 from repro import perf
 from repro.errors import NodeRuntimeError, SimulationError
@@ -97,6 +97,9 @@ from repro.machine.simulator import deadlock_forensics
 from repro.runtime import IStructure, LocalArray
 from repro.runtime.istructure import UNDEFINED
 from repro.spmd import ir
+from repro.spmd.codegen import (
+    MAX_DEPTH, Emitter, charge_lines, ind,
+)
 
 _UNSET = object()  # empty frame slot (distinct from a stored None)
 _NOTCONST = object()  # "no compile-time constant value" marker
@@ -277,13 +280,6 @@ class _CExpr:
         self.const = const
 
 
-def _charge_lines(ops, mems):
-    """Statements adding a static cost."""
-    return ([f"st.ops += {ops}"] if ops else []) + (
-        [f"st.mems += {mems}"] if mems else []
-    )
-
-
 def _static_cost(ces, ops=0, mems=0):
     """Summed cost of the static ``ces``; dynamic ones charge themselves."""
     for ce in ces:
@@ -304,11 +300,6 @@ def _fold_binop(op, left, right):
     except Exception:
         pass
     return _NOTCONST
-
-
-def _ind(lines, levels=1):
-    pad = "    " * levels
-    return [pad + line for line in lines]
 
 
 # ---------------------------------------------------------------------------
@@ -570,20 +561,9 @@ _COMPUTE = (
     "if _fo * st.op_us + _fm * st.mem_us > 0.0:",
     f"    st.rows.append(st.canon[{KIND_COMPUTE}, -1, -1, 0, _fo, _fm])",
 )
-_FLUSH = ("if st.ops or st.mems:", *_ind(_COMPUTE))
+_FLUSH = ("if st.ops or st.mems:", *ind(_COMPUTE))
 
-# Bodies nested deeper than this become functions of their own: CPython
-# rejects more than 20 statically nested blocks and 100 indentation
-# levels, and a statement adds a few of its own under its body's level.
-_MAX_DEPTH = 16
-
-
-@lru_cache(maxsize=4096)
-def _cg_code(src):
-    return compile(src, "<spmd-codegen>", "exec")
-
-
-class _SrcGen:
+class _SrcGen(Emitter):
     """The generated source of one procedure: its frame slots, the
     helper bindings its functions see, and the statement being written.
 
@@ -597,9 +577,8 @@ class _SrcGen:
     its function a generator).
     """
 
-    __slots__ = ("procs", "scalar_slots", "array_slots", "nslots", "env",
-                 "n", "out", "ops", "mems", "effects", "returns", "blocks",
-                 "depth")
+    __slots__ = ("procs", "scalar_slots", "array_slots", "nslots", "out",
+                 "ops", "mems", "effects", "returns", "blocks", "depth")
 
     def __init__(self, procs, proc):
         self.procs = procs  # name -> (kind, fn), filled in program order
@@ -614,48 +593,15 @@ class _SrcGen:
         self.nslots = len(scalars) + len(arrays)
         # Generated functions run in this module's namespace, plus the
         # helpers they bind.
-        self.env = dict(globals(), _procs=procs)
-        self.n = 0
+        super().__init__(dict(globals(), _procs=procs), "<spmd-codegen>")
         self.out: list[str] = []
         self.ops = self.mems = 0
         self.effects = self.returns = self.blocks = False
         self.depth = 0
 
     # -- helpers and names --------------------------------------------------
-    def fresh(self, obj):
-        name = f"_h{self.n}"
-        self.n += 1
-        self.env[name] = obj
-        return name
-
-    def tmp(self):
-        name = f"_t{self.n}"
-        self.n += 1
-        return name
-
-    def literal(self, value):
-        """Source that evaluates to ``value``: its ``repr`` when that is a
-        Python literal (``inf``/``nan`` are not), else a bound helper."""
-        t = type(value)
-        if t in (bool, int, str) or (t is float and math.isfinite(value)):
-            return repr(value)
-        return self.fresh(value)
-
     def const(self, value, ops, mems):
         return _CExpr(self.literal(value), ops, mems, value)
-
-    def function(self, lines, params="st, fr", name="_f"):
-        """Compile ``def name(params):`` over ``lines`` in this
-        procedure's environment."""
-        # Helper and temporary names are counter-based, so structurally
-        # identical procedures (the same one at every optimization level,
-        # or in every rank's specialized program) produce byte-identical
-        # source; caching the code object makes recompiling one an exec
-        # of a ``def``.
-        code = _cg_code("\n".join([f"def {name}({params}):",
-                                   *_ind(lines or ["pass"])]))
-        exec(code, self.env)
-        return self.env.pop(name)
 
     # -- expressions ----------------------------------------------------------
     # Names are bound as helpers, not written as literals: a compiler
@@ -864,7 +810,7 @@ class _SrcGen:
 
     def settle(self):
         """End the run: write its pending cost. True if it wrote one."""
-        lines = _charge_lines(self.ops, self.mems)
+        lines = charge_lines(self.ops, self.mems)
         self.out += lines
         self.ops = self.mems = 0
         return bool(lines)
@@ -914,7 +860,7 @@ class _SrcGen:
         body's whole static cost when it neither records an effect nor
         returns, which the caller may then charge anywhere in its own
         run."""
-        if self.depth >= _MAX_DEPTH:
+        if self.depth >= MAX_DEPTH:
             name, *body = self.split(stmts, ops, mems)
             ops, mems, effects, returns, blocks = body
             call = f"{name}(st, fr)"
@@ -950,13 +896,13 @@ class _SrcGen:
             stmts, ops, mems)
         self.depth = depth
         if effects or returns or generator:
-            lines += _charge_lines(ops, mems)
+            lines += charge_lines(ops, mems)
             ops = mems = 0
         if returns:
             lines.append("return _NORET")
         if generator and not blocks:
             lines.append("yield from ()")
-        name = self.fresh(self.function(lines))
+        name = self.fresh(self.function(lines, "st, fr", "_f"))
         return name, ops, mems, effects, returns, blocks
 
     def nested(self, lines, ops, mems, effects, returns, blocks):
@@ -964,7 +910,7 @@ class _SrcGen:
         self.effects |= effects
         self.returns |= returns
         self.blocks |= blocks
-        return (lines + _charge_lines(ops, mems)) or ["pass"]
+        return (lines + charge_lines(ops, mems)) or ["pass"]
 
     # -- statements -----------------------------------------------------------
     def assign(self, s):
@@ -1011,7 +957,7 @@ class _SrcGen:
             )
             self.out.append(f"for {target} in _r:")
             body = lines, 0, 0, False, False, False
-        self.out += _ind(self.nested(*body))
+        self.out += ind(self.nested(*body))
 
     def if_(self, s):
         cond = self.expr(s.cond)
@@ -1026,10 +972,10 @@ class _SrcGen:
         other = self.body(s.else_body)
         if any(then[3:]) or any(other[3:]):
             self.settle()
-        self.out += [f"if {cond.src}:", *_ind(self.nested(*then))]
+        self.out += [f"if {cond.src}:", *ind(self.nested(*then))]
         other = self.nested(*other)
         if other != ["pass"]:
-            self.out += ["else:", *_ind(other)]
+            self.out += ["else:", *ind(other)]
 
     def return_(self, s):
         if s.value is None:
@@ -1101,19 +1047,19 @@ class _SrcGen:
         value = self.expr(s.value)
         channel = self.fresh(s.channel)
         keep, ops, mems = self.put(s.target, value)
-        keep = [*_charge_lines(ops, mems), *keep]
+        keep = [*charge_lines(ops, mems), *keep]
         send = [
-            *_charge_lines(*_static_cost((value,))), f"_v = {value.src}",
+            *charge_lines(*_static_cost((value,))), f"_v = {value.src}",
             *_FLUSH, f"_send(st, {d}, {channel}, (_v,), 1)",
         ]
         got, ops, mems = self.put(s.target, _CExpr("_p[0]", 0, 0))
         recv = [*_FLUSH, *self.receive(o, channel), *got,
-                *_charge_lines(ops, mems)]
+                *charge_lines(ops, mems)]
         self.blocking()
         self.out += [
-            f"if {o} == {d}:", f"    if st.rank == {d}:", *_ind(keep, 2),
-            f"elif st.rank == {o}:", *_ind(send),
-            f"elif st.rank == {d}:", *_ind(recv),
+            f"if {o} == {d}:", f"    if st.rank == {d}:", *ind(keep, 2),
+            f"elif st.rank == {o}:", *ind(send),
+            f"elif st.rank == {d}:", *ind(recv),
         ]
 
     def broadcast(self, s):
@@ -1124,13 +1070,13 @@ class _SrcGen:
         channel = self.fresh(s.channel)
         store, ops, mems = self.store(s.target, "_v")
         got, gops, gmems = self.put(s.target, _CExpr("_p[0]", 0, 0))
-        self.out += [f"if st.rank == {o}:", *_ind([
-            *_charge_lines(*_static_cost((value,), ops or 0, mems or 0)),
+        self.out += [f"if st.rank == {o}:", *ind([
+            *charge_lines(*_static_cost((value,), ops or 0, mems or 0)),
             f"_v = {value.src}", store, *_FLUSH,
             f"_broadcast(st, {o}, {channel}, (_v,))",
-        ]), "else:", *_ind([
+        ]), "else:", *ind([
             *_FLUSH, *self.receive(o, channel), *got,
-            *_charge_lines(gops, gmems),
+            *charge_lines(gops, gmems),
         ])]
 
     def callproc(self, s):
@@ -1336,7 +1282,7 @@ def _compile_proc(proc, procs):
         f"{f'call depth exceeded in {proc.name}'!r}, st.rank)",
         *frame,
         "try:",
-        *_ind(lines + _charge_lines(ops, mems) or ["pass"]),
+        *ind(lines + charge_lines(ops, mems) or ["pass"]),
         "finally:",
         "    st.depth -= 1",
     ], "st, args", "_p")
@@ -1496,19 +1442,46 @@ class _Ring:
         )
 
 
-def _replay(rows, returned, params: MachineParams):
-    """The effects ``rows`` stand for, for the live simulator (payload
-    values are placeholders: only their lengths are simulated)."""
-    op_us = params.op_us
-    mem_us = params.mem_us
-    for kind, peer, chan, plen, ops, mems in rows:
-        if kind == KIND_COMPUTE:
-            yield Compute(ops * op_us + mems * mem_us)
-        elif kind == KIND_SEND:
-            yield Send(peer, chan, (0,) * plen)
-        else:
-            yield Recv(peer, chan)
-    return returned
+def _driven(st, params: MachineParams, max_steps):
+    """Rank ``st`` as a process of the live simulator, which schedules
+    it: its generated code runs a burst — until it blocks on an empty
+    queue or finishes — whenever the rows it recorded are all handed
+    over as effects (payload values are placeholders: only their
+    lengths are simulated). An error a burst raises is raised once the
+    simulator has taken every row before it."""
+    op_us, mem_us = params.op_us, params.mem_us
+    # More rows than the simulator can take within its budget: a burst
+    # stops there, at a step the simulator never reaches.
+    st.lim = max_steps
+    rows = st.rows
+    i = 0
+    try:
+        while True:
+            error = None
+            try:
+                st.task.send(None)
+            except StopIteration as stop:
+                _flush(st)  # the entry's last compute burst
+                st.done, st.returned = True, stop.value
+            except Exception as err:
+                error = err
+            for kind, peer, chan, plen, ops, mems in rows[i:]:
+                if kind == KIND_COMPUTE:
+                    yield Compute(ops * op_us + mems * mem_us)
+                elif kind == KIND_SEND:
+                    yield Send(peer, chan, (0,) * plen)
+                else:
+                    yield Recv(peer, chan)
+            i = len(rows)
+            if error is not None:
+                raise error
+            if st.done:
+                return st.returned
+            src, _, chan = st.waiting
+            yield Recv(src, chan)  # taken, and recorded, by the next burst
+            i += 1
+    finally:
+        st.task.close()  # its frames' finally blocks run now, not at GC
 
 
 def run_compiled(program, nprocs: int, make_args, machine: MachineParams,
@@ -1516,9 +1489,10 @@ def run_compiled(program, nprocs: int, make_args, machine: MachineParams,
                  placement: list[int] | None, strict: bool) -> SimResult:
     """Run ``program`` (or ``program(rank)``) on ``nprocs`` ranks and
     clock what they recorded: :func:`repro.machine.rows.run_rows` for the
-    base machine, the live :class:`~repro.machine.Simulator` replaying
-    the rows when a trace or a packing onto fewer processors (§5.3/5.4)
-    is asked for. ``run_spmd`` takes the options from its caller."""
+    base machine, the live :class:`~repro.machine.Simulator` scheduling
+    the ranks (:func:`_driven`) when a trace or a packing onto fewer
+    processors (§5.3/5.4) is asked for. ``run_spmd`` takes the options
+    from its caller."""
     # Built first: its constructor rejects an empty ring.
     simulator = Simulator(nprocs, machine, trace=trace, max_steps=max_steps,
                           strict=strict)
@@ -1528,15 +1502,19 @@ def run_compiled(program, nprocs: int, make_args, machine: MachineParams,
         compiled_node(node_program).start(
             rank, nprocs, make_args(rank), machine, globals_, ring
         )
+    if trace or placement not in (None, list(range(nprocs))):
+        ranks, ring.ranks = ring.ranks, []
+        try:
+            return simulator.run(
+                lambda rank: _driven(ranks[rank], machine, max_steps),
+                placement,
+            )
+        finally:
+            ranks.clear()  # each rank refers to its ring: free them now
     ring.run()
     rows = [st.rows for st in ring.ranks]
     returned = [st.returned for st in ring.ranks]
     ring.ranks.clear()  # each rank refers to its ring: free them now
-    if trace or placement not in (None, list(range(nprocs))):
-        return simulator.run(
-            lambda rank: _replay(rows[rank], returned[rank], machine),
-            placement,
-        )
     undelivered = {
         ChannelKey(*key): len(queue)
         for key, queue in ring.fifo.items() if queue

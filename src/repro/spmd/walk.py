@@ -9,60 +9,59 @@ receives — without a scheduler. The cost model (:func:`repro.tune.
 predict`), skeleton extraction (:func:`repro.replay.extract_skeletons`)
 and the verifier (:func:`repro.analysis.verify_compiled`) all run it.
 
-The walk is itself data-independent, so — as :mod:`repro.spmd.compile`
-does for the value backend — :func:`walk_code` translates a
-:class:`~repro.spmd.ir.NodeProgram` **once** into rank-generic closures
-``fn(walker, frame)`` shared by all ranks and consumers. Consumers are
-:class:`Walker` subclasses, reached through a small hook set: the
-``ops``/``mems`` charge sink with :meth:`Walker.flush`,
-:meth:`Walker.emit_send` / :meth:`Walker.emit_recv`, the loop policy
-:meth:`Walker.loop`, and the access observers ``on_read`` /
-``on_write`` / ``on_alloc``. Two static facts do most of the work:
+As :mod:`repro.spmd.compile` does for values, :func:`walk_code` writes
+each procedure of a program **once** as one generated Python function
+``_w(walker, frame)``, plus one per loop body the loop policy runs,
+shared by all ranks and consumers. Consumers are :class:`Walker`
+subclasses, reached through hooks: the ``ops``/``mems`` charge sink with
+``flush``, ``emit_send`` / ``emit_recv``, ``span``, ``call``, the loop
+policy ``loop`` and the access observers ``on_read`` / ``on_write`` /
+``on_alloc``. Two static facts do most of the work:
 
-* **Charge folding.** An expression's op/mem charge is a compile-time
-  constant except under short-circuit ``and``/``or``, so the charges of
-  a statement — and of a run of statements no flush or return can
-  separate — fold into one ``ops += k; mems += m``.
-* **Elision.** A value that is discarded (array-store values and
-  indices, send payloads, read indices) or statically :data:`UNKNOWN`
-  (an array read reaches its root) is not *evaluated* when it provably
-  cannot raise: every divisor is a non-zero constant or ``nprocs()``,
-  every callee a builtin of the right arity, and every name is bound on
-  all paths to the statement or looked up there anyway (the residual
-  "unbound variable" / "unknown array" check). Anything else is
-  evaluated, so the walk abstains on exactly the programs a plain
-  tree-walk abstains on.
+* **Charge folding.** The charges of a run of statements no flush or
+  return can separate fold into one ``w.ops += k; w.mems += m``; only a
+  short-circuit's right operand charges in line.
+* **Elision.** A discarded (store values and indices, send payloads,
+  read indices) or statically :data:`UNKNOWN` value is not evaluated
+  when it provably cannot raise: every divisor is a non-zero constant or
+  ``nprocs()``, every callee a builtin of the right arity, and every
+  name bound on all paths or looked up anyway (the residual "unbound
+  variable" / "unknown array" check). So the walk abstains on exactly
+  the programs a plain tree-walk abstains on.
 
-Walkers that define the access observers (the verifier) get code that
-evaluates every access index and assumes no operator is total (their
-loop variables may be symbolic values whose arithmetic can raise).
+Walkers with observers (the verifier) get code that evaluates every
+access index, tests every operand for UNKNOWN (their loop variables may
+be symbolic values whose arithmetic can raise) and runs every loop
+through the policy. The plain walk spells arithmetic natively (UNKNOWN's
+yields itself) and runs a loop the policy would iterate one by one in
+line.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 
 from repro import perf
 from repro.errors import ModelError, NodeRuntimeError
 from repro.lang.builtins import apply_builtin, builtin_arity, is_builtin
-from repro.machine.rows import (
-    KIND_COMPUTE,
-    KIND_RECV,
-    KIND_REPEAT,
-    KIND_SEND,
-)
+from repro.machine.rows import KIND_COMPUTE, KIND_RECV, KIND_REPEAT, KIND_SEND
 from repro.spmd import ir
+from repro.spmd.codegen import MAX_DEPTH, Emitter, charge_lines, ind
 from repro.spmd.pretty import pretty_expr
 
 
 class _Unknown:
-    """Opaque stand-in for array-element values.
-
-    Arithmetic on it yields itself; asking for its truth value means a
-    branch depends on data, which the walk cannot follow."""
+    """Opaque stand-in for array-element values. Arithmetic on it yields
+    itself; its truth value means a branch depends on data."""
 
     __slots__ = ()
+
+    def _same(self, *_operands):
+        return self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _same
+    __truediv__ = __rtruediv__ = __floordiv__ = __rfloordiv__ = _same
+    __mod__ = __rmod__ = __neg__ = _same
 
     def __bool__(self) -> bool:
         raise ModelError(
@@ -99,6 +98,15 @@ def abstract_args(proc: ir.NodeProc, scalar) -> list[object]:
     ]
 
 
+class _Globals(dict):
+    """A rank's globals: reading a missing one as a scalar is an error."""
+
+    __slots__ = ("rank",)
+
+    def __missing__(self, name):
+        raise NodeRuntimeError(f"unbound variable {name!r}", self.rank)
+
+
 _UNSET = object()  # empty frame slot
 _NOTCONST = object()  # "no compile-time constant value" marker
 _NO_NAMES: frozenset = frozenset()
@@ -108,10 +116,16 @@ class ProcReturn(Exception):
     """Unwinds a node procedure on ``NReturn``."""
 
 
-def _inspector_error() -> ModelError:
-    return ModelError(
-        "indirect access: communication schedule depends on array data"
-    )
+def _bad_peer(w, peer, channel, send):
+    """The error of a send (``send``) or receive with a bad ``peer``."""
+    if peer is UNKNOWN:
+        side = "send destination" if send else "receive source"
+        return ModelError(f"{side} depends on array data")
+    if not 0 <= peer < w.nprocs:
+        side = "send to" if send else "recv from"
+        return NodeRuntimeError(f"{side} invalid processor {peer}", w.rank)
+    side = "send" if send else "receive"
+    return NodeRuntimeError(f"self-{side} on channel {channel!r}", w.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +154,7 @@ class Loop:
 
 
 #: One procedure: the frame slot of each parameter, the frame size, and
-#: the body closure.
+#: the generated function.
 Proc = namedtuple("Proc", "params nslots body")
 
 #: A program's compiled walk: entry procedure name and ``name -> Proc``.
@@ -151,7 +165,7 @@ class Walker:
     """One rank's walk state and the default hooks.
 
     Records integer event rows ``(kind, peer, channel id, plen, ops,
-    mems)`` exactly where the compiled backend yields effects: a compute
+    mems)`` exactly where the compiled backend records them: a compute
     row per flush — before every communication and at the end of the
     entry procedure — carrying the integer counters its flush formula
     ``ops * op_us + mems * mem_us`` prices. ``chan_ids`` interns channel
@@ -159,9 +173,7 @@ class Walker:
     policy summarizes what is provably repetitive and stays exact: a
     ``uniform`` loop is one sampled iteration times its trip count
     (:meth:`loop`), a ``replicable`` one is walked twice and followed by
-    one repeat marker ``(KIND_REPEAT, -1, -1, 0, span, count)`` for the
-    rest (:meth:`iterate`; :func:`repro.machine.rows.expand` gives the
-    rows the marker stands for).
+    one repeat marker (:meth:`iterate`).
     """
 
     #: Access observers. A subclass defining them is compiled code that
@@ -176,11 +188,11 @@ class Walker:
         self.code = code
         self.rank = rank
         self.nprocs = nprocs
-        self.globals = globals_
+        self.globals = _Globals(globals_)
+        self.globals.rank = rank
         self.chan_ids = {} if chan_ids is None else chan_ids
         self.events: list[tuple] = []
-        self.ops = 0
-        self.mems = 0
+        self.ops = self.mems = 0
         self.repeats = 0  # markers written: how a loop sees one inside it
         self.depth = 0
 
@@ -219,46 +231,26 @@ class Walker:
     # -- charge sink and events --------------------------------------------
     def flush(self) -> None:
         if self.ops or self.mems:
-            self.events.append(
-                (KIND_COMPUTE, -1, -1, 0, self.ops, self.mems)
-            )
-            self.ops = 0
-            self.mems = 0
+            self.events.append((KIND_COMPUTE, -1, -1, 0, self.ops, self.mems))
+            self.ops = self.mems = 0
 
     def _channel(self, name: str) -> int:
-        cid = self.chan_ids.get(name)
-        if cid is None:
-            cid = self.chan_ids[name] = len(self.chan_ids)
-        return cid
+        return self.chan_ids.setdefault(name, len(self.chan_ids))
 
     def emit_send(self, dst, channel: str, plen: int) -> None:
-        if dst is UNKNOWN:
-            raise ModelError("send destination depends on array data")
-        if not 0 <= dst < self.nprocs:
-            raise NodeRuntimeError(
-                f"send to invalid processor {dst}", self.rank
-            )
-        if dst == self.rank:
-            raise NodeRuntimeError(
-                f"self-send on channel {channel!r}", self.rank
-            )
-        self.flush()
-        self.events.append(
-            (KIND_SEND, dst, self._channel(channel), plen, 0, 0)
-        )
+        if dst is UNKNOWN or not 0 <= dst < self.nprocs or dst == self.rank:
+            raise _bad_peer(self, dst, channel, True)
+        if self.ops or self.mems:  # the flush, in line
+            self.events.append((KIND_COMPUTE, -1, -1, 0, self.ops, self.mems))
+            self.ops = self.mems = 0
+        self.events.append((KIND_SEND, dst, self._channel(channel), plen, 0, 0))
 
     def emit_recv(self, src, channel: str) -> None:
-        if src is UNKNOWN:
-            raise ModelError("receive source depends on array data")
-        if not 0 <= src < self.nprocs:
-            raise NodeRuntimeError(
-                f"recv from invalid processor {src}", self.rank
-            )
-        if src == self.rank:
-            raise NodeRuntimeError(
-                f"self-receive on channel {channel!r}", self.rank
-            )
-        self.flush()
+        if src is UNKNOWN or not 0 <= src < self.nprocs or src == self.rank:
+            raise _bad_peer(self, src, channel, False)
+        if self.ops or self.mems:  # the flush, in line
+            self.events.append((KIND_COMPUTE, -1, -1, 0, self.ops, self.mems))
+            self.ops = self.mems = 0
         self.events.append((KIND_RECV, src, self._channel(channel), 0, 0, 0))
 
     @staticmethod
@@ -307,14 +299,11 @@ class Walker:
                 frame[var] = v
                 body(self, frame)
             return
-        # Communicating loop with an iteration-invariant event stream:
-        # walk the first iteration for real (its leading flush merges
-        # compute pending from *before* the loop), walk the second for
-        # real (its leading flush merges the first iteration's trailing
-        # compute — the steady state), then say how often the second
-        # iteration's rows repeat. Flush boundaries stay exactly where
-        # the compiled backend puts them, which bit-identity of the
-        # clock chain depends on.
+        # Walk the first iteration for real (its leading flush merges
+        # compute pending from *before* the loop) and the second (its
+        # leading flush merges the first's trailing compute — the steady
+        # state), then say how often the second's rows repeat. Flush
+        # boundaries stay exactly where the compiled backend puts them.
         events = self.events
         frame[var] = lo
         body(self, frame)
@@ -326,22 +315,17 @@ class Walker:
         more = trips - 2
         if len(events) == mark:
             # Every send/receive was guarded off (guards are
-            # iteration-invariant): the loop degenerated to pure
-            # compute and pending grows linearly instead.
+            # iteration-invariant): pending grows linearly instead.
             self.ops += (self.ops - tail_ops) * more
             self.mems += (self.mems - tail_mems) * more
         elif self.repeats > repeats:
             # A loop inside the steady state already wrote a marker, and
-            # markers are flat (no marker inside a span): copy the
-            # iteration's compact rows, markers included.
+            # markers are flat: copy the iteration's compact rows.
             events += events[mark:] * more
         elif more:
-            # The steady-state iteration communicated, so its trailing
-            # compute pending is iteration-invariant already: one marker
-            # row stands for the remaining iterations' events.
-            events.append(
-                (KIND_REPEAT, -1, -1, 0, len(events) - mark, more)
-            )
+            # The steady state communicated, so its trailing compute is
+            # iteration-invariant already: one marker row stands for it.
+            events.append((KIND_REPEAT, -1, -1, 0, len(events) - mark, more))
             self.repeats += 1
         for slot in loop.event_assigned:
             frame[slot] = UNKNOWN
@@ -349,42 +333,78 @@ class Walker:
 
 
 # ---------------------------------------------------------------------------
-# Compile-time records
+# Run-time helpers of the generated code
+# ---------------------------------------------------------------------------
+
+
+def _array(w, name):
+    """An array with no frame binding: the global, else unknown."""
+    found = w.globals.get(name)
+    if found is None:
+        raise NodeRuntimeError(f"unknown array {name!r}", w.rank)
+    return found
+
+
+def _divide(w, op, left, right):
+    """``div``/``mod`` whose divisor may be zero."""
+    if left is UNKNOWN or right is UNKNOWN:
+        return UNKNOWN
+    f, what = ir.DIVOPS[op]
+    if right == 0:
+        raise NodeRuntimeError(f"{what} by zero", w.rank)
+    return f(left, right)
+
+
+def _apply(func, values):
+    if any(v is UNKNOWN for v in values):
+        return UNKNOWN
+    return apply_builtin(func, values)
+
+
+def _pre(w, ops, mems):
+    w.ops += ops
+    w.mems += mems
+
+
+def _fail(w, message, *operands):
+    """Raise ``message``: the interpreter's error once ``operands`` were
+    evaluated, or (no message) the inspector's abstention."""
+    if message is None:
+        raise ModelError(
+            "indirect access: communication schedule depends on array data"
+        )
+    raise NodeRuntimeError(message, w.rank)
+
+
+# ---------------------------------------------------------------------------
+# The emitter
 # ---------------------------------------------------------------------------
 
 
 class _CExpr:
-    """A compiled expression.
+    """A compiled expression: ``src`` evaluates it, raising whatever a
+    tree-walk would, and charges only what is not static (a
+    short-circuit's right operand); ``ops``/``mems`` are the static
+    charge, owed whenever it is reached. ``unknown``: the value is
+    statically :data:`UNKNOWN`; ``known``: it never is and evaluating it
+    cannot raise (integer arithmetic on constants, ``mynode()`` and
+    ``nprocs()``). ``elidable``: when the value is not needed, its
+    residual ``checks`` (lookups of names no dominating statement binds)
+    can replace ``src``. ``const``: the folded value. ``names``/``reads``
+    (variables mentioned; any array read) and their ``sc_`` counterparts
+    in short-circuit subtrees feed the loop scan."""
 
-    ``fn(w, fr)`` evaluates it, raising whatever a tree-walk would, and
-    charges only what is not static (the right operand of a
-    short-circuit). ``ops``/``mems`` are the static charge, owed
-    whenever the expression is reached. ``unknown``: the value is
-    statically :data:`UNKNOWN`. ``elidable``: when the value is not
-    needed, running the residual ``checks`` — the lookups of names no
-    dominating statement binds — can replace ``fn``.
-    ``const`` is the folded value. ``names``/``reads`` (variables
-    mentioned; any array read) and their ``sc_`` counterparts restricted
-    to short-circuit subtrees feed the loop scan.
-    """
+    __slots__ = ("src", "ops", "mems", "unknown", "known", "elidable",
+                 "checks", "const", "names", "reads", "sc_names", "sc_reads")
 
-    __slots__ = ("fn", "ops", "mems", "unknown", "elidable", "checks",
-                 "const", "names", "reads", "sc_names", "sc_reads")
-
-    def __init__(self, fn, ops=0, mems=0, kids=(), unknown=False,
+    def __init__(self, src, ops=0, mems=0, kids=(), unknown=False,
                  elidable=True, checks=(), const=_NOTCONST,
-                 names=_NO_NAMES):
-        self.fn = fn
-        self.ops = ops
-        self.mems = mems
-        self.unknown = unknown
-        self.elidable = elidable
-        self.checks = checks
-        self.const = const
-        self.names = names
-        self.reads = False
-        self.sc_names = _NO_NAMES
-        self.sc_reads = False
+                 names=_NO_NAMES, known=False):
+        self.src, self.ops, self.mems, self.unknown = src, ops, mems, unknown
+        self.known = known or const is not _NOTCONST
+        self.elidable, self.checks, self.const = elidable, checks, const
+        self.names, self.reads = names, False
+        self.sc_names, self.sc_reads = _NO_NAMES, False
         for kid in kids:
             self.ops += kid.ops
             self.mems += kid.mems
@@ -397,157 +417,27 @@ class _CExpr:
 
 
 class _Facts:
-    """What a statement list can do to a loop that encloses it."""
+    """What a statement list can do to a loop that encloses it: whether
+    it communicates (``comm``) or calls, returns or meets inspector nodes
+    (``impure``); the scalars it stores by assignment or loop
+    (``assigned``) and by receive, coerce or broadcast (``received``);
+    the variables (``names``) and whether array data (``reads``) can
+    change which events it emits or what they cost."""
 
     __slots__ = ("comm", "impure", "assigned", "received", "names", "reads")
 
     def __init__(self):
-        self.comm = False  # communicates
-        self.impure = False  # calls, returns, inspector nodes
-        self.assigned: set[str] = set()  # scalars stored by assignment/loops
-        self.received: set[str] = set()  # ... by recv/coerce/broadcast
-        # Variables (and whether array data) that can change which
-        # events the statements emit or what they cost.
-        self.names: set[str] = set()
-        self.reads = False
+        self.comm = self.impure = self.reads = False
+        self.assigned, self.received, self.names = set(), set(), set()
 
-    def sensitive(self, *ces: _CExpr) -> None:
+    def sensitive(self, *ces: _CExpr, sc=False) -> None:
         for ce in ces:
-            self.names |= ce.names
-            self.reads |= ce.reads
-
-    def shortcircuit(self, ces) -> None:
-        for ce in ces:
-            self.names |= ce.sc_names
-            self.reads |= ce.sc_reads
+            self.names |= ce.sc_names if sc else ce.names
+            self.reads |= ce.sc_reads if sc else ce.reads
 
     def merge(self, other: "_Facts") -> None:
-        self.comm |= other.comm
-        self.impure |= other.impure
-        self.assigned |= other.assigned
-        self.received |= other.received
-        self.names |= other.names
-        self.reads |= other.reads
-
-    @property
-    def transparent(self) -> bool:
-        """No flush and no early exit: charges may move across."""
-        return not (self.comm or self.impure)
-
-
-class _Scope:
-    """Compile-time context of one procedure."""
-
-    __slots__ = ("observe", "scalars", "arrays", "bound_s", "bound_a")
-
-    def __init__(self, proc: ir.NodeProc, observe: bool):
-        self.observe = observe
-        # Names bound on every path to the statement being compiled.
-        self.bound_s = set(proc.params) - proc.array_params
-        self.bound_a = set(proc.params) & proc.array_params
-        scalars: dict[str, None] = {}
-        arrays: dict[str, None] = {}
-        for name, is_array in ir.proc_binders(proc):
-            (arrays if is_array else scalars)[name] = None
-        self.scalars = {name: slot for slot, name in enumerate(scalars)}
-        self.arrays = {
-            name: len(scalars) + slot for slot, name in enumerate(arrays)
-        }
-
-
-# ---------------------------------------------------------------------------
-# Closure plumbing
-# ---------------------------------------------------------------------------
-
-
-def _noop(w, fr):
-    pass
-
-
-def _seq(fns):
-    """One closure running ``fns`` in order; None when there are none."""
-    fns = tuple(fn for fn in fns if fn is not None)
-    if not fns:
-        return None
-    if len(fns) == 1:
-        return fns[0]
-    if len(fns) == 2:
-        first, second = fns
-
-        def run(w, fr):
-            first(w, fr)
-            second(w, fr)
-        return run
-
-    def run(w, fr):
-        for fn in fns:
-            fn(w, fr)
-    return run
-
-
-def _charger(ops, mems):
-    """Closure paying a static charge; None when there is none."""
-    if not (ops or mems):
-        return None
-
-    def charge(w, fr):
-        w.ops += ops
-        w.mems += mems
-    return charge
-
-
-def _effects(ces):
-    """What evaluating-and-discarding ``ces`` can still do: the residual
-    name lookups of the elidable ones, ``fn`` of the rest — in order."""
-    fns: list = []
-    for ce in ces:
-        fns.extend(ce.checks if ce.elidable else (ce.fn,))
-    return _seq(fns)
-
-
-def _returning(effects, value):
-    if effects is None:
-        def fn(w, fr):
-            return value
-    else:
-        def fn(w, fr):
-            effects(w, fr)
-            return value
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# Expressions
-# ---------------------------------------------------------------------------
-
-
-def _expr(e: ir.NExpr, sc: _Scope) -> _CExpr:
-    compile_fn = _EXPR_COMPILERS.get(type(e))
-    if compile_fn is not None:
-        return compile_fn(e, sc)
-
-    def fn(w, fr):
-        raise NodeRuntimeError(f"unknown expression {e!r}", w.rank)
-    return _CExpr(fn, elidable=False)
-
-
-def _var(e, sc):
-    name = e.name
-    slot = sc.scalars.get(name)
-    names = frozenset((name,))
-    if name in sc.bound_s:
-        def fn(w, fr):
-            return fr[slot]
-        return _CExpr(fn, names=names)
-
-    def fn(w, fr):
-        found = _UNSET if slot is None else fr[slot]
-        if found is _UNSET:
-            found = w.globals.get(name, _UNSET)
-            if found is _UNSET:
-                raise NodeRuntimeError(f"unbound variable {name!r}", w.rank)
-        return found
-    return _CExpr(fn, checks=(fn,), names=names)
+        for name in _Facts.__slots__:
+            setattr(self, name, getattr(self, name) | getattr(other, name))
 
 
 def _static(ces, ops=0, mems=0):
@@ -558,599 +448,527 @@ def _static(ces, ops=0, mems=0):
     return ops, mems
 
 
-def _bin(e, sc):
-    op = e.op
-    left = _expr(e.left, sc)
-    right = _expr(e.right, sc)
-    lf, rf = left.fn, right.fn
-    if op in ("and", "or"):
-        # The right operand is reached — and charged — only when the
-        # left does not decide; bool(UNKNOWN) raises ModelError exactly
-        # when the interpreter's short-circuit would depend on data.
-        r_ops, r_mems = right.ops, right.mems
-        decided = op == "or"
+def _returning(effects, value):
+    """Source evaluating ``effects`` in order, then yielding ``value``."""
+    return f"({', '.join(effects)}, {value})[-1]" if effects else value
 
-        def fn(w, fr):
-            if bool(lf(w, fr)) is decided:
-                return decided
-            w.ops += r_ops
-            w.mems += r_mems
-            return bool(rf(w, fr))
-        ce = _CExpr(fn, 1, kids=(left,), elidable=False)
-        ce.names |= right.names
-        ce.reads |= right.reads
-        ce.sc_names, ce.sc_reads = ce.names, ce.reads
-        return ce
 
-    ce = _CExpr(None, 1, kids=(left, right))
-    ce.unknown = left.unknown or right.unknown
-    if ce.unknown:  # the operator is never applied
-        ce.fn = _returning(_effects((left, right)), UNKNOWN)
-        return ce
-    f = ir.BINOPS.get(op)
-    what = None
-    if f is None and op in ir.DIVOPS:
-        f, what = ir.DIVOPS[op]
-    # Can applying the operator be proven not to raise? Not under
-    # observers (operands may be symbolic, their operators partial),
-    # and a divisor must be a non-zero constant or nprocs().
-    if sc.observe or f is None or (
-        (what or op == "/") and right.const in (_NOTCONST, 0)
-        and type(e.right) is not ir.NNProcs
-    ):
-        ce.elidable = False
-    if ce.elidable and _NOTCONST not in (left.const, right.const):
-        ce.const = f(left.const, right.const)
-        ce.fn = _returning(None, ce.const)
-    elif f is None:
-        def fn(w, fr):
-            if lf(w, fr) is UNKNOWN or rf(w, fr) is UNKNOWN:
-                return UNKNOWN
-            raise NodeRuntimeError(f"unknown operator {op!r}", w.rank)
-        ce.fn = fn
-    elif what:
-        def fn(w, fr):
-            lv = lf(w, fr)
-            rv = rf(w, fr)
-            if lv is UNKNOWN or rv is UNKNOWN:
-                return UNKNOWN
-            if rv == 0:
-                raise NodeRuntimeError(f"{what} by zero", w.rank)
-            return f(lv, rv)
-        ce.fn = fn
-    elif right.const is not _NOTCONST:
-        const = right.const
+def _charge(ops, mems):
+    return charge_lines(ops, mems, "w")
 
-        def fn(w, fr):
-            lv = lf(w, fr)
-            return UNKNOWN if lv is UNKNOWN else f(lv, const)
-        ce.fn = fn
-    else:
-        def fn(w, fr):
-            lv = lf(w, fr)
-            rv = rf(w, fr)
-            if lv is UNKNOWN or rv is UNKNOWN:
-                return UNKNOWN
-            return f(lv, rv)
-        ce.fn = fn
-    return ce
 
-
-def _un(e, sc):
-    operand = _expr(e.operand, sc)
-    of = operand.fn
-    f = operator.not_ if e.op == "not" else operator.neg
-    ce = _CExpr(None, 1, kids=(operand,), unknown=operand.unknown)
-    if ce.unknown:
-        ce.fn = _returning(_effects((operand,)), UNKNOWN)
-        return ce
-
-    def fn(w, fr):
-        value = of(w, fr)
-        return UNKNOWN if value is UNKNOWN else f(value)
-    ce.fn = fn
-    if sc.observe:
-        ce.elidable = False
-    return ce
-
-
-def _call(e, sc):
-    args = tuple(_expr(a, sc) for a in e.args)
-    func = e.func
-    ce = _CExpr(None, 1, kids=args, unknown=any(a.unknown for a in args))
-    if not is_builtin(func):
-        pre = _effects(args) or _noop
-
-        def fn(w, fr):
-            pre(w, fr)
-            raise NodeRuntimeError(
-                f"unknown builtin {func!r} in expression", w.rank
-            )
-        ce.fn = fn
-        ce.elidable = False
-    elif ce.unknown:
-        ce.fn = _returning(_effects(args), UNKNOWN)
-    else:
-        fns = tuple(a.fn for a in args)
-
-        def fn(w, fr):
-            values = [f(w, fr) for f in fns]
-            if any(v is UNKNOWN for v in values):
-                return UNKNOWN
-            return apply_builtin(func, values)
-        ce.fn = fn
-        if sc.observe or len(args) != builtin_arity(func):
-            ce.elidable = False
-    return ce
-
-
-def _array(name: str, sc: _Scope) -> _CExpr:
-    """The array (or buffer) bound to ``name``, as a charge-free expr."""
-    slot = sc.arrays.get(name)
-    if name in sc.bound_a:
-        def fn(w, fr):
-            return fr[slot]
-        return _CExpr(fn)
-
-    def fn(w, fr):
-        found = _UNSET if slot is None else fr[slot]
-        if found is _UNSET or found is None:
-            found = w.globals.get(name)
-            if found is None:
-                raise NodeRuntimeError(f"unknown array {name!r}", w.rank)
-        return found
-    return _CExpr(fn, checks=(fn,))
-
-
-def _read(e, sc):
-    observed = sc.observe and type(e) is ir.NIsRead
-    name = e.array if type(e) is ir.NIsRead else e.buf
-    array = _array(name, sc)
-    indices = tuple(_expr(i, sc) for i in e.indices)
-    ce = _CExpr(None, 0, 1, kids=(array,) + indices, unknown=True)
-    ce.reads = True
-    if observed:
-        get = array.fn
-        fns = tuple(i.fn for i in indices)
-
-        def fn(w, fr):
-            w.on_read(get(w, fr), [f(w, fr) for f in fns])
-            return UNKNOWN
-        ce.fn = fn
-        ce.elidable = False
-    else:
-        ce.fn = _returning(_effects((array,) + indices), UNKNOWN)
-    return ce
-
-
-def _indirect(e, sc):
-    def fn(w, fr):
-        raise _inspector_error()
-    ce = _CExpr(fn, kids=(_expr(e.index, sc),))
-    ce.elidable = False
-    return ce
-
-
-_EXPR_COMPILERS = {
-    ir.NConst: lambda e, sc: _CExpr(_returning(None, e.value), const=e.value),
-    ir.NVar: _var,
-    ir.NMyNode: lambda e, sc: _CExpr(lambda w, fr: w.rank),
-    ir.NNProcs: lambda e, sc: _CExpr(lambda w, fr: w.nprocs),
-    ir.NBin: _bin,
-    ir.NUn: _un,
-    ir.NCall: _call,
-    ir.NIsRead: _read,
-    ir.NBufRead: _read,
-    ir.NIndirect: _indirect,
-}
-
-
-# ---------------------------------------------------------------------------
-# Statements: each compiler returns (ops, mems, fn | None, transparent) —
-# the static charge owed on entry (before any flush), the closure doing
-# the rest, and whether charges may be hoisted across it.
-# ---------------------------------------------------------------------------
-
-
-def _store(target, sc: _Scope, facts: _Facts, received: bool):
-    """Compile the target of a store whose value the caller supplies.
-
-    Returns ``(slot, fn, ops, mems)``: a scalar target is just its frame
-    ``slot``; an array or buffer target never needs the value, only
-    ``fn`` (or nothing) for the effects of its index evaluation."""
-    kind = type(target)
-    if kind is ir.VarLV:
-        (facts.received if received else facts.assigned).add(target.name)
-        return sc.scalars[target.name], None, 0, 0
-    if kind not in (ir.IsLV, ir.BufLV):
-        def fn(w, fr):
-            raise NodeRuntimeError(f"unknown lvalue {target!r}", w.rank)
-        return None, fn, 0, 0
-    name = target.array if kind is ir.IsLV else target.buf
-    array = _array(name, sc)
-    indices = tuple(_expr(i, sc) for i in target.indices)
-    facts.shortcircuit(indices)
-    if sc.observe and kind is ir.IsLV:
-        get = array.fn
-        fns = tuple(i.fn for i in indices)
-
-        def fn(w, fr):
-            w.on_write(name, get(w, fr), [f(w, fr) for f in fns])
-    else:
-        fn = _effects((array,) + indices)
-    return (None, fn) + _static(indices, 0, 1)
-
-
-def _set(slot, value):
-    def fn(w, fr):
-        fr[slot] = value
-    return fn
-
-
-def _assign(stmt, sc, facts):
-    value = _expr(stmt.value, sc)
-    facts.shortcircuit((value,))
-    slot, tfn, ops, mems = _store(stmt.target, sc, facts, False)
-    if slot is None:
-        fn = _seq((_effects((value,)), tfn))
-    else:
-        vf = value.fn
-
-        def fn(w, fr):
-            fr[slot] = vf(w, fr)
-        sc.bound_s.add(stmt.target.name)
-    return value.ops + ops, value.mems + mems, fn, True
-
-
-def _alloc(stmt, sc, facts):
-    shape = tuple(_expr(d, sc) for d in stmt.shape)
-    facts.shortcircuit(shape)
-    name = stmt.name
-    slot = sc.arrays[name]
-    if sc.observe and type(stmt) is ir.NAllocIs:
-        fns = tuple(d.fn for d in shape)
-
-        def fn(w, fr):
-            fr[slot] = w.on_alloc(name, [f(w, fr) for f in fns])
-    else:
-        fn = _seq((_effects(shape), _set(slot, ARRAY)))
-    sc.bound_a.add(name)
-    return _static(shape) + (fn, True)
-
-
-def _for(stmt, sc, facts):
-    lo = _expr(stmt.lo, sc)
-    hi = _expr(stmt.hi, sc)
-    step = _expr(stmt.step, sc)
-    inner = _Facts()
-    body = _body(stmt.body, sc, inner, loop_var=stmt.var)
-
-    loop = Loop()
-    loop.name = stmt.var
-    loop.var = sc.scalars[stmt.var]
-    loop.body = body
-    state = inner.assigned | inner.received | {stmt.var}
-    loop.replicable = not (
-        inner.impure or inner.reads or inner.names & state
-    )
-    loop.uniform = loop.replicable and not inner.comm
-    loop.assigned = tuple(sc.scalars[n] for n in sorted(inner.assigned))
-    loop.event_assigned = tuple(
-        sc.scalars[n] for n in sorted(inner.assigned | inner.received)
-    )
-    loop.nscalars = len(sc.scalars)
-
-    facts.assigned.add(stmt.var)
-    facts.sensitive(lo, hi, step)
-    facts.merge(inner)
-    lof, hif, stepf = lo.fn, hi.fn, step.fn
-
-    def fn(w, fr):
-        w.loop(loop, fr, lof(w, fr), hif(w, fr), stepf(w, fr))
-    return _static((lo, hi, step)) + (fn, inner.transparent)
-
-
-def _if(stmt, sc, facts):
-    cond = _expr(stmt.cond, sc)
-    facts.sensitive(cond)
-    inner = _Facts()
-    then = _body(stmt.then_body, sc, inner)
-    other = _body(stmt.else_body, sc, inner)
-    facts.merge(inner)
-    condf = cond.fn
-    if sc.observe:
-        label = f"if {pretty_expr(stmt.cond)}"
-
-        def fn(w, fr):
-            taken = then if condf(w, fr) else other
-            w.path.append(label)
-            try:
-                taken(w, fr)
-            finally:
-                w.path.pop()
-    elif other is _noop:
-        def fn(w, fr):
-            if condf(w, fr):
-                then(w, fr)
-    else:
-        def fn(w, fr):
-            if condf(w, fr):
-                then(w, fr)
-            else:
-                other(w, fr)
-    return cond.ops, cond.mems, fn, inner.transparent
-
-
-def _send(stmt, sc, facts):
-    values = tuple(_expr(v, sc) for v in stmt.values)
-    dst = _expr(stmt.dst, sc)
-    facts.comm = True
-    facts.sensitive(dst)
-    facts.shortcircuit(values)
-    dstf, channel, plen = dst.fn, stmt.channel, len(values)
-
-    def fn(w, fr):
-        w.emit_send(dstf(w, fr), channel, plen)
-    fn = _seq((_effects(values), fn))
-    return _static(values + (dst,)) + (fn, False)
-
-
-def _stores_unknown(targets, sc, facts):
-    """Closure storing UNKNOWN into received ``targets`` (with the
-    charges of their index evaluation, which land *after* the flush)."""
-    fns = []
-    ops = mems = 0
-    for target in targets:
-        slot, tfn, t_ops, t_mems = _store(target, sc, facts, True)
-        fns.append(tfn if slot is None else _set(slot, UNKNOWN))
-        ops += t_ops
-        mems += t_mems
-    fns.append(_charger(ops, mems))
-    return _seq(fns) or _noop
-
-
-def _recv(stmt, sc, facts):
-    src = _expr(stmt.src, sc)
-    facts.comm = True
-    facts.sensitive(src)
-    post = _stores_unknown(stmt.targets, sc, facts)
-    sc.bound_s.update(
-        t.name for t in stmt.targets if type(t) is ir.VarLV
-    )
-    srcf, channel = src.fn, stmt.channel
-
-    def fn(w, fr):
-        w.emit_recv(srcf(w, fr), channel)
-        post(w, fr)
-    return src.ops, src.mems, fn, False
-
-
-def _vector(stmt, sc, facts):
-    sending = type(stmt) is ir.NSendVec
-    peer = _expr(stmt.dst if sending else stmt.src, sc)
-    lo = _expr(stmt.lo, sc)
-    hi = _expr(stmt.hi, sc)
-    facts.comm = True
-    facts.sensitive(peer, lo, hi)
-    check = _effects((_array(stmt.buf, sc),)) or _noop
-    peerf, lof, hif, channel = peer.fn, lo.fn, hi.fn, stmt.channel
-
-    if sending:
-        def fn(w, fr):
-            check(w, fr)
-            lo_v = lof(w, fr)
-            hi_v = hif(w, fr)
-            dst = peerf(w, fr)
-            plen = w.span(lo_v, hi_v)
-            w.mems += plen
-            w.emit_send(dst, channel, plen)
-    else:
-        def fn(w, fr):
-            src = peerf(w, fr)
-            check(w, fr)
-            lo_v = lof(w, fr)
-            hi_v = hif(w, fr)
-            w.emit_recv(src, channel)
-            w.mems += w.span(lo_v, hi_v)  # unpacking: after the flush
-    return _static((peer, lo, hi)) + (fn, False)
-
-
-def _owned_value(stmt, sc, facts):
-    """The stores of a coerce/broadcast: ``(value, keep, take)``.
-
-    ``keep`` evaluates ``stmt.value`` into ``stmt.target`` and pays the
-    value's charges, owed only on the rank that evaluates it; ``take``
-    stores a received UNKNOWN there."""
-    value = _expr(stmt.value, sc)
-    facts.shortcircuit((value,))
-    slot, tfn, t_ops, t_mems = _store(stmt.target, sc, facts, True)
-    if slot is None:
-        keep = _seq((_effects((value,)), tfn))
-        take = tfn
-    else:
-        vf = value.fn
-
-        def keep(w, fr):
-            fr[slot] = vf(w, fr)
-        take = _set(slot, UNKNOWN)
-    pay = _charger(value.ops + t_ops, value.mems + t_mems)
-    return (
-        value,
-        _seq((pay, keep)) or _noop,
-        _seq((take, _charger(t_ops, t_mems))) or _noop,
-    )
-
-
-def _coerce(stmt, sc, facts):
-    owner = _expr(stmt.owner, sc)
-    dest = _expr(stmt.dest, sc)
-    facts.comm = True
-    facts.sensitive(owner, dest)
-    value, keep, take = _owned_value(stmt, sc, facts)
-    ship = _seq(
-        (_charger(value.ops, value.mems), _effects((value,)))
-    ) or _noop
-    ownerf, destf, channel = owner.fn, dest.fn, stmt.channel
-
-    def fn(w, fr):
-        o = ownerf(w, fr)
-        d = destf(w, fr)
-        if o is UNKNOWN or d is UNKNOWN:
-            raise ModelError("coerce partner depends on array data")
-        if o == d:
-            if w.rank == d:
-                keep(w, fr)
-        elif w.rank == o:
-            ship(w, fr)
-            w.emit_send(d, channel, 1)
-        elif w.rank == d:
-            w.emit_recv(o, channel)
-            take(w, fr)
-    # + the two membership tests every processor makes
-    return owner.ops + dest.ops + 2, owner.mems + dest.mems, fn, False
-
-
-def _broadcast(stmt, sc, facts):
-    owner = _expr(stmt.owner, sc)
-    facts.comm = True
-    facts.sensitive(owner)
-    _, keep, take = _owned_value(stmt, sc, facts)
-    if type(stmt.target) is ir.VarLV:
-        sc.bound_s.add(stmt.target.name)
-    ownerf, channel = owner.fn, stmt.channel
-
-    def fn(w, fr):
-        o = ownerf(w, fr)
-        if o is UNKNOWN:
-            raise ModelError("broadcast owner depends on array data")
-        if w.rank == o:
-            keep(w, fr)
-            w.flush()
-            for q in range(w.nprocs):
-                if q != o:
-                    w.emit_send(q, channel, 1)
-        else:
-            w.emit_recv(o, channel)
-            take(w, fr)
-    return owner.ops + 1, owner.mems, fn, False
-
-
-def _callproc(stmt, sc, facts):
-    facts.impure = True
-    args = tuple(
-        _array(a, sc) if isinstance(a, str) else _expr(a, sc)
-        for a in stmt.args
-    )
-    fns = tuple(a.fn for a in args)
-    if stmt.array_result is not None:
-        post = _set(sc.arrays[stmt.array_result], ARRAY)
-        sc.bound_a.add(stmt.array_result)
-    elif stmt.result is not None:
-        post = _stores_unknown((stmt.result,), sc, facts)
-        if type(stmt.result) is ir.VarLV:
-            sc.bound_s.add(stmt.result.name)
-    else:
-        post = _noop
-    proc = stmt.proc
-
-    def fn(w, fr):
-        w.call(proc, [f(w, fr) for f in fns])
-        post(w, fr)
-    return _static(args) + (fn, False)
-
-
-def _return(stmt, sc, facts):
-    facts.impure = True
-    ops = mems = 0
-    pre = _noop
-    if stmt.value is not None and not isinstance(stmt.value, str):
-        value = _expr(stmt.value, sc)
-        ops, mems = value.ops, value.mems
-        pre = _effects((value,)) or _noop
-
-    def fn(w, fr):
-        pre(w, fr)
-        raise ProcReturn()
-    return ops, mems, fn, False
-
-
-def _alias(stmt, sc, facts):
-    facts.impure = True  # as the loop scans always classed it
-    sc.bound_a.add(stmt.name)
-    return 0, 0, _set(sc.arrays[stmt.name], ARRAY), True
-
-
-_STMT_COMPILERS = {
-    ir.NAssign: _assign,
-    ir.NAllocIs: _alloc,
-    ir.NAllocBuf: _alloc,
-    ir.NFor: _for,
-    ir.NIf: _if,
-    ir.NSend: _send,
-    ir.NRecv: _recv,
-    ir.NSendVec: _vector,
-    ir.NRecvVec: _vector,
-    ir.NCoerce: _coerce,
-    ir.NBroadcast: _broadcast,
-    ir.NCallProc: _callproc,
-    ir.NReturn: _return,
-    ir.NComment: lambda stmt, sc, facts: (0, 0, None, True),
-    ir.NArrayAlias: _alias,
-}
+# The binary operators UNKNOWN's arithmetic spells as in Python.
+_PY_OPS = {"+": "+", "-": "-", "*": "*", "/": "/", "div": "//", "mod": "%"}
 _INSPECTOR_NODES = (
     ir.NExchange, ir.NResolve, ir.NAccum, ir.NScatterFlush, ir.NAccumLocal,
 )
 
 
-def _unwalkable(stmt, sc, facts):
-    """Inspector/executor nodes (who talks to whom is decided by
-    index-array *contents* at run time) and unknown statements."""
-    facts.impure = True
-    inspector = type(stmt) in _INSPECTOR_NODES
+class _WalkGen(Emitter):
+    """The generated source of one procedure's walk.
 
-    def fn(w, fr):
-        if inspector:
-            raise _inspector_error()
-        raise NodeRuntimeError(f"unknown statement {stmt!r}", w.rank)
-    return 0, 0, fn, False
+    Expressions become a :class:`_CExpr` of source over ``(w, fr)``;
+    statements ``(ops, mems, lines, transparent)``: the static charge
+    owed on entry (before any flush), the lines doing the rest, and
+    whether charges may be hoisted across it (no flush, no early exit).
+    ``defs`` collects the functions the procedure's own one calls: loop
+    bodies the policy runs and bodies nested past ``MAX_DEPTH``. In the
+    procedure's own function (``top``) a ``return`` is native; elsewhere
+    it raises :class:`ProcReturn`. Names are bound as helpers, not
+    literals: a compiler mints some (buffers, channels) from parse
+    order, and re-parsing a program must not change its text.
+    """
 
+    __slots__ = ("observe", "scalars", "arrays", "bound_s", "bound_a",
+                 "names", "defs", "loops", "depth", "top")
 
-def _body(stmts, sc: _Scope, facts: _Facts, loop_var: str | None = None):
-    """Compile a statement list into one closure.
+    def __init__(self, proc: ir.NodeProc, observe: bool):
+        super().__init__(globals(), "<spmd-walk>")
+        self.observe = observe
+        # Names bound on every path to the statement being compiled.
+        self.bound_s = set(proc.params) - proc.array_params
+        self.bound_a = set(proc.params) & proc.array_params
+        scalars: dict[str, None] = {}
+        arrays: dict[str, None] = {}
+        for name, is_array in ir.proc_binders(proc):
+            (arrays if is_array else scalars)[name] = None
+        self.scalars = {name: slot for slot, name in enumerate(scalars)}
+        self.arrays = {n: len(scalars) + k for k, n in enumerate(arrays)}
+        self.names: dict[str, str] = {}  # name -> its helper
+        self.defs: list[str] = []
+        self.loops: list[tuple[Loop, str]] = []  # (loop, its body's name)
+        self.depth = 0
+        self.top = True
 
-    Static charges are pooled: each run of statements that no flush or
-    early exit can separate pays with a single addition placed at the
-    head of the run. A loop body (``loop_var`` given) starts its pool
-    with the iteration's increment-and-test op."""
-    # Bindings made inside a nested list do not dominate what follows it.
-    outer = sc.bound_s, sc.bound_a
-    sc.bound_s, sc.bound_a = set(sc.bound_s), set(sc.bound_a)
-    ops = mems = 0
-    if loop_var is not None:
-        sc.bound_s.add(loop_var)
-        ops = 1
-    steps: list = []
-    at = None  # index in ``steps`` of the open charge pool
-    for stmt in stmts:
-        compile_fn = _STMT_COMPILERS.get(type(stmt), _unwalkable)
-        s_ops, s_mems, fn, transparent = compile_fn(stmt, sc, facts)
-        ops += s_ops
-        mems += s_mems
-        if at is None and (ops or mems):
-            at = len(steps)
-            steps.append(None)
-        if fn is not None:
-            steps.append(fn)
-            if not transparent and at is not None:
-                steps[at] = _charger(ops, mems)
-                at, ops, mems = None, 0, 0
-    if ops or mems:
-        if at is None:
-            at = len(steps)
-            steps.append(None)
-        steps[at] = _charger(ops, mems)
-    sc.bound_s, sc.bound_a = outer
-    return _seq(steps) or _noop
+    def name(self, name: str) -> str:
+        if name not in self.names:
+            self.names[name] = self.fresh(name)
+        return self.names[name]
+
+    def fail(self, message, *operands):
+        """Source raising ``message`` once ``operands`` are evaluated."""
+        return f"_fail({', '.join(['w', self.name(message), *operands])})"
+
+    def function(self, lines, prefix) -> str:
+        """A function ``prefix<n>(w, fr)`` over ``lines``; its name."""
+        name = f"{prefix}{self.n}"
+        self.n += 1
+        self.defs += [f"def {name}(w, fr):", *ind(lines or ["pass"])]
+        return name
+
+    # -- expressions ----------------------------------------------------------
+    def expr(self, e) -> _CExpr:
+        kind = type(e)
+        if kind is ir.NConst:
+            return _CExpr(self.literal(e.value), const=e.value)
+        if kind is ir.NVar:
+            return self.lookup(e.name, False)
+        if kind is ir.NMyNode or kind is ir.NNProcs:
+            return _CExpr("w.rank" if kind is ir.NMyNode else "w.nprocs",
+                          known=True)
+        if kind is ir.NBin:
+            if e.op in ("and", "or"):
+                return self.short_circuit(e)
+            return self.binary(e)
+        if kind is ir.NUn:
+            return self.unary(e)
+        if kind is ir.NCall:
+            return self.call(e)
+        if kind is ir.NIsRead or kind is ir.NBufRead:
+            return self.read(e)
+        if kind is ir.NIndirect:
+            return _CExpr("_fail(w, None)", kids=(self.expr(e.index),),
+                          elidable=False)
+        return _CExpr(self.fail(f"unknown expression {e!r}"), elidable=False)
+
+    def effects(self, ces):
+        """What evaluating-and-discarding ``ces`` can still do: the
+        residual checks of the elidable ones, the source of the rest."""
+        return [src for ce in ces
+                for src in (ce.checks if ce.elidable else (ce.src,))]
+
+    def guarded(self, ces, apply):
+        """``apply`` over the values of ``ces``, or UNKNOWN when one is:
+        every operand is evaluated before any is tested."""
+        args, tests = [], []
+        for ce in ces:
+            args.append(ce.src if ce.known else self.tmp())
+            if not ce.known:
+                tests.append(f"(({args[-1]} := {ce.src}) is UNKNOWN)")
+        if not tests:
+            return apply(*args)
+        return f"(UNKNOWN if {' | '.join(tests)} else {apply(*args)})"
+
+    def lookup(self, name, array) -> _CExpr:
+        """The scalar — or the array or buffer, as a charge-free expr —
+        bound to ``name``: its frame slot, else the global."""
+        slot = (self.arrays if array else self.scalars).get(name)
+        names = _NO_NAMES if array else frozenset((name,))
+        if name in (self.bound_a if array else self.bound_s):
+            return _CExpr(f"fr[{slot}]", names=names)
+        n, t = self.name(name), self.tmp()
+        src = f"_array(w, {n})" if array else f"w.globals[{n}]"
+        if slot is not None:
+            found = f"({t} := fr[{slot}]) is not _UNSET"
+            if array:
+                found += f" and {t} is not None"
+            src = f"({t} if {found} else {src})"
+        return _CExpr(src, checks=(src,), names=names)
+
+    def short_circuit(self, e):
+        # The right operand is reached — and charged — only when the
+        # left does not decide; bool(UNKNOWN) raises ModelError exactly
+        # when the interpreter's short-circuit would depend on data.
+        left = self.expr(e.left)
+        right = self.expr(e.right)
+        rhs = f"bool({right.src})"
+        if right.ops or right.mems:
+            rhs = f"(_pre(w, {right.ops}, {right.mems}) or {rhs})"
+        ce = _CExpr(f"(bool({left.src}) {e.op} {rhs})", 1, kids=(left,),
+                    elidable=False)
+        ce.names |= right.names
+        ce.reads |= right.reads
+        ce.sc_names, ce.sc_reads = ce.names, ce.reads
+        return ce
+
+    def binary(self, e):
+        op = e.op
+        left, right = self.expr(e.left), self.expr(e.right)
+        ce = _CExpr(None, 1, kids=(left, right))
+        ce.unknown = left.unknown or right.unknown
+        if ce.unknown:  # the operator is never applied
+            ce.src = _returning(self.effects((left, right)), "UNKNOWN")
+            return ce
+        f, what = ir.BINOPS.get(op), None
+        if f is None and op in ir.DIVOPS:
+            f, what = ir.DIVOPS[op]
+        # Can applying the operator be proven not to raise? Not under
+        # observers (operands may be symbolic, their operators partial),
+        # and a divisor must be a non-zero constant or nprocs().
+        nonzero = type(e.right) is ir.NNProcs
+        if self.observe or f is None or (
+            (what or op == "/") and right.const in (_NOTCONST, 0)
+            and not nonzero
+        ):
+            ce.elidable = False
+        safe = nonzero or type(right.const) is int and right.const
+        ce.known = (left.known and right.known and f is not None
+                    and (safe or not (what or op == "/")))
+        sym = _PY_OPS.get(op, op)
+        if ce.elidable and _NOTCONST not in (left.const, right.const):
+            ce.const = f(left.const, right.const)
+            ce.src = self.literal(ce.const)
+        elif f is None:  # the left operand is tested first
+            tests = [f"{x.src} is UNKNOWN" for x in (left, right)
+                     if not x.known]
+            ce.src = self.fail(f"unknown operator {op!r}")
+            if tests:
+                ce.src = f"(UNKNOWN if {' or '.join(tests)} else {ce.src})"
+        elif what and not safe:
+            ce.src = f"_divide(w, {op!r}, {left.src}, {right.src})"
+        elif self.observe or op not in _PY_OPS:  # or a comparison
+            ce.src = self.guarded((left, right),
+                                  lambda a, b: f"({a} {sym} {b})")
+        else:  # UNKNOWN's arithmetic yields itself
+            ce.src = f"({left.src} {sym} {right.src})"
+        return ce
+
+    def unary(self, e):
+        operand = self.expr(e.operand)
+        ce = _CExpr(None, 1, kids=(operand,), unknown=operand.unknown,
+                    known=operand.known)
+        if ce.unknown:
+            ce.src = _returning(self.effects((operand,)), "UNKNOWN")
+            return ce
+        if e.op == "not" or self.observe:
+            sym = "not " if e.op == "not" else "-"
+            ce.src = self.guarded((operand,), lambda a: f"({sym}{a})")
+        else:
+            ce.src = f"(-{operand.src})"
+        ce.elidable = ce.elidable and not self.observe
+        return ce
+
+    def call(self, e):
+        args = [self.expr(a) for a in e.args]
+        func = e.func
+        ce = _CExpr(None, 1, kids=args, unknown=any(a.unknown for a in args))
+        if not is_builtin(func):
+            ce.src = self.fail(f"unknown builtin {func!r} in expression",
+                               *self.effects(args))
+            ce.elidable = False
+        elif ce.unknown:
+            ce.src = _returning(self.effects(args), "UNKNOWN")
+        else:
+            values = ", ".join(a.src for a in args)
+            ce.src = f"_apply({self.name(func)}, [{values}])"
+            if self.observe or len(args) != builtin_arity(func):
+                ce.elidable = False
+        return ce
+
+    def read(self, e):
+        is_read = type(e) is ir.NIsRead
+        array = self.lookup(e.array if is_read else e.buf, True)
+        indices = [self.expr(i) for i in e.indices]
+        ce = _CExpr(None, 0, 1, kids=(array, *indices), unknown=True)
+        ce.reads = True
+        if self.observe and is_read:
+            dims = ", ".join(i.src for i in indices)
+            ce.src = f"(w.on_read({array.src}, [{dims}]), UNKNOWN)[1]"
+            ce.elidable = False
+        else:
+            ce.src = _returning(self.effects((array, *indices)), "UNKNOWN")
+        return ce
+
+    # -- statements -----------------------------------------------------------
+    def stmt(self, s, facts):
+        kind = type(s)
+        if kind is ir.NAssign:
+            value = self.expr(s.value)
+            facts.sensitive(value, sc=True)
+            slot, lines, ops, mems = self.store(s.target, facts, False)
+            if slot is None:
+                lines = self.effects((value,)) + lines
+            else:
+                lines = [f"fr[{slot}] = {value.src}"]
+                self.bound_s.add(s.target.name)
+            return value.ops + ops, value.mems + mems, lines, True
+        if kind is ir.NAllocIs or kind is ir.NAllocBuf:
+            shape = [self.expr(d) for d in s.shape]
+            facts.sensitive(*shape, sc=True)
+            slot = self.arrays[s.name]
+            if self.observe and kind is ir.NAllocIs:
+                dims = ", ".join(d.src for d in shape)
+                alloc = f"w.on_alloc({self.name(s.name)}, [{dims}])"
+                lines = [f"fr[{slot}] = {alloc}"]
+            else:
+                lines = [*self.effects(shape), f"fr[{slot}] = ARRAY"]
+            self.bound_a.add(s.name)
+            return (*_static(shape), lines, True)
+        if kind is ir.NFor:
+            return self.for_(s, facts)
+        if kind is ir.NIf:
+            return self.if_(s, facts)
+        if kind in (ir.NSend, ir.NRecv, ir.NSendVec, ir.NRecvVec):
+            facts.comm = True
+            return self.message(s, facts)
+        if kind is ir.NCoerce or kind is ir.NBroadcast:
+            facts.comm = True
+            return self.owned(s, facts)
+        if kind is ir.NComment:
+            return 0, 0, None, True
+        facts.impure = True  # as the loop scans always classed an alias
+        if kind is ir.NArrayAlias:
+            self.bound_a.add(s.name)
+            return 0, 0, [f"fr[{self.arrays[s.name]}] = ARRAY"], True
+        if kind is ir.NCallProc:
+            return self.callproc(s, facts)
+        if kind is ir.NReturn:
+            lines = ["return" if self.top else "raise ProcReturn()"]
+            if s.value is None or isinstance(s.value, str):
+                return 0, 0, lines, False
+            value = self.expr(s.value)
+            return value.ops, value.mems, self.effects((value,)) + lines, False
+        # Inspector/executor nodes (who talks to whom is decided by
+        # index-array *contents* at run time) and unknown statements.
+        if kind in _INSPECTOR_NODES:
+            return 0, 0, ["_fail(w, None)"], False
+        return 0, 0, [self.fail(f"unknown statement {s!r}")], False
+
+    def store(self, target, facts, received):
+        """The target of a store whose value the caller supplies:
+        ``(slot, lines, ops, mems)``. A scalar target is just its frame
+        ``slot``; an array or buffer target never needs the value, only
+        ``lines`` for the effects of its index evaluation."""
+        kind = type(target)
+        if kind is ir.VarLV:
+            (facts.received if received else facts.assigned).add(target.name)
+            return self.scalars[target.name], [], 0, 0
+        if kind not in (ir.IsLV, ir.BufLV):
+            return None, [self.fail(f"unknown lvalue {target!r}")], 0, 0
+        name = target.array if kind is ir.IsLV else target.buf
+        array = self.lookup(name, True)
+        indices = [self.expr(i) for i in target.indices]
+        facts.sensitive(*indices, sc=True)
+        if self.observe and kind is ir.IsLV:
+            dims = ", ".join(i.src for i in indices)
+            lines = [f"w.on_write({self.name(name)}, {array.src}, [{dims}])"]
+        else:
+            lines = self.effects((array, *indices))
+        return (None, lines, *_static(indices, 0, 1))
+
+    def stores_unknown(self, targets, facts):
+        """Lines storing UNKNOWN into received ``targets``, then the
+        charges of their index evaluation (after the flush)."""
+        lines, ops, mems = [], 0, 0
+        for target in targets:
+            slot, t_lines, t_ops, t_mems = self.store(target, facts, True)
+            lines += t_lines if slot is None else [f"fr[{slot}] = UNKNOWN"]
+            ops, mems = ops + t_ops, mems + t_mems
+        return lines + _charge(ops, mems)
+
+    def for_(self, s, facts):
+        bounds = [self.expr(x) for x in (s.lo, s.hi, s.step)]
+        inner = _Facts()
+        top, depth = self.top, self.depth
+        if self.observe:  # the body runs under the loop policy
+            self.top, self.depth = False, 0
+        body = self.body(s.body, inner, loop_var=s.var)
+        self.top, self.depth = top, depth
+        loop = Loop()
+        loop.name = s.var
+        loop.var = slot = self.scalars[s.var]
+        state = inner.assigned | inner.received | {s.var}
+        loop.replicable = not (
+            inner.impure or inner.reads or inner.names & state
+        )
+        loop.uniform = loop.replicable and not inner.comm
+        loop.assigned = tuple(self.scalars[n] for n in sorted(inner.assigned))
+        loop.event_assigned = tuple(
+            self.scalars[n] for n in sorted(inner.assigned | inner.received)
+        )
+        loop.nscalars = len(self.scalars)
+        facts.assigned.add(s.var)
+        facts.sensitive(*bounds)
+        facts.merge(inner)
+        transparent = not (inner.comm or inner.impure)
+        if self.observe or loop.replicable:
+            # A replicable body has no return, so the lines written for
+            # this function serve the policy's body function as they are.
+            self.loops.append((loop, self.function(body, "_b")))
+            lo, hi, step = (ce.src for ce in bounds)
+            line = f"w.loop({self.fresh(loop)}, fr, {lo}, {hi}, {step})"
+            return (*_static(bounds), [line], transparent)
+        # Any other loop of the plain walk runs every iteration, as
+        # Walker.iterate would: in line.
+        lines, (lo, hi, step) = [], ("_lo", "_hi", "_by")
+        for name, ce in zip((lo, hi, step), bounds):
+            lines.append(f"{name} = {ce.src}")
+        trips = f"w.trips({lo}, {hi}, {step})"
+        lines += [f"for fr[{slot}] in range({lo}, {lo} + {trips} * {step}, "
+                  f"{step}):", *ind(body or ["pass"])]
+        return (*_static(bounds), lines, transparent)
+
+    def if_(self, s, facts):
+        cond = self.expr(s.cond)
+        facts.sensitive(cond)
+        inner = _Facts()
+        levels = 2 if self.observe else 1  # under ``try:`` and ``if``
+        then = self.body(s.then_body, inner, levels=levels) or ["pass"]
+        other = self.body(s.else_body, inner, levels=levels)
+        facts.merge(inner)
+        if self.observe:
+            taken = self.tmp()
+            label = self.name(f"if {pretty_expr(s.cond)}")
+            lines = [
+                f"{taken} = True if {cond.src} else False",
+                f"w.path.append({label})", "try:", f"    if {taken}:",
+                *ind(then, 2), *(["    else:", *ind(other, 2)] * bool(other)),
+                "finally:", "    w.path.pop()",
+            ]
+        else:
+            lines = [f"if {cond.src}:", *ind(then),
+                     *(["else:", *ind(other)] * bool(other))]
+        return cond.ops, cond.mems, lines, not (inner.comm or inner.impure)
+
+    def message(self, s, facts):
+        """A send or a receive, of scalars or of a buffer's vector."""
+        kind = type(s)
+        channel = self.name(s.channel)
+        if kind is ir.NSend:
+            values = [self.expr(v) for v in s.values]
+            dst = self.expr(s.dst)
+            facts.sensitive(dst)
+            facts.sensitive(*values, sc=True)
+            lines = [*self.effects(values),
+                     f"w.emit_send({dst.src}, {channel}, {len(values)})"]
+            return (*_static((*values, dst)), lines, False)
+        if kind is ir.NRecv:
+            src = self.expr(s.src)
+            facts.sensitive(src)
+            post = self.stores_unknown(s.targets, facts)
+            self.bound_s.update(
+                t.name for t in s.targets if type(t) is ir.VarLV
+            )
+            lines = [f"w.emit_recv({src.src}, {channel})", *post]
+            return src.ops, src.mems, lines, False
+        sending = kind is ir.NSendVec
+        peer = self.expr(s.dst if sending else s.src)
+        lo, hi = self.expr(s.lo), self.expr(s.hi)
+        facts.sensitive(peer, lo, hi)
+        check = self.effects((self.lookup(s.buf, True),))
+        bounds = [f"_lo = {lo.src}", f"_hi = {hi.src}"]
+        if sending:
+            lines = [*check, *bounds, f"_p = {peer.src}",
+                     "_n = w.span(_lo, _hi)", "w.mems += _n",
+                     f"w.emit_send(_p, {channel}, _n)"]
+        else:  # unpacking is charged after the flush
+            lines = [f"_p = {peer.src}", *check, *bounds,
+                     f"w.emit_recv(_p, {channel})",
+                     "w.mems += w.span(_lo, _hi)"]
+        return (*_static((peer, lo, hi)), lines, False)
+
+    def owned(self, s, facts):
+        """A coerce or broadcast: the owner evaluates the value into the
+        target (``keep``, paying the value's charges), a receiver stores
+        a received UNKNOWN there (``take``)."""
+        coerce = type(s) is ir.NCoerce
+        owner = self.expr(s.owner)
+        dest = self.expr(s.dest) if coerce else owner
+        facts.sensitive(owner, dest)
+        value = self.expr(s.value)
+        facts.sensitive(value, sc=True)
+        slot, lines, t_ops, t_mems = self.store(s.target, facts, True)
+        if slot is None:
+            keep, take = self.effects((value,)) + lines, lines
+        else:
+            keep = [f"fr[{slot}] = {value.src}"]
+            take = [f"fr[{slot}] = UNKNOWN"]
+        keep = _charge(value.ops + t_ops, value.mems + t_mems) + keep
+        channel = self.name(s.channel)
+        recv = [f"w.emit_recv(_o, {channel})", *take, *_charge(t_ops, t_mems)]
+        if not coerce:
+            if type(s.target) is ir.VarLV:
+                self.bound_s.add(s.target.name)
+            lines = [
+                f"_o = {owner.src}", "if _o is UNKNOWN:",
+                "    raise ModelError('broadcast owner depends on array data')",
+                "if w.rank == _o:", *ind(keep), "    w.flush()",
+                "    for _q in range(w.nprocs):", "        if _q != _o:",
+                f"            w.emit_send(_q, {channel}, 1)",
+                "else:", *ind(recv),
+            ]
+            return owner.ops + 1, owner.mems, lines, False
+        ship = _charge(value.ops, value.mems) + self.effects((value,))
+        lines = [
+            f"_o = {owner.src}", f"_d = {dest.src}",
+            "if _o is UNKNOWN or _d is UNKNOWN:",
+            "    raise ModelError('coerce partner depends on array data')",
+            "if _o == _d:", "    if w.rank == _d:", *ind(keep or ["pass"], 2),
+            "elif w.rank == _o:",
+            *ind([*ship, f"w.emit_send(_d, {channel}, 1)"]),
+            "elif w.rank == _d:", *ind(recv),
+        ]
+        # + the two membership tests every processor makes
+        return owner.ops + dest.ops + 2, owner.mems + dest.mems, lines, False
+
+    def callproc(self, s, facts):
+        args = [self.lookup(a, True) if isinstance(a, str) else self.expr(a)
+                for a in s.args]
+        post = []
+        if s.array_result is not None:
+            post = [f"fr[{self.arrays[s.array_result]}] = ARRAY"]
+            self.bound_a.add(s.array_result)
+        elif s.result is not None:
+            post = self.stores_unknown((s.result,), facts)
+            if type(s.result) is ir.VarLV:
+                self.bound_s.add(s.result.name)
+        values = ", ".join(a.src for a in args)
+        call = f"w.call({self.name(s.proc)}, [{values}])"
+        return (*_static(args), [call, *post], False)
+
+    # -- bodies ---------------------------------------------------------------
+    def body(self, stmts, facts, loop_var=None, levels=1):
+        """``stmts`` as lines, ``levels`` deeper than the statement
+        being written. Static charges are pooled: each run of statements
+        that no flush or early exit can separate pays with one addition
+        at the head of the run. A loop body (``loop_var`` given) starts
+        its pool with the iteration's increment-and-test op."""
+        if self.depth + levels > MAX_DEPTH:
+            top, depth = self.top, self.depth
+            self.top, self.depth = False, 0
+            lines = self.body(stmts, facts, loop_var)
+            self.top, self.depth = top, depth
+            return [f"{self.function(lines, '_s')}(w, fr)"]
+        # Bindings made inside a nested list do not dominate what
+        # follows it.
+        outer = self.bound_s, self.bound_a
+        self.bound_s, self.bound_a = set(self.bound_s), set(self.bound_a)
+        self.depth += levels
+        ops = mems = 0
+        if loop_var is not None:
+            self.bound_s.add(loop_var)
+            ops = 1
+        steps: list = []
+        at = None  # index in ``steps`` of the open charge pool
+        for stmt in stmts:
+            s_ops, s_mems, lines, transparent = self.stmt(stmt, facts)
+            ops, mems = ops + s_ops, mems + s_mems
+            if at is None and (ops or mems):
+                at = len(steps)
+                steps.append(None)
+            if lines:
+                steps.append(lines)
+                if not transparent and at is not None:
+                    steps[at] = _charge(ops, mems)
+                    at, ops, mems = None, 0, 0
+        if ops or mems:
+            if at is None:
+                at = len(steps)
+                steps.append(None)
+            steps[at] = _charge(ops, mems)
+        self.depth -= levels
+        self.bound_s, self.bound_a = outer
+        return [line for step in steps for line in step]
 
 
 perf.register_cache("walk_code", {})
@@ -1158,20 +976,24 @@ perf.register_cache("walk_code", {})
 
 def walk_code(program: ir.NodeProgram, observe: bool = False) -> WalkCode:
     """Compile ``program``'s abstract walk (memoized on program identity:
-    the ``walk_code`` table of :mod:`repro.perf`).
+    the ``walk_code`` table of :mod:`repro.perf`): per procedure, its
+    function ``_w(w, fr)`` and the ones it calls, compiled as one text.
 
     ``observe`` selects the code for walkers with access observers; use
     :meth:`Walker.compile`, which derives it from the walker class."""
 
+    def compile_proc(proc):
+        gen = _WalkGen(proc, observe)
+        body = gen.body(proc.body, _Facts())
+        gen.define([*gen.defs, "def _w(w, fr):", *ind(body or ["pass"])])
+        for loop, name in gen.loops:
+            loop.body = gen.env[name]
+        slots = {**gen.scalars, **gen.arrays}
+        params = tuple(slots[p] for p in proc.params)
+        return Proc(params, len(slots), gen.env["_w"])
+
     def build():
-        procs = {}
-        for name, proc in program.procs.items():
-            sc = _Scope(proc, observe)
-            body = _body(proc.body, sc, _Facts())
-            slots = {**sc.scalars, **sc.arrays}
-            procs[name] = Proc(
-                tuple(slots[p] for p in proc.params), len(slots), body
-            )
+        procs = {name: compile_proc(p) for name, p in program.procs.items()}
         return WalkCode(program.entry_proc().name, procs)
 
     return perf.memo("walk_code", (program, observe), build)

@@ -50,7 +50,8 @@ from repro.spmd.ir import (
     NVar,
     VarLV,
 )
-from repro.spmd.compile import _cg_code, _rd1, _rd2, _wr1, _wr2
+from repro.spmd.codegen import cg_code
+from repro.spmd.compile import _rd1, _rd2, _wr1, _wr2
 from repro.spmd.interp import _NodeMachine
 
 
@@ -633,13 +634,13 @@ class TestExpressionDifferential:
                 app.SOURCE, entry=app.ENTRY, entry_shapes=app.ENTRY_SHAPES,
                 strategy=Strategy.INSPECTOR, opt_level=OptLevel.NONE,
             ).program)
-        _cg_code.cache_clear()  # every procedure really is compiled
+        cg_code.cache_clear()  # every procedure really is compiled
         with warnings.catch_warnings():
             warnings.simplefilter("error", SyntaxWarning)
             for program in programs:
                 CompiledNode(program)
         # One code object per distinct procedure text.
-        assert _cg_code.cache_info().misses > 20
+        assert cg_code.cache_info().misses > 20
 
 
 # -- statement-level differential -------------------------------------------

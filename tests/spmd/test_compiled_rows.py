@@ -273,18 +273,22 @@ def test_invalid_peers_fail_alike(body):
     _same_error(errors[1][1], errors[0][1])
 
 
+@pytest.mark.parametrize("packing", [None, *PACKINGS])
 @pytest.mark.parametrize("trace", [False, True])
-@pytest.mark.parametrize("strategy", ["runtime", "optI"])
-def test_a_small_step_budget_stops_alike(strategy, trace):
+@pytest.mark.parametrize("strategy", ["runtime", "optI", "optIII"])
+def test_a_small_step_budget_stops_alike(strategy, trace, packing):
     """Budgets from 1 step to past the run's length: the same
     SimulationError text (step count and hottest rank) or the same
-    result."""
+    result — on one processor per process, and packed, where the
+    receives the simulator defers (§5.4) are steps too."""
     compiled = _compiled("gauss_seidel", strategy)
+    placement = PACKINGS[packing](3) if packing else None
     exceeded = 0
     for budget in [*range(1, 160, 3), 10_000]:
         got, ref = (
             _outcome(lambda b=b: _execute(
-                compiled, 3, n=6, max_steps=budget, trace=trace, backend=b
+                compiled, 3, n=6, max_steps=budget, trace=trace,
+                placement=placement, backend=b,
             ))
             for b in ("compiled", "interp")
         )

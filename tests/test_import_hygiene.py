@@ -217,16 +217,16 @@ def test_one_generated_function_per_procedure():
     from repro.apps import gauss_seidel as gs
     from repro.core.compiler import OptLevel, Strategy, compile_program
     from repro.spmd import compiled_node
-    from repro.spmd.compile import _cg_code
+    from repro.spmd.codegen import cg_code
 
     program = compile_program(
         gs.SOURCE, entry_shapes={"Old": ("N", "N")},
         strategy=Strategy.COMPILE_TIME, opt_level=OptLevel.STRIPMINE,
     ).program
-    _cg_code.cache_clear()
+    cg_code.cache_clear()
     with perf.caches_disabled():
         node = compiled_node(program)
-    assert _cg_code.cache_info().misses == len(program.procs)
+    assert cg_code.cache_info().misses == len(program.procs)
     for _, fn in node._procs.values():
         code = fn.__code__
         assert (code.co_filename, code.co_name) == ("<spmd-codegen>", "_p")
