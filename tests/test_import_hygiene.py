@@ -20,7 +20,9 @@ growing back, over every module under ``src/repro``:
   table), never through ``functools``;
 * ``repro.tune`` owns no abstract walk: the predictor prices the
   verifier's;
-* a replay run never loads the value backend (``repro.spmd.compile``).
+* a replay run never loads the value backend (``repro.spmd.compile``),
+  and the walk does not import it, even statically;
+* no lambda under ``repro.spmd`` shares a line with another code object.
 """
 
 import ast
@@ -266,3 +268,69 @@ def test_a_replay_job_leaves_the_value_backend_unimported(tmp_path):
         capture_output=True, text=True, timeout=120,
     ).stdout
     assert out.strip() == "False"
+
+
+def _code_object_lines(tree):
+    """``(line, kind)`` of every node that compiles to a code object of
+    its own: functions, lambdas, classes and comprehensions."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+             ast.ClassDef, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    return [(node.lineno, node) for node in ast.walk(tree)
+            if isinstance(node, kinds)]
+
+
+def test_no_lambda_shares_a_line_under_spmd():
+    """``pstats`` keys a function by ``(file, line, name)`` and keeps one
+    of several code objects that share the key: a lambda on a line with
+    another code object folds their call counts together, and which one
+    survives depends on memory layout."""
+    offenders = []
+    for path in sorted((ROOT / "spmd").glob("*.py")):
+        nodes = _code_object_lines(ast.parse(path.read_text()))
+        for line, node in nodes:
+            if isinstance(node, ast.Lambda) and any(
+                other is not node and other_line == line
+                for other_line, other in nodes
+            ):
+                offenders.append(f"spmd/{path.name}:{line}")
+    assert not offenders, "\n".join(offenders)
+
+
+def _module_path(module: str) -> Path | None:
+    base = ROOT.parent.joinpath(*module.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def _static_imports(module: str) -> set[str]:
+    """Every ``repro`` module importing ``module`` imports at module
+    level, transitively, package ``__init__`` modules included."""
+    seen: set[str] = set()
+    frontier = [module]
+    while frontier:
+        name = frontier.pop()
+        parts = name.split(".")
+        for k in range(1, len(parts) + 1):  # the packages run first
+            prefix = ".".join(parts[:k])
+            path = _module_path(prefix)
+            if prefix in seen or path is None:
+                continue
+            seen.add(prefix)
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in _module_level_statements(tree):
+                for _, target, imported in _repro_imports(node):
+                    frontier.append(target)
+                    if imported and _module_path(f"{target}.{imported}"):
+                        frontier.append(f"{target}.{imported}")
+    return seen
+
+
+def test_the_walk_does_not_import_the_value_backend():
+    """The abstract walk and the value backend share only
+    ``repro.spmd.codegen``: loading the walk loads no ``compile.py``."""
+    imported = _static_imports("repro.spmd.walk")
+    assert {"repro.spmd.walk", "repro.spmd.codegen"} <= imported
+    assert "repro.spmd.compile" not in imported
