@@ -39,6 +39,7 @@ line.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 
 from repro import perf
@@ -355,6 +356,15 @@ def _divide(w, op, left, right):
     return f(left, right)
 
 
+def _op(f, left, right):
+    """An operator of the observed walk: UNKNOWN if an operand is."""
+    return UNKNOWN if left is UNKNOWN or right is UNKNOWN else f(left, right)
+
+
+def _op1(f, operand):
+    return UNKNOWN if operand is UNKNOWN else f(operand)
+
+
 def _apply(func, values):
     if any(v is UNKNOWN for v in values):
         return UNKNOWN
@@ -494,16 +504,17 @@ class _WalkGen(Emitter):
             (arrays if is_array else scalars)[name] = None
         self.scalars = {name: slot for slot, name in enumerate(scalars)}
         self.arrays = {n: len(scalars) + k for k, n in enumerate(arrays)}
-        self.names: dict[str, str] = {}  # name -> its helper
+        self.names: dict = {}  # object -> its helper
         self.defs: list[str] = []
         self.loops: list[tuple[Loop, str]] = []  # (loop, its body's name)
         self.depth = 0
         self.top = True
 
-    def name(self, name: str) -> str:
-        if name not in self.names:
-            self.names[name] = self.fresh(name)
-        return self.names[name]
+    def name(self, obj) -> str:
+        """The helper bound to ``obj`` (a name, message or operator)."""
+        if obj not in self.names:
+            self.names[obj] = self.fresh(obj)
+        return self.names[obj]
 
     def fail(self, message, *operands):
         """Source raising ``message`` once ``operands`` are evaluated."""
@@ -626,11 +637,14 @@ class _WalkGen(Emitter):
                 ce.src = f"(UNKNOWN if {' or '.join(tests)} else {ce.src})"
         elif what and not safe:
             ce.src = f"_divide(w, {op!r}, {left.src}, {right.src})"
-        elif self.observe or op not in _PY_OPS:  # or a comparison
+        elif ce.known or not self.observe and op in _PY_OPS:
+            # UNKNOWN's arithmetic yields itself
+            ce.src = f"({left.src} {sym} {right.src})"
+        elif self.observe:
+            ce.src = f"_op({self.name(f)}, {left.src}, {right.src})"
+        else:  # a comparison
             ce.src = self.guarded((left, right),
                                   lambda a, b: f"({a} {sym} {b})")
-        else:  # UNKNOWN's arithmetic yields itself
-            ce.src = f"({left.src} {sym} {right.src})"
         return ce
 
     def unary(self, e):
@@ -640,9 +654,11 @@ class _WalkGen(Emitter):
         if ce.unknown:
             ce.src = _returning(self.effects((operand,)), "UNKNOWN")
             return ce
-        if e.op == "not" or self.observe:
-            sym = "not " if e.op == "not" else "-"
-            ce.src = self.guarded((operand,), lambda a: f"({sym}{a})")
+        f = operator.not_ if e.op == "not" else operator.neg
+        if self.observe and not ce.known:
+            ce.src = f"_op1({self.name(f)}, {operand.src})"
+        elif e.op == "not":
+            ce.src = self.guarded((operand,), lambda a: f"(not {a})")
         else:
             ce.src = f"(-{operand.src})"
         ce.elidable = ce.elidable and not self.observe
