@@ -520,8 +520,9 @@ class _WalkGen(Emitter):
         """Source raising ``message`` once ``operands`` are evaluated."""
         return f"_fail({', '.join(['w', self.name(message), *operands])})"
 
-    def function(self, lines, prefix) -> str:
-        """A function ``prefix<n>(w, fr)`` over ``lines``; its name."""
+    def nested(self, lines, prefix) -> str:
+        """A function ``prefix<n>(w, fr)`` over ``lines`` among ``defs``;
+        its name."""
         name = f"{prefix}{self.n}"
         self.n += 1
         self.defs += [f"def {name}(w, fr):", *ind(lines or ["pass"])]
@@ -810,7 +811,7 @@ class _WalkGen(Emitter):
         if self.observe or loop.replicable:
             # A replicable body has no return, so the lines written for
             # this function serve the policy's body function as they are.
-            self.loops.append((loop, self.function(body, "_b")))
+            self.loops.append((loop, self.nested(body, "_b")))
             lo, hi, step = (ce.src for ce in bounds)
             line = f"w.loop({self.fresh(loop)}, fr, {lo}, {hi}, {step})"
             return (*_static(bounds), [line], transparent)
@@ -954,7 +955,7 @@ class _WalkGen(Emitter):
             self.top, self.depth = False, 0
             lines = self.body(stmts, facts, loop_var)
             self.top, self.depth = top, depth
-            return [f"{self.function(lines, '_s')}(w, fr)"]
+            return [f"{self.nested(lines, '_s')}(w, fr)"]
         # Bindings made inside a nested list do not dominate what
         # follows it.
         outer = self.bound_s, self.bound_a
