@@ -97,9 +97,7 @@ from repro.machine.simulator import deadlock_forensics
 from repro.runtime import IStructure, LocalArray
 from repro.runtime.istructure import UNDEFINED
 from repro.spmd import ir
-from repro.spmd.codegen import (
-    MAX_DEPTH, Emitter, charge_lines, ind,
-)
+from repro.spmd.codegen import MAX_DEPTH, Emitter, charge_lines, ind
 
 _UNSET = object()  # empty frame slot (distinct from a stored None)
 _NOTCONST = object()  # "no compile-time constant value" marker
@@ -562,6 +560,7 @@ _COMPUTE = (
     f"    st.rows.append(st.canon[{KIND_COMPUTE}, -1, -1, 0, _fo, _fm])",
 )
 _FLUSH = ("if st.ops or st.mems:", *ind(_COMPUTE))
+
 
 class _SrcGen(Emitter):
     """The generated source of one procedure: its frame slots, the

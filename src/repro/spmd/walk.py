@@ -241,17 +241,15 @@ class Walker:
     def emit_send(self, dst, channel: str, plen: int) -> None:
         if dst is UNKNOWN or not 0 <= dst < self.nprocs or dst == self.rank:
             raise _bad_peer(self, dst, channel, True)
-        if self.ops or self.mems:  # the flush, in line
-            self.events.append((KIND_COMPUTE, -1, -1, 0, self.ops, self.mems))
-            self.ops = self.mems = 0
-        self.events.append((KIND_SEND, dst, self._channel(channel), plen, 0, 0))
+        self.flush()
+        self.events.append(
+            (KIND_SEND, dst, self._channel(channel), plen, 0, 0)
+        )
 
     def emit_recv(self, src, channel: str) -> None:
         if src is UNKNOWN or not 0 <= src < self.nprocs or src == self.rank:
             raise _bad_peer(self, src, channel, False)
-        if self.ops or self.mems:  # the flush, in line
-            self.events.append((KIND_COMPUTE, -1, -1, 0, self.ops, self.mems))
-            self.ops = self.mems = 0
+        self.flush()
         self.events.append((KIND_RECV, src, self._channel(channel), 0, 0, 0))
 
     @staticmethod
@@ -908,7 +906,8 @@ class _WalkGen(Emitter):
                 self.bound_s.add(s.target.name)
             lines = [
                 f"_o = {owner.src}", "if _o is UNKNOWN:",
-                "    raise ModelError('broadcast owner depends on array data')",
+                "    raise ModelError("
+                "'broadcast owner depends on array data')",
                 "if w.rank == _o:", *ind(keep), "    w.flush()",
                 "    for _q in range(w.nprocs):", "        if _q != _o:",
                 f"            w.emit_send(_q, {channel}, 1)",

@@ -10,13 +10,15 @@ One SHA-256 per app × strategy over every ring size in ``NPROCS`` pins
   error that ended the walk and the one the plain walker would have
   raised at the first skipped event.
 
-A third digest pins what both walks raise on the planted faults of
+Another digest pins what both walks raise on the planted faults of
 ``tests/replay/test_abstention_parity.py``. Channel and array names a
 compiler mints from parse order are replaced by their rank in program
-order first, so no digest depends on what the process parsed before. A change to how the walk is
-compiled must leave every digest as it is; a change that means to alter
-the rows updates them here, in the same commit (``python -m
-tests.spmd.test_walk_digest`` prints the current ones).
+order first, so no digest depends on what the process parsed before.
+
+A change to how the walk is compiled must leave every digest as it is;
+a change that means to alter the rows updates them here, in the same
+commit (``python -m tests.spmd.test_walk_digest`` prints the current
+ones).
 """
 
 import hashlib
