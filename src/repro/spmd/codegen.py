@@ -41,13 +41,14 @@ def charge_lines(ops, mems, who="st"):
 
 class Emitter:
     """The environment generated functions run in: ``base`` (a module's
-    run-time helpers) plus the objects bound with :meth:`fresh`, under
-    names that depend only on the order of binding."""
+    run-time helpers) and ``names``, plus the objects bound with
+    :meth:`fresh`, under names that depend only on the order of
+    binding."""
 
     __slots__ = ("env", "n", "filename")
 
-    def __init__(self, base: dict, filename: str):
-        self.env = dict(base)
+    def __init__(self, base: dict, filename: str, **names):
+        self.env = dict(base, **names)
         self.n = 0
         self.filename = filename
 
@@ -77,5 +78,6 @@ class Emitter:
 
     def function(self, lines, params, name):
         """Compile ``def name(params):`` over ``lines``; the function."""
-        self.define([f"def {name}({params}):", *ind(lines or ["pass"])])
+        text = "\n".join([f"def {name}({params}):", *ind(lines or ["pass"])])
+        exec(cg_code(text, self.filename), self.env)
         return self.env.pop(name)

@@ -99,6 +99,7 @@ from repro.runtime.istructure import UNDEFINED
 from repro.spmd import ir
 from repro.spmd.codegen import MAX_DEPTH, Emitter, charge_lines, ind
 
+_NAMESPACE = globals()  # the one generated functions run in
 _UNSET = object()  # empty frame slot (distinct from a stored None)
 _NOTCONST = object()  # "no compile-time constant value" marker
 _NORET = object()  # what a split-off body returns when it did not return
@@ -592,7 +593,7 @@ class _SrcGen(Emitter):
         self.nslots = len(scalars) + len(arrays)
         # Generated functions run in this module's namespace, plus the
         # helpers they bind.
-        super().__init__(dict(globals(), _procs=procs), "<spmd-codegen>")
+        super().__init__(_NAMESPACE, "<spmd-codegen>", _procs=procs)
         self.out: list[str] = []
         self.ops = self.mems = 0
         self.effects = self.returns = self.blocks = False

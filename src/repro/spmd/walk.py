@@ -108,6 +108,7 @@ class _Globals(dict):
         raise NodeRuntimeError(f"unbound variable {name!r}", self.rank)
 
 
+_NAMESPACE = globals()  # the one generated functions run in
 _UNSET = object()  # empty frame slot
 _NOTCONST = object()  # "no compile-time constant value" marker
 _NO_NAMES: frozenset = frozenset()
@@ -491,7 +492,7 @@ class _WalkGen(Emitter):
                  "names", "defs", "loops", "depth", "top")
 
     def __init__(self, proc: ir.NodeProc, observe: bool):
-        super().__init__(globals(), "<spmd-walk>")
+        super().__init__(_NAMESPACE, "<spmd-walk>")
         self.observe = observe
         # Names bound on every path to the statement being compiled.
         self.bound_s = set(proc.params) - proc.array_params
