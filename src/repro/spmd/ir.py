@@ -456,7 +456,7 @@ class NodeProgram:
 
     ``eq=False`` keeps identity comparison/hashing (inherited from
     ``object``): a program *is* its object, which is exactly the key the
-    per-program closure tables (``spmd_compile``, ``walk_code``) need. Its
+    per-program code tables (``spmd_compile``, ``walk_code``) need. Its
     ``repr`` is the pretty-printed program — deterministic across
     processes, which is what lets a program stand in a persistent cache
     key (:func:`repro.perf.stable_key`).
@@ -493,7 +493,7 @@ def proc_binders(proc: NodeProc):
     order: its parameters, then — statement by statement, pre-order —
     loop variables, allocated / aliased / call-returned arrays and the
     scalar targets of assign, receive, coerce, broadcast and call
-    results. Names repeat; both closure compilers lay their frame slots
+    results. Names repeat; both source generators lay their frame slots
     out from this one scan."""
     for name in proc.params:
         yield name, name in proc.array_params
