@@ -11,8 +11,10 @@ a :class:`Placement` — a single owner processor (``a:P1``) or replication
 * ``alloc`` — the local array shape a processor must allocate.
 
 Both symbolic forms (used by compile-time resolution) and concrete forms
-(used by run-time resolution and the simulator runtime) are provided by
-the same objects. Processors are numbered ``0 .. S-1``.
+(used by run-time resolution and the simulator runtime) come from the
+same per-axis rules (:mod:`repro.distrib.base`): given ``Expr`` operands
+they build the expressions, given ints they compute the values.
+Processors are numbered ``0 .. S-1``.
 """
 
 from repro.distrib.base import Distribution, OnAll, OnProc, Placement

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
+from repro import perf
 from repro.errors import MappingError
 from repro.symbolic import Expr, sym
-from repro.symbolic.expr import Add, Const, FloorDiv, Max, Min, Mod, Mul, Var
 
 
 # ---------------------------------------------------------------------------
@@ -58,79 +57,170 @@ class OnAll(Placement):
 # ---------------------------------------------------------------------------
 
 
-class Distribution:
-    """The ``<map, local, alloc>`` triple for one array (paper §2.3).
+def ceil_div(a, b):
+    """``ceil(a / b)`` for positive ``b``: an ``Expr`` for ``Expr``
+    operands, an int for ints."""
+    return (a + b - 1) // b
 
-    Subclasses define the symbolic forms; the concrete helpers below
-    evaluate them, so the two can never disagree.
+
+# One rule per axis kind. A rule maps 1-based index ``i`` of an axis of
+# extent ``n``, dealt over ``p`` processors, to its owner along the axis,
+# its local index and the axis's local extent; ``b`` is the fixed block
+# of a block-cyclic axis. The rules use only ``//``, ``%``, ``*``, ``+``
+# and :func:`ceil_div`, so ``Expr`` operands build the symbolic map and
+# ints compute the concrete one: the two cannot disagree.
+
+
+def whole(i, n, p, b):
+    """Not distributed: every index stays where it is."""
+    return 0, i, n
+
+
+def cyclic(i, n, p, b):
+    """Indices dealt one at a time, like cards (``b = 1``)."""
+    return (i - 1) % p, (i - 1) // p + 1, ceil_div(n, p)
+
+
+def block(i, n, p, b):
+    """One contiguous block of ``ceil(n / p)`` indices per processor."""
+    width = ceil_div(n, p)
+    return (i - 1) // width, (i - 1) % width + 1, width
+
+
+def block_cyclic(i, n, p, b):
+    """Blocks of ``b`` indices dealt cyclically."""
+    return (
+        ((i - 1) // b) % p,
+        ((i - 1) // (b * p)) * b + (i - 1) % b + 1,
+        ceil_div(ceil_div(n, b), p) * b,
+    )
+
+
+perf.register_cache("tile", {})
+
+
+class Distribution:
+    """The ``<map, local, alloc>`` triple for one array (paper §2.3), as
+    a tiling applied one axis at a time.
+
+    A subclass is a declaration: its ``name``, one rule per array axis in
+    ``axes``, and, for a map that takes an argument, ``arg`` — the
+    attribute it sets (``block`` for a block-cyclic axis, ``q`` for the
+    processor rows of a grid) and what it is called in errors. The
+    distributed axes share the ring row-major: ``S`` processors for a
+    one-axis map, ``q`` by ``S div q`` for a grid.
     """
 
     name = "<abstract>"
-    rank = 2  # number of indices the distribution expects
+    axes: tuple = ()
+    arg: tuple[str, str] | None = None
+    block = None
+    q = None
+
+    def __init__(self, *args: int):
+        wanted = 0 if self.arg is None else 1
+        if len(args) != wanted:
+            raise TypeError(
+                f"{self.name} takes {wanted} arguments, got {len(args)}"
+            )
+        if args:
+            attr, what = self.arg
+            if args[0] < 1:
+                raise MappingError(f"{what} must be positive, got {args[0]}")
+            setattr(self, attr, args[0])
+
+    @property
+    def rank(self) -> int:
+        """The number of indices the distribution expects."""
+        return len(self.axes)
+
+    def procs(self, nprocs):
+        """Processors along each distributed axis."""
+        return (nprocs,) if self.q is None else (self.q, nprocs // self.q)
+
+    def tile(self, indices, nprocs, shape):
+        """Owner, local indices and alloc shape of element ``indices``:
+        ``Expr``s for ``Expr`` operands, ints for ints."""
+        owner, local, alloc = None, [], []
+        procs = iter(self.procs(nprocs))
+        for rule, i, n in zip(self.axes, indices, shape):
+            p = None if rule is whole else next(procs)
+            o, l, a = rule(i, n, p, self.block)
+            local.append(l)
+            alloc.append(a)
+            if p is not None:
+                owner = o if owner is None else owner * p + o
+        return owner, tuple(local), tuple(alloc)
 
     # -- symbolic forms (compile-time resolution) --------------------------
+    def _symbolic_tile(self, indices, nprocs, shape):
+        """:meth:`tile` over ``Expr``s, memoized: the operands are
+        interned, and a map depends only on its class and argument."""
+        return perf.memo(
+            "tile", (type(self), self.block, self.q, indices, nprocs, shape),
+            lambda: self.tile(indices, nprocs, shape),
+        )
+
     def owner_expr(
         self, indices: tuple[Expr, ...], nprocs: Expr, shape: tuple[Expr, ...]
     ) -> Expr:
         """``map``: the owner processor of element ``indices``."""
-        raise NotImplementedError
+        return self._symbolic_tile(indices, nprocs, shape)[0]
 
     def local_expr(
         self, indices: tuple[Expr, ...], nprocs: Expr, shape: tuple[Expr, ...]
     ) -> tuple[Expr, ...]:
         """``local``: the element's indices within the owner's local array."""
-        raise NotImplementedError
+        return self._symbolic_tile(indices, nprocs, shape)[1]
 
     def alloc_shape_expr(
         self, shape: tuple[Expr, ...], nprocs: Expr
     ) -> tuple[Expr, ...]:
         """``alloc``: the local array shape each processor allocates."""
-        raise NotImplementedError
+        # Any indices do: the extents do not depend on them.
+        return self._symbolic_tile(shape, nprocs, shape)[2]
 
-    # -- concrete forms (run-time resolution / the runtime) -----------------
-    def _check_rank(self, indices: tuple) -> None:
+    # -- concrete forms: the symbolic ones evaluated ------------------------
+    def _symbols(self, shape: tuple) -> tuple:
+        return _vars("__i", self.rank), _NPROCS, _vars("__n", len(shape))
+
+    def _env(self, indices: tuple, nprocs: int, shape: tuple) -> dict:
         if len(indices) != self.rank:
             raise MappingError(
                 f"{self.name} expects {self.rank} indices, got {len(indices)}"
             )
+        if min(self.procs(nprocs)) < 1:
+            raise MappingError(
+                f"{self}: a ring of {nprocs} leaves an axis no processors"
+            )
+        env = {"S": nprocs}
+        for k, idx in enumerate(indices):
+            env[f"__i{k + 1}"] = idx
+        for k, extent in enumerate(shape):
+            env[f"__n{k + 1}"] = extent
+        return env
 
     def owner(self, indices: tuple[int, ...], nprocs: int, shape: tuple[int, ...]) -> int:
-        self._check_rank(indices)
-        env = _env(indices, nprocs, shape)
-        expr = self.owner_expr(
-            _index_vars(self.rank), _NPROCS, _shape_vars(len(shape))
-        )
-        return expr.evaluate(env)
+        env = self._env(indices, nprocs, shape)
+        return self.owner_expr(*self._symbols(shape)).evaluate(env)
 
     def local(
         self, indices: tuple[int, ...], nprocs: int, shape: tuple[int, ...]
     ) -> tuple[int, ...]:
-        self._check_rank(indices)
-        env = _env(indices, nprocs, shape)
-        exprs = self.local_expr(
-            _index_vars(self.rank), _NPROCS, _shape_vars(len(shape))
+        env = self._env(indices, nprocs, shape)
+        return tuple(
+            e.evaluate(env) for e in self.local_expr(*self._symbols(shape))
         )
-        return tuple(e.evaluate(env) for e in exprs)
 
     def alloc_shape(self, shape: tuple[int, ...], nprocs: int) -> tuple[int, ...]:
-        env = _env((), nprocs, shape)
-        exprs = self.alloc_shape_expr(_shape_vars(len(shape)), _NPROCS)
+        env = self._env(shape, nprocs, shape)
+        exprs = self.alloc_shape_expr(_vars("__n", len(shape)), _NPROCS)
         return tuple(e.evaluate(env) for e in exprs)
 
-    def mapper(self, nprocs: int, shape: tuple[int, ...]):
-        """Fast concrete ``(owner_of, local_of)`` callables over cells.
-
-        ``S`` and the array extents are substituted into the symbolic
-        forms once and the residual expressions (free only in the cell
-        indices) are compiled to closures, so bulk scatter/gather pays
-        per-cell arithmetic instead of per-cell symbolic evaluation.
-        Results are memoized per (distribution, nprocs, shape).
-        """
-        self._check_rank(tuple(shape))
-        return _mapper(self, nprocs, tuple(shape))
-
     def __str__(self) -> str:
-        return self.name
+        if self.arg is None:
+            return self.name
+        return f"{self.name}({getattr(self, self.arg[0])})"
 
 
 # Canonical symbolic names used when evaluating the symbolic forms
@@ -139,129 +229,5 @@ class Distribution:
 _NPROCS = sym("S")
 
 
-def _index_vars(rank: int) -> tuple[Expr, ...]:
-    return tuple(sym(f"__i{k + 1}") for k in range(rank))
-
-
-def _shape_vars(rank: int) -> tuple[Expr, ...]:
-    return tuple(sym(f"__n{k + 1}") for k in range(rank))
-
-
-def _env(indices: tuple[int, ...], nprocs: int, shape: tuple[int, ...]) -> dict:
-    env = {"S": nprocs}
-    for k, idx in enumerate(indices):
-        env[f"__i{k + 1}"] = idx
-    for k, extent in enumerate(shape):
-        env[f"__n{k + 1}"] = extent
-    return env
-
-
-def ceil_div(a: Expr, b: Expr) -> Expr:
-    """``ceil(a / b)`` for positive b, as a symbolic expression."""
-    return (a + b - 1) // b
-
-
-# ---------------------------------------------------------------------------
-# Compiled cell mappers (bulk scatter/gather fast path)
-# ---------------------------------------------------------------------------
-
-
-def _cell_fn(e: Expr):
-    """Compile an expression free only in ``__i1``/``__i2``… to a closure
-    over the cell tuple. Mirrors ``Expr.evaluate`` exactly, including the
-    division/modulo-by-zero errors."""
-    if isinstance(e, Const):
-        value = e.value
-
-        def fn(cell, _v=value):
-            return _v
-        return fn
-    if isinstance(e, Var):
-        k = int(e.name[3:]) - 1  # "__i<k>"
-
-        def fn(cell, _k=k):
-            return cell[_k]
-        return fn
-    if isinstance(e, Add):
-        fns = [_cell_fn(a) for a in e.args]
-        if len(fns) == 2:
-            f0, f1 = fns
-
-            def fn(cell):
-                return f0(cell) + f1(cell)
-            return fn
-
-        def fn(cell, _fns=tuple(fns)):
-            return sum(f(cell) for f in _fns)
-        return fn
-    if isinstance(e, Mul):
-        fns = [_cell_fn(a) for a in e.args]
-        if len(fns) == 2:
-            f0, f1 = fns
-
-            def fn(cell):
-                return f0(cell) * f1(cell)
-            return fn
-
-        def fn(cell, _fns=tuple(fns)):
-            product = 1
-            for f in _fns:
-                product *= f(cell)
-            return product
-        return fn
-    if isinstance(e, (FloorDiv, Mod)):
-        numf = _cell_fn(e.num)
-        denf = _cell_fn(e.den)
-        is_div = isinstance(e, FloorDiv)
-
-        def fn(cell):
-            d = denf(cell)
-            if d == 0:
-                from repro.errors import SolverError
-
-                kind = "division" if is_div else "modulo"
-                raise SolverError(f"symbolic {kind} by zero")
-            return numf(cell) // d if is_div else numf(cell) % d
-        return fn
-    if isinstance(e, (Min, Max)):
-        fns = tuple(_cell_fn(a) for a in e.args)
-        pick = min if isinstance(e, Min) else max
-
-        def fn(cell, _fns=fns, _pick=pick):
-            return _pick(f(cell) for f in _fns)
-        return fn
-
-    # Anything else (an exotic Expr subclass) falls back to evaluate().
-    def fn(cell, _e=e):
-        return _e.evaluate(
-            {f"__i{k + 1}": v for k, v in enumerate(cell)}
-        )
-    return fn
-
-
-@lru_cache(maxsize=256)
-def _mapper(dist: Distribution, nprocs: int, shape: tuple[int, ...]):
-    subst = {"S": nprocs}
-    for k, extent in enumerate(shape):
-        subst[f"__n{k + 1}"] = extent
-    idx = _index_vars(dist.rank)
-    shp = _shape_vars(len(shape))
-    owner_of = _cell_fn(dist.owner_expr(idx, _NPROCS, shp).subst(subst))
-    local_fns = tuple(
-        _cell_fn(e.subst(subst))
-        for e in dist.local_expr(idx, _NPROCS, shp)
-    )
-    if len(local_fns) == 1:
-        l0 = local_fns[0]
-
-        def local_of(cell):
-            return (l0(cell),)
-    elif len(local_fns) == 2:
-        l0, l1 = local_fns
-
-        def local_of(cell):
-            return (l0(cell), l1(cell))
-    else:
-        def local_of(cell):
-            return tuple(f(cell) for f in local_fns)
-    return owner_of, local_of
+def _vars(prefix: str, count: int) -> tuple[Expr, ...]:
+    return tuple(sym(f"{prefix}{k + 1}") for k in range(count))

@@ -9,8 +9,7 @@ deals cards" — is :class:`WrappedCols`.
 from __future__ import annotations
 
 from repro.errors import MappingError
-from repro.distrib.base import Distribution, ceil_div
-from repro.symbolic import Const, Expr
+from repro.distrib.base import Distribution, block, block_cyclic, cyclic, whole
 
 
 class WrappedCols(Distribution):
@@ -21,116 +20,36 @@ class WrappedCols(Distribution):
     """
 
     name = "wrapped_cols"
-    rank = 2
-
-    def owner_expr(self, indices, nprocs, shape):
-        i, j = indices
-        return (j - 1) % nprocs
-
-    def local_expr(self, indices, nprocs, shape):
-        i, j = indices
-        return (i, (j - 1) // nprocs + 1)
-
-    def alloc_shape_expr(self, shape, nprocs):
-        n1, n2 = shape
-        return (n1, ceil_div(n2, nprocs))
+    axes = (whole, cyclic)
 
 
 class WrappedRows(Distribution):
     """Cyclic rows: row ``i`` lives on ``(i-1) mod S``."""
 
     name = "wrapped_rows"
-    rank = 2
-
-    def owner_expr(self, indices, nprocs, shape):
-        i, j = indices
-        return (i - 1) % nprocs
-
-    def local_expr(self, indices, nprocs, shape):
-        i, j = indices
-        return ((i - 1) // nprocs + 1, j)
-
-    def alloc_shape_expr(self, shape, nprocs):
-        n1, n2 = shape
-        return (ceil_div(n1, nprocs), n2)
+    axes = (cyclic, whole)
 
 
 class BlockCols(Distribution):
     """Contiguous column blocks of width ``ceil(N2/S)``."""
 
     name = "block_cols"
-    rank = 2
-
-    def owner_expr(self, indices, nprocs, shape):
-        i, j = indices
-        n1, n2 = shape
-        width = ceil_div(n2, nprocs)
-        return (j - 1) // width
-
-    def local_expr(self, indices, nprocs, shape):
-        i, j = indices
-        n1, n2 = shape
-        width = ceil_div(n2, nprocs)
-        return (i, (j - 1) % width + 1)
-
-    def alloc_shape_expr(self, shape, nprocs):
-        n1, n2 = shape
-        return (n1, ceil_div(n2, nprocs))
+    axes = (whole, block)
 
 
 class BlockRows(Distribution):
     """Contiguous row blocks of height ``ceil(N1/S)``."""
 
     name = "block_rows"
-    rank = 2
-
-    def owner_expr(self, indices, nprocs, shape):
-        i, j = indices
-        n1, n2 = shape
-        height = ceil_div(n1, nprocs)
-        return (i - 1) // height
-
-    def local_expr(self, indices, nprocs, shape):
-        i, j = indices
-        n1, n2 = shape
-        height = ceil_div(n1, nprocs)
-        return ((i - 1) % height + 1, j)
-
-    def alloc_shape_expr(self, shape, nprocs):
-        n1, n2 = shape
-        return (ceil_div(n1, nprocs), n2)
+    axes = (block, whole)
 
 
 class BlockCyclicCols(Distribution):
     """Column blocks of a fixed width ``b``, dealt cyclically."""
 
     name = "block_cyclic_cols"
-    rank = 2
-
-    def __init__(self, block: int):
-        if block < 1:
-            raise MappingError(f"block width must be positive, got {block}")
-        self.block = block
-
-    def owner_expr(self, indices, nprocs, shape):
-        i, j = indices
-        return ((j - 1) // Const(self.block)) % nprocs
-
-    def local_expr(self, indices, nprocs, shape):
-        i, j = indices
-        b = Const(self.block)
-        local_col = ((j - 1) // (b * nprocs)) * b + (j - 1) % b + 1
-        return (i, local_col)
-
-    def alloc_shape_expr(self, shape, nprocs):
-        n1, n2 = shape
-        b = Const(self.block)
-        # Blocks dealt to one processor: ceil(nblocks / S) of width b.
-        nblocks = ceil_div(n2, b)
-        return (n1, ceil_div(nblocks, nprocs) * b)
-
-    def __str__(self) -> str:
-        return f"block_cyclic_cols({self.block})"
+    axes = (whole, block_cyclic)
+    arg = ("block", "block width")
 
 
 class BlockCyclicRows(Distribution):
@@ -141,118 +60,38 @@ class BlockCyclicRows(Distribution):
     block-cyclic only for columns)."""
 
     name = "block_cyclic_rows"
-    rank = 2
-
-    def __init__(self, block: int):
-        if block < 1:
-            raise MappingError(f"block height must be positive, got {block}")
-        self.block = block
-
-    def owner_expr(self, indices, nprocs, shape):
-        i, j = indices
-        return ((i - 1) // Const(self.block)) % nprocs
-
-    def local_expr(self, indices, nprocs, shape):
-        i, j = indices
-        b = Const(self.block)
-        local_row = ((i - 1) // (b * nprocs)) * b + (i - 1) % b + 1
-        return (local_row, j)
-
-    def alloc_shape_expr(self, shape, nprocs):
-        n1, n2 = shape
-        b = Const(self.block)
-        # Blocks dealt to one processor: ceil(nblocks / S) of height b.
-        nblocks = ceil_div(n1, b)
-        return (ceil_div(nblocks, nprocs) * b, n2)
-
-    def __str__(self) -> str:
-        return f"block_cyclic_rows({self.block})"
+    axes = (block_cyclic, whole)
+    arg = ("block", "block height")
 
 
 class WrappedVector(Distribution):
     """Cyclic elements of a vector: element ``i`` on ``(i-1) mod S``."""
 
     name = "wrapped"
-    rank = 1
-
-    def owner_expr(self, indices, nprocs, shape):
-        (i,) = indices
-        return (i - 1) % nprocs
-
-    def local_expr(self, indices, nprocs, shape):
-        (i,) = indices
-        return ((i - 1) // nprocs + 1,)
-
-    def alloc_shape_expr(self, shape, nprocs):
-        (n,) = shape
-        return (ceil_div(n, nprocs),)
+    axes = (cyclic,)
 
 
 class BlockVector(Distribution):
     """Contiguous vector blocks of length ``ceil(N/S)``."""
 
     name = "block"
-    rank = 1
-
-    def owner_expr(self, indices, nprocs, shape):
-        (i,) = indices
-        (n,) = shape
-        width = ceil_div(n, nprocs)
-        return (i - 1) // width
-
-    def local_expr(self, indices, nprocs, shape):
-        (i,) = indices
-        (n,) = shape
-        width = ceil_div(n, nprocs)
-        return ((i - 1) % width + 1,)
-
-    def alloc_shape_expr(self, shape, nprocs):
-        (n,) = shape
-        return (ceil_div(n, nprocs),)
+    axes = (block,)
 
 
 class BlockGrid(Distribution):
     """2-D blocks on a Q x (S div Q) processor grid, linearized onto the
     ring: element (i, j) lives on ``rowblock * (S div Q) + colblock``.
 
-    ``q`` is the number of processor rows; S must be a multiple of q at
-    run time. The owner expression mixes two floor divisions, which is
-    beyond the loop-bound solver — this distribution deliberately
-    exercises the compiler's inconclusive fallback path.
+    ``q`` is the number of processor rows; the ring needs at least ``q``
+    processors, and ranks past ``q * (S div q)`` own nothing. The owner
+    expression mixes two floor divisions, which is beyond the loop-bound
+    solver — this distribution deliberately exercises the compiler's
+    inconclusive fallback path.
     """
 
     name = "block_grid"
-    rank = 2
-
-    def __init__(self, q: int):
-        if q < 1:
-            raise MappingError(f"grid rows must be positive, got {q}")
-        self.q = q
-
-    def _dims(self, nprocs, shape):
-        n1, n2 = shape
-        q = Const(self.q)
-        cols = nprocs // q  # processor columns
-        return q, cols, ceil_div(n1, q), ceil_div(n2, cols)
-
-    def owner_expr(self, indices, nprocs, shape):
-        i, j = indices
-        q, cols, bh, bw = self._dims(nprocs, shape)
-        return ((i - 1) // bh) * cols + (j - 1) // bw
-
-    def local_expr(self, indices, nprocs, shape):
-        i, j = indices
-        q, cols, bh, bw = self._dims(nprocs, shape)
-        return ((i - 1) % bh + 1, (j - 1) % bw + 1)
-
-    def alloc_shape_expr(self, shape, nprocs):
-        n1, n2 = shape
-        q = Const(self.q)
-        cols = nprocs // q
-        return (ceil_div(n1, q), ceil_div(n2, cols))
-
-    def __str__(self) -> str:
-        return f"block_grid({self.q})"
+    axes = (block, block)
+    arg = ("q", "grid rows")
 
 
 # Registry used by ``map A by <name>`` declarations.

@@ -5,68 +5,52 @@ The simulator's processors hold only their local parts (the paper's
 before a run and to reassemble the result afterwards, so results can be
 compared element-for-element with the sequential interpreter.
 
-Both directions are driven by a cached *transfer plan* — one
-``(owner, local offset, local cell, global cell)`` entry per element,
-built once per (distribution, ring size, shape) — so the per-call work
-is flat list copying instead of per-element symbolic evaluation. Any
-irregularity (offsets out of range, exotic part objects) falls back to
-the per-element path, which reproduces the exact errors.
+Both directions are driven by a *transfer plan*: the owner and local
+row-major offset of every element, combined row-major from one list per
+array axis, which the distribution's axis rules fill with one call per
+index. The per-call work is flat list copying instead of per-element
+symbolic evaluation. Any irregularity (a rule mapping outside its
+alloc or onto a taken cell, exotic part objects) falls back to the
+per-element path, which evaluates the symbolic map and reproduces the
+exact errors.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import product
 
-from repro.distrib.base import Distribution
+from repro.distrib.base import Distribution, whole
 from repro.errors import MappingError
 from repro.runtime import IStructure
 from repro.runtime.istructure import UNDEFINED
 
 
 def _cells(shape: tuple[int, ...]):
-    if len(shape) == 1:
-        for i in range(1, shape[0] + 1):
-            yield (i,)
-    elif len(shape) == 2:
-        for i in range(1, shape[0] + 1):
-            for j in range(1, shape[1] + 1):
-                yield (i, j)
-    else:
+    if len(shape) not in (1, 2):
         raise MappingError(f"unsupported array rank {len(shape)}")
+    return product(*(range(1, n + 1) for n in shape))
 
 
-def _local_offset(local: tuple[int, ...], local_shape: tuple[int, ...]):
-    """Row-major offset of a 1-based local cell, or None if out of range."""
-    if len(local) != len(local_shape):
-        return None
-    off = 0
-    for idx, dim in zip(local, local_shape):
-        if not (isinstance(idx, int) and 1 <= idx <= dim):
+def _plan(dist: Distribution, nprocs: int, shape: tuple[int, ...],
+          local_shape: tuple[int, ...]):
+    """``(owners, offsets)`` in :class:`IStructure`'s row-major cell
+    order, or None when an axis rule maps an index outside its processors
+    or its alloc extent, or two indices onto one local cell."""
+    owners, offsets = [0], [0]
+    procs = iter(dist.procs(nprocs))
+    for rule, n, extent in zip(dist.axes, shape, local_shape):
+        p = None if rule is whole else next(procs)
+        tiles = [rule(i, n, p, dist.block)[:2] for i in range(1, n + 1)]
+        if len(set(tiles)) < n or not all(
+            1 <= l <= extent and (p is None or 0 <= o < p) for o, l in tiles
+        ):
             return None
-        off = off * dim + (idx - 1)
-    return off
-
-
-@lru_cache(maxsize=256)
-def _plan(dist: Distribution, nprocs: int, shape: tuple[int, ...]):
-    """Transfer plan entries, or None when any mapping is irregular.
-
-    Entry order matches :class:`IStructure`'s row-major cell layout, so
-    an entry's position in the plan *is* the global offset.
-    """
-    owner_of, local_of = dist.mapper(nprocs, shape)
-    local_shape = dist.alloc_shape(shape, nprocs)
-    entries = []
-    for cell in _cells(shape):
-        owner = owner_of(cell)
-        local = tuple(local_of(cell))
-        if not (isinstance(owner, int) and 0 <= owner < nprocs):
-            return None
-        off = _local_offset(local, local_shape)
-        if off is None:
-            return None
-        entries.append((owner, off, local, cell))
-    return tuple(entries)
+        if p is not None:
+            owners = [o * p + t for o in owners for t, _ in tiles]
+        else:
+            owners = [o for o in owners for _ in tiles]
+        offsets = [f * extent + l - 1 for f in offsets for _, l in tiles]
+    return owners, offsets
 
 
 def scatter(
@@ -82,26 +66,25 @@ def scatter(
     parts = [
         IStructure(local_shape, name=f"{name}@p{rank}") for rank in range(nprocs)
     ]
-    plan = _plan(dist, nprocs, tuple(shape)) if type(source) is IStructure else None
+    plan = (
+        _plan(dist, nprocs, shape, local_shape)
+        if type(source) is IStructure else None
+    )
     if plan is not None:
-        scells = source._cells
         pcells = [p._cells for p in parts]
-        for goff, (owner, loff, local, _cell) in enumerate(plan):
-            v = scells[goff]
-            if v is UNDEFINED:
-                continue
-            row = pcells[owner]
-            if row[loff] is UNDEFINED:
-                row[loff] = v
-                parts[owner]._defined_count += 1
-            else:
-                parts[owner].write(*local, v)  # exact second-write error
+        counts = [0] * nprocs
+        for v, owner, loff in zip(source._cells, *plan):
+            if v is not UNDEFINED:
+                pcells[owner][loff] = v
+                counts[owner] += 1
+        for part, count in zip(parts, counts):
+            part._defined_count = count
         return parts
-    owner_of, local_of = dist.mapper(nprocs, shape)
     for cell in _cells(shape):
-        if not source.is_defined(*cell):
-            continue
-        parts[owner_of(cell)].write(*local_of(cell), source.read(*cell))
+        if source.is_defined(*cell):
+            parts[dist.owner(cell, nprocs, shape)].write(
+                *dist.local(cell, nprocs, shape), source.read(*cell)
+            )
     return parts
 
 
@@ -120,7 +103,7 @@ def gather(
     out = IStructure(shape, name=name)
     local_shape = dist.alloc_shape(shape, nprocs)
     plan = (
-        _plan(dist, nprocs, tuple(shape))
+        _plan(dist, nprocs, shape, local_shape)
         if all(
             type(p) is IStructure and p.shape == local_shape for p in parts
         )
@@ -130,17 +113,16 @@ def gather(
         ocells = out._cells
         pcells = [p._cells for p in parts]
         count = 0
-        for goff, (owner, loff, _local, _cell) in enumerate(plan):
+        for goff, (owner, loff) in enumerate(zip(*plan)):
             v = pcells[owner][loff]
             if v is not UNDEFINED:
                 ocells[goff] = v
                 count += 1
         out._defined_count = count
         return out
-    owner_of, local_of = dist.mapper(nprocs, shape)
     for cell in _cells(shape):
-        local = local_of(cell)
-        part = parts[owner_of(cell)]
+        local = dist.local(cell, nprocs, shape)
+        part = parts[dist.owner(cell, nprocs, shape)]
         if part.is_defined(*local):
             out.write(*cell, part.read(*local))
     return out

@@ -91,8 +91,9 @@ class TestCompilation:
         old = [[(i + 1) * 5 + (j + 1) for j in range(n)] for i in range(n)]
         return reference_rows(n, old)
 
-    @pytest.mark.parametrize("nprocs", [2, 4])
+    @pytest.mark.parametrize("nprocs", [2, 3, 4])
     def test_jacobi_on_grid(self, nprocs):
+        # At S=3 the grid is 2 x 1 and rank 2 owns nothing.
         compiled = compile_program(
             self.SOURCE,
             strategy=Strategy.COMPILE_TIME,
@@ -105,6 +106,17 @@ class TestCompilation:
             compiled, nprocs, inputs={"Old": old}, params={"N": n}, machine=FREE
         )
         assert out.value.to_nested() == self._expected(n)
+
+    def test_ring_smaller_than_grid_is_a_mapping_error(self):
+        compiled = compile_program(
+            self.SOURCE,
+            strategy=Strategy.COMPILE_TIME,
+            entry="step",
+            entry_shapes={"Old": ("N", "N")},
+        )
+        old = make_full((8, 8), 1, name="Old")
+        with pytest.raises(MappingError, match=r"block_grid\(2\).* ring of 1"):
+            execute(compiled, 1, inputs={"Old": old}, params={"N": 8})
 
     def test_falls_back_but_is_inconclusive_not_wrong(self):
         from repro.spmd import pretty_program

@@ -1,13 +1,15 @@
 """Distribution (<map, local, alloc>) tests."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.errors import MappingError
 from repro.distrib import (
     BlockCols,
     BlockCyclicCols,
+    BlockCyclicRows,
+    BlockGrid,
     BlockRows,
     BlockVector,
     WrappedCols,
@@ -16,7 +18,10 @@ from repro.distrib import (
     distribution_by_name,
 )
 
-ALL_2D = [WrappedCols(), WrappedRows(), BlockCols(), BlockRows(), BlockCyclicCols(3)]
+ALL_2D = [
+    WrappedCols(), WrappedRows(), BlockCols(), BlockRows(), BlockCyclicCols(3),
+    BlockCyclicRows(2), BlockGrid(2),
+]
 ALL_1D = [WrappedVector(), BlockVector()]
 
 
@@ -133,6 +138,7 @@ _nprocs = st.integers(1, 6)
 @pytest.mark.parametrize("dist", ALL_2D, ids=str)
 @given(shape=_shapes_2d, nprocs=_nprocs)
 def test_owner_in_range(dist, shape, nprocs):
+    assume(nprocs >= (dist.q or 1))
     for i in range(1, shape[0] + 1):
         for j in range(1, shape[1] + 1):
             assert 0 <= dist.owner((i, j), nprocs, shape) < nprocs
@@ -141,6 +147,7 @@ def test_owner_in_range(dist, shape, nprocs):
 @pytest.mark.parametrize("dist", ALL_2D, ids=str)
 @given(shape=_shapes_2d, nprocs=_nprocs)
 def test_local_fits_alloc(dist, shape, nprocs):
+    assume(nprocs >= (dist.q or 1))
     alloc = dist.alloc_shape(shape, nprocs)
     for i in range(1, shape[0] + 1):
         for j in range(1, shape[1] + 1):
@@ -152,6 +159,7 @@ def test_local_fits_alloc(dist, shape, nprocs):
 @given(shape=_shapes_2d, nprocs=_nprocs)
 def test_owner_local_injective(dist, shape, nprocs):
     """(owner, local) uniquely identifies an element — no aliasing."""
+    assume(nprocs >= (dist.q or 1))
     seen = {}
     for i in range(1, shape[0] + 1):
         for j in range(1, shape[1] + 1):
@@ -176,17 +184,19 @@ def test_vector_owner_local_injective(dist, n, nprocs):
         seen[key] = i
 
 
-@pytest.mark.parametrize("dist", ALL_2D, ids=str)
-def test_symbolic_concrete_agreement(dist):
-    """owner_expr evaluated symbolically then concretized == owner()."""
-    from repro.symbolic import sym
+@pytest.mark.parametrize("dist", ALL_2D + ALL_1D, ids=str)
+@given(extents=_shapes_2d, nprocs=_nprocs)
+def test_symbolic_concrete_agreement(dist, extents, nprocs):
+    """The axis rules on ints (``tile``) give what the symbolic forms
+    evaluate to (``owner`` / ``local`` / ``alloc_shape``)."""
+    import itertools
 
-    shape = (6, 6)
-    nprocs = 3
-    idx = (sym("__i1"), sym("__i2"))
-    shp = (sym("__n1"), sym("__n2"))
-    expr = dist.owner_expr(idx, sym("S"), shp)
-    for i in range(1, 7):
-        for j in range(1, 7):
-            env = {"__i1": i, "__i2": j, "__n1": 6, "__n2": 6, "S": nprocs}
-            assert expr.evaluate(env) == dist.owner((i, j), nprocs, shape)
+    assume(nprocs >= (dist.q or 1))
+    shape = extents[:dist.rank]
+    alloc = dist.alloc_shape(shape, nprocs)
+    for cell in itertools.product(*(range(1, n + 1) for n in shape)):
+        assert dist.tile(cell, nprocs, shape) == (
+            dist.owner(cell, nprocs, shape),
+            dist.local(cell, nprocs, shape),
+            alloc,
+        )

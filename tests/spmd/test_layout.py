@@ -1,21 +1,30 @@
 """Tests for scatter/gather between global arrays and local parts."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.distrib import (
     BlockCols,
     BlockCyclicCols,
+    BlockCyclicRows,
+    BlockGrid,
+    BlockRows,
+    BlockVector,
+    Distribution,
     WrappedCols,
     WrappedRows,
     WrappedVector,
 )
+from repro.distrib.base import ceil_div, whole
 from repro.errors import MappingError
 from repro.runtime import IStructure
-from repro.spmd.layout import gather, make_full, scatter
+from repro.spmd.layout import _cells, gather, make_full, scatter
 
-DISTS = [WrappedCols(), WrappedRows(), BlockCols(), BlockCyclicCols(2)]
+DISTS = [
+    WrappedCols(), WrappedRows(), BlockCols(), BlockRows(), BlockCyclicCols(2),
+    BlockCyclicRows(3), BlockGrid(2), WrappedVector(), BlockVector(),
+]
 
 
 class TestMakeFull:
@@ -40,10 +49,45 @@ class TestRoundTrip:
         nprocs=st.integers(1, 4),
     )
     def test_scatter_gather_identity(self, dist, rows, cols, nprocs):
-        source = make_full((rows, cols), lambda i, j: i * 100 + j)
+        assume(nprocs >= (dist.q or 1))
+        shape = (rows, cols)[:dist.rank]
+        source = make_full(shape, lambda *cell: cell)
         parts = scatter(source, dist, nprocs)
-        back = gather(parts, dist, nprocs, (rows, cols))
+        back = gather(parts, dist, nprocs, shape)
         assert back.to_nested() == source.to_nested()
+
+    @pytest.mark.parametrize("dist", DISTS, ids=str)
+    @given(
+        rows=st.integers(0, 7),
+        cols=st.integers(0, 7),
+        nprocs=st.integers(1, 4),
+        holes=st.integers(1, 5),
+    )
+    def test_scatter_matches_per_element_reference(
+        self, dist, rows, cols, nprocs, holes
+    ):
+        """The per-axis plan puts every element where ``owner()`` and
+        ``local()`` — the symbolic map, evaluated — say it lives."""
+        assume(nprocs >= (dist.q or 1))
+        shape = (rows, cols)[:dist.rank]
+        source = IStructure(shape, name="src")
+        reference = [
+            IStructure(dist.alloc_shape(shape, nprocs), name="ref")
+            for _ in range(nprocs)
+        ]
+        for cell in _cells(shape):
+            if sum(cell) % holes:  # leave some elements undefined
+                source.write(*cell, cell)
+                reference[dist.owner(cell, nprocs, shape)].write(
+                    *dist.local(cell, nprocs, shape), cell
+                )
+        parts = scatter(source, dist, nprocs)
+        assert [p.to_list() for p in parts] == [
+            r.to_list() for r in reference
+        ]
+        assert [p.defined_count for p in parts] == [
+            r.defined_count for r in reference
+        ]
 
     def test_partial_definition_preserved(self):
         source = IStructure((3, 3), name="partial")
@@ -62,6 +106,10 @@ class TestRoundTrip:
         parts = scatter(source, dist, 4)
         back = gather(parts, dist, 4, (9,))
         assert back.to_list() == source.to_list()
+
+    def test_scatter_wrong_rank(self):
+        with pytest.raises(MappingError, match="wrapped expects 1 indices, got 2"):
+            scatter(make_full((2, 2), 1), WrappedVector(), 2)
 
     def test_gather_wrong_part_count(self):
         dist = WrappedCols()
@@ -116,12 +164,14 @@ class TestTransferPlanPaths:
         from repro.errors import IStructureError
 
         # Two global cells mapping to one local cell must still raise
-        # the exact second-write error through the plan path.
-        class CollidingCols(WrappedCols):
-            def mapper(self, nprocs, shape):
-                owner_of, local_of = super().mapper(nprocs, shape)
-                return owner_of, lambda cell: (1, 1)
+        # the exact second-write error: the plan refuses the axis and
+        # the per-element path writes.
+        def piled(i, n, p, b):  # every index to processor 0, local 1
+            return (i - 1) // n, (i - 1) // n + 1, ceil_div(n, n)
 
-        dist = CollidingCols()
-        with pytest.raises(IStructureError, match="second write"):
-            scatter(make_full((2, 2), 7), dist, 2)
+        class Piled(Distribution):
+            name = "piled"
+            axes = (whole, piled)
+
+        with pytest.raises(IStructureError, match=r"second write .*\(1, 1\)"):
+            scatter(make_full((2, 2), 7), Piled(), 2)

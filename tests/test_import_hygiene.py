@@ -179,11 +179,15 @@ def test_registered_caches_are_consulted_through_perf_only():
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if by_hand.search(line)
     ]
-    # The drivers whose work ``tune`` shares memoize in the registry
+    # The drivers whose work ``tune`` shares, and the distributions and
+    # the scatter/gather layout built from them, memoize in the registry
     # only: a ``functools`` table is one that ``perf.reset`` cannot
     # empty and ``perf.caches_disabled()`` cannot bypass.
+    distrib = [str(path.relative_to(ROOT)) for path in FILES
+               if _subpackage(path) == "distrib"]
+    assert distrib
     for name in ("core/compiler.py", "analysis/verify.py", "tune/model.py",
-                 "spmd/walk.py"):
+                 "spmd/walk.py", "spmd/layout.py", *distrib):
         tree = ast.parse((ROOT / name).read_text(), filename=name)
         offenders += [
             f"{name}:{node.lineno}: functools memo on {node.name}"
