@@ -34,8 +34,11 @@ def _cells(shape: tuple[int, ...]):
 def _plan(dist: Distribution, nprocs: int, shape: tuple[int, ...],
           local_shape: tuple[int, ...]):
     """``(owners, offsets)`` in :class:`IStructure`'s row-major cell
-    order, or None when an axis rule maps an index outside its processors
-    or its alloc extent, or two indices onto one local cell."""
+    order, or None when the distribution has no rule for some axis, or a
+    rule maps an index outside its processors or its alloc extent, or two
+    indices onto one local cell."""
+    if len(dist.axes) != len(shape):
+        return None
     owners, offsets = [0], [0]
     procs = iter(dist.procs(nprocs))
     for rule, n, extent in zip(dist.axes, shape, local_shape):

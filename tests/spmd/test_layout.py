@@ -160,6 +160,28 @@ class TestTransferPlanPaths:
         back = gather(padded, dist, 2, (6,))
         assert back.to_list() == source.to_list()
 
+    def test_hand_written_forms_take_the_per_element_path(self):
+        # A distribution that writes its symbolic forms itself, with no
+        # axis rules, is mapped by those forms.
+        class Reversed(Distribution):
+            name = "reversed"
+            rank = 1
+
+            def owner_expr(self, indices, nprocs, shape):
+                return (shape[0] - indices[0]) % nprocs
+
+            def local_expr(self, indices, nprocs, shape):
+                return ((shape[0] - indices[0]) // nprocs + 1,)
+
+            def alloc_shape_expr(self, shape, nprocs):
+                return (ceil_div(shape[0], nprocs),)
+
+        source = make_full((5,), lambda i: i)
+        parts = scatter(source, Reversed(), 2)
+        assert [p.to_list() for p in parts] == [[5, 3, 1], [4, 2, None]]
+        back = gather(parts, Reversed(), 2, (5,))
+        assert back.to_list() == source.to_list()
+
     def test_scatter_preserves_second_write_error(self):
         from repro.errors import IStructureError
 
