@@ -178,6 +178,8 @@ def execute(
     if missing:
         raise CompileError(f"missing values for params {missing}")
 
+    for dist in compiled.spec.distributions.values():
+        dist.check_ring(nprocs)
     env = {**compiled.checked.consts, **params, "S": nprocs}
     entry_info = compiled.array_info[compiled.entry]
     entry_proc = compiled.checked.proc(compiled.entry)

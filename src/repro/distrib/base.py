@@ -138,6 +138,14 @@ class Distribution:
         """Processors along each distributed axis."""
         return (nprocs,) if self.q is None else (self.q, nprocs // self.q)
 
+    def check_ring(self, nprocs: int) -> None:
+        """Raise :class:`MappingError` when a ring of ``nprocs`` leaves a
+        distributed axis without processors (a grid needs ``S >= q``)."""
+        if min(self.procs(nprocs)) < 1:
+            raise MappingError(
+                f"{self}: a ring of {nprocs} leaves an axis no processors"
+            )
+
     def tile(self, indices, nprocs, shape):
         """Owner, local indices and alloc shape of element ``indices``:
         ``Expr``s for ``Expr`` operands, ints for ints."""
@@ -189,10 +197,7 @@ class Distribution:
             raise MappingError(
                 f"{self.name} expects {self.rank} indices, got {len(indices)}"
             )
-        if min(self.procs(nprocs)) < 1:
-            raise MappingError(
-                f"{self}: a ring of {nprocs} leaves an axis no processors"
-            )
+        self.check_ring(nprocs)
         env = {"S": nprocs}
         for k, idx in enumerate(indices):
             env[f"__i{k + 1}"] = idx

@@ -107,7 +107,8 @@ class TestCompilation:
         )
         assert out.value.to_nested() == self._expected(n)
 
-    def test_ring_smaller_than_grid_is_a_mapping_error(self):
+    @pytest.mark.parametrize("backend", ["compiled", "replay"])
+    def test_ring_smaller_than_grid_is_a_mapping_error(self, backend):
         compiled = compile_program(
             self.SOURCE,
             strategy=Strategy.COMPILE_TIME,
@@ -116,7 +117,18 @@ class TestCompilation:
         )
         old = make_full((8, 8), 1, name="Old")
         with pytest.raises(MappingError, match=r"block_grid\(2\).* ring of 1"):
-            execute(compiled, 1, inputs={"Old": old}, params={"N": 8})
+            execute(compiled, 1, inputs={"Old": old}, params={"N": 8},
+                    backend=backend)
+
+    def test_ring_smaller_than_grid_without_input_arrays(self):
+        from repro.apps.triangular import SOURCE
+        from repro.tune.space import retarget_source
+
+        compiled = compile_program(
+            retarget_source(SOURCE, "block_grid(2)"), entry="fill"
+        )
+        with pytest.raises(MappingError, match=r"block_grid\(2\).* ring of 1"):
+            execute(compiled, 1, params={"N": 8})
 
     def test_falls_back_but_is_inconclusive_not_wrong(self):
         from repro.spmd import pretty_program
