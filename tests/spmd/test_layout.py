@@ -108,7 +108,9 @@ class TestRoundTrip:
         assert back.to_list() == source.to_list()
 
     def test_scatter_wrong_rank(self):
-        with pytest.raises(MappingError, match="wrapped expects 1 indices, got 2"):
+        with pytest.raises(
+            MappingError, match="wrapped expects 1 indices, got 2"
+        ):
             scatter(make_full((2, 2), 1), WrappedVector(), 2)
 
     def test_gather_wrong_part_count(self):
