@@ -241,19 +241,24 @@ class ServiceApp:
     def route_artifact(self, query, body, client, artifact_id: str
                        ) -> Response:
         artifact_id = artifact_id.lower()
-        record = self._load_record(artifact_id)
-        if record is not None:
-            perf.incr("service.artifacts_served")
-            return Response(200, record)
+        # Both tables in one critical section: the build worker stores
+        # the record and drops the job under this lock, so an id it
+        # has accepted is always in one of them here.
         with self._lock:
+            record = self._records.get(artifact_id)
             job = self._jobs.get(artifact_id)
-            if job is not None:
+            if record is None and job is not None:
                 return Response(
                     200,
                     {"id": artifact_id, "status": job["status"],
                      "request": job["request"].describe()},
                 )
-        return error(404, f"unknown artifact {artifact_id}")
+        if record is None:
+            record = self._load_record(artifact_id)
+        if record is None:
+            return error(404, f"unknown artifact {artifact_id}")
+        perf.incr("service.artifacts_served")
+        return Response(200, record)
 
     def route_list(self, query, body, client) -> Response:
         limit = self.config.page_limit

@@ -7,6 +7,7 @@ rate limiting — everything but byte-level HTTP, which
 """
 
 import json
+import threading
 import time
 
 import pytest
@@ -114,6 +115,37 @@ def test_async_build_reaches_ready_via_polling():
     else:
         pytest.fail("artifact never became ready")
     assert got.body["verify"]["verdict"] == "clean"
+
+
+def test_artifact_accepted_while_build_finishes_is_never_404(monkeypatch):
+    # The store lookup of the requesting thread returns its miss only
+    # once the worker has built, stored and recorded the artifact: a
+    # route reading the job table after that lookup finds nothing left.
+    app = ServiceApp(ServiceConfig(sync=False))
+    resp = submit(app)
+    assert resp.status == 202
+    artifact_id = resp.body["id"]
+    deadline = time.monotonic() + 30
+    while app._jobs.get(artifact_id, {}).get("status") == "queued":
+        assert time.monotonic() < deadline, "the worker never started"
+        time.sleep(0.001)
+    handle = store.get_store()
+    fetch = handle.fetch
+    requester = threading.get_ident()
+
+    def fetch_then_wait(cache, digest):
+        result = fetch(cache, digest)
+        if cache == ARTIFACT_CACHE and threading.get_ident() == requester:
+            app._queue.join()
+        return result
+
+    monkeypatch.setattr(handle, "fetch", fetch_then_wait)
+    try:
+        got = app.handle("GET", f"/v1/artifacts/{artifact_id}")
+    finally:
+        app._queue.join()
+    assert got.status == 200, got.body
+    assert got.body["status"] in ("building", "ready")
 
 
 def test_uncompilable_program_yields_failed_artifact(app):
