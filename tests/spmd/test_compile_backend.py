@@ -18,9 +18,10 @@ from hypothesis import strategies as hs
 
 from repro import perf
 from repro.bench.harness import STRATEGY_ORDER, measure
-from repro.errors import IStructureError, NodeRuntimeError
+from repro.analysis.walk import VerifyWalk
+from repro.errors import IStructureError, ModelError, NodeRuntimeError
 from repro.machine import Compute, MachineParams, Recv, Send
-from repro.machine.rows import KIND_COMPUTE, KIND_SEND
+from repro.machine.rows import KIND_COMPUTE, KIND_SEND, expand, run_rows
 from repro.runtime import IStructure, LocalArray
 from repro.spmd import NodeProc, NodeProgram, compiled_node, run_spmd
 from repro.spmd.ir import (
@@ -53,6 +54,7 @@ from repro.spmd.ir import (
 from repro.spmd.codegen import cg_code
 from repro.spmd.compile import _rd1, _rd2, _wr1, _wr2
 from repro.spmd.interp import _NodeMachine
+from repro.spmd.walk import Walker, abstract_args
 
 
 def _tiny_program():
@@ -790,6 +792,28 @@ def _stmt_observe(program, nprocs, backend, **options):
             dict(stats.per_channel), dict(stats.per_channel_bytes))
 
 
+def _walked_rows(program, nprocs):
+    """Each rank's rows from the plain walk and from the verifier's, or
+    ``None`` for a flavour that abstains on some rank."""
+    flavours = []
+    for cls in (Walker, VerifyWalk):
+        code = cls.compile(program)
+        entry = program.entry_proc()
+        chan_ids: dict[str, int] = {}
+        rows = []
+        for rank in range(nprocs):
+            walker = cls(code, rank, nprocs, {}, chan_ids)
+            try:
+                walked = walker.run(abstract_args(entry, lambda _: 3))
+            except ModelError:
+                break
+            if cls is VerifyWalk and not walker.completed:
+                break
+            rows.append(walked)
+        flavours.append(rows if len(rows) == nprocs else None)
+    return flavours
+
+
 class TestStatementDifferential:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=list(HealthCheck))
@@ -805,6 +829,28 @@ class TestStatementDifferential:
             assert observed == _stmt_observe(
                 program, nprocs, "interp", **options
             ), (nprocs, options, program)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(parts=hs.lists(_STMTS, max_size=4))
+    def test_walked_rows_clock_to_the_interpreter(self, parts):
+        """Both flavours of the abstract walk, clocked by ``run_rows``
+        after expanding their repeat markers, finish every rank when the
+        interpreter does, wherever the walk does not abstain."""
+        program = _stmt_program(parts)
+        for nprocs in (1, 2, 3):
+            try:
+                sim = run_spmd(program, nprocs, _expr_args,
+                               backend="interp").sim
+            except Exception:
+                continue  # an error or a deadlock: no clock to match
+            for walked in _walked_rows(program, nprocs):
+                if walked is None:
+                    continue  # the walk abstained
+                run = run_rows([expand(rows) for rows in walked], nprocs,
+                               MachineParams.ipsc2())
+                assert not run.stuck, (nprocs, program)
+                assert run.clock == sim.finish_times_us, (nprocs, program)
 
     _BUF = [NAllocBuf("B", (NConst(4),))] + [
         NAssign(BufLV("B", (NConst(k),)), NConst(k)) for k in (1, 2)
