@@ -66,6 +66,14 @@ class _Operand:
     shift: int = 0  # re-indexing shift onto the shared loop
 
 
+def _bounds_free_of(sol: StridedRange, names: frozenset) -> bool:
+    """True if none of ``sol``'s bounds mentions a variable of ``names``."""
+    return not any(
+        bound is not None and bound.free_vars() & names
+        for bound in (sol.first, sol.last, sol.step, sol.residue, sol.modulus)
+    )
+
+
 class CompileTimeResolver(RuntimeResolver):
     """Generates the compile-time-resolved NodeProgram."""
 
@@ -297,6 +305,12 @@ class CompileTimeResolver(RuntimeResolver):
             return None
         split_var = loops[split_idx].var
         split_lo, split_hi = bounds_sym[split_idx]
+        # The split loop's range is computed before it runs: a solution
+        # whose bounds mention its own variable or one bound inside it
+        # (a grid owner solved for one axis alone) is unsound.
+        inner = frozenset(loop.var for loop in loops[split_idx:])
+        if not _bounds_free_of(ev_sol, inner):
+            return None
 
         # Solve each communicated operand's ownership on the split variable.
         for op in operands:
@@ -306,7 +320,9 @@ class CompileTimeResolver(RuntimeResolver):
                 sol = solve_membership(
                     op.owner_sym, _P, split_var, split_lo, split_hi, facts
                 )
-                if not isinstance(sol, StridedRange):
+                if not isinstance(sol, StridedRange) or not _bounds_free_of(
+                    sol, inner
+                ):
                     return None
                 op.solution = sol
             else:

@@ -53,9 +53,10 @@ def register_strategy(
     STRATEGIES[name] = (strategy, opt_level)
 
 # Distributions the default space searches. ``block_grid`` is excluded:
-# its owner expression is deliberately beyond the loop-bound solver
-# (it exercises the compiler's inconclusive fallback), so compile-time
-# candidates would all be infeasible noise.
+# the loop-bound solver solves its owner for one loop at a time, whose
+# range then depends on the other axis's loop, so compile-time
+# resolution of a grid nest falls back to the guarded loop and prices
+# like the runtime strategy.
 DEFAULT_DISTS = (
     "wrapped_cols",
     "wrapped_rows",

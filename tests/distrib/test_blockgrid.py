@@ -142,3 +142,61 @@ class TestCompilation:
         # The two-floordiv owner expression defeats the solver: dynamic
         # coerces remain (the documented inconclusive path).
         assert "coerce(" in pretty_program(compiled.program)
+
+
+class TestGridUnderCompileTimeResolution:
+    """Compile-time resolution must not split a loop on a range whose
+    bounds mention a variable bound inside it: a grid owner solved for
+    one loop alone (``block_grid(1)`` always; ``block_grid(2)`` once
+    ``S >= 2`` may be assumed) used to leave the inner loop's variable
+    unbound in the node program. Such nests take the guarded fallback,
+    whose values are the sequential program's."""
+
+    N = 8
+
+    @staticmethod
+    def _inputs(arrays, n):
+        return {a: make_full((n, n), lambda i, j: i * 5 + j, name=a)
+                for a in arrays}
+
+    @pytest.mark.parametrize("app", ["gauss_seidel", "jacobi", "triangular"])
+    @pytest.mark.parametrize("dist, assume", [
+        ("block_grid(1)", 1), ("block_grid(1)", 2), ("block_grid(2)", 2),
+    ])
+    @pytest.mark.parametrize("strategy", ["compile", "optI", "optII",
+                                          "optIII"])
+    def test_values_equal_the_sequential_program(self, app, dist, assume,
+                                                 strategy):
+        from repro.errors import DeadlockError
+        from repro.lang import check_program, parse_program, run_sequential
+        from repro.tune.space import STRATEGIES, retarget_source
+        from tests.spmd.test_compiled_rows import APPS, JAMMED
+
+        source, entry, arrays = APPS[app]
+        source = retarget_source(source, dist)
+        n = self.N
+        expected = run_sequential(
+            check_program(parse_program(source)), entry,
+            args=list(self._inputs(arrays, n).values()), params={"N": n},
+        ).value.to_nested()
+        strat, opt_level = STRATEGIES[strategy]
+        compiled = compile_program(
+            source, entry=entry, strategy=strat, opt_level=opt_level,
+            entry_shapes={a: ("N", "N") for a in arrays} or None,
+            assume_nprocs_min=assume,
+        )
+        for nprocs in (2, 3, 4, 16):
+            for backend in ("compiled", "interp"):
+                run = lambda: execute(  # noqa: E731
+                    compiled, nprocs, inputs=self._inputs(arrays, n),
+                    params={"N": n}, extra_globals={"blksize": 4},
+                    machine=FREE, backend=backend,
+                )
+                try:
+                    value = run().value
+                except DeadlockError:
+                    # Loop jamming assumes the wavefront dependence,
+                    # which jacobi does not have.
+                    assert (app, strategy) in JAMMED
+                    continue
+                assert value.to_nested() == expected, (nprocs, backend)

@@ -45,13 +45,13 @@ EXPRS_DIGEST = (
 )
 PROGRAM_DIGESTS = {
     "gauss_seidel":
-        "3f374966d2432d26bb1ffb7472ed48f57937cbd34cd59807c8c72fd6fe18d52f",
+        "d6d4d3d4c5d1db979326827085ad28050648d120d1f834e4cc34b50da7883cd5",
     "jacobi":
-        "4eb9c1b17496e6801e3dff302a7afdccaa4dd94381b7662b33bdf124bac1f005",
+        "5bdecba23b3f14ba2d28bf82bf6406beb78f457fef4e66bdc52ae3399013a0d2",
     "matmul":
         "a1fdd533b5187f82585e354f08f89c0d9881e2e28b58a414803b41f86681d3cd",
     "triangular":
-        "4052b166f734c5a1f98db1bb7d863497552cd72dd1ef472b79c167b526278b34",
+        "6a3a7b9b07162e5fb6fdfe2109d7f07fa3b796b48b23e29ff3c6cd7ebd008efc",
 }
 
 

@@ -6,8 +6,8 @@ walk reproduces the simulator's event stream exactly — per-channel
 message counts and bytes are asserted with ``==``, not a tolerance. The
 makespan is also bit-exact here because the default machine charges are
 dyadic rationals. Configurations the real simulator cannot run (the
-jacobi/jam deadlock, block_grid's unbound-variable fallback) must be
-*predicted* infeasible, never silently mispredicted.
+jacobi/jam deadlock) must be *predicted* infeasible, never silently
+mispredicted.
 """
 
 import pytest
@@ -91,8 +91,8 @@ def test_exact_equality_across_blksizes(blksize):
 
 
 def test_predicts_the_blockgrid_compile_failure():
-    """block_grid under compile-time resolution trips a pre-existing
-    compiler fallback bug; the model must not pretend otherwise."""
+    """block_grid under compile-time resolution takes the guarded
+    fallback; the model prices that program as the simulator runs it."""
     assert_agreement("gauss_seidel", "block_grid(2)", "compile", 4, n=8)
 
 

@@ -60,9 +60,8 @@ class TestTune:
         assert spec.distributions["Old"].name == report.best.config.dist
 
     def test_infeasible_candidates_keep_their_error(self):
-        # jacobi under loop jamming genuinely deadlocks; block_grid trips
-        # the compiler's inconclusive fallback. Both must be reported,
-        # not crash the search.
+        # jacobi under loop jamming genuinely deadlocks: it must be
+        # reported, not crash the search.
         space = default_space(
             (2,),
             dists=("wrapped_cols", "block_grid(2)"),
