@@ -88,7 +88,7 @@ from repro import perf
 from repro.errors import NodeRuntimeError, SimulationError
 from repro.inspector import executor as ixec
 from repro.inspector.context import INSPECTOR_GLOBAL
-from repro.lang.builtins import apply_builtin, is_builtin
+from repro.lang.builtins import apply_builtin
 from repro.machine import (
     ChannelKey, Compute, MachineParams, Recv, Send, SimResult, Simulator,
 )
@@ -97,12 +97,10 @@ from repro.machine.simulator import deadlock_forensics
 from repro.runtime import IStructure, LocalArray
 from repro.runtime.istructure import UNDEFINED
 from repro.spmd import ir
-from repro.spmd.codegen import MAX_DEPTH, Emitter, charge_lines, ind
-
-_NAMESPACE = globals()  # the one generated functions run in
-_UNSET = object()  # empty frame slot (distinct from a stored None)
-_NOTCONST = object()  # "no compile-time constant value" marker
-_NORET = object()  # what a split-off body returns when it did not return
+from repro.spmd.codegen import (  # noqa: F401 (the generated code's)
+    _NORET, _UNSET, Globals, ValueDomain, _array, _fail, _pre,
+    compile_procedure,
+)
 
 
 class _State:
@@ -117,7 +115,8 @@ class _State:
     def __init__(self, rank, nprocs, op_us, mem_us, globals_, ring):
         self.rank = rank
         self.nprocs = nprocs
-        self.globals = globals_
+        self.globals = Globals(globals_)
+        self.globals.rank = rank
         self.ops = 0
         self.mems = 0
         self.op_us = op_us
@@ -261,65 +260,9 @@ def _relay(st, effects):
             reply = yield from _recv(st, effect.src, effect.channel)
 
 
-class _CExpr:
-    """A compiled expression: Python source over ``(st, fr)``.
-
-    ``ops``/``mems`` are the expression's full static cost and ``src``
-    charges nothing; or ``ops is None`` and ``src`` charges its own cost
-    in-line (short-circuit operators make cost data-dependent). ``const``
-    holds the folded compile-time value, or ``_NOTCONST``.
-    """
-
-    __slots__ = ("src", "ops", "mems", "const")
-
-    def __init__(self, src, ops, mems, const=_NOTCONST):
-        self.src = src
-        self.ops = ops
-        self.mems = mems
-        self.const = const
-
-
-def _static_cost(ces, ops=0, mems=0):
-    """Summed cost of the static ``ces``; dynamic ones charge themselves."""
-    for ce in ces:
-        if ce.ops is not None:
-            ops += ce.ops
-            mems += ce.mems
-    return ops, mems
-
-
-def _fold_binop(op, left, right):
-    """Fold a binary op over constants; _NOTCONST if it would raise."""
-    try:
-        f = ir.BINOPS.get(op)
-        if f is not None:
-            return f(left, right)
-        if op in ir.DIVOPS and right != 0:
-            return ir.DIVOPS[op][0](left, right)
-    except Exception:
-        pass
-    return _NOTCONST
-
-
 # ---------------------------------------------------------------------------
-# Name resolution fallbacks (mirroring interp's scalars -> globals fallback)
+# Name resolution fallbacks and array access fast paths
 # ---------------------------------------------------------------------------
-
-
-def _global(st, name):
-    """A scalar with no value in a frame slot: the global, else unbound."""
-    value = st.globals.get(name, _UNSET)
-    if value is _UNSET:
-        raise NodeRuntimeError(f"unbound variable {name!r}", st.rank)
-    return value
-
-
-def _array(st, name):
-    """An array with no frame binding: the global, else unknown."""
-    arr = st.globals.get(name)
-    if arr is None:
-        raise NodeRuntimeError(f"unknown array {name!r}", st.rank)
-    return arr
 
 
 def _buffer(st, found, name):
@@ -331,10 +274,6 @@ def _buffer(st, found, name):
     return found
 
 
-# ---------------------------------------------------------------------------
-# Array access fast paths
-# ---------------------------------------------------------------------------
-#
 # Fixed-arity read/write helpers that inline the row-major offset of the
 # two array ranks the language supports. Any deviation — out of bounds,
 # undefined element, second write, unexpected object — falls back to the
@@ -416,54 +355,27 @@ def _wr2(arr, i, j, value):
 # Run-time helpers of the generated code
 # ---------------------------------------------------------------------------
 #
-# Expressions, assignments and l-value stores are in-line source: slot
-# reads become ``fr[3]`` with a walrus-tested fallback, arithmetic becomes
-# in-line operators, array reads become one `_rd2` call, a folded
-# constant is its literal. `_SrcGen.expr` is the only expression
-# compiler: one recursive pass that returns each node's source together
-# with its static cost and folded constant, so classification, folding
-# and emission cannot drift apart.
-#
-# A static node's source charges nothing — its statement adds the
-# pre-aggregated cost to the run. A dynamic node (short-circuit
-# operators, the inspector's indirect read, anything above them) charges
-# in-line, and *where* a charge sits in the source is the interpreter's
-# charge order: ``_chg(st, value, ops, mems)`` takes ``value`` as an
-# argument, so it charges after ``value`` has been evaluated (the left
-# operand of ``and``/``or``, an operator over a dynamic operand, the last
-# index of a dynamic read or store), and ``(_pre(st, ops, mems) or x)``
-# charges before ``x`` is (the right operand of a short-circuit, reached
-# only when the left does not decide). Every fallback (unbound variable,
-# unknown array, division by zero, IR the interpreter rejects) is a
-# helper call raising the interpreter's error after its operands have
-# been evaluated, so values, charges and errors are identical.
+# Expressions and stores are in-line source (:mod:`repro.spmd.codegen`):
+# slot reads ``fr[3]``, arithmetic in-line operators, an array read one
+# `_rd2` call, a folded constant its literal. Static charges are summed
+# per straight-line run; what is not static charges in line. Every
+# fallback (unknown array, division by zero, IR the interpreter rejects)
+# is a helper call raising the interpreter's error after its operands
+# have been evaluated, so values, charges and errors are identical.
+
+_apply = apply_builtin
 
 
-def _cg_div(left, right, st):
+def _div(st, left, right):
     if right == 0:
         raise NodeRuntimeError("division by zero", st.rank)
     return left // right
 
 
-def _cg_mod(left, right, st):
+def _mod(st, left, right):
     if right == 0:
         raise NodeRuntimeError("modulo by zero", st.rank)
     return left % right
-
-
-def _chg(st, value, ops, mems):
-    st.ops += ops
-    st.mems += mems
-    return value
-
-
-def _pre(st, ops, mems):
-    st.ops += ops
-    st.mems += mems
-
-
-def _fail(st, message, *operands):
-    raise NodeRuntimeError(message, st.rank)
 
 
 def _call(st, procs, name, args):
@@ -538,660 +450,6 @@ def _scatter_flush(st, fr, gen, stmt):
         _CompiledAdapter(st, fr, gen), state, stmt))
 
 
-# op -> (Python spelling, helper that checks the divisor first).
-_CG_DIVOPS = {"div": ("//", "_cg_div"), "mod": ("%", "_cg_mod")}
-
-# (method, rank) -> the fixed-arity helper that inlines it.
-_CG_ACCESS = {
-    ("read", 1): "_rd1",
-    ("read", 2): "_rd2",
-    ("write", 1): "_wr1",
-    ("write", 2): "_wr2",
-}
-
-# Record the pending cost as one compute row: interp.flush, in line.
-# The test is left out where a static charge was just made. The
-# temporaries are the flush's own: it runs between the binding and the
-# use of a statement's operands (``_o``, ``_d``, ``_p``, ...).
-_COMPUTE = (
-    "_fo = st.ops",
-    "_fm = st.mems",
-    "st.ops = st.mems = 0",
-    "if _fo * st.op_us + _fm * st.mem_us > 0.0:",
-    f"    st.rows.append(st.canon[{KIND_COMPUTE}, -1, -1, 0, _fo, _fm])",
-)
-_FLUSH = ("if st.ops or st.mems:", *ind(_COMPUTE))
-
-
-class _SrcGen(Emitter):
-    """The generated source of one procedure: its frame slots, the
-    helper bindings its functions see, and the statement being written.
-
-    Statements are emitted into ``out`` one straight-line *run* at a
-    time: ``ops``/``mems`` is the static cost of the run so far, written
-    as one charge by :meth:`settle` where the run ends — before a
-    statement that may record an effect (the flush must see it) or that
-    contains a ``return`` (the statements after it must not be charged).
-    ``effects``/``returns``/``blocks`` say whether the body written so
-    far may record an effect, return, or block on a receive (which makes
-    its function a generator).
-    """
-
-    __slots__ = ("procs", "scalar_slots", "array_slots", "nslots", "out",
-                 "ops", "mems", "effects", "returns", "blocks", "depth")
-
-    def __init__(self, procs, proc):
-        self.procs = procs  # name -> (kind, fn), filled in program order
-        scalars: dict[str, int] = {}
-        arrays: dict[str, int] = {}
-        for name, is_array in ir.proc_binders(proc):
-            slots = arrays if is_array else scalars
-            if name not in slots:
-                slots[name] = len(scalars) + len(arrays)
-        self.scalar_slots = scalars
-        self.array_slots = arrays
-        self.nslots = len(scalars) + len(arrays)
-        # Generated functions run in this module's namespace, plus the
-        # helpers they bind.
-        super().__init__(_NAMESPACE, "<spmd-codegen>", _procs=procs)
-        self.out: list[str] = []
-        self.ops = self.mems = 0
-        self.effects = self.returns = self.blocks = False
-        self.depth = 0
-
-    # -- helpers and names --------------------------------------------------
-    def const(self, value, ops, mems):
-        return _CExpr(self.literal(value), ops, mems, value)
-
-    # -- expressions ----------------------------------------------------------
-    # Names are bound as helpers, not written as literals: a compiler
-    # mints some (buffers, channels, schedules) from parse order, and the
-    # text must not change when the same program is parsed again.
-    def scalar(self, name):
-        slot = self.scalar_slots.get(name)
-        n, t = self.fresh(name), self.tmp()
-        src = f"st.globals.get({n}, _UNSET)" if slot is None else f"fr[{slot}]"
-        return f"({t} if ({t} := {src}) is not _UNSET else _global(st, {n}))"
-
-    def array(self, name):
-        slot = self.array_slots.get(name)
-        n, t = self.fresh(name), self.tmp()
-        if slot is None:
-            found = f"({t} := st.globals.get({n})) is not None"
-        else:
-            found = f"({t} := fr[{slot}]) is not _UNSET and {t} is not None"
-        return f"({t} if {found} else _array(st, {n}))"
-
-    def buffer(self, name):
-        slot = self.array_slots.get(name)
-        n, t = self.fresh(name), self.tmp()
-        src = f"st.globals.get({n})" if slot is None else f"fr[{slot}]"
-        return (f"({t} if type({t} := {src}) is LocalArray "
-                f"else _buffer(st, {t}, {n}))")
-
-    def charged(self, ce):
-        """In-line source charging ``ce``'s cost before evaluating it."""
-        if not ce.ops and not ce.mems:  # dynamic, or free
-            return ce.src
-        return f"(_pre(st, {ce.ops}, {ce.mems}) or {ce.src})"
-
-    def fail(self, message, *operands):
-        """Source raising the interpreter's ``message`` once ``operands``
-        have been evaluated."""
-        return f"_fail({', '.join(['st', repr(message), *operands])})"
-
-    def access(self, method, arr_src, indices, *value):
-        """``(src, ops, mems)`` of one element ``read``, or ``write`` of
-        ``value``: the array lookup, the indices left to right, then the
-        access's own memory charge."""
-        idx = [self.expr(i) for i in indices]
-        ops, mems = _static_cost(idx, 0, 1)
-        args = [i.src for i in idx]
-        if any(i.ops is None for i in idx):
-            args[-1] = f"_chg(st, {args[-1]}, {ops}, {mems})"
-            ops = mems = None
-        args = ", ".join([*args, *value])
-        fast = _CG_ACCESS.get((method, len(idx)))
-        if fast is not None:
-            return f"{fast}({arr_src}, {args})", ops, mems
-        return f"{arr_src}.{method}({args})", ops, mems
-
-    def expr(self, e) -> _CExpr:
-        if isinstance(e, ir.NConst):
-            return self.const(e.value, 0, 0)
-        if isinstance(e, ir.NVar):
-            return _CExpr(self.scalar(e.name), 0, 0)
-        if isinstance(e, ir.NMyNode):
-            return _CExpr("st.rank", 0, 0)
-        if isinstance(e, ir.NNProcs):
-            return _CExpr("st.nprocs", 0, 0)
-        if isinstance(e, ir.NBin):
-            if e.op in ("and", "or"):
-                return self.short_circuit(e)
-            return self.binary(e)
-        if isinstance(e, ir.NUn):
-            return self.unary(e)
-        if isinstance(e, ir.NCall):
-            return self.call(e)
-        if isinstance(e, ir.NIsRead):
-            return _CExpr(*self.access("read", self.array(e.array), e.indices))
-        if isinstance(e, ir.NBufRead):
-            return _CExpr(*self.access("read", self.buffer(e.buf), e.indices))
-        if isinstance(e, ir.NIndirect):
-            # The executor's read charges itself through the state's
-            # meter protocol; the index is charged before it.
-            gidx = self.charged(self.expr(e.index))
-            return _CExpr(
-                f"ixec.indirect_read(st, st.exchanges.get("
-                f"{self.fresh(e.sched)}), {self.fresh(e)}, {gidx})",
-                None, None,
-            )
-        return _CExpr(self.fail(f"unknown expression {e!r}"), 0, 0)
-
-    def short_circuit(self, e):
-        left = self.expr(e.left)
-        right = self.expr(e.right)
-        is_and = e.op == "and"
-        if left.const is not _NOTCONST:
-            lv = bool(left.const)
-            if lv != is_and:  # and-with-False / or-with-True decides
-                return self.const(lv, left.ops + 1, left.mems)
-            if right.ops is not None:
-                ops = left.ops + 1 + right.ops
-                mems = left.mems + right.mems
-                if right.const is not _NOTCONST:
-                    return self.const(bool(right.const), ops, mems)
-                return _CExpr(f"bool({right.src})", ops, mems)
-        # The right operand must only charge when evaluated (the branch
-        # is data-dependent), but the left operand's static cost can be
-        # folded into the operator's own +1.
-        ops, mems = _static_cost((left,), 1)
-        return _CExpr(
-            f"(bool(_chg(st, {left.src}, {ops}, {mems})) {e.op} "
-            f"bool({self.charged(right)}))",
-            None, None,
-        )
-
-    def binary(self, e):
-        left = self.expr(e.left)
-        right = self.expr(e.right)
-        op = e.op
-        if op in ir.BINOPS:  # spelled as in Python
-            src = f"({left.src} {op} {right.src})"
-        elif op in _CG_DIVOPS:
-            sym, helper = _CG_DIVOPS[op]
-            if (
-                type(right.const) in (bool, int, float) and right.const != 0
-            ) or isinstance(e.right, ir.NNProcs):
-                # Divisor known non-zero: skip the runtime check.
-                src = f"({left.src} {sym} {right.src})"
-            else:
-                src = f"{helper}({left.src}, {right.src}, st)"
-        else:
-            src = self.fail(f"unknown operator {op!r}", left.src, right.src)
-        ops, mems = _static_cost((left, right), 1)
-        if left.ops is None or right.ops is None:
-            # Dynamic operands self-charge; the static one's cost merges
-            # into this node's single post-charge.
-            return _CExpr(f"_chg(st, {src}, {ops}, {mems})", None, None)
-        if left.const is not _NOTCONST and right.const is not _NOTCONST:
-            folded = _fold_binop(op, left.const, right.const)
-            if folded is not _NOTCONST:
-                return self.const(folded, ops, mems)
-        return _CExpr(src, ops, mems)
-
-    def unary(self, e):
-        operand = self.expr(e.operand)
-        is_not = e.op == "not"
-        sym = "not " if is_not else "-"
-        if operand.ops is None:
-            return _CExpr(f"({sym}_chg(st, {operand.src}, 1, 0))", None, None)
-        ops = operand.ops + 1
-        if operand.const is not _NOTCONST:
-            try:
-                value = (not operand.const) if is_not else -operand.const
-            except Exception:
-                pass  # left to raise at run time
-            else:
-                return self.const(value, ops, operand.mems)
-        return _CExpr(f"({sym}{operand.src})", ops, operand.mems)
-
-    def call(self, e):
-        args = [self.expr(a) for a in e.args]
-        if not is_builtin(e.func):
-            # The interpreter evaluates the arguments before rejecting
-            # the call, so errors surface in the same order.
-            message = f"unknown builtin {e.func!r} in expression"
-            return _CExpr(self.fail(message, *(a.src for a in args)),
-                          None, None)
-        srcs = ", ".join(a.src for a in args)
-        ops, mems = _static_cost(args, 1)
-        if any(a.ops is None for a in args):
-            return _CExpr(
-                f"apply_builtin({e.func!r}, "
-                f"_chg(st, [{srcs}], {ops}, {mems}))",
-                None, None,
-            )
-        if all(a.const is not _NOTCONST for a in args):
-            try:
-                value = apply_builtin(e.func, [a.const for a in args])
-            except Exception:
-                pass  # left to raise at run time
-            else:
-                return self.const(value, ops, mems)
-        return _CExpr(f"apply_builtin({e.func!r}, [{srcs}])", ops, mems)
-
-    def store(self, lv, value):
-        """``(statement, ops, mems)`` storing the source ``value``."""
-        if isinstance(lv, ir.VarLV):
-            return f"fr[{self.scalar_slots[lv.name]}] = {value}", 0, 0
-        if isinstance(lv, ir.IsLV):
-            return self.access("write", self.array(lv.array), lv.indices,
-                               value)
-        if isinstance(lv, ir.BufLV):
-            return self.access("write", self.buffer(lv.buf), lv.indices,
-                               value)
-        return self.fail(f"unknown lvalue {lv!r}", value), 0, 0
-
-    def put(self, lv, ce):
-        """Lines storing ``ce`` into ``lv`` — the value first, as the
-        interpreter evaluates it — and their static cost."""
-        if type(lv) is ir.VarLV or ce.const is not _NOTCONST:
-            lines, value = [], ce.src
-        else:
-            lines, value = [f"_v = {ce.src}"], "_v"
-        store, ops, mems = self.store(lv, value)
-        return [*lines, store], *_static_cost((ce,), ops or 0, mems or 0)
-
-    # -- runs -----------------------------------------------------------------
-    def cost(self, ops, mems):
-        self.ops += ops
-        self.mems += mems
-
-    def settle(self):
-        """End the run: write its pending cost. True if it wrote one."""
-        lines = charge_lines(self.ops, self.mems)
-        self.out += lines
-        self.ops = self.mems = 0
-        return bool(lines)
-
-    def flush(self):
-        """Settle the run, then the lines recording the pending cost."""
-        self.effects = True
-        return list(_COMPUTE if self.settle() else _FLUSH)
-
-    def blocking(self):
-        """Settle the run before a statement that may block."""
-        self.settle()
-        self.effects = self.blocks = True
-
-    def receive(self, src, channel):
-        """Lines binding ``_p`` to the next payload from ``src``: a queued
-        one taken in line, else the blocking :func:`_recv`."""
-        self.effects = self.blocks = True
-        return [
-            f"if _fq := st.fifo.get(({src}, st.rank, {channel})):",
-            "    _p = _fq.popleft()",
-            f"    st.rows.append("
-            f"st.canon[{KIND_RECV}, {src}, {channel}, 0, 0, 0])",
-            "else:",
-            f"    _p = yield from _recv(st, {src}, {channel})",
-        ]
-
-    def bind(self, name, ce):
-        """``ce`` evaluated here, in the interpreter's order: bound to
-        ``name``, or its literal when it is a constant."""
-        if ce.const is not _NOTCONST:
-            return ce.src
-        self.out.append(f"{name} = {ce.src}")
-        return name
-
-    def operands(self, **named):
-        """Each expression bound in turn, its static cost in the run."""
-        ces = {name: self.expr(e) for name, e in named.items()}
-        self.cost(*_static_cost(ces.values()))
-        return [self.bind(name, ce) for name, ce in ces.items()]
-
-    # -- bodies ---------------------------------------------------------------
-    def body(self, stmts, ops=0, mems=0):
-        """``stmts`` as nested lines: ``(lines, ops, mems, effects,
-        returns, blocks)``. ``ops``/``mems`` enter as a cost pending at
-        the start and leave as the cost still pending at the end — the
-        body's whole static cost when it neither records an effect nor
-        returns, which the caller may then charge anywhere in its own
-        run."""
-        if self.depth >= MAX_DEPTH:
-            name, *body = self.split(stmts, ops, mems)
-            ops, mems, effects, returns, blocks = body
-            call = f"{name}(st, fr)"
-            if blocks:
-                call = f"yield from {call}"
-            if returns:
-                lines = [f"_ret = {call}",
-                         "if _ret is not _NORET:",
-                         "    return _ret"]
-            else:
-                lines = [call]
-            return lines, ops, mems, effects, returns, blocks
-        saved = (self.out, self.ops, self.mems, self.effects, self.returns,
-                 self.blocks)
-        self.out, self.ops, self.mems = [], ops, mems
-        self.effects = self.returns = self.blocks = False
-        self.depth += 1
-        for stmt in stmts:
-            _EMIT.get(type(stmt), _SrcGen.unknown)(self, stmt)
-        self.depth -= 1
-        result = (self.out, self.ops, self.mems, self.effects, self.returns,
-                  self.blocks)
-        (self.out, self.ops, self.mems, self.effects, self.returns,
-         self.blocks) = saved
-        return result
-
-    def split(self, stmts, ops=0, mems=0, generator=False):
-        """``stmts`` as a generated function of their own over
-        ``(st, fr)``: ``(helper name, ops, mems, effects, returns,
-        blocks)``."""
-        depth, self.depth = self.depth, 0
-        lines, ops, mems, effects, returns, blocks = self.body(
-            stmts, ops, mems)
-        self.depth = depth
-        if effects or returns or generator:
-            lines += charge_lines(ops, mems)
-            ops = mems = 0
-        if returns:
-            lines.append("return _NORET")
-        if generator and not blocks:
-            lines.append("yield from ()")
-        name = self.fresh(self.function(lines, "st, fr", "_f"))
-        return name, ops, mems, effects, returns, blocks
-
-    def nested(self, lines, ops, mems, effects, returns, blocks):
-        """Take a nested body's flags; its lines with the rest charged."""
-        self.effects |= effects
-        self.returns |= returns
-        self.blocks |= blocks
-        return (lines + charge_lines(ops, mems)) or ["pass"]
-
-    # -- statements -----------------------------------------------------------
-    def assign(self, s):
-        lines, ops, mems = self.put(s.target, self.expr(s.value))
-        self.out += lines
-        self.cost(ops, mems)
-
-    def alloc(self, s):
-        dims = [self.expr(d) for d in s.shape]
-        self.cost(*_static_cost(dims))
-        cls = "IStructure" if type(s) is ir.NAllocIs else "LocalArray"
-        shape = "".join(f"{d.src}, " for d in dims)
-        self.out.append(
-            f"fr[{self.array_slots[s.name]}] = {cls}(({shape}), "
-            f"name={self.fresh(s.name + '@p')} + str(st.rank))"
-        )
-
-    def for_(self, s):
-        bounds = [self.expr(e) for e in (s.lo, s.hi, s.step)]
-        lo, hi, step = bounds
-        self.cost(*_static_cost(bounds))
-        body = self.body(s.body, 1, 0)  # + the increment and bound test
-        lines, ops, mems, effects, returns, blocks = body
-        if effects or returns:
-            self.settle()
-        if type(step.const) is int and step.const > 0:
-            rng = f"range({lo.src}, {hi.src} + 1, {step.src})"
-        else:
-            self.out += [
-                f"_lo = {lo.src}", f"_hi = {hi.src}", f"_by = {step.src}",
-                "if _by <= 0:",
-                "    raise NodeRuntimeError("
-                "f'non-positive loop step {_by}', st.rank)",
-            ]
-            rng = "range(_lo, _hi + 1, _by)"
-        target = f"fr[{self.scalar_slots[s.var]}]"
-        if effects or returns:
-            self.out.append(f"for {target} in {rng}:")
-        else:
-            # The body's cost is static: every iteration's, charged once.
-            self.out.append(f"_r = {rng}")
-            self.out += [f"st.ops += len(_r) * {ops}"] + (
-                [f"st.mems += len(_r) * {mems}"] if mems else []
-            )
-            self.out.append(f"for {target} in _r:")
-            body = lines, 0, 0, False, False, False
-        self.out += ind(self.nested(*body))
-
-    def if_(self, s):
-        cond = self.expr(s.cond)
-        self.cost(*_static_cost((cond,)))
-        if cond.const is not _NOTCONST:
-            # A constant guard (a rank-specialized program's, typically)
-            # keeps only the taken branch, in this run.
-            for stmt in s.then_body if cond.const else s.else_body:
-                _EMIT.get(type(stmt), _SrcGen.unknown)(self, stmt)
-            return
-        then = self.body(s.then_body)
-        other = self.body(s.else_body)
-        if any(then[3:]) or any(other[3:]):
-            self.settle()
-        self.out += [f"if {cond.src}:", *ind(self.nested(*then))]
-        other = self.nested(*other)
-        if other != ["pass"]:
-            self.out += ["else:", *ind(other)]
-
-    def return_(self, s):
-        if s.value is None:
-            src = "None"
-        elif isinstance(s.value, str):
-            src = self.array(s.value)
-        else:
-            value = self.expr(s.value)
-            self.cost(*_static_cost((value,)))
-            src = value.src
-        self.settle()
-        self.returns = True
-        self.out.append(f"return {src}")
-
-    def send(self, s):
-        values = [self.expr(v) for v in s.values]
-        dst = self.expr(s.dst)
-        self.cost(*_static_cost([*values, dst]))
-        payload = f"({''.join(f'{v.src}, ' for v in values)})"
-        if any(v.const is _NOTCONST for v in values):
-            self.out.append(f"_p = {payload}")
-            payload = "_p"
-        dst = self.bind("_d", dst)  # after the values, as interp does
-        self.out += self.flush()
-        channel = self.fresh(s.channel)
-        self.out.append(
-            f"_send(st, {dst}, {channel}, {payload}, {len(values)})"
-        )
-
-    def recv(self, s):
-        src, = self.operands(_s=s.src)
-        self.out += self.flush()
-        n = len(s.targets)
-        channel = self.fresh(s.channel)
-        self.out += [
-            *self.receive(src, channel),
-            f"if len(_p) != {n}:",
-            f"    raise NodeRuntimeError(f'channel {{{channel}!r}}: "
-            f"expected {n} scalars, got {{len(_p)}}', st.rank)",
-        ]
-        for k, target in enumerate(s.targets):
-            lines, ops, mems = self.put(target, _CExpr(f"_p[{k}]", 0, 0))
-            self.out += lines
-            self.cost(ops, mems)
-
-    def sendvec(self, s):
-        self.out.append(f"_b = {self.buffer(s.buf)}")
-        lo, hi, dst = self.operands(_lo=s.lo, _hi=s.hi, _d=s.dst)
-        self.out.append(f"_p = _sendvec(st, _b, {lo}, {hi})")
-        self.out += self.flush()
-        self.out.append(
-            f"_send(st, {dst}, {self.fresh(s.channel)}, _p, len(_p))"
-        )
-
-    def recvvec(self, s):
-        src, = self.operands(_s=s.src)
-        self.out.append(f"_b = {self.buffer(s.buf)}")
-        lo, hi = self.operands(_lo=s.lo, _hi=s.hi)
-        self.out += self.flush()
-        channel = self.fresh(s.channel)
-        self.out += [
-            *self.receive(src, channel),
-            f"_recvvec(st, _b, {lo}, {hi}, _p, {channel})",
-        ]
-
-    def coerce(self, s):
-        o, d = self.operands(_o=s.owner, _d=s.dest)
-        self.cost(2, 0)  # the two membership tests every processor makes
-        value = self.expr(s.value)
-        channel = self.fresh(s.channel)
-        keep, ops, mems = self.put(s.target, value)
-        keep = [*charge_lines(ops, mems), *keep]
-        send = [
-            *charge_lines(*_static_cost((value,))), f"_v = {value.src}",
-            *_FLUSH, f"_send(st, {d}, {channel}, (_v,), 1)",
-        ]
-        got, ops, mems = self.put(s.target, _CExpr("_p[0]", 0, 0))
-        recv = [*_FLUSH, *self.receive(o, channel), *got,
-                *charge_lines(ops, mems)]
-        self.blocking()
-        self.out += [
-            f"if {o} == {d}:", f"    if st.rank == {d}:", *ind(keep, 2),
-            f"elif st.rank == {o}:", *ind(send),
-            f"elif st.rank == {d}:", *ind(recv),
-        ]
-
-    def broadcast(self, s):
-        o, = self.operands(_o=s.owner)
-        self.cost(1, 0)
-        value = self.expr(s.value)
-        self.blocking()
-        channel = self.fresh(s.channel)
-        store, ops, mems = self.store(s.target, "_v")
-        got, gops, gmems = self.put(s.target, _CExpr("_p[0]", 0, 0))
-        self.out += [f"if st.rank == {o}:", *ind([
-            *charge_lines(*_static_cost((value,), ops or 0, mems or 0)),
-            f"_v = {value.src}", store, *_FLUSH,
-            f"_broadcast(st, {o}, {channel}, (_v,))",
-        ]), "else:", *ind([
-            *_FLUSH, *self.receive(o, channel), *got,
-            *charge_lines(gops, gmems),
-        ])]
-
-    def callproc(self, s):
-        args = []
-        for a in s.args:
-            if isinstance(a, str):
-                args.append(self.array(a))
-            else:
-                ce = self.expr(a)
-                self.cost(*_static_cost((ce,)))
-                args.append(ce.src)
-        args = f"[{', '.join(args)}]"
-        kind, fn = self.procs.get(s.proc, (None, None))
-        if kind == "pure":
-            # Compiled before this call site and effect-free: a plain call.
-            call = f"{self.fresh(fn)}(st, {args})"
-        elif kind == "sends":
-            # It records effects but never blocks: a plain call that
-            # ends the run.
-            self.settle()
-            self.effects = True
-            call = f"{self.fresh(fn)}(st, {args})"
-        else:
-            self.blocking()
-            if kind is None:  # a forward or recursive reference
-                call = f"yield from _call(st, _procs, {s.proc!r}, {args})"
-            else:
-                call = f"yield from {self.fresh(fn)}(st, {args})"
-        if s.array_result is not None:
-            self.out.append(f"fr[{self.array_slots[s.array_result]}] = {call}")
-        elif s.result is not None:
-            lines, ops, mems = self.put(s.result, _CExpr(call, 0, 0))
-            self.out += lines
-            self.cost(ops, mems)
-        else:
-            self.out.append(call)
-
-    def comment(self, s):
-        pass
-
-    def array_alias(self, s):
-        self.out.append(
-            f"fr[{self.array_slots[s.name]}] = {self.array(s.source)}"
-        )
-
-    def exchange(self, s):
-        # The enumeration body the inspector runs on the first execution
-        # is a generator of its own, sharing this procedure's frame.
-        enum = self.split(s.enum_body, generator=True)[0]
-        self.blocking()
-        self.out.append(
-            f"yield from _exchange(st, fr, {self.fresh(self)}, "
-            f"{self.fresh(s)}, {enum})"
-        )
-
-    def scatter_flush(self, s):
-        self.blocking()
-        self.out.append(
-            f"yield from _scatter_flush(st, fr, {self.fresh(self)}, "
-            f"{self.fresh(s)})"
-        )
-
-    def resolve(self, s):
-        index = self.expr(s.index)
-        self.cost(*_static_cost((index,)))
-        self.out.append(
-            f"ixec.resolve(st, ixec.get_state(st.exchanges, "
-            f"{self.fresh(s.sched)}), {index.src})"
-        )
-
-    def accum(self, s):
-        index, value = self.expr(s.index), self.expr(s.value)
-        self.cost(*_static_cost((index, value)))
-        self.out.append(
-            f"ixec.accum(st, ixec.get_state(st.exchanges, "
-            f"{self.fresh(s.sched)}), {index.src}, {value.src})"
-        )
-
-    def accum_local(self, s):
-        indices = [self.expr(i) for i in s.indices]
-        value = self.expr(s.value)
-        self.cost(*_static_cost([*indices, value]))
-        self.out.append(
-            f"_accum_local(st, ({''.join(f'{i.src}, ' for i in indices)}), "
-            f"{value.src}, {self.array(s.array)})"
-        )
-
-    def unknown(self, s):
-        self.out.append(self.fail(f"unknown statement {s!r}"))
-
-
-_EMIT = {
-    ir.NAssign: _SrcGen.assign,
-    ir.NAllocIs: _SrcGen.alloc,
-    ir.NAllocBuf: _SrcGen.alloc,
-    ir.NFor: _SrcGen.for_,
-    ir.NIf: _SrcGen.if_,
-    ir.NReturn: _SrcGen.return_,
-    ir.NSend: _SrcGen.send,
-    ir.NRecv: _SrcGen.recv,
-    ir.NSendVec: _SrcGen.sendvec,
-    ir.NRecvVec: _SrcGen.recvvec,
-    ir.NCoerce: _SrcGen.coerce,
-    ir.NBroadcast: _SrcGen.broadcast,
-    ir.NCallProc: _SrcGen.callproc,
-    ir.NComment: _SrcGen.comment,
-    ir.NArrayAlias: _SrcGen.array_alias,
-    ir.NExchange: _SrcGen.exchange,
-    ir.NScatterFlush: _SrcGen.scatter_flush,
-    ir.NResolve: _SrcGen.resolve,
-    ir.NAccum: _SrcGen.accum,
-    ir.NAccumLocal: _SrcGen.accum_local,
-}
-
-
 class _CompiledAdapter:
     """Adapter handing this backend's meters/frame to the shared executor.
 
@@ -1221,12 +479,12 @@ class _CompiledAdapter:
         return ()
 
     def lookup(self, name: str):
-        slot = self.gen.scalar_slots.get(name)
+        slot = self.gen.scalars.get(name)
         value = _UNSET if slot is None else self.fr[slot]
-        return _global(self.st, name) if value is _UNSET else value
+        return self.st.globals[name] if value is _UNSET else value
 
     def get_array(self, name: str):
-        slot = self.gen.array_slots.get(name)
+        slot = self.gen.arrays.get(name)
         arr = None if slot is None else self.fr[slot]
         return _array(self.st, name) if arr is _UNSET or arr is None else arr
 
@@ -1252,41 +510,7 @@ class _CompiledAdapter:
 # ---------------------------------------------------------------------------
 
 
-def _compile_proc(proc, procs):
-    """Compile one procedure to ``(kind, fn)``: one generated function
-    ``_p(st, args)``. ``kind`` is ``"gen"`` when its text may block on a
-    receive (a generator, called with ``yield from``), else ``"sends"``
-    when it may record an effect and ``"pure"`` when it records none
-    (plain functions; only a ``"sends"`` call ends a straight-line run)."""
-    gen = _SrcGen(procs, proc)
-    lines, ops, mems, effects, _, blocks = gen.body(proc.body)
-    n = len(proc.params)
-    slots = [
-        gen.array_slots[p] if p in proc.array_params else gen.scalar_slots[p]
-        for p in proc.params
-    ]
-    if slots == list(range(n)):
-        frame = [f"fr = [*args] + [_UNSET] * {gen.nslots - n}"]
-    else:
-        frame = [f"fr = [_UNSET] * {gen.nslots}"] + [
-            f"fr[{slot}] = args[{k}]" for k, slot in enumerate(slots)
-        ]
-    fn = gen.function([
-        f"if len(args) != {n}:",
-        "    raise NodeRuntimeError("
-        f"{f'{proc.name} expects {n} arguments, got '!r} + str(len(args)), "
-        "st.rank)",
-        "st.depth += 1",
-        f"if st.depth > {ir.MAX_CALL_DEPTH}:",
-        "    raise NodeRuntimeError("
-        f"{f'call depth exceeded in {proc.name}'!r}, st.rank)",
-        *frame,
-        "try:",
-        *ind(lines + charge_lines(ops, mems) or ["pass"]),
-        "finally:",
-        "    st.depth -= 1",
-    ], "st, args", "_p")
-    return ("gen" if blocks else "sends" if effects else "pure"), fn
+_DOMAIN = ValueDomain(globals())  # generated functions run in this module
 
 
 class CompiledNode:
@@ -1297,9 +521,14 @@ class CompiledNode:
 
     def __init__(self, program: ir.NodeProgram):
         self.program = program
-        procs: dict[str, object] = {}
+        # name -> (kind, fn), filled in program order: a call to a
+        # procedure written before its caller knows whether it may block
+        # (``"gen"``, called with ``yield from``), record an effect
+        # (``"sends"``, a plain call that ends the run) or neither.
+        procs: dict[str, tuple] = {}
         for name, proc in program.procs.items():
-            procs[name] = _compile_proc(proc, procs)
+            kind, fn, _ = compile_procedure(proc, _DOMAIN, procs)
+            procs[name] = kind, fn
         self._procs = procs
         self._entry = program.entry
 
