@@ -584,11 +584,38 @@ class Gen:
         lines, ops, mems = self.body(stmts, facts, levels=self.d.levels)
         return lines + charge_lines(ops, mems)
 
+    def store(self, target, ce, received=False):
+        """Lines storing ``ce`` into ``target`` — the value first, as the
+        interpreter evaluates it — with their charge in the run. A
+        ``received`` scalar is one a message or call stored."""
+        self.ops += ce.ops
+        self.mems += ce.mems
+        kind = type(target)
+        if kind is ir.VarLV:
+            facts = self.facts
+            (facts.received if received else facts.assigned).add(target.name)
+            return [f"fr[{self.scalars[target.name]}] = {ce.src}"]
+        if kind is not ir.IsLV and kind is not ir.BufLV:
+            return [*self.effects((ce,)),
+                    self.fail(f"unknown lvalue {target!r}")]
+        indices = [self.expr(i) for i in target.indices]
+        self.facts.sensitive(*indices, sc=True)
+        self.charge(indices)
+        self.mems += CHARGES[kind].mems
+        return self.d.element(self, target, indices, ce)
+
+    def received(self, targets):
+        """Lines storing the scalars of a received payload."""
+        lines = []
+        for k, target in enumerate(targets):
+            lines += self.store(target, self.d.got(k), True)
+        return lines
+
     # -- statements -----------------------------------------------------------
     def assign(self, s):
         value = self.expr(s.value)
         self.facts.sensitive(value, sc=True)
-        self.out += self.d.store(self, s.target, value, False)
+        self.out += self.store(s.target, value)
         if type(s.target) is ir.VarLV:
             self.bound_s.add(s.target.name)
 
@@ -634,7 +661,12 @@ class Gen:
         self.facts.merge(inner)
         if inner.effects or inner.exits:
             self.settle()
-        self.out += self.d.branch(self, s, cond, then, other)
+        if self.observe:
+            self.out += self.d.branch(self, s, cond, then, other)
+            return
+        self.out += [f"if {cond.src}:", *ind(then or ["pass"])]
+        if other:
+            self.out += ["else:", *ind(other)]
 
     def return_(self, s):
         value = None
@@ -668,6 +700,9 @@ class Gen:
             facts.sensitive(*bounds)
             self.charge(bounds)
         self.out += self.d.message(self, s, peer, values, bounds)
+        if kind is ir.NRecv:
+            self.bound_s.update(t.name for t in s.targets
+                                if type(t) is ir.VarLV)
 
     def owned(self, s):
         """A coerce or broadcast: the owner's value reaches the target
@@ -683,7 +718,18 @@ class Gen:
         charge = CHARGES[type(s)]
         self.ops += charge.ops
         self.mems += charge.mems
-        self.out += self.d.owned(self, s, owner, dest, value)
+        o, d = self.d.partners(self, owner, dest)
+        self.settle()
+        # Each role charges its own part: the owner (or, for a local
+        # coerce, the destination) the value and the store, a receiver
+        # the store.
+        keep = self.store(s.target, value, True)
+        keep = charge_lines(self.ops, self.mems) + keep
+        self.ops = self.mems = 0
+        take = self.received((s.target,))
+        take += charge_lines(self.ops, self.mems)
+        self.ops = self.mems = 0
+        self.out += self.d.owned(self, s, o, d, value, keep, take)
         if dest is None and type(s.target) is ir.VarLV:
             self.bound_s.add(s.target.name)
 
@@ -848,25 +894,17 @@ class ValueDomain:
         )
 
     # -- effects --------------------------------------------------------------
-    def store(self, g, target, ce, received):
-        """Lines storing ``ce`` into ``target``, the value first, as the
-        interpreter evaluates it; their charge goes to the run."""
-        g.ops += ce.ops
-        g.mems += ce.mems
-        kind = type(target)
-        if kind is ir.VarLV:
-            return [f"fr[{g.scalars[target.name]}] = {ce.src}"]
-        if kind is not ir.IsLV and kind is not ir.BufLV:
-            return [g.fail(f"unknown lvalue {target!r}", ce.src)]
+    def element(self, g, target, indices, ce):
         lines, value = [], ce.src
         if ce.const is _NOTCONST and ce.src != "_v":
             lines, value = [f"_v = {ce.src}"], "_v"
-        array = (g.lookup(target.array, True).src if kind is ir.IsLV
+        array = (g.lookup(target.array, True).src if type(target) is ir.IsLV
                  else self.buffer(g, target.buf))
-        indices = [g.expr(i) for i in target.indices]
-        g.charge(indices)
-        g.mems += CHARGES[kind].mems
         return [*lines, self.access(g, "write", array, indices, value)]
+
+    @staticmethod
+    def got(k):
+        return _CExpr(f"_p[{k}]")
 
     @staticmethod
     def flush(g):
@@ -895,13 +933,6 @@ class ValueDomain:
         g.out.append(f"{name} = {ce.src}")
         return name
 
-    def received(self, g, targets):
-        """Lines storing the received ``_p`` into ``targets``."""
-        lines = []
-        for k, target in enumerate(targets):
-            lines += self.store(g, target, _CExpr(f"_p[{k}]"), True)
-        return lines
-
     def message(self, g, s, peer, values, bounds):
         kind = type(s)
         channel = g.name(s.channel)
@@ -922,7 +953,7 @@ class ValueDomain:
                 f"    raise NodeRuntimeError(f'channel {{{channel}!r}}: "
                 f"expected {n} scalars, got {{len(_p)}}', st.rank)",
             ]
-            return lines + self.received(g, s.targets)
+            return lines + g.received(s.targets)
         # The interpreter takes the buffer after a receive's source and
         # before a send's bounds.
         peer = self.bind(g, "_s", peer) if kind is ir.NRecvVec else peer
@@ -937,24 +968,19 @@ class ValueDomain:
         return [*self.flush(g),
                 f"_send(st, {dst}, {channel}, _p, len(_p))"]
 
-    def owned(self, g, s, owner, dest, value):
-        o = self.bind(g, "_o", owner)
-        d = self.bind(g, "_d", dest) if dest is not None else None
-        g.settle()
+    def partners(self, g, owner, dest):
+        return (self.bind(g, "_o", owner),
+                dest and self.bind(g, "_d", dest))
+
+    def owned(self, g, s, o, d, value, keep, take):
         channel = g.name(s.channel)
-        # Each role charges its own part: the owner the value, whoever
-        # stores the target its indices and access.
-        keep = self.store(g, s.target, value if d else _CExpr("_v"), False)
-        keep = charge_lines(g.ops, g.mems) + keep
-        g.ops = g.mems = 0
-        recv = [*_FLUSH, *self.receive(g, o, channel),
-                *self.received(g, (s.target,))]
-        recv += charge_lines(g.ops, g.mems)
-        g.ops = g.mems = 0
-        if d is None:  # a broadcast
+        recv = [*_FLUSH, *self.receive(g, o, channel), *take]
+        if d is None:  # a broadcast: what the owner stored
+            kind = type(s.target)
+            sent = (f"fr[{g.scalars[s.target.name]}]" if kind is ir.VarLV
+                    else "_v" if value.const is _NOTCONST else value.src)
             return [f"if st.rank == {o}:", *ind([
-                *charge_lines(value.ops, value.mems), f"_v = {value.src}",
-                *keep, *_FLUSH, f"_broadcast(st, {o}, {channel}, (_v,))",
+                *keep, *_FLUSH, f"_broadcast(st, {o}, {channel}, ({sent},))",
             ]), "else:", *ind(recv)]
         send = [*charge_lines(value.ops, value.mems), f"_v = {value.src}",
                 *_FLUSH, f"_send(st, {d}, {channel}, (_v,), 1)"]
@@ -976,7 +1002,7 @@ class ValueDomain:
         if s.array_result is not None:
             return [f"fr[{g.arrays[s.array_result]}] = {call}"]
         if s.result is not None:
-            return self.store(g, s.result, _CExpr(call), True)
+            return g.store(s.result, _CExpr(call), True)
         return [call]
 
     @staticmethod
@@ -1058,11 +1084,6 @@ class ValueDomain:
         return [*out, f"for {target} in _r:", *ind(lines or ["pass"])]
 
     @staticmethod
-    def branch(g, s, cond, then, other):
-        lines = [f"if {cond.src}:", *ind(then or ["pass"])]
-        return lines + (["else:", *ind(other)] if other else [])
-
-    @staticmethod
     def split(g, lines, facts):
         if facts.exits:
             lines = lines + ["return _NORET"]
@@ -1106,11 +1127,6 @@ class ValueDomain:
 # ---------------------------------------------------------------------------
 # The abstract domain
 # ---------------------------------------------------------------------------
-
-_INSPECTOR_NODES = (
-    ir.NExchange, ir.NResolve, ir.NAccum, ir.NScatterFlush, ir.NAccumLocal,
-)
-
 
 class WalkDomain:
     """Array data as ``UNKNOWN`` (:mod:`repro.spmd.walk`): a procedure is
@@ -1159,38 +1175,23 @@ class WalkDomain:
         return _CExpr("_fail(st, None)", kids=(index,), elidable=False)
 
     # -- effects --------------------------------------------------------------
-    def store(self, g, target, ce, received):
-        """Lines storing ``ce`` into ``target``: a scalar's frame slot,
-        or (the value discarded) the effects of an element store's index
-        evaluation. The charges go to the run."""
-        g.ops += ce.ops
-        g.mems += ce.mems
-        kind = type(target)
-        if kind is ir.VarLV:
-            facts = g.facts
-            (facts.received if received else facts.assigned).add(target.name)
-            return [f"fr[{g.scalars[target.name]}] = {ce.src}"]
-        lines = g.effects((ce,))
-        if kind is not ir.IsLV and kind is not ir.BufLV:
-            return lines + [g.fail(f"unknown lvalue {target!r}")]
-        name = target.array if kind is ir.IsLV else target.buf
+    def element(self, g, target, indices, ce):
+        """An element store discards the value: the effects of its
+        evaluation and of the index evaluation, or the observer."""
+        is_lv = type(target) is ir.IsLV
+        name = target.array if is_lv else target.buf
         array = g.lookup(name, True)
-        indices = [g.expr(i) for i in target.indices]
-        g.facts.sensitive(*indices, sc=True)
-        g.charge(indices)
-        g.mems += CHARGES[kind].mems
-        if self.observe and kind is ir.IsLV:
+        lines = g.effects((ce,))
+        if self.observe and is_lv:
             dims = ", ".join(i.src for i in indices)
             return lines + [
                 f"st.on_write({g.name(name)}, {array.src}, [{dims}])"
             ]
         return lines + g.effects((array, *indices))
 
-    def received(self, g, targets):
-        lines = []
-        for target in targets:
-            lines += self.store(g, target, _UNKNOWN, True)
-        return lines
+    @staticmethod
+    def got(k):
+        return _UNKNOWN
 
     def message(self, g, s, peer, values, bounds):
         kind = type(s)
@@ -1202,11 +1203,8 @@ class WalkDomain:
             return lines
         if kind is ir.NRecv:
             g.settle()
-            lines = [f"st.emit_recv({peer.src}, {channel})",
-                     *self.received(g, s.targets)]
-            g.bound_s.update(t.name for t in s.targets
-                             if type(t) is ir.VarLV)
-            return lines
+            return [f"st.emit_recv({peer.src}, {channel})",
+                    *g.received(s.targets)]
         g.settle()
         check = g.effects((g.lookup(s.buf, True),))
         lo, hi = bounds
@@ -1219,20 +1217,22 @@ class WalkDomain:
         return [f"_p = {peer.src}", *check, *bounds,
                 f"st.emit_recv(_p, {channel})", "st.mems += st.span(_lo, _hi)"]
 
-    def owned(self, g, s, owner, dest, value):
-        g.settle()
-        keep = self.store(g, s.target, value, True)
-        keep = charge_lines(g.ops, g.mems) + keep
-        g.ops = g.mems = 0
-        take = self.received(g, (s.target,))
-        take += charge_lines(g.ops, g.mems)
-        g.ops = g.mems = 0
+    @staticmethod
+    def partners(g, owner, dest):
+        g.out.append(f"_o = {owner.src}")
+        test, what = "_o is UNKNOWN", "broadcast owner"
+        if dest:
+            g.out.append(f"_d = {dest.src}")
+            test, what = test + " or _d is UNKNOWN", "coerce partner"
+        g.out += [f"if {test}:",
+                  f"    raise ModelError('{what} depends on array data')"]
+        return "_o", dest and "_d"
+
+    def owned(self, g, s, o, d, value, keep, take):
         channel = g.name(s.channel)
         recv = [f"st.emit_recv(_o, {channel})", *take]
-        if dest is None:
+        if d is None:
             return [
-                f"_o = {owner.src}", "if _o is UNKNOWN:",
-                "    raise ModelError('broadcast owner depends on array data')",
                 "if st.rank == _o:", *ind(keep), "    st.flush()",
                 "    for _q in range(st.nprocs):", "        if _q != _o:",
                 f"            st.emit_send(_q, {channel}, 1)",
@@ -1240,9 +1240,6 @@ class WalkDomain:
             ]
         ship = charge_lines(value.ops, value.mems) + g.effects((value,))
         return [
-            f"_o = {owner.src}", f"_d = {dest.src}",
-            "if _o is UNKNOWN or _d is UNKNOWN:",
-            "    raise ModelError('coerce partner depends on array data')",
             "if _o == _d:", "    if st.rank == _d:", *ind(keep or ["pass"], 2),
             "elif st.rank == _o:",
             *ind([*ship, f"st.emit_send(_d, {channel}, 1)"]),
@@ -1255,7 +1252,7 @@ class WalkDomain:
         if s.array_result is not None:
             return call + [f"fr[{g.arrays[s.array_result]}] = ARRAY"]
         if s.result is not None:
-            return call + self.received(g, (s.result,))
+            return call + g.received((s.result,))
         return call
 
     def alloc(self, g, s, dims):
@@ -1314,10 +1311,9 @@ class WalkDomain:
             "* _by, _by):", *ind(lines or ["pass"]),
         ]
 
-    def branch(self, g, s, cond, then, other):
-        if not self.observe:
-            lines = [f"if {cond.src}:", *ind(then or ["pass"])]
-            return lines + (["else:", *ind(other)] if other else [])
+    @staticmethod
+    def branch(g, s, cond, then, other):
+        """A guard labelled on the walker's ``path`` while it runs."""
         taken = g.tmp()
         label = g.name(f"if {pretty_expr(s.cond)}")
         return [
