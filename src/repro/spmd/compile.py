@@ -7,27 +7,16 @@ backend translates a :class:`~repro.spmd.ir.NodeProgram` *once* per
 program into **one generated Python function per node procedure**, as
 the paper's compiler emits one C function per node procedure (§3.1–3.2,
 Appendix A): guards become ``if``, loops ``for … in range``, ``return``
-a native ``return``. The result runs many times, on every rank of every
-ring: ``mynode()`` and ``nprocs()`` are run-time values read from the
-per-run state, as the paper's one SPMD program reads them (§3.1) and as
-:mod:`repro.spmd.walk` does:
-
-* constant subexpressions are folded at compile time (value folding
-  only — the interpreter's per-node cost charges are preserved exactly),
-  and a constant guard keeps only its taken branch;
-* scalar and array variables are resolved to integer slots of a flat
-  frame list instead of per-access dict lookups;
-* the ``charge_op``/``charge_mem`` bookkeeping of each straight-line
-  run is pre-aggregated into one ``st.ops += k`` / ``st.mems += m``. A
-  run ends at a statement that may record an effect and at one that
-  contains a ``return``, so no charge crosses a flush and none is made
-  for a statement a return skipped; a loop whose body never ends a run
-  charges ``n·(1 + body)`` once.
-* A procedure that can never block on a receive is a plain function,
-  called without a generator frame; a body nested deeper than
-  ``MAX_DEPTH`` is emitted as a function of its own, which keeps
-  CPython's limits on statically nested blocks and on indentation out
-  of reach.
+a native ``return``. :mod:`repro.spmd.codegen` writes it, in the value
+domain of the one statement emitter it shares with :mod:`repro.spmd.walk`
+(constant folding, frame slots, static charges summed per straight-line
+run, bodies nested past ``MAX_DEPTH`` split off); this module holds the
+run-time helpers the generated code calls and the ring that runs it. The
+result runs many times, on every rank of every ring: ``mynode()`` and
+``nprocs()`` are run-time values read from the per-run state, as the
+paper's one SPMD program reads them (§3.1). A procedure that can never
+block on a receive is a plain function, called without a generator
+frame.
 
 One clock
 ---------

@@ -493,7 +493,7 @@ def proc_binders(proc: NodeProc):
     order: its parameters, then — statement by statement, pre-order —
     loop variables, allocated / aliased / call-returned arrays and the
     scalar targets of assign, receive, coerce, broadcast and call
-    results. Names repeat; both source generators lay their frame slots
+    results. Names repeat; the statement emitter lays its frame slots
     out from this one scan."""
     for name in proc.params:
         yield name, name in proc.array_params
