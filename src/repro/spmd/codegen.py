@@ -159,28 +159,55 @@ class _CExpr:
     value is not needed, its residual ``checks`` (lookups of names no
     dominating statement binds) can replace ``src``; ``names``/``reads``
     (variables mentioned; any array read) and their ``sc_`` counterparts
-    in short-circuit subtrees feed the loop scan."""
+    in short-circuit subtrees feed the loop scan. The constructor sums
+    the ``kids``' facts; an attribute left alone keeps its class default,
+    which keeps the many leaves cheap to make."""
 
-    __slots__ = ("src", "ops", "mems", "unknown", "known", "elidable",
-                 "checks", "const", "names", "reads", "sc_names", "sc_reads")
+    ops = mems = 0
+    unknown = known = reads = sc_reads = False
+    elidable = True
+    checks = ()
+    const = _NOTCONST
+    names = sc_names = _NO_NAMES
 
-    def __init__(self, src, ops=0, mems=0, kids=(), unknown=False,
-                 elidable=True, checks=(), const=_NOTCONST,
-                 names=_NO_NAMES, known=False):
-        self.src, self.ops, self.mems, self.unknown = src, ops, mems, unknown
-        self.known = known or const is not _NOTCONST
-        self.elidable, self.checks, self.const = elidable, checks, const
-        self.names, self.reads = names, False
-        self.sc_names, self.sc_reads = _NO_NAMES, False
+    def __init__(self, src, ops=0, mems=0, kids=()):
+        self.src = src
+        self.ops = ops
+        self.mems = mems
+        if not kids:
+            return
+        elidable, checks, reads, sc_reads = True, (), False, False
+        names = sc_names = _NO_NAMES
         for kid in kids:
-            self.ops += kid.ops
-            self.mems += kid.mems
-            self.elidable = self.elidable and kid.elidable
-            self.checks += kid.checks
-            self.names |= kid.names
-            self.reads |= kid.reads
-            self.sc_names |= kid.sc_names
-            self.sc_reads |= kid.sc_reads
+            ops += kid.ops
+            mems += kid.mems
+            elidable = elidable and kid.elidable
+            if kid.checks:
+                checks += kid.checks
+            if kid.names:
+                names |= kid.names
+            if kid.sc_names:
+                sc_names |= kid.sc_names
+            reads = reads or kid.reads
+            sc_reads = sc_reads or kid.sc_reads
+        self.ops, self.mems, self.elidable, self.checks = (
+            ops, mems, elidable, checks)
+        self.names, self.reads = names, reads
+        self.sc_names, self.sc_reads = sc_names, sc_reads
+
+
+def _const(src, value):
+    """A folded constant spelled ``src``."""
+    ce = _CExpr(src)
+    ce.const, ce.known = value, True
+    return ce
+
+
+def _raising(src, kids=()):
+    """An expression that may raise whatever its value: never elided."""
+    ce = _CExpr(src, 0, 0, kids)
+    ce.elidable = False
+    return ce
 
 
 class _Facts:
@@ -224,11 +251,16 @@ def _returning(effects, value):
     return f"({', '.join(effects)}, {value})[-1]" if effects else value
 
 
-# The binary operators spelled as in Python: UNKNOWN's arithmetic yields
-# itself. ``div``/``mod`` by a divisor not known to be non-zero call the
-# domain's checking helper instead.
-_PY_OPS = {"+": "+", "-": "-", "*": "*", "/": "/", "div": "//", "mod": "%"}
+# op -> (its function, whether it divides, its Python spelling, and
+# whether UNKNOWN's arithmetic spells it natively: it yields itself).
+# ``div``/``mod`` by a divisor not known to be non-zero call the module's
+# checking ``_div``/``_mod`` instead.
+_OPS = {op: (f, False, op, op in "+-*") for op, f in ir.BINOPS.items()}
+_OPS["/"] = ir.BINOPS["/"], True, "/", True
+_OPS.update((op, (f, True, sym, True)) for op, (f, _), sym in (
+    ("div", ir.DIVOPS["div"], "//"), ("mod", ir.DIVOPS["mod"], "%")))
 _DIVIDE = {"div": "_div", "mod": "_mod"}
+_NUMBER = (bool, int, float)
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +370,13 @@ class Gen:
     def expr(self, e) -> _CExpr:
         kind = type(e)
         if kind is ir.NConst:
-            return _CExpr(self.literal(e.value), const=e.value)
+            return _const(self.literal(e.value), e.value)
         if kind is ir.NVar:
             return self.lookup(e.name)
         if kind is ir.NMyNode or kind is ir.NNProcs:
-            return _CExpr("st.rank" if kind is ir.NMyNode else "st.nprocs",
-                          known=True)
+            ce = _CExpr("st.rank" if kind is ir.NMyNode else "st.nprocs")
+            ce.known = True
+            return ce
         if kind is ir.NBin:
             if e.op in ("and", "or"):
                 return self.short_circuit(e)
@@ -356,7 +389,7 @@ class Gen:
             return self.d.read(self, e)
         if kind is ir.NIndirect:
             return self.d.indirect(self, e, self.expr(e.index))
-        return _CExpr(self.fail(f"unknown expression {e!r}"), elidable=False)
+        return _raising(self.fail(f"unknown expression {e!r}"))
 
     def effects(self, ces):
         """What evaluating-and-discarding ``ces`` must still do: in the
@@ -388,7 +421,9 @@ class Gen:
         names = _NO_NAMES if array or not self.abstract else frozenset(
             (name,))
         if name in (self.bound_a if array else self.bound_s):
-            return _CExpr(f"fr[{slot}]", names=names)
+            ce = _CExpr(f"fr[{slot}]")
+            ce.names = names
+            return ce
         n, t = self.name(name), self.tmp()
         src = f"_array(st, {n})" if array else f"st.globals[{n}]"
         if slot is not None:
@@ -396,14 +431,18 @@ class Gen:
             if array:
                 found += f" and {t} is not None"
             src = f"({t} if {found} else {src})"
-        return _CExpr(src, checks=(src,), names=names)
+        ce = _CExpr(src)
+        if self.abstract:
+            ce.checks, ce.names = (src,), names
+        return ce
 
     def short_circuit(self, e):
         # The right operand is reached — and charged — only when the
         # left does not decide; bool(UNKNOWN) raises ModelError exactly
         # when the interpreter's short-circuit would depend on data.
         left, right = self.expr(e.left), self.expr(e.right)
-        ce = _CExpr(None, _OP, kids=(left,), elidable=False)
+        ce = _raising(None, (left,))
+        ce.ops += _OP
         ce.names |= right.names
         ce.reads |= right.reads
         ce.sc_names, ce.sc_reads = ce.names, ce.reads
@@ -428,47 +467,36 @@ class Gen:
     def binary(self, e):
         op = e.op
         left, right = self.expr(e.left), self.expr(e.right)
-        ce = _CExpr(None, _OP, kids=(left, right))
-        ce.unknown = left.unknown or right.unknown
-        if ce.unknown:  # the operator is never applied
+        ce = _CExpr(None, _OP, 0, (left, right))
+        if left.unknown or right.unknown:  # the operator is never applied
+            ce.unknown = True
             ce.src = _returning(self.effects((left, right)), "UNKNOWN")
             return ce
-        f, divides = ir.BINOPS.get(op), op == "/"
-        if f is None and op in ir.DIVOPS:
-            f, divides = ir.DIVOPS[op][0], True
-        if f is not None and _NOTCONST not in (left.const, right.const):
+        spec = _OPS.get(op)
+        if spec is None:
+            return self.unknown_operator(ce, op, left, right)
+        f, divides, sym, native = spec
+        lc, rc = left.const, right.const
+        if lc is not _NOTCONST and rc is not _NOTCONST:
             try:
-                ce.const = f(left.const, right.const)
+                ce.const = f(lc, rc)
             except Exception:
                 pass  # left to raise at run time
             else:
                 ce.src, ce.known = self.literal(ce.const), True
                 return ce
         nonzero = type(e.right) is ir.NNProcs or (
-            type(right.const) in (bool, int, float) and right.const != 0)
+            type(rc) in _NUMBER and rc != 0)
+        safe = nonzero or not divides
         # Can applying the operator be proven not to raise? Not under
         # observers (operands may be symbolic, their operators partial).
-        if self.observe or f is None or divides and not nonzero:
+        if self.observe or not safe:
             ce.elidable = False
-        ce.known = (left.known and right.known and f is not None
-                    and (nonzero or not divides))
-        if f is None:
-            message = f"unknown operator {op!r}"
-            if not self.abstract:
-                ce.src = self.fail(message, left.src, right.src)
-                return ce
-            # The left operand is tested first.
-            tests = [f"{x.src} is UNKNOWN" for x in (left, right)
-                     if not x.known]
-            ce.src = self.fail(message)
-            if tests:
-                ce.src = f"(UNKNOWN if {' or '.join(tests)} else {ce.src})"
-        elif op in _DIVIDE and not nonzero:
+        ce.known = left.known and right.known and safe
+        if not safe and op in _DIVIDE:
             ce.src = f"{_DIVIDE[op]}(st, {left.src}, {right.src})"
-        elif not self.abstract or ce.known or (
-            not self.observe and op in _PY_OPS
-        ):
-            ce.src = f"({left.src} {_PY_OPS.get(op, op)} {right.src})"
+        elif not self.abstract or ce.known or native and not self.observe:
+            ce.src = f"({left.src} {sym} {right.src})"
         elif self.observe:
             ce.src = f"_op({self.name(f)}, {left.src}, {right.src})"
         else:  # a comparison
@@ -476,10 +504,24 @@ class Gen:
                                   lambda a, b: f"({a} {op} {b})")
         return ce
 
+    def unknown_operator(self, ce, op, left, right):
+        """An operator the interpreter rejects once both operands were
+        evaluated (the walk: unless one is UNKNOWN, tested left first)."""
+        ce.elidable = ce.known = False
+        message = f"unknown operator {op!r}"
+        if not self.abstract:
+            ce.src = self.fail(message, left.src, right.src)
+            return ce
+        tests = [f"{x.src} is UNKNOWN" for x in (left, right) if not x.known]
+        ce.src = self.fail(message)
+        if tests:
+            ce.src = f"(UNKNOWN if {' or '.join(tests)} else {ce.src})"
+        return ce
+
     def unary(self, e):
         operand = self.expr(e.operand)
-        ce = _CExpr(None, _OP, kids=(operand,), unknown=operand.unknown,
-                    known=operand.known)
+        ce = _CExpr(None, _OP, 0, (operand,))
+        ce.unknown, ce.known = operand.unknown, operand.known
         if ce.unknown:
             ce.src = _returning(self.effects((operand,)), "UNKNOWN")
             return ce
@@ -505,7 +547,8 @@ class Gen:
     def call(self, e):
         args = [self.expr(a) for a in e.args]
         func = e.func
-        ce = _CExpr(None, _OP, kids=args, unknown=any(a.unknown for a in args))
+        ce = _CExpr(None, _OP, 0, args)
+        ce.unknown = any(a.unknown for a in args)
         if not is_builtin(func):
             # The interpreter evaluates the arguments before rejecting
             # the call, so errors surface in the same order.
@@ -869,7 +912,7 @@ class ValueDomain:
                 f"else _buffer(st, {t}, {n}))")
 
     @staticmethod
-    def access(g, method, array, indices, *value):
+    def access(method, array, indices, *value):
         """One element ``read``, or ``write`` of ``value``: the array
         lookup, the indices left to right, then the access."""
         args = ", ".join([*(i.src for i in indices), *value])
@@ -882,15 +925,14 @@ class ValueDomain:
         array = (g.lookup(e.array, True).src if type(e) is ir.NIsRead
                  else self.buffer(g, e.buf))
         indices = [g.expr(i) for i in e.indices]
-        return _CExpr(self.access(g, "read", array, indices), 0, _MEM,
-                      kids=indices)
+        return _CExpr(self.access("read", array, indices), 0, _MEM, indices)
 
     @staticmethod
     def indirect(g, e, index):
         # The executor's read charges itself through the state's meter.
         return _CExpr(
             f"ixec.indirect_read(st, st.exchanges.get({g.name(e.sched)}), "
-            f"{g.fresh(e)}, {index.src})", kids=(index,),
+            f"{g.fresh(e)}, {index.src})", 0, 0, (index,),
         )
 
     # -- effects --------------------------------------------------------------
@@ -900,7 +942,7 @@ class ValueDomain:
             lines, value = [f"_v = {ce.src}"], "_v"
         array = (g.lookup(target.array, True).src if type(target) is ir.IsLV
                  else self.buffer(g, target.buf))
-        return [*lines, self.access(g, "write", array, indices, value)]
+        return [*lines, self.access("write", array, indices, value)]
 
     @staticmethod
     def got(k):
@@ -1128,6 +1170,10 @@ class ValueDomain:
 # The abstract domain
 # ---------------------------------------------------------------------------
 
+_UNKNOWN = _CExpr("UNKNOWN")  # what a walk receives
+_UNKNOWN.unknown = True
+
+
 class WalkDomain:
     """Array data as ``UNKNOWN`` (:mod:`repro.spmd.walk`): a procedure is
     one function ``_w(walker, frame)`` plus the ones it calls; a flush
@@ -1160,8 +1206,8 @@ class WalkDomain:
         is_read = type(e) is ir.NIsRead
         array = g.lookup(e.array if is_read else e.buf, True)
         indices = [g.expr(i) for i in e.indices]
-        ce = _CExpr(None, 0, _MEM, kids=(array, *indices), unknown=True)
-        ce.reads = True
+        ce = _CExpr(None, 0, _MEM, (array, *indices))
+        ce.unknown = ce.reads = True
         if self.observe and is_read:
             dims = ", ".join(i.src for i in indices)
             ce.src = f"(st.on_read({array.src}, [{dims}]), UNKNOWN)[1]"
@@ -1172,7 +1218,7 @@ class WalkDomain:
 
     @staticmethod
     def indirect(g, e, index):
-        return _CExpr("_fail(st, None)", kids=(index,), elidable=False)
+        return _raising("_fail(st, None)", (index,))
 
     # -- effects --------------------------------------------------------------
     def element(self, g, target, indices, ce):
@@ -1335,5 +1381,3 @@ class WalkDomain:
             loop.body = g.env[name]
         return g.env["_w"]
 
-
-_UNKNOWN = _CExpr("UNKNOWN", unknown=True)
