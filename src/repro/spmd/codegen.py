@@ -144,8 +144,9 @@ class Loop:
 
 _NOTCONST = object()  # "no compile-time constant value" marker
 _NO_NAMES: frozenset = frozenset()
-_OP = CHARGES[ir.NBin].ops
-_MEM = CHARGES[ir.NIsRead].mems
+_BIN = CHARGES[ir.NBin].ops  # an operator's own operation
+_UN = CHARGES[ir.NUn].ops
+_CALL = CHARGES[ir.NCall].ops
 
 
 class _CExpr:
@@ -442,7 +443,7 @@ class Gen:
         # when the interpreter's short-circuit would depend on data.
         left, right = self.expr(e.left), self.expr(e.right)
         ce = _raising(None, (left,))
-        ce.ops += _OP
+        ce.ops += _BIN
         ce.names |= right.names
         ce.reads |= right.reads
         ce.sc_names, ce.sc_reads = ce.names, ce.reads
@@ -467,7 +468,7 @@ class Gen:
     def binary(self, e):
         op = e.op
         left, right = self.expr(e.left), self.expr(e.right)
-        ce = _CExpr(None, _OP, 0, (left, right))
+        ce = _CExpr(None, _BIN, 0, (left, right))
         if left.unknown or right.unknown:  # the operator is never applied
             ce.unknown = True
             ce.src = _returning(self.effects((left, right)), "UNKNOWN")
@@ -520,7 +521,7 @@ class Gen:
 
     def unary(self, e):
         operand = self.expr(e.operand)
-        ce = _CExpr(None, _OP, 0, (operand,))
+        ce = _CExpr(None, _UN, 0, (operand,))
         ce.unknown, ce.known = operand.unknown, operand.known
         if ce.unknown:
             ce.src = _returning(self.effects((operand,)), "UNKNOWN")
@@ -547,7 +548,7 @@ class Gen:
     def call(self, e):
         args = [self.expr(a) for a in e.args]
         func = e.func
-        ce = _CExpr(None, _OP, 0, args)
+        ce = _CExpr(None, _CALL, 0, args)
         ce.unknown = any(a.unknown for a in args)
         if not is_builtin(func):
             # The interpreter evaluates the arguments before rejecting
@@ -724,15 +725,16 @@ class Gen:
         """A send or a receive, of scalars or of a buffer's vector: the
         operands in the interpreter's order, then the flush."""
         facts = self.facts
-        facts.comm = facts.effects = True
         kind = type(s)
+        facts.comm = True
+        facts.effects |= CHARGES[kind].flush
         if kind is ir.NSend:
             values = [self.expr(v) for v in s.values]
             peer = self.expr(s.dst)
             facts.sensitive(*values, sc=True)
             self.charge(values)
         else:
-            facts.blocks = kind is not ir.NSendVec
+            facts.blocks |= kind is not ir.NSendVec
             peer = self.expr(s.dst if kind is ir.NSendVec else s.src)
             values = ()
         facts.sensitive(peer)
@@ -751,14 +753,15 @@ class Gen:
         """A coerce or broadcast: the owner's value reaches the target
         on the destination (every other rank, for a broadcast)."""
         facts = self.facts
-        facts.comm = facts.effects = facts.blocks = True
+        charge = CHARGES[type(s)]
+        facts.comm = facts.blocks = True
+        facts.effects |= charge.flush
         owner = self.expr(s.owner)
         dest = self.expr(s.dest) if type(s) is ir.NCoerce else None
         facts.sensitive(owner, dest or owner)
         self.charge((owner, dest) if dest else (owner,))
         value = self.expr(s.value)
         facts.sensitive(value, sc=True)
-        charge = CHARGES[type(s)]
         self.ops += charge.ops
         self.mems += charge.mems
         o, d = self.d.partners(self, owner, dest)
@@ -925,7 +928,8 @@ class ValueDomain:
         array = (g.lookup(e.array, True).src if type(e) is ir.NIsRead
                  else self.buffer(g, e.buf))
         indices = [g.expr(i) for i in e.indices]
-        return _CExpr(self.access("read", array, indices), 0, _MEM, indices)
+        return _CExpr(self.access("read", array, indices), 0,
+                      CHARGES[type(e)].mems, indices)
 
     @staticmethod
     def indirect(g, e, index):
@@ -1206,7 +1210,7 @@ class WalkDomain:
         is_read = type(e) is ir.NIsRead
         array = g.lookup(e.array if is_read else e.buf, True)
         indices = [g.expr(i) for i in e.indices]
-        ce = _CExpr(None, 0, _MEM, (array, *indices))
+        ce = _CExpr(None, 0, CHARGES[type(e)].mems, (array, *indices))
         ce.unknown = ce.reads = True
         if self.observe and is_read:
             dims = ", ".join(i.src for i in indices)

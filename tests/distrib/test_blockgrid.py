@@ -148,9 +148,9 @@ class TestGridUnderCompileTimeResolution:
     """Compile-time resolution must not split a loop on a range whose
     bounds mention a variable bound inside it: a grid owner solved for
     one loop alone (``block_grid(1)`` always; ``block_grid(2)`` once
-    ``S >= 2`` may be assumed) used to leave the inner loop's variable
-    unbound in the node program. Such nests take the guarded fallback,
-    whose values are the sequential program's."""
+    ``S >= 2`` may be assumed) gives such a range, which would leave the
+    inner loop's variable unbound in the node program. Such nests take
+    the guarded fallback, whose values are the sequential program's."""
 
     N = 8
 

@@ -880,6 +880,23 @@ class TestStatementDifferential:
             errors.append(str(err.value))
         assert errors[0] == errors[1]
 
+    def test_a_receive_before_a_vector_send_still_blocks(self):
+        """A procedure that may block stays a generator whatever its
+        later statements are: here the last message is a vector send."""
+        main = NodeProc("main", (), body=(
+            *self._BUF,
+            NSend(_RIGHT, "s", (_P,)),
+            NRecv(_LEFT, "s", (VarLV("x"),)),
+            NSendVec(_RIGHT, "v", "B", NConst(1), NConst(2)),
+            NReturn(NVar("x")),
+        ))
+        program = NodeProgram("vec-last", {"main": main}, "main")
+        results = [run_spmd(program, 3, lambda rank: [], backend=backend)
+                   for backend in ("interp", "compiled")]
+        assert results[0].returned == results[1].returned == [2, 0, 1]
+        assert (results[0].sim.finish_times_us
+                == results[1].sim.finish_times_us)
+
     @pytest.mark.parametrize("body", ["pure", "send"])
     @pytest.mark.parametrize("guard", ["then", "else"])
     def test_a_folded_return_charges_nothing_after_it(self, body, guard):
