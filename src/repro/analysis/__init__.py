@@ -16,8 +16,6 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.verify import verify_compiled, walk_ranks
 from repro.analysis.access import (
-    LinearForm,
-    NonAffineAccess,
     Reference,
     StatementAccess,
     extract_references,
@@ -38,8 +36,6 @@ __all__ = [
     "render_text",
     "verify_compiled",
     "walk_ranks",
-    "LinearForm",
-    "NonAffineAccess",
     "Reference",
     "StatementAccess",
     "extract_references",

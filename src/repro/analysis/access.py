@@ -4,15 +4,18 @@ The locality analyzer (:mod:`repro.analysis.locality`) reasons about
 *access functions*: for each array reference ``A[f(i,j), g(i,j)]`` inside
 a loop nest, the map from iteration space to data space. This module
 extracts them directly from the checked AST — no simulation, no IR walk —
-as :class:`LinearForm` objects (integer-linear combinations of loop
-variables and ``param`` symbols plus a constant).
+as simplified :mod:`repro.symbolic` expressions lifted by
+:func:`repro.distrib.spec.lift` and accepted when every
+:func:`~repro.symbolic.as_affine` term is a variable (integer-linear
+combinations of loop variables and ``param`` symbols plus a constant).
 
 Soundness rule: anything we cannot prove affine is *not* guessed at.
 A subscript containing an indirect read (``a[idx[i]]``), a ``mod``, a
-non-constant multiplier, or a ``let``-bound scalar comes back as ``None``
-with a human-readable reason, and the analyzer treats the reference as
-opaque. See LANGUAGE.md ("Analyzable access forms") for the user-facing
-contract.
+non-constant multiplier, an inexact ``div``, or a ``let``-bound scalar
+comes back as ``None`` with a human-readable reason (from the lifter or
+from the form's non-variable terms), and the analyzer treats the
+reference as opaque. See LANGUAGE.md ("Analyzable access forms") for
+the user-facing contract.
 
 Extraction inlines procedure calls (``call copy_boundary(Old, New)``):
 array formals are renamed to the caller's actuals and scalar formals are
@@ -23,113 +26,53 @@ array names.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.distrib.spec import NotSymbolic, lift
 from repro.lang import ast
 from repro.lang.typecheck import CheckedProgram
+from repro.symbolic import Const, Expr, Mod, Mul, Var, as_affine, simplify
 
 
-class NonAffineAccess(Exception):
-    """A subscript (or bound) is not an integer-affine form."""
+def render(form: Expr) -> str:
+    """An affine form as the LOC002/LOC003 messages spell it: terms
+    sorted by name, then the constant (``-i + 2*j - 5``)."""
+    terms, const = as_affine(form)
+    text = ""
+    for name, c in sorted((term.name, c) for term, c in terms.items()):
+        mag = name if abs(c) == 1 else f"{abs(c)}*{name}"
+        if not text:
+            text = mag if c > 0 else f"-{mag}"
+        else:
+            text += f" + {mag}" if c > 0 else f" - {mag}"
+    if not text:
+        return str(const)
+    if const:
+        text += f" + {const}" if const > 0 else f" - {-const}"
+    return text
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """``sum(coeff * name) + const`` with integer coefficients.
-
-    ``terms`` is sorted by name so equal forms compare (and hash) equal.
-    Names may be loop variables or program ``param`` symbols; the
-    consumer distinguishes them with a loop-variable set.
-    """
-
-    terms: tuple[tuple[str, int], ...] = ()
-    const: int = 0
-
-    @staticmethod
-    def constant(value: int) -> "LinearForm":
-        return LinearForm((), value)
-
-    @staticmethod
-    def var(name: str, coeff: int = 1) -> "LinearForm":
-        if coeff == 0:
-            return LinearForm((), 0)
-        return LinearForm(((name, coeff),), 0)
-
-    @staticmethod
-    def _build(coeffs: dict[str, int], const: int) -> "LinearForm":
-        terms = tuple(
-            (name, c) for name, c in sorted(coeffs.items()) if c != 0
-        )
-        return LinearForm(terms, const)
-
-    @property
-    def is_const(self) -> bool:
-        return not self.terms
-
-    def coeff(self, name: str) -> int:
-        for n, c in self.terms:
-            if n == name:
-                return c
-        return 0
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.terms)
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        coeffs = dict(self.terms)
-        for name, c in other.terms:
-            coeffs[name] = coeffs.get(name, 0) + c
-        return LinearForm._build(coeffs, self.const + other.const)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "LinearForm":
-        if k == 0:
-            return LinearForm((), 0)
-        return LinearForm(
-            tuple((n, c * k) for n, c in self.terms), self.const * k
-        )
-
-    def exact_div(self, k: int) -> "LinearForm":
-        """Floor division that is provably exact term-by-term."""
-        if k <= 0:
-            raise NonAffineAccess(f"division by non-positive constant {k}")
-        if self.const % k or any(c % k for _, c in self.terms):
-            raise NonAffineAccess(f"inexact integer division by {k}")
-        return LinearForm(
-            tuple((n, c // k) for n, c in self.terms), self.const // k
-        )
-
-    def evaluate(self, env: dict[str, int]) -> int:
-        total = self.const
-        for name, c in self.terms:
-            total += c * env[name]
-        return total
-
-    def __str__(self) -> str:
-        parts: list[str] = []
-        for name, c in self.terms:
-            if not parts:
-                if c == 1:
-                    parts.append(name)
-                elif c == -1:
-                    parts.append(f"-{name}")
-                else:
-                    parts.append(f"{c}*{name}")
-            else:
-                sign = "+" if c > 0 else "-"
-                mag = abs(c)
-                parts.append(
-                    f" {sign} {name}" if mag == 1 else f" {sign} {mag}*{name}"
-                )
-        if self.const or not parts:
-            if not parts:
-                parts.append(str(self.const))
-            else:
-                sign = "+" if self.const > 0 else "-"
-                parts.append(f" {sign} {abs(self.const)}")
-        return "".join(parts)
+def _why_not_affine(form: Expr) -> str | None:
+    """None when every affine term of ``form`` is a variable, else why
+    the first other term is not (its operands are searched first)."""
+    for term in as_affine(form)[0]:
+        if not isinstance(term, Var):
+            for child in term.children():
+                reason = _why_not_affine(child)
+                if reason is not None:
+                    return reason
+            if isinstance(term, Mod):
+                return "modulo subscript"
+            if isinstance(term, Mul):
+                return "non-constant multiplier"
+            # The lifter builds one other operator: a division.
+            if not isinstance(term.den, Const):
+                return "non-constant divisor"
+            if term.den.value <= 0:
+                return f"division by non-positive constant {term.den.value}"
+            return f"inexact integer division by {term.den.value}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -141,8 +84,8 @@ class LoopInfo:
     """
 
     var: str
-    lo: LinearForm | None
-    hi: LinearForm | None
+    lo: Expr | None
+    hi: Expr | None
     step: int
     line: int
 
@@ -153,7 +96,7 @@ class Reference:
 
     array: str
     kind: str  # "read" | "write" | "accum"
-    subs: tuple[LinearForm | None, ...]
+    subs: tuple[Expr | None, ...]
     reasons: tuple[str | None, ...]  # why subs[k] is None, when it is
     line: int
     col: int
@@ -164,7 +107,7 @@ class Reference:
 
     def render(self) -> str:
         inner = ", ".join(
-            str(s) if s is not None else f"<{r}>"
+            render(s) if s is not None else f"<{r}>"
             for s, r in zip(self.subs, self.reasons)
         )
         return f"{self.array}[{inner}]"
@@ -187,7 +130,7 @@ class _Ctx:
 
     proc: str
     array_rename: dict[str, str] = field(default_factory=dict)
-    scalar_subst: dict[str, LinearForm | None] = field(default_factory=dict)
+    scalar_subst: dict[str, Expr | None] = field(default_factory=dict)
     loop_vars: list[str] = field(default_factory=list)
 
 
@@ -202,78 +145,46 @@ class _Extractor:
         self.params = set(checked.params)
         self.out: list[StatementAccess] = []
 
-    # -- linear-form construction ------------------------------------
+    # -- affine forms ------------------------------------------------
 
-    def _form(self, e: ast.Expr | None, ctx: _Ctx) -> LinearForm:
-        if e is None:
-            raise NonAffineAccess("missing expression")
-        if isinstance(e, ast.IntLit):
-            return LinearForm.constant(e.value)
-        if isinstance(e, ast.Name):
-            name = e.id
+    def _binding(self, ctx: _Ctx) -> Callable[[ast.Name], Expr]:
+        def bind(node: ast.Name) -> Expr:
+            name = node.id
             if name in ctx.loop_vars:
-                return LinearForm.var(name)
+                return Var(name)
             if name in ctx.scalar_subst:
                 bound = ctx.scalar_subst[name]
                 if bound is None:
-                    raise NonAffineAccess(
-                        f"argument bound to {name!r} is not affine"
+                    raise NotSymbolic(
+                        f"argument bound to {name!r} is not affine", node
                     )
                 return bound
             if name in self.consts:
-                return LinearForm.constant(self.consts[name])
+                return Const(self.consts[name])
             if name in self.params:
-                return LinearForm.var(name)
-            raise NonAffineAccess(f"depends on local scalar {name!r}")
-        if isinstance(e, ast.Unary):
-            if e.op == "-":
-                return self._form(e.operand, ctx).scale(-1)
-            raise NonAffineAccess(f"operator {e.op!r}")
-        if isinstance(e, ast.Binary):
-            if e.op == "+":
-                return self._form(e.left, ctx) + self._form(e.right, ctx)
-            if e.op == "-":
-                return self._form(e.left, ctx) - self._form(e.right, ctx)
-            if e.op == "*":
-                left = self._form(e.left, ctx)
-                right = self._form(e.right, ctx)
-                if right.is_const:
-                    return left.scale(right.const)
-                if left.is_const:
-                    return right.scale(left.const)
-                raise NonAffineAccess("non-constant multiplier")
-            if e.op == "div":
-                left = self._form(e.left, ctx)
-                right = self._form(e.right, ctx)
-                if not right.is_const:
-                    raise NonAffineAccess("non-constant divisor")
-                return left.exact_div(right.const)
-            if e.op == "mod":
-                raise NonAffineAccess("modulo subscript")
-            raise NonAffineAccess(f"operator {e.op!r}")
-        if isinstance(e, ast.Index):
-            raise NonAffineAccess(f"indirect subscript via {e.array!r}")
-        if isinstance(e, ast.CallExpr):
-            raise NonAffineAccess(f"call to {e.func!r} in subscript")
-        raise NonAffineAccess(type(e).__name__)
+                return Var(name)
+            raise NotSymbolic(f"depends on local scalar {name!r}", node)
+
+        return bind
+
+    def _affine(self, e: ast.Expr, ctx: _Ctx) -> tuple[Expr | None, str | None]:
+        """``(form, None)`` for an affine ``e``, else ``(None, reason)``."""
+        try:
+            form = simplify(lift(e, self._binding(ctx)))
+        except NotSymbolic as exc:
+            return None, exc.reason
+        reason = _why_not_affine(form)
+        return (None, reason) if reason else (form, None)
 
     # -- reference construction --------------------------------------
 
     def _make_ref(self, node: ast.Index, kind: str, ctx: _Ctx) -> Reference:
-        subs: list[LinearForm | None] = []
-        reasons: list[str | None] = []
-        for sub in node.indices:
-            try:
-                subs.append(self._form(sub, ctx))
-                reasons.append(None)
-            except NonAffineAccess as exc:
-                subs.append(None)
-                reasons.append(str(exc))
+        subs, reasons = zip(*(self._affine(sub, ctx) for sub in node.indices))
         return Reference(
             array=ctx.array_rename.get(node.array, node.array),
             kind=kind,
-            subs=tuple(subs),
-            reasons=tuple(reasons),
+            subs=subs,
+            reasons=reasons,
             line=node.line,
             col=node.col,
         )
@@ -312,7 +223,7 @@ class _Extractor:
         if callee is None or func in stack:
             return
         rename: dict[str, str] = {}
-        subst: dict[str, LinearForm | None] = {}
+        subst: dict[str, Expr | None] = {}
         for formal, actual in zip(callee.params, args):
             if formal.type.is_array():
                 if isinstance(actual, ast.Name):
@@ -325,10 +236,7 @@ class _Extractor:
                     # with any declared map.
                     rename[formal.name] = formal.name
             else:
-                try:
-                    subst[formal.name] = self._form(actual, ctx)
-                except NonAffineAccess:
-                    subst[formal.name] = None
+                subst[formal.name] = self._affine(actual, ctx)[0]
         inner = _Ctx(
             proc=func,
             array_rename=rename,
@@ -340,24 +248,14 @@ class _Extractor:
     def _walk_body(self, body, ctx: _Ctx, loops, stack) -> None:
         for stmt in body:
             if isinstance(stmt, ast.ForStmt):
-                lo = hi = None
-                try:
-                    lo = self._form(stmt.lo, ctx)
-                except NonAffineAccess:
-                    pass
-                try:
-                    hi = self._form(stmt.hi, ctx)
-                except NonAffineAccess:
-                    pass
                 step = 1
                 if stmt.step is not None:
-                    try:
-                        form = self._form(stmt.step, ctx)
-                        step = form.const if form.is_const else 1
-                    except NonAffineAccess:
-                        step = 1
+                    form = self._affine(stmt.step, ctx)[0]
+                    step = form.value if isinstance(form, Const) else 1
                 info = LoopInfo(
-                    var=stmt.var, lo=lo, hi=hi,
+                    var=stmt.var,
+                    lo=self._affine(stmt.lo, ctx)[0],
+                    hi=self._affine(stmt.hi, ctx)[0],
                     step=max(1, step), line=stmt.line,
                 )
                 ctx.loop_vars.append(stmt.var)

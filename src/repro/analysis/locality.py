@@ -53,13 +53,14 @@ from dataclasses import dataclass, field
 
 from repro import perf
 from repro.analysis.access import (
-    LinearForm,
     Reference,
     StatementAccess,
     extract_references,
 )
 from repro.analysis.diagnostics import Report, Severity, register_pass
+from repro.errors import SolverError
 from repro.lang import ast
+from repro.symbolic import Const, simplify
 
 # Nominal sizes the scorer evaluates at. Only candidate *order* matters;
 # the tuner's exact cost model re-ranks at the real N.
@@ -161,7 +162,7 @@ def _nominal_volume(loops, params) -> float:
         try:
             lo = loop.lo.evaluate(env) if loop.lo is not None else None
             hi = loop.hi.evaluate(env) if loop.hi is not None else None
-        except KeyError:
+        except SolverError:
             lo = hi = None
         if lo is None or hi is None:
             trips = FALLBACK_TRIPS
@@ -260,12 +261,12 @@ def _classify(edge: _Edge, dim: int) -> tuple[str, int]:
     w, r = edge.write.subs[dim], edge.read.subs[dim]
     if w is None or r is None:
         return "opaque", 0
-    diff = r - w
+    diff = simplify(r - w)
     loop_vars = {l.var for l in edge.loops}
-    if any(name in loop_vars for name in diff.names()):
+    if diff.free_vars() & loop_vars:
         return "unaligned", 0
-    if diff.is_const:
-        return ("aligned", 0) if diff.const == 0 else ("shift", diff.const)
+    if isinstance(diff, Const):
+        return ("aligned", 0) if diff.value == 0 else ("shift", diff.value)
     # Constant offset involving params only (e.g. N - 2): a distant
     # shift — remote under every layout, like unaligned.
     return "unaligned", 0
@@ -298,8 +299,8 @@ def _axis_var(write: Reference, dim: int, nest_vars: set[str]) -> str | None:
     """The single loop variable carrying this axis of the write, if any."""
     if dim >= len(write.subs) or write.subs[dim] is None:
         return None
-    names = [n for n in write.subs[dim].names() if n in nest_vars]
-    return names[0] if len(names) == 1 else None
+    names = write.subs[dim].free_vars() & nest_vars
+    return next(iter(names)) if len(names) == 1 else None
 
 
 def _find_imbalance(stmts, distributed, params, dim) -> list[tuple]:
@@ -317,7 +318,7 @@ def _find_imbalance(stmts, distributed, params, dim) -> list[tuple]:
             bound_names: set[str] = set()
             for bound in (loop.lo, loop.hi):
                 if bound is not None:
-                    bound_names.update(bound.names())
+                    bound_names.update(bound.free_vars())
             if loop.var == var:
                 # The carrier's own extent varies with another nest var.
                 dep = bound_names & (nest_vars - {var})
@@ -517,7 +518,7 @@ def _dedupe(items, key):
 # (the tuner re-deriving maps per proc count, bench sweeps) are dict
 # hits, and fresh processes load from the shared artifact store. The
 # schema tag keys out persisted results from older scoring algorithms.
-_LOCALITY_SCHEMA = 2
+_LOCALITY_SCHEMA = 3  # 3: access functions are symbolic Exprs
 
 
 _locality_cache: dict = perf.register_cache(

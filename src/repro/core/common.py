@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.distrib import DecompositionSpec, Distribution
+from repro.distrib.spec import NotSymbolic, bind_constants, lift
 from repro.errors import CompileError
 from repro.lang import ast
 from repro.lang.ast import Type
@@ -146,36 +147,15 @@ def _fold_call(func: str, parts: list[ir.NExpr]) -> ir.NExpr:
 
 
 def src_to_sym(e: ast.Expr, consts: dict[str, int | float]) -> Expr | None:
-    """Source expression → symbolic expression, or None if not affine-ish.
+    """Source expression → symbolic expression, or None if it has none.
 
-    Used on array index expressions. Names stay symbolic (loop variables,
-    params) unless they are known constants.
+    :func:`repro.distrib.spec.lift` with integer constants folded and
+    every other name (loop variables, params) symbolic.
     """
-    if isinstance(e, ast.IntLit):
-        return sym(e.value)
-    if isinstance(e, ast.Name):
-        if e.id in consts:
-            value = consts[e.id]
-            return sym(value) if isinstance(value, int) else None
-        return sym(e.id)
-    if isinstance(e, ast.Unary) and e.op == "-":
-        inner = src_to_sym(e.operand, consts)
-        return None if inner is None else -inner
-    if isinstance(e, ast.Binary) and e.op in ("+", "-", "*", "div", "mod"):
-        left = src_to_sym(e.left, consts)
-        right = src_to_sym(e.right, consts)
-        if left is None or right is None:
-            return None
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "div":
-            return left // right
-        return left % right
-    return None
+    try:
+        return lift(e, bind_constants(consts))
+    except NotSymbolic:
+        return None
 
 
 # ---------------------------------------------------------------------------

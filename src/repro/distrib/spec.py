@@ -13,6 +13,8 @@ no owner to compute its elements.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import MappingError
@@ -21,44 +23,83 @@ from repro.distrib.builtin import distribution_by_name
 from repro.lang import ast
 from repro.lang.ast import Type
 from repro.lang.typecheck import CheckedProgram
-from repro.symbolic import Expr, sym
+from repro.symbolic import Const, Expr, Var, simplify
+
+
+class NotSymbolic(Exception):
+    """A source expression has no symbolic integer form.
+
+    ``reason`` says why in words (it is what the locality analyzer
+    reports); ``node`` is the AST node that stopped the lift.
+    """
+
+    def __init__(self, reason: str, node: ast.Expr):
+        super().__init__(reason)
+        self.reason = reason
+        self.node = node
+
+
+_LIFT_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "div": operator.floordiv,
+    "mod": operator.mod,
+}
+
+
+def lift(e: ast.Expr, bind: Callable[[ast.Name], Expr]) -> Expr:
+    """The one lift of a source integer expression into :mod:`repro.symbolic`.
+
+    ``bind`` gives each name its expression, or raises
+    :class:`NotSymbolic`. Integer literals, unary minus and ``+ - * div
+    mod`` lift node for node, unsimplified; anything else raises
+    :class:`NotSymbolic`. Subscripts, loop bounds and mappings all enter
+    the symbolic algebra here.
+    """
+    if isinstance(e, ast.IntLit):
+        return Const(e.value)
+    if isinstance(e, ast.Name):
+        return bind(e)
+    if isinstance(e, ast.Unary) and e.op == "-":
+        return -lift(e.operand, bind)
+    if isinstance(e, ast.Binary) and e.op in _LIFT_OPS:
+        return _LIFT_OPS[e.op](lift(e.left, bind), lift(e.right, bind))
+    if isinstance(e, ast.Index):
+        raise NotSymbolic(f"indirect subscript via {e.array!r}", e)
+    if isinstance(e, ast.CallExpr):
+        raise NotSymbolic(f"call to {e.func!r} in subscript", e)
+    if isinstance(e, (ast.Unary, ast.Binary)):
+        raise NotSymbolic(f"operator {e.op!r}", e)
+    raise NotSymbolic(type(e).__name__, e)
+
+
+def bind_constants(consts: dict[str, int | float]) -> Callable[[ast.Name], Expr]:
+    """The binding that folds integer constants and keeps other names
+    (params, loop variables, map parameters) symbolic."""
+
+    def bind(name: ast.Name) -> Expr:
+        if name.id not in consts:
+            return Var(name.id)
+        value = consts[name.id]
+        if not isinstance(value, int):
+            raise NotSymbolic(f"constant {name.id!r} is not an integer", name)
+        return Const(value)
+
+    return bind
 
 
 def source_expr_to_sym(e: ast.Expr, consts: dict[str, int | float]) -> Expr:
-    """Convert a source-level integer expression into a symbolic one.
-
-    Constants fold to their values; other names (params, map parameters)
-    stay symbolic. Only the integer operators meaningful in mappings are
-    accepted.
-    """
-    if isinstance(e, ast.IntLit):
-        return sym(e.value)
-    if isinstance(e, ast.Name):
-        if e.id in consts:
-            value = consts[e.id]
-            if not isinstance(value, int):
-                raise MappingError(
-                    f"constant {e.id!r} is not an integer; mappings are integral"
-                )
-            return sym(value)
-        return sym(e.id)
-    if isinstance(e, ast.Unary) and e.op == "-":
-        return -source_expr_to_sym(e.operand, consts)
-    if isinstance(e, ast.Binary) and e.op in ("+", "-", "*", "div", "mod"):
-        left = source_expr_to_sym(e.left, consts)
-        right = source_expr_to_sym(e.right, consts)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "div":
-            return left // right
-        return left % right
-    raise MappingError(
-        f"expression not allowed in a mapping: {type(e).__name__}"
-    )
+    """:func:`lift` with constants folded, failing with a
+    :class:`MappingError` (mappings are integer expressions)."""
+    try:
+        return lift(e, bind_constants(consts))
+    except NotSymbolic as exc:
+        if isinstance(exc.node, ast.Name):
+            raise MappingError(f"{exc.reason}; mappings are integral") from None
+        raise MappingError(
+            f"expression not allowed in a mapping: {type(exc.node).__name__}"
+        ) from None
 
 
 @dataclass
@@ -166,10 +207,7 @@ def _variable_kinds(checked: CheckedProgram) -> dict[str, Type]:
 
 
 def _const_arg(e: ast.Expr, consts: dict[str, int | float]) -> int:
-    value = source_expr_to_sym(e, consts)
-    from repro.symbolic import Const, simplify
-
-    folded = simplify(value)
+    folded = simplify(source_expr_to_sym(e, consts))
     if isinstance(folded, Const):
         return folded.value
     raise MappingError("distribution arguments must be compile-time constants")

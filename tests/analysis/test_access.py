@@ -1,9 +1,9 @@
-"""Affine access-function extraction: algebra, AST walk, round-trip.
+"""Affine access-function extraction: AST walk, rendering, round-trip.
 
 The hypothesis suite is the load-bearing part: it generates loop nests
 with *known* affine subscripts, renders them to mini-Id source, runs the
 full parse -> check -> extract pipeline, and then compares each
-extracted :class:`LinearForm` against a brute-force concrete-enumeration
+extracted symbolic ``Expr`` against a brute-force concrete-enumeration
 oracle — evaluating both the form and the original coefficients at
 every point of a small iteration box. Extraction is correct iff the two
 agree everywhere.
@@ -12,53 +12,20 @@ agree everywhere.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pytest
-
-from repro.analysis.access import (
-    LinearForm,
-    NonAffineAccess,
-    extract_references,
-)
+from repro.analysis.access import extract_references, render
 from repro.core.polymorphism import monomorphize
 from repro.lang import check_program, parse_program
+from repro.symbolic import Const, Var, simplify
 
 
 def _checked(source: str):
     return check_program(monomorphize(parse_program(source)))
 
 
-class TestLinearForm:
-    def test_algebra(self):
-        i = LinearForm.var("i")
-        j = LinearForm.var("j", 2)
-        form = i + j - LinearForm.constant(3)
-        assert form.coeff("i") == 1
-        assert form.coeff("j") == 2
-        assert form.const == -3
-        assert form.names() == ("i", "j")
-        assert (form - form).is_const and (form - form).const == 0
-
-    def test_scale_and_exact_div(self):
-        form = LinearForm.var("i", 2) + LinearForm.constant(4)
-        assert form.scale(3).coeff("i") == 6
-        halved = form.exact_div(2)
-        assert halved.coeff("i") == 1 and halved.const == 2
-        with pytest.raises(NonAffineAccess):
-            (LinearForm.var("i") + LinearForm.constant(1)).exact_div(2)
-
-    def test_equal_forms_hash_equal(self):
-        a = LinearForm.var("i") + LinearForm.var("j")
-        b = LinearForm.var("j") + LinearForm.var("i")
-        assert a == b and hash(a) == hash(b)
-
-    def test_str(self):
-        form = (
-            LinearForm.var("i", -1)
-            + LinearForm.var("j", 2)
-            - LinearForm.constant(5)
-        )
-        assert str(form) == "-i + 2*j - 5"
-        assert str(LinearForm.constant(0)) == "0"
+def test_render_spells_terms_by_name_then_the_constant():
+    i, j = Var("i"), Var("j")
+    assert render(simplify(2 * j - 5 - i)) == "-i + 2*j - 5"
+    assert render(Const(0)) == "0"
 
 
 class TestExtraction:
@@ -143,7 +110,7 @@ class TestExtraction:
         stmts = extract_references(checked, "f")
         (stmt,) = [s for s in stmts if s.write is not None]
         assert str(stmt.write.subs[1]) == "N"
-        assert stmt.reads[0].subs[1] == LinearForm.constant(3)
+        assert stmt.reads[0].subs[1] == Const(3)
 
     def test_accum_target_is_a_write(self):
         from repro.apps import matmul
