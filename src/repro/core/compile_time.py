@@ -112,7 +112,7 @@ class CompileTimeResolver(RuntimeResolver):
             return super().coerce(value, owner, dest, uid, pre)
         if isinstance(owner, NConst) and isinstance(dest, NConst):
             temp = self.temps.fresh()
-            channel = f"co{uid}"
+            channel = self.channel("co", uid)
             if owner.value == dest.value:
                 pre.append(
                     ir.NIf(
@@ -482,7 +482,7 @@ class CompileTimeResolver(RuntimeResolver):
                         relation=relation,
                         is_flow=(node.array == target_array),
                         temp=self.temps.fresh(),
-                        channel=f"x{node.uid}",
+                        channel=self.channel("x", node.uid),
                     )
                 )
             elif isinstance(node, ast.Name) and not self.is_replicated(
@@ -500,7 +500,7 @@ class CompileTimeResolver(RuntimeResolver):
                         relation=relation,
                         is_flow=False,
                         temp=self.temps.fresh(),
-                        channel=f"x{node.uid}",
+                        channel=self.channel("x", node.uid),
                     )
                 )
         return operands

@@ -163,7 +163,7 @@ def compile_program_cached(
 # store's corrupt-entry handling cannot catch — so the tag goes in the
 # key and stale entries simply miss. Bump when CompiledProgram or the
 # IR it embeds changes shape.
-_COMPILE_SCHEMA = 3  # 3: inspector_sites carry line/col/loop path
+_COMPILE_SCHEMA = 4  # 4: channels named in first-use order, not by uid
 
 # Every key component (source text, entry name, Strategy/OptLevel enums,
 # sorted shape tuples, int) has a process-independent repr.

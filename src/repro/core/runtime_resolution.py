@@ -55,6 +55,18 @@ class RuntimeResolver:
         self.spec = spec
         self.array_info = array_info
         self.temps = TempNamer()
+        self.channels: dict[tuple[str, int], str] = {}
+
+    def channel(self, prefix: str, uid: int) -> str:
+        """The channel of one resolved node: numbered in first-use order
+        (``co0``, ``x1``, ``bc2``, ...), not by the node's process-global
+        ``uid``, so two parses of one source print the same program. A
+        node resolved twice keeps its name."""
+        key = (prefix, uid)
+        name = self.channels.get(key)
+        if name is None:
+            name = self.channels[key] = f"{prefix}{len(self.channels)}"
+        return name
 
     # -- entry points --------------------------------------------------------
     def generate(self, entry: str, name: str) -> ir.NodeProgram:
@@ -255,12 +267,15 @@ class RuntimeResolver:
         temp = self.temps.fresh()
         if dest == "ALL":
             pre.append(
-                ir.NBroadcast(VarLV(temp), value, owner, channel=f"bc{uid}")
+                ir.NBroadcast(
+                    VarLV(temp), value, owner, channel=self.channel("bc", uid)
+                )
             )
         else:
             pre.append(
                 ir.NCoerce(
-                    VarLV(temp), value, owner, dest, channel=f"co{uid}"
+                    VarLV(temp), value, owner, dest,
+                    channel=self.channel("co", uid),
                 )
             )
         return NVar(temp)

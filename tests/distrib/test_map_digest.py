@@ -45,11 +45,11 @@ EXPRS_DIGEST = (
 )
 PROGRAM_DIGESTS = {
     "gauss_seidel":
-        "d6d4d3d4c5d1db979326827085ad28050648d120d1f834e4cc34b50da7883cd5",
+        "149476f47cf503c5977a19b5c255c6cbfa0bf20b3ef11a8373850e20db35a159",
     "jacobi":
-        "5bdecba23b3f14ba2d28bf82bf6406beb78f457fef4e66bdc52ae3399013a0d2",
+        "3f95e9b7110def63709841b83e047ec16d97a3ff386e839b4c60fc94f91c8ec5",
     "matmul":
-        "a1fdd533b5187f82585e354f08f89c0d9881e2e28b58a414803b41f86681d3cd",
+        "ef3c6c9117a8c3fd3c9c1c5b75e3bf1453a186b75eda2b84eb2f06925ee68780",
     "triangular":
         "6a3a7b9b07162e5fb6fdfe2109d7f07fa3b796b48b23e29ff3c6cd7ebd008efc",
 }
