@@ -156,7 +156,6 @@ def execute(
     specialize: bool = False,
     placement: list[int] | None = None,
     backend: str = "compiled",
-    strict: bool = False,
 ) -> ExecutionOutcome:
     """Execute ``compiled`` on ``nprocs`` processors.
 
@@ -169,8 +168,7 @@ def execute(
     (the paper's per-processor code generation), removing guard overhead.
     ``placement`` maps the ``nprocs`` processes onto fewer physical
     processors (paper §5.3-5.4). ``backend`` selects the execution
-    engine and ``strict`` makes undelivered messages fatal (see
-    :func:`repro.spmd.interp.run_spmd`).
+    engine (see :func:`repro.spmd.interp.run_spmd`).
     """
     inputs = inputs or {}
     params = dict(params or {})
@@ -272,7 +270,6 @@ def execute(
             max_steps=max_steps,
             placement=placement,
             backend=backend,
-            strict=strict,
             extract_args=extract_args,
         )
 

@@ -168,7 +168,6 @@ class Simulator:
         params: MachineParams | None = None,
         trace: bool = False,
         max_steps: int = 50_000_000,
-        strict: bool = False,
     ):
         if nprocs < 1:
             raise SimulationError(f"need at least one processor, got {nprocs}")
@@ -176,7 +175,6 @@ class Simulator:
         self.params = params or MachineParams.ipsc2()
         self.trace_enabled = trace
         self.max_steps = max_steps
-        self.strict = strict
 
     def run(
         self, factory: ProcessFactory, placement: list[int] | None = None
@@ -233,16 +231,6 @@ class Simulator:
                         pass
 
         undelivered = {key: len(q) for key, q in queues.items() if q}
-        if undelivered and self.strict:
-            leaked = ", ".join(
-                f"{key.src}->{key.dst} {key.channel!r} x{count}"
-                for key, count in sorted(undelivered.items())
-            )
-            raise SimulationError(
-                f"{sum(undelivered.values())} undelivered message(s) at "
-                f"completion (strict mode): {leaked}"
-            )
-
         return SimResult(
             nprocs=self.nprocs,
             finish_times_us=[p.finish for p in procs],

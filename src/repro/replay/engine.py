@@ -63,7 +63,6 @@ counts.
 
 from __future__ import annotations
 
-from repro.errors import SimulationError
 from repro.machine.costs import MachineParams
 from repro.machine.rows import expand, run_rows
 from repro.machine.simulator import SimResult, deadlock_forensics
@@ -340,7 +339,6 @@ def _scalar_replay(skeleton: ProgramSkeleton, machine: MachineParams):
 
 def replay(skeleton: ProgramSkeleton,
            machine: MachineParams | None = None,
-           strict: bool = False,
            engine: str | None = None,
            info: dict | None = None) -> SimResult:
     """Replay a skeleton's clocks; return a compiled-identical result.
@@ -355,9 +353,8 @@ def replay(skeleton: ProgramSkeleton,
     "reason": ...}`` describing what actually ran.
 
     Raises :class:`~repro.errors.DeadlockError` with the live engine's
-    forensics when every unfinished rank blocks on a receive, and the
-    live engine's strict-mode :class:`~repro.errors.SimulationError`
-    when ``strict`` and messages are left queued at completion.
+    forensics when every unfinished rank blocks on a receive.
+    Messages left queued at completion are counted in ``undelivered``.
     ``returned`` is ``[None] * nprocs``: replay advances clocks, it
     never computes data values.
     """
@@ -383,17 +380,6 @@ def replay(skeleton: ProgramSkeleton,
         info["engine"] = engine
         info["reason"] = reason
     clock, busy, comm, undelivered, stats = run_engine(skeleton, machine)
-
-    if undelivered and strict:
-        leaked = ", ".join(
-            f"{key.src}->{key.dst} {key.channel!r} x{count}"
-            for key, count in sorted(undelivered.items())
-        )
-        raise SimulationError(
-            f"{sum(undelivered.values())} undelivered message(s) at "
-            f"completion (strict mode): {leaked}"
-        )
-
     return SimResult(
         nprocs=nprocs,
         finish_times_us=clock,

@@ -704,7 +704,7 @@ def _driven(st, params: MachineParams, max_steps):
 
 def run_compiled(program, nprocs: int, make_args, machine: MachineParams,
                  globals_: dict, trace: bool, max_steps: int,
-                 placement: list[int] | None, strict: bool) -> SimResult:
+                 placement: list[int] | None) -> SimResult:
     """Run ``program`` (or ``program(rank)``) on ``nprocs`` ranks and
     clock what they recorded: :func:`repro.machine.rows.run_rows` for the
     base machine, the live :class:`~repro.machine.Simulator` scheduling
@@ -712,8 +712,7 @@ def run_compiled(program, nprocs: int, make_args, machine: MachineParams,
     processors (§5.3/5.4) is asked for. ``run_spmd`` takes the options
     from its caller."""
     # Built first: its constructor rejects an empty ring.
-    simulator = Simulator(nprocs, machine, trace=trace, max_steps=max_steps,
-                          strict=strict)
+    simulator = Simulator(nprocs, machine, trace=trace, max_steps=max_steps)
     ring = _Ring(max_steps, nprocs)
     for rank in range(nprocs):
         node_program = program(rank) if callable(program) else program
@@ -737,15 +736,6 @@ def run_compiled(program, nprocs: int, make_args, machine: MachineParams,
         ChannelKey(*key): len(queue)
         for key, queue in ring.fifo.items() if queue
     }
-    if undelivered and strict:
-        leaked = ", ".join(
-            f"{key.src}->{key.dst} {key.channel!r} x{count}"
-            for key, count in sorted(undelivered.items())
-        )
-        raise SimulationError(
-            f"{sum(undelivered.values())} undelivered message(s) at "
-            f"completion (strict mode): {leaked}"
-        )
     run = run_rows(rows, nprocs, machine)
     channels = {chan: chan for _, _, chan in run.messages}
     return SimResult(

@@ -459,7 +459,6 @@ def run_spmd(
     max_steps: int = 50_000_000,
     placement: list[int] | None = None,
     backend: str = "compiled",
-    strict: bool = False,
     extract_args=None,
 ) -> SPMDResult:
     """Execute ``program`` on ``nprocs`` simulated processes.
@@ -493,10 +492,6 @@ def run_spmd(
     numbered from 0 raises :class:`~repro.errors.SimulationError` on
     every backend.
 
-    ``strict=True`` turns messages left undelivered at completion into a
-    :class:`~repro.errors.SimulationError` — generated code must consume
-    every message it is sent, so a leak is a codegen bug.
-
     ``extract_args`` optionally supplies a cheaper ``make_args`` for the
     replay extractor only — array arguments may be any placeholder (the
     extractor discards their values); the real ``make_args`` is still
@@ -520,7 +515,7 @@ def run_spmd(
             else:
                 info: dict = {}
                 with perf.phase("replay"):
-                    sim = replay(skeleton, machine, strict=strict, info=info)
+                    sim = replay(skeleton, machine, info=info)
                 result = SPMDResult(
                     sim=sim, returned=sim.returned, backend="replay"
                 )
@@ -538,7 +533,7 @@ def run_spmd(
         result = run_spmd(
             program, nprocs, make_args, machine=machine, globals_=globals_,
             trace=trace, max_steps=max_steps, placement=placement,
-            backend="compiled", strict=strict,
+            backend="compiled",
         )
         result.fallback_reason = fallback_reason
         return result
@@ -548,7 +543,7 @@ def run_spmd(
 
         sim = run_compiled(
             program, nprocs, make_args, machine, globals_ or {}, trace,
-            max_steps, placement, strict,
+            max_steps, placement,
         )
         return SPMDResult(sim=sim, returned=sim.returned, backend=backend)
     if backend != "interp":
@@ -564,7 +559,7 @@ def run_spmd(
         return node.run(list(make_args(rank)))
 
     sim = Simulator(
-        nprocs, machine, trace=trace, max_steps=max_steps, strict=strict
+        nprocs, machine, trace=trace, max_steps=max_steps
     ).run(factory, placement=placement)
     return SPMDResult(sim=sim, returned=sim.returned, backend=backend)
 

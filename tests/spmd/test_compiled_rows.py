@@ -10,7 +10,7 @@ processes onto fewer processors). These tests pin
   channel ids spelled as names, on the example apps and on generated
   statement nests;
 * every observable the interpreter (still on the live simulator) also
-  produces: the full ``SimResult`` of packed, traced and strict runs,
+  produces: the full ``SimResult`` of packed, traced and leaking runs,
   and the texts of deadlocks, invalid peers and an exhausted step
   budget;
 * that an untraced run on one processor per process never reaches the
@@ -28,10 +28,11 @@ from repro.core.compiler import (
 )
 from repro.core.runner import execute
 from repro.errors import (
-    DeadlockError, ModelError, NodeRuntimeError, ReproError, SimulationError,
+    DeadlockError, ModelError, NodeRuntimeError, ReproError,
 )
 from repro.machine import Simulator
 from repro.machine.rows import expand
+from repro.machine.stats import ChannelKey
 from repro.spmd import NodeProc, NodeProgram, run_spmd
 from repro.spmd import compile as backend
 from repro.spmd.ir import NBin, NConst, NIf, NMyNode, NRecv, NSend, VarLV
@@ -220,21 +221,17 @@ LEAKY = NodeProgram("leak", {"main": NodeProc("main", (), body=(
 
 @pytest.mark.parametrize("kwargs", [{}, {"trace": True},
                                     {"placement": [0, 0]}])
-@pytest.mark.parametrize("strict", [False, True])
-def test_leaks_equal_the_interpreter(strict, kwargs):
+def test_leaks_equal_the_interpreter(kwargs):
     (ref_kind, ref), (got_kind, got) = (
         _outcome(lambda b=b: run_spmd(LEAKY, 2, lambda rank: [], backend=b,
-                                      strict=strict, **kwargs))
+                                      **kwargs))
         for b in ("interp", "compiled")
     )
-    assert got_kind == ref_kind == ("raise" if strict else "ok")
-    if strict:
-        _same_error(got, ref)
-        assert type(ref) is SimulationError
-        assert "undelivered message(s)" in str(ref)
-    else:
-        assert _observed(got.sim) == _observed(ref.sim)
-        assert sum(got.sim.undelivered.values()) == 1
+    assert got_kind == ref_kind == "ok"
+    assert _observed(got.sim) == _observed(ref.sim)
+    assert got.sim.undelivered == ref.sim.undelivered == {
+        ChannelKey(0, 1, "x"): 1
+    }
 
 
 @pytest.mark.parametrize("strategy", ["optII", "optIII"])
