@@ -167,7 +167,9 @@ class _Extractor:
 
         return bind
 
-    def _affine(self, e: ast.Expr, ctx: _Ctx) -> tuple[Expr | None, str | None]:
+    def _affine(
+        self, e: ast.Expr, ctx: _Ctx
+    ) -> tuple[Expr | None, str | None]:
         """``(form, None)`` for an affine ``e``, else ``(None, reason)``."""
         try:
             form = simplify(lift(e, self._binding(ctx)))

@@ -74,7 +74,9 @@ def lift(e: ast.Expr, bind: Callable[[ast.Name], Expr]) -> Expr:
     raise NotSymbolic(type(e).__name__, e)
 
 
-def bind_constants(consts: dict[str, int | float]) -> Callable[[ast.Name], Expr]:
+def bind_constants(
+    consts: dict[str, int | float]
+) -> Callable[[ast.Name], Expr]:
     """The binding that folds integer constants and keeps other names
     (params, loop variables, map parameters) symbolic."""
 
@@ -96,7 +98,9 @@ def source_expr_to_sym(e: ast.Expr, consts: dict[str, int | float]) -> Expr:
         return lift(e, bind_constants(consts))
     except NotSymbolic as exc:
         if isinstance(exc.node, ast.Name):
-            raise MappingError(f"{exc.reason}; mappings are integral") from None
+            raise MappingError(
+                f"{exc.reason}; mappings are integral"
+            ) from None
         raise MappingError(
             f"expression not allowed in a mapping: {type(exc.node).__name__}"
         ) from None
