@@ -407,9 +407,9 @@ class VerifyWalk(Walker):
         for slot in loop.event_assigned:
             if frame[slot] is CARRIED:
                 frame[slot] = saved_scalars[slot]
-        for slot in loop.assigned:
-            frame[slot] = UNKNOWN
         frame[loop.var] = lo + (trips - 1) * step
+        for slot in loop.assigned:  # the loop variable too, if assigned
+            frame[slot] = UNKNOWN
         if not self._active_axes:
             records, self._txn = self._txn, []
             for record in records:

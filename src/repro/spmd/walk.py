@@ -232,10 +232,11 @@ class Walker:
             self.mems = mems + (self.mems - mems) * trips
             # Body-assigned scalars are iteration-dependent: forget them
             # so a stale first-iteration value can never leak into later
-            # control flow. The loop variable's final value is known.
+            # control flow. The loop variable's final value is known,
+            # unless the body assigns it too (an inner loop reusing it).
+            frame[loop.var] = lo + (trips - 1) * step
             for slot in loop.assigned:
                 frame[slot] = UNKNOWN
-            frame[loop.var] = lo + (trips - 1) * step
         elif trips:
             self.iterate(loop, frame, lo, step, trips)
 
@@ -280,9 +281,9 @@ class Walker:
             # iteration-invariant already: one marker row stands for it.
             events.append((KIND_REPEAT, -1, -1, 0, len(events) - mark, more))
             self.repeats += 1
+        frame[var] = lo + (trips - 1) * step
         for slot in loop.event_assigned:
             frame[slot] = UNKNOWN
-        frame[var] = lo + (trips - 1) * step
 
 
 # ---------------------------------------------------------------------------

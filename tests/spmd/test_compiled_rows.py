@@ -18,7 +18,7 @@ processes onto fewer processors). These tests pin
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 
 from repro.apps import gauss_seidel, histogram, jacobi, matmul, mesh, simple
@@ -35,7 +35,9 @@ from repro.machine.rows import expand
 from repro.machine.stats import ChannelKey
 from repro.spmd import NodeProc, NodeProgram, run_spmd
 from repro.spmd import compile as backend
-from repro.spmd.ir import NBin, NConst, NIf, NMyNode, NRecv, NSend, VarLV
+from repro.spmd.ir import (
+    NAssign, NBin, NConst, NFor, NIf, NMyNode, NRecv, NSend, NVar, VarLV,
+)
 from repro.spmd.layout import make_full
 from repro.spmd.walk import ARRAY, Walker
 from repro.tune.space import STRATEGIES
@@ -130,6 +132,14 @@ def test_app_rows_are_the_walkers_rows(monkeypatch, app, strategy):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=list(HealthCheck))
 @given(parts=hs.lists(_STMTS, max_size=4))
+# An inner loop reusing the outer loop's variable leaves it 0, not the
+# outer loop's last value 1: the summarized loop must not claim the 1.
+@example(parts=[
+    [NFor("i", NConst(0), NConst(1), NConst(1),
+          (NFor("i", NConst(0), NConst(0), NConst(1), ()),))],
+    [NIf(NVar("i"), (),
+         (NAssign(VarLV("x"), NBin("mod", NConst(0), NConst(97))),))],
+])
 def test_generated_statement_rows_are_the_walkers_rows(parts):
     program = _stmt_program(parts)
     for nprocs in (1, 2, 3):
