@@ -1,19 +1,24 @@
 """Static verifier acceptance benchmark (``BENCH_verify.json``).
 
-Two gates:
+Three gates:
 
 ``speed``
     verifying a configuration must be at least **5x faster** than
-    simulating it at N=128 (ISSUE 5's acceptance bar). Verification is
-    deterministic in (program, ring, bindings), so reports are memoized
-    in the ``verify`` perf cache — exactly like the cost model's
-    predictions, and it is the steady state the tuner and repeated CI
-    runs live in, so that is what the gate times (simulation is never
-    memoized: its traces and result grids are consumed fresh). The
-    first, uncached verification is reported alongside as ``cold_ms``
-    with its own, looser gate: it must stay within 5x of one
-    simulation, catching a regression of the loop summarizer into
-    per-iteration interpretation (that failure mode is 40x, not 2x).
+    simulating it at N=128. Verification is deterministic in (program,
+    ring, bindings), so reports are memoized in the ``verify`` perf
+    cache — exactly like the cost model's predictions, and it is the
+    steady state the tuner and repeated CI runs live in, so that is what
+    the gate times (simulation is never memoized: its traces and result
+    grids are consumed fresh). The first, uncached verification is
+    reported alongside as ``cold_ms`` with its own, looser gate: it must
+    stay within 5x of one simulation.
+``work``
+    the loop summarizer must stand in for at least **5 iterations per
+    loop body** the verifier's walk runs (``VerifyWalk.covered`` over
+    ``VerifyWalk.bodies``, summed over the ranks). A summarizer that
+    regressed into per-iteration interpretation runs one body per
+    iteration (ratio 1); it is what makes the cold verification 40x
+    slower rather than 2x, and a count does not move with machine load.
 ``agreement``
     on the benchmarked configurations the verifier and the simulator
     must reach the same verdict: clean runs verify clean, and the
@@ -21,7 +26,9 @@ Two gates:
 
 Run as a script (``python benchmarks/bench_verify.py --quick``) to
 refresh ``BENCH_verify.json``; exits nonzero if a gate fails. Also
-collected by pytest with a smaller grid so the gates run in seconds.
+collected by pytest with a smaller grid and without wall times (they
+swing with what else the suite runs): the ``work`` gate, and a second
+verification answered from the ``verify`` memo.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis import verify_compiled
+from repro import perf
+from repro.analysis import verify_compiled, walk_ranks
 from repro.apps import gauss_seidel as gs
 from repro.core.compiler import compile_program_cached
 from repro.core.runner import execute
@@ -65,6 +73,14 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
+def _verify(compiled, n: int, nprocs: int) -> None:
+    report = verify_compiled(
+        compiled, nprocs, params={"N": n}, machine=MACHINE,
+        extra_globals={"blksize": 8},
+    )
+    assert not report.has_errors, report.summary()
+
+
 def check_speed(n: int, nprocs: int = 4, repeats: int = 3) -> dict:
     """Gate 1: verify >= 5x faster than simulate on the same config."""
     from repro.analysis.verify import _verify_cache
@@ -72,11 +88,7 @@ def check_speed(n: int, nprocs: int = 4, repeats: int = 3) -> dict:
     compiled = _compile("optIII")
 
     def do_verify():
-        report = verify_compiled(
-            compiled, nprocs, params={"N": n}, machine=MACHINE,
-            extra_globals={"blksize": 8},
-        )
-        assert not report.has_errors, report.summary()
+        _verify(compiled, n, nprocs)
 
     def do_simulate():
         outcome = execute(
@@ -116,8 +128,25 @@ def check_speed(n: int, nprocs: int = 4, repeats: int = 3) -> dict:
     }
 
 
+def check_work(n: int, nprocs: int = 4) -> dict:
+    """Gate 2: the walk covers >= 5 loop iterations per body it runs."""
+    walkers, _ = walk_ranks(
+        _compile("optIII").program, nprocs, {"N": n, "blksize": 8}, {}
+    )
+    bodies = sum(walker.bodies for walker in walkers)
+    covered = sum(walker.covered for walker in walkers)
+    if covered < GATE_RATIO * bodies:
+        raise AssertionError(
+            f"N={n}: the verifier's walk ran {bodies} loop bodies for "
+            f"{covered} iterations — loop summarization has regressed "
+            "into per-iteration interpretation"
+        )
+    return {"n": n, "nprocs": nprocs, "bodies": bodies, "covered": covered,
+            "gate": GATE_RATIO}
+
+
 def check_agreement(n: int, nprocs: int = 2) -> dict:
-    """Gate 2: same verdicts as the simulator, clean and deadlocked."""
+    """Gate 3: same verdicts as the simulator, clean and deadlocked."""
     clean = _compile("optI")
     report = verify_compiled(clean, nprocs, params={"N": n}, machine=MACHINE)
     if report.diagnostics:
@@ -155,23 +184,32 @@ def check_agreement(n: int, nprocs: int = 2) -> dict:
 
 def run_benchmark(quick: bool = True) -> dict:
     speed = check_speed(128, repeats=3 if quick else 7)
+    work = check_work(128)
     agreement = check_agreement(16 if quick else 32)
     return {
         "benchmark": "static verifier acceptance",
         "quick": quick,
         "speed": speed,
+        "work": work,
         "agreement": agreement,
     }
 
 
 # ---------------------------------------------------------------------------
-# pytest entry points (smaller grid; the N=128 gate runs in script mode)
+# pytest entry points (smaller grid; the wall-clock gates run in script mode)
 # ---------------------------------------------------------------------------
 
 
 def test_verify_beats_simulation_by_5x():
-    speed = check_speed(64, repeats=2)
-    assert speed["ratio"] >= GATE_RATIO
+    """The speed gate as counts: the cold walk summarizes (the work
+    gate) and the warm verification does no work at all."""
+    work = check_work(64)
+    assert work["covered"] >= GATE_RATIO * work["bodies"]
+    compiled = _compile("optIII")
+    _verify(compiled, 64, 4)
+    hits = perf.counter("verify.hit")
+    _verify(compiled, 64, 4)
+    assert perf.counter("verify.hit") == hits + 1
 
 
 def test_verdicts_agree_with_simulator():

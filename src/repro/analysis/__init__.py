@@ -14,7 +14,7 @@ from repro.analysis.diagnostics import (
     render_json,
     render_text,
 )
-from repro.analysis.verify import verify_compiled, walk_ranks
+from repro.analysis.verify import clock_ranks, verify_compiled, walk_ranks
 from repro.analysis.access import (
     Reference,
     StatementAccess,
@@ -34,6 +34,7 @@ __all__ = [
     "Severity",
     "render_json",
     "render_text",
+    "clock_ranks",
     "verify_compiled",
     "walk_ranks",
     "Reference",

@@ -1,8 +1,9 @@
 """The verifier's four analysis passes.
 
 Each pass consumes the shared :class:`~repro.analysis.verify.
-VerifyContext` — per-rank communication rows with origins, the per-rank
-walkers (footprint trackers), and the compiled program — and appends
+VerifyContext` — the per-rank walkers (rows with origins, footprint
+trackers), the channel names, the rows' clocking and the compiled
+program — and appends
 :class:`~repro.analysis.diagnostics.Diagnostic` findings to the report.
 
 Soundness arguments live in ``docs/INTERNALS.md`` §12. In brief: the
@@ -21,8 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.analysis.diagnostics import Severity, register_pass
-from repro.machine import MachineParams
-from repro.machine.rows import KIND_SEND, run_rows
+from repro.machine.rows import KIND_RECV, KIND_REPEAT, KIND_SEND, expand
 from repro.spmd import ir
 from repro.spmd.pretty import pretty_expr
 from repro.symbolic import Const, Expr, Max, Min, Var
@@ -50,19 +50,20 @@ def channel_balance(ctx, report) -> None:
     receives it would block on forever (CB002)."""
     if ctx.aborted:
         return
-    sends: dict[tuple, list] = defaultdict(list)
-    recvs: dict[tuple, list] = defaultdict(list)
-    for p in range(ctx.nprocs):
-        for ev, origin in zip(ctx.events[p], ctx.origins[p]):
-            if ev[0] == KIND_SEND:
-                sends[p, ev[1], ev[2]].append(origin)
-            else:
-                recvs[ev[1], p, ev[2]].append(origin)
+    sends: dict[tuple, int] = defaultdict(int)
+    recvs: dict[tuple, int] = defaultdict(int)
+    for p, walker in enumerate(ctx.walkers):
+        rows = walker.events
+        for (kind, peer, chan, *_), times in zip(rows, _times(rows)):
+            if kind == KIND_SEND:
+                sends[p, peer, ctx.channels[chan]] += times
+            elif kind == KIND_RECV:
+                recvs[peer, p, ctx.channels[chan]] += times
     for key in sorted(set(sends) | set(recvs)):
         src, dst, channel = key
-        ns, nr = len(sends[key]), len(recvs[key])
+        ns, nr = sends[key], recvs[key]
         if ns > nr:
-            excess = sends[key][nr:]
+            excess = _origins(ctx, src, KIND_SEND, dst, channel)[nr:]
             report.add(
                 "CB001", Severity.ERROR, "channel-balance",
                 f"channel {channel!r} {src}->{dst}: {ns} send(s) but only "
@@ -75,7 +76,7 @@ def channel_balance(ctx, report) -> None:
                 ],
             )
         elif nr > ns:
-            excess = recvs[key][ns:]
+            excess = _origins(ctx, dst, KIND_RECV, src, channel)[ns:]
             report.add(
                 "CB002", Severity.ERROR, "channel-balance",
                 f"channel {channel!r} {src}->{dst}: {nr} receive(s) but "
@@ -87,6 +88,29 @@ def channel_balance(ctx, report) -> None:
                     for o in _dedup(excess)
                 ],
             )
+
+
+def _times(rows) -> list[int]:
+    """How often each row runs: ``1 + count`` in a repeat marker's span,
+    once elsewhere (markers are flat)."""
+    times = [1] * len(rows)
+    for i, row in enumerate(rows):
+        if row[0] == KIND_REPEAT:
+            times[i - row[4]:i] = [row[5] + 1] * row[4]
+    return times
+
+
+def _origins(ctx, rank: int, kind: int, peer: int, channel: str) -> list:
+    """The origins of ``rank``'s ``kind`` events with ``peer`` on
+    ``channel``, in walk order (repeat markers expanded)."""
+    walker = ctx.walkers[rank]
+    origins = iter(walker.origins)
+    tagged = [  # each send and receive row with its origin appended
+        row + (next(origins),) if row[0] == KIND_SEND or row[0] == KIND_RECV
+        else row for row in walker.events
+    ]
+    event = (kind, peer, ctx.channels.index(channel))
+    return [row[6] for row in expand(tagged) if row[:3] == event]
 
 
 def _dedup(origins, limit: int = 8) -> list:
@@ -112,20 +136,22 @@ def deadlock(ctx, report) -> None:
     Whether a rank gets stuck is independent of timing — only of event
     order and message counts — so the scheduler's cursors are exactly
     the simulator's final progress state under any machine parameters
-    (the clocks are discarded). Each stuck rank waits on one channel,
+    (the clocks are the predictor's). Each stuck rank waits on one channel,
     giving a functional wait-for graph: every stuck component either
     ends in a cycle (DL001, the jacobi loop-jamming shape) or chains to
     a rank that finished without sending (DL002)."""
     if ctx.aborted:
         return
-    run = run_rows(ctx.events, ctx.nprocs, MachineParams.ipsc2())
+    run = ctx.clock()
     if not run.stuck:
         return
     waits: dict[int, tuple[int, str, tuple]] = {}  # p -> (src, ch, origin)
     for p in run.stuck:
-        i = run.cursor[p]
-        _, src, channel = ctx.events[p][i][:3]
-        waits[p] = (src, channel, ctx.origins[p][i])
+        walker, i = ctx.walkers[p], run.cursor[p]  # i: a receive row
+        _, src, chan = walker.events[i][:3]
+        event = sum(row[0] == KIND_SEND or row[0] == KIND_RECV
+                    for row in walker.events[:i])
+        waits[p] = (src, ctx.channels[chan], walker.origins[event])
 
     def link(p: int) -> str:
         src, channel, origin = waits[p]
@@ -192,7 +218,7 @@ def single_assignment(ctx, report) -> None:
     as messages and are stored locally), so "no rank ever writes it"
     reduces to per-rank footprint coverage."""
     for p, walker in enumerate(ctx.walkers):
-        if walker is None or not walker.completed:
+        if not walker.completed:
             continue
         for tracker in walker.trackers:
             if tracker.inexact:

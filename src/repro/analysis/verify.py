@@ -10,10 +10,11 @@ Per rank the driver reads a :class:`~repro.analysis.walk.VerifyWalk`
 from :func:`walk_ranks` — the one place a configuration's ranks are
 walked. Generated control flow never depends on array data, so that one
 walk fixes the verdict *and* the clock chain: the passes read its
-communication rows, origins, trackers and findings, and
-:func:`repro.tune.predict` clocks its full rows, so a configuration that
-is verified and then priced (``tune``, the service build,
-``compile_program(verify=True)``) is walked once.
+rows, origins, trackers and findings, and the deadlock pass and
+:func:`repro.tune.predict` share one clocking of its rows
+(:func:`clock_ranks`), so a configuration that is verified and then
+priced (``tune``, the service build, ``compile_program(verify=True)``)
+is walked and clocked once.
 A walk that cannot finish does not kill verification: data-dependent
 control (``ModelError``) yields an ``UNV001`` *warning* — the program
 may well be fine, the verifier just cannot tell — while a structural
@@ -39,6 +40,7 @@ from repro.analysis.diagnostics import PASSES, Report, Severity
 from repro.analysis.walk import DEFINED, VerifyWalk
 from repro.errors import CompileError, NodeRuntimeError
 from repro.machine import MachineParams
+from repro.machine.rows import RowsRun, run_rows
 from repro.spmd import ir
 from repro.spmd.walk import UNKNOWN
 
@@ -101,25 +103,44 @@ def walk_ranks(
     return perf.memo("rank_walks", key, build)
 
 
+# One clocking per walk and machine, for the deadlock pass and
+# ``repro.tune.predict``; one entry, like ``rank_walks``.
+perf.register_cache("rank_clock", _Latest())
+
+
+def clock_ranks(walkers, machine: MachineParams) -> RowsRun:
+    """:func:`~repro.machine.rows.run_rows` over the walkers' compact
+    rows (memoized on the walk's identity and ``machine``:
+    ``rank_clock``)."""
+    return perf.memo("rank_clock", (walkers, machine), lambda: run_rows(
+        [walker.events for walker in walkers], len(walkers), machine
+    ))
+
+
 class VerifyContext:
     """Everything the passes share about one verification run."""
 
     __slots__ = (
-        "program", "nprocs", "globals", "walkers", "events", "origins",
+        "program", "nprocs", "globals", "machine", "walkers", "channels",
         "aborted", "compiled",
     )
 
     def __init__(
-        self, program: ir.NodeProgram, nprocs: int, globals_, compiled=None
+        self, program: ir.NodeProgram, nprocs: int, globals_, machine,
+        compiled=None,
     ):
         self.program = program
         self.nprocs = nprocs
         self.globals = dict(globals_)
-        self.walkers: list[VerifyWalk | None] = []
-        self.events: list[list[tuple]] = []
-        self.origins: list[list[tuple]] = []
+        self.machine = machine
+        self.walkers: tuple[VerifyWalk, ...] = ()
+        self.channels: tuple[str, ...] = ()  # channel id -> name
         self.aborted: dict[int, str] = {}  # rank -> diagnostic code
         self.compiled = compiled  # the CompiledProgram, when available
+
+    def clock(self) -> RowsRun:
+        """The reference scheduler's run over every rank's rows."""
+        return clock_ranks(self.walkers, self.machine)
 
 
 def verify_compiled(
@@ -164,26 +185,26 @@ def verify_compiled(
     # Diagnostics are frozen dataclasses, safe to share between reports;
     # metadata stays per-call and is never cached.
     report.diagnostics.extend(perf.memo("verify", key, lambda: _diagnose(
-        compiled, program, nprocs, globals_, inputs, extra_passes
+        compiled, program, nprocs, machine, globals_, inputs, extra_passes
     )))
     return report
 
 
 def _diagnose(
-    compiled, program, nprocs: int, globals_, inputs, extra_passes
+    compiled, program, nprocs: int, machine, globals_, inputs, extra_passes
 ) -> tuple:
     """Walk every rank and run the passes: one run's diagnostics."""
     report = Report()
     ctx = VerifyContext(
-        program, nprocs, globals_,
+        program, nprocs, globals_, machine,
         compiled=compiled if compiled is not program else None,
     )
 
     # UNV001 abstentions grouped by (cause, walk position): identical
     # sites across ranks collapse into one diagnostic with a rank list.
     abstained: dict[tuple[str, tuple[str, ...]], list[int]] = {}
-    walkers, _ = walk_ranks(program, nprocs, globals_, inputs)
-    for rank, walker in enumerate(walkers):
+    ctx.walkers, ctx.channels = walk_ranks(program, nprocs, globals_, inputs)
+    for rank, walker in enumerate(ctx.walkers):
         err = walker.error
         if isinstance(err, NodeRuntimeError):
             ctx.aborted[rank] = "UNV002"
@@ -198,9 +219,6 @@ def _diagnose(
             abstained.setdefault(
                 (str(err), tuple(walker.path)), []
             ).append(rank)
-        ctx.walkers.append(walker)
-        ctx.events.append(walker.comm)
-        ctx.origins.append(walker.origins)
         _add_capped(report, walker.findings)
 
     sites = _site_summaries(getattr(compiled, "inspector_sites", None))

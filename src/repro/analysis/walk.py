@@ -4,15 +4,14 @@
 (:mod:`repro.spmd.walk`) through its hooks for static checking — it
 holds no statement or expression dispatch of its own:
 
-* it keeps the plain walker's charge sink: ``events`` holds the full
-  integer rows ``(kind, peer, channel id, plen, ops, mems)`` with a
-  compute row per flush exactly where a plain :class:`~repro.spmd.walk.
-  Walker` puts one, so :func:`repro.tune.predict` clocks these rows and
-  walks nothing itself. Beside them ``comm`` holds the communication
-  rows alone (the channel *name* in the ``chan`` column), each paired
-  1:1 with an *origin*: the stack of enclosing ``proc``/``for``/``if``
-  labels, so balance and deadlock findings can say which loop or guard
-  produced an event;
+* it keeps the plain walker's charge sink and rows: ``events`` holds
+  ``(kind, peer, channel id, plen, ops, mems)`` with a compute row per
+  flush and repeat markers where a plain :class:`~repro.spmd.walk.
+  Walker` would put them, so :func:`repro.tune.predict` clocks these
+  rows and walks nothing itself. ``origins`` pairs each send and
+  receive row with its *origin*: the stack of enclosing
+  ``proc``/``for``/``if`` labels, so balance and deadlock findings can
+  say which loop or guard produced an event;
 * invalid communication partners (self-sends, ranks outside the ring)
   become guard-coverage findings instead of aborting the walk — the
   offending event is skipped and analysis continues; the error the plain
@@ -26,8 +25,10 @@ holds no statement or expression dispatch of its own:
   body may assign or receive bound to :data:`CARRIED`; every array
   access whose indices stay affine in the loop variable is recorded as
   one block instead of ``trips`` points, and the body's rows — compute
-  charges included — are a template replicated ``trips`` times at
-  commit. That is exact, because any data flow that could change which
+  charges included — are a template the plain walker's repeat step
+  (:meth:`~repro.spmd.walk.Walker.replicate`) writes ``trips`` times.
+  ``bodies`` counts the loop bodies run, ``covered`` the iterations
+  they stood for. That is exact, because any data flow that could change which
   events an iteration emits or what it costs passes an :class:`Affine`
   or a previous iteration's scalar through a boolean or non-affine
   position and raises :class:`NotAffine`, rolling the transaction back
@@ -196,13 +197,13 @@ CARRIED = _Carried()
 
 
 class VerifyWalk(Walker):
-    """One rank's walk: the plain walker's rows, plus comm origins and
-    I-structure footprints."""
+    """One rank's walk: the plain walker's rows, plus the origins of its
+    events and I-structure footprints."""
 
     def __init__(self, code, rank, nprocs, globals_, chan_ids=None):
         super().__init__(code, rank, nprocs, globals_, chan_ids)
-        self.comm: list[tuple] = []  # the send/recv rows, channel by name
-        self.origins: list[tuple[str, ...]] = []  # 1:1 with self.comm
+        #: 1:1 with the send and receive rows of ``events``.
+        self.origins: list[tuple[str, ...]] = []
         self.findings: list[Diagnostic] = []
         self.trackers: list[Tracker] = []
         self.path: list[str] = []
@@ -218,6 +219,8 @@ class VerifyWalk(Walker):
         # Retrying on every visit would double-execute their prefix each
         # outer iteration, so after a couple of failures we stop trying.
         self._no_summarize: dict = {}
+        #: Loop bodies run, and iterations those loop visits stand for.
+        self.bodies = self.covered = 0
 
     # -- entry -------------------------------------------------------------
     def run(self, args) -> list[tuple]:
@@ -249,72 +252,59 @@ class VerifyWalk(Walker):
 
     # -- communication events ----------------------------------------------
     def emit_send(self, dst, channel: str, plen: int) -> None:
-        if dst is UNKNOWN:
-            raise ModelError("send destination depends on array data")
-        if isinstance(dst, Affine):
-            raise NotAffine("communication inside a summarized loop")
-        if dst == self.rank:
-            self._skip(Walker.emit_send, dst, channel, plen)
-            self.finding(
-                "GC002", "guard-coverage",
-                f"self-send on channel {channel!r}: the owner guard admits "
-                f"rank {self.rank} as its own partner",
-                channel=channel, partner=dst,
-            )
-            return
-        if not 0 <= dst < self.nprocs:
-            self._skip(Walker.emit_send, dst, channel, plen)
-            self.finding(
-                "GC001", "guard-coverage",
-                f"send on channel {channel!r} to processor {dst}, outside "
-                f"ring 0..{self.nprocs - 1}",
-                channel=channel, partner=dst,
-            )
-            return
-        self._emit(KIND_SEND, dst, channel, plen)
-
-    def emit_recv(self, src, channel: str) -> None:
-        if src is UNKNOWN:
-            raise ModelError("receive source depends on array data")
-        if isinstance(src, Affine):
-            raise NotAffine("communication inside a summarized loop")
-        if src == self.rank:
-            self._skip(Walker.emit_recv, src, channel)
-            self.finding(
-                "GC002", "guard-coverage",
-                f"self-receive on channel {channel!r}: the owner guard "
-                f"admits rank {self.rank} as its own partner",
-                channel=channel, partner=src,
-            )
-            return
-        if not 0 <= src < self.nprocs:
-            self._skip(Walker.emit_recv, src, channel)
-            self.finding(
-                "GC001", "guard-coverage",
-                f"recv on channel {channel!r} from processor {src}, outside "
-                f"ring 0..{self.nprocs - 1}",
-                channel=channel, partner=src,
-            )
-            return
-        self._emit(KIND_RECV, src, channel, 0)
-
-    def _emit(self, kind: int, peer: int, channel: str, plen: int) -> None:
-        """Record one communication event: the plain walker's rows (a
-        flush, then the event by channel id), and the event by channel
-        name with its origin for the passes."""
-        self.flush()
-        self.events.append((kind, peer, self._channel(channel), plen, 0, 0))
-        self.comm.append((kind, peer, channel, plen, 0, 0))
+        if dst is UNKNOWN or isinstance(dst, Affine) or dst == self.rank \
+                or not 0 <= dst < self.nprocs:
+            return self._skip(dst, channel, (dst, channel, plen))
+        Walker.emit_send(self, dst, channel, plen)
         self.origins.append(tuple(self.path))
 
-    def _skip(self, emit, *event) -> None:
-        """Skipping an event the plain walker stops at: keep the error
-        ``emit`` (its hook) raises for the first one."""
+    def emit_recv(self, src, channel: str) -> None:
+        if src is UNKNOWN or isinstance(src, Affine) or src == self.rank \
+                or not 0 <= src < self.nprocs:
+            return self._skip(src, channel, (src, channel))
+        Walker.emit_recv(self, src, channel)
+        self.origins.append(tuple(self.path))
+
+    def _skip(self, peer, channel: str, event: tuple) -> None:
+        """An event the plain walker stops at (``event``: the arguments
+        of its hook; a send's are three). A partner that depends on array
+        data or on a summarized loop abstains; any other bad one is a
+        guard-coverage finding, skipped — keeping the error the plain
+        walker raises at the first — so the walk goes on."""
+        send = len(event) == 3
+        if peer is UNKNOWN:
+            side = "send destination" if send else "receive source"
+            raise ModelError(f"{side} depends on array data")
+        if isinstance(peer, Affine):
+            raise NotAffine("communication inside a summarized loop")
         if self.raised is None:
             try:
-                emit(self, *event)
+                (Walker.emit_send if send else Walker.emit_recv)(self, *event)
             except NodeRuntimeError as err:
                 self.raised = err
+        if peer == self.rank:
+            self.finding(
+                "GC002", "guard-coverage",
+                f"self-{'send' if send else 'receive'} on channel "
+                f"{channel!r}: the owner guard admits rank {self.rank} as "
+                "its own partner",
+                channel=channel, partner=peer,
+            )
+        else:
+            self.finding(
+                "GC001", "guard-coverage",
+                f"{'send' if send else 'recv'} on channel {channel!r} "
+                f"{'to' if send else 'from'} processor {peer}, outside "
+                f"ring 0..{self.nprocs - 1}",
+                channel=channel, partner=peer,
+            )
+
+    def copy(self, mark: int, more: int) -> None:
+        """The plain walker's copy, and the copied events' origins."""
+        comm = sum(row[0] == KIND_SEND or row[0] == KIND_RECV
+                   for row in self.events[mark:])
+        super().copy(mark, more)
+        self.origins += self.origins[len(self.origins) - comm:] * more
 
     # -- loop policy -------------------------------------------------------
     def loop(self, loop, frame, lo, hi, step) -> None:
@@ -324,6 +314,7 @@ class VerifyWalk(Walker):
         trips = self.trips(lo, hi, step)
         if not trips:
             return
+        self.covered += trips
         slot = len(self.path)
         self.path.append("")
         try:
@@ -333,6 +324,7 @@ class VerifyWalk(Walker):
                     return
                 self._no_summarize[loop] = \
                     self._no_summarize.get(loop, 0) + 1
+            self.bodies += trips
             for v in range(lo, hi + 1, step):
                 self.path[slot] = f"for {loop.name}={v}"
                 frame[loop.var] = v
@@ -346,21 +338,23 @@ class VerifyWalk(Walker):
         record of the attempt are rolled back.
 
         The attempt is a transaction: it starts from zero pending charge
-        and writes rows, comm events and origins to fresh lists, so what
-        it leaves is one iteration's *template*. A ``return`` from
-        inside the body (``ProcReturn``) also rolls back: it would end
-        the loop mid-iteration, which only the concrete walk can place
+        and writes rows and origins to fresh lists, so what it leaves is
+        one iteration's *template*, which :meth:`Walker.replicate`
+        writes ``trips`` times. A ``return`` from inside the body
+        (``ProcReturn``) also rolls back: it would end the loop
+        mid-iteration, which only the concrete walk can place
         correctly."""
         axis = self._next_axis
         self._next_axis += 1
         saved_scalars = frame[:loop.nscalars]
-        outer = self.events, self.comm, self.origins
+        outer = self.events, self.origins
         pre_ops, pre_mems = self.ops, self.mems
+        repeats = self.repeats
         mark = len(self._txn)
         self._active_axes.append((axis, trips))
-        rows, comm, origins = self.events, self.comm, self.origins = \
-            [], [], []
+        rows, origins = self.events, self.origins = [], []
         self.ops = self.mems = 0
+        self.bodies += 1
         try:
             for slot in loop.event_assigned:
                 frame[slot] = CARRIED
@@ -370,46 +364,46 @@ class VerifyWalk(Walker):
             del self._txn[mark:]
             frame[:loop.nscalars] = saved_scalars
             self.ops, self.mems = pre_ops, pre_mems
+            self.repeats = repeats
             return False
         finally:
             self._active_axes.pop()
-            self.events, self.comm, self.origins = outer
-        # Every iteration of this loop emits the template verbatim
-        # (rank-varying partners, data flow between iterations and
-        # loop-dependent branches or bounds raised NotAffine above), and
-        # the plain walker flushes where the template does: the first
-        # iteration's leading compute row also carries what was pending
-        # before the loop, every later one the previous iteration's
-        # trailing charge.
+            self.events, self.origins = outer
+        # Every iteration emits the template verbatim (rank-varying
+        # partners, data flow between iterations and loop-dependent
+        # branches or bounds raised NotAffine above): the charge before
+        # its first flush, which the plain walker's flush merges with
+        # what is pending there, its rows and markers, and the charge
+        # pending after them (all of it when it flushed nothing).
+        markers, self.repeats = self.repeats - repeats, repeats
+        flushed = bool(rows)
         tail_ops, tail_mems = self.ops, self.mems
-        if rows:
-            lead_ops = lead_mems = 0
-            if rows[0][0] == KIND_COMPUTE:
-                lead_ops, lead_mems = rows.pop(0)[4:]
-            # pre + template, then (tail + template) x (trips - 1)
-            self.ops, self.mems = pre_ops + lead_ops, pre_mems + lead_mems
+        lead_ops = lead_mems = 0
+        if flushed and rows[0][0] == KIND_COMPUTE:
+            lead_ops, lead_mems = rows.pop(0)[4:]
+        self.ops, self.mems = pre_ops, pre_mems
+
+        def template(_walker, _frame) -> None:
+            """Write one iteration (the repeat step's ``body``)."""
+            if not flushed:
+                self.ops += tail_ops
+                self.mems += tail_mems
+                return
+            self.ops += lead_ops
+            self.mems += lead_mems
             self.flush()
             self.events += rows
-            self.ops, self.mems = tail_ops + lead_ops, tail_mems + lead_mems
-            steady = len(self.events)
-            self.flush()
-            self.events += rows
-            self.events += self.events[steady:] * (trips - 2)
-            self.comm += comm * trips
-            self.origins += origins * trips
+            self.origins += origins
+            self.repeats += markers
             self.ops, self.mems = tail_ops, tail_mems
-        else:  # pure compute: pending grows linearly
-            self.ops = pre_ops + tail_ops * trips
-            self.mems = pre_mems + tail_mems * trips
+
         # A scalar the body never stored to keeps its value; an assigned
-        # one is iteration-dependent — like the cost model, forget it so
-        # a stale Affine value never leaks out.
+        # one is iteration-dependent and forgotten.
         for slot in loop.event_assigned:
             if frame[slot] is CARRIED:
                 frame[slot] = saved_scalars[slot]
-        frame[loop.var] = lo + (trips - 1) * step
-        for slot in loop.assigned:  # the loop variable too, if assigned
-            frame[slot] = UNKNOWN
+        self.replicate(loop, frame, lo, step, trips, template)
+        self.leave(loop, frame, lo, step, trips, loop.assigned)
         if not self._active_axes:
             records, self._txn = self._txn, []
             for record in records:

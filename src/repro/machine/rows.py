@@ -7,7 +7,7 @@ a list of rows
 
 — a compute burst of ``ops``/``mems`` integer counters, a send of
 ``plen`` scalars to ``peer``, or a receive from ``peer``, on channel
-``chan`` (any hashable: an interned id or the channel name). A plain
+``chan`` (any hashable: an interned id or the channel name). A
 :class:`~repro.spmd.walk.Walker` writes a replicated loop as one more
 kind of row, the **repeat marker**
 
@@ -17,8 +17,8 @@ kind of row, the **repeat marker**
 markers are flat: no marker sits inside another's span, so a stream is
 literal rows and repeats of literal rows, never repeats of repeats.
 :func:`expand` is the meaning of the marker, in list slicing and
-multiplication; every clocking consumer sees expanded rows.
-:func:`run_rows` clocks those rows under the paper's machine model
+multiplication; :func:`run_rows` steps through it instead, jumping back
+over the span, and clocks the rows under the paper's machine model
 (§2.2) with exactly the live :class:`~repro.machine.simulator.Simulator`'s
 float operations in the simulator's order (identity placement):
 
@@ -34,8 +34,9 @@ depends only on its own prefix and on matched arrival values.
 
 This is the one per-event scheduler outside the simulator (which also
 moves values, places processes and traces) and :mod:`repro.replay.vector`
-(which is fast): the tuner's prediction, the replay oracle and the
-verifier's deadlock pass all read its result.
+(which is fast): the ``compiled`` backend, the replay oracle and
+:func:`repro.analysis.clock_ranks` (the tuner's prediction and the
+verifier's deadlock pass) all read its result.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ class RowsRun(NamedTuple):
 
     ``clock``/``busy``/``comm`` are per-rank simulated microseconds
     (``comm`` ⊆ ``busy``, as in :class:`~repro.machine.SimResult`) and
-    ``cursor`` the per-rank count of rows executed. ``stuck`` lists the
-    ranks whose cursor stopped short — each on a receive row no send
-    will satisfy. ``messages``/``scalars`` count what was sent and
+    ``cursor`` the per-rank index of the row each rank stopped at (in a
+    marker's span if it blocked mid-repeat). ``stuck`` lists the ranks
+    whose cursor stopped short — each on a receive row no send will
+    satisfy. ``messages``/``scalars`` count what was sent and
     ``queued`` what was sent but never received, per ``(src, dst,
     chan)`` with ``chan`` as the rows spelled it.
     """
@@ -112,6 +114,7 @@ def run_rows(per_rank_rows, nprocs: int, params: MachineParams) -> RowsRun:
     busy = [0.0] * nprocs
     comm = [0.0] * nprocs
     cursor = [0] * nprocs
+    pending = [0] * nprocs  # 1 + jumps left at the current marker
     queues: dict[tuple, deque] = defaultdict(deque)  # key -> arrival times
     blocked: dict[tuple, int] = {}  # key -> the (unique) waiting rank
     messages: dict[tuple, int] = defaultdict(int)
@@ -131,6 +134,7 @@ def run_rows(per_rank_rows, nprocs: int, params: MachineParams) -> RowsRun:
         rows = per_rank_rows[p]
         n = len(rows)
         i = cursor[p]
+        left = pending[p]
         c = clock[p]
         b = busy[p]
         cm = comm[p]
@@ -156,7 +160,7 @@ def run_rows(per_rank_rows, nprocs: int, params: MachineParams) -> RowsRun:
                 scalars[key] += plen
                 if key in blocked:
                     runnable.append(blocked.pop(key))
-            else:  # KIND_RECV
+            elif kind == KIND_RECV:
                 key = (peer, p, chan)
                 queue = queues[key]
                 if not queue:
@@ -168,8 +172,16 @@ def run_rows(per_rank_rows, nprocs: int, params: MachineParams) -> RowsRun:
                 c += recv_overhead_us
                 b += recv_overhead_us
                 cm += recv_overhead_us
+            else:  # KIND_REPEAT: the ``ops`` rows before, ``mems`` more times
+                if not left:
+                    left = mems + 1
+                left -= 1
+                if left:
+                    i -= ops
+                    continue
             i += 1
         cursor[p] = i
+        pending[p] = left
         clock[p] = c
         busy[p] = b
         comm[p] = cm

@@ -1353,7 +1353,7 @@ class WalkDomain:
             lo, hi, step = (ce.src for ce in bounds)
             return [f"st.loop({g.fresh(loop)}, fr, {lo}, {hi}, {step})"]
         # Any other loop of the plain walk runs every iteration, as
-        # Walker.iterate would: in line.
+        # Walker.loop would: in line.
         out = [f"{name} = {ce.src}"
                for name, ce in zip(("_lo", "_hi", "_by"), bounds)]
         return out + [

@@ -128,7 +128,7 @@ class Walker:
     policy summarizes what is provably repetitive and stays exact: a
     ``uniform`` loop is one sampled iteration times its trip count
     (:meth:`loop`), a ``replicable`` one is walked twice and followed by
-    one repeat marker (:meth:`iterate`).
+    one repeat marker (:meth:`replicate`).
     """
 
     #: Access observers. A subclass defining them is compiled code that
@@ -190,7 +190,11 @@ class Walker:
             self.ops = self.mems = 0
 
     def _channel(self, name: str) -> int:
-        return self.chan_ids.setdefault(name, len(self.chan_ids))
+        try:  # once per event: a subscript, not a call
+            return self.chan_ids[name]
+        except KeyError:  # first use: the next id
+            chan = self.chan_ids[name] = len(self.chan_ids)
+            return chan
 
     def emit_send(self, dst, channel: str, plen: int) -> None:
         if dst is UNKNOWN or not 0 <= dst < self.nprocs or dst == self.rank:
@@ -222,7 +226,11 @@ class Walker:
 
     def loop(self, loop: Loop, frame, lo, hi, step) -> None:
         trips = self.trips(lo, hi, step)
-        if trips > 1 and loop.uniform:
+        if trips < 2 or not loop.replicable:
+            for v in range(lo, lo + trips * step, step):
+                frame[loop.var] = v
+                loop.body(self, frame)
+        elif loop.uniform:
             # Closed form over the integer counters: one sampled
             # iteration (which records no events) times the trip count.
             ops, mems = self.ops, self.mems
@@ -230,41 +238,28 @@ class Walker:
             loop.body(self, frame)
             self.ops = ops + (self.ops - ops) * trips
             self.mems = mems + (self.mems - mems) * trips
-            # Body-assigned scalars are iteration-dependent: forget them
-            # so a stale first-iteration value can never leak into later
-            # control flow. The loop variable's final value is known,
-            # unless the body assigns it too (an inner loop reusing it).
-            frame[loop.var] = lo + (trips - 1) * step
-            for slot in loop.assigned:
-                frame[slot] = UNKNOWN
-        elif trips:
-            self.iterate(loop, frame, lo, step, trips)
+            self.leave(loop, frame, lo, step, trips, loop.assigned)
+        else:
+            self.replicate(loop, frame, lo, step, trips, loop.body)
+            self.leave(loop, frame, lo, step, trips, loop.event_assigned)
 
-    def iterate(self, loop: Loop, frame, lo, step, trips) -> None:
-        """Walk a loop that may communicate. A ``replicable`` loop is
-        walked twice and its remaining ``trips - 2`` iterations written
-        as one row, ``(KIND_REPEAT, -1, -1, 0, span, count)``: the
-        ``span`` rows before it occur ``count`` more times. Markers are
-        flat — none inside another's span — so consumers expand one
-        level (:func:`repro.machine.rows.expand`)."""
-        var, body = loop.var, loop.body
-        if trips < 2 or not loop.replicable:
-            for v in range(lo, lo + trips * step, step):
-                frame[var] = v
-                body(self, frame)
-            return
-        # Walk the first iteration for real (its leading flush merges
-        # compute pending from *before* the loop) and the second (its
-        # leading flush merges the first's trailing compute — the steady
-        # state), then say how often the second's rows repeat. Flush
-        # boundaries stay exactly where the compiled backend puts them.
+    def replicate(self, loop: Loop, frame, lo, step, trips, body) -> None:
+        """Write ``trips >= 2`` iterations whose rows repeat from the
+        second on, ``body(self, frame)`` writing one: the first for real
+        (its leading flush merges compute pending from *before* the
+        loop), the second (its leading flush merges the first's trailing
+        compute — the steady state), then the remaining ``trips - 2`` as
+        one row, ``(KIND_REPEAT, -1, -1, 0, span, count)``: the ``span``
+        rows before it occur ``count`` more times. Flush boundaries stay
+        where the compiled backend puts them, and markers are flat —
+        none inside another's span (:func:`repro.machine.rows.expand`)."""
         events = self.events
-        frame[var] = lo
+        frame[loop.var] = lo
         body(self, frame)
         tail_ops, tail_mems = self.ops, self.mems
         mark = len(events)
         repeats = self.repeats
-        frame[var] = lo + step
+        frame[loop.var] = lo + step
         body(self, frame)
         more = trips - 2
         if len(events) == mark:
@@ -275,14 +270,25 @@ class Walker:
         elif self.repeats > repeats:
             # A loop inside the steady state already wrote a marker, and
             # markers are flat: copy the iteration's compact rows.
-            events += events[mark:] * more
+            self.copy(mark, more)
         elif more:
             # The steady state communicated, so its trailing compute is
             # iteration-invariant already: one marker row stands for it.
             events.append((KIND_REPEAT, -1, -1, 0, len(events) - mark, more))
             self.repeats += 1
-        frame[var] = lo + (trips - 1) * step
-        for slot in loop.event_assigned:
+
+    def copy(self, mark: int, more: int) -> None:
+        """Write the rows from ``mark`` on ``more`` more times."""
+        self.events += self.events[mark:] * more
+
+    @staticmethod
+    def leave(loop: Loop, frame, lo, step, trips, forget) -> None:
+        """The loop-exit rule: the loop variable's final value, then the
+        ``forget`` slots (scalars the body may assign — the loop
+        variable too, if it does) forgotten, so no value of one
+        iteration leaks into later control flow."""
+        frame[loop.var] = lo + (trips - 1) * step
+        for slot in forget:
             frame[slot] = UNKNOWN
 
 

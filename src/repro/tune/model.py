@@ -12,9 +12,9 @@ verified the configuration first has already made, and whose failures
 are re-raised here as the plain walk raised them — a data-dependent
 branch is a :class:`ModelError`, never a guess. Message counts and bytes
 are **exact** — per (src, dst, channel), not just in total. The clocks
-come from the reference scheduler (:func:`repro.machine.rows.run_rows`)
-over those skeletons, which reproduces the ``compiled`` backend's
-makespan bit for bit under any machine parameters.
+are the verifier's too (:func:`repro.analysis.clock_ranks`: the reference
+scheduler over those skeletons), which reproduce the ``compiled``
+backend's makespan bit for bit under any machine parameters.
 
 One knowing approximation, documented in ``docs/INTERNALS.md``: the
 model assumes the identity placement (one process per processor). The
@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import perf
-from repro.analysis import walk_ranks
+from repro.analysis import clock_ranks, walk_ranks
 from repro.errors import CompileError, ModelError
 from repro.machine import MachineParams
-from repro.machine.rows import run_rows
 from repro.machine.stats import ChannelKey
 
 
@@ -108,9 +107,7 @@ def predict(
                 failure = walker.raised or walker.error
                 if failure is not None:  # kept with the walk: raise it
                     raise failure.with_traceback(None)  # from here only
-            run = run_rows(
-                [walker.events for walker in walkers], nprocs, machine
-            )
+            run = clock_ranks(walkers, machine)
             if run.stuck:
                 raise ModelError(
                     f"predicted deadlock: ranks {run.stuck} block on "

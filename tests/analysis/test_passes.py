@@ -5,7 +5,8 @@ defect class and checks the verifier pins it with the right code, rank,
 and forensics — no simulator involved anywhere.
 """
 
-from repro.analysis import Severity, verify_compiled
+from repro.analysis import Severity, verify_compiled, walk_ranks
+from repro.machine.rows import KIND_REPEAT
 from repro.spmd.ir import (
     IsLV,
     NAllocIs,
@@ -91,6 +92,29 @@ class TestChannelBalance:
         assert report.by_code("DL002")
 
 
+    def test_unmatched_tail_of_a_repeated_loop(self):
+        """Rank 0's summarized loop is two iterations and a repeat
+        marker; counting runs the marker's span and the cited excess is
+        the expanded tail, from the loop, after the pre-loop send."""
+        send = NSend(NConst(1), "c", (NConst(1),))
+        prog = program([
+            on_rank(0, send, NFor("i", NConst(1), NConst(6), NConst(1),
+                                  (send,))),
+            on_rank(1, NFor("j", NConst(1), NConst(4), NConst(1), (
+                NRecv(NConst(0), "c", (VarLV("x"),)),
+            ))),
+        ])
+        walkers, _ = walk_ranks(prog, 2, {}, {})
+        assert any(row[0] == KIND_REPEAT for row in walkers[0].events)
+        report = verify_compiled(prog, 2)
+        [diag] = report.by_code("CB001")
+        assert (diag.details["sends"], diag.details["recvs"]) == (7, 4)
+        assert diag.path == ("proc main", "if p == 0", "for i=1..6")
+        assert diag.details["chain"] == [
+            "unmatched send from proc main > if p == 0 > for i=1..6"
+        ]
+
+
 class TestDeadlock:
     def test_recv_before_send_cycle(self):
         prog = program([
@@ -113,6 +137,23 @@ class TestDeadlock:
         ])
         report = verify_compiled(prog, 4)
         assert not report.diagnostics
+
+    def test_starved_in_the_middle_of_a_repeat(self):
+        """Rank 1's receive loop is a repeat marker; it runs out of
+        messages on the marker's second pass, and the pass names the
+        loop the stuck receive row belongs to."""
+        prog = program([
+            on_rank(0, NFor("i", NConst(1), NConst(4), NConst(1), (
+                NSend(NConst(1), "c", (NConst(1),)),
+            ))),
+            on_rank(1, NFor("j", NConst(1), NConst(6), NConst(1), (
+                NRecv(NConst(0), "c", (VarLV("x"),)),
+            ))),
+        ])
+        report = verify_compiled(prog, 2)
+        [diag] = report.by_code("DL002")
+        assert diag.rank == 1
+        assert diag.path == ("proc main", "if p == 1", "for j=1..6")
 
     def test_starvation_is_dl002(self):
         prog = program([

@@ -1,19 +1,25 @@
 """The verifier's summarizing walk against the plain walker, row for row.
 
 ``VerifyWalk`` runs a loop body once over a symbolic loop variable and
-replicates what it recorded. These hand-built programs put each thing
-that could make that inexact where the summary must either carry it
-exactly (pending charges around and inside a communicating loop, nested
-summaries, guarded-off communication) or refuse (a scalar carried from
-one iteration to the next): in every case the verifier's rows are the
-plain ``Walker``'s rows (its repeat markers expanded), and a program the simulator runs clean verifies
-clean.
+writes what it recorded through the plain walker's repeat step. These
+hand-built programs put each thing that could make that inexact where
+the summary must either carry it exactly (pending charges around and
+inside a communicating loop, nested summaries, guarded-off
+communication) or refuse (a scalar carried from one iteration to the
+next): in every case the verifier's rows are the plain ``Walker``'s
+rows (both streams' repeat markers expanded), and a program the
+simulator runs clean verifies clean. The last test draws random
+statement nests and holds both walks to the same rows.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 from repro.analysis import verify_compiled, walk_ranks
-from repro.machine.rows import expand
+from repro.analysis.verify import DEFINED
+from repro.analysis.walk import VerifyWalk
+from repro.machine.rows import KIND_RECV, KIND_SEND, expand
 from repro.spmd.interp import run_spmd
 from repro.spmd.ir import (
     IsLV,
@@ -29,9 +35,10 @@ from repro.spmd.ir import (
     NVar,
     VarLV,
 )
-from repro.spmd.walk import Walker
+from repro.spmd.walk import ARRAY, Walker
 from tests.analysis.test_passes import on_rank
 from tests.analysis.test_passes import program as program_of
+from tests.spmd.test_compile_backend import _STMTS, _stmt_program
 
 c = NConst
 
@@ -126,6 +133,35 @@ def test_rows_are_the_plain_walkers_and_the_verdict_is_clean(name):
     chan_ids: dict[str, int] = {}
     for rank, walker in enumerate(walkers):
         plain = Walker(code, rank, nprocs, {}, chan_ids).run([])
-        assert walker.events == expand(plain), rank
+        assert expand(walker.events) == expand(plain), rank
     assert channels == tuple(chan_ids)
 
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(parts=hs.lists(_STMTS, max_size=4))
+def test_random_statements_walk_to_the_plain_walkers_rows(parts):
+    """Random statement nests: wherever both walks finish, the
+    verifier's rows expand to the plain walker's, and ``origins`` has
+    one entry per send and receive row."""
+    prog = _stmt_program(parts)
+    plain_code, verify_code = Walker.compile(prog), VerifyWalk.compile(prog)
+    for nprocs in (1, 2, 3):
+        plain_ids: dict[str, int] = {}
+        verify_ids: dict[str, int] = {}
+        for rank in range(nprocs):
+            walker = VerifyWalk(verify_code, rank, nprocs, {}, verify_ids)
+            walker.run([3, DEFINED, DEFINED])
+            try:
+                plain = Walker(plain_code, rank, nprocs, {},
+                               plain_ids).run([3, ARRAY, ARRAY])
+            except Exception:
+                continue  # the plain walk abstains or fails
+            if not walker.completed or walker.raised is not None:
+                continue
+            assert expand(walker.events) == expand(plain), (nprocs, rank)
+            assert len(walker.origins) == sum(
+                row[0] == KIND_SEND or row[0] == KIND_RECV
+                for row in walker.events
+            )

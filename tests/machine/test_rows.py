@@ -7,6 +7,11 @@ processes that yield the same Compute/Send/Recv stream — float for
 float, on the iPSC/2 preset and on a non-dyadic ``op_us`` where any
 re-association of the clock chain would show in the last ulp.
 
+Repeat markers are stepped, not expanded: on random flat streams and on
+a receive that blocks in the middle of a repeat, the compact rows clock
+exactly like their expansion (:func:`repro.machine.rows.expand`, the
+marker's meaning).
+
 The last tests close the loop end to end: for real compiled programs
 ``predict``, both replay engines and the compiled backend agree on every
 timing and traffic observable, and the rows ``predict`` clocks (the
@@ -15,12 +20,15 @@ verifier's walk, :func:`repro.analysis.walk_ranks`) are the rows a plain
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
 from repro.machine import Compute, MachineParams, Recv, Send, Simulator
 from repro.machine.rows import (
     KIND_COMPUTE,
     KIND_RECV,
+    KIND_REPEAT,
     KIND_SEND,
     expand,
     run_rows,
@@ -161,6 +169,73 @@ def test_sender_that_finishes_without_sending(machine):
     assert run.cursor == [2, 1]
 
 
+# --- repeat markers: stepped exactly as expanded -----------------------
+
+literal = st.tuples(
+    st.integers(0, 2), st.integers(-1, 5), st.integers(-1, 3),
+    st.integers(0, 9), st.integers(0, 50), st.integers(0, 50),
+)
+
+
+def repeat(span, count):
+    return (KIND_REPEAT, -1, -1, 0, span, count)
+
+
+@st.composite
+def flat_stream(draw):
+    """One rank's rows: runs of literal rows, each optionally followed
+    by a marker whose span stays inside its own run."""
+    rows = []
+    for run in draw(st.lists(st.lists(literal, max_size=6), max_size=5)):
+        rows += run
+        if run and draw(st.booleans()):
+            rows.append(repeat(draw(st.integers(1, len(run))),
+                               draw(st.integers(1, 4))))
+    return rows
+
+
+def assert_clocked_as_expanded(per_rank_rows, machine):
+    nprocs = len(per_rank_rows)
+    run = run_rows(per_rank_rows, nprocs, machine)
+    want = run_rows([expand(rows) for rows in per_rank_rows], nprocs,
+                    machine)
+    for field in ("clock", "busy", "comm", "messages", "scalars", "queued",
+                  "stuck"):
+        assert getattr(run, field) == getattr(want, field), field
+    return run
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(flat_stream(), min_size=1, max_size=5))
+def test_markers_are_stepped_as_their_expansion(per_rank_rows):
+    assert_clocked_as_expanded(per_rank_rows, MACHINES["op_us=0.3"])
+
+
+@pytest.mark.parametrize("machine", MACHINES.values(), ids=MACHINES)
+def test_a_receive_inside_a_repeat_blocks_and_resumes(machine):
+    """Rank 0's loop receives, works and answers, four times over, so
+    it blocks on the receive in the middle of the repeat, again and
+    again; rank 1 feeds it. Cut rank 1's last round and rank 0 stays
+    stuck on the span's receive row, mid-repeat."""
+    ping = [recv(1, "a"), compute(3, 1), send(1, "b")]
+    pong = [send(0, "a", plen=2), recv(0, "b"), compute(40)]
+    rows = [[compute(5), *ping, *ping, repeat(3, 2)],
+            [*pong, compute(1), *pong, repeat(3, 2)]]
+    run = assert_clocked_as_expanded(rows, machine)
+    sim = simulate([expand(r) for r in rows], machine)
+    assert run.stuck == []
+    assert run.cursor == [len(r) for r in rows]
+    assert (run.clock, run.busy, run.comm) == (
+        sim.finish_times_us, sim.busy_times_us, sim.comm_times_us
+    )
+
+    rows[1][-1] = repeat(3, 1)  # one "a" short
+    run = assert_clocked_as_expanded(rows, machine)
+    assert run.stuck == [0]
+    assert run.cursor == [4, len(rows[1])]  # the span's receive
+    assert rows[0][run.cursor[0]] == recv(1, "a")
+
+
 # --- end to end: four routes to the same numbers -----------------------
 
 
@@ -252,7 +327,7 @@ def test_predict_replay_and_compiled_agree(app, nprocs):
             code, rank, nprocs, {"N": n, **knobs}, chan_ids
         ).run(args)
         assert rows == compact[rank], rank
-        assert expand(rows) == walkers[rank].events, rank
+        assert expand(rows) == expand(walkers[rank].events), rank
         assert expand(rows) == list(zip(*(
             getattr(columns, name).tolist()
             for name in ("kind", "peer", "chan", "plen", "ops", "mems")
@@ -287,7 +362,7 @@ def test_verifier_rows_are_the_plain_walkers_rows(app, strategy, nprocs):
     chan_ids: dict[str, int] = {}
     for rank, walker in enumerate(walkers):
         assert walker.completed and walker.raised is None, rank
-        assert walker.events == expand(Walker(
+        assert expand(walker.events) == expand(Walker(
             code, rank, nprocs, globals_, chan_ids
         ).run(args)), rank
     assert channels == tuple(chan_ids)

@@ -22,28 +22,10 @@ from repro import perf, store
 from repro.machine.rows import KIND_REPEAT, expand
 from repro.replay import ProgramSkeleton, extract_skeletons
 from repro.replay.skeleton import _skeleton_cache, columnize
+from tests.machine.test_rows import flat_stream
 from tests.spmd.test_walk_repeat import NESTED
 
 NAMES = ("kind", "peer", "chan", "plen", "ops", "mems")
-
-literal = st.tuples(
-    st.integers(0, 2), st.integers(-1, 5), st.integers(-1, 3),
-    st.integers(0, 9), st.integers(0, 50), st.integers(0, 50),
-)
-
-
-@st.composite
-def flat_stream(draw):
-    """One rank's rows: runs of literal rows, each optionally followed
-    by a marker whose span stays inside its own run."""
-    rows = []
-    for run in draw(st.lists(st.lists(literal, max_size=6), max_size=5)):
-        rows += run
-        if run and draw(st.booleans()):
-            span = draw(st.integers(1, len(run)))
-            rows.append((KIND_REPEAT, -1, -1, 0, span,
-                         draw(st.integers(1, 4))))
-    return rows
 
 
 def zipped(rank_skeleton):

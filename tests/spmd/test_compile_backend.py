@@ -13,7 +13,7 @@ import warnings
 from collections import deque
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 
 from repro import perf
@@ -833,6 +833,12 @@ class TestStatementDifferential:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=list(HealthCheck))
     @given(parts=hs.lists(_STMTS, max_size=4))
+    # On one rank a broadcast flushes and sends nothing: a summarized
+    # body whose only row is its leading flush still flushes each time.
+    @example(parts=[[NFor("i", NConst(0), NConst(1), NConst(1), (
+        NBroadcast(VarLV("x"), NConst(0), NConst(0), "bc"),
+        NAssign(VarLV("x"), NBin("mod", NConst(0), NConst(97))),
+    ))]])
     def test_walked_rows_clock_to_the_interpreter(self, parts):
         """Both flavours of the abstract walk, clocked by ``run_rows``
         after expanding their repeat markers, finish every rank when the

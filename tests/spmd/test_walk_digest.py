@@ -6,9 +6,10 @@ One SHA-256 per app × strategy over every ring size in ``NPROCS`` pins
   repeat markers included, exactly where it puts them — and the order in
   which its ranks intern channel names;
 * the verifier's :class:`~repro.analysis.walk.VerifyWalk` per rank: its
-  rows, its communication rows and their origins, every finding, the
-  error that ended the walk and the one the plain walker would have
-  raised at the first skipped event.
+  rows with repeat markers expanded, its send and receive rows by
+  channel name with each one's origin, every finding, the error that
+  ended the walk and the one the plain walker would have raised at the
+  first skipped event.
 
 Another digest pins what both walks raise on the planted faults of
 ``tests/replay/test_abstention_parity.py``. Channel and array names a
@@ -28,6 +29,7 @@ import pytest
 
 from repro.analysis.verify import DEFINED
 from repro.analysis.walk import VerifyWalk
+from repro.machine.rows import KIND_RECV, KIND_SEND, expand
 from repro.spmd import ir
 from repro.spmd.walk import ARRAY, UNKNOWN, Walker
 from tests.spmd.test_compiled_rows import (
@@ -107,6 +109,26 @@ def _finding(d):
             d.path, sorted((k, repr(v)) for k, v in d.details.items()))
 
 
+def _expanded(walker, names):
+    """The verifier's rows with repeat markers expanded, its send and
+    receive rows among them by channel name, and their origins."""
+    comm = [row for row in walker.events
+            if row[0] == KIND_SEND or row[0] == KIND_RECV]
+    assert len(comm) == len(walker.origins)
+    origins = iter(walker.origins)
+    tagged = expand([  # each send and receive row with its origin
+        row + (next(origins),) if row[0] == KIND_SEND or row[0] == KIND_RECV
+        else row for row in walker.events
+    ])
+    comm = [row for row in tagged if len(row) == 7]
+    return (
+        [row[:6] for row in tagged],
+        [(kind, peer, names[chan], plen, ops, mems)
+         for kind, peer, chan, plen, ops, mems, _ in comm],
+        [row[6] for row in comm],
+    )
+
+
 def _verified(program, nprocs, globals_, args):
     code = VerifyWalk.compile(program)
     chan_ids: dict[str, int] = {}
@@ -115,7 +137,7 @@ def _verified(program, nprocs, globals_, args):
         walker = VerifyWalk(code, rank, nprocs, globals_, chan_ids)
         walker.run(args)
         ranks.append((
-            walker.events, walker.comm, walker.origins,
+            *_expanded(walker, list(chan_ids)),
             [_finding(d) for d in walker.findings],
             walker.completed, _error(walker.error), _error(walker.raised),
         ))

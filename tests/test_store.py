@@ -4,15 +4,21 @@ Covers the store's survival guarantees — corrupted or version-skewed
 entries are *misses*, never crashes; eviction is LRU and bounded — and
 the :class:`repro.perf.SpillDict` tier that gives any registered cache a
 disk fallthrough, including the ``cache_stats()`` accounting the bench
-CLI reports.
+CLI reports — and, across two processes, that what one persisted the
+next one starts from.
 """
 
+import json
 import os
 import pickle
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import perf, store
 
 
@@ -426,3 +432,64 @@ def test_estimate_bytes_recurses_containers_with_cycles():
     inner: list = [1, 2, 3]
     inner.append(inner)  # cycle must not recurse forever
     assert perf._estimate_bytes({"k": inner}) > 0
+
+
+# ---------------------------------------------------------------------------
+# Two processes, one store
+# ---------------------------------------------------------------------------
+
+#: One replay run of gauss_seidel (wrapped columns, Optimized I, N=64,
+#: S=8) in a fresh interpreter; prints what it put to and found in the
+#: store as one JSON line.
+REPLAY_RUN = """
+import json
+from repro import perf
+from repro.apps import gauss_seidel
+from repro.core.compiler import compile_program_cached
+from repro.core.runner import execute
+from repro.machine import MachineParams
+from repro.spmd.layout import make_full
+from repro.tune.space import STRATEGIES, retarget_source
+
+strategy, opt_level = STRATEGIES["optI"]
+compiled = compile_program_cached(
+    retarget_source(gauss_seidel.SOURCE, "wrapped_cols"),
+    strategy=strategy, opt_level=opt_level,
+    entry_shapes={"Old": ("N", "N")}, assume_nprocs_min=2,
+)
+outcome = execute(
+    compiled, 8, inputs={"Old": make_full((64, 64), 1, name="Old")},
+    params={"N": 64}, machine=MachineParams.ipsc2(),
+    extra_globals={"blksize": 4}, backend="replay",
+)
+print(json.dumps({
+    "backend": outcome.spmd.backend,
+    "puts": {name: entry.get("store_puts", 0)
+             for name, entry in perf.cache_stats().items()
+             if entry["persistent"]},
+    "hits": {name: perf.counter(f"store.{name}.hit")
+             for name in ("compile", "replay_skeleton")},
+    "extracted": perf.counter("replay_skeleton.miss"),
+}))
+"""
+
+
+def test_a_second_process_starts_warm(tmp_path):
+    """The first process persists its compilation and its skeleton; a
+    second one with the same store loads both and extracts nothing."""
+    pytest.importorskip("numpy")  # the replay backend's
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "store"),
+               PYTHONPATH=str(Path(repro.__file__).parents[1]))
+
+    def run() -> dict:
+        done = subprocess.run([sys.executable, "-c", REPLAY_RUN], env=env,
+                              capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    first = run()
+    assert first["puts"].get("compile") and first["puts"].get(
+        "replay_skeleton"), first
+    second = run()
+    assert second["backend"] == "replay"
+    assert all(second["hits"].values()), second
+    assert second["extracted"] == 0, second
