@@ -74,12 +74,16 @@ and communication heatmap — for any app/strategy/ring size;
 ``--trace-out FILE`` additionally exports Chrome trace-event JSON
 viewable at https://ui.perfetto.dev.
 
-Every measuring command takes ``--backend compiled|interp`` and
-``--profile`` (print compiler/runtime counters and phase timers after
-the run; also embedded in JSON dumps). The figure/speedup commands take
-``--json PATH`` (``-`` for stdout) to dump the measurement points,
-including ``host_seconds``, as JSON, and ``--jobs N`` to fan strategy
-series out across worker processes.
+Every command but ``serve`` takes ``--profile`` (print compiler/runtime
+counters and phase timers after the run; also embedded in JSON dumps).
+The commands that execute programs take ``--backend
+compiled|interp|replay``; the figure, speedup, replay, tune, verify,
+maps and irregular commands take ``--json PATH`` (``-`` for stdout) to
+dump their results as JSON, and the
+figure, speedup and tune commands ``--jobs N`` to fan work out across
+worker processes. Each command registers only the options it reads, in
+full: anything else, ``verify --procs`` included, is a usage error
+(exit 2).
 """
 
 from __future__ import annotations
@@ -976,6 +980,25 @@ def _validate_args(args) -> None:
         err(f"--top-k must be positive, got {args.top_k}")
 
 
+#: The options several subcommands read, by name; ``main`` registers on
+#: each subcommand only those its ``cmd_*`` reads.
+_SHARED_OPTIONS = {
+    "n": dict(type=int, default=48),
+    "procs": dict(type=str, default="2,4,8,16"),
+    "nprocs": dict(type=int, default=8),
+    "blksize": dict(type=int, default=8),
+    "backend": dict(choices=["compiled", "interp", "replay"],
+                    default="compiled"),
+    "strategy": dict(choices=["runtime", "compile", "optI", "optII", "optIII"],
+                     default="optIII"),
+    "jobs": dict(type=int, default=1, metavar="N",
+                 help="measure up to N strategy series in parallel "
+                      "worker processes"),
+    "json": dict(type=str, default=None, metavar="PATH",
+                 help="also dump the results as JSON ('-' for stdout)"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -983,47 +1006,32 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (
-        ("fig6", cmd_fig6),
-        ("fig7", cmd_fig7),
-        ("msgcount", cmd_msgcount),
-        ("blocksize", cmd_blocksize),
-        ("timeline", cmd_timeline),
-        ("trace", cmd_trace),
-        ("speedup", cmd_speedup),
-        ("replay", cmd_replay),
-        ("tune", cmd_tune),
-        ("verify", cmd_verify),
-        ("maps", cmd_maps),
-        ("irregular", cmd_irregular),
+    for name, fn, shared in (
+        ("fig6", cmd_fig6, "n procs blksize backend jobs json"),
+        ("fig7", cmd_fig7, "n procs blksize backend jobs json"),
+        ("msgcount", cmd_msgcount, "backend"),
+        ("blocksize", cmd_blocksize, "n nprocs backend"),
+        ("timeline", cmd_timeline, "n nprocs blksize backend strategy"),
+        ("trace", cmd_trace, "n nprocs blksize backend strategy"),
+        ("speedup", cmd_speedup, "n procs blksize jobs json"),
+        ("replay", cmd_replay, "json"),
+        ("tune", cmd_tune, "n procs backend jobs json"),
+        ("verify", cmd_verify, "n nprocs blksize strategy json"),
+        ("maps", cmd_maps, "n nprocs blksize json"),
+        ("irregular", cmd_irregular, "n nprocs json"),
     ):
-        cmd = sub.add_parser(name)
+        # Only the options ``fn`` reads, spelled out in full: an option
+        # it would ignore, or an abbreviation of one it reads, is a
+        # usage error (exit 2).
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.set_defaults(fn=fn, parser=cmd)
-        cmd.add_argument("--n", type=int, default=48)
-        cmd.add_argument("--procs", type=str, default="2,4,8,16")
-        cmd.add_argument("--nprocs", type=int, default=8)
-        cmd.add_argument("--blksize", type=int, default=8)
-        cmd.add_argument(
-            "--backend",
-            choices=["compiled", "interp", "replay"],
-            default="compiled",
-        )
+        for option in shared.split():
+            cmd.add_argument(f"--{option}", **_SHARED_OPTIONS[option])
         cmd.add_argument(
             "--profile", action="store_true",
             help="print compiler/runtime counters and phase timers "
                  "(and embed them in --json dumps)",
         )
-        if name in ("fig6", "fig7", "speedup", "replay", "tune", "verify"):
-            cmd.add_argument(
-                "--json", type=str, default=None, metavar="PATH",
-                help="also dump the measurement points as JSON "
-                     "('-' for stdout)",
-            )
-            cmd.add_argument(
-                "--jobs", type=int, default=1, metavar="N",
-                help="measure up to N strategy series in parallel "
-                     "worker processes",
-            )
         if name == "irregular":
             cmd.set_defaults(nprocs=4)
             cmd.add_argument(
@@ -1043,22 +1051,11 @@ def main(argv: list[str] | None = None) -> int:
                 "--nnz", type=int, default=2, metavar="K",
                 help="off-diagonal entries per sparse-matrix row (spmv)",
             )
-            cmd.add_argument(
-                "--json", type=str, default=None, metavar="PATH",
-                help="also dump the measurement points as JSON "
-                     "('-' for stdout)",
-            )
         if name == "replay":
             cmd.add_argument(
                 "--full", action="store_true",
                 help="full N=1024/S=256 sweep with every speed gate "
                      "(the committed BENCH_replay.json scale; minutes)",
-            )
-        if name in ("timeline", "trace", "verify"):
-            cmd.add_argument(
-                "--strategy",
-                choices=["runtime", "compile", "optI", "optII", "optIII"],
-                default="optIII",
             )
         if name == "verify":
             cmd.add_argument(
@@ -1078,11 +1075,6 @@ def main(argv: list[str] | None = None) -> int:
                 "--app",
                 choices=["gauss_seidel", "jacobi", "matmul", "triangular"],
                 default="jacobi",
-            )
-            cmd.add_argument(
-                "--json", type=str, default=None, metavar="PATH",
-                help="also dump the derived maps and gate verdict as "
-                     "JSON ('-' for stdout)",
             )
         if name == "trace":
             cmd.add_argument(

@@ -26,12 +26,31 @@ from dataclasses import dataclass
 #: (both value backends and the abstract walk) before raising.
 MAX_CALL_DEPTH = 64
 
+
+class _Node:
+    """Base of every IR dataclass: pickles as ``(class, field values)``.
+
+    A slotted dataclass's ``__slots__`` names its fields in order, so
+    dumping a node is one Python call, with none into ``dataclasses``
+    (whose reflective ``__getstate__`` costs a ``fields()`` call and a
+    generator per node), and loading rebuilds it through its
+    constructor, ``__post_init__`` included. Dataclasses'
+    ``__setstate__`` stays on every class: blobs written in its
+    ``(copyreg.__newobj__, state)`` form still load.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
 
-class NExpr:
+class NExpr(_Node):
     """Base class for node-program expressions (pure)."""
 
     __slots__ = ()
@@ -138,18 +157,18 @@ class NIndirect(NExpr):
 
 
 @dataclass(frozen=True, slots=True)
-class VarLV:
+class VarLV(_Node):
     name: str
 
 
 @dataclass(frozen=True, slots=True)
-class IsLV:
+class IsLV(_Node):
     array: str
     indices: tuple[NExpr, ...]
 
 
 @dataclass(frozen=True, slots=True)
-class BufLV:
+class BufLV(_Node):
     buf: str
     indices: tuple[NExpr, ...]
 
@@ -162,7 +181,7 @@ LValue = VarLV | IsLV | BufLV
 # ---------------------------------------------------------------------------
 
 
-class NStmt:
+class NStmt(_Node):
     """Base class for node-program statements.
 
     Statements are frozen, slotted dataclasses: cheap to allocate and
@@ -431,7 +450,7 @@ class NComment(NStmt):
 
 
 @dataclass(frozen=True, slots=True)
-class NodeProc:
+class NodeProc(_Node):
     """One node-level procedure.
 
     ``params`` lists parameter names; ``array_params`` flags which of them
@@ -451,7 +470,7 @@ class NodeProc:
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class NodeProgram:
+class NodeProgram(_Node):
     """A complete SPMD program: procedures plus an entry point.
 
     ``eq=False`` keeps identity comparison/hashing (inherited from

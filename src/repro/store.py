@@ -22,7 +22,13 @@ Layout and invariants:
 **Writes are atomic**: each entry is pickled to a temp file in the same
 directory and ``os.replace``-d into place, so a reader never observes a
 half-written pickle and the last concurrent writer wins (both wrote the
-same value — keys are content hashes).
+same value — keys are content hashes). A write is one open, one write
+and one rename: the temp file is ``.tmp-<pid>-<n>.pkl``, where ``n``
+counts this process's puts, so no other live writer can pick the same
+name; it is created with ``O_CREAT | O_EXCL``, and the shard directory
+is made only when that open reports it missing. A writer that dies
+between open and rename leaves its temp file behind; eviction sweeps
+``.tmp-*`` files older than an hour.
 
 **Reads never raise**: any failure — corrupt pickle, truncated file,
 version skew inside the payload, unpicklable class from a newer code
@@ -40,9 +46,9 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import os
 import pickle
-import tempfile
 import time
 from pathlib import Path
 
@@ -58,6 +64,10 @@ _EVICT_EVERY = 32  # put-credits between opportunistic eviction scans
 #: eviction schedule faster — but never one-scan-per-put, which would
 #: make a stream of large artifacts quadratic in store size.
 _LARGE_BLOB_WEIGHT = 8
+#: Numbers this process's temp files; with the pid, a name no other
+#: live writer can pick.
+_TMP_SEQ = itertools.count()
+_TMP_FLAGS = os.O_CREAT | os.O_EXCL | os.O_WRONLY
 
 
 def key_digest(canonical: str) -> str:
@@ -171,14 +181,21 @@ class ArtifactStore:
         except Exception:
             perf.incr(f"store.{cache}.unpicklable")
             return False
+        shard = path.parent
+        tmp = f"{shard}/.tmp-{os.getpid()}-{next(_TMP_SEQ)}.pkl"
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".pkl"
-            )
             try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
+                fd = os.open(tmp, _TMP_FLAGS, 0o600)
+            except FileNotFoundError:
+                shard.mkdir(parents=True, exist_ok=True)
+                fd = os.open(tmp, _TMP_FLAGS, 0o600)
+            try:
+                try:
+                    written = os.write(fd, blob)
+                finally:
+                    os.close(fd)
+                if written != len(blob):
+                    raise OSError(f"short write to {tmp}")
                 os.replace(tmp, path)  # atomic: readers see old or new
             except BaseException:
                 try:

@@ -243,13 +243,13 @@ class TestArgValidation:
         "argv, message",
         [
             (["fig6", "--n", "0"], "--n must be a positive"),
-            (["fig6", "--nprocs", "-3"], "--nprocs must be a positive"),
-            (["blocksize", "--blksize", "0"], "--blksize must be a positive"),
+            (["blocksize", "--nprocs", "-3"], "--nprocs must be a positive"),
+            (["timeline", "--blksize", "0"], "--blksize must be a positive"),
             (["fig7", "--procs", "0,2"], "--procs entries must be positive"),
             (["fig7", "--procs", ""], "--procs must name at least one"),
             (["fig6", "--procs", "a,b"], "comma-separated list of integers"),
             (["fig6", "--jobs", "0"], "--jobs must be positive"),
-            (["tune", "--blksize", "0"], "--blksize must be a positive"),
+            (["verify", "--blksize", "0"], "--blksize must be a positive"),
             (["tune", "--top-k", "0"], "--top-k must be positive"),
             (["tune", "--blksizes", "4,-1"], "--blksizes entries"),
             (["tune", "--strategies", "optIX"], "unknown strategy"),
@@ -268,6 +268,40 @@ class TestArgValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+
+
+class TestNoIgnoredOptions:
+    """A subcommand registers only the options it reads: one it would
+    ignore, or an abbreviation of one it reads, exits 2 naming it."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "--procs", "1,3,4"], "--procs"),
+            (["verify", "--backend", "interp"], "--backend"),
+            (["verify", "--jobs", "2"], "--jobs"),
+            (["maps", "--backend", "interp"], "--backend"),
+            (["maps", "--procs", "2,4"], "--procs"),
+            (["fig6", "--nprocs", "4"], "--nprocs"),
+            (["speedup", "--backend", "interp"], "--backend"),
+            (["msgcount", "--n", "16"], "--n"),
+            (["blocksize", "--blksize", "4"], "--blksize"),
+            (["tune", "--blksize", "4"], "--blksize"),
+            (["tune", "--nprocs", "4"], "--nprocs"),
+            (["replay", "--n", "16"], "--n"),
+            (["irregular", "--backend", "interp"], "--backend"),
+            (["timeline", "--json", "-"], "--json"),
+        ],
+    )
+    def test_an_ignored_option_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        [line] = [ln for ln in err.splitlines() if "error:" in ln]
+        assert line.endswith(f"unrecognized arguments: {' '.join(argv[1:])}")
+        assert flag in line
         assert "Traceback" not in err
     def test_parallel_sweep_matches_serial(self, tmp_path, capsys):
         paths = {}

@@ -290,6 +290,95 @@ def test_evict_sweeps_stale_tmp_files(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The write path: one open, one write, one rename
+# ---------------------------------------------------------------------------
+
+
+def _tmp_files(root: Path) -> list:
+    return sorted(root.rglob(".tmp-*"))
+
+
+def test_put_creates_missing_shard_directories(tmp_path):
+    root = tmp_path / "fresh"
+    handle = store.ArtifactStore(root=root, max_bytes=1 << 40)
+    assert not root.exists()
+    digests = [digest(f"k{i}") for i in range(6)]
+    for i, d in enumerate(digests):
+        assert handle.put(f"c{i % 2}", d, i)
+    for i, d in enumerate(digests):
+        assert handle._path(f"c{i % 2}", d).is_file()
+        assert handle.fetch(f"c{i % 2}", d) == (True, i)
+    assert not _tmp_files(root)
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch, failing):
+    handle = store.ArtifactStore(root=tmp_path / "s", max_bytes=1 << 40)
+    assert handle.put("t", digest("warm"), 0)  # the shard dir exists
+    errors = perf.counter("store.t.write_error")
+    puts = perf.counter("store.t.put")
+
+    def boom(*args):
+        raise OSError(28, "No space left on device")
+
+    d = digest("k")
+    with monkeypatch.context() as m:
+        m.setattr(os, failing, boom)
+        assert not handle.put("t", d, list(range(100)))
+        assert not handle.put("t", digest("other shard"), 1)
+    assert perf.counter("store.t.write_error") == errors + 2
+    assert perf.counter("store.t.put") == puts
+    assert not _tmp_files(tmp_path / "s")
+    assert handle.fetch("t", d) == (False, None)
+
+
+def test_short_write_is_a_write_error(tmp_path, monkeypatch):
+    handle = store.ArtifactStore(root=tmp_path / "s", max_bytes=1 << 40)
+    real_write = os.write
+    errors = perf.counter("store.t.write_error")
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", lambda fd, data: real_write(fd, data[:3]))
+        assert not handle.put("t", digest("k"), list(range(100)))
+    assert perf.counter("store.t.write_error") == errors + 1
+    assert not _tmp_files(tmp_path / "s")
+    assert handle.fetch("t", digest("k")) == (False, None)
+
+
+def test_threads_putting_the_same_digests_leave_valid_entries(tmp_path):
+    # More writers than cores, switching often: two threads that drew
+    # the same temp name would fail O_EXCL (a write_error) or rename
+    # each other's half-written file into place.
+    handle = store.ArtifactStore(root=tmp_path / "s", max_bytes=1 << 40)
+    digests = [digest(f"shared{i}") for i in range(24)]
+    failures: list = []
+
+    def writer():
+        for d in digests:
+            if not handle.put("t", d, ("value", d)):
+                failures.append(d)
+
+    threads = [threading.Thread(target=writer)
+               for _ in range((os.cpu_count() or 1) + 4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    hits = perf.counter("store.t.hit")
+    for d in digests:
+        assert handle.fetch("t", d) == (True, ("value", d))
+    assert perf.counter("store.t.hit") == hits + len(digests)
+    assert not _tmp_files(tmp_path / "s")
+    assert handle.entry_count() == len(digests)
+
+
+# ---------------------------------------------------------------------------
 # SpillDict: the perf-cache disk tier
 # ---------------------------------------------------------------------------
 
