@@ -33,6 +33,8 @@ Cost model (matching the affine code generator's conventions):
 
 from __future__ import annotations
 
+import itertools
+
 from repro.errors import NodeRuntimeError
 from repro.lang.builtins import apply_builtin, is_builtin
 from repro.machine import Recv, Send
@@ -73,71 +75,67 @@ def get_state(exchanges: dict[str, ExchangeState], sched: str) -> ExchangeState:
 
 
 # ---------------------------------------------------------------------------
-# Template evaluation (owner/local over the __gidx placeholder)
+# Templates (owner/local over the __gidx placeholder), compiled
 # ---------------------------------------------------------------------------
 
 
-def eval_template(e: ir.NExpr, gidx: int, ad) -> int:
-    """Evaluate a distribution template with ``__gidx`` bound to ``gidx``.
-
-    Templates are affine expressions over the placeholder, machine
-    constants and in-scope scalars — uncharged schedule bookkeeping (the
-    per-element partition cost is charged flat by the callers).
-    """
-    if isinstance(e, ir.NConst):
-        return e.value
-    if isinstance(e, ir.NVar):
-        if e.name == TEMPLATE_VAR:
-            return gidx
-        return ad.lookup(e.name)
-    if isinstance(e, ir.NMyNode):
-        return ad.rank
-    if isinstance(e, ir.NNProcs):
-        return ad.nprocs
-    if isinstance(e, ir.NBin):
-        left = eval_template(e.left, gidx, ad)
-        right = eval_template(e.right, gidx, ad)
-        return _binop(e.op, left, right, ad.rank)
-    if isinstance(e, ir.NUn):
-        value = eval_template(e.operand, gidx, ad)
-        return (not value) if e.op == "not" else -value
-    if isinstance(e, ir.NCall) and is_builtin(e.func):
-        return apply_builtin(
-            e.func, [eval_template(a, gidx, ad) for a in e.args]
-        )
-    raise NodeRuntimeError(
-        f"unsupported distribution template {e!r}", ad.rank
-    )
+def _fail(ad, message, *operands):
+    """Raise ``message`` once ``operands`` were evaluated."""
+    raise NodeRuntimeError(message, ad.rank)
 
 
-def _binop(op: str, left, right, rank: int):
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "div":
-        if right == 0:
-            raise NodeRuntimeError("division by zero in template", rank)
-        return left // right
-    if op == "mod":
-        if right == 0:
-            raise NodeRuntimeError("modulo by zero in template", rank)
-        return left % right
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise NodeRuntimeError(f"unknown template operator {op!r}", rank)
+_NATIVE = {"+", "-", "*", "==", "!=", "<", "<=", ">", ">="}
+_DIVIDE = {"div": ("//", "division by zero in template"),
+           "mod": ("%", "modulo by zero in template")}
+
+
+def compile_templates(*templates: ir.NExpr):
+    """The distribution templates as functions ``f(ad, gidx)`` of
+    ``__gidx`` (``g``), ``ad.rank``, ``ad.nprocs`` and in-scope scalars
+    (``ad.lookup``), evaluated left to right: uncharged bookkeeping (the
+    callers charge each element's partition flat). The text compiles once
+    (``cg_code``); what it cannot evaluate raises when reached, so a
+    template never evaluated never raises."""
+    # Not at module level: that reorders other runs' imports, which moves
+    # their ``host_mcalls`` (pstats folds same-label code objects).
+    from repro.spmd.codegen import cg_code
+
+    env = {"_fail": _fail, "_apply": apply_builtin}
+    count = itertools.count()
+
+    def src(e):
+        kind = type(e)
+        if kind is ir.NConst:  # bound, as inf and nan are no literals
+            env[name := f"_c{next(count)}"] = e.value
+            return name
+        if kind is ir.NVar:
+            return "g" if e.name == TEMPLATE_VAR else f"ad.lookup({e.name!r})"
+        if kind is ir.NMyNode or kind is ir.NNProcs:
+            return "ad.rank" if kind is ir.NMyNode else "ad.nprocs"
+        if kind is ir.NBin:
+            left, right = src(e.left), src(e.right)
+            if e.op in _NATIVE:
+                return f"({left} {e.op} {right})"
+            if e.op not in _DIVIDE:
+                message = f"unknown template operator {e.op!r}"
+                return f"_fail(ad, {message!r}, {left}, {right})"
+            sym, message = _DIVIDE[e.op]
+            k = next(count)
+            return (f"(_a{k} {sym} _b{k} if (_a{k} := {left}, _b{k} := "
+                    f"{right})[1] else _fail(ad, {message!r}))")
+        if kind is ir.NUn:
+            return f"({'not ' if e.op == 'not' else '-'}{src(e.operand)})"
+        if kind is ir.NCall and is_builtin(e.func):
+            return f"_apply({e.func!r}, [{', '.join(map(src, e.args))}])"
+        message = f"unsupported distribution template {e!r}"
+        return f"_fail(ad, {message!r})"
+
+    bodies = [src(e) for e in templates]
+    text = "\n".join(f"def _t{k}(ad, g):\n    return {body}"
+                     for k, body in enumerate(bodies))
+    # Named by its templates, so no two texts' functions fold in pstats.
+    exec(cg_code(text, f"<template {' / '.join(bodies)}>"), env)
+    return [env[f"_t{k}"] for k in range(len(templates))]
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +214,12 @@ def exec_exchange(ad, state: ExchangeState, stmt: ir.NExchange):
 def _build_gather(ad, stmt: ir.NExchange, needs: list[int]):
     per_peer: dict[int, list[int]] = {}
     own: list[list[int]] = []
+    owner, local = compile_templates(stmt.owner, stmt.local)
     for g in needs:
         ad.charge_op()  # owner partition
-        q = eval_template(stmt.owner, g, ad)
+        q = owner(ad, g)
         if q == ad.rank:
-            own.append([g, eval_template(stmt.local, g, ad)])
+            own.append([g, local(ad, g)])
         else:
             per_peer.setdefault(q, []).append(g)
     channel = stmt.channel + ".req"
@@ -239,7 +238,7 @@ def _build_gather(ad, stmt: ir.NExchange, needs: list[int]):
             locs = []
             for g in payload:
                 ad.charge_op()  # local-offset conversion
-                locs.append(eval_template(stmt.local, g, ad))
+                locs.append(local(ad, g))
             serve_to.append([q, locs])
     need_from = [[q, gs] for q, gs in sorted(per_peer.items()) if gs]
     return {"need_from": need_from, "serve_to": serve_to, "own": own}
@@ -294,12 +293,13 @@ def _build_scatter(ad, stmt: ir.NScatterFlush, buffer):
     own_loc: list[int] = []
     peer_pos: dict[int, list[int]] = {}
     peer_g: dict[int, list[int]] = {}
+    owner, local = compile_templates(stmt.owner, stmt.local)
     for pos, (g, _value) in enumerate(buffer):
         ad.charge_op()  # owner partition
-        q = eval_template(stmt.owner, g, ad)
+        q = owner(ad, g)
         if q == ad.rank:
             own_pos.append(pos)
-            own_loc.append(eval_template(stmt.local, g, ad))
+            own_loc.append(local(ad, g))
         else:
             peer_pos.setdefault(q, []).append(pos)
             peer_g.setdefault(q, []).append(g)
@@ -319,7 +319,7 @@ def _build_scatter(ad, stmt: ir.NScatterFlush, buffer):
             locs = []
             for g in payload:
                 ad.charge_op()  # local-offset conversion
-                locs.append(eval_template(stmt.local, g, ad))
+                locs.append(local(ad, g))
             recv_loc.append([q, locs])
     send_pos = [[q, ps] for q, ps in sorted(peer_pos.items()) if ps]
     return {

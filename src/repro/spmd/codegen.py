@@ -160,16 +160,22 @@ class _CExpr:
     value is not needed, its residual ``checks`` (lookups of names no
     dominating statement binds) can replace ``src``; ``names``/``reads``
     (variables mentioned; any array read) and their ``sc_`` counterparts
-    in short-circuit subtrees feed the loop scan. The constructor sums
-    the ``kids``' facts; an attribute left alone keeps its class default,
-    which keeps the many leaves cheap to make."""
+    in short-circuit subtrees feed the loop scan. The value domain, in a
+    loop: ``inv`` — source computing the value, when it is the same on
+    every trip (over ``nprocs()``, ``mynode()``, constants and globals,
+    with no operator that can raise on numbers); ``heavy`` — it reads a
+    global or divides, so is worth hoisting; ``hoisted`` — the local it
+    is hoisted to. The constructor sums the ``kids``' facts; an
+    attribute left alone keeps its class default, which keeps the many
+    leaves cheap to make."""
 
     ops = mems = 0
-    unknown = known = reads = sc_reads = False
+    unknown = known = reads = sc_reads = heavy = False
     elidable = True
     checks = ()
     const = _NOTCONST
     names = sc_names = _NO_NAMES
+    inv = hoisted = None
 
     def __init__(self, src, ops=0, mems=0, kids=()):
         self.src = src
@@ -247,6 +253,18 @@ class _Facts:
         self.names |= other.names
 
 
+def _hoisted(hoists):
+    """Lines computing a loop nest's hoisted invariants before it. Each
+    is None if evaluating one raises: its uses then evaluate it in place
+    and raise there, so no error moves."""
+    live = [(name, src) for src, (name, uses) in hoists.items() if uses]
+    if not live:
+        return []
+    return [" = ".join(name for name, _ in live) + " = None", "try:",
+            *(f"    {name} = {src}" for name, src in live),
+            "except Exception:", "    pass"]
+
+
 def _returning(effects, value):
     """Source evaluating ``effects`` in order, then yielding ``value``."""
     return f"({', '.join(effects)}, {value})[-1]" if effects else value
@@ -255,7 +273,8 @@ def _returning(effects, value):
 # op -> (its function, whether it divides, its Python spelling, and
 # whether UNKNOWN's arithmetic spells it natively: it yields itself).
 # ``div``/``mod`` by a divisor not known to be non-zero call the module's
-# checking ``_div``/``_mod`` instead.
+# checking ``_div``/``_mod`` instead: in the walk always, in the value
+# domain only to raise (:meth:`Gen.divide`).
 _OPS = {op: (f, False, op, op in "+-*") for op, f in ir.BINOPS.items()}
 _OPS["/"] = ir.BINOPS["/"], True, "/", True
 _OPS.update((op, (f, True, sym, True)) for op, (f, _), sym in (
@@ -282,12 +301,14 @@ class Gen:
     calls (loop bodies a walker's policy runs, bodies nested past
     ``MAX_DEPTH``) when the domain writes them into its text; ``top``:
     the statement is written into that function itself, not one of
-    these.
+    these. ``hoists``: in the value domain, inside a loop of the
+    function being written, the invariants hoisted before its outermost
+    loop (source -> ``[local, uses]``); None elsewhere.
     """
 
     __slots__ = ("d", "abstract", "observe", "env", "n", "kinds", "scalars",
                  "arrays", "bound_s", "bound_a", "names", "defs", "loops",
-                 "out", "ops", "mems", "facts", "depth", "top")
+                 "out", "ops", "mems", "facts", "depth", "top", "hoists")
 
     def __init__(self, proc: ir.NodeProc, domain, kinds: dict):
         self.d = domain
@@ -315,6 +336,7 @@ class Gen:
         self.facts = _Facts()
         self.depth = 0
         self.top = True
+        self.hoists = None
 
     # -- helpers and names ------------------------------------------------
     def fresh(self, obj):
@@ -377,6 +399,7 @@ class Gen:
         if kind is ir.NMyNode or kind is ir.NNProcs:
             ce = _CExpr("st.rank" if kind is ir.NMyNode else "st.nprocs")
             ce.known = True
+            ce.inv = ce.src
             return ce
         if kind is ir.NBin:
             if e.op in ("and", "or"):
@@ -435,6 +458,8 @@ class Gen:
         ce = _CExpr(src)
         if self.abstract:
             ce.checks, ce.names = (src,), names
+        elif slot is None and not array:
+            ce.inv, ce.heavy = src, True
         return ce
 
     def short_circuit(self, e):
@@ -495,7 +520,8 @@ class Gen:
             ce.elidable = False
         ce.known = left.known and right.known and safe
         if not safe and op in _DIVIDE:
-            ce.src = f"{_DIVIDE[op]}(st, {left.src}, {right.src})"
+            ce.src = (self.divide(op, sym, left, right) if not self.abstract
+                      else f"{_DIVIDE[op]}(st, {left.src}, {right.src})")
         elif not self.abstract or ce.known or native and not self.observe:
             ce.src = f"({left.src} {sym} {right.src})"
         elif self.observe:
@@ -503,7 +529,44 @@ class Gen:
         else:  # a comparison
             ce.src = self.guarded((left, right),
                                   lambda a, b: f"({a} {op} {b})")
+        if safe and self.hoists is not None:  # invariant when both are
+            lp = left.src if left.const is not _NOTCONST else left.inv
+            rp = right.src if right.const is not _NOTCONST else right.inv
+            if lp is not None and rp is not None:
+                ce.inv = f"({lp} {sym} {rp})"
+                ce.heavy = divides or left.heavy or right.heavy
+                if ce.heavy:
+                    self.hoist(ce, left, right)
         return ce
+
+    def divide(self, op, sym, left, right):
+        """``div``/``mod`` in line, the left operand first: the helper
+        runs only to raise the interpreter's error. A hoisted divisor is
+        tested as it is and evaluated again in place when it is zero or
+        could not be hoisted."""
+        a = self.tmp()
+        if right.hoisted:
+            b = test = right.hoisted
+            again = right.inv
+        else:
+            b = again = self.tmp()
+            test = f"{b} := {right.src}"
+        return (f"({a} {sym} {b} if ({a} := {left.src}, {test})[1] "
+                f"else {_DIVIDE[op]}(st, {a}, {again}))")
+
+    def hoist(self, ce, *kids):
+        """Hoist the heavy invariant ``ce`` before the outermost loop, in
+        place of the ``kids`` hoisted so far."""
+        hoists = self.hoists
+        for kid in kids:
+            if kid.hoisted:
+                hoists[kid.inv][1] -= 1
+        entry = hoists.get(ce.inv)
+        if entry is None:
+            entry = hoists[ce.inv] = [self.tmp(), 0]
+        entry[1] += 1
+        ce.hoisted = name = entry[0]
+        ce.src = f"({name} if {name} is not None else {ce.inv})"
 
     def unknown_operator(self, ce, op, left, right):
         """An operator the interpreter rejects once both operands were
@@ -617,10 +680,10 @@ class Gen:
     def own(self, stmts, facts, ops=0, mems=0, var=None):
         """``stmts`` as the lines of a function of their own over ``(st,
         fr)``, their whole charge made inside it."""
-        top, depth = self.top, self.depth
-        self.top, self.depth = False, 0
+        top, depth, hoists = self.top, self.depth, self.hoists
+        self.top, self.depth, self.hoists = False, 0, None
         lines, ops, mems = self.body(stmts, facts, ops, mems, var)
-        self.top, self.depth = top, depth
+        self.top, self.depth, self.hoists = top, depth, hoists
         return lines + charge_lines(ops, mems)
 
     def inline(self, stmts, facts):
@@ -673,6 +736,9 @@ class Gen:
     def for_(self, s):
         bounds = [self.expr(x) for x in (s.lo, s.hi, s.step)]
         self.charge(bounds)
+        outermost = self.hoists is None and not self.abstract
+        if outermost:
+            self.hoists = {}
         inner = _Facts()
         per_trip = CHARGES[ir.NFor]
         if self.d.policy:  # every body is a function the policy calls
@@ -687,6 +753,9 @@ class Gen:
         facts.merge(inner)
         if inner.effects or inner.exits:
             self.settle()
+        if outermost:
+            self.out += _hoisted(self.hoists)
+            self.hoists = None
         self.out += self.d.loop(self, s, bounds, body, inner)
 
     def if_(self, s):

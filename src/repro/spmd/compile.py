@@ -346,11 +346,14 @@ def _wr2(arr, i, j, value):
 #
 # Expressions and stores are in-line source (:mod:`repro.spmd.codegen`):
 # slot reads ``fr[3]``, arithmetic in-line operators, an array read one
-# `_rd2` call, a folded constant its literal. Static charges are summed
-# per straight-line run; what is not static charges in line. Every
-# fallback (unknown array, division by zero, IR the interpreter rejects)
-# is a helper call raising the interpreter's error after its operands
-# have been evaluated, so values, charges and errors are identical.
+# `_rd2` call, a folded constant its literal, a ``div``/``mod`` a floor
+# division behind a test of its divisor, and an invariant such as the
+# block size a local computed before the outermost loop. Static charges
+# are summed per straight-line run; what is not static charges in line.
+# Every fallback (unknown array, IR the interpreter rejects) is a helper
+# call raising the interpreter's error after its operands have been
+# evaluated, and so is a division's other branch: ``_div``/``_mod`` run
+# only for a zero divisor. Values, charges and errors are identical.
 
 _apply = apply_builtin
 

@@ -368,19 +368,13 @@ class _InterpAdapter:
     right scalars and arrays.
     """
 
-    __slots__ = ("machine", "frame")
+    __slots__ = ("machine", "frame", "rank", "nprocs")
 
     def __init__(self, machine: _NodeMachine, frame: _Frame):
         self.machine = machine
         self.frame = frame
-
-    @property
-    def rank(self) -> int:
-        return self.machine.rank
-
-    @property
-    def nprocs(self) -> int:
-        return self.machine.nprocs
+        self.rank = machine.rank
+        self.nprocs = machine.nprocs
 
     def charge_op(self, count: int = 1) -> None:
         self.machine.charge_op(count)

@@ -9,6 +9,7 @@ ring widths, and strategies.
 
 import inspect
 import math
+import sys
 import warnings
 from collections import deque
 
@@ -51,6 +52,7 @@ from repro.spmd.ir import (
     NVar,
     VarLV,
 )
+from repro.spmd import compile as backend
 from repro.spmd.codegen import cg_code
 from repro.spmd.compile import _rd1, _rd2, _wr1, _wr2
 from repro.spmd.interp import _NodeMachine
@@ -148,15 +150,22 @@ def _effects(gen, payloads=((7,), (9,))):
             arr = stop.value
     else:
         arr = run_by_hand(gen, payloads)
-        for kind, peer, chan, _, ops, mems in gen.rows:
-            if kind == KIND_COMPUTE:
-                out.append(Compute(ops * gen.op_us + mems * gen.mem_us))
-            elif kind == KIND_SEND:
-                queued = gen.fifo[gen.rank, peer, chan].popleft()
-                out.append(Send(peer, chan, queued))
-            else:
-                out.append(Recv(peer, chan))
+        out += _recorded_effects(gen)
     out.append((arr.name, arr.read(1), arr.read(2)))
+    return out
+
+
+def _recorded_effects(st):
+    """A compiled rank's rows as the effects the interpreter yields,
+    with the payloads its sends queued."""
+    out = []
+    for kind, peer, chan, _, ops, mems in st.rows:
+        if kind == KIND_COMPUTE:
+            out.append(Compute(ops * st.op_us + mems * st.mem_us))
+        elif kind == KIND_SEND:
+            out.append(Send(peer, chan, st.fifo[st.rank, peer, chan].popleft()))
+        else:
+            out.append(Recv(peer, chan))
     return out
 
 
@@ -959,3 +968,156 @@ class TestStatementDifferential:
         ]
         assert (results[0].sim.finish_times_us
                 == results[1].sim.finish_times_us)
+
+
+# -- division in line and hoisted invariants ----------------------------------
+#
+# The value backend divides in line and computes an invariant such as the
+# block size once, before the outermost loop; ``_div``/``_mod`` run only
+# to raise. None of it may move a value, a row, a charge or an error.
+
+#: The block size ``((N + nprocs()) - 1) div nprocs()``: 0 when N = 0.
+_BLOCK = NBin("div", NBin("-", NBin("+", NVar("N"), _S), NConst(1)), _S)
+
+
+def _divide_after_a_message(op, left):
+    """A zero-trip loop dividing by the block size, then a loop that
+    sends, receives and divides."""
+    divide = NAssign(VarLV("x"), NBin(op, left, _BLOCK))
+    body = (
+        NAssign(VarLV("x"), NConst(-1)),
+        NFor("i", NConst(1), NConst(0), NConst(1), (divide,)),
+        NFor("i", NConst(1), NConst(2), NConst(1), (
+            NSend(_RIGHT, "c", (NVar("i"),)),
+            NRecv(_LEFT, "c", (VarLV("y"),)),
+            divide,
+        )),
+        NReturn(NVar("x")),
+    )
+    main = NodeProc("main", (), body=body)
+    return NodeProgram("divide", {"main": main}, "main")
+
+
+def _by_hand(program, globals_, backend):
+    """Rank 0 of two, each receive fed ``(7,)``: its effects, then what
+    it returned or the text of what it raised."""
+    params = MachineParams.ipsc2()
+    if backend == "interp":
+        gen = _NodeMachine(program, 0, 2, params, globals_).run([])
+        out, reply = [], None
+        try:
+            while True:
+                effect = gen.send(reply)
+                out.append(effect)
+                reply = (7,) if isinstance(effect, Recv) else None
+        except StopIteration as stop:
+            return out + [("returned", stop.value)]
+        except NodeRuntimeError as err:
+            return out + [("raised", str(err))]
+    st = compiled_node(program).start(0, 2, [], params, globals_)
+    try:
+        returned = ("returned", run_by_hand(st, [(7,)] * 4))
+    except NodeRuntimeError as err:
+        returned = ("raised", str(err))
+    return _recorded_effects(st) + [returned]
+
+
+def _divisions(run):
+    """How many times ``run()`` calls the value backend's ``_div`` and
+    ``_mod``."""
+    codes = {backend._div.__code__, backend._mod.__code__}
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestDivisionContract:
+    @pytest.mark.parametrize("op, zero", [("div", "division by zero"),
+                                          ("mod", "modulo by zero")])
+    @pytest.mark.parametrize("globals_, left, outcome", [
+        ({"N": 0}, NBin("-", NVar("i"), NConst(1)), "zero"),
+        ({"N": 5}, NBin("-", NVar("i"), NConst(1)), "returned"),
+        ({}, NBin("-", NVar("i"), NConst(1)), "unbound variable 'N'"),
+        ({"N": 0}, NVar("nope"), "unbound variable 'nope'"),
+    ], ids=["zero-block", "block", "unbound-global", "unbound-left"])
+    def test_the_interpreters_rows_charges_and_error(
+        self, op, zero, globals_, left, outcome
+    ):
+        """A zero block size lets the zero-trip loop run clean and
+        the first real division raise the interpreter's text after the
+        same rows; an unbound global in the hoisted block size raises
+        at its first use, and an unbound left operand before the zero
+        divisor is looked at."""
+        program = _divide_after_a_message(op, left)
+        observed = _by_hand(program, globals_, "compiled")
+        assert observed == _by_hand(program, globals_, "interp")
+        *effects, (how, what) = observed
+        if outcome == "returned":
+            assert how == "returned"
+            return
+        assert how == "raised" and (zero if outcome == "zero"
+                                    else outcome) in what
+        # The zero-trip loop ran clean: a message went out.
+        assert any(isinstance(e, Send) for e in effects)
+
+    @pytest.mark.parametrize("g", [0, 2, None])
+    @pytest.mark.parametrize("trips", [0, 2])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(e=_EXPRS)
+    def test_random_loop_expressions_match_the_interpreter(self, e, trips,
+                                                           g):
+        """Random expressions in a loop body, where their invariant
+        parts are hoisted: with the global ``g`` zero, non-zero or
+        unbound, values, charges and errors are the interpreter's."""
+        main = NodeProc("main", ("a", "V", "M"), frozenset(("V", "M")), (
+            NAssign(VarLV("x"), NConst(0)),
+            NFor("i", NConst(1), NConst(trips), NConst(1),
+                 (NAssign(VarLV("x"), e),)),
+            NReturn(NVar("x")),
+        ))
+        program = NodeProgram("loop", {"main": main}, "main")
+        globals_ = {} if g is None else {"g": g}
+        observed = []
+        for name in ("compiled", "interp"):
+            try:
+                result = run_spmd(program, 2, _expr_args, globals_=globals_,
+                                  backend=name)
+                observed.append((repr(result.returned),
+                                 result.sim.finish_times_us))
+            except Exception as exc:
+                observed.append((type(exc), str(exc)))
+        assert observed[0] == observed[1], e
+
+    def test_block_distributed_runs_never_call_the_helpers(self):
+        """spmv under the inspector and triangular under run-time
+        resolution divide by the block size throughout: at S = 4 neither
+        calls ``_div`` or ``_mod``."""
+        from repro.apps import spmv, triangular
+        from repro.core.compiler import OptLevel, Strategy, compile_program
+        from repro.core.runner import execute
+
+        inputs, nnz = spmv.make_inputs(20)
+        irregular = compile_program(
+            spmv.SOURCE, entry=spmv.ENTRY, entry_shapes=spmv.ENTRY_SHAPES,
+            strategy=Strategy.INSPECTOR, opt_level=OptLevel.NONE,
+        )
+        fill = compile_program(triangular.SOURCE, strategy=Strategy.RUNTIME)
+        with perf.caches_disabled():
+            assert _divisions(lambda: execute(
+                irregular, 4, inputs=inputs,
+                params={"N": 20, "NNZ": nnz, "T": 2}, backend="compiled",
+            )) == 0
+            assert _divisions(lambda: execute(
+                fill, 4, params={"N": 12}, backend="compiled",
+            )) == 0
