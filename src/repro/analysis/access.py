@@ -79,8 +79,7 @@ def _why_not_affine(form: Expr) -> str | None:
 class LoopInfo:
     """One loop of the nest enclosing a reference, outermost first.
 
-    ``lo``/``hi`` are ``None`` when a bound is not affine (the volume
-    estimate then falls back to a nominal trip count).
+    ``lo``/``hi`` are ``None`` when a bound is not affine.
     """
 
     var: str

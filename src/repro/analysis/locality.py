@@ -1,46 +1,37 @@
-"""Static locality analyzer: auto-derived decomposition maps.
+"""Static locality analyzer: the findings behind a decomposition.
 
 The paper's thesis is that process decomposition should follow *locality
 of reference*, yet its compiler takes the ``map`` declaration as input.
-This pass closes the loop: it extracts per-reference affine access
-functions (:mod:`repro.analysis.access`), builds a reference-alignment
-graph between each statement's write and the reads feeding it, scores
-every ``(axis, layout)`` decomposition against the residual
-communication the graph predicts, and emits a ranked candidate list of
-``map`` distributions that :func:`repro.tune.search.tune` can sweep
-(``auto_maps=True``) via the existing source-text retargeting.
+This pass reads the program's own access functions
+(:mod:`repro.analysis.access`), pairs each statement's write with the
+reads feeding it, and reports what only the program text can say: the
+array rank (and so the layout family to search), the reference pairs
+that leave residual communication on each axis, the references it
+cannot analyze, and triangular nests that unbalance an axis.
 
-The analysis is purely static — no simulation, not even the cost-model
-walk — and N-independent: edges are scored at a *nominal* problem size
-(``N = 64`` per ``param``, ``S = 4`` ranks), because only the relative
-order of candidates matters; the tuner's exact predictor re-ranks the
-survivors at the real N.
+It does not rank. Its candidates are every layout of the family
+(:data:`repro.distrib.builtin.LAYOUTS`), each carrying its axis's
+findings as rationale; the exact cost model
+(:func:`repro.tune.model.predict`) orders them at the real N and S, in
+:func:`repro.tune.search.tune` (``auto_maps=True``) and ``bench maps``.
 
-Alignment-edge classes per axis, cheapest first:
+Alignment-edge classes per axis:
 
 ``aligned``
     read and write subscripts differ by 0 on this axis — no
     communication under any 1-D layout of the axis.
 ``shift(k)``
-    constant offset ``k``: wrapped layouts pay the full volume (every
-    column's neighbour is remote), block pays only block-boundary
-    surface (``|k|·S/N`` of the volume), block-cyclic ``|k|/b``.
-``shift(k)`` with a flow dependence (read of the array being written)
-    a wavefront: fine-grained cyclic layouts pipeline it (cheap), block
-    layouts serialize the whole axis (expensive).
+    constant offset ``k``; with a flow dependence (a read of the array
+    being written) it is a wavefront.
 ``unaligned`` / ``opaque``
     subscripts disagree in a loop variable (or are not affine at all):
-    all-to-all on this axis, every layout pays the volume.
-
-A triangular nest (a loop bound depending on the distributed axis's
-variable) additionally penalizes block layouts — the paper's §5.4
-load-balancing lesson.
+    all-to-all on this axis.
 
 Diagnostics (codes are stable API, see
 :mod:`repro.analysis.diagnostics`):
 
 ========== ======== ====================================================
-``LOC001`` info     one ranked candidate decomposition map
+``LOC001`` info     one candidate decomposition map and its rationale
 ``LOC002`` info     the reference pair forcing a residual communication
 ``LOC003`` warning  a reference abstained from analysis (not affine)
 ``LOC004`` info     load imbalance detected on an axis
@@ -49,7 +40,7 @@ Diagnostics (codes are stable API, see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro import perf
 from repro.analysis.access import (
@@ -58,70 +49,24 @@ from repro.analysis.access import (
     extract_references,
 )
 from repro.analysis.diagnostics import Report, Severity, register_pass
-from repro.errors import SolverError
+from repro.distrib.builtin import LAYOUTS
 from repro.lang import ast
 from repro.symbolic import Const, simplify
 
-# Nominal sizes the scorer evaluates at. Only candidate *order* matters;
-# the tuner's exact cost model re-ranks at the real N.
-N_NOM = 64
-S_NOM = 4
-FALLBACK_TRIPS = 16  # trips assumed for a loop with a non-affine bound
-
-# Edge weights (fractions of the edge's iteration volume). Rationale:
-# a wrapped layout makes every shift(k) remote (cost 1); a block layout
-# only communicates across the |k| boundary columns of each of the S
-# blocks; block-cyclic(b) across |k| of every b columns. Flow-dependent
-# shifts form wavefronts: wrapped pipelines at grain 1 (cheap), block
-# serializes the axis (the Gauss-Seidel-on-blocks disaster), cyclic at
-# grain b sits in between. Triangular nests under-load block layouts.
-SHIFT_WRAPPED = 1.0
-FLOW_WRAPPED = 0.5
-FLOW_BLOCK = 4.0
-FLOW_BLOCK_CYCLIC = 1.5
-IMBALANCE_BLOCK = 0.75
-IMBALANCE_BLOCK_CYCLIC = 0.15
-
-_CYCLIC_BLK = 4  # the block size derived block-cyclic candidates use
-
-# (axis, layout) -> distribution name, in tie-break order (matches
-# repro.tune.space.DEFAULT_DISTS so equal-score candidates rank the way
-# the default sweep enumerates them).
-_MATRIX_DISTS = (
-    ("cols", "wrapped", "wrapped_cols"),
-    ("rows", "wrapped", "wrapped_rows"),
-    ("cols", "block", "block_cols"),
-    ("rows", "block", "block_rows"),
-    ("cols", "block_cyclic", f"block_cyclic_cols({_CYCLIC_BLK})"),
-    ("rows", "block_cyclic", f"block_cyclic_rows({_CYCLIC_BLK})"),
-)
-_VECTOR_DISTS = (
-    ("elems", "wrapped", "wrapped"),
-    ("elems", "block", "block"),
-)
 _AXIS_DIM = {"rows": 0, "cols": 1, "elems": 0}
 
 
 @dataclass(frozen=True)
 class MapCandidate:
-    """One derived decomposition, ranked (1 = best)."""
+    """One layout of the program's family, with its axis's findings."""
 
     dist: str
     axis: str
     layout: str
-    score: float
-    rank: int
     rationale: str
 
     def to_json(self) -> dict:
-        return {
-            "dist": self.dist,
-            "axis": self.axis,
-            "layout": self.layout,
-            "score": round(self.score, 3),
-            "rank": self.rank,
-            "rationale": self.rationale,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -130,9 +75,8 @@ class LocalityResult:
 
     entry: str
     array_rank: int | None  # 2 (matrices), 1 (vectors), None (abstained)
-    candidates: list[MapCandidate]
+    candidates: list[MapCandidate]  # in LAYOUTS order, unranked
     report: Report
-    edges: list[dict] = field(default_factory=list)  # jsonable forensics
     abstained: int = 0  # references excluded as non-affine
 
     @property
@@ -149,29 +93,8 @@ class LocalityResult:
 class _Edge:
     write: Reference
     read: Reference
-    loops: tuple  # the read statement's nest (volume source)
-    volume: float
+    loops: tuple  # the read statement's nest
     flow: bool  # read of the array being written (wavefront)
-
-
-def _nominal_volume(loops, params) -> float:
-    env = {p: N_NOM for p in params}
-    total = 1.0
-    for loop in loops:
-        lo = hi = None
-        try:
-            lo = loop.lo.evaluate(env) if loop.lo is not None else None
-            hi = loop.hi.evaluate(env) if loop.hi is not None else None
-        except SolverError:
-            lo = hi = None
-        if lo is None or hi is None:
-            trips = FALLBACK_TRIPS
-            env[loop.var] = N_NOM // 2
-        else:
-            trips = max(1, (hi - lo) // loop.step + 1)
-            env[loop.var] = (lo + hi) // 2
-        total *= trips
-    return total
 
 
 def _loop_key(loops) -> tuple:
@@ -188,7 +111,7 @@ def _common_prefix(a: tuple, b: tuple) -> int:
 
 
 def _build_edges(
-    stmts: list[StatementAccess], distributed: set[str], params
+    stmts: list[StatementAccess], distributed: set[str]
 ) -> tuple[list[_Edge], list[Reference]]:
     """Pair each distributed read with the write it feeds.
 
@@ -207,7 +130,6 @@ def _build_edges(
             abstained.append(ref)
 
     def add(write: Reference, stmt: StatementAccess) -> None:
-        vol = _nominal_volume(stmt.loops, params)
         for read in stmt.reads:
             note_abstained(read)
             if read.array not in distributed:
@@ -217,7 +139,6 @@ def _build_edges(
                     write=write,
                     read=read,
                     loops=stmt.loops,
-                    volume=vol,
                     flow=read.array == write.array,
                 )
             )
@@ -246,7 +167,7 @@ def _build_edges(
 
 
 # ---------------------------------------------------------------------------
-# Edge classification and scoring
+# Edge classification and imbalance
 # ---------------------------------------------------------------------------
 
 
@@ -272,29 +193,6 @@ def _classify(edge: _Edge, dim: int) -> tuple[str, int]:
     return "unaligned", 0
 
 
-def _shift_cost(layout: str, k: int, volume: float, flow: bool) -> float:
-    if flow:
-        factor = {
-            "wrapped": FLOW_WRAPPED,
-            "block": FLOW_BLOCK,
-            "block_cyclic": FLOW_BLOCK_CYCLIC,
-        }[layout]
-        return factor * volume
-    if layout == "wrapped":
-        return SHIFT_WRAPPED * volume
-    if layout == "block":
-        return min(1.0, abs(k) * S_NOM / N_NOM) * volume
-    return min(1.0, abs(k) / _CYCLIC_BLK) * volume
-
-
-def _imbalance_penalty(layout: str, volume: float) -> float:
-    if layout == "block":
-        return IMBALANCE_BLOCK * volume
-    if layout == "block_cyclic":
-        return IMBALANCE_BLOCK_CYCLIC * volume
-    return 0.0
-
-
 def _axis_var(write: Reference, dim: int, nest_vars: set[str]) -> str | None:
     """The single loop variable carrying this axis of the write, if any."""
     if dim >= len(write.subs) or write.subs[dim] is None:
@@ -303,8 +201,8 @@ def _axis_var(write: Reference, dim: int, nest_vars: set[str]) -> str | None:
     return next(iter(names)) if len(names) == 1 else None
 
 
-def _find_imbalance(stmts, distributed, params, dim) -> list[tuple]:
-    """(stmt, carrier var, dependent var, volume) per triangular nest."""
+def _find_imbalance(stmts, distributed, dim) -> list[tuple]:
+    """(stmt, carrier var, dependent var) per triangular nest."""
     found = []
     for stmt in stmts:
         w = stmt.write
@@ -328,10 +226,7 @@ def _find_imbalance(stmts, distributed, params, dim) -> list[tuple]:
             else:
                 dep = set()
             if dep:
-                found.append(
-                    (stmt, var, sorted(dep)[0],
-                     _nominal_volume(stmt.loops, params))
-                )
+                found.append((stmt, var, sorted(dep)[0]))
                 break
     return found
 
@@ -341,10 +236,9 @@ def _find_imbalance(stmts, distributed, params, dim) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _analyze_checked(checked, entry: str, max_candidates: int):
+def _analyze_checked(checked, entry: str):
     report = Report()
     report.metadata.update({"entry": entry, "pass": "locality"})
-    params = list(checked.params)
 
     distributed = {
         name
@@ -378,7 +272,7 @@ def _analyze_checked(checked, entry: str, max_candidates: int):
         return LocalityResult(entry, None, [], report)
     rank = ranks.pop()
 
-    edges, abstained = _build_edges(stmts, distributed, params)
+    edges, abstained = _build_edges(stmts, distributed)
     for ref in _dedupe(abstained, key=lambda r: (r.array, r.line, r.reasons)):
         reason = next((r for r in ref.reasons if r), "not affine")
         report.add(
@@ -388,38 +282,30 @@ def _analyze_checked(checked, entry: str, max_candidates: int):
             array=ref.array, line=ref.line, reason=reason,
         )
 
-    table = _MATRIX_DISTS if rank == 2 else _VECTOR_DISTS
+    table = LAYOUTS[rank]
     axes = sorted({axis for axis, _, _ in table}, key=lambda a: _AXIS_DIM[a])
 
-    # Classify every edge once per axis; score layouts from the classes.
-    classified: dict[str, list[tuple[_Edge, str, int]]] = {}
+    # Per axis: the residual pairs (LOC002), triangular nests (LOC004)
+    # and abstentions (LOC003) in words, which become the rationale of
+    # every layout of the axis.
+    findings: dict[str, list[str]] = {}
     for axis in axes:
         dim = _AXIS_DIM[axis]
-        classified[axis] = [
-            (edge, *_classify(edge, dim)) for edge in edges
-        ]
-    imbalance = {
-        axis: _find_imbalance(stmts, distributed, params, _AXIS_DIM[axis])
-        for axis in axes
-    }
-
-    edge_info: list[dict] = []
-    seen_pairs: set[tuple] = set()
-    for axis in axes:
-        for edge, cls, k in classified[axis]:
-            if cls == "aligned":
-                continue
+        residual: dict[str, None] = {}
+        seen_pairs: set[tuple] = set()
+        for edge in edges:
+            cls, k = _classify(edge, dim)
             pair = (
                 edge.write.array, edge.write.line,
-                edge.read.array, edge.read.line, axis, cls, k,
+                edge.read.array, edge.read.line, cls, k,
             )
-            if pair in seen_pairs:
+            if cls == "aligned" or pair in seen_pairs:
                 continue
             seen_pairs.add(pair)
-            desc = {
-                "shift": f"constant offset {k}",
-                "unaligned": "subscripts unaligned",
-                "opaque": "subscript not affine",
+            desc, short = {
+                "shift": (f"constant offset {k}", f"offset {k}"),
+                "unaligned": ("subscripts unaligned", "unaligned"),
+                "opaque": ("subscript not affine", "not affine"),
             }[cls]
             flavor = " (flow dependence: wavefront)" if edge.flow else ""
             report.add(
@@ -431,21 +317,14 @@ def _analyze_checked(checked, entry: str, max_candidates: int):
                 axis=axis, kind=cls, offset=k,
                 read=edge.read.render(), write=edge.write.render(),
             )
-            edge_info.append(
-                {
-                    "axis": axis,
-                    "kind": cls,
-                    "offset": k,
-                    "flow": edge.flow,
-                    "volume": edge.volume,
-                    "write": edge.write.render(),
-                    "read": edge.read.render(),
-                    "write_line": edge.write.line,
-                    "read_line": edge.read.line,
-                }
-            )
+            residual[short + (" (wavefront)" if edge.flow else "")] = None
+        findings[axis] = []
+        if residual:
+            findings[axis].append("residual " + ", ".join(residual))
     for axis in axes:
-        for stmt, var, dep, vol in imbalance[axis]:
+        for stmt, var, dep in _find_imbalance(
+            stmts, distributed, _AXIS_DIM[axis]
+        ):
             report.add(
                 "LOC004", Severity.INFO, "locality",
                 f"load imbalance on axis {axis}: bounds of the nest at "
@@ -453,43 +332,22 @@ def _analyze_checked(checked, entry: str, max_candidates: int):
                 "(triangular iteration space); cyclic layouts balance it",
                 axis=axis, line=stmt.line, var=var,
             )
-
-    scored: list[tuple[float, int, str, str, str]] = []
-    for order, (axis, layout, dist) in enumerate(table):
-        score = 0.0
-        for edge, cls, k in classified[axis]:
-            if cls == "aligned":
-                continue
-            if cls == "shift":
-                score += _shift_cost(layout, k, edge.volume, edge.flow)
-            else:  # unaligned / opaque: all-to-all whatever the layout
-                score += edge.volume
-        for _, _, _, vol in imbalance[axis]:
-            score += _imbalance_penalty(layout, vol)
-        scored.append((score, order, axis, layout, dist))
-    scored.sort(key=lambda t: (t[0], t[1]))
+            findings[axis].append(f"triangular nest at line {stmt.line}")
+        if abstained:
+            findings[axis].append(f"{len(abstained)} reference(s) abstained")
 
     candidates: list[MapCandidate] = []
-    for position, (score, _, axis, layout, dist) in enumerate(
-        scored[:max_candidates], start=1
-    ):
-        if score == 0.0:
-            rationale = "communication-free alignment"
-        else:
-            rationale = (
-                f"residual cost {score:.0f} at nominal "
-                f"N={N_NOM}, S={S_NOM}"
-            )
-        cand = MapCandidate(
-            dist=dist, axis=axis, layout=layout,
-            score=score, rank=position, rationale=rationale,
+    for axis, layout, dist in table:
+        rationale = (
+            f"axis {axis}: " + "; ".join(findings[axis])
+            if findings[axis]
+            else f"axis {axis}: communication-free alignment"
         )
-        candidates.append(cand)
+        candidates.append(MapCandidate(dist, axis, layout, rationale))
         report.add(
             "LOC001", Severity.INFO, "locality",
-            f"candidate map #{position}: {dist} — {rationale}",
+            f"candidate map: {dist} — {rationale}",
             dist=dist, axis=axis, layout=layout,
-            score=round(score, 3), position=position,
         )
 
     return LocalityResult(
@@ -497,7 +355,6 @@ def _analyze_checked(checked, entry: str, max_candidates: int):
         array_rank=rank,
         candidates=candidates,
         report=report,
-        edges=edge_info,
         abstained=len(abstained),
     )
 
@@ -513,12 +370,12 @@ def _dedupe(items, key):
     return out
 
 
-# Analysis is deterministic in (source, entry, max_candidates) and
-# N-independent, so results are memoized like compilations — warm calls
-# (the tuner re-deriving maps per proc count, bench sweeps) are dict
-# hits, and fresh processes load from the shared artifact store. The
-# schema tag keys out persisted results from older scoring algorithms.
-_LOCALITY_SCHEMA = 3  # 3: access functions are symbolic Exprs
+# Analysis is deterministic in (source, entry) and N-independent, so
+# results are memoized like compilations — warm calls (the tuner
+# re-deriving maps per proc count, bench sweeps) are dict hits, and
+# fresh processes load from the shared artifact store. The schema tag
+# keys out persisted results of older analyzers.
+_LOCALITY_SCHEMA = 4  # 4: unscored candidates, every layout of the rank
 
 
 _locality_cache: dict = perf.register_cache(
@@ -527,10 +384,8 @@ _locality_cache: dict = perf.register_cache(
 )
 
 
-def analyze(
-    program, entry: str | None = None, max_candidates: int = 4
-) -> LocalityResult:
-    """Derive ranked decomposition-map candidates for ``program``.
+def analyze(program, entry: str | None = None) -> LocalityResult:
+    """Derive the decomposition-map candidates for ``program``.
 
     ``program`` may be mini-Id source text, a
     :class:`~repro.lang.typecheck.CheckedProgram`, or a
@@ -551,27 +406,22 @@ def analyze(
 
             tree = check_program(monomorphize(parse_program(tree)))
         return _analyze_checked(
-            tree, default_entry(tree) if entry is None else entry,
-            max_candidates,
+            tree, default_entry(tree) if entry is None else entry
         )
 
     if isinstance(checked, str):  # source text: the one hashable form
-        return perf.memo("locality", (checked, entry, max_candidates), build)
+        return perf.memo("locality", (checked, entry), build)
     return build()
 
 
-def derive_maps(
-    program, entry: str | None = None, max_candidates: int = 4
-) -> list[MapCandidate]:
-    """Just the ranked candidates of :func:`analyze`."""
-    return analyze(program, entry, max_candidates).candidates
+def derive_maps(program, entry: str | None = None) -> list[MapCandidate]:
+    """Just the candidates of :func:`analyze`."""
+    return analyze(program, entry).candidates
 
 
-def locality_report(
-    program, entry: str | None = None, max_candidates: int = 4
-) -> Report:
+def locality_report(program, entry: str | None = None) -> Report:
     """Just the LOC00x diagnostics of :func:`analyze`."""
-    return analyze(program, entry, max_candidates).report
+    return analyze(program, entry).report
 
 
 @register_pass("locality", default=False)

@@ -83,6 +83,10 @@ procedure init_boundary(A: matrix) {
 }
 """
 
+ENTRY = "gs_iteration"
+
+ENTRY_SHAPES = {"Old": ("N", "N")}
+
 # The source with the i/j loops reversed — used for the loop-interchange
 # study (§4: "if the sequential version of Gauss-Seidel had had the i and
 # j-loops reversed then generated code would not have shown any

@@ -43,6 +43,10 @@ procedure copy_boundary(Old: matrix, New: matrix) {
 }
 """
 
+ENTRY = "jacobi_step"
+
+ENTRY_SHAPES = {"Old": ("N", "N")}
+
 SOURCE_BLOCK = SOURCE_WRAPPED.replace("wrapped_cols", "block_cols")
 SOURCE_ROWS = SOURCE_WRAPPED.replace("wrapped_cols", "wrapped_rows")
 

@@ -36,6 +36,10 @@ procedure matmul(A: matrix, B: matrix) returns matrix {
 }
 """
 
+ENTRY = "matmul"
+
+ENTRY_SHAPES = {"A": ("N", "N"), "B": ("N", "N")}
+
 
 def reference_rows(n: int, a: list[list[int]], b: list[list[int]]):
     return [

@@ -10,24 +10,8 @@ observed loads.
 
 from __future__ import annotations
 
-SOURCE = """
--- Triangular fill: column j writes j elements.
-param N;
-
-map A by block_cols;
-
-procedure fill(A: matrix) returns matrix {
-    let A = matrix(N, N);
-    for j = 1 to N {
-        for i = 1 to j {
-            A[i, j] = i * 1000 + j;
-        }
-    }
-    return A;
-}
-"""
-
-# The entry allocates its own matrix, so rewrite without the parameter:
+# Triangular fill: column j writes j elements. The entry allocates its
+# own matrix, so it takes no parameter.
 SOURCE = """
 param N;
 
@@ -43,6 +27,10 @@ procedure fill() returns matrix {
     return A;
 }
 """
+
+ENTRY = "fill"
+
+ENTRY_SHAPES: dict[str, tuple] = {}
 
 
 def reference_cells(n: int) -> dict[tuple[int, int], int]:

@@ -52,16 +52,15 @@ model's makespan is bit-exact against the simulator under any machine
 parameters, so the report's ``spearman=`` figure is a self-check that
 reads 1.00, not an accuracy score. With
 ``--auto-maps`` the distribution axis is not searched from the default
-list but derived by the static locality analyzer from the program's own
-access functions (``--dists`` is ignored).
+list but is the layout family the static locality analyzer reads off
+the program's own access functions (``--dists`` is ignored).
 
 The ``maps`` command runs the static locality analyzer
-(:mod:`repro.analysis.locality`) on one app without simulating it:
-prints the ranked derived decomposition maps with their LOC00x
-rationale, prices each derived map — and the hand-written one from the
-app's ``map ... by`` clause — with the analytic cost model, and exits 0
-when the derived set contains the hand map or predicts at least as
-fast, 1 otherwise.
+(:mod:`repro.analysis.locality`) on one app without simulating it: it
+prices every candidate map with the analytic cost model, prints them in
+predicted order with their LOC00x rationale, and exits 0 when the
+candidates contain the hand-written map (the app's ``map ... by``
+clause), 1 otherwise.
 
 The ``replay`` command runs the replay backend's acceptance sweep
 (:mod:`repro.bench.replay_bench`) — fresh / warm / scalar-oracle /
@@ -390,49 +389,62 @@ def cmd_blocksize(args) -> None:
     _print_profile(args)
 
 
-def _traced_run(args):
-    """Compile and execute one app/strategy/S with tracing on.
+#: ``--app`` name -> (module under :mod:`repro.apps`, the source the
+#: commands run). Each module declares ``ENTRY`` and ``ENTRY_SHAPES``
+#: beside its sources.
+APPS = {
+    "gauss_seidel": ("gauss_seidel", "SOURCE"),
+    "jacobi": ("jacobi", "SOURCE_WRAPPED"),
+    "matmul": ("matmul", "SOURCE"),
+    "triangular": ("triangular", "SOURCE"),
+}
+
+
+def load_app(name: str):
+    """``(module, source)`` of one ``--app`` choice."""
+    import importlib
+
+    module, source = APPS[name]
+    app = importlib.import_module(f"repro.apps.{module}")
+    return app, getattr(app, source)
+
+
+def compile_app(name: str, strategy: str, nprocs: int, dist=None):
+    """Compile one app, retargeted onto ``dist`` when given.
 
     Compilation goes through the memoized cache so repeat invocations
     (and backend comparisons) see the identical program — including the
     generated channel names that appear in reports and exports.
     """
     from repro.core.compiler import compile_program_cached
-    from repro.core.runner import execute
-    from repro.spmd.layout import make_full
-    from repro.tune.space import STRATEGIES
+    from repro.tune.space import STRATEGIES, retarget_source
 
-    strat, level = STRATEGIES[args.strategy]
-    app = getattr(args, "app", "gauss_seidel")
-    common = dict(
+    app, source = load_app(name)
+    strat, level = STRATEGIES[strategy]
+    return compile_program_cached(
+        source if dist is None else retarget_source(source, dist),
+        entry=app.ENTRY,
+        entry_shapes=app.ENTRY_SHAPES,
         strategy=strat,
         opt_level=level,
-        assume_nprocs_min=2 if args.nprocs >= 2 else 1,
+        assume_nprocs_min=2 if nprocs >= 2 else 1,
     )
-    if app == "gauss_seidel":
-        from repro.apps import gauss_seidel as gs
 
-        compiled = compile_program_cached(
-            gs.SOURCE, entry_shapes={"Old": ("N", "N")}, **common
-        )
-        inputs = {"Old": make_full((args.n, args.n), 1)}
-    elif app == "jacobi":
-        from repro.apps import jacobi
 
-        compiled = compile_program_cached(
-            jacobi.SOURCE_WRAPPED,
-            entry="jacobi_step",
-            entry_shapes={"Old": ("N", "N")},
-            **common,
-        )
-        inputs = {"Old": make_full((args.n, args.n), 1)}
-    elif app == "triangular":
-        from repro.apps import triangular
+def _traced_run(args):
+    """Compile and execute one app/strategy/S with tracing on."""
+    from repro.core.runner import execute
+    from repro.spmd.layout import make_full
 
-        compiled = compile_program_cached(triangular.SOURCE, **common)
-        inputs = None
-    else:
-        raise SystemExit(f"trace: unknown app {app!r}")
+    compiled = compile_app(
+        getattr(args, "app", "gauss_seidel"), args.strategy, args.nprocs
+    )
+    env = {**compiled.checked.consts, "N": args.n}
+    info = compiled.array_info[compiled.entry]
+    inputs = {
+        name: make_full(tuple(d.evaluate(env) for d in info[name].shape), 1)
+        for name in compiled.entry_array_params
+    }
     return execute(
         compiled,
         args.nprocs,
@@ -490,22 +502,12 @@ def cmd_trace(args) -> None:
     _print_profile(args)
 
 
-def _tune_app(name: str):
-    """Resolve an app name to (source, entry, oracle) for the tuner."""
-    if name == "gauss_seidel":
-        from repro.apps import gauss_seidel as app
-
-        return app.SOURCE, None, app.reference_rows
-    from repro.apps import jacobi as app
-
-    return app.SOURCE_WRAPPED, "jacobi_step", app.reference_rows
-
-
 def cmd_tune(args) -> None:
     from repro.errors import TuneError
     from repro.tune import default_space, tune
 
-    source, entry, oracle = _tune_app(args.app)
+    app, source = load_app(args.app)
+    entry, oracle = app.ENTRY, app.reference_rows
     try:
         if args.auto_maps:
             report = tune(
@@ -547,10 +549,7 @@ def cmd_tune(args) -> None:
     if report.auto_maps:
         print(
             "auto-derived maps: "
-            + ", ".join(
-                f"#{m['rank']} {m['dist']} (score {m['score']})"
-                for m in report.auto_maps
-            )
+            + ", ".join(m["dist"] for m in report.auto_maps)
         )
 
     rows = []
@@ -625,37 +624,17 @@ def cmd_verify(args) -> int:
     errors (argparse). CI keys on these.
     """
     from repro.analysis import render_json, render_text, verify_compiled
-    from repro.core.compiler import compile_program_cached
     from repro.errors import ReproError, TuneError
-    from repro.tune.space import STRATEGIES, parse_dist, retarget_source
+    from repro.tune.space import parse_dist
 
     try:
         parse_dist(args.dist)
     except TuneError as exc:
         args.parser.error(str(exc))
-    strategy, opt_level = STRATEGIES[args.strategy]
-    common = dict(
-        strategy=strategy,
-        opt_level=opt_level,
-        assume_nprocs_min=2 if args.nprocs >= 2 else 1,
-    )
-    if args.app == "gauss_seidel":
-        from repro.apps import gauss_seidel as app
-
-        source, extra = app.SOURCE, dict(entry_shapes={"Old": ("N", "N")})
-    elif args.app == "jacobi":
-        from repro.apps import jacobi as app
-
-        source = app.SOURCE_WRAPPED
-        extra = dict(entry="jacobi_step", entry_shapes={"Old": ("N", "N")})
-    else:
-        from repro.apps import triangular as app
-
-        source, extra = app.SOURCE, {}
     label = f"{args.app} {args.dist} {args.strategy} S={args.nprocs}"
     try:
-        compiled = compile_program_cached(
-            retarget_source(source, args.dist), **common, **extra
+        compiled = compile_app(
+            args.app, args.strategy, args.nprocs, args.dist
         )
     except ReproError as exc:
         print(f"verify: {label}: {type(exc).__name__}: {exc}")
@@ -683,67 +662,24 @@ def cmd_verify(args) -> int:
     return 1 if report.diagnostics else 0
 
 
-def _maps_app(name: str):
-    """Resolve an app name to (source, compile kwargs) for the analyzer."""
-    if name == "gauss_seidel":
-        from repro.apps import gauss_seidel as app
-
-        return app.SOURCE, dict(entry_shapes={"Old": ("N", "N")})
-    if name == "jacobi":
-        from repro.apps import jacobi as app
-
-        return app.SOURCE_WRAPPED, dict(
-            entry="jacobi_step", entry_shapes={"Old": ("N", "N")}
-        )
-    if name == "matmul":
-        from repro.apps import matmul as app
-
-        return app.SOURCE, dict(
-            entry_shapes={"A": ("N", "N"), "B": ("N", "N")}
-        )
-    from repro.apps import triangular as app
-
-    return app.SOURCE, {}
-
-
-def _hand_dist(source: str) -> str | None:
-    """The program's own ``map ... by`` distribution, if it names one."""
-    import re
-
-    match = re.search(r"\bmap\s+\w+\s+by\s+(\w+(?:\([^)]*\))?)", source)
-    return match.group(1) if match else None
-
-
 def cmd_maps(args) -> int:
-    """Derive decomposition maps statically and price them.
+    """Derive the decomposition-map candidates statically and rank them
+    by the cost model's predicted makespan (unpriced ones last).
 
-    Exit codes: 0 when the derived set contains the hand-written map or
-    a map whose predicted makespan is at least as good, 1 otherwise,
-    2 for usage errors (argparse). CI keys on these.
+    Exit codes: 0 when the candidates contain the hand-written map, 1
+    otherwise, 2 for usage errors (argparse). CI keys on these.
     """
     from repro.analysis import analyze, render_json, render_text
-    from repro.core.compiler import compile_program_cached
     from repro.errors import ReproError
     from repro.tune.model import predict
-    from repro.tune.space import STRATEGIES, retarget_source
 
-    source, extra = _maps_app(args.app)
-    result = analyze(source)
-    hand = _hand_dist(source)
-
-    strategy, opt_level = STRATEGIES["compile"]
+    app, source = load_app(args.app)
+    result = analyze(source, entry=app.ENTRY)
 
     def predicted_us(dist: str) -> float | None:
         try:
-            compiled = compile_program_cached(
-                retarget_source(source, dist),
-                strategy=strategy,
-                opt_level=opt_level,
-                assume_nprocs_min=2 if args.nprocs >= 2 else 1,
-                **extra,
-            )
             est = predict(
-                compiled,
+                compile_app(args.app, "compile", args.nprocs, dist),
                 args.nprocs,
                 params={"N": args.n},
                 extra_globals={"blksize": args.blksize},
@@ -753,75 +689,40 @@ def cmd_maps(args) -> int:
             return None
         return est.makespan_us
 
-    rows, priced = [], {}
-    for cand in result.candidates:
-        us = predicted_us(cand.dist)
-        priced[cand.dist] = us
-        rows.append(
-            {
-                "rank": cand.rank,
-                "dist": cand.dist,
-                "score": f"{cand.score:.1f}",
-                "predicted_ms": f"{us / 1000:.2f}" if us is not None else "-",
-                "rationale": cand.rationale,
-            }
-        )
-    hand_us = None
-    if hand is not None and hand not in priced:
-        hand_us = predicted_us(hand)
-        rows.append(
-            {
-                "rank": "-",
-                "dist": hand,
-                "score": "-",
-                "predicted_ms": (
-                    f"{hand_us / 1000:.2f}" if hand_us is not None else "-"
-                ),
-                "rationale": "hand-written map (not derived)",
-            }
-        )
-    elif hand is not None:
-        hand_us = priced[hand]
+    # The hand-written map is the one the program declares.
+    spec = compile_app(args.app, "compile", args.nprocs).spec
+    hand = next(map(str, spec.distributions.values()), None)
+    priced = {c.dist: predicted_us(c.dist) for c in result.candidates}
+    ranked = sorted(
+        result.candidates,
+        key=lambda c: (priced[c.dist] is None, priced[c.dist] or 0.0),
+    )
+    rows = [
+        {
+            "dist": c.dist,
+            "predicted_ms": (
+                f"{priced[c.dist] / 1000:.2f}"
+                if priced[c.dist] is not None else "-"
+            ),
+            "rationale": c.rationale,
+        }
+        for c in ranked
+    ]
     title = (
         f"maps {args.app} (N={args.n}, S={args.nprocs}): "
-        f"{len(result.candidates)} derived, entry={result.entry}"
+        f"{len(result.candidates)} candidates by predicted makespan, "
+        f"entry={result.entry}"
     )
-    print(
-        format_table(
-            rows,
-            ["rank", "dist", "score", "predicted_ms", "rationale"],
-            title,
-        )
-    )
+    print(format_table(rows, ["dist", "predicted_ms", "rationale"], title))
     if result.report.diagnostics:
         print()
         print(render_text(result.report, title=f"locality {args.app}"))
 
-    derived_best = min(
-        (us for dist, us in priced.items() if us is not None),
-        default=None,
+    ok = hand in priced
+    print(
+        f"gate: hand map {hand} is a candidate -> ok" if ok
+        else f"gate: hand map {hand} is not a candidate -> FAIL"
     )
-    hand_in_derived = hand is not None and hand in result.dists
-    beats_hand = (
-        hand_us is not None
-        and derived_best is not None
-        and derived_best <= hand_us
-    )
-    ok = hand is None or hand_in_derived or beats_hand
-    if hand_in_derived:
-        print(f"gate: hand map {hand} is in the derived set -> ok")
-    elif beats_hand:
-        print(
-            f"gate: derived best {derived_best / 1000:.2f} ms <= "
-            f"hand {hand} {hand_us / 1000:.2f} ms -> ok"
-        )
-    elif hand is None:
-        print("gate: no hand-written map to compare against -> ok")
-    else:
-        print(
-            f"gate: derived set neither contains {hand} nor predicts "
-            "at least as fast -> FAIL"
-        )
     _print_profile(args)
     if args.json:
         payload = {
@@ -832,13 +733,13 @@ def cmd_maps(args) -> int:
             "entry": result.entry,
             "abstained": result.abstained,
             "candidates": [
-                dict(c.to_json(), predicted_us=priced.get(c.dist))
-                for c in result.candidates
+                dict(c.to_json(), predicted_us=priced[c.dist])
+                for c in ranked
             ],
-            "hand": {"dist": hand, "predicted_us": hand_us},
+            "hand": {"dist": hand, "predicted_us": priced.get(hand)},
             "gate": {
-                "hand_in_derived": hand_in_derived,
-                "derived_best_us": derived_best,
+                "hand_in_derived": ok,
+                "derived_best_us": priced[ranked[0].dist] if ranked else None,
                 "ok": ok,
             },
             "diagnostics": render_json(result.report)["diagnostics"],
@@ -1117,8 +1018,8 @@ def main(argv: list[str] | None = None) -> int:
             )
             cmd.add_argument(
                 "--auto-maps", action="store_true",
-                help="derive the distribution axis with the static "
-                     "locality analyzer instead of --dists",
+                help="search the layout family the static locality "
+                     "analyzer derives instead of --dists",
             )
 
     cmd = sub.add_parser(

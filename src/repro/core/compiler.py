@@ -276,9 +276,9 @@ def _compile_program(
     if opt_level >= OptLevel.VECTORIZE:
         from repro.core.transforms import optimize
 
-        program = optimize(program, opt_level)
-
-    validate_program(program)
+        program = optimize(program, opt_level)  # validates every pass
+    else:
+        validate_program(program)
     return CompiledProgram(
         program=program,
         checked=checked,

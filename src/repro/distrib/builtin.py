@@ -108,6 +108,29 @@ DISTRIBUTIONS: dict[str, type] = {
 }
 
 
+# The 1-D layouts searched for each array rank, as ``(axis, layout,
+# dist)`` rows: the tuner's default space is the matrix rows' ``dist``
+# column, and the locality analyzer offers a program every row of its
+# rank. ``block_grid`` is left out: the loop-bound solver solves its
+# owner for one loop at a time, whose range then depends on the other
+# axis's loop, so compile-time resolution of a grid nest falls back to
+# the guarded loop and prices like the runtime strategy.
+LAYOUTS: dict[int, tuple[tuple[str, str, str], ...]] = {
+    2: (
+        ("cols", "wrapped", "wrapped_cols"),
+        ("rows", "wrapped", "wrapped_rows"),
+        ("cols", "block", "block_cols"),
+        ("rows", "block", "block_rows"),
+        ("cols", "block_cyclic", "block_cyclic_cols(4)"),
+        ("rows", "block_cyclic", "block_cyclic_rows(4)"),
+    ),
+    1: (
+        ("elems", "wrapped", "wrapped"),
+        ("elems", "block", "block"),
+    ),
+}
+
+
 def register_distribution(name: str, cls: type) -> None:
     """Register a :class:`Distribution` subclass under a ``map`` name.
 

@@ -18,7 +18,7 @@ see :mod:`repro.obs`.
 
 from __future__ import annotations
 
-from repro.machine.simulator import SimResult, TraceEvent
+from repro.machine.simulator import SimResult
 
 UNTRACED = "(no trace recorded; run the simulator with trace=True)"
 
@@ -66,32 +66,3 @@ def render_timeline(
         lines.append(f"p{rank:<3d} |{''.join(buckets[rank])}|")
     lines.append("      s=send r=recv *=send+recv .=done")
     return "\n".join(lines)
-
-
-def trace_summary(result: SimResult) -> str:
-    """Counts of traced events per kind."""
-    if _untraced(result):
-        return UNTRACED
-    counts: dict[str, int] = {}
-    for event in result.trace:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    parts = [f"{kind}={count}" for kind, count in sorted(counts.items())]
-    return ", ".join(parts) if parts else "(empty trace)"
-
-
-def filter_trace(
-    result: SimResult, proc: int | None = None, kind: str | None = None
-) -> list[TraceEvent]:
-    """Events of one process and/or kind, in time order.
-
-    Raises ``ValueError`` on an untraced run — an empty answer there
-    would be indistinguishable from "this process never communicated".
-    """
-    if _untraced(result):
-        raise ValueError(UNTRACED)
-    events = [
-        e
-        for e in result.trace
-        if (proc is None or e.proc == proc) and (kind is None or e.kind == kind)
-    ]
-    return sorted(events, key=lambda e: e.time_us)

@@ -132,15 +132,3 @@ def subst_body(body: list[ir.NStmt], env: dict[str, ir.NExpr]) -> list[ir.NStmt]
     if not env:
         return [subst_stmt(s, {}) for s in body]
     return [subst_stmt(s, env) for s in body]
-
-
-def copy_body(body: list[ir.NStmt]) -> list[ir.NStmt]:
-    """Deep-copy a statement list."""
-    return subst_body(body, {})
-
-
-def expr_uses_var(e: ir.NExpr, name: str) -> bool:
-    return any(
-        isinstance(node, ir.NVar) and node.name == name
-        for node in ir.walk_exprs(e)
-    )

@@ -176,12 +176,3 @@ def _validate_stmt(
         pass
     else:
         raise IRError(where + f"unknown statement {stmt!r}")
-
-
-def collect_channels(program: ir.NodeProgram) -> set[str]:
-    """All channel names used anywhere in the program."""
-    out: set[str] = set()
-    for proc in program.procs.values():
-        for stmt in ir.walk_stmts(proc.body):
-            out.update(ir.stmt_channels(stmt))
-    return out

@@ -90,8 +90,9 @@ class TuneReport:
     space_size: int
     machine: MachineParams
     # Provenance when the distribution axis was derived statically
-    # (``tune(auto_maps=True)``): one jsonable dict per locality-ranked
-    # candidate map. None when the caller supplied the space.
+    # (``tune(auto_maps=True)``): one jsonable dict per candidate map,
+    # with the locality findings behind it. None when the caller
+    # supplied the space.
     auto_maps: list[dict] | None = None
 
     @property
@@ -255,12 +256,13 @@ def tune(
     confirmed run against a sequential reference. ``jobs > 1`` confirms
     candidates in parallel worker processes.
 
-    ``auto_maps=True`` replaces the distribution axis with maps derived
-    by the static locality analyzer (:func:`repro.analysis.derive_maps`)
-    from the program's own access functions — the programmer does not
-    supply a ``map`` choice at all. ``dists``/``strategies``/``blksizes``
-    narrow the corresponding :func:`~repro.tune.space.default_space`
-    axes when ``space`` is not given.
+    ``auto_maps=True`` replaces the distribution axis with the layout
+    family that :func:`repro.analysis.derive_maps` reads off the
+    program's own access functions — the programmer does not supply a
+    ``map`` choice at all; the search ranks them like any other axis.
+    ``dists``/``strategies``/``blksizes`` narrow the corresponding
+    :func:`~repro.tune.space.default_space` axes when ``space`` is not
+    given.
     """
     machine = machine or MachineParams.ipsc2()
     derived = None

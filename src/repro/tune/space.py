@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from repro.core.compiler import OptLevel, Strategy
-from repro.distrib.builtin import DISTRIBUTIONS, distribution_by_name
+from repro.distrib.builtin import DISTRIBUTIONS, LAYOUTS, distribution_by_name
 from repro.errors import TuneError
 
 STRATEGIES: dict[str, tuple[Strategy, OptLevel]] = {
@@ -52,19 +52,8 @@ def register_strategy(
         )
     STRATEGIES[name] = (strategy, opt_level)
 
-# Distributions the default space searches. ``block_grid`` is excluded:
-# the loop-bound solver solves its owner for one loop at a time, whose
-# range then depends on the other axis's loop, so compile-time
-# resolution of a grid nest falls back to the guarded loop and prices
-# like the runtime strategy.
-DEFAULT_DISTS = (
-    "wrapped_cols",
-    "wrapped_rows",
-    "block_cols",
-    "block_rows",
-    "block_cyclic_cols(4)",
-    "block_cyclic_rows(4)",
-)
+# Distributions the default space searches: the matrix layouts.
+DEFAULT_DISTS = tuple(dist for _, _, dist in LAYOUTS[2])
 
 DEFAULT_BLKSIZES = (1, 2, 4, 8, 16)
 

@@ -1,17 +1,17 @@
-"""Static locality analyzer: derived maps, diagnostics, opt-in pass.
+"""Static locality analyzer: candidate maps, diagnostics, opt-in pass.
 
-Expectations here are *structural* (which distributions rank where, and
-why) rather than exact-score pins: the nominal-cost weights may be
-retuned, but the orderings below are the analyzer's contract with the
-affine app suite — jacobi prefers block layouts, the Gauss-Seidel
-wavefront prefers cyclic ones, the triangular fill is communication-free
-but imbalanced, and matmul's replicated-operand nest leaves every layout
-equally bad.
+The analyzer does not rank: every program gets the whole layout family
+of its array rank, in table order, each candidate carrying its axis's
+findings as rationale — jacobi's nearest-neighbour offsets, the
+Gauss-Seidel wavefront, the triangular fill's imbalance, matmul's
+unaligned operands. The cost model orders them (``bench maps``,
+``tune``).
 """
 
 import pytest
 
 from repro.analysis import (
+    Severity,
     analyze,
     derive_maps,
     locality_report,
@@ -23,50 +23,106 @@ from repro.core.compiler import (
     compile_program,
 )
 from repro.errors import CompileError
+from repro.tune.space import DEFAULT_DISTS
+
+
+def _rationales(result) -> dict[str, str]:
+    return {c.dist: c.rationale for c in result.candidates}
 
 
 class TestDerivedMaps:
-    def test_jacobi_prefers_block(self):
+    def test_candidates_are_the_matrix_family_in_table_order(self):
         from repro.apps import jacobi
 
         result = analyze(jacobi.SOURCE_WRAPPED, entry="jacobi_step")
         assert result.array_rank == 2
-        assert result.dists == (
-            "block_cols", "block_rows",
-            "block_cyclic_cols(4)", "block_cyclic_rows(4)",
+        assert result.dists == DEFAULT_DISTS
+        assert [(c.axis, c.layout) for c in result.candidates] == [
+            ("cols", "wrapped"), ("rows", "wrapped"),
+            ("cols", "block"), ("rows", "block"),
+            ("cols", "block_cyclic"), ("rows", "block_cyclic"),
+        ]
+        assert not any(
+            key in result.candidates[0].to_json()
+            for key in ("score", "rank")
         )
-        # Nearest-neighbour shifts: block layouts localize them, so the
-        # block candidates must strictly beat the cyclic ones.
-        assert result.candidates[0].score < result.candidates[2].score
-        assert [c.rank for c in result.candidates] == [1, 2, 3, 4]
 
-    def test_gauss_seidel_prefers_wrapped(self):
+    def test_jacobi_rationale_names_the_offsets(self):
+        from repro.apps import jacobi
+
+        result = analyze(jacobi.SOURCE_WRAPPED, entry="jacobi_step")
+        why = _rationales(result)
+        assert why["block_cols"] == "axis cols: residual offset -1, offset 1"
+        assert why["block_rows"] == "axis rows: residual offset -1, offset 1"
+        # One rationale per axis, whatever the layout.
+        assert why["wrapped_cols"] == why["block_cyclic_cols(4)"]
+
+    def test_gauss_seidel_keeps_the_block_layouts(self):
         from repro.apps import gauss_seidel
 
         result = analyze(gauss_seidel.SOURCE)
-        # The hand-written map must be in the derived set (rank 1: the
-        # wavefront flow dependence punishes block layouts).
-        assert result.candidates[0].dist == "wrapped_cols"
-        assert "wrapped_cols" in result.dists
+        assert {"block_rows", "block_cols", "wrapped_cols"} <= set(
+            result.dists
+        )
+        assert _rationales(result)["block_rows"] == (
+            "axis rows: residual offset -1 (wavefront), offset 1"
+        )
 
-    def test_matmul_hand_map_derived(self):
+    def test_matmul_every_axis_unaligned(self):
         from repro.apps import matmul
 
         result = analyze(matmul.SOURCE)
         assert "wrapped_cols" in result.dists
-        # Unaligned operand reads make every layout equally expensive;
-        # ties break in the deterministic DEFAULT_DISTS order.
-        scores = {c.score for c in result.candidates}
-        assert len(scores) == 1
+        assert {c.rationale.split(": ", 1)[1] for c in result.candidates} == {
+            "residual unaligned"
+        }
 
     def test_triangular_communication_free_but_imbalanced(self):
         from repro.apps import triangular
 
         result = analyze(triangular.SOURCE)
-        best = result.candidates[0]
-        assert best.score == 0.0
-        assert "communication-free" in best.rationale
-        assert result.report.by_code("LOC004")
+        assert "block_cols" in result.dists
+        for cand in result.candidates:
+            assert cand.rationale == (
+                f"axis {cand.axis}: triangular nest at line 10"
+            )
+        imbalance = result.report.by_code("LOC004")
+        assert imbalance
+        assert {d.severity for d in imbalance} == {Severity.INFO}
+
+    def test_aligned_program_is_communication_free(self):
+        source = """
+        param N;
+        map A by wrapped_cols;
+        map B by wrapped_cols;
+        procedure f(A: matrix) returns matrix {
+            let B = matrix(N, N);
+            for j = 1 to N {
+                for i = 1 to N {
+                    B[i, j] = A[i, j];
+                }
+            }
+            return B;
+        }
+        """
+        result = analyze(source, entry="f")
+        assert set(_rationales(result).values()) == {
+            "axis cols: communication-free alignment",
+            "axis rows: communication-free alignment",
+        }
+
+    def test_loc001_names_dist_and_rationale_only(self):
+        from repro.apps import jacobi
+
+        result = analyze(jacobi.SOURCE_WRAPPED, entry="jacobi_step")
+        announced = result.report.by_code("LOC001")
+        assert [d.message for d in announced] == [
+            f"candidate map: {c.dist} — {c.rationale}"
+            for c in result.candidates
+        ]
+        for diag in announced:
+            assert "position" not in diag.details
+            assert "score" not in diag.details
 
     def test_loc002_names_the_forcing_pair(self):
         from repro.apps import jacobi
@@ -150,8 +206,7 @@ class TestAbstention:
         """
         result = analyze(source, entry="f")
         assert result.array_rank == 1
-        assert set(result.dists) <= {"wrapped", "block"}
-        assert result.candidates
+        assert result.dists == ("wrapped", "block")
 
     def test_indirect_reference_reported_not_fatal(self):
         source = """
@@ -174,8 +229,12 @@ class TestAbstention:
         diags = result.report.by_code("LOC003")
         assert any("indirect subscript" in d.message for d in diags)
         # Abstention is per-reference: candidates still derive from the
-        # aligned B[i, j] write.
+        # aligned B[i, j] write, and say what was left out.
         assert result.candidates
+        assert all(
+            "1 reference(s) abstained" in c.rationale
+            for c in result.candidates
+        )
 
 
 class TestOptInPass:

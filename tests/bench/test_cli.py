@@ -336,7 +336,7 @@ class TestMapsCommand:
     def test_gate_holds_on_affine_suite(self, capsys, app):
         out = run_cli(capsys, "maps", "--app", app, "--n", "12")
         assert "-> ok" in out
-        assert "derived" in out
+        assert "6 candidates by predicted makespan" in out
 
     def test_json_payload(self, tmp_path, capsys):
         path = tmp_path / "maps.json"
@@ -346,19 +346,38 @@ class TestMapsCommand:
         assert payload["command"] == "maps"
         assert payload["gate"]["ok"] is True
         assert payload["gate"]["hand_in_derived"] is True
-        dists = [c["dist"] for c in payload["candidates"]]
-        assert dists[0] == "wrapped_cols"
+        assert payload["hand"]["dist"] == "wrapped_cols"
         for cand in payload["candidates"]:
             assert cand["predicted_us"] is None or cand["predicted_us"] > 0
             assert cand["rationale"]
         assert {d["code"] for d in payload["diagnostics"]} >= {"LOC001"}
 
-    def test_derived_beats_unlisted_hand_map(self, capsys):
-        """jacobi's hand map is wrapped but the analyzer prefers block;
-        the gate then holds on predicted makespan, not membership."""
-        out = run_cli(capsys, "maps", "--app", "jacobi", "--n", "12")
-        assert "block_cols" in out
-        assert "derived best" in out
+    def test_json_lists_candidates_in_predicted_order(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Every layout of the family, cheapest predicted first; a
+        candidate the model cannot price comes last."""
+        import repro.tune.model as model
+        from repro.errors import TuneError
+        from repro.tune.space import DEFAULT_DISTS
+
+        real = model.predict
+
+        def predict(compiled, *args, **kwargs):
+            if "block_rows" in map(str, compiled.spec.distributions.values()):
+                raise TuneError("no estimate")
+            return real(compiled, *args, **kwargs)
+
+        monkeypatch.setattr(model, "predict", predict)
+        path = tmp_path / "maps.json"
+        run_cli(capsys, "maps", "--app", "jacobi", "--n", "12",
+                "--json", str(path))
+        cands = json.loads(path.read_text())["candidates"]
+        assert sorted(c["dist"] for c in cands) == sorted(DEFAULT_DISTS)
+        priced = [c["predicted_us"] for c in cands[:-1]]
+        assert None not in priced and priced == sorted(priced)
+        assert cands[-1]["dist"] == "block_rows"
+        assert cands[-1]["predicted_us"] is None
 
     def test_bad_app_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

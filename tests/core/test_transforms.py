@@ -195,3 +195,29 @@ class TestProgression:
         # Within 2x of handwritten (the paper aims for parity; our compiled
         # code carries a few extra guard tests per element).
         assert out.makespan_us < 2.0 * hand.makespan_us
+
+
+class TestValidation:
+    """Each optimization pass validates its output, and the compiler
+    does not validate the optimized program a second time."""
+
+    @pytest.mark.parametrize(
+        "opt_level, expected",
+        [(OptLevel.NONE, 1), (OptLevel.VECTORIZE, 1), (OptLevel.JAM, 2),
+         (OptLevel.STRIPMINE, 3)],
+    )
+    def test_validation_count(self, monkeypatch, opt_level, expected):
+        import repro.core.compiler as compiler
+        import repro.core.transforms as transforms
+
+        calls = []
+
+        def counting(program):
+            calls.append(program)
+            return validate(program)
+
+        validate = compiler.validate_program
+        monkeypatch.setattr(compiler, "validate_program", counting)
+        monkeypatch.setattr(transforms, "validate_program", counting)
+        compile_gs(opt_level=opt_level, assume_nprocs_min=2)
+        assert len(calls) == expected

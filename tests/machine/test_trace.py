@@ -1,9 +1,7 @@
 """Tests for trace rendering utilities."""
 
-import pytest
-
 from repro.machine import MachineParams, Recv, Send, Simulator
-from repro.machine.trace import filter_trace, render_timeline, trace_summary
+from repro.machine.trace import render_timeline
 
 FREE = MachineParams.free_messages()
 
@@ -104,45 +102,3 @@ class TestRenderTimeline:
             if line.startswith("p0")
         ][0]
         assert row.split("|")[1] == "s"
-
-
-class TestSummaryAndFilter:
-    def test_summary_counts(self):
-        summary = trace_summary(traced_pingpong())
-        assert "send=2" in summary
-        assert "recv=2" in summary
-        assert "done=2" in summary
-
-    def test_filter_by_proc(self):
-        events = filter_trace(traced_pingpong(), proc=0)
-        assert all(e.proc == 0 for e in events)
-        assert events == sorted(events, key=lambda e: e.time_us)
-
-    def test_filter_by_kind(self):
-        events = filter_trace(traced_pingpong(), kind="send")
-        assert len(events) == 2
-        assert all(e.kind == "send" for e in events)
-
-
-class TestUntracedRuns:
-    def untraced(self):
-        def factory(rank):
-            def proc():
-                yield Send(1 - rank, "x", (rank,))
-                yield Recv(1 - rank, "x")
-                return None
-
-            return proc()
-
-        return Simulator(2, FREE).run(factory)
-
-    def test_summary_is_explicit_not_empty(self):
-        summary = trace_summary(self.untraced())
-        assert "no trace" in summary
-        assert "trace=True" in summary
-
-    def test_filter_raises_instead_of_lying(self):
-        # An empty list would be indistinguishable from "this process
-        # never communicated" — the run above did communicate.
-        with pytest.raises(ValueError, match="no trace"):
-            filter_trace(self.untraced(), proc=0)

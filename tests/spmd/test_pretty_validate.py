@@ -32,8 +32,7 @@ from repro.spmd.ir import (
     NVar,
     VarLV,
 )
-from repro.spmd.rewrite import copy_body, expr_uses_var, subst_body, subst_expr
-from repro.spmd.validate import collect_channels
+from repro.spmd.rewrite import subst_body, subst_expr
 
 
 def program(body, extra=None):
@@ -177,21 +176,13 @@ class TestValidate:
         with pytest.raises(IRError, match="loop variable"):
             validate_program(program(body, extra=[helper]))
 
-    def test_collect_channels(self):
-        body = [
-            NSend(NConst(1), "a", (NConst(1),)),
-            NRecv(NConst(1), "b", (VarLV("t"),)),
-            NCoerce(VarLV("u"), NConst(0), NConst(0), NConst(1), "c"),
-        ]
-        assert collect_channels(program(body)) == {"a", "b", "c"}
-
 
 class TestRewrite:
     def test_subst_var(self):
         e = NBin("+", NVar("j"), NConst(1))
         out = subst_expr(e, {"j": NBin("-", NVar("u"), NConst(2))})
         assert isinstance(out.left, NBin)
-        assert not expr_uses_var(out, "j")
+        assert NVar("j") not in ir.walk_exprs(out)
 
     def test_loop_shadows_substitution(self):
         body = [
@@ -202,14 +193,6 @@ class TestRewrite:
         loop = out[0]
         assert loop.hi == NConst(99)  # free occurrence substituted
         assert loop.body[0].value == NVar("j")  # bound occurrence kept
-
-    def test_copy_is_deep(self):
-        body = [NFor("i", NConst(1), NConst(3), NConst(1),
-                     [NAssign(VarLV("x"), NVar("i"))])]
-        copied = copy_body(body)
-        assert copied is not body
-        assert copied[0] is not body[0]
-        assert copied[0].body[0] is not body[0].body[0]
 
     def test_subst_through_all_statement_kinds(self):
         body = [

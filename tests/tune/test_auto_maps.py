@@ -1,9 +1,10 @@
 """Auto-derived decomposition maps: tuner integration and soundness.
 
 Two contracts. First, ``tune(auto_maps=True)`` replaces the
-distribution axis with the locality analyzer's candidates, records the
-provenance on the report, and its winner is no worse than searching the
-hand-written map. Second — the differential gate — every derived map
+distribution axis with the locality analyzer's candidates — the whole
+layout family of the program's rank, ranked by the cost model like any
+other axis — records the provenance on the report, and its winner is no
+worse than searching the hand-written map. Second — the differential gate — every derived map
 must actually *work*: compile, verify clean under the static safety
 passes, and execute bit-identically across the interp, compiled, and
 replay backends.
@@ -20,7 +21,7 @@ from repro.errors import TuneError
 from repro.spmd.layout import make_full
 from repro.tune import default_space, tune
 from repro.tune.serialize import report_payload
-from repro.tune.space import STRATEGIES, retarget_source
+from repro.tune.space import DEFAULT_DISTS, STRATEGIES, retarget_source
 
 
 class TestTuneAutoMaps:
@@ -34,9 +35,17 @@ class TestTuneAutoMaps:
         assert derived == list(analyze(gs.SOURCE).dists)
         assert {c.config.dist for c in report.candidates} <= set(derived)
         assert report.best is not None
-        # Provenance carries rank and rationale for every candidate map.
-        assert all(
-            m["rank"] >= 1 and m["rationale"] for m in report.auto_maps
+        # Provenance carries the rationale of every candidate map.
+        assert all(m["rationale"] for m in report.auto_maps)
+
+    def test_auto_maps_searches_every_matrix_layout(self):
+        report = tune(
+            gs.SOURCE, 10, auto_maps=True, top_k=1,
+            strategies=("compile",), blksizes=(8,),
+        )
+        assert [m["dist"] for m in report.auto_maps] == list(DEFAULT_DISTS)
+        assert {c.config.dist for c in report.candidates} == set(
+            DEFAULT_DISTS
         )
 
     def test_winner_no_worse_than_hand_map(self):
