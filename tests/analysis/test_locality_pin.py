@@ -4,7 +4,7 @@ Covers every ``SOURCE*`` program in :mod:`repro.apps` plus a small
 corpus of subscripts and bounds at the edge of the affine contract
 (indirect, ``mod``, a product of loop variables, exact and inexact
 ``div``, a reversed bound, a scaled offset, a local scalar, a
-non-affine call argument). Per source it hashes the ranked candidates,
+non-affine call argument). Per source it hashes the candidates,
 the JSON diagnostics report, and per statement the rendered references,
 their abstention reasons and the rendered loop bounds.
 
@@ -24,7 +24,7 @@ from repro.core.compiler import default_entry
 from repro.core.polymorphism import monomorphize
 from repro.lang import check_program, parse_program
 
-PIN = "2d71ea029aee1e63cefae8b82655cb6b720835e1e5bc89a7bc980a7c02088c13"
+PIN = "39fb6165dee3eab0e6fe4187512a005bbc729c6935f631dadcbbacb9c4282fcc"
 
 CORPUS = (
     """
