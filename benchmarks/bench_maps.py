@@ -6,8 +6,9 @@ Two gates:
     on every app of the affine suite — jacobi, gauss_seidel, matmul,
     triangular — the analyzer's candidates must be the program's whole
     layout family and contain the hand-written ``map ... by``
-    distribution; they are reported ranked by cost-model predicted
-    makespan at N=128 (N=64 for matmul's cubic nest). This is the
+    distribution; one predict-only ``tune()`` call per app ranks them
+    by cost-model predicted makespan at N=128 (N=64 for matmul's cubic
+    nest). This is the
     paper-facing claim: the layouts derived from the access functions
     include the decompositions a programmer wrote by hand, and the
     cost model ranks them.
@@ -15,8 +16,8 @@ Two gates:
     a *warm* analysis pass must stay under **1 second** for the whole
     suite. Analysis results are memoized like compilations (the tuner
     re-derives maps per proc count, CI re-runs the suite), so the warm
-    path is the steady state; the cold pass is reported alongside,
-    ungated.
+    path is the steady state; the cold pass (every cache and the
+    store off) is reported alongside, ungated.
 
 Run as a script (``python benchmarks/bench_maps.py --quick``) to
 refresh ``BENCH_maps.json``; exits nonzero if a gate fails. Also
@@ -31,11 +32,12 @@ import sys
 import time
 from pathlib import Path
 
+from repro import perf
 from repro.analysis import analyze
 from repro.bench.cli import compile_app, load_app
 from repro.distrib.builtin import LAYOUTS
 from repro.machine import MachineParams
-from repro.tune.model import predict
+from repro.tune import tune
 
 MACHINE = MachineParams.ipsc2()
 APPS = ("jacobi", "gauss_seidel", "matmul", "triangular")
@@ -47,27 +49,30 @@ WARM_GATE_S = 1.0
 FULL_N = {"matmul": 64}
 
 
-def _predicted_us(app, dist, n, nprocs) -> float:
-    est = predict(
-        compile_app(app, "compile", nprocs, dist), nprocs,
-        params={"N": n}, machine=MACHINE, extra_globals={"blksize": 8},
-    )
-    return est.makespan_us
-
-
 def check_derived(app: str, n: int, nprocs: int = 4) -> dict:
     """Gate 1: the whole family, the hand map among it, ranked."""
-    result = analyze(load_app(app)[1])
+    module, source = load_app(app)
+    report = tune(
+        source, n, entry=module.ENTRY, proc_counts=(nprocs,),
+        machine=MACHINE, top_k=0, entry_shapes=module.ENTRY_SHAPES,
+        strategies=("compile",), blksizes=(8,),
+    )
     spec = compile_app(app, "compile", nprocs).spec
     hand = next(map(str, spec.distributions.values()), None)
     family = [dist for _, _, dist in LAYOUTS[2]]  # the apps are matrix apps
-    if list(result.dists) != family or hand not in family:
+    dists = [m["dist"] for m in report.derived_maps]
+    if dists != family or hand not in family:
         raise AssertionError(
-            f"{app}: candidates {list(result.dists)} are not the family "
+            f"{app}: candidates {dists} are not the family "
             f"{family}, or miss the hand map {hand}"
         )
-    priced = {dist: _predicted_us(app, dist, n, nprocs) for dist in family}
-    derived = sorted(family, key=priced.__getitem__)
+    priced = {c.config.dist: c.predicted_us for c in report.candidates}
+    unpriced = [
+        c.config.label for c in report.candidates if c.predicted is None
+    ]
+    if unpriced:
+        raise AssertionError(f"{app}: the cost model priced no {unpriced}")
+    derived = [c.config.dist for c in report.candidates]
     return {
         "app": app,
         "n": n,
@@ -82,14 +87,13 @@ def check_derived(app: str, n: int, nprocs: int = 4) -> dict:
 
 def check_speed(repeats: int = 3) -> dict:
     """Gate 2: one warm analysis sweep of the suite under 1 second."""
-    from repro.analysis.locality import _locality_cache
-
     sources = [load_app(app)[1] for app in APPS]
-    _locality_cache.clear()
-    t0 = time.perf_counter()
-    for source in sources:
-        analyze(source)
-    cold_s = time.perf_counter() - t0
+    # Cold means analysis itself: no memory table and no store load.
+    with perf.caches_disabled():
+        t0 = time.perf_counter()
+        for source in sources:
+            analyze(source)
+        cold_s = time.perf_counter() - t0
 
     warm_s = float("inf")
     for _ in range(repeats):

@@ -123,12 +123,15 @@ def check_fidelity(records) -> dict:
     }
 
 
-def check_economy(n, space, records) -> dict:
-    """Gate 2: >= 3x fewer simulations, same winner as exhaustive."""
+def check_economy(n, axes, records) -> dict:
+    """Gate 2: >= 3x fewer simulations, same winner as exhaustive.
+
+    ``axes`` are ``tune()``'s keyword axes of the space ``records``
+    covers."""
     runnable = [r for r in records if r["outcome"] is not None]
     best_time = min(r["outcome"].makespan_us for r in runnable)
     report = tune(
-        gs.SOURCE, n, space=space, top_k=3, oracle=gs.reference_rows,
+        gs.SOURCE, n, **axes, top_k=3, oracle=gs.reference_rows,
         machine=MACHINE,
     )
     if report.best is None:
@@ -162,11 +165,11 @@ def check_blocksize(n, nprocs=4) -> dict:
         for blk in BLKSIZES
     }
     exhaustive_best = min(BLKSIZES, key=lambda b: sweep[b].time_us)
-    space = default_space(
-        (nprocs,), dists=("wrapped_cols",), strategies=("optIII",),
-        blksizes=tuple(BLKSIZES),
+    report = tune(
+        gs.SOURCE, n, proc_counts=(nprocs,), dists=("wrapped_cols",),
+        strategies=("optIII",), blksizes=tuple(BLKSIZES), top_k=1,
+        machine=MACHINE,
     )
-    report = tune(gs.SOURCE, n, space=space, top_k=1, machine=MACHINE)
     pick = report.best.config.blksize
     # Accept an exact-tie pick: what matters is the achieved time.
     if report.best.measured_us != sweep[exhaustive_best].time_us:
@@ -207,8 +210,8 @@ def check_ordering(n, nprocs=4) -> dict:
 
 def run_benchmark(quick: bool = True) -> dict:
     n = 16 if quick else 32
-    space = default_space(
-        (2, 4),
+    axes = dict(
+        proc_counts=(2, 4),
         dists=(
             ("wrapped_cols", "wrapped_rows", "block_cols") if quick
             else (
@@ -219,9 +222,10 @@ def run_benchmark(quick: bool = True) -> dict:
         strategies=("runtime", "compile", "optI", "optII", "optIII"),
         blksizes=(2, 4, 8) if quick else (1, 2, 4, 8, 16),
     )
+    space = default_space(**axes)
     records = evaluate_space(n, space)
     fidelity = check_fidelity(records)
-    economy = check_economy(n, space, records)
+    economy = check_economy(n, axes, records)
     blocksize = [
         check_blocksize(grid) for grid in ((24, 48) if quick else (64, 128))
     ]
@@ -243,24 +247,22 @@ def run_benchmark(quick: bool = True) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _small_space():
-    return default_space(
-        (2, 4), dists=("wrapped_cols", "block_cols"),
-        strategies=("runtime", "compile", "optIII"), blksizes=(2, 8),
-    )
+SMALL_AXES = dict(
+    proc_counts=(2, 4), dists=("wrapped_cols", "block_cols"),
+    strategies=("runtime", "compile", "optIII"), blksizes=(2, 8),
+)
 
 
 def test_model_matches_simulator_exactly():
-    records = evaluate_space(10, _small_space())
+    records = evaluate_space(10, default_space(**SMALL_AXES))
     fidelity = check_fidelity(records)
     assert fidelity["runnable"] > 0
     assert fidelity["spearman"] >= 0.9
 
 
 def test_search_finds_winner_with_fewer_simulations():
-    space = _small_space()
-    records = evaluate_space(11, space)
-    economy = check_economy(11, space, records)
+    records = evaluate_space(11, default_space(**SMALL_AXES))
+    economy = check_economy(11, SMALL_AXES, records)
     assert economy["saving"] >= 3.0
 
 

@@ -24,8 +24,6 @@ from repro.analysis.locality import (  # noqa: F401  (registers the pass)
     LocalityResult,
     MapCandidate,
     analyze,
-    derive_maps,
-    locality_report,
 )
 
 __all__ = [
@@ -43,6 +41,4 @@ __all__ = [
     "LocalityResult",
     "MapCandidate",
     "analyze",
-    "derive_maps",
-    "locality_report",
 ]

@@ -13,7 +13,8 @@ It does not rank. Its candidates are every layout of the family
 (:data:`repro.distrib.builtin.LAYOUTS`), each carrying its axis's
 findings as rationale; the exact cost model
 (:func:`repro.tune.model.predict`) orders them at the real N and S, in
-:func:`repro.tune.search.tune` (``auto_maps=True``) and ``bench maps``.
+:func:`repro.tune.search.tune` (whose default map axis they are) and
+``bench maps``.
 
 Alignment-edge classes per axis:
 
@@ -412,16 +413,6 @@ def analyze(program, entry: str | None = None) -> LocalityResult:
     if isinstance(checked, str):  # source text: the one hashable form
         return perf.memo("locality", (checked, entry), build)
     return build()
-
-
-def derive_maps(program, entry: str | None = None) -> list[MapCandidate]:
-    """Just the candidates of :func:`analyze`."""
-    return analyze(program, entry).candidates
-
-
-def locality_report(program, entry: str | None = None) -> Report:
-    """Just the LOC00x diagnostics of :func:`analyze`."""
-    return analyze(program, entry).report
 
 
 @register_pass("locality", default=False)

@@ -13,7 +13,7 @@ Usage::
     python -m repro.bench replay [--full] [--json PATH]
     python -m repro.bench tune [--app gauss_seidel] [--n 48] [--procs 4]
                                [--top-k 3] [--dists ...] [--strategies ...]
-                               [--blksizes 1,2,4,8,16] [--auto-maps]
+                               [--blksizes 1,2,4,8,16]
     python -m repro.bench maps [--app jacobi] [--n 48] [--nprocs 4]
                                [--json PATH]
     python -m repro.bench verify [--app gauss_seidel] [--dist wrapped_cols]
@@ -50,10 +50,9 @@ given app: it predicts every candidate with the analytic cost model
 ``--top-k`` on the real simulator and prints the ranked report. The
 model's makespan is bit-exact against the simulator under any machine
 parameters, so the report's ``spearman=`` figure is a self-check that
-reads 1.00, not an accuracy score. With
-``--auto-maps`` the distribution axis is not searched from the default
-list but is the layout family the static locality analyzer reads off
-the program's own access functions (``--dists`` is ignored).
+reads 1.00, not an accuracy score. Without ``--dists`` the
+distribution axis is the layout family the static locality analyzer
+reads off the program's own access functions, and the report names it.
 
 The ``maps`` command runs the static locality analyzer
 (:mod:`repro.analysis.locality`) on one app without simulating it: it
@@ -100,6 +99,13 @@ from repro.bench.report import format_series, format_table
 
 def _parse_procs(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s]
+
+
+def _axis(text: str | None, parse=str) -> tuple | None:
+    """A tune axis option: ``None`` when not given, else its values."""
+    if text is None:
+        return None
+    return tuple(parse(s) for s in text.split(",") if s)
 
 
 def _dump_json(payload: dict, path: str) -> None:
@@ -504,52 +510,29 @@ def cmd_trace(args) -> None:
 
 def cmd_tune(args) -> None:
     from repro.errors import TuneError
-    from repro.tune import default_space, tune
+    from repro.tune import tune
 
     app, source = load_app(args.app)
-    entry, oracle = app.ENTRY, app.reference_rows
     try:
-        if args.auto_maps:
-            report = tune(
-                source,
-                args.n,
-                entry=entry,
-                proc_counts=tuple(_parse_procs(args.procs)),
-                top_k=args.top_k,
-                jobs=args.jobs,
-                backend=args.backend,
-                oracle=oracle,
-                auto_maps=True,
-                strategies=tuple(
-                    s for s in args.strategies.split(",") if s
-                ),
-                blksizes=tuple(_parse_procs(args.blksizes)),
-            )
-        else:
-            space = default_space(
-                _parse_procs(args.procs),
-                dists=tuple(s for s in args.dists.split(",") if s),
-                strategies=tuple(
-                    s for s in args.strategies.split(",") if s
-                ),
-                blksizes=tuple(_parse_procs(args.blksizes)),
-            )
-            report = tune(
-                source,
-                args.n,
-                entry=entry,
-                space=space,
-                top_k=args.top_k,
-                jobs=args.jobs,
-                backend=args.backend,
-                oracle=oracle,
-            )
+        report = tune(
+            source,
+            args.n,
+            entry=app.ENTRY,
+            proc_counts=_axis(args.procs, int),
+            top_k=args.top_k,
+            jobs=args.jobs,
+            backend=args.backend,
+            oracle=app.reference_rows,
+            dists=_axis(args.dists),
+            strategies=_axis(args.strategies),
+            blksizes=_axis(args.blksizes, int),
+        )
     except TuneError as exc:
         args.parser.error(str(exc))
-    if report.auto_maps:
+    if report.derived_maps:
         print(
-            "auto-derived maps: "
-            + ", ".join(m["dist"] for m in report.auto_maps)
+            "derived maps: "
+            + ", ".join(m["dist"] for m in report.derived_maps)
         )
 
     rows = []
@@ -670,54 +653,55 @@ def cmd_maps(args) -> int:
     otherwise, 2 for usage errors (argparse). CI keys on these.
     """
     from repro.analysis import analyze, render_json, render_text
-    from repro.errors import ReproError
-    from repro.tune.model import predict
+    from repro.errors import TuneError
+    from repro.tune import tune
 
     app, source = load_app(args.app)
     result = analyze(source, entry=app.ENTRY)
-
-    def predicted_us(dist: str) -> float | None:
-        try:
-            est = predict(
-                compile_app(args.app, "compile", args.nprocs, dist),
-                args.nprocs,
-                params={"N": args.n},
-                extra_globals={"blksize": args.blksize},
-            )
-        except ReproError as exc:
-            print(f"maps: {args.app} {dist}: {type(exc).__name__}: {exc}")
-            return None
-        return est.makespan_us
+    try:
+        report = tune(
+            source,
+            args.n,
+            entry=app.ENTRY,
+            proc_counts=(args.nprocs,),
+            top_k=0,
+            entry_shapes=app.ENTRY_SHAPES,
+            strategies=("compile",),
+            blksizes=(args.blksize,),
+        )
+    except TuneError as exc:
+        print(f"maps: {args.app}: {exc}")
+        return 1
+    for cand in report.candidates:
+        if cand.predicted is None:
+            why = cand.error or cand.abstained
+            print(f"maps: {args.app} {cand.config.dist}: {why}")
 
     # The hand-written map is the one the program declares.
     spec = compile_app(args.app, "compile", args.nprocs).spec
     hand = next(map(str, spec.distributions.values()), None)
-    priced = {c.dist: predicted_us(c.dist) for c in result.candidates}
-    ranked = sorted(
-        result.candidates,
-        key=lambda c: (priced[c.dist] is None, priced[c.dist] or 0.0),
-    )
+    derived = {m["dist"]: m for m in report.derived_maps}
+    priced = {c.config.dist: c.predicted_us for c in report.candidates}
     rows = [
         {
-            "dist": c.dist,
+            "dist": c.config.dist,
             "predicted_ms": (
-                f"{priced[c.dist] / 1000:.2f}"
-                if priced[c.dist] is not None else "-"
+                f"{c.predicted_us / 1000:.2f}"
+                if c.predicted_us is not None else "-"
             ),
-            "rationale": c.rationale,
+            "rationale": derived[c.config.dist]["rationale"],
         }
-        for c in ranked
+        for c in report.candidates
     ]
     title = (
         f"maps {args.app} (N={args.n}, S={args.nprocs}): "
-        f"{len(result.candidates)} candidates by predicted makespan, "
+        f"{len(derived)} candidates by predicted makespan, "
         f"entry={result.entry}"
     )
     print(format_table(rows, ["dist", "predicted_ms", "rationale"], title))
     if result.report.diagnostics:
         print()
         print(render_text(result.report, title=f"locality {args.app}"))
-
     ok = hand in priced
     print(
         f"gate: hand map {hand} is a candidate -> ok" if ok
@@ -733,13 +717,13 @@ def cmd_maps(args) -> int:
             "entry": result.entry,
             "abstained": result.abstained,
             "candidates": [
-                dict(c.to_json(), predicted_us=priced[c.dist])
-                for c in ranked
+                dict(derived[c.config.dist], predicted_us=c.predicted_us)
+                for c in report.candidates
             ],
             "hand": {"dist": hand, "predicted_us": priced.get(hand)},
             "gate": {
                 "hand_in_derived": ok,
-                "derived_best_us": priced[ranked[0].dist] if ranked else None,
+                "derived_best_us": report.candidates[0].predicted_us,
                 "ok": ok,
             },
             "diagnostics": render_json(result.report)["diagnostics"],
@@ -988,8 +972,6 @@ def main(argv: list[str] | None = None) -> int:
                 help="also export Chrome trace-event JSON (Perfetto)",
             )
         if name == "tune":
-            from repro.tune.space import DEFAULT_DISTS, STRATEGIES
-
             cmd.set_defaults(procs="4")
             cmd.add_argument(
                 "--app",
@@ -1002,24 +984,19 @@ def main(argv: list[str] | None = None) -> int:
                      "on the real simulator",
             )
             cmd.add_argument(
-                "--dists", type=str,
-                default=",".join(DEFAULT_DISTS), metavar="D1,D2,...",
-                help="distributions to search",
+                "--dists", type=str, default=None, metavar="D1,D2,...",
+                help="distributions to search (default: the layout "
+                     "family the static locality analyzer derives)",
             )
             cmd.add_argument(
-                "--strategies", type=str,
-                default=",".join(STRATEGIES), metavar="S1,S2,...",
-                help="resolution strategies to search",
+                "--strategies", type=str, default=None, metavar="S1,S2,...",
+                help="resolution strategies to search (default: "
+                     "runtime,compile,optI,optII,optIII)",
             )
             cmd.add_argument(
-                "--blksizes", type=str, default="1,2,4,8,16",
-                metavar="B1,B2,...",
-                help="strip-mining block sizes to search (Optimized III)",
-            )
-            cmd.add_argument(
-                "--auto-maps", action="store_true",
-                help="search the layout family the static locality "
-                     "analyzer derives instead of --dists",
+                "--blksizes", type=str, default=None, metavar="B1,B2,...",
+                help="strip-mining block sizes to search (Optimized III; "
+                     "default: 1,2,4,8,16)",
             )
 
     cmd = sub.add_parser(

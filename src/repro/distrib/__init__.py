@@ -30,7 +30,6 @@ from repro.distrib.builtin import (
     WrappedRows,
     WrappedVector,
     distribution_by_name,
-    register_distribution,
 )
 from repro.distrib.spec import DecompositionSpec
 
@@ -51,5 +50,4 @@ __all__ = [
     "WrappedRows",
     "WrappedVector",
     "distribution_by_name",
-    "register_distribution",
 ]

@@ -131,25 +131,6 @@ LAYOUTS: dict[int, tuple[tuple[str, str, str], ...]] = {
 }
 
 
-def register_distribution(name: str, cls: type) -> None:
-    """Register a :class:`Distribution` subclass under a ``map`` name.
-
-    Everything that validates distribution names — ``map A by <name>``
-    declarations, :func:`repro.tune.space.parse_dist`, and therefore the
-    bench CLI and the service submit schema — consults
-    :data:`DISTRIBUTIONS` live, so a newly registered distribution is
-    accepted everywhere without touching their code. Re-registering a
-    name with a different class is an error (idempotent re-registration
-    is not: plugins may be imported twice)."""
-    existing = DISTRIBUTIONS.get(name)
-    if existing is not None and existing is not cls:
-        raise MappingError(
-            f"distribution {name!r} is already registered as "
-            f"{existing.__name__}"
-        )
-    DISTRIBUTIONS[name] = cls
-
-
 def distribution_by_name(name: str, args: list[int]) -> Distribution:
     """Instantiate a registered distribution from a ``map ... by`` clause."""
     cls = DISTRIBUTIONS.get(name)

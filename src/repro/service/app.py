@@ -473,42 +473,21 @@ def build_artifact(req: SubmitRequest, tune_enabled: bool = True) -> dict:
 def _rank(req: SubmitRequest) -> dict:
     """The artifact's decomposition ranking (best-effort: errors ride
     along as data rather than failing the whole artifact)."""
-    from repro.tune import default_space, tune
+    from repro.tune import tune
     from repro.tune.serialize import report_payload
-    from repro.tune.space import DEFAULT_DISTS
 
-    strategies = req.tune.strategies or None
-    blksizes = req.tune.blksizes or (req.blksize,)
-    shapes = {name: dims for name, dims in req.entry_shapes} or None
     try:
-        if req.tune.auto_maps:
-            report = tune(
-                req.source,
-                req.n,
-                entry=req.entry,
-                proc_counts=(req.nprocs,),
-                top_k=req.tune.top_k,
-                entry_shapes=shapes,
-                auto_maps=True,
-                strategies=strategies,
-                blksizes=blksizes,
-            )
-        else:
-            dists = req.tune.dists or (
-                (req.dist,) if req.dist else DEFAULT_DISTS
-            )
-            space_kwargs = {"dists": dists, "blksizes": blksizes}
-            if strategies is not None:
-                space_kwargs["strategies"] = strategies
-            space = default_space([req.nprocs], **space_kwargs)
-            report = tune(
-                req.source,
-                req.n,
-                entry=req.entry,
-                space=space,
-                top_k=req.tune.top_k,
-                entry_shapes=shapes,
-            )
+        report = tune(
+            req.source,
+            req.n,
+            entry=req.entry,
+            proc_counts=(req.nprocs,),
+            top_k=req.tune.top_k,
+            entry_shapes=dict(req.entry_shapes) or None,
+            dists=req.tune.dists or ((req.dist,) if req.dist else None),
+            strategies=req.tune.strategies or None,
+            blksizes=req.tune.blksizes or (req.blksize,),
+        )
     except (ReproError, ValueError) as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return report_payload(report)

@@ -23,8 +23,10 @@ from repro.errors import TuneError
 from repro.tune.space import STRATEGIES, parse_dist
 
 #: Part of every canonical key: bump to orphan all previous artifacts.
-#: v2: tune rankings can be auto-derived (``tune.auto_maps``).
-SERVICE_VERSION = 2
+#: v3: a ranking without ``dist`` or ``tune.dists`` searches the
+#: locality analyzer's layout family (``repro.distrib.builtin.LAYOUTS``),
+#: so a change to that family must bump this too.
+SERVICE_VERSION = 3
 
 #: Default guard rails; the service config can tighten or relax them.
 MAX_SOURCE_BYTES = 256 * 1024
@@ -68,10 +70,10 @@ class TuneSpec:
 
     enabled: bool = True
     top_k: int = 1  # 0 = predict-only ranking, no simulations
-    dists: "tuple[str, ...]" = ()  # empty = just the submitted dist
-    strategies: "tuple[str, ...]" = ()  # empty = all five
+    # empty = the submitted dist, else the analyzer's layout family
+    dists: "tuple[str, ...]" = ()
+    strategies: "tuple[str, ...]" = ()  # empty = the tuner's default five
     blksizes: "tuple[int, ...]" = ()  # empty = just the submitted blksize
-    auto_maps: bool = False  # derive the dist axis statically
 
     def canonical(self) -> str:
         if not self.enabled:
@@ -80,7 +82,6 @@ class TuneSpec:
             f"k={self.top_k};d={','.join(self.dists)};"
             f"s={','.join(self.strategies)};"
             f"b={','.join(map(str, self.blksizes))}"
-            f";am={int(self.auto_maps)}"
         )
 
 
@@ -196,21 +197,11 @@ class SubmitRequest:
             )
         unknown = sorted(
             set(value)
-            - {"top_k", "dists", "strategies", "blksizes", "auto_maps"}
+            - {"top_k", "dists", "strategies", "blksizes"}
         )
         if unknown:
             raise SchemaError(f"tune.{unknown[0]}", "unknown field")
         top_k = _require_int(value, "top_k", 1, 0, 16)
-        auto_maps = value.get("auto_maps", False)
-        if not isinstance(auto_maps, bool):
-            raise SchemaError(
-                "tune.auto_maps", f"expected a boolean, got {auto_maps!r}"
-            )
-        if auto_maps and "dists" in value:
-            raise SchemaError(
-                "tune.auto_maps",
-                "derives the distribution axis; drop tune.dists",
-            )
         dists = (
             _require_str_list(value["dists"], "tune.dists")
             if "dists" in value else ()
@@ -245,7 +236,6 @@ class SubmitRequest:
         return TuneSpec(
             enabled=True, top_k=top_k, dists=dists,
             strategies=strategies, blksizes=blksizes,
-            auto_maps=auto_maps,
         )
 
     # -- identity ------------------------------------------------------
@@ -298,7 +288,6 @@ class SubmitRequest:
                     "dists": list(self.tune.dists),
                     "strategies": list(self.tune.strategies),
                     "blksizes": list(self.tune.blksizes),
-                    "auto_maps": self.tune.auto_maps,
                 }
                 if self.tune.enabled else False
             ),

@@ -20,12 +20,7 @@ This subsystem automates the choice:
 """
 
 from repro.tune.model import Prediction, predict
-from repro.tune.space import (
-    TuneConfig,
-    default_space,
-    register_strategy,
-    retarget_source,
-)
+from repro.tune.space import TuneConfig, default_space, retarget_source
 from repro.tune.search import Candidate, TuneReport, spearman, tune
 from repro.tune.serialize import candidate_payload, report_payload
 
@@ -34,7 +29,6 @@ __all__ = [
     "predict",
     "TuneConfig",
     "default_space",
-    "register_strategy",
     "retarget_source",
     "Candidate",
     "TuneReport",

@@ -39,7 +39,6 @@ from repro.spmd.layout import make_full
 from repro.tune.model import Prediction, predict
 from repro.tune.space import (
     DEFAULT_BLKSIZES,
-    DEFAULT_DISTS,
     DEFAULT_STRATEGIES,
     STRATEGIES,
     TuneConfig,
@@ -90,10 +89,10 @@ class TuneReport:
     space_size: int
     machine: MachineParams
     # Provenance when the distribution axis was derived statically
-    # (``tune(auto_maps=True)``): one jsonable dict per candidate map,
-    # with the locality findings behind it. None when the caller
-    # supplied the space.
-    auto_maps: list[dict] | None = None
+    # (``tune(dists=None)``): one jsonable dict per candidate map, with
+    # the locality findings behind it. None when the caller named the
+    # distributions.
+    derived_maps: list[dict] | None = None
 
     @property
     def chosen_spec(self):
@@ -162,7 +161,9 @@ def _compile_config(
         entry=entry,
         strategy=strategy,
         opt_level=opt_level,
-        entry_shapes=entry_shapes or DEFAULT_ENTRY_SHAPES,
+        entry_shapes=(
+            DEFAULT_ENTRY_SHAPES if entry_shapes is None else entry_shapes
+        ),
         assume_nprocs_min=2 if config.nprocs >= 2 else 1,
     )
 
@@ -231,8 +232,8 @@ def _confirm_job(
 def tune(
     source: str,
     n: int,
+    *,
     entry: str | None = None,
-    space: list[TuneConfig] | None = None,
     proc_counts=(4,),
     machine: MachineParams | None = None,
     top_k: int = 3,
@@ -240,62 +241,52 @@ def tune(
     backend: str = "compiled",
     oracle=None,
     entry_shapes: dict[str, tuple] | None = None,
-    auto_maps: bool = False,
     dists=None,
     strategies=None,
     blksizes=None,
 ) -> TuneReport:
     """Find the best ``<map, local, alloc>`` / strategy / blksize choice.
 
-    Predicts every configuration in ``space`` (default:
-    :func:`~repro.tune.space.default_space` over ``proc_counts``), ranks
-    by predicted makespan, then confirms candidates on the real
-    simulator in predicted order until ``top_k`` have succeeded (a
-    confirmation failure marks the candidate infeasible and pulls in the
-    next one). ``oracle(n, old_rows)`` optionally verifies each
-    confirmed run against a sequential reference. ``jobs > 1`` confirms
-    candidates in parallel worker processes.
+    Predicts every configuration of :func:`~repro.tune.space.
+    default_space` over ``proc_counts`` x ``dists`` x ``strategies`` x
+    ``blksizes``, ranks by predicted makespan, then confirms candidates
+    on the real simulator in predicted order until ``top_k`` have
+    succeeded (a confirmation failure marks the candidate infeasible and
+    pulls in the next one). ``oracle(n, old_rows)`` optionally verifies
+    each confirmed run against a sequential reference. ``jobs > 1``
+    confirms candidates in parallel worker processes.
 
-    ``auto_maps=True`` replaces the distribution axis with the layout
-    family that :func:`repro.analysis.derive_maps` reads off the
-    program's own access functions — the programmer does not supply a
-    ``map`` choice at all; the search ranks them like any other axis.
-    ``dists``/``strategies``/``blksizes`` narrow the corresponding
-    :func:`~repro.tune.space.default_space` axes when ``space`` is not
-    given.
+    ``dists=None`` searches the layout family that
+    :func:`repro.analysis.analyze` reads off the program's own access
+    functions — the programmer does not supply a ``map`` choice at all
+    — and records the analyzer's findings on the report
+    (``TuneReport.derived_maps``). ``strategies=None`` and
+    ``blksizes=None`` mean the library defaults; an empty axis is a
+    :class:`TuneError`.
     """
     machine = machine or MachineParams.ipsc2()
     derived = None
-    if auto_maps:
-        if space is not None or dists is not None:
-            raise TuneError(
-                "auto_maps derives the distribution axis; it cannot be "
-                "combined with an explicit space or dists"
-            )
+    if dists is None:
         result = analyze(source, entry=entry)
         if not result.candidates:
             why = "; ".join(
                 d.message for d in result.report.by_code("LOC003")
             ) or "no affine references found"
-            raise TuneError(f"auto_maps derived no candidate maps: {why}")
+            raise TuneError(
+                f"the locality analyzer derived no candidate maps: {why}"
+            )
         derived = [c.to_json() for c in result.candidates]
         dists = result.dists
-    if space is None:
-        space = default_space(
-            proc_counts,
-            dists=tuple(dists) if dists else DEFAULT_DISTS,
-            strategies=(
-                tuple(strategies) if strategies else DEFAULT_STRATEGIES
-            ),
-            blksizes=tuple(blksizes) if blksizes else DEFAULT_BLKSIZES,
-        )
-    elif dists is not None or strategies is not None or blksizes is not None:
-        raise TuneError(
-            "pass either an explicit space or dists/strategies/blksizes, "
-            "not both"
-        )
-    if not space:
-        raise ValueError("empty search space")
+    axes = {
+        "proc_counts": proc_counts,
+        "dists": dists,
+        "strategies": DEFAULT_STRATEGIES if strategies is None else strategies,
+        "blksizes": DEFAULT_BLKSIZES if blksizes is None else blksizes,
+    }
+    for name, values in axes.items():
+        if not values:
+            raise TuneError(f"empty search space: no {name} given")
+    space = default_space(**axes)
 
     with perf.phase("tune"):
         candidates: list[Candidate] = []
@@ -416,5 +407,5 @@ def tune(
             simulations=simulations,
             space_size=len(space),
             machine=machine,
-            auto_maps=derived,
+            derived_maps=derived,
         )

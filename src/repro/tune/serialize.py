@@ -60,6 +60,6 @@ def report_payload(report, **extra) -> dict:
         ),
         "candidates": [candidate_payload(c) for c in report.candidates],
     }
-    if getattr(report, "auto_maps", None) is not None:
-        payload["auto_maps"] = report.auto_maps
+    if report.derived_maps is not None:
+        payload["derived_maps"] = report.derived_maps
     return payload

@@ -27,32 +27,14 @@ STRATEGIES: dict[str, tuple[Strategy, OptLevel]] = {
     "inspector": (Strategy.INSPECTOR, OptLevel.NONE),
 }
 
-# What ``default_space`` actually sweeps. Pinned explicitly (rather
-# than ``tuple(STRATEGIES)``) so registering an extra strategy widens
-# what the CLI/service *accept* without silently inflating every
-# default tuning run; "inspector" is excluded because it only pays off
-# on irregular programs, which the regular apps are not.
+# The strategies ``tune()`` searches when none are named. "inspector"
+# is left out because it only pays off on irregular programs, which the
+# regular apps are not.
 DEFAULT_STRATEGIES = ("runtime", "compile", "optI", "optII", "optIII")
 
-
-def register_strategy(
-    name: str, strategy: Strategy, opt_level: OptLevel = OptLevel.NONE
-) -> None:
-    """Register a named (strategy, opt level) pair.
-
-    The tuner, the bench CLI, and the service submit schema all consult
-    :data:`STRATEGIES` live, so a newly registered strategy is accepted
-    everywhere without touching their code. Re-registering a name with
-    a different meaning is an error (idempotent re-registration is not:
-    plugins may be imported twice)."""
-    existing = STRATEGIES.get(name)
-    if existing is not None and existing != (strategy, opt_level):
-        raise TuneError(
-            f"strategy {name!r} is already registered as {existing}"
-        )
-    STRATEGIES[name] = (strategy, opt_level)
-
-# Distributions the default space searches: the matrix layouts.
+# The matrix layouts, for callers that spell the distribution axis out;
+# ``tune()`` without ``dists`` searches the analyzer's family instead,
+# which for a matrix program is the same six.
 DEFAULT_DISTS = tuple(dist for _, _, dist in LAYOUTS[2])
 
 DEFAULT_BLKSIZES = (1, 2, 4, 8, 16)
@@ -116,10 +98,7 @@ class TuneConfig:
 
 
 def default_space(
-    proc_counts,
-    dists=DEFAULT_DISTS,
-    strategies=DEFAULT_STRATEGIES,
-    blksizes=DEFAULT_BLKSIZES,
+    proc_counts, dists, strategies, blksizes
 ) -> list[TuneConfig]:
     """Enumerate distribution x strategy x S (x blksize for optIII).
 

@@ -10,13 +10,7 @@ unaligned operands. The cost model orders them (``bench maps``,
 
 import pytest
 
-from repro.analysis import (
-    Severity,
-    analyze,
-    derive_maps,
-    locality_report,
-    verify_compiled,
-)
+from repro.analysis import Severity, analyze, verify_compiled
 from repro.core.compiler import (
     OptLevel,
     Strategy,
@@ -135,18 +129,12 @@ class TestDerivedMaps:
         assert "Old[i - 1, j]" in msgs
         assert "constant offset" in msgs
 
-    def test_helpers_agree_with_analyze(self):
+    def test_candidates_and_report(self):
         from repro.apps import gauss_seidel
 
         result = analyze(gauss_seidel.SOURCE)
-        assert [
-            c.dist for c in derive_maps(gauss_seidel.SOURCE)
-        ] == list(result.dists)
-        codes = {
-            d.code
-            for d in locality_report(gauss_seidel.SOURCE).diagnostics
-        }
-        assert "LOC001" in codes
+        assert [c.dist for c in result.candidates] == list(result.dists)
+        assert "LOC001" in {d.code for d in result.report.diagnostics}
 
     def test_analysis_is_deterministic(self):
         from repro.apps import jacobi

@@ -254,6 +254,8 @@ class TestArgValidation:
             (["tune", "--blksizes", "4,-1"], "--blksizes entries"),
             (["tune", "--strategies", "optIX"], "unknown strategy"),
             (["tune", "--dists", "bogus"], "unknown distribution"),
+            (["tune", "--dists", ""], "empty search space: no dists"),
+            (["tune", "--strategies", ""], "empty search space: no strat"),
             (["irregular", "--n", "0"], "--n must be a positive"),
             (["irregular", "--nprocs", "-2"], "--nprocs must be a positive"),
             (["irregular", "--nnz", "-1"], "--nnz must be a non-negative"),
@@ -357,18 +359,18 @@ class TestMapsCommand:
     ):
         """Every layout of the family, cheapest predicted first; a
         candidate the model cannot price comes last."""
-        import repro.tune.model as model
+        import repro.tune.search as search
         from repro.errors import TuneError
         from repro.tune.space import DEFAULT_DISTS
 
-        real = model.predict
+        real = search.predict
 
         def predict(compiled, *args, **kwargs):
             if "block_rows" in map(str, compiled.spec.distributions.values()):
                 raise TuneError("no estimate")
             return real(compiled, *args, **kwargs)
 
-        monkeypatch.setattr(model, "predict", predict)
+        monkeypatch.setattr(search, "predict", predict)
         path = tmp_path / "maps.json"
         run_cli(capsys, "maps", "--app", "jacobi", "--n", "12",
                 "--json", str(path))
@@ -385,19 +387,28 @@ class TestMapsCommand:
         assert exc.value.code == 2
 
 
-class TestTuneAutoMapsFlag:
-    def test_auto_maps_search_and_provenance(self, tmp_path, capsys):
+class TestTuneDefaults:
+    def test_derived_maps_searched_and_named(self, tmp_path, capsys):
         path = tmp_path / "tune.json"
         out = run_cli(
-            capsys, "tune", "--app", "jacobi", "--n", "8",
-            "--auto-maps", "--top-k", "1",
+            capsys, "tune", "--app", "jacobi", "--n", "8", "--top-k", "1",
             "--strategies", "compile", "--blksizes", "8",
             "--json", str(path),
         )
-        assert "auto-derived maps:" in out
+        assert "derived maps:" in out
         payload = json.loads(path.read_text())
-        derived = [m["dist"] for m in payload["auto_maps"]]
+        derived = [m["dist"] for m in payload["derived_maps"]]
         assert derived
         assert all(
             c["dist"] in derived for c in payload["candidates"]
         )
+
+    def test_default_space_is_the_library_default(self, capsys):
+        """Six derived layouts x (four strategies + optIII at one
+        blksize): the CLI adds no inspector rows of its own."""
+        out = run_cli(
+            capsys, "tune", "--app", "gauss_seidel", "--n", "8",
+            "--top-k", "1", "--blksizes", "8",
+        )
+        assert "space=30 " in out
+        assert "inspector" not in out

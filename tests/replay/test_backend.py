@@ -161,15 +161,11 @@ def test_tuner_confirms_on_replay_backend():
     oracle check is skipped (replay computes no values) but the
     measured point carries the backend that produced it."""
     from repro.tune.search import tune
-    from repro.tune.space import TuneConfig
 
-    space = [
-        TuneConfig("wrapped_cols", "optI", 2, 4),
-        TuneConfig("wrapped_cols", "optIII", 2, 4),
-    ]
     report = tune(
-        gs.SOURCE, 12, space=space, top_k=2, backend="replay",
-        oracle=gs.reference_rows,
+        gs.SOURCE, 12, proc_counts=(2,), dists=("wrapped_cols",),
+        strategies=("optI", "optIII"), blksizes=(4,), top_k=2,
+        backend="replay", oracle=gs.reference_rows,
     )
     assert report.best is not None
     assert report.best.measured.backend == "replay"

@@ -16,6 +16,7 @@ from repro import perf, store
 from repro.apps import gauss_seidel as gs
 from repro.service import ServiceApp, ServiceConfig
 from repro.service.app import ARTIFACT_CACHE
+from repro.tune.space import DEFAULT_DISTS
 
 pytestmark = pytest.mark.usefixtures("service_store")
 
@@ -197,6 +198,8 @@ def test_tune_ranking_served_from_artifact(app):
     labels = [c["label"] for c in ranking["candidates"]]
     assert len(labels) == 2
     assert ranking["best"]["measured_us"] > 0
+    # The submitted dist is the axis: nothing was derived.
+    assert "derived_maps" not in ranking
 
 
 def test_unknown_artifact_is_404(app):
@@ -398,17 +401,25 @@ def test_artifact_record_pickled_in_store_is_json_safe(app):
     json.dumps(record)  # no Python-only types leaked into the record
 
 
-def test_auto_maps_ranking_attached(app):
-    """tune.auto_maps derives the distribution axis server-side; the
-    artifact's ranking carries the provenance."""
+def test_derived_ranking_attached(app):
+    """Without dist or tune.dists the ranking searches the layout family
+    the analyzer derives server-side, and carries the provenance."""
     resp = submit(
-        app,
-        tune={"auto_maps": True, "top_k": 0, "strategies": ["compile"]},
+        app, dist=None,
+        tune={"top_k": 0, "strategies": ["compile"]},
     )
     assert resp.status == 200
     record = app.handle("GET", f"/v1/artifacts/{resp.body['id']}").body
     ranking = record["tune"]
     assert "error" not in ranking
-    derived = [m["dist"] for m in ranking["auto_maps"]]
-    assert derived
-    assert {c["dist"] for c in ranking["candidates"]} <= set(derived)
+    derived = [m["dist"] for m in ranking["derived_maps"]]
+    assert derived == list(DEFAULT_DISTS)
+    assert {c["dist"] for c in ranking["candidates"]} == set(derived)
+
+
+def test_tune_auto_maps_is_an_unknown_field(app):
+    resp = submit(app, tune={"auto_maps": True})
+    assert resp.status == 400
+    assert resp.body["field"] == "tune.auto_maps"
+    assert resp.body["error"] == "tune.auto_maps: unknown field"
+

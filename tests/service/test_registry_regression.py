@@ -1,17 +1,18 @@
 """The submit schema consults the live registries, not frozen lists.
 
-Regression guard for the extension contract: registering a new strategy
-or distribution (a plugin import, no service code edits) must make the
-``POST /v1/programs`` schema accept it immediately — and the inspector
-strategy added for irregular programs must already be accepted.
+Regression guard: a strategy or distribution added to the registries
+(``STRATEGIES`` / ``DISTRIBUTIONS``) must make the ``POST /v1/programs``
+schema accept it immediately, with no service code edits — and the
+inspector strategy added for irregular programs must already be
+accepted.
 """
 
 import pytest
 
 from repro.core.compiler import OptLevel, Strategy
-from repro.distrib.builtin import DISTRIBUTIONS, BlockVector, register_distribution
+from repro.distrib.builtin import DISTRIBUTIONS, BlockVector
 from repro.service.schemas import SchemaError, SubmitRequest
-from repro.tune.space import STRATEGIES, register_strategy
+from repro.tune.space import STRATEGIES
 
 GOOD = {
     "source": "map A by wrapped_cols;\nprocedure main() returns int "
@@ -39,7 +40,7 @@ def test_newly_registered_strategy_accepted_live():
     assert name not in STRATEGIES
     with pytest.raises(SchemaError, match="unknown strategy"):
         validate(strategy=name)
-    register_strategy(name, Strategy.INSPECTOR, OptLevel.NONE)
+    STRATEGIES[name] = (Strategy.INSPECTOR, OptLevel.NONE)
     try:
         assert validate(strategy=name).strategy == name
         req = validate(tune={"strategies": [name]})
@@ -53,7 +54,7 @@ def test_newly_registered_distribution_accepted_live():
     assert name not in DISTRIBUTIONS
     with pytest.raises(SchemaError, match="unknown distribution"):
         validate(dist=name)
-    register_distribution(name, BlockVector)
+    DISTRIBUTIONS[name] = BlockVector
     try:
         assert validate(dist=name).dist == name
         req = validate(tune={"dists": [name]})

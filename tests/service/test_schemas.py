@@ -53,6 +53,7 @@ def test_minimal_request_fills_defaults():
         ("tune", {"strategies": ["optIV"]}, "unknown strategy"),
         ("tune", {"blksizes": [0]}, "tune.blksizes"),
         ("tune", {"surprise": 1}, "tune.surprise"),
+        ("tune", {"auto_maps": True}, "tune.auto_maps: unknown field"),
         ("bogus_field", 1, "unknown field"),
     ],
 )
@@ -108,17 +109,38 @@ def test_describe_is_json_safe_echo():
     assert echo["source_bytes"] > 0
 
 
-def test_tune_auto_maps_accepted_and_keyed():
-    req = validate(tune={"auto_maps": True})
-    assert req.tune.auto_maps is True
-    assert ";am=1" in req.tune.canonical()
-    assert req.describe()["tune"]["auto_maps"] is True
-    # auto_maps is part of the artifact identity.
-    assert req.artifact_id() != validate().artifact_id()
+def test_tune_spec_keys_and_echoes_its_four_fields():
+    req = validate(tune={"top_k": 0})
+    assert req.tune.canonical() == "k=0;d=;s=;b="
+    assert req.describe()["tune"] == {
+        "top_k": 0, "dists": [], "strategies": [], "blksizes": [],
+    }
 
 
-def test_tune_auto_maps_validation():
-    with pytest.raises(SchemaError, match="auto_maps"):
-        validate(tune={"auto_maps": True, "dists": ["wrapped_cols"]})
-    with pytest.raises(SchemaError, match="auto_maps"):
-        validate(tune={"auto_maps": 1})
+def test_service_version_pins_the_layout_family():
+    """A ranking without dist or tune.dists searches the analyzer's
+    layout family, so the artifact key must change when the family
+    does. If this fails, bump SERVICE_VERSION together with LAYOUTS and
+    update the pin here."""
+    from repro.distrib.builtin import LAYOUTS
+    from repro.service.schemas import SERVICE_VERSION
+
+    pinned = (3, {
+        2: (
+            ("cols", "wrapped", "wrapped_cols"),
+            ("rows", "wrapped", "wrapped_rows"),
+            ("cols", "block", "block_cols"),
+            ("rows", "block", "block_rows"),
+            ("cols", "block_cyclic", "block_cyclic_cols(4)"),
+            ("rows", "block_cyclic", "block_cyclic_rows(4)"),
+        ),
+        1: (
+            ("elems", "wrapped", "wrapped"),
+            ("elems", "block", "block"),
+        ),
+    })
+    assert (SERVICE_VERSION, LAYOUTS) == pinned, (
+        "the layout family changed: bump SERVICE_VERSION so stores "
+        "shared with older code do not serve stale rankings"
+    )
+

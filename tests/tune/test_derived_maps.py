@@ -1,10 +1,10 @@
-"""Auto-derived decomposition maps: tuner integration and soundness.
+"""Derived decomposition maps: tuner integration and soundness.
 
-Two contracts. First, ``tune(auto_maps=True)`` replaces the
-distribution axis with the locality analyzer's candidates — the whole
-layout family of the program's rank, ranked by the cost model like any
-other axis — records the provenance on the report, and its winner is no
-worse than searching the hand-written map. Second — the differential gate — every derived map
+Two contracts. First, ``tune()`` without ``dists`` searches the
+locality analyzer's candidates — the whole layout family of the
+program's rank, ranked by the cost model like any other axis — records
+the provenance on the report, and its winner is no worse than searching
+the hand-written map. Second — the differential gate — every derived map
 must actually *work*: compile, verify clean under the static safety
 passes, and execute bit-identically across the interp, compiled, and
 replay backends.
@@ -19,78 +19,53 @@ from repro.core.compiler import compile_program_cached
 from repro.core.runner import execute
 from repro.errors import TuneError
 from repro.spmd.layout import make_full
-from repro.tune import default_space, tune
+from repro.tune import tune
 from repro.tune.serialize import report_payload
 from repro.tune.space import DEFAULT_DISTS, STRATEGIES, retarget_source
 
+COMPILE_ONLY = dict(strategies=("compile",), blksizes=(8,))
 
-class TestTuneAutoMaps:
-    def test_auto_maps_replaces_dist_axis(self):
-        report = tune(
-            gs.SOURCE, 10, auto_maps=True, top_k=1,
-            strategies=("compile",), blksizes=(8,),
-        )
-        assert report.auto_maps is not None
-        derived = [m["dist"] for m in report.auto_maps]
+
+class TestTuneDerivedMaps:
+    def test_default_dist_axis_is_derived(self):
+        report = tune(gs.SOURCE, 10, top_k=1, **COMPILE_ONLY)
+        assert report.derived_maps is not None
+        derived = [m["dist"] for m in report.derived_maps]
         assert derived == list(analyze(gs.SOURCE).dists)
         assert {c.config.dist for c in report.candidates} <= set(derived)
         assert report.best is not None
         # Provenance carries the rationale of every candidate map.
-        assert all(m["rationale"] for m in report.auto_maps)
+        assert all(m["rationale"] for m in report.derived_maps)
 
-    def test_auto_maps_searches_every_matrix_layout(self):
-        report = tune(
-            gs.SOURCE, 10, auto_maps=True, top_k=1,
-            strategies=("compile",), blksizes=(8,),
+    def test_derived_axis_is_every_matrix_layout(self):
+        report = tune(gs.SOURCE, 10, top_k=1, **COMPILE_ONLY)
+        assert [m["dist"] for m in report.derived_maps] == list(
+            DEFAULT_DISTS
         )
-        assert [m["dist"] for m in report.auto_maps] == list(DEFAULT_DISTS)
         assert {c.config.dist for c in report.candidates} == set(
             DEFAULT_DISTS
         )
 
     def test_winner_no_worse_than_hand_map(self):
-        """Acceptance: the auto-derived winner must be at least as fast
-        as tuning over only the hand-written distribution."""
-        auto = tune(
-            gs.SOURCE, 10, auto_maps=True, top_k=1,
-            strategies=("compile",), blksizes=(8,),
-        )
+        """Acceptance: the derived winner must be at least as fast as
+        tuning over only the hand-written distribution."""
+        derived = tune(gs.SOURCE, 10, top_k=1, **COMPILE_ONLY)
         hand = tune(
-            gs.SOURCE, 10,
-            space=default_space(
-                (4,), dists=("wrapped_cols",),
-                strategies=("compile",), blksizes=(8,),
-            ),
-            top_k=1,
+            gs.SOURCE, 10, dists=("wrapped_cols",), top_k=1, **COMPILE_ONLY
         )
-        assert auto.best is not None and hand.best is not None
-        assert auto.best.measured_us <= hand.best.measured_us
+        assert derived.best is not None and hand.best is not None
+        assert derived.best.measured_us <= hand.best.measured_us
 
-    def test_payload_carries_auto_maps_only_when_derived(self):
-        report = tune(
-            gs.SOURCE, 8, auto_maps=True, top_k=0,
-            strategies=("compile",), blksizes=(8,),
-        )
+    def test_payload_carries_derived_maps_only_when_derived(self):
+        report = tune(gs.SOURCE, 8, top_k=0, **COMPILE_ONLY)
         payload = report_payload(report, command="tune")
-        assert payload["auto_maps"] == report.auto_maps
+        assert payload["derived_maps"] == report.derived_maps
         plain = tune(
-            gs.SOURCE, 8,
-            space=default_space(
-                (2,), dists=("wrapped_cols",),
-                strategies=("compile",), blksizes=(8,),
-            ),
-            top_k=0,
+            gs.SOURCE, 8, proc_counts=(2,), dists=("wrapped_cols",),
+            top_k=0, **COMPILE_ONLY,
         )
-        assert "auto_maps" not in report_payload(plain)
-
-    def test_conflicting_arguments_rejected(self):
-        space = default_space((2,), dists=("wrapped_cols",))
-        with pytest.raises(TuneError, match="auto_maps"):
-            tune(gs.SOURCE, 8, auto_maps=True, space=space)
-        with pytest.raises(TuneError, match="auto_maps"):
-            tune(gs.SOURCE, 8, auto_maps=True, dists=("wrapped_cols",))
-        with pytest.raises(TuneError, match="not both"):
-            tune(gs.SOURCE, 8, space=space, strategies=("compile",))
+        assert plain.derived_maps is None
+        assert "derived_maps" not in report_payload(plain)
 
     def test_underivable_program_raises(self):
         source = """
@@ -100,7 +75,7 @@ class TestTuneAutoMaps:
         }
         """
         with pytest.raises(TuneError, match="no candidate maps"):
-            tune(source, 8, entry="f", auto_maps=True)
+            tune(source, 8, entry="f")
 
 
 # ---------------------------------------------------------------------------

@@ -4,26 +4,11 @@ The analytic model cannot rank inspector-strategy candidates — their
 communication schedule depends on array contents the walk does not have
 — so ``predict`` raises ``ModelError`` and the driver must keep the
 candidate *feasible* (``Candidate.abstained`` set, not ``error``) and
-confirm it on the real simulator. Also covers the registration hooks
-(``register_strategy`` / ``register_distribution``) the abstention path
-shares its live-registry design with.
+confirm it on the real simulator.
 """
 
-import pytest
-
-from repro.core.compiler import OptLevel, Strategy
-from repro.distrib.builtin import (
-    DISTRIBUTIONS,
-    BlockVector,
-    register_distribution,
-)
-from repro.errors import MappingError, TuneError
-from repro.tune import TuneConfig, tune
-from repro.tune.space import (
-    DEFAULT_STRATEGIES,
-    STRATEGIES,
-    register_strategy,
-)
+from repro.tune import tune
+from repro.tune.space import DEFAULT_STRATEGIES, STRATEGIES
 
 GATHER = """
 param N;
@@ -42,19 +27,16 @@ procedure f(a: vector, idx: vector) returns vector {
 SHAPES = {"a": ("N",), "idx": ("N",)}
 
 
-def tune_gather(space, top_k=2):
+def tune_gather(proc_counts, strategies, top_k=2):
     return tune(
-        GATHER, 16, entry="f", space=space, top_k=top_k, entry_shapes=SHAPES
+        GATHER, 16, entry="f", proc_counts=proc_counts, dists=("block",),
+        strategies=strategies, top_k=top_k, entry_shapes=SHAPES,
     )
 
 
 class TestMeasuredFallback:
     def test_abstained_candidates_stay_feasible_and_get_measured(self):
-        space = [
-            TuneConfig(dist="block", strategy="inspector", nprocs=2),
-            TuneConfig(dist="block", strategy="inspector", nprocs=4),
-        ]
-        report = tune_gather(space)
+        report = tune_gather((2, 4), ("inspector",))
         for cand in report.candidates:
             assert cand.feasible
             assert cand.error is None
@@ -66,11 +48,7 @@ class TestMeasuredFallback:
         assert report.simulations == 2
 
     def test_best_is_measured_best(self):
-        space = [
-            TuneConfig(dist="block", strategy="inspector", nprocs=2),
-            TuneConfig(dist="block", strategy="inspector", nprocs=4),
-        ]
-        report = tune_gather(space)
+        report = tune_gather((2, 4), ("inspector",))
         assert report.best is not None
         assert report.best.measured_us == min(
             c.measured_us for c in report.confirmed
@@ -80,11 +58,7 @@ class TestMeasuredFallback:
         """The contrast case: a strategy that cannot compile the gather
         is *infeasible* with a CompileError, not silently dropped — and
         never simulated."""
-        space = [
-            TuneConfig(dist="block", strategy="runtime", nprocs=2),
-            TuneConfig(dist="block", strategy="inspector", nprocs=2),
-        ]
-        report = tune_gather(space)
+        report = tune_gather((2,), ("runtime", "inspector"))
         by_strategy = {c.config.strategy: c for c in report.candidates}
         runtime = by_strategy["runtime"]
         assert not runtime.feasible
@@ -94,31 +68,9 @@ class TestMeasuredFallback:
         assert report.best is by_strategy["inspector"]
 
 
-class TestRegistrationHooks:
-    def test_register_strategy_idempotent(self):
-        register_strategy("inspector", Strategy.INSPECTOR, OptLevel.NONE)
-        assert STRATEGIES["inspector"] == (Strategy.INSPECTOR, OptLevel.NONE)
-
-    def test_register_strategy_conflict_rejected(self):
-        with pytest.raises(TuneError, match="already registered"):
-            register_strategy("inspector", Strategy.RUNTIME, OptLevel.NONE)
-        # The failed call must not clobber the existing binding.
-        assert STRATEGIES["inspector"] == (Strategy.INSPECTOR, OptLevel.NONE)
-
+class TestDefaultSweep:
     def test_inspector_not_in_default_sweep(self):
-        """Registered strategies widen what is *accepted*, not what every
-        default tuning run sweeps."""
+        """Every strategy is *accepted*; the default tuning run sweeps
+        only the ones that pay off on regular programs."""
         assert "inspector" in STRATEGIES
         assert "inspector" not in DEFAULT_STRATEGIES
-
-    def test_register_distribution_idempotent(self):
-        register_distribution("block", BlockVector)
-        assert DISTRIBUTIONS["block"] is BlockVector
-
-    def test_register_distribution_conflict_rejected(self):
-        class Impostor(BlockVector):
-            pass
-
-        with pytest.raises(MappingError, match="already registered"):
-            register_distribution("block", Impostor)
-        assert DISTRIBUTIONS["block"] is BlockVector

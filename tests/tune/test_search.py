@@ -19,9 +19,9 @@ from repro.tune import (
 )
 
 
-def small_space(strategies=("runtime", "compile", "optI", "optIII")):
-    return default_space(
-        (2, 4),
+def small_axes(strategies=("runtime", "compile", "optI", "optIII")):
+    return dict(
+        proc_counts=(2, 4),
         dists=("wrapped_cols", "wrapped_rows", "block_cols"),
         strategies=strategies,
         blksizes=(2, 4),
@@ -30,11 +30,11 @@ def small_space(strategies=("runtime", "compile", "optI", "optIII")):
 
 class TestTune:
     def test_prunes_and_ranks(self):
-        space = small_space()
+        axes = small_axes()
         report = tune(
-            gs.SOURCE, 10, space=space, top_k=3, oracle=gs.reference_rows
+            gs.SOURCE, 10, **axes, top_k=3, oracle=gs.reference_rows
         )
-        assert report.space_size == len(space)
+        assert report.space_size == len(default_space(**axes))
         # The whole point: far fewer simulations than configurations.
         assert report.simulations <= 3 < report.space_size
         assert report.best is not None
@@ -54,7 +54,7 @@ class TestTune:
         assert report.spearman == 1.0
 
     def test_chosen_spec_names_the_distribution(self):
-        report = tune(gs.SOURCE, 8, space=small_space(), top_k=1)
+        report = tune(gs.SOURCE, 8, **small_axes(), top_k=1)
         spec = report.chosen_spec
         assert spec is not None
         assert spec.distributions["Old"].name == report.best.config.dist
@@ -62,14 +62,10 @@ class TestTune:
     def test_infeasible_candidates_keep_their_error(self):
         # jacobi under loop jamming genuinely deadlocks: it must be
         # reported, not crash the search.
-        space = default_space(
-            (2,),
-            dists=("wrapped_cols", "block_grid(2)"),
-            strategies=("compile", "optII"),
-        )
         report = tune(
-            jacobi.SOURCE_WRAPPED, 8, entry="jacobi_step", space=space,
-            top_k=2,
+            jacobi.SOURCE_WRAPPED, 8, entry="jacobi_step", proc_counts=(2,),
+            dists=("wrapped_cols", "block_grid(2)"),
+            strategies=("compile", "optII"), top_k=2,
         )
         infeasible = [c for c in report.candidates if not c.feasible]
         assert infeasible
@@ -81,25 +77,29 @@ class TestTune:
         assert report.best is not None
         assert report.best.config.strategy == "compile"
 
-    def test_empty_space_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            tune(gs.SOURCE, 8, space=[])
+    @pytest.mark.parametrize(
+        "axis", ["proc_counts", "dists", "strategies", "blksizes"]
+    )
+    def test_empty_axis_rejected(self, axis):
+        """An empty axis is an error, not a request for the default."""
+        with pytest.raises(TuneError, match=f"empty search space: no {axis}"):
+            tune(gs.SOURCE, 8, **{axis: ()})
 
     def test_measurements_are_memoized(self):
-        space = small_space(strategies=("compile", "optI"))
-        first = tune(gs.SOURCE, 9, space=space, top_k=2)
+        axes = small_axes(strategies=("compile", "optI"))
+        first = tune(gs.SOURCE, 9, **axes, top_k=2)
         assert first.simulations > 0
-        again = tune(gs.SOURCE, 9, space=space, top_k=2)
+        again = tune(gs.SOURCE, 9, **axes, top_k=2)
         assert again.simulations == 0
         assert again.best.config == first.best.config
         assert again.best.measured_us == first.best.measured_us
 
     def test_parallel_confirmation_matches_serial(self):
-        space = small_space(strategies=("compile", "optIII"))
+        axes = small_axes(strategies=("compile", "optIII"))
         results = {}
         for jobs in (1, 2):
             perf.reset(clear_cache_tables=True)  # drop tune_measure
-            report = tune(gs.SOURCE, 10, space=space, top_k=3, jobs=jobs)
+            report = tune(gs.SOURCE, 10, **axes, top_k=3, jobs=jobs)
             results[jobs] = [
                 (c.config, c.measured_us) for c in report.confirmed
             ]
