@@ -15,7 +15,8 @@ Four gates, each against exhaustive simulation as ground truth:
 ``blocksize`` (X-BLK)
     restricted to the strip-mined strategy, the tuner's block-size pick
     must match the argmin of the exhaustive block-size sweep
-    (``bench_blocksize.py``'s grid) for every tested N.
+    (the X-BLK claim's grid in :mod:`repro.bench.paper`) for every
+    tested N.
 ``ordering`` (F6)
     at the paper's grid the tuner must rank optimized > compile-time >
     run-time resolution without being told — purely from the model.
@@ -42,7 +43,7 @@ from repro.tune.model import predict
 from repro.tune.search import _compile_config
 
 MACHINE = MachineParams.ipsc2()
-BLKSIZES = [1, 2, 4, 8, 16, 64]  # bench_blocksize.py's sweep grid
+BLKSIZES = [1, 2, 4, 8, 16, 64]  # the X-BLK claim's sweep grid
 
 
 def _simulate(config, n):

@@ -41,27 +41,14 @@ from pathlib import Path
 
 from repro import perf
 from repro.analysis import verify_compiled, walk_ranks
-from repro.apps import gauss_seidel as gs
-from repro.core.compiler import compile_program_cached
+from repro.bench.harness import compile_app
 from repro.core.runner import execute
 from repro.errors import DeadlockError
 from repro.machine import MachineParams
 from repro.spmd.layout import make_full
-from repro.tune.space import STRATEGIES, retarget_source
 
 MACHINE = MachineParams.ipsc2()
 GATE_RATIO = 5.0
-
-
-def _compile(strategy: str, dist: str = "wrapped_cols"):
-    strat, opt_level = STRATEGIES[strategy]
-    return compile_program_cached(
-        retarget_source(gs.SOURCE, dist),
-        strategy=strat,
-        opt_level=opt_level,
-        entry_shapes={"Old": ("N", "N")},
-        assume_nprocs_min=2,
-    )
 
 
 def _time(fn, repeats: int) -> float:
@@ -85,7 +72,7 @@ def check_speed(n: int, nprocs: int = 4, repeats: int = 3) -> dict:
     """Gate 1: verify >= 5x faster than simulate on the same config."""
     from repro.analysis.verify import _verify_cache
 
-    compiled = _compile("optIII")
+    compiled = compile_app("gauss_seidel", "optIII", 2)
 
     def do_verify():
         _verify(compiled, n, nprocs)
@@ -131,7 +118,8 @@ def check_speed(n: int, nprocs: int = 4, repeats: int = 3) -> dict:
 def check_work(n: int, nprocs: int = 4) -> dict:
     """Gate 2: the walk covers >= 5 loop iterations per body it runs."""
     walkers, _ = walk_ranks(
-        _compile("optIII").program, nprocs, {"N": n, "blksize": 8}, {}
+        compile_app("gauss_seidel", "optIII", 2).program, nprocs,
+        {"N": n, "blksize": 8}, {},
     )
     bodies = sum(walker.bodies for walker in walkers)
     covered = sum(walker.covered for walker in walkers)
@@ -147,23 +135,14 @@ def check_work(n: int, nprocs: int = 4) -> dict:
 
 def check_agreement(n: int, nprocs: int = 2) -> dict:
     """Gate 3: same verdicts as the simulator, clean and deadlocked."""
-    clean = _compile("optI")
+    clean = compile_app("gauss_seidel", "optI", 2)
     report = verify_compiled(clean, nprocs, params={"N": n}, machine=MACHINE)
     if report.diagnostics:
         raise AssertionError(
             f"clean config flagged: {report.summary()}"
         )
 
-    from repro.apps import jacobi
-
-    jammed = compile_program_cached(
-        jacobi.SOURCE_WRAPPED,
-        entry="jacobi_step",
-        strategy=STRATEGIES["optII"][0],
-        opt_level=STRATEGIES["optII"][1],
-        entry_shapes={"Old": ("N", "N")},
-        assume_nprocs_min=2,
-    )
+    jammed = compile_app("jacobi", "optII", 2)
     report = verify_compiled(jammed, nprocs, params={"N": n}, machine=MACHINE)
     if not report.by_code("DL001"):
         raise AssertionError(
@@ -205,7 +184,7 @@ def test_verify_beats_simulation_by_5x():
     gate) and the warm verification does no work at all."""
     work = check_work(64)
     assert work["covered"] >= GATE_RATIO * work["bodies"]
-    compiled = _compile("optIII")
+    compiled = compile_app("gauss_seidel", "optIII", 2)
     _verify(compiled, 64, 4)
     hits = perf.counter("verify.hit")
     _verify(compiled, 64, 4)

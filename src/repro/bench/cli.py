@@ -1,87 +1,18 @@
 """Command-line entry point: regenerate the paper's experiments.
 
-Usage::
+Usage: ``python -m repro.bench COMMAND [options]``, where COMMAND is
+``reproduce``, ``trace``, ``replay``, ``tune``, ``maps``, ``verify``,
+``irregular`` or ``serve``; ``COMMAND --help`` lists its options.
 
-    python -m repro.bench fig6 [--n 128] [--procs 2,4,8,16,32]
-    python -m repro.bench fig7 [--n 128] [--blksize 8]
-    python -m repro.bench msgcount
-    python -m repro.bench blocksize [--n 128] [--nprocs 8]
-    python -m repro.bench timeline [--strategy optIII] [--n 24] [--nprocs 4]
-    python -m repro.bench trace [--app gauss_seidel] [--strategy optIII]
-                                [--n 24] [--nprocs 4] [--trace-out FILE]
-    python -m repro.bench speedup [--n 48] [--procs 2,4,8,16]
-    python -m repro.bench replay [--full] [--json PATH]
-    python -m repro.bench tune [--app gauss_seidel] [--n 48] [--procs 4]
-                               [--top-k 3] [--dists ...] [--strategies ...]
-                               [--blksizes 1,2,4,8,16]
-    python -m repro.bench maps [--app jacobi] [--n 48] [--nprocs 4]
-                               [--json PATH]
-    python -m repro.bench verify [--app gauss_seidel] [--dist wrapped_cols]
-                                 [--strategy optIII] [--n 48] [--nprocs 8]
-                                 [--json PATH]
-    python -m repro.bench irregular [--app spmv|histogram|mesh|all]
-                                    [--n 48] [--nprocs 4] [--steps 2]
-                                    [--bins 32] [--nnz 2] [--json PATH]
-    python -m repro.bench serve [--host 127.0.0.1] [--port 8000]
-                                [--rate 10] [--burst 20] [--sync]
-                                [--no-tune]
-
-The ``serve`` command starts the decomposition-as-a-service control
-plane (:mod:`repro.service`): a long-running HTTP server that turns
-``POST /v1/programs`` submissions into content-addressed artifacts
-(compiled-IR summary, verify report, tune ranking) persisted in the
-shared artifact store, with keyset-paginated listings, health/stats
-routes, and token-bucket rate limiting.
-
-The ``irregular`` command runs the inspector/executor acceptance checks
-(:mod:`repro.bench.irregular`) on the data-dependent apps — sparse
-matvec, histogram, unstructured-mesh relaxation — gating oracle
-bit-identity on both backends and exact schedule reuse (warm-run
-message count == schedule size x site executions), and exits 1 when a
-gate fails.
-
-The ``verify`` command runs the static communication-safety verifier
-(:mod:`repro.analysis`) on one configuration without simulating it, and
-exits 0 when clean, 1 when any diagnostic is found, 2 on usage errors.
-
-The ``tune`` command searches distribution x strategy x blksize for the
-given app: it predicts every candidate with the analytic cost model
-(:mod:`repro.tune.model`), then confirms only the predicted-best
-``--top-k`` on the real simulator and prints the ranked report. The
-model's makespan is bit-exact against the simulator under any machine
-parameters, so the report's ``spearman=`` figure is a self-check that
-reads 1.00, not an accuracy score. Without ``--dists`` the
-distribution axis is the layout family the static locality analyzer
-reads off the program's own access functions, and the report names it.
-
-The ``maps`` command runs the static locality analyzer
-(:mod:`repro.analysis.locality`) on one app without simulating it: it
-prices every candidate map with the analytic cost model, prints them in
-predicted order with their LOC00x rationale, and exits 0 when the
-candidates contain the hand-written map (the app's ``map ... by``
-clause), 1 otherwise.
-
-The ``replay`` command runs the replay backend's acceptance sweep
-(:mod:`repro.bench.replay_bench`) — fresh / warm / scalar-oracle /
-primed-store-cold timings with bit-identity checks — and reports the
-perf cache statistics alongside, disk-store hit counts included.
-
-The ``trace`` command runs one traced simulation and renders the full
-observability report — timeline, per-rank utilization, critical path,
-and communication heatmap — for any app/strategy/ring size;
-``--trace-out FILE`` additionally exports Chrome trace-event JSON
-viewable at https://ui.perfetto.dev.
-
-Every command but ``serve`` takes ``--profile`` (print compiler/runtime
+Each ``cmd_*`` function's docstring describes its command. Every
+command but ``serve`` takes ``--profile`` (print compiler/runtime
 counters and phase timers after the run; also embedded in JSON dumps).
 The commands that execute programs take ``--backend
-compiled|interp|replay``; the figure, speedup, replay, tune, verify,
-maps and irregular commands take ``--json PATH`` (``-`` for stdout) to
-dump their results as JSON, and the
-figure, speedup and tune commands ``--jobs N`` to fan work out across
-worker processes. Each command registers only the options it reads, in
-full: anything else, ``verify --procs`` included, is a usage error
-(exit 2).
+compiled|interp|replay``; every command but ``trace`` and ``serve``
+takes ``--json PATH`` (``-`` for stdout) to dump its results as JSON,
+and ``tune`` takes ``--jobs N`` to confirm candidates in worker
+processes. Each command registers only the options it reads, in full:
+anything else, ``verify --procs`` included, is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -89,12 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import asdict
 
 from repro import perf
-from repro.bench.harness import STRATEGY_ORDER, measure, sweep_nprocs
-from repro.bench.report import format_series, format_table
+from repro.bench.harness import compile_app, load_app
+from repro.bench.report import format_table
 
 
 def _parse_procs(text: str) -> list[int]:
@@ -115,19 +44,6 @@ def _dump_json(payload: dict, path: str) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text + "\n")
-
-
-def _series_payload(series, args, **meta) -> dict:
-    payload = {
-        **meta,
-        "series": {
-            strategy: [asdict(p) for p in points]
-            for strategy, points in series.items()
-        },
-    }
-    if getattr(args, "profile", False):
-        payload["profile"] = perf.snapshot()
-    return payload
 
 
 def _print_profile(args) -> None:
@@ -163,144 +79,24 @@ def format_profile(snap: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_fig6(args) -> None:
-    series = sweep_nprocs(
-        ["runtime", "compile", "optI", "handwritten"],
-        args.n,
-        _parse_procs(args.procs),
-        blksize=args.blksize,
-        backend=args.backend,
-        jobs=args.jobs,
+def cmd_reproduce(args) -> int:
+    """Check the paper's evaluation, one table of claims
+    (:mod:`repro.bench.paper`): print the Figure 6 and 7 series, then
+    one ``ok``/``FAIL`` line per check; exit 1 when any check fails.
+    ``--n``/``--procs`` size Figures 6 and 7 only."""
+    from repro.bench.paper import Setup, reproduce
+
+    text, payload = reproduce(
+        Setup(n=args.n, procs=tuple(_parse_procs(args.procs)),
+              backend=args.backend)
     )
-    print(format_series(series, "time_ms", f"Figure 6 (N={args.n}, ms)"))
-    print()
-    print(format_series(series, "messages", "messages"))
+    print(text)
     _print_profile(args)
     if args.json:
-        _dump_json(
-            _series_payload(series, args, figure="fig6", n=args.n,
-                            backend=args.backend),
-            args.json,
-        )
-
-
-def cmd_fig7(args) -> None:
-    series = sweep_nprocs(
-        ["optI", "optII", "optIII", "handwritten"],
-        args.n,
-        _parse_procs(args.procs),
-        blksize=args.blksize,
-        backend=args.backend,
-        jobs=args.jobs,
-    )
-    print(format_series(series, "time_ms", f"Figure 7 (N={args.n}, ms)"))
-    print()
-    print(format_series(series, "messages", "messages"))
-    _print_profile(args)
-    if args.json:
-        _dump_json(
-            _series_payload(series, args, figure="fig7", n=args.n,
-                            backend=args.backend),
-            args.json,
-        )
-
-
-_SPEEDUP_BACKENDS = ("interp", "compiled", "replay")
-
-
-def cmd_speedup(args) -> None:
-    """Time the full strategy sweep on all three backends side by side.
-
-    The simulated results must agree exactly; the host-seconds ratios —
-    interp over compiled, and compiled over replay — are the execution
-    backends' figures of merit tracked across PRs.
-    """
-    procs = _parse_procs(args.procs)
-    if not procs:
-        raise SystemExit("speedup: --procs must name at least one ring size")
-    # Warm program compilation, closure compilation, layout plans, and
-    # replay skeletons so the timed region measures steady-state
-    # execution only.
-    for backend in _SPEEDUP_BACKENDS:
-        sweep_nprocs(
-            STRATEGY_ORDER, args.n, procs[:1], blksize=args.blksize,
-            backend=backend, jobs=args.jobs,
-        )
-    sweeps = {}
-    totals = {}
-    for backend in _SPEEDUP_BACKENDS:
-        t0 = time.perf_counter()
-        sweeps[backend] = sweep_nprocs(
-            STRATEGY_ORDER, args.n, procs, blksize=args.blksize,
-            backend=backend, jobs=args.jobs,
-        )
-        totals[backend] = time.perf_counter() - t0
-
-    def simulated(sweep):
-        return {
-            strategy: [(p.time_us, p.messages, p.bytes) for p in points]
-            for strategy, points in sweep.items()
-        }
-
-    reference = simulated(sweeps["compiled"])
-    for backend in _SPEEDUP_BACKENDS:
-        if simulated(sweeps[backend]) != reference:
-            raise AssertionError(
-                f"backend {backend!r} disagrees with 'compiled' on "
-                "simulated results"
-            )
-
-    exec_host = {
-        backend: sum(p.host_seconds for ps in sweep.values() for p in ps)
-        for backend, sweep in sweeps.items()
-    }
-    ratio = exec_host["interp"] / exec_host["compiled"]
-    replay_ratio = exec_host["compiled"] / exec_host["replay"]
-    rows = [
-        {
-            "backend": backend,
-            "exec_host_s": f"{exec_host[backend]:.3f}",
-            "sweep_wall_s": f"{totals[backend]:.3f}",
-            "vs_compiled": (
-                f"{exec_host['compiled'] / exec_host[backend]:.2f}x"
-            ),
-        }
-        for backend in _SPEEDUP_BACKENDS
-    ]
-    print(
-        format_table(
-            rows,
-            ["backend", "exec_host_s", "sweep_wall_s", "vs_compiled"],
-            f"backend speedup (N={args.n}, S in {procs}): "
-            f"compiled {ratio:.2f}x over interp, "
-            f"replay {replay_ratio:.2f}x over compiled",
-        )
-    )
-    _print_profile(args)
-    if args.json:
-        payload = {
-            "n": args.n,
-            "procs": procs,
-            "blksize": args.blksize,
-            "strategies": STRATEGY_ORDER,
-            "exec_host_seconds": exec_host,
-            "sweep_wall_seconds": totals,
-            "speedup": ratio,
-            "replay_speedup": replay_ratio,
-            "points": {
-                backend: [
-                    asdict(p) for ps in sweep.values() for p in ps
-                ]
-                for backend, sweep in sweeps.items()
-            },
-            # How much of the sweep the memoization tables absorbed —
-            # hit rates near zero here mean the speedup above is
-            # measuring cache misses, not backends.
-            "cache_stats": perf.cache_stats(),
-        }
         if args.profile:
             payload["profile"] = perf.snapshot()
         _dump_json(payload, args.json)
+    return 0 if payload["ok"] else 1
 
 
 def cmd_replay(args) -> int:
@@ -357,125 +153,13 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def cmd_msgcount(args) -> None:
-    rows = []
-    for strategy, nprocs in (("runtime", 2), ("compile", 2),
-                             ("optIII", 4), ("handwritten", 4)):
-        point = measure(strategy, 128, nprocs, blksize=8,
-                        backend=args.backend)
-        rows.append({"strategy": strategy, "messages": point.messages})
-    print(
-        format_table(
-            rows, ["strategy", "messages"],
-            "message counts at 128x128 (paper footnote 3: 31752 vs 2142)",
-        )
-    )
-    _print_profile(args)
-
-
-def cmd_blocksize(args) -> None:
-    rows = []
-    for blk in (1, 2, 4, 8, 16, 32):
-        point = measure("optIII", args.n, args.nprocs, blksize=blk,
-                        backend=args.backend)
-        rows.append(
-            {
-                "blksize": blk,
-                "time_ms": f"{point.time_ms:.1f}",
-                "messages": point.messages,
-            }
-        )
-    print(
-        format_table(
-            rows,
-            ["blksize", "time_ms", "messages"],
-            f"Optimized III vs block size (N={args.n}, S={args.nprocs})",
-        )
-    )
-    _print_profile(args)
-
-
-#: ``--app`` name -> (module under :mod:`repro.apps`, the source the
-#: commands run). Each module declares ``ENTRY`` and ``ENTRY_SHAPES``
-#: beside its sources.
-APPS = {
-    "gauss_seidel": ("gauss_seidel", "SOURCE"),
-    "jacobi": ("jacobi", "SOURCE_WRAPPED"),
-    "matmul": ("matmul", "SOURCE"),
-    "triangular": ("triangular", "SOURCE"),
-}
-
-
-def load_app(name: str):
-    """``(module, source)`` of one ``--app`` choice."""
-    import importlib
-
-    module, source = APPS[name]
-    app = importlib.import_module(f"repro.apps.{module}")
-    return app, getattr(app, source)
-
-
-def compile_app(name: str, strategy: str, nprocs: int, dist=None):
-    """Compile one app, retargeted onto ``dist`` when given.
-
-    Compilation goes through the memoized cache so repeat invocations
-    (and backend comparisons) see the identical program — including the
-    generated channel names that appear in reports and exports.
-    """
-    from repro.core.compiler import compile_program_cached
-    from repro.tune.space import STRATEGIES, retarget_source
-
-    app, source = load_app(name)
-    strat, level = STRATEGIES[strategy]
-    return compile_program_cached(
-        source if dist is None else retarget_source(source, dist),
-        entry=app.ENTRY,
-        entry_shapes=app.ENTRY_SHAPES,
-        strategy=strat,
-        opt_level=level,
-        assume_nprocs_min=2 if nprocs >= 2 else 1,
-    )
-
-
-def _traced_run(args):
-    """Compile and execute one app/strategy/S with tracing on."""
+def cmd_trace(args) -> int:
+    """Full observability report for one traced run — timeline,
+    per-rank utilization, critical path, communication heatmap;
+    ``--trace-out FILE`` also exports Chrome trace-event JSON
+    (https://ui.perfetto.dev). Exit 1 when the run fails."""
     from repro.core.runner import execute
-    from repro.spmd.layout import make_full
-
-    compiled = compile_app(
-        getattr(args, "app", "gauss_seidel"), args.strategy, args.nprocs
-    )
-    env = {**compiled.checked.consts, "N": args.n}
-    info = compiled.array_info[compiled.entry]
-    inputs = {
-        name: make_full(tuple(d.evaluate(env) for d in info[name].shape), 1)
-        for name in compiled.entry_array_params
-    }
-    return execute(
-        compiled,
-        args.nprocs,
-        inputs=inputs,
-        params={"N": args.n},
-        extra_globals={"blksize": args.blksize},
-        trace=True,
-        backend=args.backend,
-    )
-
-
-def cmd_timeline(args) -> None:
-    from repro.machine.trace import render_timeline
-
-    outcome = _traced_run(args)
-    print(render_timeline(outcome.sim, label=args.strategy))
-    print(
-        f"messages={outcome.total_messages} "
-        f"time={outcome.makespan_us / 1000:.1f} ms"
-    )
-    _print_profile(args)
-
-
-def cmd_trace(args) -> None:
-    """Full observability report for one traced run."""
+    from repro.errors import ReproError
     from repro.machine.trace import render_timeline
     from repro.obs import (
         critical_path,
@@ -484,9 +168,25 @@ def cmd_trace(args) -> None:
         format_utilization,
         write_chrome_trace,
     )
+    from repro.spmd.layout import make_full
 
-    outcome = _traced_run(args)
     label = f"{args.app}-{args.strategy}-N{args.n}-S{args.nprocs}"
+    try:
+        compiled = compile_app(args.app, args.strategy, args.nprocs)
+        env = {**compiled.checked.consts, "N": args.n}
+        info = compiled.array_info[compiled.entry]
+        outcome = execute(
+            compiled, args.nprocs, params={"N": args.n}, inputs={
+                name: make_full(
+                    tuple(d.evaluate(env) for d in info[name].shape), 1
+                )
+                for name in compiled.entry_array_params
+            }, extra_globals={"blksize": args.blksize}, trace=True,
+            backend=args.backend,
+        )
+    except ReproError as exc:
+        print(f"trace: {label}: {type(exc).__name__}: {exc}")
+        return 1
     print(render_timeline(outcome.sim, label=label))
     print()
     print(format_utilization(outcome.sim))
@@ -506,9 +206,16 @@ def cmd_trace(args) -> None:
             f"{args.trace_out} (open in https://ui.perfetto.dev)"
         )
     _print_profile(args)
+    return 0
 
 
 def cmd_tune(args) -> None:
+    """Predict every distribution x strategy x blksize candidate with
+    the cost model (:mod:`repro.tune.model`), confirm the ``--top-k``
+    predicted best on the simulator and print the ranking. The model is
+    bit-exact, so ``spearman=`` is a self-check that reads 1.00. Without
+    ``--dists`` the distributions are the layout family the locality
+    analyzer reads off the program's access functions."""
     from repro.errors import TuneError
     from repro.tune import tune
 
@@ -790,7 +497,9 @@ def cmd_irregular(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Run the decomposition service until interrupted."""
+    """Run the decomposition service (:mod:`repro.service`) until
+    interrupted: an HTTP server that turns ``POST /v1/programs`` into
+    content-addressed artifacts in the shared artifact store."""
     import logging
 
     from repro.service import ServiceApp, ServiceConfig, make_server
@@ -877,7 +586,7 @@ _SHARED_OPTIONS = {
     "strategy": dict(choices=["runtime", "compile", "optI", "optII", "optIII"],
                      default="optIII"),
     "jobs": dict(type=int, default=1, metavar="N",
-                 help="measure up to N strategy series in parallel "
+                 help="confirm up to N candidates in parallel "
                       "worker processes"),
     "json": dict(type=str, default=None, metavar="PATH",
                  help="also dump the results as JSON ('-' for stdout)"),
@@ -892,13 +601,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, shared in (
-        ("fig6", cmd_fig6, "n procs blksize backend jobs json"),
-        ("fig7", cmd_fig7, "n procs blksize backend jobs json"),
-        ("msgcount", cmd_msgcount, "backend"),
-        ("blocksize", cmd_blocksize, "n nprocs backend"),
-        ("timeline", cmd_timeline, "n nprocs blksize backend strategy"),
+        ("reproduce", cmd_reproduce, "n procs backend json"),
         ("trace", cmd_trace, "n nprocs blksize backend strategy"),
-        ("speedup", cmd_speedup, "n procs blksize jobs json"),
         ("replay", cmd_replay, "json"),
         ("tune", cmd_tune, "n procs backend jobs json"),
         ("verify", cmd_verify, "n nprocs blksize strategy json"),
@@ -917,6 +621,8 @@ def main(argv: list[str] | None = None) -> int:
             help="print compiler/runtime counters and phase timers "
                  "(and embed them in --json dumps)",
         )
+        if name == "reproduce":
+            cmd.set_defaults(n=128, procs="2,4,8,16,32")
         if name == "irregular":
             cmd.set_defaults(nprocs=4)
             cmd.add_argument(

@@ -14,17 +14,16 @@ A *strategy* is one curve in the paper's figures:
 Every measurement also verifies the computed grid against the sequential
 oracle — a benchmark that produced wrong answers would be worthless.
 
-Sweeps can fan strategies out across worker processes (``jobs=N``): each
-worker takes whole strategy series, so its memoization tables (compile
-cache, simplify/decide caches, rank specializer) warm once and stay hot
-for every point in the series. Workers ship their perf snapshots home
-and :func:`repro.perf.merge` folds them into the parent's counters.
+:func:`compile_app` is the one way the bench package compiles an example
+app: through the memoized compile cache, so repeat calls (and backend
+comparisons) see the identical program — including the generated
+channel names that appear in reports and exports.
 """
 
 from __future__ import annotations
 
+import importlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from repro import perf
 from repro.apps import gauss_seidel as gs
@@ -33,7 +32,7 @@ from repro.core.runner import ExecutionOutcome, MeasurePoint, execute
 from repro.machine import MachineParams
 from repro.spmd.interp import run_spmd
 from repro.spmd.layout import gather, make_full, scatter
-from repro.tune.space import STRATEGIES
+from repro.tune.space import STRATEGIES, retarget_source
 
 STRATEGY_ORDER = [
     "runtime",
@@ -45,14 +44,44 @@ STRATEGY_ORDER = [
 ]
 
 
-def _compiled(strategy: str, source: str, assume_min: int):
+#: ``--app`` name -> (module under :mod:`repro.apps`, the source the
+#: commands run). Each module declares ``ENTRY`` and ``ENTRY_SHAPES``
+#: beside its sources.
+APPS = {
+    "gauss_seidel": ("gauss_seidel", "SOURCE"),
+    "jacobi": ("jacobi", "SOURCE_WRAPPED"),
+    "matmul": ("matmul", "SOURCE"),
+    "triangular": ("triangular", "SOURCE"),
+}
+
+
+def load_app(name: str):
+    """``(module, source)`` of one ``--app`` choice."""
+    module, source = APPS[name]
+    app = importlib.import_module(f"repro.apps.{module}")
+    return app, getattr(app, source)
+
+
+def compile_app(
+    name: str,
+    strategy: str,
+    nprocs: int,
+    dist: str | None = None,
+    source: str | None = None,
+):
+    """Compile one app (or ``source`` under its entry and shapes),
+    retargeted onto ``dist`` when given. The compiler may assume S >= 2
+    only when ``nprocs >= 2``."""
+    app, app_source = load_app(name)
+    source = source or app_source
     strat, level = STRATEGIES[strategy]
     return compile_program_cached(
-        source,
+        source if dist is None else retarget_source(source, dist),
+        entry=app.ENTRY,
+        entry_shapes=app.ENTRY_SHAPES,
         strategy=strat,
         opt_level=level,
-        entry_shapes={"Old": ("N", "N")},
-        assume_nprocs_min=assume_min,
+        assume_nprocs_min=2 if nprocs >= 2 else 1,
     )
 
 
@@ -97,10 +126,8 @@ def measure(
             new = gather(result.returned, gs.DISTRIBUTION, nprocs, (n, n))
             _check(new, expected, strategy)
     else:
-        # Promise S >= 2 only when we actually run more than one processor.
-        assume_min = 2 if nprocs >= 2 else 1
         compile_t0 = perf.phase_seconds("compile")
-        compiled = _compiled(strategy, source or gs.SOURCE, assume_min)
+        compiled = compile_app("gauss_seidel", strategy, nprocs, source=source)
         compile_seconds = perf.phase_seconds("compile") - compile_t0
         host_t0 = time.perf_counter()
         outcome = execute(
@@ -128,32 +155,6 @@ def _check(new, expected, strategy: str) -> None:
         raise AssertionError(f"strategy {strategy!r} computed a wrong grid")
 
 
-def _strategy_series(
-    strategy: str,
-    n: int,
-    proc_counts: list[int],
-    blksize: int,
-    machine: MachineParams | None,
-    backend: str,
-    specialize: bool,
-) -> tuple[str, list[MeasurePoint], dict]:
-    """One whole strategy curve — the unit of parallel work.
-
-    Module-level (picklable) so ProcessPoolExecutor can ship it to a
-    worker. Measuring a full series in one process keeps that worker's
-    caches warm across all its points; the returned perf snapshot lets
-    the parent account for work done remotely.
-    """
-    points = [
-        measure(
-            strategy, n, nprocs, blksize=blksize, machine=machine,
-            backend=backend, specialize=specialize,
-        )
-        for nprocs in proc_counts
-    ]
-    return strategy, points, perf.snapshot()
-
-
 def sweep_nprocs(
     strategies: list[str],
     n: int,
@@ -162,33 +163,15 @@ def sweep_nprocs(
     machine: MachineParams | None = None,
     backend: str = "compiled",
     specialize: bool = False,
-    jobs: int = 1,
 ) -> dict[str, list[MeasurePoint]]:
-    """One series per strategy over the given ring sizes.
-
-    ``jobs > 1`` measures up to that many strategies concurrently in
-    worker processes; worker counters/timers are merged into this
-    process's :mod:`repro.perf` state. Results are identical either way
-    (the simulation is deterministic), only host wall-clock changes.
-    """
-    if jobs > 1 and len(strategies) > 1:
-        results: dict[str, list[MeasurePoint]] = {}
-        with ProcessPoolExecutor(max_workers=min(jobs, len(strategies))) as pool:
-            futures = [
-                pool.submit(
-                    _strategy_series, strategy, n, proc_counts, blksize,
-                    machine, backend, specialize,
-                )
-                for strategy in strategies
-            ]
-            for future in futures:
-                strategy, points, snap = future.result()
-                results[strategy] = points
-                perf.merge(snap)
-        return {s: results[s] for s in strategies}
+    """One series per strategy over the given ring sizes."""
     return {
-        strategy: _strategy_series(
-            strategy, n, proc_counts, blksize, machine, backend, specialize
-        )[1]
+        strategy: [
+            measure(
+                strategy, n, nprocs, blksize=blksize, machine=machine,
+                backend=backend, specialize=specialize,
+            )
+            for nprocs in proc_counts
+        ]
         for strategy in strategies
     }

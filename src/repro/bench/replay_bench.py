@@ -9,9 +9,9 @@ compiled simulator baseline:
     empty caches *and* an empty artifact store: extraction + FIFO
     matching + clock walk, the true first-contact cost.
 ``warm``
-    skeleton and plan memoized in-process — the steady state the
-    ``bench speedup`` sweeps and the tuner's repeated confirmations
-    live in. Runs the vectorized engine.
+    skeleton and plan memoized in-process — the steady state repeated
+    sweeps and the tuner's confirmations live in. Runs the vectorized
+    engine.
 ``scalar``
     the per-event reference scheduler (:func:`repro.machine.rows.
     run_rows`) over the memoized skeleton's compact rows, expanded in
@@ -43,11 +43,10 @@ import tempfile
 import time
 
 from repro import perf, store
-from repro.core.compiler import compile_program_cached
+from repro.bench.harness import compile_app
 from repro.core.runner import execute
 from repro.machine import MachineParams
 from repro.spmd.layout import make_full
-from repro.tune.space import STRATEGIES, retarget_source
 
 MACHINE = MachineParams.ipsc2()
 
@@ -65,19 +64,6 @@ STRATEGY_SWEEP = ("optI", "optIII")
 #: What a forced-scalar run records on the result (matched exactly so a
 #: *different* fallback reason — a real fallback — still fails).
 _SCALAR_NOTE = "scalar clock walk (REPRO_REPLAY_SCALAR=1)"
-
-
-def _compile(strategy: str, dist: str = "wrapped_cols"):
-    from repro.apps import gauss_seidel as gs
-
-    strat, opt_level = STRATEGIES[strategy]
-    return compile_program_cached(
-        retarget_source(gs.SOURCE, dist),
-        strategy=strat,
-        opt_level=opt_level,
-        entry_shapes={"Old": ("N", "N")},
-        assume_nprocs_min=2,
-    )
 
 
 def _time(fn, repeats: int):
@@ -151,7 +137,7 @@ def run_point(
     prior_scalar = os.environ.pop("REPRO_REPLAY_SCALAR", None)
     os.environ["REPRO_CACHE_DIR"] = store_root
     try:
-        compiled = _compile(strategy)
+        compiled = compile_app("gauss_seidel", strategy, nprocs)
         compiled_s, ref = _time(lambda: run("compiled"), repeats)
 
         perf.clear_caches()  # ``compiled`` itself stays alive above

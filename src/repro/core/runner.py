@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro import perf
 from repro.errors import CompileError
@@ -114,6 +114,14 @@ class MeasurePoint:
     @property
     def time_ms(self) -> float:
         return self.time_us / 1000.0
+
+    def simulated(self) -> dict:
+        """The fields the simulation determines: two runs of the same
+        code agree on them byte for byte, on any execution backend."""
+        fields = asdict(self)
+        for host in ("host_seconds", "backend", "compile_seconds"):
+            del fields[host]
+        return fields
 
     @classmethod
     def from_outcome(

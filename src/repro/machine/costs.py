@@ -8,7 +8,8 @@ a modest per-byte cost, and 80386-class scalar speed.
 
 All times are in microseconds of simulated time. The reproduction's
 qualitative results depend only on start-up cost dominating per-byte cost;
-``benchmarks/bench_sensitivity.py`` demonstrates this by sweeping alpha.
+``python -m repro.bench reproduce`` demonstrates this by sweeping alpha
+(the Sensitivity claim of :mod:`repro.bench.paper`).
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ the report with their error: the tuner's job includes telling the user
 what it could not evaluate and why.
 
 Confirmations are memoized (``tune_measure``) and can fan out across
-worker processes (``jobs > 1``) exactly like the bench harness's
-strategy sweeps.
+worker processes (``jobs > 1``); workers ship their perf snapshots home
+and :func:`repro.perf.merge` folds them into the parent's counters.
 """
 
 from __future__ import annotations

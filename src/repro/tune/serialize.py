@@ -11,8 +11,6 @@ consumer.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 
 def channel_totals(counts: dict) -> dict:
     """``{src->dst:channel: total}`` — ChannelKey objects flattened."""
@@ -42,7 +40,7 @@ def candidate_payload(cand) -> dict:
             ),
         }
     if cand.measured is not None:
-        out["measured"] = asdict(cand.measured)
+        out["measured"] = cand.measured.simulated()
     return out
 
 

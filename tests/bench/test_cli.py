@@ -1,11 +1,18 @@
-"""End-to-end tests for the bench CLI flags: --backend, --json,
---profile, and --jobs. Grids are tiny so every command is fast; the
-simulated numbers themselves are covered by tests/bench/test_harness.py."""
+"""End-to-end tests for the bench CLI flags: --backend, --json and
+--profile, and the commands' exit codes. Grids are tiny so every
+command is fast; the paper's claims themselves are
+tests/bench/test_paper.py's."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.bench import paper
 from repro.bench.cli import main
 
 
@@ -14,52 +21,76 @@ def run_cli(capsys, *argv):
     return capsys.readouterr().out
 
 
-class TestBackendFlag:
-    def test_backends_agree_on_fig6(self, capsys):
-        outs = {
-            backend: run_cli(
-                capsys, "fig6", "--n", "8", "--procs", "2",
-                "--backend", backend,
-            )
-            for backend in ("compiled", "interp")
-        }
-        assert outs["compiled"] == outs["interp"]
-        assert "Figure 6" in outs["compiled"]
+class TestReproduceCommand:
+    ARGS = ("reproduce", "--n", "24", "--procs", "2,4")
 
-    def test_bad_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig6", "--n", "8", "--backend", "nonsense"])
-
-
-class TestJsonFlag:
-    def test_fig6_json_file(self, tmp_path, capsys):
-        path = tmp_path / "fig6.json"
-        run_cli(capsys, "fig6", "--n", "8", "--procs", "2,4",
-                "--json", str(path))
-        payload = json.loads(path.read_text())
-        assert payload["figure"] == "fig6"
-        assert payload["n"] == 8
-        assert set(payload["series"]) == {
-            "runtime", "compile", "optI", "handwritten"
-        }
-        for points in payload["series"].values():
-            assert [p["nprocs"] for p in points] == [2, 4]
-            for p in points:
-                assert p["host_seconds"] >= 0.0
-                assert p["compile_seconds"] >= 0.0
+    def test_report_is_byte_stable_and_replay_agrees(self, tmp_path, capsys):
+        """Whether each claim holds is test_paper.py's to say; here the
+        exit code only has to agree with the report."""
+        codes, outs, reports = [], [], []
+        for i, backend in enumerate(("compiled", "compiled", "replay")):
+            path = tmp_path / f"paper{i}.json"
+            codes.append(main([*self.ARGS, "--backend", backend,
+                               "--json", str(path)]))
+            outs.append(capsys.readouterr().out)
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        # The tables and verdicts: replay's times and message counts.
+        assert outs[0] == outs[1] == outs[2]
+        assert "Figure 6 (N=24, ms)" in outs[0]
+        assert "Figure 7 (N=24, ms)" in outs[0]
+        payload = json.loads(reports[0])
+        assert codes == [0 if payload["ok"] else 1] * 3
+        assert (payload["n"], payload["procs"]) == (24, [2, 4])
+        assert sorted(c.id for c in paper.CLAIMS) == sorted(payload["claims"])
+        assert b"seconds" not in reports[0]  # no wall-clock time
         assert "profile" not in payload  # only with --profile
 
+    def test_a_failing_check_exits_one(self, monkeypatch, tmp_path, capsys):
+        claim = paper.Claim(
+            "X-0", "§0", "nothing", lambda setup: {"n": setup.n},
+            lambda d: {"holds": True, "fails": False},
+        )
+        monkeypatch.setattr(paper, "CLAIMS", (claim,))
+        path = tmp_path / "paper.json"
+        assert main(["reproduce", "--profile", "--json", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "ok    X-0          holds" in out
+        assert "FAIL  X-0          fails" in out
+        assert "-- profile --" in out
+        payload = json.loads(path.read_text())
+        assert payload["ok"] is False
+        assert payload["claims"]["X-0"]["checks"] == {
+            "holds": True, "fails": False,
+        }
+        assert "counters" in payload["profile"]
+
+    def test_bad_backend_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reproduce", "--backend", "nonsense"])
+        assert excinfo.value.code == 2
+
+    def test_loaded_only_by_its_command(self, tmp_path):
+        """``serve`` (which perfbench boots) never imports the claims."""
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.bench.cli; "
+             "print('repro.bench.paper' in sys.modules)"],
+            env=env, check=True, capture_output=True, text=True, timeout=60,
+        ).stdout
+        assert out.strip() == "False"
+
+
+class TestJsonAndProfileFlags:
     def test_json_to_stdout(self, capsys):
-        out = run_cli(capsys, "fig7", "--n", "8", "--procs", "2",
+        out = run_cli(capsys, "verify", "--n", "8", "--nprocs", "2",
                       "--json", "-")
-        body = out[out.index("{"):]
-        payload = json.loads(body)
-        assert payload["figure"] == "fig7"
+        payload = json.loads(out[out.index("{"):])
+        assert payload["command"] == "verify"
 
-
-class TestProfileFlag:
     def test_profile_prints_phases_and_caches(self, capsys):
-        out = run_cli(capsys, "fig6", "--n", "8", "--procs", "2",
+        out = run_cli(capsys, "verify", "--n", "8", "--nprocs", "2",
                       "--profile")
         assert "-- profile --" in out
         assert "phase compile" in out
@@ -68,15 +99,14 @@ class TestProfileFlag:
 
     def test_profile_embedded_in_json(self, tmp_path, capsys):
         path = tmp_path / "out.json"
-        run_cli(capsys, "fig6", "--n", "8", "--procs", "2",
+        run_cli(capsys, "verify", "--n", "8", "--nprocs", "2",
                 "--profile", "--json", str(path))
-        payload = json.loads(path.read_text())
-        snap = payload["profile"]
+        snap = json.loads(path.read_text())["profile"]
         assert "compile" in snap["phases"]
         assert any(k.endswith(".hit") for k in snap["counters"])
 
     def test_no_profile_by_default(self, capsys):
-        out = run_cli(capsys, "blocksize", "--n", "8", "--nprocs", "2")
+        out = run_cli(capsys, "verify", "--n", "8", "--nprocs", "2")
         assert "-- profile --" not in out
 
 
@@ -105,6 +135,17 @@ class TestTraceCommand:
         out = run_cli(capsys, "trace", "--app", app, "--n", "8",
                       "--nprocs", "2", "--strategy", "compile")
         assert "critical path:" in out
+
+    def test_a_deadlock_exits_one_without_traceback(self, capsys):
+        """Jacobi under Optimized III deadlocks by design (DL001)."""
+        assert main(["trace", "--app", "jacobi", "--n", "12",
+                     "--nprocs", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(
+            "trace: jacobi-optIII-N12-S4: DeadlockError: "
+        )
+        assert "waits on" in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     def test_backends_agree_on_report(self, capsys):
         outs = {
@@ -149,6 +190,20 @@ class TestTuneCommand:
             if c["error"] is None
         ]
         assert ranked == sorted(ranked)
+
+    def test_json_is_byte_stable(self, tmp_path, capsys):
+        """Two runs of the same code write the same bytes: the report
+        holds no host wall-clock."""
+        from repro import perf
+
+        paths = [tmp_path / "tune1.json", tmp_path / "tune2.json"]
+        for path in paths:
+            perf.clear_caches()  # as in a fresh process: confirm again
+            run_cli(capsys, "tune", "--n", "8", "--json", str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        best = json.loads(paths[0].read_text())["best"]["measured"]
+        assert "host_seconds" not in best
+        assert "compile_seconds" not in best
 
     def test_jacobi_app(self, capsys):
         out = run_cli(capsys, "tune", "--app", "jacobi", "--n", "8",
@@ -242,13 +297,15 @@ class TestArgValidation:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["fig6", "--n", "0"], "--n must be a positive"),
-            (["blocksize", "--nprocs", "-3"], "--nprocs must be a positive"),
-            (["timeline", "--blksize", "0"], "--blksize must be a positive"),
-            (["fig7", "--procs", "0,2"], "--procs entries must be positive"),
-            (["fig7", "--procs", ""], "--procs must name at least one"),
-            (["fig6", "--procs", "a,b"], "comma-separated list of integers"),
-            (["fig6", "--jobs", "0"], "--jobs must be positive"),
+            (["reproduce", "--n", "0"], "--n must be a positive"),
+            (["trace", "--nprocs", "-3"], "--nprocs must be a positive"),
+            (["trace", "--blksize", "0"], "--blksize must be a positive"),
+            (["reproduce", "--procs", "0,2"],
+             "--procs entries must be positive"),
+            (["reproduce", "--procs", ""], "--procs must name at least one"),
+            (["reproduce", "--procs", "a,b"],
+             "comma-separated list of integers"),
+            (["tune", "--jobs", "0"], "--jobs must be positive"),
             (["verify", "--blksize", "0"], "--blksize must be a positive"),
             (["tune", "--top-k", "0"], "--top-k must be positive"),
             (["tune", "--blksizes", "4,-1"], "--blksizes entries"),
@@ -285,15 +342,15 @@ class TestNoIgnoredOptions:
             (["verify", "--jobs", "2"], "--jobs"),
             (["maps", "--backend", "interp"], "--backend"),
             (["maps", "--procs", "2,4"], "--procs"),
-            (["fig6", "--nprocs", "4"], "--nprocs"),
-            (["speedup", "--backend", "interp"], "--backend"),
-            (["msgcount", "--n", "16"], "--n"),
-            (["blocksize", "--blksize", "4"], "--blksize"),
+            (["reproduce", "--nprocs", "4"], "--nprocs"),
+            (["reproduce", "--jobs", "2"], "--jobs"),
+            (["reproduce", "--blksize", "4"], "--blksize"),
+            (["trace", "--procs", "2,4"], "--procs"),
             (["tune", "--blksize", "4"], "--blksize"),
             (["tune", "--nprocs", "4"], "--nprocs"),
             (["replay", "--n", "16"], "--n"),
             (["irregular", "--backend", "interp"], "--backend"),
-            (["timeline", "--json", "-"], "--json"),
+            (["trace", "--json", "-"], "--json"),
         ],
     )
     def test_an_ignored_option_is_a_usage_error(self, capsys, argv, flag):
@@ -305,30 +362,6 @@ class TestNoIgnoredOptions:
         assert line.endswith(f"unrecognized arguments: {' '.join(argv[1:])}")
         assert flag in line
         assert "Traceback" not in err
-    def test_parallel_sweep_matches_serial(self, tmp_path, capsys):
-        paths = {}
-        for jobs in ("1", "2"):
-            paths[jobs] = tmp_path / f"jobs{jobs}.json"
-            run_cli(capsys, "fig6", "--n", "8", "--procs", "2,4",
-                    "--jobs", jobs, "--json", str(paths[jobs]))
-
-        def simulated(path):
-            payload = json.loads(path.read_text())
-            return {
-                strategy: [
-                    (p["time_us"], p["messages"], p["bytes"]) for p in points
-                ]
-                for strategy, points in payload["series"].items()
-            }
-
-        assert simulated(paths["1"]) == simulated(paths["2"])
-
-    def test_worker_counters_merged(self, capsys):
-        out = run_cli(capsys, "fig6", "--n", "8", "--procs", "2",
-                      "--jobs", "2", "--profile")
-        # All compilation happened in workers; the parent only sees it
-        # through merged snapshots.
-        assert "cache simplify" in out
 
 
 class TestMapsCommand:

@@ -176,15 +176,15 @@ def test_cli_rejects_unknown_backend():
     from repro.bench.cli import main
 
     with pytest.raises(SystemExit) as exc_info:
-        main(["msgcount", "--backend", "bogus"])
+        main(["reproduce", "--backend", "bogus"])
     assert exc_info.value.code == 2
 
 
 def test_cli_accepts_replay_backend(capsys):
     from repro.bench.cli import main
 
-    rc = main(["blocksize", "--n", "12", "--nprocs", "2",
-               "--backend", "replay"])
+    rc = main(["tune", "--n", "12", "--procs", "2", "--dists",
+               "wrapped_cols", "--strategies", "optIII", "--blksizes", "4",
+               "--top-k", "1", "--backend", "replay"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "blksize" in out
+    assert "best: wrapped_cols optIII" in capsys.readouterr().out

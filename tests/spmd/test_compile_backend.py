@@ -202,12 +202,11 @@ class TestOneTreePerProgram:
 
     @pytest.mark.parametrize("specialize", [False, True])
     def test_execute_compiles_each_distinct_program_once(self, specialize):
-        from repro.apps import gauss_seidel as gs
-        from repro.bench.harness import _compiled as compile_strategy
+        from repro.bench.harness import compile_app
         from repro.core.runner import execute
         from repro.spmd.layout import make_full
 
-        compiled = compile_strategy("optIII", gs.SOURCE, 2)
+        compiled = compile_app("gauss_seidel", "optIII", 2)
         for _ in range(2):
             execute(
                 compiled, 8, specialize=specialize,
@@ -250,14 +249,13 @@ class TestDifferentialOnStrategies:
 
     @pytest.mark.parametrize("strategy", STRATEGY_ORDER)
     def test_per_channel_stats_identical(self, strategy):
-        from repro.bench.harness import _compiled as compile_strategy
-        from repro.apps import gauss_seidel as gs
+        from repro.bench.harness import compile_app
         from repro.core.runner import execute
         from repro.spmd.layout import make_full
 
         if strategy == "handwritten":
             pytest.skip("channel stats covered via measure() signature")
-        compiled = compile_strategy(strategy, gs.SOURCE, 2)
+        compiled = compile_app("gauss_seidel", strategy, 2)
         outcomes = {
             backend: execute(
                 compiled,
@@ -285,12 +283,11 @@ class TestDifferentialOnStrategies:
         every event — kinds, ranks, channels, payload sizes, timings,
         wait and queue attributions.
         """
-        from repro.bench.harness import _compiled as compile_strategy
-        from repro.apps import gauss_seidel as gs
+        from repro.bench.harness import compile_app
         from repro.core.runner import execute
         from repro.spmd.layout import make_full
 
-        compiled = compile_strategy(strategy, gs.SOURCE, 2)
+        compiled = compile_app("gauss_seidel", strategy, 2)
         traces = {}
         for backend in ("interp", "compiled"):
             outcome = execute(
