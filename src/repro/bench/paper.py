@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import ge, gt
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.apps import gauss_seidel as gs
 from repro.apps import simple, triangular
@@ -70,14 +70,19 @@ class Setup:
 @dataclass(frozen=True)
 class Claim:
     """One experiment: the paper's section and sentence, a measurement
-    and named checks over it; ``table`` renders a measurement as text."""
+    and named checks over it (each a predicate on what ``measure``
+    returned); ``table`` renders a measurement as text."""
 
     id: str
     section: str
     quote: str
     measure: Callable[[Setup], dict]
-    checks: Callable[[dict], dict[str, bool]]
+    checks: Mapping[str, Callable[[dict], bool]]
     table: Callable[[dict], str] | None = None
+
+    def check(self, data: dict) -> dict[str, bool]:
+        """Every named check's verdict on one measurement."""
+        return {name: bool(holds(data)) for name, holds in self.checks.items()}
 
 
 def _figure(strategies):
@@ -123,59 +128,69 @@ def _fig4(setup):
     }}
 
 
-def _fig4_checks(d):
-    runs, p = d["runs"], d["listing_4d"]
-    return {
-        "both strategies compute 12 with 2 coerces + a 3-message broadcast":
-            all(r["value"] == simple.EXPECTED_VALUE
-                and r["messages"] == simple.EXPECTED_COERCE_MESSAGES + 3
-                for r in runs.values()),
-        "run-time code has Figure 4b's coerce(a, 1, 3), coerce(b, 2, 3)":
-            "coerce(a, 1, 3)" in d["listing_4b"]
-            and "coerce(b, 2, 3)" in d["listing_4b"],
-        "per-rank compile-time code is Figure 4d's":
-            "a = 5;" in p["p1"] and "csend(a, 3)" in p["p1"]
+def _fig4_4d(d):
+    p = d["listing_4d"]
+    return ("a = 5;" in p["p1"] and "csend(a, 3)" in p["p1"]
             and "b = 7;" in p["p2"] and "csend(b, 3)" in p["p2"]
-            and "crecv(&tmp1, 1)" in p["p3"] and "crecv(&tmp2, 2)" in p["p3"],
-        "compile-time costs bystander P0 no more than run-time":
-            runs["compile_time"]["p0_busy_us"] <= runs["runtime"]["p0_busy_us"],
-    }
+            and "crecv(&tmp1, 1)" in p["p3"] and "crecv(&tmp2, 2)" in p["p3"])
 
 
-def _fig6_checks(d):
-    t = _times(d)
+FIG4_CHECKS = {
+    "both strategies compute 12 with 2 coerces + a 3-message broadcast":
+        lambda d: all(r["value"] == simple.EXPECTED_VALUE
+                      and r["messages"] == simple.EXPECTED_COERCE_MESSAGES + 3
+                      for r in d["runs"].values()),
+    "run-time code has Figure 4b's coerce(a, 1, 3), coerce(b, 2, 3)":
+        lambda d: "coerce(a, 1, 3)" in d["listing_4b"]
+        and "coerce(b, 2, 3)" in d["listing_4b"],
+    "per-rank compile-time code is Figure 4d's": _fig4_4d,
+    "compile-time costs bystander P0 no more than run-time":
+        lambda d: d["runs"]["compile_time"]["p0_busy_us"]
+        <= d["runs"]["runtime"]["p0_busy_us"],
+}
+
+
+def _fig6_flat(d):
     flat = [[p["time_us"] for p in d["series"][s] if p["nprocs"] >= 4]
             for s in ("runtime", "compile", "optI")]
-    return {
-        "runtime >= compile at every S": all(map(ge, t["runtime"], t["compile"])),
-        "compile >= 0.999 optI at every S":
-            all(c >= o * 0.999 for c, o in zip(t["compile"], t["optI"])),
-        "optI > handwritten at every S":
-            all(map(gt, t["optI"], t["handwritten"])),
-        "runtime, compile, optI flat for S >= 4 (max < 1.25 min)":
-            all(len(ts) < 2 or max(ts) < 1.25 * min(ts) for ts in flat),
-        "runtime, compile send 2(N-2)^2 messages at every S":
-            all(p["messages"] == 2 * (d["n"] - 2) ** 2
-                for s in ("runtime", "compile") for p in d["series"][s]),
-    }
+    return all(len(ts) < 2 or max(ts) < 1.25 * min(ts) for ts in flat)
 
 
-def _fig7_checks(d):
-    t, series = _times(d), d["series"]
-    return {
-        "optII < optI for S >= 4, < 1.15 optI below": all(
-            o2["time_us"] < (1.0 if o2["nprocs"] >= 4 else 1.15) * o1["time_us"]
-            for o1, o2 in zip(series["optI"], series["optII"])
-        ),
-        "optIII < optII at every S": all(map(gt, t["optII"], t["optIII"])),
-        "optII at the largest S < half its time at the smallest":
-            t["optII"][-1] < 0.5 * t["optII"][0],
-        "optIII sends handwritten's message count at every S": [
-            p["messages"] for p in series["optIII"]
-        ] == [p["messages"] for p in series["handwritten"]],
-        "optIII < 2 x handwritten's time at every S":
-            all(o3 < 2.0 * h for o3, h in zip(t["optIII"], t["handwritten"])),
-    }
+FIG6_CHECKS = {
+    "runtime >= compile at every S":
+        lambda d: all(map(ge, _times(d)["runtime"], _times(d)["compile"])),
+    "compile >= 0.999 optI at every S": lambda d: all(
+        c >= o * 0.999 for c, o in zip(_times(d)["compile"], _times(d)["optI"])
+    ),
+    "optI > handwritten at every S":
+        lambda d: all(map(gt, _times(d)["optI"], _times(d)["handwritten"])),
+    "runtime, compile, optI flat for S >= 4 (max < 1.25 min)": _fig6_flat,
+    "runtime, compile send 2(N-2)^2 messages at every S":
+        lambda d: all(p["messages"] == 2 * (d["n"] - 2) ** 2
+                      for s in ("runtime", "compile") for p in d["series"][s]),
+}
+
+
+def _messages(d, strategy):
+    return [p["messages"] for p in d["series"][strategy]]
+
+
+FIG7_CHECKS = {
+    "optII < optI for S >= 4, < 1.15 optI below": lambda d: all(
+        o2["time_us"] < (1.0 if o2["nprocs"] >= 4 else 1.15) * o1["time_us"]
+        for o1, o2 in zip(d["series"]["optI"], d["series"]["optII"])
+    ),
+    "optIII < optII at every S":
+        lambda d: all(map(gt, _times(d)["optII"], _times(d)["optIII"])),
+    "optII at the largest S < half its time at the smallest":
+        lambda d: _times(d)["optII"][-1] < 0.5 * _times(d)["optII"][0],
+    "optIII sends handwritten's message count at every S":
+        lambda d: _messages(d, "optIII") == _messages(d, "handwritten"),
+    "optIII < 2 x handwritten's time at every S": lambda d: all(
+        o3 < 2.0 * h
+        for o3, h in zip(_times(d)["optIII"], _times(d)["handwritten"])
+    ),
+}
 
 
 def _msgcount(setup):
@@ -186,15 +201,14 @@ def _msgcount(setup):
     )}
 
 
-def _msgcount_checks(d):
-    return {
-        "runtime sends 31752 = 2(N-2)^2 at N=128, S=2":
-            d["runtime"] == 31752 == 2 * (PAPER_N - 2) ** 2,
-        "compile sends as many, 31752, at S=2": d["compile"] == 31752,
-        "handwritten sends 2142, its closed form, at S=4":
-            d["handwritten"] == 2142 == d["handwritten_formula"],
-        "optIII sends 2142 at S=4": d["optIII"] == 2142,
-    }
+MSGCOUNT_CHECKS = {
+    "runtime sends 31752 = 2(N-2)^2 at N=128, S=2":
+        lambda d: d["runtime"] == 31752 == 2 * (PAPER_N - 2) ** 2,
+    "compile sends as many, 31752, at S=2": lambda d: d["compile"] == 31752,
+    "handwritten sends 2142, its closed form, at S=4":
+        lambda d: d["handwritten"] == 2142 == d["handwritten_formula"],
+    "optIII sends 2142 at S=4": lambda d: d["optIII"] == 2142,
+}
 
 
 BLK_SIZES = (1, 2, 4, 8, 16, 64)
@@ -205,22 +219,33 @@ def _blocksize(setup):
             for n in (24, 48)}
 
 
-def _blocksize_checks(d):
-    t = {n: {b: p["time_us"] for b, p in by_blk.items()}
-         for n, by_blk in d.items()}
-    best = {n: min(BLK_SIZES, key=t[n].get) for n in t}
+def _blk_times(d, n):
+    return {b: p["time_us"] for b, p in d[n].items()}
 
-    def u_shaped(n):
-        return min(t[n][1], t[n][64]) > t[n][best[n]]
 
+def _best_blk(d, n):
+    return min(BLK_SIZES, key=_blk_times(d, n).get)
+
+
+def _u_shaped(n):
+    def holds(d):
+        t = _blk_times(d, n)
+        return min(t[1], t[64]) > t[_best_blk(d, n)]
+    return holds
+
+
+def _falling_counts(d):
     counts = [d[24][b]["messages"] for b in BLK_SIZES]
-    return {
-        "U-shaped in blksize at N=24, S=4": u_shaped(24),
-        "U-shaped in blksize at N=48, S=4": u_shaped(48),
-        "best blksize at N=48 >= best at N=24": best[48] >= best[24],
-        "messages fall as blksize grows at N=24":
-            counts == sorted(counts, reverse=True),
-    }
+    return counts == sorted(counts, reverse=True)
+
+
+BLOCKSIZE_CHECKS = {
+    "U-shaped in blksize at N=24, S=4": _u_shaped(24),
+    "U-shaped in blksize at N=48, S=4": _u_shaped(48),
+    "best blksize at N=48 >= best at N=24":
+        lambda d: _best_blk(d, 48) >= _best_blk(d, 24),
+    "messages fall as blksize grows at N=24": _falling_counts,
+}
 
 
 def _interchange(setup):
@@ -247,18 +272,16 @@ def _interchange(setup):
     return rows
 
 
-def _interchange_checks(d):
-    normal, rev = d["normal order"], d["reversed loops"]
-    return {
-        "every variant computes the oracle's grid":
-            all(r["grid_ok"] for r in d.values()),
-        "reversed loops take > 3x the time":
-            rev["time_us"] > 3.0 * normal["time_us"],
-        "reversed loops send > 3x the messages":
-            rev["messages"] > 3 * normal["messages"],
-        "interchange recovers the normal order's time and messages":
-            d["reversed + interchange"] == normal,
-    }
+INTERCHANGE_CHECKS = {
+    "every variant computes the oracle's grid":
+        lambda d: all(r["grid_ok"] for r in d.values()),
+    "reversed loops take > 3x the time": lambda d:
+        d["reversed loops"]["time_us"] > 3.0 * d["normal order"]["time_us"],
+    "reversed loops send > 3x the messages": lambda d:
+        d["reversed loops"]["messages"] > 3 * d["normal order"]["messages"],
+    "interchange recovers the normal order's time and messages":
+        lambda d: d["reversed + interchange"] == d["normal order"],
+}
 
 
 MONO = """
@@ -291,14 +314,14 @@ def _polymorphism(setup):
     return rows | {"paper_messages_eliminated": 4}
 
 
-def _polymorphism_checks(d):
-    mono, poly = d["monomorphic"], d["polymorphic"]
-    return {
-        "both versions return 50": mono["value"] == poly["value"] == 50,
-        "polymorphic sends 2 fewer messages (the paper: 4)":
-            poly["messages"] == mono["messages"] - 2,
-        "polymorphic finishes sooner": poly["time_us"] < mono["time_us"],
-    }
+POLYMORPHISM_CHECKS = {
+    "both versions return 50":
+        lambda d: d["monomorphic"]["value"] == d["polymorphic"]["value"] == 50,
+    "polymorphic sends 2 fewer messages (the paper: 4)": lambda d:
+        d["polymorphic"]["messages"] == d["monomorphic"]["messages"] - 2,
+    "polymorphic finishes sooner":
+        lambda d: d["polymorphic"]["time_us"] < d["monomorphic"]["time_us"],
+}
 
 
 def _loadbalance(setup):
@@ -319,15 +342,13 @@ def _loadbalance(setup):
     }
 
 
-def _loadbalance_checks(d):
-    before, after = d["blocked"], d["rebalanced"]
-    return {
-        "rebalancing shortens the makespan":
-            after["time_us"] < before["time_us"],
-        "rebalancing lowers the load imbalance":
-            after["imbalance"] < before["imbalance"],
-        "results are identical after rebalancing": d["same_results"],
-    }
+LOADBALANCE_CHECKS = {
+    "rebalancing shortens the makespan":
+        lambda d: d["rebalanced"]["time_us"] < d["blocked"]["time_us"],
+    "rebalancing lowers the load imbalance":
+        lambda d: d["rebalanced"]["imbalance"] < d["blocked"]["imbalance"],
+    "results are identical after rebalancing": lambda d: d["same_results"],
+}
 
 
 def _sensitivity(setup):
@@ -339,57 +360,60 @@ def _sensitivity(setup):
     } for alpha in (50.0, 150.0, 350.0, 1000.0, 3000.0)}
 
 
-def _sensitivity_checks(d):
-    every = d.values()
-    return {
-        "runtime >= 0.999 compile at every alpha":
-            all(t["runtime"] >= t["compile"] * 0.999 for t in every),
-        "optI > optII at every alpha": all(t["optI"] > t["optII"] for t in every),
-        "optII > optIII at every alpha":
-            all(t["optII"] > t["optIII"] for t in every),
-        "optIII best at alpha=150": d[150.0]["optIII"] == min(d[150.0].values()),
-        "optIII best at alpha=1000":
-            d[1000.0]["optIII"] == min(d[1000.0].values()),
-    }
+def _optIII_best(alpha):
+    return lambda d: d[alpha]["optIII"] == min(d[alpha].values())
+
+
+SENSITIVITY_CHECKS = {
+    "runtime >= 0.999 compile at every alpha": lambda d: all(
+        t["runtime"] >= t["compile"] * 0.999 for t in d.values()
+    ),
+    "optI > optII at every alpha":
+        lambda d: all(t["optI"] > t["optII"] for t in d.values()),
+    "optII > optIII at every alpha":
+        lambda d: all(t["optII"] > t["optIII"] for t in d.values()),
+    "optIII best at alpha=150": _optIII_best(150.0),
+    "optIII best at alpha=1000": _optIII_best(1000.0),
+}
 
 
 CLAIMS = (
     Claim("F4", "§3, Figure 4",
           "run-time resolution coerces a and b to P3; compile-time resolution "
           "gives P1 a = 5; csend(a, 3) ... P3 crecv(&tmp1, 1)",
-          _fig4, _fig4_checks),
+          _fig4, FIG4_CHECKS),
     Claim("F6", "§4, Figure 6",
           "the run-time resolution code performs rather poorly ... the "
           "compile-time implementation is more encouraging but still bad",
           _figure(["runtime", "compile", "optI", "handwritten"]),
-          _fig6_checks, _table("Figure 6")),
+          FIG6_CHECKS, _table("Figure 6")),
     Claim("F7", "§4, Figure 7",
           "the most impressive gains are demonstrated by ... pipelining of "
           "computation and communication",
           _figure(["optI", "optII", "optIII", "handwritten"]),
-          _fig7_checks, _table("Figure 7")),
+          FIG7_CHECKS, _table("Figure 7")),
     Claim("T-MSG", "§4, footnote 3",
           "31,752 messages for the run-time resolution code versus 2142 "
           "messages for the handwritten code",
-          _msgcount, _msgcount_checks),
+          _msgcount, MSGCOUNT_CHECKS),
     Claim("X-BLK", "§4",
           "the best block size depends on the size of the matrix",
-          _blocksize, _blocksize_checks),
+          _blocksize, BLOCKSIZE_CHECKS),
     Claim("X-INT", "§4",
           "if the sequential version of Gauss-Seidel had had the i and "
           "j-loops reversed ... loop interchange would be required",
-          _interchange, _interchange_checks),
+          _interchange, INTERCHANGE_CHECKS),
     Claim("X-POLY", "§5.1, Figures 8 and 9",
           "not only can f(b) and f(c) be done in parallel but also four "
           "messages have been eliminated",
-          _polymorphism, _polymorphism_checks),
+          _polymorphism, POLYMORPHISM_CHECKS),
     Claim("X-LB", "§5.4",
           "processes may be shuffled from overloaded to underloaded nodes "
           "without slowing their execution if the data ... is moved along",
-          _loadbalance, _loadbalance_checks),
+          _loadbalance, LOADBALANCE_CHECKS),
     Claim("Sensitivity", "§4",
           "messages on the Intel iPSC/2 are very expensive",
-          _sensitivity, _sensitivity_checks),
+          _sensitivity, SENSITIVITY_CHECKS),
 )
 
 
@@ -398,7 +422,7 @@ def reproduce(setup: Setup) -> tuple[str, dict]:
     results = []
     for claim in CLAIMS:
         data = claim.measure(setup)
-        results.append((claim, data, claim.checks(data)))
+        results.append((claim, data, claim.check(data)))
     lines = [claim.table(data) + "\n" for claim, data, _ in results
              if claim.table]
     lines += [

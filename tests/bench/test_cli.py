@@ -49,7 +49,7 @@ class TestReproduceCommand:
     def test_a_failing_check_exits_one(self, monkeypatch, tmp_path, capsys):
         claim = paper.Claim(
             "X-0", "§0", "nothing", lambda setup: {"n": setup.n},
-            lambda d: {"holds": True, "fails": False},
+            {"holds": lambda d: True, "fails": lambda d: False},
         )
         monkeypatch.setattr(paper, "CLAIMS", (claim,))
         path = tmp_path / "paper.json"
