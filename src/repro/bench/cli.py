@@ -86,10 +86,12 @@ def cmd_reproduce(args) -> int:
     ``--n``/``--procs`` size Figures 6 and 7 only."""
     from repro.bench.paper import Setup, reproduce
 
-    text, payload = reproduce(
-        Setup(n=args.n, procs=tuple(_parse_procs(args.procs)),
-              backend=args.backend)
-    )
+    sizes = {}
+    if args.n is not None:
+        sizes["n"] = args.n
+    if args.procs is not None:
+        sizes["procs"] = tuple(_parse_procs(args.procs))
+    text, payload = reproduce(Setup(backend=args.backend, **sizes))
     print(text)
     _print_profile(args)
     if args.json:
@@ -537,7 +539,7 @@ def _validate_args(args) -> None:
     """Reject nonsense numeric arguments with a one-line parser error
     (exit code 2) instead of a traceback from deep inside the harness."""
     err = args.parser.error
-    if getattr(args, "n", 1) < 1:
+    if getattr(args, "n", None) is not None and args.n < 1:
         err(f"--n must be a positive grid size, got {args.n}")
     if getattr(args, "nprocs", 1) < 1:
         err(f"--nprocs must be a positive ring size, got {args.nprocs}")
@@ -622,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
                  "(and embed them in --json dumps)",
         )
         if name == "reproduce":
-            cmd.set_defaults(n=128, procs="2,4,8,16,32")
+            cmd.set_defaults(n=None, procs=None)  # Setup's: the paper's
         if name == "irregular":
             cmd.set_defaults(nprocs=4)
             cmd.add_argument(

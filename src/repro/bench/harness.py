@@ -23,9 +23,7 @@ channel names that appear in reports and exports.
 from __future__ import annotations
 
 import importlib
-import time
 
-from repro import perf
 from repro.apps import gauss_seidel as gs
 from repro.core.compiler import compile_program_cached
 from repro.core.runner import ExecutionOutcome, MeasurePoint, execute
@@ -110,7 +108,6 @@ def measure(
     if strategy == "handwritten":
         program = gs.handwritten_wavefront()
         parts = scatter(old, gs.DISTRIBUTION, nprocs, name="Old")
-        host_t0 = time.perf_counter()
         result = run_spmd(
             program,
             nprocs,
@@ -119,17 +116,12 @@ def measure(
             globals_={"N": n, "blksize": blksize, "c": 1, "bval": 1},
             backend=backend,
         )
-        host_seconds = time.perf_counter() - host_t0
-        compile_seconds = 0.0
         outcome = ExecutionOutcome(value=None, spmd=result)
         if verify:
             new = gather(result.returned, gs.DISTRIBUTION, nprocs, (n, n))
             _check(new, expected, strategy)
     else:
-        compile_t0 = perf.phase_seconds("compile")
         compiled = compile_app("gauss_seidel", strategy, nprocs, source=source)
-        compile_seconds = perf.phase_seconds("compile") - compile_t0
-        host_t0 = time.perf_counter()
         outcome = execute(
             compiled,
             nprocs,
@@ -140,13 +132,11 @@ def measure(
             backend=backend,
             specialize=specialize,
         )
-        host_seconds = time.perf_counter() - host_t0
         if verify:
             _check(outcome.value, expected, strategy)
 
     return MeasurePoint.from_outcome(
-        outcome, strategy, n, nprocs, blksize, host_seconds, backend,
-        compile_seconds,
+        outcome, strategy, n, nprocs, blksize, backend
     )
 
 

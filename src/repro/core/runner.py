@@ -87,11 +87,6 @@ class MeasurePoint:
     """One simulated execution.
 
     ``time_us`` is *simulated* microseconds (deterministic);
-    ``host_seconds`` is the host wall-clock spent executing the
-    simulation (excluding problem setup and verification), recorded so
-    ``BENCH_*.json`` tracks the performance trajectory across PRs.
-    ``compile_seconds`` is the host wall-clock the compiler spent inside
-    this measurement — near zero when the compile cache is warm.
     ``comm_frac``/``idle_frac`` split the machine-time integral
     (``nprocs * makespan``) into communication overhead and idle waiting
     (see :func:`repro.obs.utilization.comm_idle_fractions`); the
@@ -105,9 +100,7 @@ class MeasurePoint:
     time_us: float
     messages: int
     bytes: int
-    host_seconds: float = 0.0
     backend: str = "compiled"
-    compile_seconds: float = 0.0
     comm_frac: float = 0.0
     idle_frac: float = 0.0
 
@@ -116,11 +109,10 @@ class MeasurePoint:
         return self.time_us / 1000.0
 
     def simulated(self) -> dict:
-        """The fields the simulation determines: two runs of the same
-        code agree on them byte for byte, on any execution backend."""
+        """Every field but ``backend``: all execution backends agree on
+        these byte for byte."""
         fields = asdict(self)
-        for host in ("host_seconds", "backend", "compile_seconds"):
-            del fields[host]
+        del fields["backend"]
         return fields
 
     @classmethod
@@ -131,9 +123,7 @@ class MeasurePoint:
         n: int,
         nprocs: int,
         blksize: int,
-        host_seconds: float,
         backend: str,
-        compile_seconds: float = 0.0,
     ) -> "MeasurePoint":
         comm_frac, idle_frac = comm_idle_fractions(outcome.sim)
         return cls(
@@ -144,9 +134,7 @@ class MeasurePoint:
             time_us=outcome.makespan_us,
             messages=outcome.total_messages,
             bytes=outcome.sim.stats.total_bytes,
-            host_seconds=host_seconds,
             backend=backend,
-            compile_seconds=compile_seconds,
             comm_frac=comm_frac,
             idle_frac=idle_frac,
         )

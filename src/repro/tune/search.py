@@ -25,7 +25,6 @@ and :func:`repro.perf.merge` folds them into the parent's counters.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -186,7 +185,6 @@ def _confirm(
         info = compiled.array_info[compiled.entry][pname]
         shape = tuple(d.evaluate(env) for d in info.shape)
         inputs[pname] = make_full(shape, 1, name=pname)
-    host_t0 = time.perf_counter()
     outcome = execute(
         compiled,
         config.nprocs,
@@ -196,7 +194,6 @@ def _confirm(
         extra_globals={"blksize": config.blksize},
         backend=backend,
     )
-    host_seconds = time.perf_counter() - host_t0
     if (
         oracle is not None
         and compiled.entry_return_array is not None
@@ -208,8 +205,7 @@ def _confirm(
                 f"configuration {config.label} computed a wrong grid"
             )
     return MeasurePoint.from_outcome(
-        outcome, config.strategy, n, config.nprocs, config.blksize,
-        host_seconds, backend,
+        outcome, config.strategy, n, config.nprocs, config.blksize, backend
     )
 
 

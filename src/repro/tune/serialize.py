@@ -11,6 +11,8 @@ consumer.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 
 def channel_totals(counts: dict) -> dict:
     """``{src->dst:channel: total}`` — ChannelKey objects flattened."""
@@ -40,7 +42,7 @@ def candidate_payload(cand) -> dict:
             ),
         }
     if cand.measured is not None:
-        out["measured"] = cand.measured.simulated()
+        out["measured"] = asdict(cand.measured)
     return out
 
 

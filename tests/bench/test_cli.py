@@ -201,9 +201,6 @@ class TestTuneCommand:
             perf.clear_caches()  # as in a fresh process: confirm again
             run_cli(capsys, "tune", "--n", "8", "--json", str(path))
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        best = json.loads(paths[0].read_text())["best"]["measured"]
-        assert "host_seconds" not in best
-        assert "compile_seconds" not in best
 
     def test_jacobi_app(self, capsys):
         out = run_cli(capsys, "tune", "--app", "jacobi", "--n", "8",

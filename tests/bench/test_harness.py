@@ -107,12 +107,7 @@ class TestUtilizationFractions:
         assert large.idle_frac > small.idle_frac
 
 
-class TestHostTiming:
-    def test_host_seconds_recorded(self):
-        point = measure("handwritten", 8, 2, blksize=2, machine=FREE)
-        assert point.host_seconds > 0.0
-        assert point.backend == "compiled"
-
+class TestBackend:
     def test_backend_recorded_and_results_identical(self):
         interp = measure("optII", 8, 2, blksize=2, backend="interp")
         compiled = measure("optII", 8, 2, blksize=2, backend="compiled")

@@ -106,6 +106,22 @@ class TestTune:
             assert report.simulations == 3
         assert results[1] == results[2]
 
+    def test_worker_counters_merged(self):
+        # Only confirmation compiles the SPMD closures, so with jobs=2
+        # the parent sees that work only through the workers' merged
+        # snapshots.
+        counts = {}
+        for jobs in (1, 2):
+            perf.reset(clear_cache_tables=True)
+            tune(gs.SOURCE, 8, proc_counts=(2,), top_k=2, jobs=jobs)
+            counts[jobs] = {
+                name: value
+                for name, value in perf.snapshot()["counters"].items()
+                if name.startswith("spmd_compile.")
+            }
+        assert counts[1]
+        assert counts[2] == counts[1]
+
 
 class TestSpace:
     def test_retarget_rewrites_every_map(self):
